@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, Tolerance, as_complex_matrix, vec
+from .linalg import DEFAULT_TOL, as_complex_matrix, unvec, vec
 
 __all__ = [
     "KrausChannel",
@@ -47,7 +47,7 @@ class KrausChannel:
         Tolerance used for the eager check.
     """
 
-    __slots__ = ("dim", "kraus", "_stack")
+    __slots__ = ("dim", "kraus", "_stack", "_cores")
 
     def __init__(self, kraus, *, unchecked=False, tol=DEFAULT_TOL):
         mats = [as_complex_matrix(v, f"kraus[{i}]") for i, v in enumerate(kraus)]
@@ -76,6 +76,9 @@ class KrausChannel:
         object.__setattr__(self, "dim", int(d))
         object.__setattr__(self, "kraus", tuple(kept))
         object.__setattr__(self, "_stack", stack)
+        # eigenvalue-1 solves by Tolerance, filled on first use by
+        # chanstruct.spectral; derived data, the channel stays immutable
+        object.__setattr__(self, "_cores", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
@@ -178,26 +181,29 @@ def _kraus_nnz_fraction(ch):
     return min(1.0, nnz / float(n2 * n2))
 
 
-def _spectral_radius(ch, tol=DEFAULT_TOL):
-    """Spectral radius of the superoperator (dense below ~2500, else Arnoldi)."""
+def _leading_eigenvalues(ch, k):
+    """Eigenvalues of the superoperator: all of them up to d^2 = 2500 (dense),
+    else the k of largest modulus (Arnoldi Ritz values)."""
     n2 = ch.dim**2
     if n2 <= 2500:
-        w = np.linalg.eigvals(superoperator(ch).matrix)
-        return float(np.abs(w).max())
+        return np.linalg.eigvals(superoperator(ch).matrix)
     import scipy.sparse.linalg as spla
 
     op = spla.LinearOperator(
-        (n2, n2),
-        matvec=lambda x: vec(apply(ch, x.reshape((ch.dim, ch.dim), order="F"))),
-        dtype=complex,
+        (n2, n2), matvec=lambda x: vec(apply(ch, unvec(x, ch.dim))), dtype=complex
     )
     v0 = np.ones(n2) / np.sqrt(n2)
     try:
-        w = spla.eigs(
-            op, k=min(6, n2 - 2), which="LM", v0=v0, return_eigenvectors=False
+        return spla.eigs(
+            op, k=min(k, n2 - 2), which="LM", v0=v0, return_eigenvectors=False
         )
     except spla.ArpackNoConvergence as err:  # pragma: no cover - defensive
-        w = err.eigenvalues
+        return err.eigenvalues
+
+
+def _spectral_radius(ch, tol=DEFAULT_TOL):
+    """Spectral radius of the superoperator."""
+    w = _leading_eigenvalues(ch, 6)
     return float(np.abs(w).max()) if len(w) else 0.0
 
 

@@ -21,9 +21,10 @@ from .channels import (
     oqrw_transition_map,
     validate,
 )
-from .errors import ArgumentError, ChanstructError, DecompositionError, ParseError
+from .errors import ChanstructError, DecompositionError, ParseError
 from .linalg import Tolerance
 from .serialize import (
+    _load_json,
     _matrix_to_lists,
     _pair_to_complex,
     canonical_dumps,
@@ -102,13 +103,7 @@ def cmd_decompose(args):
 
 
 def _load_real_matrix(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: malformed JSON ({err})") from err
+    data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a nonempty array of rows")
     for i, row in enumerate(data):

@@ -16,11 +16,12 @@ import numpy as np
 from .channels import KrausChannel
 from .errors import ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
-from .spectral import fixed_space, peripheral_spectrum
+from .spectral import peripheral_spectrum
 from .structure import (
     AlphaBlock,
     BetaBlock,
     DecompositionReport,
+    _fixed_dimension,
     is_enclosure,
 )
 
@@ -129,15 +130,18 @@ def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
     return KrausChannel(kraus, tol=tol, unchecked=unchecked)
 
 
-def load_channel(path, tol=DEFAULT_TOL, unchecked=False):
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: malformed JSON ({err})") from err
-    return channel_from_dict(data, tol=tol, unchecked=unchecked)
+
+
+def load_channel(path, tol=DEFAULT_TOL, unchecked=False):
+    return channel_from_dict(_load_json(path), tol=tol, unchecked=unchecked)
 
 
 @dataclass(frozen=True)
@@ -151,15 +155,20 @@ class ReportFile:
 
 
 def report_file_from_report(report):
-    """Attach the fixed-space dimension and peripheral spectrum of the
-    report's channel."""
+    """Attach the fixed-space dimension n_alpha + sum_b n_b^2 and the
+    peripheral spectrum of the report's channel, which is that of the
+    channel compressed to R (see the README's numerical policy)."""
     if report.channel is None:
         raise ParseError("report does not retain its channel")
     tol = report.tolerance
+    frame = report.R.frame
+    on_r = KrausChannel(
+        [frame.conj().T @ v @ frame for v in report.channel.kraus], tol=tol
+    )
     return ReportFile(
         report=report,
-        fixed_space_dimension=fixed_space(report.channel, tol).dimension,
-        peripheral_spectrum=tuple(peripheral_spectrum(report.channel, tol)),
+        fixed_space_dimension=_fixed_dimension(report),
+        peripheral_spectrum=tuple(peripheral_spectrum(on_r, tol)),
     )
 
 

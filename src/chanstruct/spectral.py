@@ -1,15 +1,19 @@
 """Fixed points and the recurrent/transient decomposition.
 
-The central computation is the eigenvalue-1 eigenspace pair of the channel's
-superoperator M: the right kernel of (M - I) spans the fixed points of the
-channel and the left kernel spans the fixed points of the adjoint.  Because
-1 is a semisimple eigenvalue for trace-preserving maps, these two spaces
-determine the spectral projection onto the eigenvalue-1 cluster,
+The central computation, solved once per channel and tolerance, is the
+eigenvalue-1 eigenspace pair of the channel's superoperator M: the right
+kernel K of (M - I) spans the fixed points of the channel and the left kernel
+L spans the fixed points of the adjoint.  Because 1 is a semisimple
+eigenvalue for trace-preserving maps, these two spaces determine the
+spectral projection onto the eigenvalue-1 cluster (the Cesaro limit),
 
     Pi_1 = K (L^H K)^{-1} L^H,
 
 which applied to vec(I/d) yields the maximal-support invariant state whose
-range is the recurrent subspace R.
+range is the recurrent subspace R, and applied to P_V / dim V the unique
+invariant state on a minimal enclosure V.  X -> P_R X P_R maps the adjoint's
+fixed points onto those of the channel restricted to R (Baumgartner-Narnhofer,
+Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra too.
 
 Two execution tiers give identical semantics:
 
@@ -23,12 +27,13 @@ Two execution tiers give identical semantics:
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .channels import (
-    KrausChannel,
     _kraus_nnz_fraction,
+    _leading_eigenvalues,
     _superoperator_sparse,
     apply,
     apply_adjoint,
@@ -50,7 +55,6 @@ __all__ = [
 ]
 
 _DENSE_KERNEL_CUT = 1600
-_DENSE_EIGVALS_CUT = 2500
 _SPARSE_FRACTION = 0.02
 _ARNOLDI_SEED = 1729
 _MAX_DEFLATION_ROUNDS = 24
@@ -101,16 +105,29 @@ class PerronFrobeniusCertificate:
     simple_and_faithful: bool
 
 
-def _matvec_pair(ch):
-    d = ch.dim
+@dataclass(frozen=True)
+class _SpectralCore:
+    """The eigenvalue-1 solve of a channel: orthonormal bases ``right`` of
+    ker(M - I) and ``left`` of ker(M^H - I), as (d^2, k) arrays, and the LU
+    factors ``pairing`` of left^H right."""
 
-    def fwd(x):
-        return vec(apply(ch, unvec(x, d)))
+    dim: int
+    right: np.ndarray
+    left: np.ndarray
+    pairing: tuple
+    gap: float
+    warnings: tuple
 
-    def adj(x):
-        return vec(apply_adjoint(ch, unvec(x, d)))
+    @property
+    def multiplicity(self):
+        return self.right.shape[1]
 
-    return fwd, adj
+    def project(self, x):
+        """Pi_1 applied to a d x d matrix."""
+        from scipy.linalg import lu_solve
+
+        coeff = lu_solve(self.pairing, self.left.conj().T @ vec(x))
+        return unvec(self.right @ coeff, self.dim)
 
 
 def _deflated_kernel(solve, matvec, n2, sigma, tol):
@@ -182,32 +199,27 @@ def _fixed_pair_arnoldi(ch, tol):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    n2 = ch.dim**2
+    d = ch.dim
+    n2 = d * d
     sigma = 1.0 + 3e-6
-    fwd, adj = _matvec_pair(ch)
     if _kraus_nnz_fraction(ch) <= _SPARSE_FRACTION:
         m = _superoperator_sparse(ch)
         shifted = (m - sigma * sp.identity(n2, dtype=complex, format="csc")).tocsc()
         lu = spla.splu(shifted)
-        solve_fwd = lu.solve
-
-        def solve_adj(b):
-            return lu.solve(b, trans="H")
-
+        solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="H")
     else:
         from scipy.linalg import lu_factor, lu_solve
 
-        m = superoperator(ch).matrix
-        lu_piv = lu_factor(m - sigma * np.eye(n2))
+        lu_piv = lu_factor(superoperator(ch).matrix - sigma * np.eye(n2))
+        solve_fwd = partial(lu_solve, lu_piv)
+        solve_adj = partial(lu_solve, lu_piv, trans=2)
 
-        def solve_fwd(b):
-            return lu_solve(lu_piv, b)
-
-        def solve_adj(b):
-            return lu_solve(lu_piv, b, trans=2)
-
-    right, gap_r = _deflated_kernel(solve_fwd, fwd, n2, sigma, tol)
-    left, gap_l = _deflated_kernel(solve_adj, adj, n2, np.conj(sigma), tol)
+    right, gap_r = _deflated_kernel(
+        solve_fwd, lambda x: vec(apply(ch, unvec(x, d))), n2, sigma, tol
+    )
+    left, gap_l = _deflated_kernel(
+        solve_adj, lambda x: vec(apply_adjoint(ch, unvec(x, d))), n2, sigma, tol
+    )
     if right.shape[1] != left.shape[1] or right.shape[1] == 0:
         raise DecompositionError(
             "fixed-space",
@@ -218,19 +230,9 @@ def _fixed_pair_arnoldi(ch, tol):
 
 
 def _fixed_pair(ch, tol):
-    """Orthonormal bases of ker(M - I) and ker(M^H - I).
-
-    Returns
-    -------
-    right : (d^2, k) ndarray
-        Fixed points of the channel, vectorized.
-    left : (d^2, k) ndarray
-        Fixed points of the adjoint, vectorized.
-    gap : float
-        Observed separation of the eigenvalue-1 cluster from the rest of
-        the spectrum (a singular-value proxy on the dense tier).
-    warnings : list of str
-    """
+    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays,
+    and the observed separation of the eigenvalue-1 cluster from the rest of
+    the spectrum (a singular-value proxy on the dense tier)."""
     n2 = ch.dim**2
     if n2 <= _DENSE_KERNEL_CUT:
         m = superoperator(ch).matrix
@@ -241,18 +243,42 @@ def _fixed_pair(ch, tol):
                 "fixed-space",
                 "no eigenvalue-1 cluster found; is the channel trace preserving?",
             )
+        # copies, so that the kernels do not keep the SVD factors alive
         right = vh[n2 - k :].conj().T
-        left = u[:, n2 - k :]
+        left = u[:, n2 - k :].copy()
         gap = float(s[n2 - k - 1]) if k < n2 else np.inf
     else:
         right, left, gap = _fixed_pair_arnoldi(ch, tol)
-    warnings = []
-    if gap < 10.0 * tol.eig_cluster_tol:
-        warnings.append(
-            "eigenvalue-1 cluster ill-separated "
-            f"(nearest non-fixed distance {gap:.3e})"
-        )
-    return right, left, gap, warnings
+    return right, left, gap
+
+
+def _spectral_core(ch, tol):
+    """The eigenvalue-1 solve of ``ch`` at ``tol``, made on first use and
+    kept with the channel."""
+    if tol not in ch._cores:
+        from scipy.linalg import lu_factor
+
+        right, left, gap = _fixed_pair(ch, tol)
+        pairing = lu_factor(left.conj().T @ right, check_finite=False)
+        warnings = ()
+        if gap < 10.0 * tol.eig_cluster_tol:
+            warnings = (
+                "eigenvalue-1 cluster ill-separated "
+                f"(nearest non-fixed distance {gap:.3e})",
+            )
+        ch._cores[tol] = _SpectralCore(ch.dim, right, left, pairing, gap, warnings)
+    return ch._cores[tol]
+
+
+def _hermitian_span(mats, tol):
+    """Orthonormal Hermitian basis of the real span of the Hermitian and
+    anti-Hermitian parts of ``mats``.  For a *-closed complex span of
+    dimension k it has k elements."""
+    parts = []
+    for x in mats:
+        parts.append((x + x.conj().T) / 2.0)
+        parts.append((x - x.conj().T) / 2.0j)
+    return hermitian_span_basis(parts, tol)
 
 
 def fixed_space(ch, tol=DEFAULT_TOL):
@@ -261,14 +287,9 @@ def fixed_space(ch, tol=DEFAULT_TOL):
     The dimension is at least 1: a trace-preserving map in finite dimension
     always has an invariant state.
     """
-    right, _, _, _ = _fixed_pair(ch, tol)
-    d = ch.dim
-    basis = [unvec(right[:, i], d) for i in range(right.shape[1])]
-    candidates = []
-    for x in basis:
-        candidates.append((x + x.conj().T) / 2.0)
-        candidates.append((x - x.conj().T) / 2.0j)
-    herm = hermitian_span_basis(candidates, tol)
+    core = _spectral_core(ch, tol)
+    basis = [unvec(x, ch.dim) for x in core.right.T]
+    herm = _hermitian_span(basis, tol)
     if len(herm) != len(basis):
         raise DecompositionError(
             "fixed-space",
@@ -276,15 +297,15 @@ def fixed_space(ch, tol=DEFAULT_TOL):
             f"expected {len(basis)}",
         )
     return FixedSpace(
-        dim_ambient=d, basis=tuple(basis), hermitian_basis=tuple(herm)
+        dim_ambient=ch.dim, basis=tuple(basis), hermitian_basis=tuple(herm)
     )
 
 
-def cesaro_average(ch, rho, n):
+def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     """Cesaro mean (1/n) sum_{k<n} Phi^k(rho) for a state rho."""
     if int(n) < 1:
         raise ArgumentError("n must be at least 1")
-    if not is_state(rho):
+    if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
     current = np.asarray(rho, dtype=complex)
     acc = current.copy()
@@ -294,21 +315,13 @@ def cesaro_average(ch, rho, n):
     return acc / float(n)
 
 
-def _rho_max_from_pair(ch, right, left):
-    d = ch.dim
-    pairing = left.conj().T @ right
-    target = left.conj().T @ vec(np.eye(d, dtype=complex) / d)
-    try:
-        coeff = np.linalg.solve(pairing, target)
-    except np.linalg.LinAlgError as err:
-        raise DecompositionError(
-            "recurrent-split",
-            f"left/right eigenvalue-1 pairing is singular ({err})",
-        ) from err
-    rho = unvec(right @ coeff, d)
+def _rho_max(core):
+    """Pi_1(I/d), Hermitized and normalized."""
+    d = core.dim
+    rho = core.project(np.eye(d, dtype=complex) / d)
     rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho).real
-    if trace <= 0.0:
+    if not 0.0 < trace < np.inf:  # also a singular left/right pairing
         raise DecompositionError(
             "recurrent-split", f"spectral projection of I/d has trace {trace:.3e}"
         )
@@ -323,8 +336,8 @@ def recurrent_split(ch, tol=DEFAULT_TOL):
     is R and D is the orthocomplement.  Every invariant state is supported
     inside R.
     """
-    right, left, _, warnings = _fixed_pair(ch, tol)
-    rho = _rho_max_from_pair(ch, right, left)
+    core = _spectral_core(ch, tol)
+    rho = _rho_max(core)
     w, v = np.linalg.eigh(rho)
     if w[0] < -tol.psd_tol:
         raise DecompositionError(
@@ -336,7 +349,7 @@ def recurrent_split(ch, tol=DEFAULT_TOL):
     r_space = Subspace(d, v[:, mask])
     d_space = Subspace(d, v[:, ~mask])
     return RecurrentSplit(
-        R=r_space, D=d_space, rho_max=rho, warnings=tuple(warnings)
+        R=r_space, D=d_space, rho_max=rho, warnings=core.warnings
     )
 
 
@@ -347,36 +360,17 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     comes from Arnoldi Ritz values of largest modulus; degenerate
     multiplicities are then not certified.
     """
-    n2 = ch.dim**2
-    if n2 <= _DENSE_EIGVALS_CUT:
-        w = np.linalg.eigvals(superoperator(ch).matrix)
-    else:
-        import scipy.sparse.linalg as spla
-
-        fwd, _ = _matvec_pair(ch)
-        lin = spla.LinearOperator((n2, n2), matvec=fwd, dtype=complex)
-        v0 = np.ones(n2) / np.sqrt(n2)
-        try:
-            w = spla.eigs(
-                lin,
-                k=min(24, n2 - 2),
-                which="LM",
-                v0=v0,
-                return_eigenvectors=False,
-            )
-        except spla.ArpackNoConvergence as err:  # pragma: no cover
-            w = err.eigenvalues
+    w = _leading_eigenvalues(ch, 24)
     kept = [complex(z) for z in w if abs(z) >= 1.0 - tol.eig_cluster_tol]
     return sorted(kept, key=lambda z: (np.angle(z), z.real, z.imag))
 
 
 def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):
     """Multiplicity of eigenvalue 1 and the rank of the maximal invariant state."""
-    right, left, _, _ = _fixed_pair(ch, tol)
-    rho = _rho_max_from_pair(ch, right, left)
-    w = np.linalg.eigvalsh(rho)
+    core = _spectral_core(ch, tol)
+    w = np.linalg.eigvalsh(_rho_max(core))
     rank = int(np.sum(w >= tol.rank_tol * w[-1]))
-    multiplicity = right.shape[1]
+    multiplicity = core.multiplicity
     return PerronFrobeniusCertificate(
         eigenvalue_1_multiplicity=multiplicity,
         invariant_state_rank=rank,

@@ -26,12 +26,11 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     as_complex_matrix,
-    hermitian_span_basis,
     loewner_geq,
     orthonormal_basis,
     unvec,
 )
-from .spectral import _fixed_pair, recurrent_split
+from .spectral import _hermitian_span, _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
@@ -220,11 +219,11 @@ def is_irreducible(ch, tol=DEFAULT_TOL):
     return perron_frobenius_certificate(ch, tol).simple_and_faithful
 
 
-def ergodicity_probe(ch, rho, t=1.0, terms=20):
+def ergodicity_probe(ch, rho, t=1.0, terms=20, tol=DEFAULT_TOL):
     """Positivity check of a truncated exp(t(Phi - id))-style resolvent sum
     sum_k t^k Phi^k(rho) / k!; full rank of the result witnesses that rho's
     orbit reaches every direction."""
-    if not is_state(rho):
+    if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
     if t <= 0:
         raise ArgumentError("t must be positive")
@@ -238,27 +237,16 @@ def ergodicity_probe(ch, rho, t=1.0, terms=20):
         coeff *= t / k
         acc += coeff * current
     acc = (acc + acc.conj().T) / 2.0
-    return bool(np.linalg.eigvalsh(acc)[0] > DEFAULT_TOL.psd_tol)
-
-
-def _restricted_channel(ch, subspace, tol):
-    """Channel compressed to an enclosure: Kraus operators F^H V_i F.
-
-    For an enclosure the compression is exactly trace preserving (the
-    adjoint applied to the range projector dominates the projector from
-    both sides), so normal validation applies.
-    """
-    frame = subspace.frame
-    compressed = [frame.conj().T @ v @ frame for v in ch.kraus]
-    return KrausChannel(compressed, tol=tol)
+    return bool(np.linalg.eigvalsh(acc)[0] > tol.psd_tol)
 
 
 def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
     """Hermitian basis of the adjoint's fixed points on the recurrent part.
 
-    Computed as the left eigenvalue-1 kernel of the superoperator of the
-    channel restricted to R (where the fixed points form an algebra
-    containing the identity).
+    The adjoint's fixed points of the whole channel, compressed to R
+    (X -> F^H X F): R is the recurrent subspace, so the compression maps
+    them onto the fixed points of the adjoint of the channel restricted to
+    R, where they form an algebra containing the identity.
     """
     r = split.R.dimension
     if r == 0:
@@ -266,19 +254,17 @@ def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
             "fixed-point-algebra", "recurrent subspace is zero-dimensional"
         )
     with _stage("fixed-point-algebra"):
-        restricted = _restricted_channel(ch, split.R, tol)
-        _, left, _, _ = _fixed_pair(restricted, tol)
-    mats = [unvec(left[:, i], r) for i in range(left.shape[1])]
-    candidates = []
-    for x in mats:
-        candidates.append((x + x.conj().T) / 2.0)
-        candidates.append((x - x.conj().T) / 2.0j)
-    basis = hermitian_span_basis(candidates, tol)
-    if len(basis) != len(mats):
+        core = _spectral_core(ch, tol)
+    frame = split.R.frame
+    basis = _hermitian_span(
+        [frame.conj().T @ unvec(x, ch.dim) @ frame for x in core.left.T], tol
+    )
+    # a lost dimension fails the fixed-dimension check in _verify_report
+    if len(basis) > core.multiplicity:
         raise DecompositionError(
             "fixed-point-algebra",
             f"Hermitian re-extraction found dimension {len(basis)}, "
-            f"expected {len(mats)}",
+            f"expected at most {core.multiplicity}",
         )
     ident = np.eye(r)
     projected = sum(np.trace(h).real * h for h in basis)
@@ -473,26 +459,32 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
 
 
 def block_invariant_state(ch, v, tol=DEFAULT_TOL):
-    """Unique invariant state supported on a minimal enclosure V."""
+    """Unique invariant state supported on a minimal enclosure V.
+
+    Computed as Pi_1(P_V / dim V), the Cesaro limit of a state on V, which
+    stays on V.  V is minimal iff it carries a faithful invariant state and
+    the adjoint's fixed points compress to multiples of P_V on it.
+    """
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")
     if not is_enclosure(ch, v, tol):
         raise ArgumentError("V is not an enclosure of the channel")
     with _stage("block-invariant-state"):
-        restricted = _restricted_channel(ch, v, tol)
-        right, _, _, _ = _fixed_pair(restricted, tol)
-    if right.shape[1] != 1:
-        raise DecompositionError(
-            "block-invariant-state",
-            f"V not minimal: restricted fixed space has dimension "
-            f"{right.shape[1]}",
-        )
+        core = _spectral_core(ch, tol)
     k = v.dimension
-    rho = unvec(right[:, 0], k)
+    frame = v.frame
+    for x in core.left.T:
+        x = frame.conj().T @ unvec(x, ch.dim) @ frame
+        if np.abs(x - np.trace(x) / k * np.eye(k)).max() > tol.subspace_tol:
+            raise DecompositionError(
+                "block-invariant-state",
+                "V not minimal: an adjoint fixed point is not constant on V",
+            )
+    rho = frame.conj().T @ core.project(v.projector() / k) @ frame
     trace = np.trace(rho)
     if np.abs(trace) < 1e-10:
         raise DecompositionError(
-            "block-invariant-state", "restricted fixed point is traceless"
+            "block-invariant-state", "projected state on V is traceless"
         )
     rho = rho / trace
     rho = (rho + rho.conj().T) / 2.0
@@ -500,14 +492,21 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     if w[0] < -tol.psd_tol:
         raise DecompositionError(
             "block-invariant-state",
-            f"restricted fixed point is not PSD (min eigenvalue {w[0]:.3e})",
+            f"projected state on V is not PSD (min eigenvalue {w[0]:.3e})",
         )
     if int(np.sum(w >= tol.rank_tol * w[-1])) != k:
         raise DecompositionError(
             "block-invariant-state",
             "V not minimal: invariant state is not faithful on V",
         )
-    return v.frame @ rho @ v.frame.conj().T
+    return frame @ rho @ frame.conj().T
+
+
+def _fixed_dimension(report):
+    """n_alpha + sum_b n_b^2: the fixed-space dimension the blocks imply."""
+    return len(report.alpha_blocks) + sum(
+        len(blk.enclosures) ** 2 for blk in report.beta_blocks
+    )
 
 
 def _verify_report(ch, report, tol):
@@ -528,11 +527,20 @@ def _verify_report(ch, report, tol):
         raise DecompositionError(
             "verification", "blocks are not mutually orthogonal"
         )
+    expected = _fixed_dimension(report)
+    found = _spectral_core(ch, tol).multiplicity
+    if expected != found:
+        raise DecompositionError(
+            "verification",
+            f"blocks imply a fixed space of dimension {expected}, the "
+            f"eigenvalue-1 kernel has dimension {found}",
+            diagnostics={"expected": expected, "found": found},
+        )
     for blk in report.alpha_blocks:
-        _verify_block_state(ch, blk.enclosure, blk.rho, "A-block")
+        _verify_block_state(ch, blk.enclosure, blk.rho, "A-block", tol)
     for blk in report.beta_blocks:
         base = blk.enclosures[0]
-        _verify_block_state(ch, base, blk.rho_ref, "B-block reference")
+        _verify_block_state(ch, base, blk.rho_ref, "B-block reference", tol)
         p0 = base.projector()
         if np.abs(blk.isometries[0] - p0).max() > 1e-8:
             raise DecompositionError(
@@ -561,8 +569,8 @@ def _verify_report(ch, report, tol):
                 )
 
 
-def _verify_block_state(ch, enclosure, rho, label):
-    if not is_state(rho):
+def _verify_block_state(ch, enclosure, rho, label, tol):
+    if not is_state(rho, tol):
         raise DecompositionError("verification", f"{label} state is not a state")
     if np.abs(apply(ch, rho) - rho).max() > 1e-8:
         raise DecompositionError(
@@ -633,16 +641,11 @@ def _assemble(report, t, m_list):
     for weight, blk in zip(t, report.alpha_blocks):
         rho += weight * blk.rho
     for m, blk in zip(m_list, report.beta_blocks):
-        for g in range(len(blk.enclosures)):
-            for gp in range(len(blk.enclosures)):
-                if m[g, gp] == 0.0:
-                    continue
-                rho += (
-                    m[g, gp]
-                    * blk.isometries[g]
-                    @ blk.rho_ref
-                    @ blk.isometries[gp].conj().T
-                )
+        # sum_{g,h} m[g, h] Q_g rho_ref Q_h^H
+        q = np.stack(blk.isometries)
+        rho += np.einsum(
+            "gh,gij,jk,hlk->il", m, q, blk.rho_ref, q.conj(), optimize=True
+        )
     return rho
 
 
@@ -695,7 +698,7 @@ def build_invariant_state(report, params, tol=None):
     t, m_list = _check_parameters(report, params, tol)
     rho = _assemble(report, t, m_list)
     rho = (rho + rho.conj().T) / 2.0
-    if not is_state(rho):
+    if not is_state(rho, tol):
         raise DecompositionError(
             "build-invariant-state", "assembled matrix is not a state"
         )
@@ -722,7 +725,7 @@ def extract_parameters(report, rho, tol=None):
     rho = as_complex_matrix(rho, "rho")
     if rho.shape != (report.dim, report.dim):
         raise ArgumentError("rho has wrong shape for this report")
-    if not is_state(rho):
+    if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
     t = np.array(
         [
@@ -732,20 +735,12 @@ def extract_parameters(report, rho, tol=None):
     )
     m_list = []
     for blk in report.beta_blocks:
-        n_g = len(blk.enclosures)
+        # m[g, h] = Tr(rho_ref Q_g^H rho Q_h) / Tr(rho_ref^2)
+        q = np.stack(blk.isometries)
         norm = float(np.trace(blk.rho_ref @ blk.rho_ref).real)
-        m = np.zeros((n_g, n_g), dtype=complex)
-        for g in range(n_g):
-            for gp in range(n_g):
-                m[g, gp] = (
-                    np.trace(
-                        blk.rho_ref
-                        @ blk.isometries[g].conj().T
-                        @ rho
-                        @ blk.isometries[gp]
-                    )
-                    / norm
-                )
+        m = np.einsum(
+            "ab,gcb,ce,hea->gh", blk.rho_ref, q.conj(), rho, q, optimize=True
+        ) / norm
         m_list.append((m + m.conj().T) / 2.0)
     params = InvariantStateParameters(t=t, M=tuple(m_list))
     residual = float(np.abs(rho - _assemble(report, t, m_list)).max())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.spectral
 from chanstruct.cli import main
 from helpers import amplitude_damping_channel, planted_channel
 
@@ -178,6 +179,25 @@ class TestCliDecompose:
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
         assert main(["decompose", path, "--tol-rank", "1e-8"]) == 0
         assert main(["decompose", path, "--tol-rank", "-1.0"]) == 1
+
+    def test_fixed_dimension_mismatch_carries_diagnostics(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The eigenvalue-1 kernel of the identity channel on C^2 without
+        # vec(E22).  The rest of the pipeline stays self-consistent (R =
+        # span{e1}, one A-block), so only the count n_alpha + sum n_b^2 = 1
+        # against rank K = 3 exposes the lost column.
+        def dropped(ch, tol):
+            keep = np.eye(4, dtype=complex)[:, :3]
+            return keep, keep.copy(), np.inf
+
+        monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", dropped)
+        path = write_channel(tmp_path / "id2.json", cs.KrausChannel([np.eye(2)]))
+        assert main(["decompose", path]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DecompositionError"
+        assert err["stage"] == "verification"
+        assert err["diagnostics"] == {"expected": 1, "found": 3}
 
 
 class TestCliBuild:

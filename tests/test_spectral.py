@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.spectral
 from helpers import (
     haar_unitary,
     amplitude_damping_channel,
@@ -181,3 +182,60 @@ class TestCertificate:
         cert = cs.perron_frobenius_certificate(cs.KrausChannel([np.eye(2)]))
         assert cert.eigenvalue_1_multiplicity == 4
         assert not cert.simple_and_faithful
+
+
+class TestSingleSolve:
+    def test_decompose_and_report_extras_solve_once(self, monkeypatch):
+        calls = []
+        kernel = chanstruct.spectral._fixed_pair
+
+        def counting(ch, tol):
+            calls.append(ch.dim)
+            return kernel(ch, tol)
+
+        monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", counting)
+        rng = np.random.default_rng(311)
+        ch, truth = planted_channel(rng, [2, 1], [(2, 2)], 2, n_kraus=3)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert calls == [ch.dim]
+        assert len(rf.report.alpha_blocks) == 2
+        assert len(rf.report.beta_blocks) == 1
+        assert rf.report.D.dimension == 2
+        assert rf.fixed_space_dimension == truth["fixed_dim"]
+
+
+def _markov_cycle_fed_by_transients():
+    # states 0 -> 1 -> 2 -> 0 cycle; states 3 and 4 leak into the cycle
+    p = np.zeros((5, 5))
+    p[1, 0] = p[2, 1] = p[0, 2] = 1.0
+    p[:, 3] = [0.3, 0.0, 0.2, 0.1, 0.4]
+    p[:, 4] = [0.0, 0.5, 0.0, 0.25, 0.25]
+    return cs.from_markov_chain(p)
+
+
+def _rotating_qubit_and_decaying_level(theta, gamma, rng):
+    # a real rotation on span{e0, e1}; e2 decays into e0 at rate gamma
+    v1 = np.zeros((3, 3), dtype=complex)
+    v1[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    v1[2, 2] = np.sqrt(1.0 - gamma)
+    v2 = np.zeros((3, 3), dtype=complex)
+    v2[0, 2] = np.sqrt(gamma)
+    u = haar_unitary(3, rng)
+    return cs.KrausChannel([u @ v @ u.conj().T for v in (v1, v2)])
+
+
+class TestPeripheralSpectrumOnR:
+    @pytest.mark.parametrize("case", ["markov-cycle", "rotating-qubit"])
+    def test_report_spectrum_equals_full_channel(self, case):
+        if case == "markov-cycle":
+            ch, expected = _markov_cycle_fed_by_transients(), 3
+        else:
+            rng = np.random.default_rng(313)
+            ch, expected = _rotating_qubit_and_decaying_level(0.4, 0.5, rng), 4
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert rf.report.D.dimension == ch.dim - (3 if case == "markov-cycle" else 2)
+        full = cs.peripheral_spectrum(ch)
+        assert len(full) == expected
+        assert len(rf.peripheral_spectrum) == expected
+        assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
+        assert any(abs(z - 1.0) > 0.1 for z in full)  # a periodic part

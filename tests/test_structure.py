@@ -350,3 +350,91 @@ class TestParametrization:
         res = cs.extract_parameters(rep, rho)
         # generic states are far from the invariant manifold
         assert res.residual > 1e-3
+
+    def test_assembly_matches_explicit_block_sum(self):
+        # reference loops for the contractions in _assemble / extract
+        rng = np.random.default_rng(417)
+        ch, _ = planted_channel(rng, [2], [(2, 3)], 1, n_kraus=3)
+        rep = cs.decompose(ch)
+        blk = rep.beta_blocks[0]
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = g @ g.conj().T
+        m *= 0.6 / np.trace(m).real
+        rho = 0.4 * rep.alpha_blocks[0].rho
+        for a in range(3):
+            for b in range(3):
+                rho = rho + m[a, b] * (
+                    blk.isometries[a] @ blk.rho_ref @ blk.isometries[b].conj().T
+                )
+        params = cs.InvariantStateParameters(t=np.array([0.4]), M=(m,))
+        assert np.abs(cs.build_invariant_state(rep, params) - rho).max() < 1e-12
+        norm = np.trace(blk.rho_ref @ blk.rho_ref).real
+        m_ref = np.array(
+            [
+                [
+                    np.trace(
+                        blk.rho_ref @ blk.isometries[a].conj().T @ rho
+                        @ blk.isometries[b]
+                    ) / norm
+                    for b in range(3)
+                ]
+                for a in range(3)
+            ]
+        )
+        res = cs.extract_parameters(rep, rho)
+        assert np.abs(res.params.M[0] - (m_ref + m_ref.conj().T) / 2.0).max() < 1e-12
+
+
+def _compressed_null_state(ch, space):
+    """Invariant state on an enclosure, as the null vector of the
+    superoperator of the compressed Kraus family minus the identity."""
+    f = space.frame
+    k = f.shape[1]
+    ws = [f.conj().T @ v @ f for v in ch.kraus]
+    m = sum(np.kron(w.conj(), w) for w in ws)
+    _, s, vh = np.linalg.svd(m - np.eye(k * k))
+    assert s[-1] < 1e-10 and (k == 1 or s[-2] > 1e-6)
+    rho = vh[-1].conj().reshape((k, k), order="F")
+    return f @ (rho / np.trace(rho)) @ f.conj().T
+
+
+class TestBlockStateParity:
+    @pytest.mark.parametrize(
+        "alpha, beta, n_transient",
+        [([2, 3], [(2, 2)], 2), ([1], [(3, 2), (1, 3)], 3), ([4], [], 0)],
+    )
+    def test_block_states_match_compressed_null_space(
+        self, alpha, beta, n_transient
+    ):
+        rng = np.random.default_rng(411)
+        ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
+        rep = cs.decompose(ch)
+        for blk in rep.alpha_blocks:
+            oracle = _compressed_null_state(ch, blk.enclosure)
+            assert np.abs(blk.rho - oracle).max() < 1e-10
+        for blk in rep.beta_blocks:
+            oracle = _compressed_null_state(ch, blk.enclosures[0])
+            assert np.abs(blk.rho_ref - oracle).max() < 1e-10
+            for q, enc in zip(blk.isometries[1:], blk.enclosures[1:]):
+                oracle = _compressed_null_state(ch, enc)
+                assert np.abs(cs.block_invariant_state(ch, enc) - oracle).max() < 1e-10
+                transported = q @ blk.rho_ref @ q.conj().T
+                assert np.abs(transported - oracle).max() < 1e-10
+
+
+class TestTolerancePassing:
+    def test_loose_psd_tolerance_accepts_slightly_negative_state(self):
+        ch = amplitude_damping_channel(0.3)
+        rho = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
+        loose = cs.Tolerance(psd_tol=1e-5)
+        with pytest.raises(cs.ArgumentError, match="not a state"):
+            cs.extract_parameters(cs.decompose(ch), rho)
+        res = cs.extract_parameters(cs.decompose(ch, tol=loose), rho)
+        assert abs(res.params.t[0] - (1.0 + 1e-6)) < 1e-12
+        with pytest.raises(cs.ArgumentError):
+            cs.cesaro_average(ch, rho, 3)
+        assert abs(np.trace(cs.cesaro_average(ch, rho, 3, tol=loose)) - 1.0) < 1e-12
+        with pytest.raises(cs.ArgumentError):
+            cs.ergodicity_probe(ch, rho)
+        # accepted now; e1 is absorbing, so the orbit stays near span{e1}
+        assert not cs.ergodicity_probe(ch, rho, tol=loose)
