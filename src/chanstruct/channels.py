@@ -154,10 +154,14 @@ def superoperator(ch):
 
     Equals sum_i conj(V_i) ⊗ V_i.
     """
-    d = ch.dim
-    v = ch._stack
-    m = np.einsum("aik,ajl->jilk", v, v.conj(), optimize=True)
-    return Superoperator(dim=d, matrix=m.reshape(d * d, d * d))
+    return Superoperator(dim=ch.dim, matrix=_transfer_matrix(ch._stack, ch._stack))
+
+
+def _transfer_matrix(a, b):
+    """Matrix of X -> sum_i A_i X B_i^H on column-stacked vec(X), for
+    stacks ``a`` and ``b`` of Kraus-like operators."""
+    n = a.shape[1] * b.shape[1]
+    return np.einsum("aik,ajl->jilk", a, b.conj(), optimize=True).reshape(n, n)
 
 
 def _superoperator_sparse(ch):

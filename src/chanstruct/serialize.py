@@ -13,14 +13,15 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _transfer_matrix
 from .errors import ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
-from .spectral import peripheral_spectrum
+from .spectral import _peripheral
 from .structure import (
     AlphaBlock,
     BetaBlock,
     DecompositionReport,
+    _enclosures,
     _fixed_dimension,
     is_enclosure,
 )
@@ -157,18 +158,22 @@ class ReportFile:
 def report_file_from_report(report):
     """Attach the fixed-space dimension n_alpha + sum_b n_b^2 and the
     peripheral spectrum of the report's channel, which is that of the
-    channel compressed to R (see the README's numerical policy)."""
+    channel on B(R), taken per pair of minimal enclosures (see the README's
+    numerical policy)."""
     if report.channel is None:
         raise ParseError("report does not retain its channel")
-    tol = report.tolerance
-    frame = report.R.frame
-    on_r = KrausChannel(
-        [frame.conj().T @ v @ frame for v in report.channel.kraus], tol=tol
-    )
+    # F^H V_a F for every minimal enclosure frame F and Kraus operator V_a
+    frames = [v.frame for v in _enclosures(report)]
+    parts = [f.conj().T @ report.channel._stack @ f for f in frames]
+    eigenvalues = [
+        np.linalg.eigvals(_transfer_matrix(a, b)) for a in parts for b in parts
+    ]
     return ReportFile(
         report=report,
         fixed_space_dimension=_fixed_dimension(report),
-        peripheral_spectrum=tuple(peripheral_spectrum(on_r, tol)),
+        peripheral_spectrum=tuple(
+            _peripheral(np.concatenate(eigenvalues), report.tolerance)
+        ),
     )
 
 
@@ -328,10 +333,7 @@ def _re_verify(rf):
     report = rf.report
     ch = report.channel
     tol = report.tolerance
-    spaces = [blk.enclosure for blk in report.alpha_blocks]
-    for blk in report.beta_blocks:
-        spaces.extend(blk.enclosures)
-    for space in spaces:
+    for space in _enclosures(report):
         if not is_enclosure(ch, space, tol):
             raise ParseError(
                 "report: a stored frame fails the enclosure predicate"

@@ -18,12 +18,14 @@ Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra too.
 Two execution tiers give identical semantics:
 
 * small problems (d^2 <= 1600): one dense SVD of (M - I) yields both kernels;
-* larger problems: shift-invert Arnoldi around sigma = 1 + 3e-6 (sparse LU
-  when the Kraus family is sparse, dense LU otherwise) with orthogonal
-  deflation restarts, because single-vector Arnoldi provably under-counts
-  degenerate eigenvalue multiplicities.  Every accepted vector is
-  residual-verified against M, so misconvergence cannot silently corrupt
-  the result.
+* larger problems: block shift-invert subspace iteration around
+  sigma = 1 + 3e-6 (sparse LU when the Kraus family is sparse, dense LU
+  otherwise).  A block wider than the eigenvalue-1 multiplicity captures
+  the whole degenerate eigenspace, where single-vector Krylov methods
+  under-count it, and the block is widened until some Ritz value falls
+  outside the cluster: that certifies the multiplicity.  Every accepted
+  vector is residual-verified against M, so misconvergence cannot silently
+  corrupt the result.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +38,6 @@ from .channels import (
     _leading_eigenvalues,
     _superoperator_sparse,
     apply,
-    apply_adjoint,
     is_state,
     superoperator,
 )
@@ -57,7 +58,7 @@ __all__ = [
 _DENSE_KERNEL_CUT = 1600
 _SPARSE_FRACTION = 0.02
 _ARNOLDI_SEED = 1729
-_MAX_DEFLATION_ROUNDS = 24
+_MAX_BLOCK_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -130,77 +131,64 @@ class _SpectralCore:
         return unvec(self.right @ coeff, self.dim)
 
 
-def _deflated_kernel(solve, matvec, n2, sigma, tol):
-    """All eigenvectors with |lambda - 1| <= eig_cluster_tol via shift-invert
-    Arnoldi with orthogonal deflation restarts.
+def _block_kernel(solve, matmul, n2, sigma, tol):
+    """Orthonormal basis of the eigenvectors with |lambda - 1| <= eig_cluster_tol,
+    and the distance from 1 of the nearest Ritz value outside that cluster.
 
-    Restarting with fresh seeded start vectors after deflating verified
-    fixed vectors recovers degenerate multiplicities that a single Krylov
-    run misses.  Deflation by an orthogonal projector is exact here because
-    the deflated vectors lie inside the eigenspace being isolated.
+    Each step is one multi-RHS solve Y = (M - sigma)^{-1} X, a Rayleigh-Ritz
+    step on X^H Y with the cluster's Schur vectors Z first (Ritz values mu
+    give lambda = sigma + 1/mu, well apart even for eigenvalues just outside
+    the cluster), and X <- qr(Y).  The cluster basis qr(Y Z) is accepted on
+    its residual against M (``matmul``) once the cluster count has held for
+    two steps.  While every Ritz value is in the cluster the block doubles.
     """
-    import scipy.sparse.linalg as spla
+    from scipy.linalg import schur
 
-    basis = np.zeros((n2, 0), dtype=complex)
-    gap = np.inf
-    empty_rounds = 0
-    k = min(8, n2 - 2)
-    for rnd in range(_MAX_DEFLATION_ROUNDS):
-        rng = np.random.default_rng(_ARNOLDI_SEED + rnd)
-        v0 = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-        v0 /= np.linalg.norm(v0)
-        q = basis
+    def in_cluster(mu):  # |sigma + 1/mu - 1| <= eig_cluster_tol
+        return abs(1.0 + (sigma - 1.0) * mu) <= tol.eig_cluster_tol * abs(mu)
 
-        def op(x, q=q):
-            y = x - q @ (q.conj().T @ x) if q.shape[1] else x
-            y = solve(y)
-            return y - q @ (q.conj().T @ y) if q.shape[1] else y
+    def random_block(width):
+        z = rng.standard_normal((n2, width)) + 1j * rng.standard_normal((n2, width))
+        return np.linalg.qr(z)[0]
 
-        lin = spla.LinearOperator((n2, n2), matvec=op, dtype=complex)
-        try:
-            mu, w = spla.eigs(lin, k=k, which="LM", v0=v0, maxiter=500)
-        except spla.ArpackNoConvergence as err:
-            mu, w = err.eigenvalues, err.eigenvectors
-        accepted = 0
-        in_cluster = 0
-        for idx in np.argsort(-np.abs(mu)):
-            if mu[idx] == 0.0:
-                continue
-            lam = sigma + 1.0 / mu[idx]
-            if abs(lam - 1.0) > tol.eig_cluster_tol:
-                gap = min(gap, abs(lam - 1.0))
-                continue
-            in_cluster += 1
-            v = w[:, idx]
-            if basis.shape[1]:
-                v = v - basis @ (basis.conj().T @ v)
-            norm = np.linalg.norm(v)
-            if norm < 1e-6:
-                continue
-            v /= norm
-            if np.linalg.norm(matvec(v) - v) <= tol.eig_cluster_tol:
-                basis = np.hstack([basis, v[:, None]])
-                accepted += 1
-        if in_cluster == k and k < 32:
-            # saturated draw: the cluster may be larger than k
-            k = min(2 * k, 32, n2 - 2)
-        empty_rounds = 0 if accepted else empty_rounds + 1
-        if empty_rounds >= 2:
-            break
-        if basis.shape[1] > 256:
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    width, last, residual = min(8, n2), -1, np.inf
+    x = random_block(width)
+    for step in range(1, _MAX_BLOCK_STEPS + 1):
+        y = solve(x)
+        t, z, k = schur(x.conj().T @ y, output="complex", sort=in_cluster)
+        if k > 256:
             raise DecompositionError(
                 "fixed-space",
                 "eigenvalue-1 multiplicity exceeds 256; refusing to continue",
             )
-    return basis, gap
+        if k == width < n2:
+            width = min(2 * width, n2)
+            x, last = random_block(width), -1
+            continue
+        basis = np.linalg.qr(y @ z[:, :k])[0]
+        res = max(np.linalg.norm(matmul(basis) - basis, axis=0), default=0.0)
+        # keep iterating while the residual still halves: rank decisions on
+        # Pi_1 (rho_max, block states) need accuracy far below the tolerance
+        stalled, residual = res >= 0.5 * residual, res
+        if k == last and residual <= tol.eig_cluster_tol and stalled:
+            mu = np.diag(t)[k:]
+            gap = np.abs(1.0 + (sigma - 1.0) * mu) / np.abs(mu)
+            return basis, float(gap.min(initial=np.inf))
+        last = k
+        x = np.linalg.qr(y)[0]
+    raise DecompositionError(
+        "fixed-space",
+        "eigenvalue-1 subspace iteration did not converge",
+        diagnostics={"steps": step, "block_width": width, "residual": float(residual)},
+    )
 
 
-def _fixed_pair_arnoldi(ch, tol):
+def _fixed_pair_shift_invert(ch, tol):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    d = ch.dim
-    n2 = d * d
+    n2 = ch.dim**2
     sigma = 1.0 + 3e-6
     if _kraus_nnz_fraction(ch) <= _SPARSE_FRACTION:
         m = _superoperator_sparse(ch)
@@ -210,15 +198,14 @@ def _fixed_pair_arnoldi(ch, tol):
     else:
         from scipy.linalg import lu_factor, lu_solve
 
-        lu_piv = lu_factor(superoperator(ch).matrix - sigma * np.eye(n2))
+        m = superoperator(ch).matrix
+        lu_piv = lu_factor(m - sigma * np.eye(n2))
         solve_fwd = partial(lu_solve, lu_piv)
         solve_adj = partial(lu_solve, lu_piv, trans=2)
 
-    right, gap_r = _deflated_kernel(
-        solve_fwd, lambda x: vec(apply(ch, unvec(x, d))), n2, sigma, tol
-    )
-    left, gap_l = _deflated_kernel(
-        solve_adj, lambda x: vec(apply_adjoint(ch, unvec(x, d))), n2, sigma, tol
+    right, gap_r = _block_kernel(solve_fwd, lambda x: m @ x, n2, sigma, tol)
+    left, gap_l = _block_kernel(
+        solve_adj, lambda x: (x.conj().T @ m).conj().T, n2, sigma, tol
     )
     if right.shape[1] != left.shape[1] or right.shape[1] == 0:
         raise DecompositionError(
@@ -248,7 +235,7 @@ def _fixed_pair(ch, tol):
         left = u[:, n2 - k :].copy()
         gap = float(s[n2 - k - 1]) if k < n2 else np.inf
     else:
-        right, left, gap = _fixed_pair_arnoldi(ch, tol)
+        right, left, gap = _fixed_pair_shift_invert(ch, tol)
     return right, left, gap
 
 
@@ -360,8 +347,12 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     comes from Arnoldi Ritz values of largest modulus; degenerate
     multiplicities are then not certified.
     """
-    w = _leading_eigenvalues(ch, 24)
-    kept = [complex(z) for z in w if abs(z) >= 1.0 - tol.eig_cluster_tol]
+    return _peripheral(_leading_eigenvalues(ch, 24), tol)
+
+
+def _peripheral(eigenvalues, tol):
+    """The eigenvalues with |lambda| >= 1 - eig_cluster_tol, sorted by argument."""
+    kept = [complex(z) for z in eigenvalues if abs(z) >= 1.0 - tol.eig_cluster_tol]
     return sorted(kept, key=lambda z: (np.angle(z), z.real, z.imag))
 
 

@@ -509,13 +509,16 @@ def _fixed_dimension(report):
     )
 
 
+def _enclosures(report):
+    """The report's minimal enclosures: A-blocks, then every B-block copy."""
+    return [blk.enclosure for blk in report.alpha_blocks] + [
+        v for blk in report.beta_blocks for v in blk.enclosures
+    ]
+
+
 def _verify_report(ch, report, tol):
     """Independent consistency checks of a finished decomposition."""
-    frames = [report.D.frame]
-    for blk in report.alpha_blocks:
-        frames.append(blk.enclosure.frame)
-    for blk in report.beta_blocks:
-        frames.extend(e.frame for e in blk.enclosures)
+    frames = [report.D.frame] + [v.frame for v in _enclosures(report)]
     total = sum(f.shape[1] for f in frames)
     if total != report.dim:
         raise DecompositionError(

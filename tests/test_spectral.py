@@ -63,6 +63,48 @@ class TestLargeTier:
         fs = cs.fixed_space(ch)
         assert fs.dimension == 4
 
+    def test_multiplicity_above_starting_block_width(self):
+        # d = 41, dense-LU path; k = 1 + 3^2 + 2^2 = 14 exceeds the first
+        # block of 8 Ritz vectors, so the block must be widened
+        ch, truth = planted_channel(
+            np.random.default_rng(5), [5], [(4, 3), (3, 2)], 18
+        )
+        assert ch.dim == 41
+        assert cs.fixed_space(ch).dimension == 14
+        report = cs.decompose(ch)
+        assert len(report.alpha_blocks) == 1
+        assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
+
+    def test_near_degenerate_gap_warns_on_sparse_tier(self):
+        # a closed class on states 0-19 and a class on 20-40 that leaks
+        # 5e-8 of every column into state 0: lambda = 1 - 5e-8 sits just
+        # outside the eigenvalue-1 cluster
+        rng = np.random.default_rng(41)
+        leak = 5e-8
+        p = np.zeros((41, 41))
+        a = rng.random((20, 20))
+        p[:20, :20] = a / a.sum(axis=0)
+        b = rng.random((21, 21))
+        p[20:, 20:] = (1.0 - leak) * b / b.sum(axis=0)
+        p[0, 20:] = leak
+        ch = cs.from_markov_chain(p)
+        assert cs.fixed_space(ch).dimension == 1
+        split = cs.recurrent_split(ch)
+        assert split.R.dimension == 20
+        assert any("eigenvalue-1 cluster ill-separated" in w for w in split.warnings)
+
+    def test_large_tier_makes_no_arpack_call(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK eigs called")
+
+        monkeypatch.setattr(spla, "eigs", refuse)
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 13), 13)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert rf.fixed_space_dimension == 4
+        assert [len(b.enclosures) for b in rf.report.beta_blocks] == [2]
+
 
 class TestCesaro:
     def test_invariant_state_is_cesaro_fixed(self):
@@ -239,3 +281,15 @@ class TestPeripheralSpectrumOnR:
         assert len(rf.peripheral_spectrum) == expected
         assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
         assert any(abs(z - 1.0) > 0.1 for z in full)  # a periodic part
+
+    def test_report_spectrum_counts_off_diagonal_pairs(self):
+        # eigenvalue 1 five times: once from the A-block and four times from
+        # the B-block's 2 x 2 pairs of copies, off-diagonal pairs included
+        rng = np.random.default_rng(317)
+        ch, truth = planted_channel(rng, [3], [(3, 2)], 4)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        full = cs.peripheral_spectrum(ch)
+        assert len(full) == 5
+        assert len(rf.peripheral_spectrum) == 5
+        assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
+        assert np.abs(np.array(full) - 1.0).max() < 1e-8
