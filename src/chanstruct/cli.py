@@ -112,9 +112,14 @@ def _load_real_matrix(path):
         ):
             raise ParseError(f"{path}: row {i} must be an array of numbers")
     try:
-        return np.array(data, dtype=float)
+        matrix = np.array(data, dtype=float)
     except ValueError as err:
         raise ParseError(f"{path}: ragged matrix ({err})") from err
+    except OverflowError as err:
+        raise ParseError(f"{path}: entry out of float range") from err
+    if not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: non-finite entry")
+    return matrix
 
 
 def cmd_build(args):
@@ -185,11 +190,7 @@ def cmd_query(args):
         }
     else:
         spectrum = peripheral_spectrum(ch, tol)
-        doc = {
-            "peripheral_spectrum": [
-                [float(z.real), float(z.imag)] for z in spectrum
-            ]
-        }
+        doc = {"peripheral_spectrum": _matrix_to_lists(spectrum)}
     _emit(doc, args.out)
     return 0
 

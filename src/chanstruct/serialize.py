@@ -1,13 +1,16 @@
 """JSON schemas for channels and decomposition reports.
 
 Complex numbers serialize as two-element ``[re, im]`` arrays, matrices as
-row-major nested lists of such pairs.  ``canonical_dumps`` fixes key order
-and float formatting (shortest round-trip), so identical objects always
-produce byte-identical documents and serialize → parse → serialize is the
-identity on canonical files.
+row-major nested lists of such pairs.  ``canonical_dumps`` writes compact
+JSON (without ``indent`` the standard library encodes in C) with fixed key
+order and float formatting (shortest round-trip), so identical objects
+always produce byte-identical documents and serialize → parse → serialize
+is the identity on canonical files.  Whitespace is not part of the schema:
+indented files parse to the same objects.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 import json
 import math
 
@@ -42,33 +45,25 @@ REPORT_SCHEMA = "chanstruct-report/1"
 
 
 def canonical_dumps(obj):
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _complex_to_pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    """Canonical JSON text: sorted keys, no whitespace, one trailing newline."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return text + "\n"
 
 
 def _matrix_to_lists(m):
+    """Row-major nested ``[re, im]`` pairs; a vector gives a list of pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[_complex_to_pair(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _pair_to_complex(entry, where):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        value = complex(entry)
-    elif (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(
-            isinstance(p, (int, float)) and not isinstance(p, bool)
-            for p in entry
-        )
-    ):
-        value = complex(entry[0], entry[1])
-    else:
+    pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair):
         raise ParseError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+    try:
+        value = complex(*pair)
+    except OverflowError as err:
+        raise ParseError(f"{where}: entry out of float range") from err
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError(f"{where}: non-finite entry")
     return value
@@ -77,6 +72,20 @@ def _pair_to_complex(entry, where):
 def _matrix_from_lists(data, rows, cols, where):
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
+    # One NumPy conversion when every entry is a finite pair of JSON numbers
+    # (NumPy alone would also take booleans and numeric strings); viewing
+    # (re, im) as complex128 keeps the sign of zero.
+    try:
+        pairs = np.array(data, dtype=float)
+        leaves = chain.from_iterable(chain.from_iterable(data))
+        if (
+            pairs.shape == (rows, cols, 2)
+            and np.isfinite(pairs).all()
+            and {int, float}.issuperset(map(type, leaves))
+        ):
+            return pairs.view(complex)[..., 0]
+    except (TypeError, ValueError, OverflowError):
+        pass
     out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
@@ -177,10 +186,6 @@ def report_file_from_report(report):
     )
 
 
-def _frame_to_lists(space):
-    return _matrix_to_lists(space.frame)
-
-
 def report_file_to_dict(rf):
     report = rf.report
     tol = report.tolerance
@@ -194,11 +199,11 @@ def report_file_to_dict(rf):
             "psd_tol": tol.psd_tol,
         },
         "rng_seed": report.rng_seed,
-        "recurrent_basis": _frame_to_lists(report.R),
-        "transient_basis": _frame_to_lists(report.D),
+        "recurrent_basis": _matrix_to_lists(report.R.frame),
+        "transient_basis": _matrix_to_lists(report.D.frame),
         "alpha_blocks": [
             {
-                "enclosure": _frame_to_lists(blk.enclosure),
+                "enclosure": _matrix_to_lists(blk.enclosure.frame),
                 "rho": _matrix_to_lists(blk.rho),
             }
             for blk in report.alpha_blocks
@@ -206,16 +211,14 @@ def report_file_to_dict(rf):
         "beta_blocks": [
             {
                 "index": blk.index,
-                "enclosures": [_frame_to_lists(e) for e in blk.enclosures],
+                "enclosures": [_matrix_to_lists(e.frame) for e in blk.enclosures],
                 "isometries": [_matrix_to_lists(q) for q in blk.isometries],
                 "rho_ref": _matrix_to_lists(blk.rho_ref),
             }
             for blk in report.beta_blocks
         ],
         "fixed_space_dimension": rf.fixed_space_dimension,
-        "peripheral_spectrum": [
-            _complex_to_pair(z) for z in rf.peripheral_spectrum
-        ],
+        "peripheral_spectrum": _matrix_to_lists(rf.peripheral_spectrum),
         "warnings": list(report.warnings),
     }
 
@@ -223,9 +226,7 @@ def report_file_to_dict(rf):
 def _subspace_from_lists(data, dim, where):
     if not isinstance(data, list):
         raise ParseError(f"{where}: expected a matrix")
-    cols = 0
-    if data and isinstance(data[0], list):
-        cols = len(data[0])
+    cols = len(data[0]) if data and isinstance(data[0], list) else 0
     frame = _matrix_from_lists(data, dim, cols, where)
     try:
         return Subspace(dim, frame)
@@ -245,14 +246,11 @@ def report_file_from_dict(data, re_verify=True):
         raise ParseError(f"{where}: channel dimension disagrees with dim")
     tol_data = _require(data, "tolerances", where)
     try:
-        tol = Tolerance(
-            rank_tol=float(_require(tol_data, "rank_tol", "tolerances")),
-            eig_cluster_tol=float(
-                _require(tol_data, "eig_cluster_tol", "tolerances")
-            ),
-            psd_tol=float(_require(tol_data, "psd_tol", "tolerances")),
-        )
-    except (TypeError, ValueError) as err:
+        tol = Tolerance(**{
+            key: float(_require(tol_data, key, "tolerances"))
+            for key in ("rank_tol", "eig_cluster_tol", "psd_tol")
+        })
+    except (TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{where}: bad tolerances ({err})") from err
     seed = _require_int(data, "rng_seed", where)
     r_space = _subspace_from_lists(

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.serialize
 import chanstruct.spectral
 from chanstruct.cli import main
+from chanstruct.serialize import _matrix_from_lists
 from helpers import amplitude_damping_channel, planted_channel
 
 RNG = np.random.default_rng(505)
@@ -16,6 +18,80 @@ RNG = np.random.default_rng(505)
 def write_channel(path, ch, metadata=None):
     path.write_text(cs.canonical_dumps(cs.channel_to_dict(ch, metadata)))
     return str(path)
+
+
+def _negate_zeros(obj):
+    """Every float 0.0 in a JSON document becomes -0.0."""
+    if isinstance(obj, dict):
+        return {k: _negate_zeros(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_negate_zeros(v) for v in obj]
+    if type(obj) is float and obj == 0.0:
+        return -0.0
+    return obj
+
+
+_P = [1.0, 0.0]
+
+
+class TestMatrixParsing:
+    """The vectorized parse accepts exactly what the per-entry check
+    accepts, and rejects the rest with the per-entry messages."""
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            ([[[1.0, -0.0], [0.5, 2.0]], [[-0.0, -0.0], [3, -1.5]]],
+             [[complex(1.0, -0.0), 0.5 + 2j], [complex(-0.0, -0.0), 3 - 1.5j]]),
+            ([[[1, 0], [2, -3]], [[0, 0], [1, 1]]], [[1, 2 - 3j], [0, 1 + 1j]]),
+            ([[1.0, 2], [-0.0, 4.5]], [[1, 2], [-0.0, 4.5]]),
+            ([[1.0, [2.0, 1.0]], [[0.0, 0.0], 4]], [[1, 2 + 1j], [0, 4]]),
+            ([[[True, 0.0], _P], [_P, _P]],
+             "m[0][0]: expected a number or [re, im] pair, got [True, 0.0]"),
+            ([[_P, _P], [_P, [0.0, False]]],
+             "m[1][1]: expected a number or [re, im] pair, got [0.0, False]"),
+            ([[["1.0", 0.0], _P], [_P, _P]],
+             "m[0][0]: expected a number or [re, im] pair, got ['1.0', 0.0]"),
+            ([[None, _P], [_P, _P]],
+             "m[0][0]: expected a number or [re, im] pair, got None"),
+            ([[_P, {"re": 1}], [_P, _P]],
+             "m[0][1]: expected a number or [re, im] pair, got {'re': 1}"),
+            ([[_P, _P], [[float("nan"), 0.0], _P]], "m[1][0]: non-finite entry"),
+            ([[_P, [0.0, float("inf")]], [_P, _P]], "m[0][1]: non-finite entry"),
+            ([[[1.0, 0.0, 0.0], _P], [_P, _P]],
+             "m[0][0]: expected a number or [re, im] pair, got [1.0, 0.0, 0.0]"),
+            ([[[[1.0], 0.0], _P], [_P, _P]],
+             "m[0][0]: expected a number or [re, im] pair, got [[1.0], 0.0]"),
+            ([[_P, _P], [_P]], "m: row 1 must have 2 entries"),
+            ([[_P, _P]], "m: expected 2 rows"),
+            ([[[10**400, 0], _P], [_P, _P]], "m[0][0]: entry out of float range"),
+        ],
+        ids=[
+            "pairs", "int-pairs", "bare", "mixed", "true-re", "false-im",
+            "numeric-string", "none", "object", "nan", "inf", "three-entries",
+            "nested", "short-row", "missing-row", "huge-int",
+        ],
+    )
+    def test_accepts_and_rejects_like_the_entry_loop(self, data, expected):
+        if isinstance(expected, str):
+            with pytest.raises(cs.ParseError) as err:
+                _matrix_from_lists(data, 2, 2, "m")
+            assert str(err.value) == expected
+        else:
+            got = _matrix_from_lists(data, 2, 2, "m")
+            want = np.array(expected, dtype=complex)
+            assert np.array_equal(got, want)
+            # the sign of zero survives in both parts
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_well_formed_pairs_skip_the_entry_loop(self, monkeypatch):
+        def refuse(entry, where):
+            raise AssertionError("per-entry parse on well-formed input")
+
+        monkeypatch.setattr(chanstruct.serialize, "_pair_to_complex", refuse)
+        got = _matrix_from_lists([[[1.0, -2.0], [0, 1]]], 1, 2, "m")
+        assert np.array_equal(got, [[1 - 2j, 1j]])
 
 
 class TestChannelSchema:
@@ -53,6 +129,13 @@ class TestChannelSchema:
         with pytest.raises(cs.ParseError):
             cs.channel_from_dict(doc)
 
+    def test_negative_zero_round_trip_bytes(self):
+        doc = _negate_zeros(cs.channel_to_dict(amplitude_damping_channel(0.3)))
+        text = cs.canonical_dumps(doc)
+        assert "[-0.0,-0.0]" in text
+        ch = cs.channel_from_dict(json.loads(text))
+        assert cs.canonical_dumps(cs.channel_to_dict(ch)) == text
+
     def test_validation_on_parse_unless_unchecked(self):
         doc = {
             "dim": 2,
@@ -77,6 +160,35 @@ class TestReportSchema:
         assert text == text2
         assert rf2.fixed_space_dimension == rf.fixed_space_dimension
         assert rf2.report.dim == rf.report.dim
+
+    def test_canonical_text_is_one_line(self):
+        text = cs.canonical_dumps(cs.report_file_to_dict(self._report_file()))
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert ": " not in text and ", " not in text
+
+    def test_negative_zero_round_trip_bytes(self):
+        ch = amplitude_damping_channel(0.3)
+        doc = cs.report_file_to_dict(cs.report_file_from_report(cs.decompose(ch)))
+        text = cs.canonical_dumps(_negate_zeros(doc))
+        assert "[-0.0,-0.0]" in text
+        rf = cs.report_file_from_dict(json.loads(text))
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
+
+    def test_indented_file_loads_to_canonical_text(self):
+        doc = cs.report_file_to_dict(self._report_file())
+        indented = json.dumps(doc, indent=2, sort_keys=True)
+        rf = cs.report_file_from_dict(json.loads(indented), re_verify=True)
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == cs.canonical_dumps(doc)
+
+    def test_huge_int_in_report_is_parse_error(self):
+        doc = cs.report_file_to_dict(self._report_file())
+        doc["tolerances"]["rank_tol"] = 10**400
+        with pytest.raises(cs.ParseError, match="bad tolerances"):
+            cs.report_file_from_dict(doc)
+        doc = cs.report_file_to_dict(self._report_file())
+        doc["peripheral_spectrum"][0] = [1, 10**400]
+        with pytest.raises(cs.ParseError, match="out of float range"):
+            cs.report_file_from_dict(doc)
 
     def test_reload_verifies_orthonormality(self):
         rf = self._report_file()
@@ -113,6 +225,13 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["trace_preserving"] is False
+
+    def test_indented_channel_file(self, tmp_path, capsys):
+        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -175,6 +294,18 @@ class TestCliDecompose:
         out = json.loads(capsys.readouterr().out)
         assert "error" in out
 
+    def test_huge_int_entry_exits_2(self, tmp_path, capsys):
+        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        doc["kraus"][0][0][0] = [10**400, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {
+            "type": "ParseError",
+            "message": "channel.kraus[0][0][0]: entry out of float range",
+        }
+
     def test_tolerance_flags(self, tmp_path):
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
         assert main(["decompose", path, "--tol-rank", "1e-8"]) == 0
@@ -236,6 +367,24 @@ class TestCliBuild:
         mat.write_text(json.dumps([[0.5, 0.5], [0.4, 0.5]]))
         assert main(["build", "markov", "--matrix", str(mat)]) == 1
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("NaN", "non-finite entry"),
+            ("Infinity", "non-finite entry"),
+            ("1" + "0" * 400, "entry out of float range"),
+        ],
+        ids=["nan", "infinity", "huge-int"],
+    )
+    def test_markov_unrepresentable_entry_exits_2(
+        self, tmp_path, capsys, entry, message
+    ):
+        mat = tmp_path / "p.json"
+        mat.write_text(f"[[0.5, {entry}], [0.5, 0.5]]")
+        assert main(["build", "markov", "--matrix", str(mat)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "ParseError", "message": f"{mat}: {message}"}
+
 
 class TestCliQuery:
     def test_enclosure(self, tmp_path, capsys):
@@ -253,6 +402,13 @@ class TestCliQuery:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["dimension"] == 1
+
+    def test_huge_int_vector_exits_2(self, tmp_path, capsys):
+        path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
+        vector = "[1, [0, " + "1" * 400 + "]]"
+        assert main(["query", "enclosure", path, "--vector", vector]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == "--vector[1]: entry out of float range"
 
     def test_bad_vector_exits_2(self, tmp_path, capsys):
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
