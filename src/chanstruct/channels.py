@@ -17,7 +17,6 @@ from .linalg import DEFAULT_TOL, as_complex_matrix, unvec, vec
 
 __all__ = [
     "KrausChannel",
-    "Superoperator",
     "ValidationReport",
     "is_state",
     "apply",
@@ -91,14 +90,6 @@ class KrausChannel:
 
 
 @dataclass(frozen=True)
-class Superoperator:
-    """Dense matrix of a channel under column-stacking vectorization."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Result of :func:`validate`."""
 
@@ -154,7 +145,7 @@ def superoperator(ch):
 
     Equals sum_i conj(V_i) ⊗ V_i.
     """
-    return Superoperator(dim=ch.dim, matrix=_transfer_matrix(ch._stack, ch._stack))
+    return _transfer_matrix(ch._stack, ch._stack)
 
 
 def _transfer_matrix(a, b):
@@ -190,7 +181,7 @@ def _leading_eigenvalues(ch, k):
     else the k of largest modulus (Arnoldi Ritz values)."""
     n2 = ch.dim**2
     if n2 <= 2500:
-        return np.linalg.eigvals(superoperator(ch).matrix)
+        return np.linalg.eigvals(superoperator(ch))
     import scipy.sparse.linalg as spla
 
     op = spla.LinearOperator(

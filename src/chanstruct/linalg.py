@@ -25,7 +25,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "relative_orthocomplement",
-    "projector",
     "loewner_geq",
     "vec",
     "unvec",
@@ -252,11 +251,6 @@ def relative_orthocomplement(s, w, tol=DEFAULT_TOL):
         raise ArgumentError("W not contained in S")
     reduced = s.frame - w.frame @ (w.frame.conj().T @ s.frame)
     return orthonormal_basis(reduced, tol, ambient_dim=s.ambient_dim)
-
-
-def projector(s):
-    """Orthogonal projector of a Subspace as a dense matrix."""
-    return s.projector()
 
 
 def loewner_geq(x, y, tol=DEFAULT_TOL):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .channels import KrausChannel, _transfer_matrix
-from .errors import ParseError
+from .errors import ArgumentError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 from .spectral import _peripheral
 from .structure import (
@@ -250,7 +250,7 @@ def report_file_from_dict(data, re_verify=True):
             key: float(_require(tol_data, key, "tolerances"))
             for key in ("rank_tol", "eig_cluster_tol", "psd_tol")
         })
-    except (TypeError, ValueError, OverflowError) as err:
+    except (ArgumentError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{where}: bad tolerances ({err})") from err
     seed = _require_int(data, "rng_seed", where)
     r_space = _subspace_from_lists(

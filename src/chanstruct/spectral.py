@@ -15,17 +15,15 @@ invariant state on a minimal enclosure V.  X -> P_R X P_R maps the adjoint's
 fixed points onto those of the channel restricted to R (Baumgartner-Narnhofer,
 Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra too.
 
-Two execution tiers give identical semantics:
-
-* small problems (d^2 <= 1600): one dense SVD of (M - I) yields both kernels;
-* larger problems: block shift-invert subspace iteration around
-  sigma = 1 + 3e-6 (sparse LU when the Kraus family is sparse, dense LU
-  otherwise).  A block wider than the eigenvalue-1 multiplicity captures
-  the whole degenerate eigenspace, where single-vector Krylov methods
-  under-count it, and the block is widened until some Ritz value falls
-  outside the cluster: that certifies the multiplicity.  Every accepted
-  vector is residual-verified against M, so misconvergence cannot silently
-  corrupt the result.
+Both kernels come from block shift-invert subspace iteration around
+sigma = 1 + 3e-6, at every channel size.  (M - sigma I)^{-1} is applied by a
+sparse LU when the Kraus family is sparse, and otherwise by an explicit dense
+inverse (its conjugate transpose for the left kernel).  A block wider than
+the eigenvalue-1 multiplicity captures the whole degenerate eigenspace, where
+single-vector Krylov methods under-count it, and the block is widened until
+some Ritz value falls outside the cluster: that certifies the multiplicity.
+Every accepted vector is residual-verified against M, so misconvergence
+cannot silently corrupt the result.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +53,6 @@ __all__ = [
     "perron_frobenius_certificate",
 ]
 
-_DENSE_KERNEL_CUT = 1600
 _SPARSE_FRACTION = 0.02
 _ARNOLDI_SEED = 1729
 _MAX_BLOCK_STEPS = 50
@@ -184,59 +181,48 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
     )
 
 
-def _fixed_pair_shift_invert(ch, tol):
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _adjoint_apply(a, x):
+    """a^H x, without forming a^H."""
+    return (x.conj().T @ a).conj().T
 
+
+def _fixed_pair(ch, tol):
+    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays,
+    and the distance from 1 of the nearest Ritz value outside the
+    eigenvalue-1 cluster."""
     n2 = ch.dim**2
     sigma = 1.0 + 3e-6
     if _kraus_nnz_fraction(ch) <= _SPARSE_FRACTION:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         m = _superoperator_sparse(ch)
         shifted = (m - sigma * sp.identity(n2, dtype=complex, format="csc")).tocsc()
         lu = spla.splu(shifted)
         solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="H")
     else:
-        from scipy.linalg import lu_factor, lu_solve
+        # an explicit inverse applied by matmul: multi-RHS LU solves stall
+        # under multi-threaded BLAS at these sizes
+        m = superoperator(ch)
+        inv = np.linalg.inv(m - sigma * np.eye(n2))
+        solve_fwd, solve_adj = inv.__matmul__, partial(_adjoint_apply, inv)
 
-        m = superoperator(ch).matrix
-        lu_piv = lu_factor(m - sigma * np.eye(n2))
-        solve_fwd = partial(lu_solve, lu_piv)
-        solve_adj = partial(lu_solve, lu_piv, trans=2)
-
-    right, gap_r = _block_kernel(solve_fwd, lambda x: m @ x, n2, sigma, tol)
+    right, gap_r = _block_kernel(solve_fwd, m.__matmul__, n2, sigma, tol)
     left, gap_l = _block_kernel(
-        solve_adj, lambda x: (x.conj().T @ m).conj().T, n2, sigma, tol
+        solve_adj, partial(_adjoint_apply, m), n2, sigma, tol
     )
-    if right.shape[1] != left.shape[1] or right.shape[1] == 0:
+    if right.shape[1] == 0:
+        raise DecompositionError(
+            "fixed-space",
+            "no eigenvalue-1 cluster found; is the channel trace preserving?",
+        )
+    if right.shape[1] != left.shape[1]:
         raise DecompositionError(
             "fixed-space",
             "left/right eigenvalue-1 dimensions disagree "
             f"({right.shape[1]} vs {left.shape[1]})",
         )
     return right, left, min(gap_r, gap_l)
-
-
-def _fixed_pair(ch, tol):
-    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays,
-    and the observed separation of the eigenvalue-1 cluster from the rest of
-    the spectrum (a singular-value proxy on the dense tier)."""
-    n2 = ch.dim**2
-    if n2 <= _DENSE_KERNEL_CUT:
-        m = superoperator(ch).matrix
-        u, s, vh = np.linalg.svd(m - np.eye(n2))
-        k = int(np.sum(s <= tol.eig_cluster_tol))
-        if k == 0:
-            raise DecompositionError(
-                "fixed-space",
-                "no eigenvalue-1 cluster found; is the channel trace preserving?",
-            )
-        # copies, so that the kernels do not keep the SVD factors alive
-        right = vh[n2 - k :].conj().T
-        left = u[:, n2 - k :].copy()
-        gap = float(s[n2 - k - 1]) if k < n2 else np.inf
-    else:
-        right, left, gap = _fixed_pair_shift_invert(ch, tol)
-    return right, left, gap
 
 
 def _spectral_core(ch, tol):

@@ -177,9 +177,8 @@ def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
     if k == 0 or k == ch.dim:
         return True
     frame = subspace.frame
-    proj = subspace.projector()
-    comp = np.eye(ch.dim) - proj
-    leak = max(np.linalg.norm(comp @ (v @ frame), 2) for v in ch.kraus)
+    comp = np.eye(ch.dim) - subspace.projector()
+    leak = np.linalg.norm(comp @ ch._stack @ frame, 2, axis=(1, 2)).max()
     return bool(leak <= tol.subspace_tol)
 
 

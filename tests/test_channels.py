@@ -73,7 +73,7 @@ class TestApply:
 class TestSuperoperator:
     def test_consistent_with_apply(self):
         ch = random_channel(3, 3, RNG)
-        m = cs.superoperator(ch).matrix
+        m = cs.superoperator(ch)
         rho = random_state(3, RNG)
         lhs = m @ cs.vec(rho)
         rhs = cs.vec(cs.apply(ch, rho))
@@ -81,7 +81,7 @@ class TestSuperoperator:
 
     def test_equals_kron_sum(self):
         ch = random_channel(2, 3, RNG)
-        m = cs.superoperator(ch).matrix
+        m = cs.superoperator(ch)
         ref = sum(np.kron(v.conj(), v) for v in ch.kraus)
         assert np.abs(m - ref).max() < 1e-14
 

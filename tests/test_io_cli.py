@@ -190,6 +190,13 @@ class TestReportSchema:
         with pytest.raises(cs.ParseError, match="out of float range"):
             cs.report_file_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [0.5, 0, float("nan")])
+    def test_out_of_range_tolerance_is_parse_error(self, value):
+        doc = cs.report_file_to_dict(self._report_file())
+        doc["tolerances"]["rank_tol"] = value
+        with pytest.raises(cs.ParseError, match="bad tolerances"):
+            cs.report_file_from_dict(doc)
+
     def test_reload_verifies_orthonormality(self):
         rf = self._report_file()
         doc = cs.report_file_to_dict(rf)

@@ -38,6 +38,11 @@ class TestFixedSpace:
         fs = cs.fixed_space(cs.KrausChannel([w]))
         assert fs.dimension == 3
 
+    def test_contraction_has_no_eigenvalue_1_cluster(self):
+        ch = cs.KrausChannel([0.5 * np.eye(2)], unchecked=True)
+        with pytest.raises(cs.DecompositionError, match="no eigenvalue-1 cluster"):
+            cs.fixed_space(ch)
+
     def test_hermitian_basis_spans_and_is_fixed(self):
         # 2-cycle chain: only multiples of the identity are fixed
         ch = cs.from_markov_chain(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -50,7 +55,7 @@ class TestFixedSpace:
 
 class TestLargeTier:
     def test_arnoldi_dense_lu_counts_degenerate_kernel(self):
-        # d = 41 > dense cutoff; two isolated irreducible summands
+        # d = 41, dense-inverse path; two isolated irreducible summands
         ch, truth = planted_channel(RNG, [20, 21], [], 0, n_kraus=2)
         assert ch.dim == 41
         fs = cs.fixed_space(ch)
@@ -64,7 +69,7 @@ class TestLargeTier:
         assert fs.dimension == 4
 
     def test_multiplicity_above_starting_block_width(self):
-        # d = 41, dense-LU path; k = 1 + 3^2 + 2^2 = 14 exceeds the first
+        # d = 41, dense-inverse path; k = 1 + 3^2 + 2^2 = 14 exceeds the first
         # block of 8 Ritz vectors, so the block must be widened
         ch, truth = planted_channel(
             np.random.default_rng(5), [5], [(4, 3), (3, 2)], 18
@@ -293,3 +298,56 @@ class TestPeripheralSpectrumOnR:
         assert len(rf.peripheral_spectrum) == 5
         assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
         assert np.abs(np.array(full) - 1.0).max() < 1e-8
+
+
+def _svd_kernels(ch, tol):
+    """Reference right and left kernels of M - I from one dense SVD."""
+    n2 = ch.dim**2
+    u, s, vh = np.linalg.svd(cs.superoperator(ch) - np.eye(n2))
+    k = int(np.sum(s <= tol.eig_cluster_tol))
+    return vh[n2 - k :].conj().T, u[:, n2 - k :]
+
+
+PARITY_CASES = {
+    "identity-1": lambda: cs.KrausChannel([np.eye(1)]),
+    # k = d^2 = block width: the block cannot widen
+    "identity-2": lambda: cs.KrausChannel([np.eye(2)]),
+    "amplitude-damping": lambda: amplitude_damping_channel(0.3),
+    "three-cycle-unitary": lambda: cs.KrausChannel([np.roll(np.eye(3), 1, axis=0)]),
+    "metastable-chain": lambda: cs.from_markov_chain(
+        np.array([[1.0 - 3e-8, 3e-8], [3e-8, 1.0 - 3e-8]])
+    ),
+    # sparse enough for the sparse-LU branch
+    "markov-transients": _markov_cycle_fed_by_transients,
+    "planted-transient": lambda: planted_channel(
+        np.random.default_rng(331), [2], [(2, 2)], 3
+    )[0],
+}
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_kernels_match_svd_null_spaces(self, case):
+        ch = PARITY_CASES[case]()
+        right, left, _ = chanstruct.spectral._fixed_pair(ch, cs.DEFAULT_TOL)
+        ref_right, ref_left = _svd_kernels(ch, cs.DEFAULT_TOL)
+        assert right.shape == ref_right.shape and left.shape == ref_left.shape
+        for q, ref in ((right, ref_right), (left, ref_left)):
+            diff = q @ q.conj().T - ref @ ref.conj().T
+            assert np.abs(diff).max() <= 1e-10
+
+    def test_decompose_makes_no_superoperator_sized_svd(self, monkeypatch):
+        sides = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            sides.append(max(np.shape(a)[-2:]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rng = np.random.default_rng(337)
+        ch, truth = planted_channel(rng, [3, 6], [(3, 3), (4, 2)], 6)
+        assert ch.dim == 32
+        report = cs.decompose(ch)
+        assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
+        assert max(sides, default=0) < ch.dim**2
