@@ -56,6 +56,9 @@ __all__ = [
 _SPARSE_FRACTION = 0.02
 _ARNOLDI_SEED = 1729
 _MAX_BLOCK_STEPS = 50
+# widest accepted multiplicity: 256, or more while the block holds no more
+# entries than a dense d = 40 superoperator (so every k <= d^2 for d <= 40)
+_MAX_BLOCK_ENTRIES = 1600 * 1600
 
 
 @dataclass(frozen=True)
@@ -149,15 +152,16 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
         return np.linalg.qr(z)[0]
 
     rng = np.random.default_rng(_ARNOLDI_SEED)
+    cap = max(256, _MAX_BLOCK_ENTRIES // n2)
     width, last, residual = min(8, n2), -1, np.inf
     x = random_block(width)
     for step in range(1, _MAX_BLOCK_STEPS + 1):
         y = solve(x)
         t, z, k = schur(x.conj().T @ y, output="complex", sort=in_cluster)
-        if k > 256:
+        if k > cap:
             raise DecompositionError(
                 "fixed-space",
-                "eigenvalue-1 multiplicity exceeds 256; refusing to continue",
+                f"eigenvalue-1 multiplicity exceeds {cap}; refusing to continue",
             )
         if k == width < n2:
             width = min(2 * width, n2)
@@ -201,8 +205,11 @@ def _fixed_pair(ch, tol):
         lu = spla.splu(shifted)
         solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="H")
     else:
-        # an explicit inverse applied by matmul: multi-RHS LU solves stall
-        # under multi-threaded BLAS at these sizes
+        # an explicit inverse applied by matmul.  Multi-RHS lu_solve calls
+        # stalled at 2 BLAS threads on small systems (n = 100, 8 right-hand
+        # sides: 2.9 ms per call against 59 us at 1 thread), which made the
+        # benchmark's planted channels (d = 20-32) about twice as slow.  For
+        # d >= 41 the inverse costs about 4x an LU, so decompose is slower.
         m = superoperator(ch)
         inv = np.linalg.inv(m - sigma * np.eye(n2))
         solve_fwd, solve_adj = inv.__matmul__, partial(_adjoint_apply, inv)

@@ -178,7 +178,7 @@ def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
         return True
     frame = subspace.frame
     comp = np.eye(ch.dim) - subspace.projector()
-    leak = np.linalg.norm(comp @ ch._stack @ frame, 2, axis=(1, 2)).max()
+    leak = np.linalg.norm(comp @ (ch._stack @ frame), 2, axis=(1, 2)).max()
     return bool(leak <= tol.subspace_tol)
 
 

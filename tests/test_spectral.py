@@ -23,6 +23,11 @@ class TestFixedSpace:
         assert fs.dimension == 9
         assert len(fs.hermitian_basis) == 9
 
+    def test_identity_multiplicity_above_256(self):
+        # k = d^2 = 289: the block widens to the whole space
+        fs = cs.fixed_space(cs.KrausChannel([np.eye(17)]))
+        assert fs.dimension == 289
+
     def test_generic_channel_has_unique_fixed_point(self):
         ch = random_channel(4, 3, RNG)
         fs = cs.fixed_space(ch)
@@ -336,7 +341,9 @@ class TestKernelParity:
             diff = q @ q.conj().T - ref @ ref.conj().T
             assert np.abs(diff).max() <= 1e-10
 
-    def test_decompose_makes_no_superoperator_sized_svd(self, monkeypatch):
+    def test_decompose_makes_no_superoperator_sized_np_linalg_svd(self, monkeypatch):
+        # records np.linalg.svd calls only, not SVDs inside norm(..., 2),
+        # scipy.linalg.svd, lstsq or pinv
         sides = []
         svd = np.linalg.svd
 
