@@ -167,16 +167,23 @@ class ReportFile:
 def report_file_from_report(report):
     """Attach the fixed-space dimension n_alpha + sum_b n_b^2 and the
     peripheral spectrum of the report's channel, which is that of the
-    channel on B(R), taken per pair of minimal enclosures (see the README's
-    numerical policy)."""
+    channel on B(R), taken per unordered pair of blocks (see the README's
+    numerical policy): the spectrum of the pair of first copies counts
+    n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
     if report.channel is None:
         raise ParseError("report does not retain its channel")
-    # F^H V_a F for every minimal enclosure frame F and Kraus operator V_a
-    frames = [v.frame for v in _enclosures(report)]
-    parts = [f.conj().T @ report.channel._stack @ f for f in frames]
-    eigenvalues = [
-        np.linalg.eigvals(_transfer_matrix(a, b)) for a in parts for b in parts
+    stack = report.channel._stack
+    # F^H V_a F for the first enclosure F of every block, and its copy count
+    blocks = [(blk.enclosure.frame, 1) for blk in report.alpha_blocks] + [
+        (blk.enclosures[0].frame, len(blk.enclosures)) for blk in report.beta_blocks
     ]
+    parts = [(f.conj().T @ stack @ f, n) for f, n in blocks]
+    eigenvalues = []
+    for i, (a, n_i) in enumerate(parts):
+        for j, (b, n_j) in enumerate(parts[i:], start=i):
+            w = np.linalg.eigvals(_transfer_matrix(a, b))
+            pair = w if i == j else np.concatenate((w, w.conj()))
+            eigenvalues.append(np.tile(pair, n_i * n_j))
     return ReportFile(
         report=report,
         fixed_space_dimension=_fixed_dimension(report),

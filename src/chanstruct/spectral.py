@@ -24,6 +24,9 @@ single-vector Krylov methods under-count it, and the block is widened until
 some Ritz value falls outside the cluster: that certifies the multiplicity.
 Every accepted vector is residual-verified against M, so misconvergence
 cannot silently corrupt the result.
+
+``peripheral_spectrum`` takes all d^2 eigenvalues of the dense superoperator,
+exact for any Kraus family; a report carries the same list at far less cost.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +36,6 @@ import numpy as np
 
 from .channels import (
     _kraus_nnz_fraction,
-    _leading_eigenvalues,
     _superoperator_sparse,
     apply,
     is_state,
@@ -336,11 +338,11 @@ def recurrent_split(ch, tol=DEFAULT_TOL):
 def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     """Eigenvalues of the superoperator with |lambda| >= 1 - eig_cluster_tol.
 
-    Sorted by argument.  Beyond the dense-eigenvalue size cutoff the list
-    comes from Arnoldi Ritz values of largest modulus; degenerate
-    multiplicities are then not certified.
+    Sorted by argument, with multiplicity, from all d^2 eigenvalues of the
+    dense superoperator: exact for any Kraus family, at O(d^6) cost.  For a
+    large trace-preserving channel read its report's ``peripheral_spectrum``.
     """
-    return _peripheral(_leading_eigenvalues(ch, 24), tol)
+    return _peripheral(np.linalg.eigvals(superoperator(ch)), tol)
 
 
 def _peripheral(eigenvalues, tol):
@@ -350,11 +352,10 @@ def _peripheral(eigenvalues, tol):
 
 
 def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):
-    """Multiplicity of eigenvalue 1 and the rank of the maximal invariant state."""
-    core = _spectral_core(ch, tol)
-    w = np.linalg.eigvalsh(_rho_max(core))
-    rank = int(np.sum(w >= tol.rank_tol * w[-1]))
-    multiplicity = core.multiplicity
+    """Multiplicity of eigenvalue 1 and the rank of the maximal invariant
+    state, which is dim R of :func:`recurrent_split`."""
+    multiplicity = _spectral_core(ch, tol).multiplicity
+    rank = recurrent_split(ch, tol).R.dimension
     return PerronFrobeniusCertificate(
         eigenvalue_1_multiplicity=multiplicity,
         invariant_state_rank=rank,

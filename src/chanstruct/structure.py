@@ -4,9 +4,11 @@ An enclosure of a channel is a subspace V with V_i V ⊆ V for every Kraus
 operator; minimal enclosures inside the recurrent subspace R are the
 irreducible components of the dynamics.  Minimal enclosures supporting
 unitarily equivalent restrictions group into B-blocks connected by partial
-isometries drawn from the fixed-point algebra of the adjoint on R; isolated
-ones are A-blocks.  Together these give the complete parametrization of the
-invariant states:
+isometries; isolated ones are A-blocks.  On a B-block the fixed-point
+algebra of the adjoint on R is I ⊗ M_n (Baumgartner-Narnhofer,
+arXiv:1507.08404), so one generic element of it shows every link, and the
+polar factor of its block between two copies is their isometry.  Together
+these give the complete parametrization of the invariant states:
 
     rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
 
@@ -56,7 +58,6 @@ __all__ = [
     "extract_parameters",
 ]
 
-_LINK_TOL = 1e-6
 _MAX_SAMPLING_ATTEMPTS = 8
 
 
@@ -353,20 +354,33 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
     )
 
 
-def _coords_in(space, enclosure, stage):
-    coords = space.frame.conj().T @ enclosure.frame
-    gram = coords.conj().T @ coords
-    if np.abs(gram - np.eye(coords.shape[1])).max() > 1e-6:
+def _coords_in(space, enclosure, stage, tol):
+    if not space.contains(enclosure, tol):
         raise DecompositionError(stage, "enclosure is not contained in R")
-    return coords
+    return space.frame.conj().T @ enclosure.frame
+
+
+def _linking_element(algebra, tol):
+    """A generic Hermitian element h of the algebra (coordinates of R) and
+    the cut above which a block of h links two minimal enclosures.
+
+    The coefficients come from a seed stream with its own spawn key, which
+    no ``minimal_enclosures`` candidate draws: the element whose
+    eigenspaces gave the enclosures is block diagonal over them.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+    coeffs = rng.standard_normal(algebra.dimension)
+    h = np.tensordot(coeffs, np.stack(algebra.hermitian_basis), 1)
+    # the basis is orthonormal, so |h|_F = |coeffs|
+    return h, tol.subspace_tol * np.linalg.norm(coeffs)
 
 
 def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
     """Partition minimal enclosures into A-blocks (unlinked singletons) and
-    B-blocks (connected families linked by algebra elements).
+    B-blocks (connected families linked by the algebra).
 
-    Two enclosures are linked when some Hermitian fixed point of the
-    adjoint has a non-negligible off-diagonal block between them; linked
+    Two enclosures are linked when the block of a generic algebra element
+    between them is above a cut (see ``_linking_element``); linked
     enclosures necessarily have equal dimension.
     """
     from scipy.sparse import csr_matrix
@@ -374,18 +388,12 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
 
     n = len(enclosures)
     coords = [
-        _coords_in(algebra.R, e, "block-grouping") for e in enclosures
+        _coords_in(algebra.R, e, "block-grouping", tol) for e in enclosures
     ]
-    adj = np.zeros((n, n), dtype=bool)
-    for h in algebra.hermitian_basis:
-        scale = np.linalg.norm(h, 2)
-        if scale == 0.0:
-            continue
-        for i in range(n):
-            for j in range(i + 1, n):
-                link = coords[i].conj().T @ h @ coords[j]
-                if np.linalg.norm(link, 2) > _LINK_TOL * scale:
-                    adj[i, j] = adj[j, i] = True
+    h, cut = _linking_element(algebra, tol)
+    adj = [
+        [np.linalg.norm(ci.conj().T @ h @ cj) > cut for cj in coords] for ci in coords
+    ]
     n_comp, labels = connected_components(
         csr_matrix(adj), directed=False, return_labels=True
     )
@@ -412,7 +420,8 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
 
 def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
     """Partial isometry Q with Q^H Q = P_Vi, Q Q^H = P_Vj intertwining the
-    restricted dynamics, from the polar factor of a linking algebra block.
+    restricted dynamics: the polar factor of the block of the generic
+    algebra element between Vi and Vj (see ``_linking_element``).
 
     The global phase is fixed by making the largest-modulus entry of Q
     real and positive.
@@ -424,27 +433,18 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
         )
     if vi.dimension == 0:
         raise ArgumentError("enclosures must be nonzero")
-    gi = _coords_in(algebra.R, vi, "partial-isometry")
-    gj = _coords_in(algebra.R, vj, "partial-isometry")
-    best = None
-    best_rel = 0.0
-    for h in algebra.hermitian_basis:
-        scale = np.linalg.norm(h, 2)
-        if scale == 0.0:
-            continue
-        link = gj.conj().T @ h @ gi
-        rel = np.linalg.norm(link, 2) / scale
-        if rel > best_rel:
-            best_rel = rel
-            best = link
-    if best is None or best_rel <= _LINK_TOL:
+    gi = _coords_in(algebra.R, vi, "partial-isometry", tol)
+    gj = _coords_in(algebra.R, vj, "partial-isometry", tol)
+    h, cut = _linking_element(algebra, tol)
+    link = gj.conj().T @ h @ gi
+    if np.linalg.norm(link) <= cut:
         raise DecompositionError(
             "partial-isometry",
             "no algebra element links the two enclosures (they do not "
             "belong to one B-block)",
         )
-    u, s, wh = np.linalg.svd(best)
-    if (s[0] - s[-1]) / s[0] > 1e-6:
+    u, s, wh = np.linalg.svd(link)
+    if (s[0] - s[-1]) / s[0] > tol.subspace_tol:
         raise DecompositionError(
             "partial-isometry",
             "block not minimal at tolerance: linking block has non-equal "

@@ -8,6 +8,7 @@ from helpers import (
     amplitude_damping_apply,
     amplitude_damping_channel,
     random_channel,
+    random_kraus_family,
     random_state,
 )
 
@@ -91,6 +92,29 @@ class TestSuperoperator:
         assert report.trace_preserving
         assert report.spectral_radius == pytest.approx(1.0, abs=1e-9)
         assert report.passed
+
+    def test_validate_radius_bounds_dense_spectrum(self):
+        # not trace preserving: the reported radius bounds the spectral
+        # radius of the superoperator from above
+        rng = np.random.default_rng(401)
+        for scale in (0.5, 0.9, 1.3):
+            kraus = [scale * v for v in random_kraus_family(4, 3, rng)]
+            kraus[0] = kraus[0] @ np.diag([1.0, 0.4, 0.7, 1.1])
+            ch = cs.KrausChannel(kraus, unchecked=True)
+            m = sum(np.kron(v.conj(), v) for v in ch.kraus)
+            radius = np.abs(np.linalg.eigvals(m)).max()
+            assert cs.validate(ch).spectral_radius >= radius - 1e-12
+
+    def test_validate_radius_exact_on_scalar_family(self):
+        ch = cs.KrausChannel([np.sqrt(0.5) * np.eye(3)], unchecked=True)
+        m = sum(np.kron(v.conj(), v) for v in ch.kraus)
+        report = cs.validate(ch)
+        assert report.spectral_radius == pytest.approx(0.5, abs=1e-15)
+        assert report.spectral_radius == pytest.approx(
+            np.abs(np.linalg.eigvals(m)).max(), abs=1e-15
+        )
+        assert not report.trace_preserving
+        assert report.spectral_radius_ok
 
 
 class TestMarkov:

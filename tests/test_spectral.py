@@ -115,6 +115,23 @@ class TestLargeTier:
         assert rf.fixed_space_dimension == 4
         assert [len(b.enclosures) for b in rf.report.beta_blocks] == [2]
 
+    def test_public_spectrum_and_radius_above_d_50_without_arpack(self, monkeypatch):
+        # d = 51, d^2 = 2601: every eigenvalue of the dense superoperator,
+        # and all four peripheral ones (eigenvalue 1 four times)
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK eigs called")
+
+        monkeypatch.setattr(spla, "eigs", refuse)
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 16), 16)
+        assert ch.dim == 51
+        assert cs.validate(ch).spectral_radius == pytest.approx(1.0, abs=1e-12)
+        full = cs.peripheral_spectrum(ch)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert len(full) == len(rf.peripheral_spectrum) == 4
+        assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
+
 
 class TestCesaro:
     def test_invariant_state_is_cesaro_fixed(self):
@@ -293,16 +310,19 @@ class TestPeripheralSpectrumOnR:
         assert any(abs(z - 1.0) > 0.1 for z in full)  # a periodic part
 
     def test_report_spectrum_counts_off_diagonal_pairs(self):
-        # eigenvalue 1 five times: once from the A-block and four times from
-        # the B-block's 2 x 2 pairs of copies, off-diagonal pairs included
-        rng = np.random.default_rng(317)
-        ch, truth = planted_channel(rng, [3], [(3, 2)], 4)
-        rf = cs.report_file_from_report(cs.decompose(ch))
-        full = cs.peripheral_spectrum(ch)
-        assert len(full) == 5
-        assert len(rf.peripheral_spectrum) == 5
-        assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
-        assert np.abs(np.array(full) - 1.0).max() < 1e-8
+        # eigenvalue 1 once from the A-block and n^2 times from the B-block's
+        # n x n pairs of copies, off-diagonal pairs included: 5 for 2 copies
+        # and 10 for 3 copies of the A-block's dimension
+        for seed, copies in ((317, 2), (319, 3)):
+            rng = np.random.default_rng(seed)
+            ch, truth = planted_channel(rng, [3], [(3, copies)], 4)
+            rf = cs.report_file_from_report(cs.decompose(ch))
+            full = cs.peripheral_spectrum(ch)
+            assert len(full) == 1 + copies**2 == truth["fixed_dim"]
+            assert len(rf.peripheral_spectrum) == len(full)
+            diff = np.array(rf.peripheral_spectrum) - np.array(full)
+            assert np.abs(diff).max() < 1e-10
+            assert np.abs(np.array(full) - 1.0).max() < 1e-8
 
 
 def _svd_kernels(ch, tol):

@@ -165,13 +165,20 @@ class TestMinimalEnclosures:
 
 class TestGrouping:
     def test_planted_mixed_structure(self):
-        ch, _ = planted_channel(RNG, [3], [(2, 2)], 0, n_kraus=3)
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
-        encs = cs.minimal_enclosures(ch, split, algebra)
-        alpha, beta = cs.group_into_blocks(ch, encs, algebra)
-        assert len(alpha) == 1
-        assert [len(grp) for grp in beta] == [2]
+        # the second layout's A-blocks have the dimension of the B-block
+        # copies: equal dimension alone must not link enclosures
+        layouts = (
+            (RNG, [3], [(2, 2)]),
+            (np.random.default_rng(167), [2, 2], [(2, 3)]),
+        )
+        for rng, alpha_dims, beta_specs in layouts:
+            ch, truth = planted_channel(rng, alpha_dims, beta_specs, 0, n_kraus=3)
+            split = cs.recurrent_split(ch)
+            algebra = cs.fixed_point_algebra_on_R(ch, split)
+            encs = cs.minimal_enclosures(ch, split, algebra)
+            alpha, beta = cs.group_into_blocks(ch, encs, algebra)
+            assert len(alpha) == truth["n_alpha"]
+            assert [len(grp) for grp in beta] == truth["beta_sizes"]
 
     def test_unequal_linked_dimensions_rejected(self):
         # for the identity channel every subspace is an enclosure and the
