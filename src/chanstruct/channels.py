@@ -157,23 +157,34 @@ def _transfer_matrix(a, b):
 
 
 def _superoperator_sparse(ch):
-    """Sparse CSC superoperator (worth it only for sparse Kraus families)."""
+    """Sparse CSC superoperator (worth it only for sparse Kraus families).
+
+    Every pair of nonzeros x = V_a[i, j], x' = V_a[i', j'] of one operator
+    adds conj(x) x' at (i d + i', j d + j'); the COO constructor sums the
+    pairs that land on one position.
+    """
     import scipy.sparse as sp
 
-    terms = [
-        sp.kron(sp.csc_matrix(v.conj()), sp.csc_matrix(v), format="csc")
-        for v in ch.kraus
-    ]
-    result = terms[0]
-    for t in terms[1:]:
-        result = result + t
-    return result.tocsc()
+    d = ch.dim
+    op, row, col = np.nonzero(ch._stack)
+    x = ch._stack[op, row, col]
+    counts = np.bincount(op)
+    first = np.cumsum(counts) - counts
+    # every ordered pair (p, q) of nonzeros of one operator: p is repeated
+    # once per nonzero of its operator, and q runs over those nonzeros
+    reps = counts[op]
+    p = np.repeat(np.arange(op.size), reps)
+    q = first[op[p]] + np.arange(p.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return sp.csc_matrix(
+        (x[p].conj() * x[q], (row[p] * d + row[q], col[p] * d + col[q])),
+        shape=(d * d, d * d),
+    )
 
 
 def _kraus_nnz_fraction(ch):
     """Fraction of nonzero entries of the superoperator, from Kraus sparsity."""
     n2 = ch.dim**2
-    nnz = sum(int(np.count_nonzero(v)) ** 2 for v in ch.kraus)
+    nnz = (np.count_nonzero(ch._stack, axis=(1, 2)) ** 2).sum()
     return min(1.0, nnz / float(n2 * n2))
 
 

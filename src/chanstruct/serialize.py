@@ -1,12 +1,22 @@
 """JSON schemas for channels and decomposition reports.
 
 Complex numbers serialize as two-element ``[re, im]`` arrays, matrices as
-row-major nested lists of such pairs.  ``canonical_dumps`` writes compact
-JSON (without ``indent`` the standard library encodes in C) with fixed key
-order and float formatting (shortest round-trip), so identical objects
-always produce byte-identical documents and serialize → parse → serialize
-is the identity on canonical files.  Whitespace is not part of the schema:
-indented files parse to the same objects.
+row-major nested lists of such pairs.  A channel file
+(``chanstruct-channel/2``) stores its Kraus family as one object:
+``shape`` [n, d, d], and ``values``, the ``[re, im]`` pairs of the stored
+entries of the n x d x d stack in row-major order.  An entry is stored when
+either part has a nonzero bit pattern (so -0.0 survives).  When at most half
+of the entries are stored, ``index`` lists their increasing flat positions;
+otherwise ``index`` is omitted and ``values`` holds the whole stack.  The
+older ``chanstruct-channel/1`` layout (``kraus`` a list of matrices) is still
+read, as are reports of both versions; writers emit version 2.
+
+``canonical_dumps`` writes compact JSON (without ``indent`` the standard
+library encodes in C) with fixed key order and float formatting (shortest
+round-trip), so identical objects always produce byte-identical documents
+and serialize → parse → serialize is the identity on canonical files.
+Whitespace is not part of the schema: indented files parse to the same
+objects.
 """
 
 from dataclasses import dataclass
@@ -40,8 +50,11 @@ __all__ = [
     "report_file_from_dict",
 ]
 
-CHANNEL_SCHEMA = "chanstruct-channel/1"
-REPORT_SCHEMA = "chanstruct-report/1"
+CHANNEL_SCHEMA = "chanstruct-channel/2"
+REPORT_SCHEMA = "chanstruct-report/2"
+# the JSON type of the (embedded) channel's "kraus" in each known version
+_CHANNEL_LAYOUTS = {"chanstruct-channel/1": list, CHANNEL_SCHEMA: dict}
+_REPORT_LAYOUTS = {"chanstruct-report/1": list, REPORT_SCHEMA: dict}
 
 
 def canonical_dumps(obj):
@@ -108,11 +121,81 @@ def _require_int(data, key, where):
     return value
 
 
+def _check_schema(data, layouts, kraus_data, where):
+    """A ``schema`` entry, when present, must name a known version whose
+    layout matches the type of the document's Kraus data."""
+    if "schema" not in data:
+        return
+    schema = data["schema"]
+    if not isinstance(schema, str) or schema not in layouts:
+        raise ParseError(f"{where}: unknown schema {schema!r}")
+    if not isinstance(kraus_data, layouts[schema]):
+        raise ParseError(
+            f"{where}: schema {schema!r} does not match the layout of 'kraus'"
+        )
+
+
+def _kraus_to_dict(stack):
+    """The version-2 ``kraus`` object of an n x d x d stack: the stored
+    entries (a part with a nonzero bit pattern), indexed when they are at
+    most half of the stack, else the whole stack."""
+    pairs = np.stack((stack.real, stack.imag), axis=-1).reshape(-1, 2)
+    stored = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    doc = {"shape": list(stack.shape)}
+    if 2 * stored.size <= len(pairs):
+        doc["index"] = stored.tolist()
+        pairs = pairs[stored]
+    doc["values"] = pairs.tolist()
+    return doc
+
+
+def _kraus_from_dict(data, dim, where):
+    """The Kraus stack of a version-2 ``kraus`` object.  Operators without a
+    stored entry are zero, and a channel drops them, so an indexed stack is
+    allocated for the others only: memory follows the file, not ``shape``."""
+    shape = _require(data, "shape", where)
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 3
+        or not {int}.issuperset(map(type, shape))
+        or shape[0] < 1
+        or shape[1:] != [dim, dim]
+    ):
+        raise ParseError(f"{where}: shape must be [n, {dim}, {dim}] with n >= 1")
+    size = shape[0] * dim * dim
+    if size > np.iinfo(np.int64).max:
+        raise ParseError(f"{where}: shape {shape} is too large")
+    values = _require(data, "values", where)
+    if not isinstance(values, list):
+        raise ParseError(f"{where}: values must be a list of [re, im] pairs")
+    flat = _matrix_from_lists([values], 1, len(values), f"{where}.values")[0]
+    if "index" not in data:
+        if len(values) != size:
+            raise ParseError(
+                f"{where}: without an index, values must hold all {size} entries"
+            )
+        return flat.reshape(shape)
+    index = data["index"]
+    if not isinstance(index, list) or len(index) != len(values):
+        raise ParseError(f"{where}: index and values must have equal lengths")
+    if not {int}.issuperset(map(type, index)):
+        raise ParseError(f"{where}: index entries must be integers")
+    if index and (min(index) < 0 or max(index) >= size):
+        raise ParseError(f"{where}: index out of range [0, {size})")
+    positions = np.array(index, dtype=np.int64)
+    if (np.diff(positions) <= 0).any():
+        raise ParseError(f"{where}: index must be strictly increasing")
+    ops, slot = np.unique(positions // (dim * dim), return_inverse=True)
+    stack = np.zeros((ops.size, dim * dim), dtype=complex)
+    stack[slot, positions % (dim * dim)] = flat
+    return stack.reshape(-1, dim, dim)
+
+
 def channel_to_dict(ch, metadata=None):
     doc = {
         "schema": CHANNEL_SCHEMA,
         "dim": ch.dim,
-        "kraus": [_matrix_to_lists(v) for v in ch.kraus],
+        "kraus": _kraus_to_dict(ch._stack),
     }
     if metadata:
         doc["metadata"] = dict(metadata)
@@ -120,7 +203,8 @@ def channel_to_dict(ch, metadata=None):
 
 
 def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
-    """Parse a channel document.  Schema faults raise ParseError; with
+    """Parse a channel document of either schema version (the layout of
+    ``kraus`` tells them apart).  Schema faults raise ParseError; with
     ``unchecked`` false the channel must also pass trace-preservation
     validation."""
     where = "channel"
@@ -128,12 +212,18 @@ def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
     if dim < 1:
         raise ParseError(f"{where}: dim must be positive")
     kraus_data = _require(data, "kraus", where)
-    if not isinstance(kraus_data, list) or not kraus_data:
-        raise ParseError(f"{where}: kraus must be a nonempty list of matrices")
-    kraus = [
-        _matrix_from_lists(m, dim, dim, f"{where}.kraus[{a}]")
-        for a, m in enumerate(kraus_data)
-    ]
+    _check_schema(data, _CHANNEL_LAYOUTS, kraus_data, where)
+    if isinstance(kraus_data, dict):
+        kraus = _kraus_from_dict(kraus_data, dim, f"{where}.kraus")
+    elif isinstance(kraus_data, list) and kraus_data:
+        kraus = [
+            _matrix_from_lists(m, dim, dim, f"{where}.kraus[{a}]")
+            for a, m in enumerate(kraus_data)
+        ]
+    else:
+        raise ParseError(
+            f"{where}: kraus must be an object or a nonempty list of matrices"
+        )
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError(f"{where}: metadata must be an object")
@@ -246,9 +336,11 @@ def report_file_from_dict(data, re_verify=True):
     enclosure predicate against the embedded channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
-    ch = channel_from_dict(
-        _require(data, "channel", where), unchecked=True
+    channel_data = _require(data, "channel", where)
+    _check_schema(
+        data, _REPORT_LAYOUTS, _require(channel_data, "kraus", "channel"), where
     )
+    ch = channel_from_dict(channel_data, unchecked=True)
     if ch.dim != dim:
         raise ParseError(f"{where}: channel dimension disagrees with dim")
     tol_data = _require(data, "tolerances", where)

@@ -423,8 +423,10 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
     restricted dynamics: the polar factor of the block of the generic
     algebra element between Vi and Vj (see ``_linking_element``).
 
-    The global phase is fixed by making the largest-modulus entry of Q
-    real and positive.
+    The global phase is fixed by making real and positive the first entry
+    of Q, in row-major order, whose modulus is within ``subspace_tol``
+    (relative) of the largest: entries of tied modulus then cannot trade
+    places through rounding.
     """
     if vi.dimension != vj.dimension:
         raise ArgumentError(
@@ -451,8 +453,8 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
             f"singular values (relative spread {(s[0] - s[-1]) / s[0]:.3e})",
         )
     q = vj.frame @ (u @ wh) @ vi.frame.conj().T
-    idx = int(np.argmax(np.abs(q)))
-    phase = q.flat[idx]
+    mod = np.abs(q)
+    phase = q.flat[int(np.argmax(mod >= (1.0 - tol.subspace_tol) * mod.max()))]
     q = q * (np.conj(phase) / np.abs(phase))
     return q
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.channels
 from helpers import (
     amplitude_damping_apply,
     amplitude_damping_channel,
@@ -85,6 +86,29 @@ class TestSuperoperator:
         m = cs.superoperator(ch)
         ref = sum(np.kron(v.conj(), v) for v in ch.kraus)
         assert np.abs(m - ref).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "family", ["oqrw", "markov", "shared-positions"]
+    )
+    def test_sparse_build_equals_dense(self, family):
+        if family == "oqrw":
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5)
+        elif family == "markov":
+            p = RNG.uniform(size=(6, 6)) * (RNG.uniform(size=(6, 6)) < 0.5)
+            p[0] += 0.1
+            ch = cs.from_markov_chain(p / p.sum(axis=0))
+        else:
+            # every operator has nonzeros at (0, 0), (0, 2) and (1, 1), so
+            # each superoperator position gets several contributions
+            u = RNG.standard_normal((3, 3, 3)) + 1j * RNG.standard_normal((3, 3, 3))
+            u *= np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+            gram = np.einsum("aji,ajk->ik", u.conj(), u)
+            w, vecs = np.linalg.eigh(gram)
+            ch = cs.KrausChannel(list(u @ (vecs / np.sqrt(w)) @ vecs.conj().T))
+            assert not np.count_nonzero(ch._stack[:, [0, 0, 1], [0, 2, 1]] == 0)
+        sparse = chanstruct.channels._superoperator_sparse(ch)
+        assert sparse.format == "csc"
+        assert np.abs(sparse.toarray() - cs.superoperator(ch)).max() <= 1e-15
 
     def test_validate_radius_one(self):
         ch = random_channel(3, 3, RNG)

@@ -1,6 +1,7 @@
 """JSON schemas and the command-line interface."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import chanstruct as cs
 import chanstruct.serialize
 import chanstruct.spectral
 from chanstruct.cli import main
-from chanstruct.serialize import _matrix_from_lists
-from helpers import amplitude_damping_channel, planted_channel
+from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
+from helpers import amplitude_damping_channel, planted_channel, random_kraus_family
 
 RNG = np.random.default_rng(505)
 
@@ -18,6 +19,16 @@ RNG = np.random.default_rng(505)
 def write_channel(path, ch, metadata=None):
     path.write_text(cs.canonical_dumps(cs.channel_to_dict(ch, metadata)))
     return str(path)
+
+
+def v1_doc(ch):
+    """The ``chanstruct-channel/1`` document of ``ch``: one row-major nested
+    list of ``[re, im]`` pairs per Kraus operator."""
+    return {
+        "schema": "chanstruct-channel/1",
+        "dim": ch.dim,
+        "kraus": [_matrix_to_lists(v) for v in ch.kraus],
+    }
 
 
 def _negate_zeros(obj):
@@ -118,23 +129,23 @@ class TestChannelSchema:
         ],
     )
     def test_schema_violations_raise_parse_error(self, mutate):
-        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        doc = v1_doc(amplitude_damping_channel(0.3))
         mutate(doc)
         with pytest.raises(cs.ParseError):
             cs.channel_from_dict(doc)
 
     def test_nonfinite_rejected(self):
-        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        doc = v1_doc(amplitude_damping_channel(0.3))
         doc["kraus"][0][0][0] = [float("inf"), 0.0]
         with pytest.raises(cs.ParseError):
             cs.channel_from_dict(doc)
 
     def test_negative_zero_round_trip_bytes(self):
-        doc = _negate_zeros(cs.channel_to_dict(amplitude_damping_channel(0.3)))
+        doc = _negate_zeros(v1_doc(amplitude_damping_channel(0.3)))
         text = cs.canonical_dumps(doc)
         assert "[-0.0,-0.0]" in text
         ch = cs.channel_from_dict(json.loads(text))
-        assert cs.canonical_dumps(cs.channel_to_dict(ch)) == text
+        assert cs.canonical_dumps(v1_doc(ch)) == text
 
     def test_validation_on_parse_unless_unchecked(self):
         doc = {
@@ -145,6 +156,242 @@ class TestChannelSchema:
             cs.channel_from_dict(doc)
         ch = cs.channel_from_dict(doc, unchecked=True)
         assert not cs.validate(ch).trace_preserving
+
+
+def _markov_chain(n=5):
+    """A chain with one closed class {0, 1, 2} and two transient states."""
+    p = np.zeros((n, n))
+    p[:3, :3] = [[0.2, 0.5, 0.3], [0.5, 0.1, 0.3], [0.3, 0.4, 0.4]]
+    p[:, 3] = [0.5, 0.0, 0.0, 0.0, 0.5]
+    p[:, 4] = [0.0, 0.3, 0.0, 0.7, 0.0]
+    return cs.from_markov_chain(p)
+
+
+def _with_negative_zeros(ch, entries):
+    """``ch`` with the given (operator, row, col) zeros replaced by -0.0
+    in the real part, the imaginary part or both (in turn)."""
+    stack = ch._stack.copy()
+    signs = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for k, (a, i, j) in enumerate(entries):
+        assert stack[a, i, j] == 0
+        stack[a, i, j] = signs[k % 3]
+    return cs.KrausChannel(list(stack))
+
+
+def _dense_with_zeros():
+    """Random 2-dim family ⊕ a scalar: 10 of the 18 entries are nonzero,
+    and the other 8 are -0.0."""
+    kraus = []
+    for v in random_kraus_family(2, 2, np.random.default_rng(3)):
+        m = np.full((3, 3), complex(-0.0, -0.0))
+        m[:2, :2] = v
+        m[2, 2] = np.sqrt(0.5)
+        kraus.append(m)
+    return cs.KrausChannel(kraus)
+
+
+def _sparse_doc():
+    # amplitude damping: entries 1, 4 and 7 of the 2 x 2 x 2 stack
+    doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+    assert doc["kraus"]["index"] == [1, 4, 7]
+    return doc
+
+
+class TestChannelSchemaV2:
+    def _same_bits(self, a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("family", ["sparse", "dense"])
+    def test_round_trip_bytes_with_negative_zeros(self, family):
+        if family == "sparse":
+            zeros = [(0, 0, 1), (2, 4, 4), (5, 1, 0)]
+            ch = _with_negative_zeros(_markov_chain(), zeros)
+        else:
+            ch = _dense_with_zeros()
+        doc = cs.channel_to_dict(ch, {"name": family})
+        assert doc["schema"] == "chanstruct-channel/2"
+        assert doc["kraus"]["shape"] == [len(ch), ch.dim, ch.dim]
+        assert ("index" in doc["kraus"]) == (family == "sparse")
+        text = cs.canonical_dumps(doc)
+        assert "-0.0," in text and ",-0.0]" in text
+        ch2 = cs.channel_from_dict(json.loads(text))
+        assert self._same_bits(ch2._stack, ch._stack)
+        assert cs.canonical_dumps(cs.channel_to_dict(ch2, {"name": family})) == text
+
+    def test_index_is_written_at_most_half_dense(self):
+        # 4 of 8 entries stored: the index is written; 5 of 8: it is not
+        half = cs.KrausChannel(
+            [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)[::-1]]
+        )
+        doc = cs.channel_to_dict(half)
+        assert doc["kraus"]["index"] == [0, 3, 5, 6]
+        assert len(doc["kraus"]["values"]) == 4
+        more = _with_negative_zeros(half, [(0, 0, 1)])
+        doc = cs.channel_to_dict(more)
+        assert "index" not in doc["kraus"] and len(doc["kraus"]["values"]) == 8
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: amplitude_damping_channel(0.3), _markov_chain, _dense_with_zeros],
+        ids=["amplitude-damping", "markov", "dense"],
+    )
+    def test_v1_document_loads_bit_identical(self, make):
+        ch = make()
+        for doc in (v1_doc(ch), {k: v for k, v in v1_doc(ch).items() if k != "schema"}):
+            ch1 = cs.channel_from_dict(json.loads(cs.canonical_dumps(doc)))
+            assert self._same_bits(ch1._stack, ch._stack)
+
+    def test_operators_without_entries_are_not_allocated(self):
+        # the second operator of amplitude damping moved to the last of 10^6
+        # slots: the 10^6 - 2 operators between are zero, and a full stack
+        # would take 64 MB
+        doc = _sparse_doc()
+        last = 4 * (10**6 - 1)
+        doc["kraus"].update(shape=[10**6, 2, 2], index=[1, last, last + 3])
+        tracemalloc.start()
+        try:
+            ch = cs.channel_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert self._same_bits(ch._stack, amplitude_damping_channel(0.3)._stack)
+
+    def test_decompose_v1_and_v2_files_write_identical_reports(self, tmp_path, capsys):
+        ch = _markov_chain()
+        v1 = tmp_path / "v1.json"
+        v1.write_text(cs.canonical_dumps(v1_doc(ch)))
+        v2 = write_channel(tmp_path / "v2.json", ch)
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["decompose", str(v1), "--out", str(out1)]) == 0
+        assert main(["decompose", v2, "--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+        doc = json.loads(out1.read_text())
+        assert doc["schema"] == "chanstruct-report/2"
+        assert doc["channel"]["schema"] == "chanstruct-channel/2"
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda k: k.__setitem__("index", [1, 4, 8]), "index out of range"),
+            (lambda k: k.__setitem__("index", [-1, 4, 7]), "index out of range"),
+            (lambda k: k.__setitem__("index", [1, 4, 10**400]), "index out of range"),
+            (lambda k: k.__setitem__("index", [1, 4, 4]), "strictly increasing"),
+            (lambda k: k.__setitem__("index", [4, 1, 7]), "strictly increasing"),
+            (lambda k: k.__setitem__("index", [True, 4, 7]), "must be integers"),
+            (lambda k: k.__setitem__("index", [1.0, 4, 7]), "must be integers"),
+            (lambda k: k.__setitem__("index", "1,4,7"), "equal lengths"),
+            (lambda k: k["index"].pop(), "equal lengths"),
+            (lambda k: k["values"].pop(), "equal lengths"),
+            (lambda k: k["values"].__setitem__(0, [float("nan"), 0.0]), "non-finite"),
+            (lambda k: k["values"].__setitem__(2, [0.0, float("inf")]), "non-finite"),
+            (lambda k: k["values"].__setitem__(1, [10**400, 0]), "out of float range"),
+            (lambda k: k["values"].__setitem__(1, [True, 0.0]), "expected a number"),
+            (lambda k: k.__setitem__("values", {}), "values must be a list"),
+            (lambda k: k.pop("values"), "missing required key 'values'"),
+            (lambda k: k.pop("shape"), "missing required key 'shape'"),
+            (lambda k: k.__setitem__("shape", [2, 3, 3]), "shape must be"),
+            (lambda k: k.__setitem__("shape", [2, 2, 3]), "shape must be"),
+            (lambda k: k.__setitem__("shape", [0, 2, 2]), "shape must be"),
+            (lambda k: k.__setitem__("shape", [2.0, 2, 2]), "shape must be"),
+            (lambda k: k.__setitem__("shape", [True, 2, 2]), "shape must be"),
+            (lambda k: k.__setitem__("shape", [10**400, 2, 2]), "too large"),
+            (lambda k: k.pop("index"), "without an index"),
+        ],
+        ids=[
+            "beyond-end", "negative", "huge", "duplicate", "unsorted", "bool-index",
+            "float-index", "index-not-list", "short-index", "short-values", "nan",
+            "inf", "huge-value", "bool-value", "values-object", "no-values",
+            "no-shape", "shape-vs-dim", "non-square", "no-operators", "float-shape",
+            "bool-shape", "huge-shape", "missing-index",
+        ],
+    )
+    def test_malformed_v2_raises_parse_error(self, mutate, message):
+        doc = _sparse_doc()
+        mutate(doc["kraus"])
+        with pytest.raises(cs.ParseError, match=message):
+            cs.channel_from_dict(doc)
+
+    def test_malformed_v2_exits_2(self, tmp_path, capsys):
+        doc = _sparse_doc()
+        doc["kraus"]["index"] = [1, 7, 4]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {
+            "type": "ParseError",
+            "message": "channel.kraus: index must be strictly increasing",
+        }
+
+
+class TestSchemaString:
+    @pytest.mark.parametrize(
+        "schema, layout, message",
+        [
+            ("chanstruct-channel/3", "v2", "unknown schema 'chanstruct-channel/3'"),
+            ("chanstruct-report/2", "v2", "unknown schema 'chanstruct-report/2'"),
+            (7, "v2", "unknown schema 7"),
+            (None, "v1", "unknown schema None"),
+            ("chanstruct-channel/1", "v2", "'chanstruct-channel/1' does not match"),
+            ("chanstruct-channel/2", "v1", "'chanstruct-channel/2' does not match"),
+        ],
+    )
+    def test_channel_schema_must_match_layout(self, schema, layout, message):
+        ch = amplitude_damping_channel(0.3)
+        doc = cs.channel_to_dict(ch) if layout == "v2" else v1_doc(ch)
+        doc["schema"] = schema
+        with pytest.raises(cs.ParseError, match=message):
+            cs.channel_from_dict(doc)
+
+    def test_both_channel_versions_load_without_schema(self):
+        ch = amplitude_damping_channel(0.3)
+        for doc in (cs.channel_to_dict(ch), v1_doc(ch)):
+            del doc["schema"]
+            assert cs.channel_from_dict(doc).kraus[0].tobytes() == ch.kraus[0].tobytes()
+
+    def _report_doc(self):
+        return cs.report_file_to_dict(
+            cs.report_file_from_report(cs.decompose(_markov_chain()))
+        )
+
+    def test_report_v1_loads_and_rewrites_as_v2(self):
+        doc = self._report_doc()
+        text = cs.canonical_dumps(doc)
+        old = dict(doc, schema="chanstruct-report/1", channel=v1_doc(_markov_chain()))
+        rf = cs.report_file_from_dict(json.loads(cs.canonical_dumps(old)))
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
+
+    @pytest.mark.parametrize(
+        "schema, channel, message",
+        [
+            ("chanstruct-report/3", "v2", "unknown schema 'chanstruct-report/3'"),
+            ("chanstruct-channel/2", "v2", "unknown schema 'chanstruct-channel/2'"),
+            ("chanstruct-report/1", "v2", "'chanstruct-report/1' does not match"),
+            ("chanstruct-report/2", "v1", "'chanstruct-report/2' does not match"),
+        ],
+    )
+    def test_report_schema_must_match_layout(self, schema, channel, message):
+        doc = self._report_doc()
+        doc["schema"] = schema
+        if channel == "v1":
+            doc["channel"] = v1_doc(_markov_chain())
+            del doc["channel"]["schema"]
+        with pytest.raises(cs.ParseError, match=message):
+            cs.report_file_from_dict(doc)
+
+    def test_unknown_schema_exits_2(self, tmp_path, capsys):
+        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        doc["schema"] = "chanstruct-channel/9"
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {
+            "type": "ParseError",
+            "message": "channel: unknown schema 'chanstruct-channel/9'",
+        }
 
 
 class TestReportSchema:
@@ -167,8 +414,14 @@ class TestReportSchema:
         assert ": " not in text and ", " not in text
 
     def test_negative_zero_round_trip_bytes(self):
-        ch = amplitude_damping_channel(0.3)
+        # a random unitary mixed with diag(1, i): 6 of the 8 Kraus entries
+        # are stored, so the embedded family is written whole, zeros included
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u, _ = np.linalg.qr(z)
+        ch = cs.KrausChannel([np.sqrt(0.6) * u, np.sqrt(0.4) * np.diag([1.0, 1j])])
         doc = cs.report_file_to_dict(cs.report_file_from_report(cs.decompose(ch)))
+        assert "index" not in doc["channel"]["kraus"]
         text = cs.canonical_dumps(_negate_zeros(doc))
         assert "[-0.0,-0.0]" in text
         rf = cs.report_file_from_dict(json.loads(text))
@@ -302,7 +555,7 @@ class TestCliDecompose:
         assert "error" in out
 
     def test_huge_int_entry_exits_2(self, tmp_path, capsys):
-        doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+        doc = v1_doc(amplitude_damping_channel(0.3))
         doc["kraus"][0][0][0] = [10**400, 0]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -365,7 +618,7 @@ class TestCliBuild:
         assert main(["build", "markov", "--matrix", str(mat)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dim"] == 2
-        assert len(doc["kraus"]) == 2
+        assert doc["kraus"]["shape"] == [2, 2, 2]
 
     def test_markov_bad_matrix_file(self, tmp_path):
         mat = tmp_path / "p.json"

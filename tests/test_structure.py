@@ -7,8 +7,10 @@ import chanstruct as cs
 import chanstruct.structure
 from helpers import (
     amplitude_damping_channel,
+    haar_unitary,
     planted_channel,
     random_channel,
+    random_kraus_family,
     random_state,
     support_closure,
 )
@@ -215,6 +217,32 @@ class TestPartialIsometry:
         idx = int(np.argmax(np.abs(q)))
         assert abs(q.flat[idx].imag) < 1e-10
         assert q.flat[idx].real > 0
+
+    def test_phase_ignores_ties_in_modulus(self):
+        # V_a ⊕ D V_a D^H with D = diag(1, i): the intertwiner carries D, so
+        # its entries 1 and i tie in modulus.  Any orthonormal frames of the
+        # two enclosures must give the same isometry, phase included.
+        rng = np.random.default_rng(11)
+        d_phase = np.diag([1.0, 1j])
+        zero = np.zeros((2, 2))
+        kraus = [
+            np.block([[v, zero], [zero, d_phase @ v @ d_phase.conj()]])
+            for v in random_kraus_family(2, 2, rng)
+        ]
+        ch = cs.KrausChannel(kraus)
+        split = cs.recurrent_split(ch)
+        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        encs = cs.minimal_enclosures(ch, split, algebra)
+        _, beta = cs.group_into_blocks(ch, encs, algebra)
+        (v1, v2), = beta
+        ref = cs.partial_isometry(ch, algebra, v1, v2)
+        for _ in range(8):
+            w1, w2 = haar_unitary(2, rng), haar_unitary(2, rng)
+            q = cs.partial_isometry(
+                ch, algebra,
+                cs.Subspace(4, v1.frame @ w1), cs.Subspace(4, v2.frame @ w2),
+            )
+            assert np.abs(q - ref).max() <= 1e-10
 
     def test_same_enclosure_gives_projector(self):
         ch, algebra, (v1, _) = self._beta_pair()
