@@ -63,9 +63,7 @@ class KrausChannel:
             raise ArgumentError("all Kraus operators are zero")
         stack = np.ascontiguousarray(np.stack(kept))
         if not unchecked:
-            dev = np.abs(
-                np.einsum("aji,ajk->ik", stack.conj(), stack) - np.eye(d)
-            ).max()
+            dev = np.abs(_kraus_gram(stack) - np.eye(d)).max()
             if dev > 10.0 * tol.psd_tol:
                 raise ArgumentError(
                     "Kraus family is not trace preserving "
@@ -188,6 +186,13 @@ def _kraus_nnz_fraction(ch):
     return min(1.0, nnz / float(n2 * n2))
 
 
+def _kraus_gram(stack):
+    """sum_i V_i^H V_i of an (n, d, d) stack, as one product W^H W of the
+    operators stacked into an (n d, d) matrix W."""
+    w = stack.reshape(-1, stack.shape[-1])
+    return w.conj().T @ w
+
+
 def validate(ch, tol=DEFAULT_TOL):
     """Check trace preservation and the spectral-radius bound.
 
@@ -195,8 +200,7 @@ def validate(ch, tol=DEFAULT_TOL):
     flags.  The adjoint map is positive, so by Russo-Dye its norm, which
     bounds the spectral radius, is |Phi^*(I)| = |sum V_i^H V_i|.
     """
-    v = ch._stack
-    gram = np.einsum("aji,ajk->ik", v.conj(), v)
+    gram = _kraus_gram(ch._stack)
     dev = float(np.abs(gram - np.eye(ch.dim)).max())
     radius = float(np.linalg.eigvalsh(gram)[-1])
     return ValidationReport(

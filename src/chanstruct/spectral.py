@@ -15,20 +15,35 @@ invariant state on a minimal enclosure V.  X -> P_R X P_R maps the adjoint's
 fixed points onto those of the channel restricted to R (Baumgartner-Narnhofer,
 Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra too.
 
-Both kernels come from block shift-invert subspace iteration around
-sigma = 1 + 3e-6, at every channel size.  (M - sigma I)^{-1} is applied by a
-sparse LU when the Kraus family is sparse, and otherwise by an explicit dense
-inverse (its conjugate transpose for the left kernel).  A block wider than
-the eigenvalue-1 multiplicity captures the whole degenerate eigenspace, where
-single-vector Krylov methods under-count it, and the block is widened until
-some Ritz value falls outside the cluster: that certifies the multiplicity.
-Every accepted vector is residual-verified against M, so misconvergence
-cannot silently corrupt the result.
+A CPTP map preserves Hermiticity, so M commutes with the conjugation
+vec(X) -> vec(X^H) and its eigenvalue-1 eigenspaces are spanned by Hermitian
+matrices.  Let K be the vec swap vec(X) -> vec(X^T).  The unitary
+U = ((1+i) I + (1-i) K) / 2 maps a real vector vec(Y) to the vec of the
+Hermitian matrix sym Y + i antisym Y, and in these real Hermitian
+coordinates the superoperator is the real d^2 x d^2 matrix
 
-``peripheral_spectrum`` takes all d^2 eigenvalues of the dense superoperator,
-exact for any Kraus family; a report carries the same list at far less cost.
+    M_h = U^H M U = Re M + Im(M K),
+
+whose columns are those of M with the imaginary parts swapped by one
+transpose (K M K = conj(M)).  Both kernels are found there and mapped back by
+U, so every basis vector is the vec of a Hermitian matrix.
+
+Both kernels come from block shift-invert subspace iteration around
+sigma = 1 + 3e-6, at every channel size.  (M_h - sigma I)^{-1} is applied by a
+sparse LU when the Kraus family is sparse, and otherwise by an explicit dense
+inverse (its transpose for the left kernel), all in real arithmetic.  A block
+wider than the eigenvalue-1 multiplicity captures the whole degenerate
+eigenspace, where single-vector Krylov methods under-count it, and the block
+is widened until some Ritz value falls outside the cluster: that certifies
+the multiplicity.  Every accepted vector is residual-verified against M_h,
+so misconvergence cannot silently corrupt the result.
+
+``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
+those of M: exact for any Kraus family; a report carries the same list at far
+less cost.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -42,7 +57,7 @@ from .channels import (
     superoperator,
 )
 from .errors import ArgumentError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, hermitian_span_basis, unvec, vec
+from .linalg import DEFAULT_TOL, Subspace, unvec, vec
 
 __all__ = [
     "FixedSpace",
@@ -67,9 +82,9 @@ _MAX_BLOCK_ENTRIES = 1600 * 1600
 class FixedSpace:
     """Fixed points F(Phi) = {X : Phi(X) = X}.
 
-    ``basis`` is Hilbert-Schmidt-orthonormal over C; ``hermitian_basis``
-    spans the same space with Hermitian matrices (F(Phi) is closed under
-    X -> X^H because the channel has a Kraus form).
+    ``basis`` is Hilbert-Schmidt-orthonormal and consists of Hermitian
+    matrices (F(Phi) is closed under X -> X^H because the channel has a
+    Kraus form); ``hermitian_basis`` is the same tuple.
     """
 
     dim_ambient: int
@@ -134,24 +149,26 @@ class _SpectralCore:
 
 
 def _block_kernel(solve, matmul, n2, sigma, tol):
-    """Orthonormal basis of the eigenvectors with |lambda - 1| <= eig_cluster_tol,
-    and the distance from 1 of the nearest Ritz value outside that cluster.
+    """Orthonormal real basis of the eigenvectors of a real matrix with
+    |lambda - 1| <= eig_cluster_tol, and the distance from 1 of the nearest
+    Ritz value outside that cluster.
 
-    Each step is one multi-RHS solve Y = (M - sigma)^{-1} X, a Rayleigh-Ritz
-    step on X^H Y with the cluster's Schur vectors Z first (Ritz values mu
-    give lambda = sigma + 1/mu, well apart even for eigenvalues just outside
-    the cluster), and X <- qr(Y).  The cluster basis qr(Y Z) is accepted on
-    its residual against M (``matmul``) once the cluster count has held for
-    two steps.  While every Ritz value is in the cluster the block doubles.
+    Each step is one multi-RHS solve Y = (M_h - sigma)^{-1} X, a real
+    Rayleigh-Ritz step on X^T Y with the cluster's Schur vectors Z first
+    (Ritz values mu give lambda = sigma + 1/mu, well apart even for
+    eigenvalues just outside the cluster), and X <- qr(Y).  The cluster basis
+    qr(Y Z) is accepted on its residual against M_h (``matmul``) once the
+    cluster count has held for two steps.  While every Ritz value is in the
+    cluster the block doubles.
     """
     from scipy.linalg import schur
 
-    def in_cluster(mu):  # |sigma + 1/mu - 1| <= eig_cluster_tol
+    def in_cluster(re, im):  # |sigma + 1/mu - 1| <= eig_cluster_tol
+        mu = complex(re, im)
         return abs(1.0 + (sigma - 1.0) * mu) <= tol.eig_cluster_tol * abs(mu)
 
     def random_block(width):
-        z = rng.standard_normal((n2, width)) + 1j * rng.standard_normal((n2, width))
-        return np.linalg.qr(z)[0]
+        return np.linalg.qr(rng.standard_normal((n2, width)))[0]
 
     rng = np.random.default_rng(_ARNOLDI_SEED)
     cap = max(256, _MAX_BLOCK_ENTRIES // n2)
@@ -159,7 +176,9 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
     x = random_block(width)
     for step in range(1, _MAX_BLOCK_STEPS + 1):
         y = solve(x)
-        t, z, k = schur(x.conj().T @ y, output="complex", sort=in_cluster)
+        # a real Schur form keeps conjugate pairs in 2 x 2 blocks, and k
+        # counts both members of a pair in the cluster
+        t, z, k = schur(x.T @ y, output="real", sort=in_cluster)
         if k > cap:
             raise DecompositionError(
                 "fixed-space",
@@ -175,7 +194,7 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
         # Pi_1 (rho_max, block states) need accuracy far below the tolerance
         stalled, residual = res >= 0.5 * residual, res
         if k == last and residual <= tol.eig_cluster_tol and stalled:
-            mu = np.diag(t)[k:]
+            mu = np.linalg.eigvals(t[k:, k:])
             gap = np.abs(1.0 + (sigma - 1.0) * mu) / np.abs(mu)
             return basis, float(gap.min(initial=np.inf))
         last = k
@@ -187,39 +206,54 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
     )
 
 
-def _adjoint_apply(a, x):
-    """a^H x, without forming a^H."""
-    return (x.conj().T @ a).conj().T
+def _hermitian_coordinates(m):
+    """The real matrix M_h = U^H M U = Re M + Im(M K) of a Hermiticity-
+    preserving superoperator M, dense or sparse (see the module docstring)."""
+    n2 = m.shape[0]
+    d = math.isqrt(n2)
+    # column j d + i of M K is column i d + j of M
+    if not isinstance(m, np.ndarray):
+        return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
+    h = np.empty((n2, n2))
+    np.add(
+        m.real.reshape(n2, d, d),
+        m.imag.reshape(n2, d, d).transpose(0, 2, 1),
+        out=h.reshape(n2, d, d),
+    )
+    return h
+
+
+def _from_hermitian_coordinates(y, d):
+    """U y = ((1+i) y + (1-i) K y) / 2 for the real (d^2, k) array ``y``:
+    columns that are vecs of Hermitian matrices."""
+    ky = y.reshape(d, d, -1).transpose(1, 0, 2).reshape(y.shape)
+    return ((y + ky) + 1j * (y - ky)) / 2.0
 
 
 def _fixed_pair(ch, tol):
-    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays,
-    and the distance from 1 of the nearest Ritz value outside the
-    eigenvalue-1 cluster."""
-    n2 = ch.dim**2
+    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays
+    of vecs of Hermitian matrices, and the distance from 1 of the nearest
+    Ritz value outside the eigenvalue-1 cluster."""
+    d = ch.dim
+    n2 = d * d
     sigma = 1.0 + 3e-6
     if _kraus_nnz_fraction(ch) <= _SPARSE_FRACTION:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        m = _superoperator_sparse(ch)
-        shifted = (m - sigma * sp.identity(n2, dtype=complex, format="csc")).tocsc()
-        lu = spla.splu(shifted)
-        solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="H")
+        h = _hermitian_coordinates(_superoperator_sparse(ch))
+        lu = spla.splu((h - sigma * sp.identity(n2, format="csc")).tocsc())
+        solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="T")
     else:
-        # an explicit inverse applied by matmul.  Multi-RHS lu_solve calls
-        # stalled at 2 BLAS threads on small systems (n = 100, 8 right-hand
-        # sides: 2.9 ms per call against 59 us at 1 thread), which made the
-        # benchmark's planted channels (d = 20-32) about twice as slow.  For
-        # d >= 41 the inverse costs about 4x an LU, so decompose is slower.
-        m = superoperator(ch)
-        inv = np.linalg.inv(m - sigma * np.eye(n2))
-        solve_fwd, solve_adj = inv.__matmul__, partial(_adjoint_apply, inv)
+        # an explicit inverse applied by matmul, in numpy's BLAS: multi-RHS
+        # lu_solve calls stalled at 2 BLAS threads on small systems (n = 100,
+        # 8 right-hand sides: 2.9 ms per call against 59 us at 1 thread)
+        h = _hermitian_coordinates(superoperator(ch))
+        inv = np.linalg.inv(h - sigma * np.eye(n2))
+        solve_fwd, solve_adj = inv.__matmul__, inv.T.__matmul__
 
-    right, gap_r = _block_kernel(solve_fwd, m.__matmul__, n2, sigma, tol)
-    left, gap_l = _block_kernel(
-        solve_adj, partial(_adjoint_apply, m), n2, sigma, tol
-    )
+    right, gap_r = _block_kernel(solve_fwd, h.__matmul__, n2, sigma, tol)
+    left, gap_l = _block_kernel(solve_adj, h.T.__matmul__, n2, sigma, tol)
     if right.shape[1] == 0:
         raise DecompositionError(
             "fixed-space",
@@ -231,7 +265,11 @@ def _fixed_pair(ch, tol):
             "left/right eigenvalue-1 dimensions disagree "
             f"({right.shape[1]} vs {left.shape[1]})",
         )
-    return right, left, min(gap_r, gap_l)
+    return (
+        _from_hermitian_coordinates(right, d),
+        _from_hermitian_coordinates(left, d),
+        min(gap_r, gap_l),
+    )
 
 
 def _spectral_core(ch, tol):
@@ -252,17 +290,6 @@ def _spectral_core(ch, tol):
     return ch._cores[tol]
 
 
-def _hermitian_span(mats, tol):
-    """Orthonormal Hermitian basis of the real span of the Hermitian and
-    anti-Hermitian parts of ``mats``.  For a *-closed complex span of
-    dimension k it has k elements."""
-    parts = []
-    for x in mats:
-        parts.append((x + x.conj().T) / 2.0)
-        parts.append((x - x.conj().T) / 2.0j)
-    return hermitian_span_basis(parts, tol)
-
-
 def fixed_space(ch, tol=DEFAULT_TOL):
     """The space F(Phi) of matrices fixed by the channel.
 
@@ -270,17 +297,8 @@ def fixed_space(ch, tol=DEFAULT_TOL):
     always has an invariant state.
     """
     core = _spectral_core(ch, tol)
-    basis = [unvec(x, ch.dim) for x in core.right.T]
-    herm = _hermitian_span(basis, tol)
-    if len(herm) != len(basis):
-        raise DecompositionError(
-            "fixed-space",
-            f"Hermitian re-extraction found dimension {len(herm)}, "
-            f"expected {len(basis)}",
-        )
-    return FixedSpace(
-        dim_ambient=ch.dim, basis=tuple(basis), hermitian_basis=tuple(herm)
-    )
+    basis = tuple(unvec(x, ch.dim) for x in core.right.T)
+    return FixedSpace(dim_ambient=ch.dim, basis=basis, hermitian_basis=basis)
 
 
 def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
@@ -339,10 +357,12 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     """Eigenvalues of the superoperator with |lambda| >= 1 - eig_cluster_tol.
 
     Sorted by argument, with multiplicity, from all d^2 eigenvalues of the
-    dense superoperator: exact for any Kraus family, at O(d^6) cost.  For a
-    large trace-preserving channel read its report's ``peripheral_spectrum``.
+    real d^2 x d^2 matrix M_h, unitarily similar to the superoperator: exact
+    for any Kraus family, at O(d^6) cost.  For a large trace-preserving
+    channel read its report's ``peripheral_spectrum``.
     """
-    return _peripheral(np.linalg.eigvals(superoperator(ch)), tol)
+    h = _hermitian_coordinates(superoperator(ch))
+    return _peripheral(np.linalg.eigvals(h), tol)
 
 
 def _peripheral(eigenvalues, tol):

@@ -28,11 +28,12 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     as_complex_matrix,
+    hermitian_span_basis,
     loewner_geq,
     orthonormal_basis,
     unvec,
 )
-from .spectral import _hermitian_span, _spectral_core, recurrent_split
+from .spectral import _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
@@ -256,16 +257,12 @@ def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
     with _stage("fixed-point-algebra"):
         core = _spectral_core(ch, tol)
     frame = split.R.frame
-    basis = _hermitian_span(
+    # the columns of L are vecs of Hermitian matrices, and so are their
+    # compressions; a lost dimension fails the fixed-dimension check in
+    # _verify_report
+    basis = hermitian_span_basis(
         [frame.conj().T @ unvec(x, ch.dim) @ frame for x in core.left.T], tol
     )
-    # a lost dimension fails the fixed-dimension check in _verify_report
-    if len(basis) > core.multiplicity:
-        raise DecompositionError(
-            "fixed-point-algebra",
-            f"Hermitian re-extraction found dimension {len(basis)}, "
-            f"expected at most {core.multiplicity}",
-        )
     ident = np.eye(r)
     projected = sum(np.trace(h).real * h for h in basis)
     if np.abs(projected - ident).max() > tol.subspace_tol:

@@ -110,6 +110,19 @@ class TestSuperoperator:
         assert sparse.format == "csc"
         assert np.abs(sparse.toarray() - cs.superoperator(ch)).max() <= 1e-15
 
+    @pytest.mark.parametrize("family", ["random", "markov"])
+    def test_kraus_gram_equals_einsum(self, family):
+        if family == "random":
+            ch = random_channel(5, 7, RNG)
+        else:
+            p = RNG.uniform(size=(6, 6))
+            ch = cs.from_markov_chain(p / p.sum(axis=0))
+        v = ch._stack
+        ref = np.einsum("aji,ajk->ik", v.conj(), v)
+        gram = chanstruct.channels._kraus_gram(v)
+        assert gram.shape == (ch.dim, ch.dim)
+        assert np.abs(gram - ref).max() <= 1e-14
+
     def test_validate_radius_one(self):
         ch = random_channel(3, 3, RNG)
         report = cs.validate(ch)

@@ -133,6 +133,80 @@ class TestLargeTier:
         assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
 
 
+def _hermitian_unitary(d):
+    """U = ((1+i) I + (1-i) K) / 2, K the vec swap vec(X) -> vec(X^T)."""
+    n2 = d * d
+    swap = np.zeros((n2, n2))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return ((1 + 1j) * np.eye(n2) + (1 - 1j) * swap) / 2.0
+
+
+def _phased_walk(n_sites):
+    """OQRW conjugated by a diagonal phase: sparse Kraus operators with
+    complex entries."""
+    ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, n_sites), n_sites)
+    phase = np.diag(np.exp(0.7j * np.arange(ch.dim)))
+    return cs.KrausChannel([phase @ v @ phase.conj().T for v in ch.kraus])
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("case", ["dense-random", "sparse-walk", "sparse-phased"])
+    def test_coordinates_are_real_unitary_similarity(self, case):
+        if case == "dense-random":
+            ch = random_channel(4, 3, RNG)
+            h = chanstruct.spectral._hermitian_coordinates(cs.superoperator(ch))
+            assert isinstance(h, np.ndarray)
+        else:
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5)
+            if case == "sparse-phased":
+                ch = _phased_walk(5)
+            m = chanstruct.channels._superoperator_sparse(ch)
+            h = chanstruct.spectral._hermitian_coordinates(m)
+            assert h.format == "csc"
+            h = h.toarray()
+        assert h.dtype == np.float64
+        u = _hermitian_unitary(ch.dim)
+        assert np.abs(u.conj().T @ u - np.eye(ch.dim**2)).max() <= 1e-15
+        ref = u.conj().T @ cs.superoperator(ch) @ u
+        assert np.abs(ref.imag).max() <= 1e-14
+        assert np.abs(ref.real - h).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: amplitude_damping_channel(0.3),
+            lambda: cs.KrausChannel([np.roll(np.eye(3), 1, axis=0)]),
+            lambda: planted_channel(np.random.default_rng(341), [2], [(2, 2)], 2)[0],
+            lambda: _phased_walk(4),
+        ],
+        ids=["amplitude-damping", "three-cycle-unitary", "planted", "phased-walk"],
+    )
+    def test_fixed_space_basis_is_hermitian(self, make):
+        ch = make()
+        fs = cs.fixed_space(ch)
+        for x in fs.basis:
+            assert np.abs(x - x.conj().T).max() <= 1e-12
+            assert np.abs(cs.apply(ch, x) - x).max() <= 1e-9
+
+    def test_rho_max_equals_dense_spectral_projection(self):
+        # reference Pi_1 from a full eigendecomposition of M, no kernel
+        rng = np.random.default_rng(343)
+        ch, truth = planted_channel(rng, [2, 3], [(2, 2)], 2)
+        d = ch.dim
+        w, v = np.linalg.eig(cs.superoperator(ch))
+        cluster = np.abs(w - 1.0) <= cs.DEFAULT_TOL.eig_cluster_tol
+        assert cluster.sum() == truth["fixed_dim"]
+        pi = v[:, cluster] @ np.linalg.inv(v)[cluster, :]
+        rho = cs.unvec(pi @ cs.vec(np.eye(d) / d), d)
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        split = cs.recurrent_split(ch)
+        assert split.D.dimension == 2
+        assert np.abs(split.rho_max - rho).max() <= 1e-10
+
+
 class TestCesaro:
     def test_invariant_state_is_cesaro_fixed(self):
         ch = amplitude_damping_channel(0.4)
@@ -224,6 +298,31 @@ class TestPeripheralSpectrum:
         for root in roots:
             count = sum(1 for z in spec if abs(z - root) < 1e-8)
             assert count == 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: planted_channel(np.random.default_rng(347), [2], [(2, 2)], 2)[0],
+            lambda: _markov_cycle_fed_by_transients(),
+            lambda: amplitude_damping_channel(0.3),
+        ],
+        ids=["planted-b-block", "markov-cycle", "amplitude-damping"],
+    )
+    def test_equals_complex_superoperator_filter(self, make):
+        # M_h is unitarily similar to M: the same peripheral eigenvalues,
+        # with multiplicity, as the complex eigvals filtered directly
+        ch = make()
+        tol = cs.DEFAULT_TOL
+        ref = [
+            z
+            for z in np.linalg.eigvals(cs.superoperator(ch))
+            if abs(z) >= 1.0 - tol.eig_cluster_tol
+        ]
+        spec = cs.peripheral_spectrum(ch, tol)
+        assert len(spec) == len(ref) >= 1
+        for z in spec:  # match as multisets: angles near +-pi may swap order
+            j = int(np.argmin(np.abs(np.array(ref) - z)))
+            assert abs(ref.pop(j) - z) <= 1e-10
 
     def test_strictly_contractive_interior(self):
         ch = random_channel(3, 3, RNG)
