@@ -149,9 +149,19 @@ def superoperator(ch):
 
 def _transfer_matrix(a, b):
     """Matrix of X -> sum_i A_i X B_i^H on column-stacked vec(X), for
-    stacks ``a`` and ``b`` of Kraus-like operators."""
-    n = a.shape[1] * b.shape[1]
-    return np.einsum("aik,ajl->jilk", a, b.conj(), optimize=True).reshape(n, n)
+    stacks ``a`` and ``b`` of Kraus-like operators: sum_i conj(B_i) ⊗ A_i.
+
+    Entry (j p + i, l q + k) is sum_a conj(B)[a, j, l] A[a, i, k].  It is
+    written straight into the result one row block j at a time, so besides
+    the result only one block of size 1/r of it is held.
+    """
+    n, p, q = a.shape
+    r, s = b.shape[1:]
+    out = np.empty((r, p, s, q), dtype=complex)
+    a2 = a.reshape(n, p * q)
+    for j in range(r):
+        out[j] = (b[:, j, :].conj().T @ a2).reshape(s, p, q).transpose(1, 0, 2)
+    return out.reshape(r * p, s * q)
 
 
 def _superoperator_sparse(ch):

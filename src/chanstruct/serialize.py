@@ -9,7 +9,17 @@ either part has a nonzero bit pattern (so -0.0 survives).  When at most half
 of the entries are stored, ``index`` lists their increasing flat positions;
 otherwise ``index`` is omitted and ``values`` holds the whole stack.  The
 older ``chanstruct-channel/1`` layout (``kraus`` a list of matrices) is still
-read, as are reports of both versions; writers emit version 2.
+read; writers emit version 2.
+
+A report (``chanstruct-report/3``) embeds its channel and keeps block data in
+the coordinates of the enclosures: an A-block's ``rho`` is the n x n state
+F^H rho F on its frame F, and a B-block stores the frames F_g = Q_g F_0 of
+its copies, aligned by the intertwiners Q_g, and the m x m ``rho_ref`` on
+F_0.  Reports of versions 1 and 2 (which embed a channel of version 1 and 2)
+store d x d states and the d x d transports Q_g under ``isometries``; they
+are read into the version-3 layout after checking that each state lies in
+its enclosure and each Q_g maps enclosures[0] onto enclosures[g].  A report
+without a ``schema`` entry is read in the version-3 layout.
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -29,12 +39,13 @@ import numpy as np
 from .channels import KrausChannel, _transfer_matrix
 from .errors import ArgumentError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
-from .spectral import _peripheral
+from .spectral import _hermitian_coordinates, _peripheral
 from .structure import (
     AlphaBlock,
     BetaBlock,
     DecompositionReport,
     _enclosures,
+    _expand,
     _fixed_dimension,
     is_enclosure,
 )
@@ -51,10 +62,14 @@ __all__ = [
 ]
 
 CHANNEL_SCHEMA = "chanstruct-channel/2"
-REPORT_SCHEMA = "chanstruct-report/2"
+REPORT_SCHEMA = "chanstruct-report/3"
 # the JSON type of the (embedded) channel's "kraus" in each known version
 _CHANNEL_LAYOUTS = {"chanstruct-channel/1": list, CHANNEL_SCHEMA: dict}
-_REPORT_LAYOUTS = {"chanstruct-report/1": list, REPORT_SCHEMA: dict}
+_REPORT_LAYOUTS = {
+    "chanstruct-report/1": list,
+    "chanstruct-report/2": dict,
+    REPORT_SCHEMA: dict,
+}
 
 
 def canonical_dumps(obj):
@@ -270,10 +285,12 @@ def report_file_from_report(report):
     parts = [(f.conj().T @ stack @ f, n) for f, n in blocks]
     eigenvalues = []
     for i, (a, n_i) in enumerate(parts):
-        for j, (b, n_j) in enumerate(parts[i:], start=i):
+        # the (i, i) pair map preserves Hermiticity: real coordinates
+        w = np.linalg.eigvals(_hermitian_coordinates(_transfer_matrix(a, a)))
+        eigenvalues.append(np.tile(w, n_i * n_i))
+        for b, n_j in parts[i + 1:]:
             w = np.linalg.eigvals(_transfer_matrix(a, b))
-            pair = w if i == j else np.concatenate((w, w.conj()))
-            eigenvalues.append(np.tile(pair, n_i * n_j))
+            eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))
     return ReportFile(
         report=report,
         fixed_space_dimension=_fixed_dimension(report),
@@ -301,7 +318,7 @@ def report_file_to_dict(rf):
         "alpha_blocks": [
             {
                 "enclosure": _matrix_to_lists(blk.enclosure.frame),
-                "rho": _matrix_to_lists(blk.rho),
+                "rho": _matrix_to_lists(blk.sigma),
             }
             for blk in report.alpha_blocks
         ],
@@ -309,8 +326,7 @@ def report_file_to_dict(rf):
             {
                 "index": blk.index,
                 "enclosures": [_matrix_to_lists(e.frame) for e in blk.enclosures],
-                "isometries": [_matrix_to_lists(q) for q in blk.isometries],
-                "rho_ref": _matrix_to_lists(blk.rho_ref),
+                "rho_ref": _matrix_to_lists(blk.sigma_ref),
             }
             for blk in report.beta_blocks
         ],
@@ -331,9 +347,54 @@ def _subspace_from_lists(data, dim, where):
         raise ParseError(f"{where}: frame is not orthonormal ({err})") from err
 
 
+def _block_state(data, space, ambient, where):
+    """A block state in the coordinates of ``space.frame``.  A d x d state
+    (versions 1 and 2) is compressed, F^H rho F, after checking that it lies
+    inside the enclosure: nothing outside it may be dropped."""
+    if not ambient:
+        k = space.dimension
+        return _matrix_from_lists(data, k, k, where)
+    d = space.ambient_dim
+    rho = _matrix_from_lists(data, d, d, where)
+    sigma = space.frame.conj().T @ rho @ space.frame
+    if np.abs(rho - _expand(space.frame, sigma)).max() > 1e-8:
+        raise ParseError(f"{where}: state lies outside its enclosure")
+    return sigma
+
+
+def _aligned_frames(data, encs, where):
+    """The frames F_g = Q_g F_0 of a B-block stored with d x d transports Q_g
+    (versions 1 and 2).  Q_0 must be the projector onto enclosures[0], and
+    each Q_g must map it onto enclosures[g]."""
+    if not isinstance(data, list) or len(data) != len(encs):
+        raise ParseError(f"{where}: isometry/enclosure count mismatch")
+    base = encs[0]
+    d = base.ambient_dim
+    p0 = base.projector()
+    aligned = [base]
+    for g, (q, enc) in enumerate(zip(data, encs)):
+        q = _matrix_from_lists(q, d, d, f"{where}.isometries[{g}]")
+        if g == 0:
+            dev = np.abs(q - p0).max()
+        else:
+            dev = max(
+                np.abs(q.conj().T @ q - p0).max(),
+                np.abs(q @ q.conj().T - enc.projector()).max(),
+            )
+        if dev > 1e-8:
+            raise ParseError(
+                f"{where}.isometries[{g}]: does not map enclosures[0] onto "
+                f"enclosures[{g}] (deviation {dev:.3e})"
+            )
+        if g:
+            aligned.append(Subspace(d, q @ base.frame))
+    return aligned
+
+
 def report_file_from_dict(data, re_verify=True):
-    """Parse a report document, re-verifying frame orthonormality and the
-    enclosure predicate against the embedded channel."""
+    """Parse a report document of any version, re-verifying frame
+    orthonormality and the enclosure predicate against the embedded
+    channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
     channel_data = _require(data, "channel", where)
@@ -358,20 +419,18 @@ def report_file_from_dict(data, re_verify=True):
     d_space = _subspace_from_lists(
         _require(data, "transient_basis", where), dim, "transient_basis"
     )
+    # versions 1 and 2 store block states and transports as d x d matrices
+    ambient = data.get("schema", REPORT_SCHEMA) != REPORT_SCHEMA
     alpha = []
     for i, blk in enumerate(_require(data, "alpha_blocks", where)):
+        prefix = f"alpha_blocks[{i}]"
         enc = _subspace_from_lists(
-            _require(blk, "enclosure", f"alpha_blocks[{i}]"),
-            dim,
-            f"alpha_blocks[{i}].enclosure",
+            _require(blk, "enclosure", prefix), dim, f"{prefix}.enclosure"
         )
-        rho = _matrix_from_lists(
-            _require(blk, "rho", f"alpha_blocks[{i}]"),
-            dim,
-            dim,
-            f"alpha_blocks[{i}].rho",
+        sigma = _block_state(
+            _require(blk, "rho", prefix), enc, ambient, f"{prefix}.rho"
         )
-        alpha.append(AlphaBlock(enclosure=enc, rho=rho))
+        alpha.append(AlphaBlock(enclosure=enc, sigma=sigma))
     beta = []
     for i, blk in enumerate(_require(data, "beta_blocks", where)):
         prefix = f"beta_blocks[{i}]"
@@ -379,21 +438,18 @@ def report_file_from_dict(data, re_verify=True):
             _subspace_from_lists(e, dim, f"{prefix}.enclosures[{g}]")
             for g, e in enumerate(_require(blk, "enclosures", prefix))
         ]
-        isos = [
-            _matrix_from_lists(q, dim, dim, f"{prefix}.isometries[{g}]")
-            for g, q in enumerate(_require(blk, "isometries", prefix))
-        ]
-        if len(isos) != len(encs):
-            raise ParseError(f"{prefix}: isometry/enclosure count mismatch")
-        rho_ref = _matrix_from_lists(
-            _require(blk, "rho_ref", prefix), dim, dim, f"{prefix}.rho_ref"
+        if not encs:
+            raise ParseError(f"{prefix}: enclosures must be nonempty")
+        if ambient:
+            encs = _aligned_frames(_require(blk, "isometries", prefix), encs, prefix)
+        sigma_ref = _block_state(
+            _require(blk, "rho_ref", prefix), encs[0], ambient, f"{prefix}.rho_ref"
         )
         beta.append(
             BetaBlock(
                 index=_require_int(blk, "index", prefix),
                 enclosures=tuple(encs),
-                isometries=tuple(isos),
-                rho_ref=rho_ref,
+                sigma_ref=sigma_ref,
             )
         )
     spectrum = tuple(

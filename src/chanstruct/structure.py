@@ -13,6 +13,13 @@ these give the complete parametrization of the invariant states:
     rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
 
 with t >= 0 entrywise, each M^b PSD, and total trace 1.
+
+Block data is kept in the coordinates of the enclosures.  An A-block stores
+its frame F and the state sigma = F^H rho F.  The copies of a B-block store
+frames aligned by the intertwiner, F_g = Q_g F_0, and the reference state
+sigma_ref in F_0's coordinates, so Q_g = F_g F_0^H and the block's part of
+an invariant state is G (M ⊗ sigma_ref) G^H with G = [F_0 ... F_{n-1}].  The
+d x d matrices rho, rho_ref and Q_g are derived on request.
 """
 
 from contextlib import contextmanager
@@ -78,28 +85,50 @@ class FixedPointAlgebra:
         return len(self.hermitian_basis)
 
 
+def _expand(frame, sigma):
+    """The d x d matrix F sigma F^H of a matrix in the coordinates of F."""
+    return frame @ sigma @ frame.conj().T
+
+
 @dataclass(frozen=True)
 class AlphaBlock:
-    """A minimal enclosure carrying a unique invariant state of its own."""
+    """A minimal enclosure carrying a unique invariant state of its own;
+    ``sigma`` is that state in the coordinates of ``enclosure.frame``."""
 
     enclosure: Subspace
-    rho: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def rho(self):
+        """The block's invariant state as a d x d matrix."""
+        return _expand(self.enclosure.frame, self.sigma)
 
 
 @dataclass(frozen=True)
 class BetaBlock:
     """A family of mutually linked minimal enclosures of equal dimension.
 
-    ``isometries[g]`` maps ``enclosures[0]`` onto ``enclosures[g]`` and
-    intertwines the restricted dynamics; ``isometries[0]`` is the orthogonal
-    projector onto ``enclosures[0]`` (the identity transport).  ``rho_ref``
-    is the unique invariant state on ``enclosures[0]``.
+    The frames are aligned by the intertwiners: the partial isometry
+    Q_g = F_g F_0^H (``isometries[g]``) maps ``enclosures[0]`` onto
+    ``enclosures[g]`` and intertwines the restricted dynamics, and Q_0 is
+    the orthogonal projector onto ``enclosures[0]``.  ``sigma_ref`` is the
+    unique invariant state on ``enclosures[0]`` in the coordinates of F_0.
     """
 
     index: int
     enclosures: tuple
-    isometries: tuple
-    rho_ref: np.ndarray
+    sigma_ref: np.ndarray
+
+    @property
+    def rho_ref(self):
+        """The reference state as a d x d matrix."""
+        return _expand(self.enclosures[0].frame, self.sigma_ref)
+
+    @property
+    def isometries(self):
+        """The d x d partial isometries Q_g = F_g F_0^H."""
+        f0h = self.enclosures[0].frame.conj().T
+        return tuple(v.frame @ f0h for v in self.enclosures)
 
 
 @dataclass(frozen=True)
@@ -171,17 +200,34 @@ def enclosure_generated(ch, x, tol=DEFAULT_TOL):
     return space
 
 
+def _kraus_images(ch, frame):
+    """[V_1 F ... V_n F], the images of a (d, k) frame side by side, (d, n k)."""
+    n, d, _ = ch._stack.shape
+    z = (ch._stack.reshape(n * d, d) @ frame).reshape(n, d, -1)
+    return z.transpose(1, 0, 2).reshape(d, -1)
+
+
+def _enclosure_leak(ch, frame):
+    """The 2-norm of the stacked leak Y = [(I - P) V_a F]_a (n d x k) of the
+    span of the orthonormal (d, k) frame F.  Its square is
+    lambda_max(F^H Phi^*(I - P) F), the largest probability that a state on
+    the span leaves it in one step, so it does not depend on the Kraus
+    representation of the channel."""
+    z = _kraus_images(ch, frame)
+    leak = z - frame @ (frame.conj().T @ z)
+    # rows (i, a) instead of (a, i): a row permutation keeps the 2-norm
+    return float(np.linalg.norm(leak.reshape(-1, frame.shape[1]), 2))
+
+
 def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
-    """Whether every Kraus operator maps the subspace into itself."""
+    """Whether every Kraus operator maps the subspace into itself: the
+    stacked leak (see ``_enclosure_leak``) is at most ``subspace_tol``."""
     if subspace.ambient_dim != ch.dim:
         raise ArgumentError("subspace ambient dimension does not match channel")
     k = subspace.dimension
     if k == 0 or k == ch.dim:
         return True
-    frame = subspace.frame
-    comp = np.eye(ch.dim) - subspace.projector()
-    leak = np.linalg.norm(comp @ (ch._stack @ frame), 2, axis=(1, 2)).max()
-    return bool(leak <= tol.subspace_tol)
+    return _enclosure_leak(ch, subspace.frame) <= tol.subspace_tol
 
 
 def is_subharmonic(ch, p, tol=DEFAULT_TOL):
@@ -290,7 +336,8 @@ def _try_eigensplit(ch, split, algebra, x, tol):
     minimality, or the enclosure property (a degenerate sample)."""
     frame = split.R.frame
     r = split.R.dimension
-    compressed = [frame.conj().T @ v @ frame for v in ch.kraus]
+    # the compressed Kraus operators C_a = F^H V_a F side by side, (r, n r)
+    compressed = frame.conj().T @ _kraus_images(ch, frame)
     x = (x + x.conj().T) / 2.0
     w, vecs = np.linalg.eigh(x)
     bounds = _cluster_boundaries(w, tol)
@@ -298,8 +345,9 @@ def _try_eigensplit(ch, split, algebra, x, tol):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = vecs[:, lo:hi]
         pi = cols @ cols.conj().T
-        image = sum(v.conj().T @ pi @ v for v in compressed)
-        if np.abs(image - pi).max() > tol.subspace_tol:
+        # sum_a C_a^H pi C_a = W^H W, W the row stack of the blocks cols^H C_a
+        wa = (cols.conj().T @ compressed).reshape(-1, r)
+        if np.abs(wa.conj().T @ wa - pi).max() > tol.subspace_tol:
             return None
         # minimality: the algebra compressed to this eigenspace must be
         # trivial (span dimension one)
@@ -497,7 +545,12 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
             "block-invariant-state",
             "V not minimal: invariant state is not faithful on V",
         )
-    return frame @ rho @ frame.conj().T
+    return _expand(frame, rho)
+
+
+def _local_state(ch, v, tol):
+    """``block_invariant_state`` in the coordinates of ``v.frame``."""
+    return v.frame.conj().T @ block_invariant_state(ch, v, tol) @ v.frame
 
 
 def _fixed_dimension(report):
@@ -538,41 +591,36 @@ def _verify_report(ch, report, tol):
             diagnostics={"expected": expected, "found": found},
         )
     for blk in report.alpha_blocks:
-        _verify_block_state(ch, blk.enclosure, blk.rho, "A-block", tol)
+        _verify_block_state(ch, blk.enclosure, blk.sigma, "A-block", tol)
     for blk in report.beta_blocks:
         base = blk.enclosures[0]
-        _verify_block_state(ch, base, blk.rho_ref, "B-block reference", tol)
-        p0 = base.projector()
-        if np.abs(blk.isometries[0] - p0).max() > 1e-8:
-            raise DecompositionError(
-                "verification", "first B-block transport is not the base projector"
-            )
+        _verify_block_state(ch, base, blk.sigma_ref, "B-block reference", tol)
+        eye = np.eye(base.dimension)
         for g in range(1, len(blk.enclosures)):
-            q = blk.isometries[g]
-            pg = blk.enclosures[g].projector()
-            if np.abs(q.conj().T @ q - p0).max() > 1e-8:
+            # Q_g = F_g F_0^H gives Q_g Q_g^H = P_g, and Q_g^H Q_g = P_0
+            # exactly when F_g has orthonormal columns
+            f = blk.enclosures[g].frame
+            if np.abs(f.conj().T @ f - eye).max() > 1e-8:
                 raise DecompositionError(
                     "verification", f"Q^H Q mismatch in B-block {blk.index}"
                 )
-            if np.abs(q @ q.conj().T - pg).max() > 1e-8:
-                raise DecompositionError(
-                    "verification", f"Q Q^H mismatch in B-block {blk.index}"
-                )
-            independent = block_invariant_state(ch, blk.enclosures[g], tol)
-            transported = q @ blk.rho_ref @ q.conj().T
-            if np.abs(transported - independent).max() > 1e-7:
+            # both states in the coordinates of F_g, where Q_g rho_ref Q_g^H
+            # is sigma_ref
+            independent = _local_state(ch, blk.enclosures[g], tol)
+            deviation = np.abs(blk.sigma_ref - independent).max()
+            if deviation > 1e-7:
                 raise DecompositionError(
                     "verification",
                     f"transported reference state disagrees with the "
                     f"independently computed invariant state in B-block "
-                    f"{blk.index} (deviation "
-                    f"{np.abs(transported - independent).max():.3e})",
+                    f"{blk.index} (deviation {deviation:.3e})",
                 )
 
 
-def _verify_block_state(ch, enclosure, rho, label, tol):
-    if not is_state(rho, tol):
+def _verify_block_state(ch, enclosure, sigma, label, tol):
+    if not is_state(sigma, tol):
         raise DecompositionError("verification", f"{label} state is not a state")
+    rho = _expand(enclosure.frame, sigma)
     if np.abs(apply(ch, rho) - rho).max() > 1e-8:
         raise DecompositionError(
             "verification", f"{label} state is not invariant"
@@ -601,24 +649,25 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     alpha_spaces, beta_groups = group_into_blocks(ch, enclosures, algebra, tol)
     with _stage("invariant-states"):
         alpha_blocks = tuple(
-            AlphaBlock(enclosure=v, rho=block_invariant_state(ch, v, tol))
+            AlphaBlock(enclosure=v, sigma=_local_state(ch, v, tol))
             for v in alpha_spaces
         )
         beta_blocks = []
         for b_idx, group in enumerate(beta_groups):
             base = group[0]
-            rho_ref = block_invariant_state(ch, base, tol)
-            isometries = [base.projector()]
-            for other in group[1:]:
-                isometries.append(
-                    partial_isometry(ch, algebra, base, other, tol)
+            # each copy's frame is aligned with the base frame: F_g = Q_g F_0
+            aligned = [base] + [
+                Subspace(
+                    ch.dim,
+                    partial_isometry(ch, algebra, base, other, tol) @ base.frame,
                 )
+                for other in group[1:]
+            ]
             beta_blocks.append(
                 BetaBlock(
                     index=b_idx,
-                    enclosures=tuple(group),
-                    isometries=tuple(isometries),
-                    rho_ref=rho_ref,
+                    enclosures=tuple(aligned),
+                    sigma_ref=_local_state(ch, base, tol),
                 )
             )
     report = DecompositionReport(
@@ -642,11 +691,9 @@ def _assemble(report, t, m_list):
     for weight, blk in zip(t, report.alpha_blocks):
         rho += weight * blk.rho
     for m, blk in zip(m_list, report.beta_blocks):
-        # sum_{g,h} m[g, h] Q_g rho_ref Q_h^H
-        q = np.stack(blk.isometries)
-        rho += np.einsum(
-            "gh,gij,jk,hlk->il", m, q, blk.rho_ref, q.conj(), optimize=True
-        )
+        # sum_{g,h} m[g, h] Q_g rho_ref Q_h^H = G (m ⊗ sigma_ref) G^H
+        stack = np.hstack([v.frame for v in blk.enclosures])
+        rho += stack @ np.kron(m, blk.sigma_ref) @ stack.conj().T
     return rho
 
 
@@ -728,20 +775,22 @@ def extract_parameters(report, rho, tol=None):
         raise ArgumentError("rho has wrong shape for this report")
     if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
+    # Tr(P rho) = Tr(F^H rho F)
     t = np.array(
         [
-            float(np.trace(blk.enclosure.projector() @ rho).real)
+            np.vdot(blk.enclosure.frame, rho @ blk.enclosure.frame).real
             for blk in report.alpha_blocks
         ]
     )
     m_list = []
     for blk in report.beta_blocks:
-        # m[g, h] = Tr(rho_ref Q_g^H rho Q_h) / Tr(rho_ref^2)
-        q = np.stack(blk.isometries)
-        norm = float(np.trace(blk.rho_ref @ blk.rho_ref).real)
-        m = np.einsum(
-            "ab,gcb,ce,hea->gh", blk.rho_ref, q.conj(), rho, q, optimize=True
-        ) / norm
+        # m[g, h] = Tr(sigma_ref F_g^H rho F_h) / Tr(sigma_ref^2), read off the
+        # (n m, n m) compression G^H rho G
+        n, k = len(blk.enclosures), blk.sigma_ref.shape[0]
+        stack = np.hstack([v.frame for v in blk.enclosures])
+        blocks = (stack.conj().T @ rho @ stack).reshape(n, k, n, k)
+        norm = float(np.trace(blk.sigma_ref @ blk.sigma_ref).real)
+        m = np.einsum("ji,gihj->gh", blk.sigma_ref, blocks) / norm
         m_list.append((m + m.conj().T) / 2.0)
     params = InvariantStateParameters(t=t, M=tuple(m_list))
     residual = float(np.abs(rho - _assemble(report, t, m_list)).max())

@@ -1,5 +1,7 @@
 """Kraus channels: construction, application, superoperator, constructors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,29 @@ class TestSuperoperator:
         sparse = chanstruct.channels._superoperator_sparse(ch)
         assert sparse.format == "csc"
         assert np.abs(sparse.toarray() - cs.superoperator(ch)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (1, 2)])
+    def test_transfer_matrix_equals_einsum(self, dims):
+        # square operator stacks of unequal sizes, as for a pair of blocks
+        p, r = dims
+        a = np.stack(random_kraus_family(p, 3, RNG))
+        b = np.stack(random_kraus_family(r, 3, RNG))
+        ref = np.einsum("aik,ajl->jilk", a, b.conj(), optimize=True).reshape(
+            r * p, r * p
+        )
+        got = chanstruct.channels._transfer_matrix(a, b)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15
+
+    def test_superoperator_holds_one_copy(self):
+        ch = random_channel(24, 3, RNG)
+        tracemalloc.start()
+        try:
+            m = cs.superoperator(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m.nbytes
 
     @pytest.mark.parametrize("family", ["random", "markov"])
     def test_kraus_gram_equals_einsum(self, family):

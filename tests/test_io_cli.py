@@ -1,6 +1,7 @@
 """JSON schemas and the command-line interface."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,12 @@ import chanstruct.serialize
 import chanstruct.spectral
 from chanstruct.cli import main
 from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
-from helpers import amplitude_damping_channel, planted_channel, random_kraus_family
+from helpers import (
+    amplitude_damping_channel,
+    haar_unitary,
+    planted_channel,
+    random_kraus_family,
+)
 
 RNG = np.random.default_rng(505)
 
@@ -29,6 +35,34 @@ def v1_doc(ch):
         "dim": ch.dim,
         "kraus": [_matrix_to_lists(v) for v in ch.kraus],
     }
+
+
+def ambient_report_doc(rf, schema="chanstruct-report/2", rng=None):
+    """The report of ``rf`` in the layout of versions 1 and 2: d x d block
+    states, and the d x d transports Q_g of every B-block under
+    ``isometries``.  With ``rng``, every stored enclosure frame is turned by
+    a random unitary, so the frames of the copies are no longer aligned."""
+    report = rf.report
+    doc = cs.report_file_to_dict(rf)
+    doc["schema"] = schema
+    if schema == "chanstruct-report/1":
+        doc["channel"] = v1_doc(report.channel)
+
+    def frame(space):
+        f = space.frame
+        if rng is not None:
+            f = f @ haar_unitary(f.shape[1], rng)
+        return _matrix_to_lists(f)
+
+    for blk, data in zip(report.alpha_blocks, doc["alpha_blocks"]):
+        data.update(enclosure=frame(blk.enclosure), rho=_matrix_to_lists(blk.rho))
+    for blk, data in zip(report.beta_blocks, doc["beta_blocks"]):
+        data.update(
+            enclosures=[frame(v) for v in blk.enclosures],
+            isometries=[_matrix_to_lists(q) for q in blk.isometries],
+            rho_ref=_matrix_to_lists(blk.rho_ref),
+        )
+    return doc
 
 
 def _negate_zeros(obj):
@@ -268,7 +302,7 @@ class TestChannelSchemaV2:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
         doc = json.loads(out1.read_text())
-        assert doc["schema"] == "chanstruct-report/2"
+        assert doc["schema"] == "chanstruct-report/3"
         assert doc["channel"]["schema"] == "chanstruct-channel/2"
 
     @pytest.mark.parametrize(
@@ -356,20 +390,40 @@ class TestSchemaString:
             cs.report_file_from_report(cs.decompose(_markov_chain()))
         )
 
-    def test_report_v1_loads_and_rewrites_as_v2(self):
-        doc = self._report_doc()
-        text = cs.canonical_dumps(doc)
-        old = dict(doc, schema="chanstruct-report/1", channel=v1_doc(_markov_chain()))
-        rf = cs.report_file_from_dict(json.loads(cs.canonical_dumps(old)))
-        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
+    @pytest.mark.parametrize("schema", ["chanstruct-report/1", "chanstruct-report/2"])
+    def test_report_v1_v2_load_and_rewrite_as_v3(self, schema):
+        # an A-block and a B-block of 3 copies, frames turned at random
+        rng = np.random.default_rng(521)
+        ch, _ = planted_channel(rng, [2], [(2, 3)], 2, n_kraus=3)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        doc = ambient_report_doc(rf, schema, rng)
+        rf2 = cs.report_file_from_dict(
+            json.loads(cs.canonical_dumps(doc)), re_verify=True
+        )
+        text = cs.canonical_dumps(cs.report_file_to_dict(rf2))
+        assert json.loads(text)["schema"] == "chanstruct-report/3"
+        assert cs.canonical_dumps(
+            cs.report_file_to_dict(cs.report_file_from_dict(json.loads(text)))
+        ) == text
+        for a, b in zip(rf.report.alpha_blocks, rf2.report.alpha_blocks):
+            assert np.abs(a.enclosure.projector() - b.enclosure.projector()).max() < 1e-12
+            assert np.abs(a.rho - b.rho).max() < 1e-12
+        (a,), (b,) = rf.report.beta_blocks, rf2.report.beta_blocks
+        assert np.abs(a.rho_ref - b.rho_ref).max() < 1e-12
+        for g, (qa, qb) in enumerate(zip(a.isometries, b.isometries)):
+            assert np.abs(qa - qb).max() < 1e-12
+            # the copies' frames were re-aligned to F_g = Q_g F_0
+            fb = b.enclosures[g].frame
+            assert np.abs(fb - qb @ b.enclosures[0].frame).max() < 1e-12
 
     @pytest.mark.parametrize(
         "schema, channel, message",
         [
-            ("chanstruct-report/3", "v2", "unknown schema 'chanstruct-report/3'"),
+            ("chanstruct-report/4", "v2", "unknown schema 'chanstruct-report/4'"),
             ("chanstruct-channel/2", "v2", "unknown schema 'chanstruct-channel/2'"),
             ("chanstruct-report/1", "v2", "'chanstruct-report/1' does not match"),
             ("chanstruct-report/2", "v1", "'chanstruct-report/2' does not match"),
+            ("chanstruct-report/3", "v1", "'chanstruct-report/3' does not match"),
         ],
     )
     def test_report_schema_must_match_layout(self, schema, channel, message):
@@ -464,6 +518,89 @@ class TestReportSchema:
         # span{e2} is orthonormal but not an enclosure
         doc["alpha_blocks"][0]["enclosure"] = [[[0.0, 0.0]], [[1.0, 0.0]]]
         with pytest.raises(cs.ParseError, match="enclosure"):
+            cs.report_file_from_dict(doc)
+
+
+class TestReportSchemaV3:
+    """Block data in the coordinates of its enclosure."""
+
+    LAYOUTS = {
+        "two-copies": ([1, 2], [(2, 2)], 1),
+        "three-copies": ([2], [(3, 3), (1, 2)], 2),
+    }
+
+    def _report_file(self, layout):
+        alpha, beta, n_transient = self.LAYOUTS[layout]
+        rng = np.random.default_rng(523)
+        ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
+        return cs.report_file_from_report(cs.decompose(ch))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_block_shapes_and_round_trip_bytes(self, layout):
+        doc = cs.report_file_to_dict(self._report_file(layout))
+        assert doc["schema"] == "chanstruct-report/3"
+        for blk in doc["alpha_blocks"]:
+            n = len(blk["enclosure"][0])
+            assert np.shape(blk["rho"]) == (n, n, 2)
+        assert doc["beta_blocks"]
+        for blk in doc["beta_blocks"]:
+            assert sorted(blk) == ["enclosures", "index", "rho_ref"]
+            m = len(blk["enclosures"][0][0])
+            assert np.shape(blk["rho_ref"]) == (m, m, 2)
+            assert all(np.shape(e)[1] == m for e in blk["enclosures"])
+        text = cs.canonical_dumps(doc)
+        rf = cs.report_file_from_dict(json.loads(text), re_verify=True)
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
+
+    def _push_outside(self, data, frame, outside):
+        """A d x d state moved by 1e-6 (max-abs) along |u><v| + |v><u|, u in
+        the enclosure and v orthogonal to it."""
+        u = np.asarray(frame, dtype=float).view(complex)[:, 0, 0]
+        delta = np.outer(u, outside.conj()) + np.outer(outside, u.conj())
+        rho = np.asarray(data, dtype=float).view(complex)[..., 0]
+        return _matrix_to_lists(rho + 1e-6 * delta / np.abs(delta).max())
+
+    @pytest.mark.parametrize("block", ["alpha_blocks", "beta_blocks"])
+    def test_ambient_state_outside_enclosure_is_parse_error(self, block):
+        rf = self._report_file("three-copies")
+        doc = ambient_report_doc(rf)
+        outside = rf.report.D.frame[:, 0]
+        data = doc[block][0]
+        if block == "alpha_blocks":
+            data["rho"] = self._push_outside(data["rho"], data["enclosure"], outside)
+            where = "alpha_blocks[0].rho"
+        else:
+            data["rho_ref"] = self._push_outside(
+                data["rho_ref"], data["enclosures"][0], outside
+            )
+            where = "beta_blocks[0].rho_ref"
+        with pytest.raises(
+            cs.ParseError, match=re.escape(where) + ": state lies outside"
+        ):
+            cs.report_file_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda q, r: q.__setitem__(1, q[2]), ".isometries[1]: does not map"),
+            (lambda q, r: q.__setitem__(0, q[1]), ".isometries[0]: does not map"),
+            (lambda q, r: q.__setitem__(2, r), ".isometries[2]: does not map"),
+            (lambda q, r: q.pop(), ": isometry/enclosure count mismatch"),
+        ],
+        ids=["wrong-target", "first-not-projector", "off-by-1e-6", "count"],
+    )
+    def test_ambient_transport_mismatch_is_parse_error(self, mutate, message):
+        rf = self._report_file("three-copies")
+        doc = ambient_report_doc(rf)
+        i, blk = next(
+            (i, b) for i, b in enumerate(rf.report.beta_blocks) if len(b.enclosures) == 3
+        )
+        # Q_2 plus 1e-6 (max-abs) of |v><u|, u in enclosures[0], v in D
+        u, v = blk.enclosures[0].frame[:, 0], rf.report.D.frame[:, 0]
+        delta = np.outer(v, u.conj())
+        pushed = blk.isometries[2] + 1e-6 * delta / np.abs(delta).max()
+        mutate(doc["beta_blocks"][i]["isometries"], _matrix_to_lists(pushed))
+        with pytest.raises(cs.ParseError, match=re.escape(f"beta_blocks[{i}]{message}")):
             cs.report_file_from_dict(doc)
 
 

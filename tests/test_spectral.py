@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.channels
 import chanstruct.spectral
 from helpers import (
     haar_unitary,
@@ -422,6 +423,36 @@ class TestPeripheralSpectrumOnR:
             diff = np.array(rf.peripheral_spectrum) - np.array(full)
             assert np.abs(diff).max() < 1e-10
             assert np.abs(np.array(full) - 1.0).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "case", ["markov-cycle", "rotating-qubit", "planted-3-copies", "oqrw"]
+    )
+    def test_report_spectrum_matches_complex_pair_spectra(self, case):
+        # diagonal block pairs are taken in real Hermitian coordinates; the
+        # reference takes every pair's complex eigvals
+        if case == "markov-cycle":
+            ch = _markov_cycle_fed_by_transients()
+        elif case == "rotating-qubit":
+            ch = _rotating_qubit_and_decaying_level(0.4, 0.5, np.random.default_rng(313))
+        elif case == "planted-3-copies":
+            ch = planted_channel(np.random.default_rng(319), [2, 3], [(3, 3)], 2)[0]
+        else:
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 4), 4)
+        rep = cs.decompose(ch)
+        firsts = [(b.enclosure.frame, 1) for b in rep.alpha_blocks] + [
+            (b.enclosures[0].frame, len(b.enclosures)) for b in rep.beta_blocks
+        ]
+        parts = [(f.conj().T @ ch._stack @ f, n) for f, n in firsts]
+        eigenvalues = []
+        for i, (a, n_i) in enumerate(parts):
+            for j, (b, n_j) in enumerate(parts[i:], start=i):
+                w = np.linalg.eigvals(cs.channels._transfer_matrix(a, b))
+                pair = w if i == j else np.concatenate((w, w.conj()))
+                eigenvalues.append(np.tile(pair, n_i * n_j))
+        ref = cs.spectral._peripheral(np.concatenate(eigenvalues), rep.tolerance)
+        got = cs.report_file_from_report(rep).peripheral_spectrum
+        assert len(got) == len(ref)
+        assert np.abs(np.array(got) - np.array(ref)).max() <= 1e-10
 
 
 def _svd_kernels(ch, tol):

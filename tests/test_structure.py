@@ -64,6 +64,35 @@ class TestEnclosurePredicates:
             hits += is_enc
             assert cs.is_subharmonic(ch, space.projector()) == is_enc
 
+    def test_leak_is_invariant_under_kraus_freedom(self):
+        # enclosures (leak ~ 0) and random subspaces (leak of order 1)
+        rng = np.random.default_rng(431)
+        ch, _ = planted_channel(rng, [2], [(2, 2)], 2, n_kraus=3)
+        rep = cs.decompose(ch)
+        frames = [v.frame for v in chanstruct.structure._enclosures(rep)]
+        for k in (1, 3, 5):
+            z = rng.standard_normal((ch.dim, k)) + 1j * rng.standard_normal((ch.dim, k))
+            frames.append(np.linalg.qr(z)[0])
+        d, zero = ch.dim, np.zeros((ch.dim, ch.dim))
+        padded = list(ch.kraus) + [zero, zero]
+        u = haar_unitary(len(padded), rng)
+        mixed = cs.KrausChannel(list(np.tensordot(u, np.stack(padded), 1)))
+        assert len(mixed.kraus) == 5
+        leak = chanstruct.structure._enclosure_leak
+        for f in frames:
+            ref = leak(ch, f)
+            assert abs(leak(cs.KrausChannel(padded), f) - ref) <= 1e-12
+            assert abs(leak(mixed, f) - ref) <= 1e-12
+            # its square is lambda_max(F^H Phi^*(I - P) F), and it bounds the
+            # leak of every single Kraus operator
+            comp = np.eye(d) - f @ f.conj().T
+            w = np.linalg.eigvalsh(f.conj().T @ cs.apply_adjoint(ch, comp) @ f)
+            assert abs(ref**2 - w[-1]) <= 1e-12
+            per_op = max(np.linalg.norm(comp @ v @ f, 2) for v in ch.kraus)
+            assert ref >= per_op - 1e-15
+        assert max(leak(ch, f) for f in frames[:-3]) < 1e-10
+        assert min(leak(ch, f) for f in frames[-3:]) > 1e-3
+
     def test_subharmonic_rejects_non_projector(self):
         ch = amplitude_damping_channel(0.3)
         with pytest.raises(cs.ArgumentError):
@@ -418,6 +447,76 @@ class TestParametrization:
         )
         res = cs.extract_parameters(rep, rho)
         assert np.abs(res.params.M[0] - (m_ref + m_ref.conj().T) / 2.0).max() < 1e-12
+
+
+# planted layouts with B-blocks of 2 and of 3 copies
+LOCAL_LAYOUTS = [([1, 2], [(2, 2)], 1), ([2], [(3, 3), (1, 2)], 2)]
+
+
+class TestLocalBlockData:
+    """Block data stored in enclosure coordinates gives back the d x d
+    matrices of the ambient formulas."""
+
+    @pytest.mark.parametrize("alpha, beta, n_transient", LOCAL_LAYOUTS)
+    def test_derived_matrices_match_ambient_formulas(self, alpha, beta, n_transient):
+        rng = np.random.default_rng(433)
+        ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
+        rep = cs.decompose(ch)
+        algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
+        for blk in rep.alpha_blocks:
+            k = blk.enclosure.dimension
+            assert blk.sigma.shape == (k, k)
+            ref = cs.block_invariant_state(ch, blk.enclosure)
+            assert np.abs(blk.rho - ref).max() <= 1e-12
+        assert sorted(len(b.enclosures) for b in rep.beta_blocks) == sorted(
+            n for _, n in beta
+        )
+        for blk in rep.beta_blocks:
+            base = blk.enclosures[0]
+            m = base.dimension
+            assert blk.sigma_ref.shape == (m, m)
+            ref = cs.block_invariant_state(ch, base)
+            assert np.abs(blk.rho_ref - ref).max() <= 1e-12
+            assert np.abs(blk.isometries[0] - base.projector()).max() <= 1e-12
+            for g, enc in enumerate(blk.enclosures[1:], start=1):
+                q = cs.partial_isometry(ch, algebra, base, enc)
+                assert np.abs(blk.isometries[g] - q).max() <= 1e-12
+                assert np.abs(enc.frame - q @ base.frame).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha, beta, n_transient", LOCAL_LAYOUTS)
+    def test_parametrization_matches_ambient_einsums(self, alpha, beta, n_transient):
+        rng = np.random.default_rng(437)
+        ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
+        rep = cs.decompose(ch)
+        n_a, n_b = len(rep.alpha_blocks), len(rep.beta_blocks)
+        weights = rng.dirichlet(np.ones(n_a + n_b))
+        mats = []
+        for w, blk in zip(weights[n_a:], rep.beta_blocks):
+            n = len(blk.enclosures)
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats.append(w * (z @ z.conj().T) / np.trace(z @ z.conj().T).real)
+        params = cs.InvariantStateParameters(t=weights[:n_a], M=tuple(mats))
+        # the d x d contractions over stacked isometries that the block-local
+        # forms G (M ⊗ sigma_ref) G^H and Tr(sigma_ref F_g^H rho F_h) replace
+        ref = sum(t * blk.rho for t, blk in zip(weights[:n_a], rep.alpha_blocks))
+        for m, blk in zip(mats, rep.beta_blocks):
+            q = np.stack(blk.isometries)
+            ref = ref + np.einsum(
+                "gh,gij,jk,hlk->il", m, q, blk.rho_ref, q.conj(), optimize=True
+            )
+        rho = cs.build_invariant_state(rep, params)
+        assert np.abs(rho - ref).max() <= 1e-12
+        res = cs.extract_parameters(rep, rho)
+        t_ref = [np.trace(blk.enclosure.projector() @ rho).real for blk in rep.alpha_blocks]
+        assert np.abs(res.params.t - t_ref).max(initial=0.0) <= 1e-12
+        for m, blk in zip(res.params.M, rep.beta_blocks):
+            q = np.stack(blk.isometries)
+            norm = np.trace(blk.rho_ref @ blk.rho_ref).real
+            m_ref = np.einsum(
+                "ab,gcb,ce,hea->gh", blk.rho_ref, q.conj(), rho, q, optimize=True
+            ) / norm
+            assert np.abs(m - (m_ref + m_ref.conj().T) / 2.0).max() <= 1e-12
+        assert res.residual <= 1e-12
 
 
 def _compressed_null_state(ch, space):
