@@ -6,6 +6,13 @@ application of the channel and its adjoint, the matrix of the channel
 under column-stacking vectorization, trace-preservation validation, and
 constructors for classical Markov-chain channels, truncated open quantum
 random walks, and the Bloch-affine form of qubit channels.
+
+It owns the one sparse/dense rule (``_SPARSE_FRACTION``).  A sparse family
+(a superoperator with at most that fraction of nonzero entries) builds its
+CSC superoperator M on first use and keeps it: Phi(rho) = M vec(rho) and
+Phi^*(X) = M^H vec(X), and the eigenvalue-1 solve reuses M.  A dense family
+applies Phi and Phi^* as two GEMMs over the stacked operators and their
+stacked adjoints, whatever the number of operators.
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, as_complex_matrix
+from .linalg import DEFAULT_TOL, as_complex_matrix, unvec, vec
 
 __all__ = [
     "KrausChannel",
@@ -29,15 +36,22 @@ __all__ = [
     "qubit_bloch_form",
 ]
 
+# a Kraus family whose superoperator has at most this fraction of nonzero
+# entries is sparse: Phi and Phi^* are applied by the cached CSC
+# superoperator, and the eigenvalue-1 kernel is solved by a sparse LU
+_SPARSE_FRACTION = 0.02
+
 
 class KrausChannel:
     """A completely positive trace-preserving map in Kraus form.
 
     Parameters
     ----------
-    kraus : sequence of (d, d) array_like
+    kraus : sequence of (d, d) array_like, or an (n, d, d) array
         The Kraus operators V_i.  All-zero operators are dropped (the index
-        set of an unravelling is arbitrary; zero operators are inert).
+        set of an unravelling is arbitrary; zero operators are inert).  The
+        channel keeps its own read-only copy, and ``kraus`` holds views of
+        it.
     unchecked : bool, optional
         Skip the eager trace-preservation check.  Needed to exercise the
         failure path of :func:`validate`; everything downstream assumes a
@@ -46,22 +60,18 @@ class KrausChannel:
         Tolerance used for the eager check.
     """
 
-    __slots__ = ("dim", "kraus", "_stack", "_cores")
+    __slots__ = (
+        "dim", "kraus", "_stack", "_sparse", "_superop", "_adjoint", "_cores"
+    )
 
     def __init__(self, kraus, *, unchecked=False, tol=DEFAULT_TOL):
-        mats = [as_complex_matrix(v, f"kraus[{i}]") for i, v in enumerate(kraus)]
-        if not mats:
-            raise ArgumentError("a channel needs at least one Kraus operator")
-        d = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.ndim != 2 or m.shape != (d, d):
-                raise ArgumentError(
-                    f"kraus[{i}] has shape {m.shape}, expected ({d}, {d})"
-                )
-        kept = [m for m in mats if np.abs(m).max() > 0.0]
-        if not kept:
+        stack = _kraus_stack(kraus)
+        keep = stack.any(axis=(1, 2))
+        if not keep.any():
             raise ArgumentError("all Kraus operators are zero")
-        stack = np.ascontiguousarray(np.stack(kept))
+        if not keep.all():
+            stack = stack[keep]
+        d = stack.shape[1]
         if not unchecked:
             dev = np.abs(_kraus_gram(stack) - np.eye(d)).max()
             if dev > 10.0 * tol.psd_tol:
@@ -70,9 +80,21 @@ class KrausChannel:
                     f"(|sum V^H V - I|_max = {dev:.3e}); "
                     "pass unchecked=True to construct anyway"
                 )
+        stack.flags.writeable = False
+        sparse = bool(_nnz_fraction(stack) <= _SPARSE_FRACTION)
         object.__setattr__(self, "dim", int(d))
-        object.__setattr__(self, "kraus", tuple(kept))
+        object.__setattr__(self, "kraus", tuple(stack))
         object.__setattr__(self, "_stack", stack)
+        # how apply and apply_adjoint act: a sparse family keeps its CSC
+        # superoperator, made on first use; a dense one keeps the stack of
+        # its adjoints V_i^H, one of the two stacks in each GEMM pair
+        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_superop", None)
+        object.__setattr__(
+            self,
+            "_adjoint",
+            None if sparse else np.ascontiguousarray(stack.conj().transpose(0, 2, 1)),
+        )
         # eigenvalue-1 solves by Tolerance, filled on first use by
         # chanstruct.spectral; derived data, the channel stays immutable
         object.__setattr__(self, "_cores", {})
@@ -124,8 +146,10 @@ def apply(ch, rho):
         raise ArgumentError(
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    v = ch._stack
-    return np.einsum("aij,jk,alk->il", v, rho, v.conj(), optimize=True)
+    m = _sparse_superoperator(ch)
+    if m is not None:
+        return unvec(m @ vec(rho), ch.dim)
+    return _sandwich(ch._stack, ch._adjoint, rho)
 
 
 def apply_adjoint(ch, x):
@@ -135,8 +159,21 @@ def apply_adjoint(ch, x):
         raise ArgumentError(
             f"operand shape {x.shape} does not match channel dimension {ch.dim}"
         )
-    v = ch._stack
-    return np.einsum("aji,jk,akl->il", v.conj(), x, v, optimize=True)
+    m = _sparse_superoperator(ch)
+    if m is not None:
+        # M^H v = conj(M^T conj(v)); the transpose of a CSC matrix is a CSR
+        # view of the same arrays
+        return unvec((m.T @ vec(x).conj()).conj(), ch.dim)
+    return _sandwich(ch._adjoint, ch._stack, x)
+
+
+def _sandwich(left, right, x):
+    """sum_i L_i x R_i for (n, d, d) stacks L and R: one GEMM forms the
+    products L_i x stacked vertically, and one sums them against R, with
+    the products side by side."""
+    n, d, _ = left.shape
+    y = (left.reshape(n * d, d) @ x).reshape(n, d, d)
+    return y.transpose(1, 0, 2).reshape(d, n * d) @ right.reshape(n * d, d)
 
 
 def superoperator(ch):
@@ -164,6 +201,28 @@ def _transfer_matrix(a, b):
     return out.reshape(r * p, s * q)
 
 
+def _hermitian_transfer_matrix(stack):
+    """The real matrix M_h = Re M + Im(M K) of M = sum_a conj(V_a) ⊗ V_a
+    (see chanstruct.spectral), straight from an (n, p, p) stack V = A + iB.
+
+    Entry (j p + i, l p + k) is sum_a A_jl A_ik + B_jl B_ik (Re M) plus
+    sum_a A_jk B_il - B_jk A_il (Im M at the swapped column k p + l), with
+    every factor taken from operator a.  Each row block j is two real GEMMs
+    over the stacked parts [A; B] and [B; A], so no complex matrix is formed.
+    """
+    n, p, _ = stack.shape
+    re_im = np.concatenate((stack.real, stack.imag))
+    im_re = np.concatenate((stack.imag, stack.real)).reshape(2 * n, p * p)
+    sign = np.repeat([1.0, -1.0], n)[:, None]
+    out = np.empty((p, p, p, p))
+    for j in range(p):
+        rows = re_im[:, j, :]
+        re = (rows.T @ re_im.reshape(2 * n, p * p)).reshape(p, p, p)  # (l, i, k)
+        im = ((sign * rows).T @ im_re).reshape(p, p, p)  # (k, i, l)
+        np.add(re.transpose(1, 0, 2), im.transpose(1, 2, 0), out=out[j])
+    return out.reshape(p * p, p * p)
+
+
 def _superoperator_sparse(ch):
     """Sparse CSC superoperator (worth it only for sparse Kraus families).
 
@@ -189,11 +248,50 @@ def _superoperator_sparse(ch):
     )
 
 
-def _kraus_nnz_fraction(ch):
-    """Fraction of nonzero entries of the superoperator, from Kraus sparsity."""
-    n2 = ch.dim**2
-    nnz = (np.count_nonzero(ch._stack, axis=(1, 2)) ** 2).sum()
+def _sparse_superoperator(ch):
+    """The CSC superoperator of a sparse Kraus family, made on first use and
+    kept with the channel; None for a dense family."""
+    if ch._sparse and ch._superop is None:
+        object.__setattr__(ch, "_superop", _superoperator_sparse(ch))
+    return ch._superop
+
+
+def _nnz_fraction(stack):
+    """Fraction of nonzero entries of the superoperator of an (n, d, d)
+    Kraus stack, from the sparsity of the operators."""
+    n2 = stack.shape[1] ** 2
+    nnz = (np.count_nonzero(stack, axis=(1, 2)) ** 2).sum()
     return min(1.0, nnz / float(n2 * n2))
+
+
+def _kraus_stack(kraus):
+    """The Kraus operators as a new (n, d, d) complex array.  A family that
+    converts to one is checked whole; otherwise, or when an entry is not
+    finite, operator by operator, so that the error names the operator."""
+    if not isinstance(kraus, np.ndarray):
+        kraus = list(kraus)
+    try:
+        stack = np.array(kraus, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if (
+        stack is not None
+        and stack.ndim == 3
+        and stack.shape[0] >= 1
+        and stack.shape[1] == stack.shape[2]
+        and np.isfinite(stack).all()
+    ):
+        return stack
+    mats = [as_complex_matrix(v, f"kraus[{i}]") for i, v in enumerate(kraus)]
+    if not mats:
+        raise ArgumentError("a channel needs at least one Kraus operator")
+    d = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape != (d, d):
+            raise ArgumentError(
+                f"kraus[{i}] has shape {m.shape}, expected ({d}, {d})"
+            )
+    return np.stack(mats)
 
 
 def _kraus_gram(stack):
@@ -248,14 +346,11 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
         raise ArgumentError(
             f"columns must sum to one (deviation {col_dev:.3e})"
         )
-    kraus = []
-    for j in range(n):
-        for i in range(n):
-            if p[i, j] > 0.0:
-                v = np.zeros((n, n), dtype=complex)
-                v[i, j] = np.sqrt(p[i, j])
-                kraus.append(v)
-    return KrausChannel(kraus, tol=tol)
+    # one operator per positive entry, ordered by column j, then row i
+    j, i = np.nonzero(p.T > 0.0)
+    stack = np.zeros((j.size, n, n), dtype=complex)
+    stack[np.arange(j.size), i, j] = np.sqrt(p[i, j])
+    return KrausChannel(stack, tol=tol)
 
 
 def oqrw_transition_map(p, q, num_sites):

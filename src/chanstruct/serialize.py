@@ -36,10 +36,10 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, _transfer_matrix
+from .channels import KrausChannel, _hermitian_transfer_matrix, _transfer_matrix
 from .errors import ArgumentError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
-from .spectral import _hermitian_coordinates, _peripheral
+from .spectral import _peripheral
 from .structure import (
     AlphaBlock,
     BetaBlock,
@@ -286,7 +286,7 @@ def report_file_from_report(report):
     eigenvalues = []
     for i, (a, n_i) in enumerate(parts):
         # the (i, i) pair map preserves Hermiticity: real coordinates
-        w = np.linalg.eigvals(_hermitian_coordinates(_transfer_matrix(a, a)))
+        w = np.linalg.eigvals(_hermitian_transfer_matrix(a))
         eigenvalues.append(np.tile(w, n_i * n_i))
         for b, n_j in parts[i + 1:]:
             w = np.linalg.eigvals(_transfer_matrix(a, b))

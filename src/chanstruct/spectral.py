@@ -30,13 +30,16 @@ U, so every basis vector is the vec of a Hermitian matrix.
 
 Both kernels come from block shift-invert subspace iteration around
 sigma = 1 + 3e-6, at every channel size.  (M_h - sigma I)^{-1} is applied by a
-sparse LU when the Kraus family is sparse, and otherwise by an explicit dense
-inverse (its transpose for the left kernel), all in real arithmetic.  A block
-wider than the eigenvalue-1 multiplicity captures the whole degenerate
-eigenspace, where single-vector Krylov methods under-count it, and the block
-is widened until some Ritz value falls outside the cluster: that certifies
-the multiplicity.  Every accepted vector is residual-verified against M_h,
-so misconvergence cannot silently corrupt the result.
+sparse LU when the Kraus family is sparse (the rule and the cached sparse M
+are the channel's, see chanstruct.channels), and otherwise by an explicit
+dense inverse (its transpose for the left kernel), all in real arithmetic.
+A dense M_h is built straight from the real and imaginary parts of the
+Kraus stack, and its diagonal is shifted in place.  A block wider than the
+eigenvalue-1 multiplicity captures the whole degenerate eigenspace, where
+single-vector Krylov methods under-count it, and the block is widened until
+some Ritz value falls outside the cluster: that certifies the multiplicity.
+Every accepted vector is residual-verified against M_h, so misconvergence
+cannot silently corrupt the result.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
 those of M: exact for any Kraus family; a report carries the same list at far
@@ -50,11 +53,10 @@ from functools import partial
 import numpy as np
 
 from .channels import (
-    _kraus_nnz_fraction,
-    _superoperator_sparse,
+    _hermitian_transfer_matrix,
+    _sparse_superoperator,
     apply,
     is_state,
-    superoperator,
 )
 from .errors import ArgumentError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, unvec, vec
@@ -70,7 +72,6 @@ __all__ = [
     "perron_frobenius_certificate",
 ]
 
-_SPARSE_FRACTION = 0.02
 _ARNOLDI_SEED = 1729
 _MAX_BLOCK_STEPS = 50
 # widest accepted multiplicity: 256, or more while the block holds no more
@@ -207,20 +208,14 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
 
 
 def _hermitian_coordinates(m):
-    """The real matrix M_h = U^H M U = Re M + Im(M K) of a Hermiticity-
-    preserving superoperator M, dense or sparse (see the module docstring)."""
+    """The real sparse matrix M_h = U^H M U = Re M + Im(M K) of a sparse
+    Hermiticity-preserving superoperator M (see the module docstring); a
+    dense M_h comes straight from the Kraus stack,
+    ``channels._hermitian_transfer_matrix``."""
     n2 = m.shape[0]
     d = math.isqrt(n2)
     # column j d + i of M K is column i d + j of M
-    if not isinstance(m, np.ndarray):
-        return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
-    h = np.empty((n2, n2))
-    np.add(
-        m.real.reshape(n2, d, d),
-        m.imag.reshape(n2, d, d).transpose(0, 2, 1),
-        out=h.reshape(n2, d, d),
-    )
-    return h
+    return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
 
 
 def _from_hermitian_coordinates(y, d):
@@ -237,23 +232,33 @@ def _fixed_pair(ch, tol):
     d = ch.dim
     n2 = d * d
     sigma = 1.0 + 3e-6
-    if _kraus_nnz_fraction(ch) <= _SPARSE_FRACTION:
+    m = _sparse_superoperator(ch)
+    if m is not None:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        h = _hermitian_coordinates(_superoperator_sparse(ch))
+        h = _hermitian_coordinates(m)
         lu = spla.splu((h - sigma * sp.identity(n2, format="csc")).tocsc())
         solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="T")
+        matmul_fwd, matmul_adj = h.__matmul__, h.T.__matmul__
     else:
         # an explicit inverse applied by matmul, in numpy's BLAS: multi-RHS
         # lu_solve calls stalled at 2 BLAS threads on small systems (n = 100,
         # 8 right-hand sides: 2.9 ms per call against 59 us at 1 thread)
-        h = _hermitian_coordinates(superoperator(ch))
-        inv = np.linalg.inv(h - sigma * np.eye(n2))
+        shifted = _hermitian_transfer_matrix(ch._stack)
+        shifted.flat[:: n2 + 1] -= sigma
+        inv = np.linalg.inv(shifted)
         solve_fwd, solve_adj = inv.__matmul__, inv.T.__matmul__
 
-    right, gap_r = _block_kernel(solve_fwd, h.__matmul__, n2, sigma, tol)
-    left, gap_l = _block_kernel(solve_adj, h.T.__matmul__, n2, sigma, tol)
+        # M_h q = (M_h - sigma I) q + sigma q: one d^2 x d^2 matrix is held
+        def matmul_fwd(q):
+            return shifted @ q + sigma * q
+
+        def matmul_adj(q):
+            return shifted.T @ q + sigma * q
+
+    right, gap_r = _block_kernel(solve_fwd, matmul_fwd, n2, sigma, tol)
+    left, gap_l = _block_kernel(solve_adj, matmul_adj, n2, sigma, tol)
     if right.shape[1] == 0:
         raise DecompositionError(
             "fixed-space",
@@ -361,7 +366,7 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     for any Kraus family, at O(d^6) cost.  For a large trace-preserving
     channel read its report's ``peripheral_spectrum``.
     """
-    h = _hermitian_coordinates(superoperator(ch))
+    h = _hermitian_transfer_matrix(ch._stack)
     return _peripheral(np.linalg.eigvals(h), tol)
 
 

@@ -190,9 +190,8 @@ def enclosure_generated(ch, x, tol=DEFAULT_TOL):
         raise ArgumentError("x must be nonzero")
     space = orthonormal_basis([x], tol)
     for _ in range(ch.dim):
-        columns = [space.frame] + [v @ space.frame for v in ch.kraus]
         grown = orthonormal_basis(
-            list(np.hstack(columns).T), tol, ambient_dim=ch.dim
+            np.hstack((space.frame, _kraus_images(ch, space.frame))), tol
         )
         if grown.dimension == space.dimension:
             break
@@ -214,9 +213,11 @@ def _enclosure_leak(ch, frame):
     the span leaves it in one step, so it does not depend on the Kraus
     representation of the channel."""
     z = _kraus_images(ch, frame)
-    leak = z - frame @ (frame.conj().T @ z)
     # rows (i, a) instead of (a, i): a row permutation keeps the 2-norm
-    return float(np.linalg.norm(leak.reshape(-1, frame.shape[1]), 2))
+    y = (z - frame @ (frame.conj().T @ z)).reshape(-1, frame.shape[1])
+    # |Y|_2^2 is the largest eigenvalue of the k x k Gram matrix Y^H Y; Y is
+    # formed first, so even a tiny leak keeps its relative accuracy
+    return float(np.sqrt(max(np.linalg.eigvalsh(y.conj().T @ y)[-1], 0.0)))
 
 
 def is_enclosure(ch, subspace, tol=DEFAULT_TOL):

@@ -136,6 +136,14 @@ def coordinate_projector(n, indices):
     return p
 
 
+def phased_walk(n_sites):
+    """OQRW conjugated by a diagonal phase: sparse Kraus operators with
+    complex entries."""
+    ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, n_sites), n_sites)
+    phase = np.diag(np.exp(0.7j * np.arange(ch.dim)))
+    return cs.KrausChannel([phase @ v @ phase.conj().T for v in ch.kraus])
+
+
 # ---------------------------------------------------------------------------
 # planted quantum structure
 

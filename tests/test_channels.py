@@ -4,12 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import chanstruct as cs
 import chanstruct.channels
+import chanstruct.spectral
 from helpers import (
     amplitude_damping_apply,
     amplitude_damping_channel,
+    phased_walk,
+    planted_channel,
     random_channel,
     random_kraus_family,
     random_state,
@@ -42,6 +46,45 @@ class TestConstruction:
         with pytest.raises(cs.ArgumentError):
             cs.KrausChannel([])
 
+    def test_array_and_list_give_one_stack(self):
+        family = random_kraus_family(3, 4, RNG) + [np.zeros((3, 3))]
+        from_list = cs.KrausChannel(family)
+        array = np.stack(family)
+        from_array = cs.KrausChannel(array)
+        assert from_list._stack.tobytes() == from_array._stack.tobytes()
+        assert len(from_list) == len(from_array) == 4
+        for ch in (from_list, from_array):
+            assert ch._stack.shape == (4, 3, 3) and not ch._stack.flags.writeable
+            for a, v in enumerate(ch.kraus):
+                assert v.base is ch._stack
+                assert v.tobytes() == family[a].astype(complex).tobytes()
+        # the channel holds a copy: changing the input changes nothing
+        array[0] = 0.0
+        assert from_array._stack.tobytes() == from_list._stack.tobytes()
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ([np.eye(2), np.eye(3)], r"kraus\[1\] has shape \(3, 3\), expected \(2, 2\)"),
+            ([np.eye(2), np.ones(2)], r"kraus\[1\] has shape \(2,\), expected \(2, 2\)"),
+            ([np.eye(2), np.full((2, 2), np.nan)], r"kraus\[1\] contains non-finite"),
+            ([np.eye(2), np.diag([1.0, np.inf])], r"kraus\[1\] contains non-finite"),
+            ([], "at least one Kraus operator"),
+            ([np.zeros((2, 2)), np.zeros((2, 2))], "all Kraus operators are zero"),
+        ],
+        ids=["ragged", "vector", "nan", "inf", "empty", "all-zero"],
+    )
+    def test_errors_name_the_operator(self, family, message):
+        with pytest.raises(cs.ArgumentError, match=message):
+            cs.KrausChannel(family)
+        if family and len({np.shape(v) for v in family}) == 1:
+            with pytest.raises(cs.ArgumentError, match=message):
+                cs.KrausChannel(np.array(family))
+
+    def test_empty_array_is_rejected(self):
+        with pytest.raises(cs.ArgumentError, match="at least one Kraus operator"):
+            cs.KrausChannel(np.zeros((0, 2, 2)))
+
 
 class TestApply:
     def test_matches_closed_form(self):
@@ -72,6 +115,35 @@ class TestApply:
         ch = random_channel(3, 2, RNG)
         with pytest.raises(cs.ArgumentError):
             cs.apply(ch, np.eye(2))
+        with pytest.raises(cs.ArgumentError):
+            cs.apply_adjoint(ch, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "family, sparse",
+        [("markov", True), ("oqrw", True), ("phased-walk", True), ("planted", False)],
+    )
+    def test_matches_kraus_sum(self, family, sparse):
+        rng = np.random.default_rng(211)
+        if family == "markov":
+            p = rng.uniform(size=(9, 9)) * (rng.uniform(size=(9, 9)) < 0.4)
+            p[0] += 0.1
+            ch = cs.from_markov_chain(p / p.sum(axis=0))
+        elif family == "oqrw":
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.2, 6), 6)
+        elif family == "phased-walk":
+            ch = phased_walk(5)
+        else:
+            ch = planted_channel(rng, [2, 3], [(2, 2)], 2)[0]
+        assert ch._sparse is sparse
+        d = ch.dim
+        for _ in range(3):
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            image = sum(v @ x @ v.conj().T for v in ch.kraus)
+            preimage = sum(v.conj().T @ x @ v for v in ch.kraus)
+            assert np.abs(cs.apply(ch, x) - image).max() <= 1e-13
+            assert np.abs(cs.apply_adjoint(ch, x) - preimage).max() <= 1e-13
+        # a sparse family applies its cached superoperator, a dense one keeps none
+        assert (ch._superop is not None) is sparse
 
 
 class TestSuperoperator:
@@ -123,6 +195,25 @@ class TestSuperoperator:
         )
         got = chanstruct.channels._transfer_matrix(a, b)
         assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("family", ["random", "planted", "phased-walk", "markov"])
+    def test_hermitian_transfer_matrix_equals_coordinates(self, family):
+        rng = np.random.default_rng(223)
+        if family == "random":
+            ch = random_channel(5, 4, rng)
+        elif family == "planted":
+            ch = planted_channel(rng, [2], [(2, 2)], 2)[0]
+        elif family == "phased-walk":
+            ch = phased_walk(3)
+        else:
+            p = rng.uniform(size=(5, 5))
+            ch = cs.from_markov_chain(p / p.sum(axis=0))
+        ref = chanstruct.spectral._hermitian_coordinates(
+            sp.csc_matrix(cs.superoperator(ch))
+        ).toarray()
+        got = chanstruct.channels._hermitian_transfer_matrix(ch._stack)
+        assert got.dtype == np.float64 and got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-15
 
     def test_superoperator_holds_one_copy(self):
@@ -195,6 +286,21 @@ class TestMarkov:
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         out = cs.apply(ch, rho)
         assert np.abs(out[0, 1]) < 1e-14
+
+    def test_one_operator_per_positive_entry(self):
+        p = RNG.uniform(size=(6, 6)) * (RNG.uniform(size=(6, 6)) < 0.5)
+        p[0] += 0.1
+        p /= p.sum(axis=0)
+        ch = cs.from_markov_chain(p)
+        # column by column, top to bottom
+        ref = []
+        for j in range(6):
+            for i in range(6):
+                if p[i, j] > 0.0:
+                    v = np.zeros((6, 6), dtype=complex)
+                    v[i, j] = np.sqrt(p[i, j])
+                    ref.append(v)
+        assert ch._stack.tobytes() == np.stack(ref).tobytes()
 
     def test_rejects_bad_columns(self):
         with pytest.raises(cs.ArgumentError):

@@ -9,6 +9,7 @@ import chanstruct.spectral
 from helpers import (
     haar_unitary,
     amplitude_damping_channel,
+    phased_walk,
     planted_channel,
     random_channel,
     random_state,
@@ -144,25 +145,18 @@ def _hermitian_unitary(d):
     return ((1 + 1j) * np.eye(n2) + (1 - 1j) * swap) / 2.0
 
 
-def _phased_walk(n_sites):
-    """OQRW conjugated by a diagonal phase: sparse Kraus operators with
-    complex entries."""
-    ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, n_sites), n_sites)
-    phase = np.diag(np.exp(0.7j * np.arange(ch.dim)))
-    return cs.KrausChannel([phase @ v @ phase.conj().T for v in ch.kraus])
-
-
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("case", ["dense-random", "sparse-walk", "sparse-phased"])
     def test_coordinates_are_real_unitary_similarity(self, case):
         if case == "dense-random":
             ch = random_channel(4, 3, RNG)
-            h = chanstruct.spectral._hermitian_coordinates(cs.superoperator(ch))
+            # a dense M_h is built straight from the Kraus stack
+            h = chanstruct.channels._hermitian_transfer_matrix(ch._stack)
             assert isinstance(h, np.ndarray)
         else:
             ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5)
             if case == "sparse-phased":
-                ch = _phased_walk(5)
+                ch = phased_walk(5)
             m = chanstruct.channels._superoperator_sparse(ch)
             h = chanstruct.spectral._hermitian_coordinates(m)
             assert h.format == "csc"
@@ -180,7 +174,7 @@ class TestHermitianCoordinates:
             lambda: amplitude_damping_channel(0.3),
             lambda: cs.KrausChannel([np.roll(np.eye(3), 1, axis=0)]),
             lambda: planted_channel(np.random.default_rng(341), [2], [(2, 2)], 2)[0],
-            lambda: _phased_walk(4),
+            lambda: phased_walk(4),
         ],
         ids=["amplitude-damping", "three-cycle-unitary", "planted", "phased-walk"],
     )
@@ -371,6 +365,35 @@ class TestSingleSolve:
         assert len(rf.report.beta_blocks) == 1
         assert rf.report.D.dimension == 2
         assert rf.fixed_space_dimension == truth["fixed_dim"]
+
+    @pytest.mark.parametrize("family", ["markov", "oqrw"])
+    def test_sparse_superoperator_built_once(self, monkeypatch, family):
+        # the eigenvalue-1 solve, every apply/apply_adjoint of decompose, the
+        # report extras and building a state share one CSC superoperator
+        built = []
+        make = chanstruct.channels._superoperator_sparse
+
+        def counting(ch):
+            built.append(ch.dim)
+            return make(ch)
+
+        monkeypatch.setattr(chanstruct.channels, "_superoperator_sparse", counting)
+        if family == "markov":
+            ch = _markov_cycle_fed_by_transients()
+        else:
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5)
+        assert ch._sparse
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        report = rf.report
+        # weight 1/c on every minimal enclosure, c their count
+        c = len(report.alpha_blocks) + sum(len(b.enclosures) for b in report.beta_blocks)
+        params = cs.InvariantStateParameters(
+            t=np.full(len(report.alpha_blocks), 1.0 / c),
+            M=tuple(np.eye(len(b.enclosures)) / c for b in report.beta_blocks),
+        )
+        rho = cs.build_invariant_state(report, params)
+        assert np.abs(cs.apply(ch, rho) - rho).max() <= 1e-10
+        assert built == [ch.dim]
 
 
 def _markov_cycle_fed_by_transients():

@@ -93,6 +93,22 @@ class TestEnclosurePredicates:
         assert max(leak(ch, f) for f in frames[:-3]) < 1e-10
         assert min(leak(ch, f) for f in frames[-3:]) > 1e-3
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_gram_leak_matches_spectral_norm(self, scale):
+        # V = span(e_0 .. e_{k-1}) and Kraus operators whose lower-left block
+        # is scale * G_a: the leak Y = [scale * G_a]_a is formed exactly, so
+        # the Gram form and an SVD see the same matrix
+        rng = np.random.default_rng(433)
+        d, k, n = 7, 3, 4
+        kraus = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        kraus[:, k:, :k] *= scale
+        ch = cs.KrausChannel(kraus, unchecked=True)
+        frame = np.eye(d, dtype=complex)[:, :k]
+        y = np.concatenate([v[k:, :k] for v in ch.kraus])
+        ref = np.linalg.norm(y, 2)
+        got = chanstruct.structure._enclosure_leak(ch, frame)
+        assert abs(got - ref) <= 1e-12 * ref
+
     def test_subharmonic_rejects_non_projector(self):
         ch = amplitude_damping_channel(0.3)
         with pytest.raises(cs.ArgumentError):
