@@ -146,7 +146,7 @@ def apply(ch, rho):
         raise ArgumentError(
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    m = _sparse_superoperator(ch)
+    m = _cached_superoperator(ch)
     if m is not None:
         return unvec(m @ vec(rho), ch.dim)
     return _sandwich(ch._stack, ch._adjoint, rho)
@@ -159,7 +159,7 @@ def apply_adjoint(ch, x):
         raise ArgumentError(
             f"operand shape {x.shape} does not match channel dimension {ch.dim}"
         )
-    m = _sparse_superoperator(ch)
+    m = _cached_superoperator(ch)
     if m is not None:
         # M^H v = conj(M^T conj(v)); the transpose of a CSC matrix is a CSR
         # view of the same arrays
@@ -207,18 +207,19 @@ def _hermitian_transfer_matrix(stack):
 
     Entry (j p + i, l p + k) is sum_a A_jl A_ik + B_jl B_ik (Re M) plus
     sum_a A_jk B_il - B_jk A_il (Im M at the swapped column k p + l), with
-    every factor taken from operator a.  Each row block j is two real GEMMs
-    over the stacked parts [A; B] and [B; A], so no complex matrix is formed.
+    every factor taken from operator a.  Each row block j is two real GEMMs,
+    rows of [A; B] against [A; B] and rows of [A; -B] against [B; A], so no
+    complex matrix is formed.
     """
     n, p, _ = stack.shape
     re_im = np.concatenate((stack.real, stack.imag))
+    re_neg = np.concatenate((stack.real, -stack.imag))
+    flat = re_im.reshape(2 * n, p * p)
     im_re = np.concatenate((stack.imag, stack.real)).reshape(2 * n, p * p)
-    sign = np.repeat([1.0, -1.0], n)[:, None]
     out = np.empty((p, p, p, p))
     for j in range(p):
-        rows = re_im[:, j, :]
-        re = (rows.T @ re_im.reshape(2 * n, p * p)).reshape(p, p, p)  # (l, i, k)
-        im = ((sign * rows).T @ im_re).reshape(p, p, p)  # (k, i, l)
+        re = (re_im[:, j, :].T @ flat).reshape(p, p, p)  # (l, i, k)
+        im = (re_neg[:, j, :].T @ im_re).reshape(p, p, p)  # (k, i, l)
         np.add(re.transpose(1, 0, 2), im.transpose(1, 2, 0), out=out[j])
     return out.reshape(p * p, p * p)
 
@@ -248,7 +249,7 @@ def _superoperator_sparse(ch):
     )
 
 
-def _sparse_superoperator(ch):
+def _cached_superoperator(ch):
     """The CSC superoperator of a sparse Kraus family, made on first use and
     kept with the channel; None for a dense family."""
     if ch._sparse and ch._superop is None:

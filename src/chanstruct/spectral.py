@@ -53,8 +53,8 @@ from functools import partial
 import numpy as np
 
 from .channels import (
+    _cached_superoperator,
     _hermitian_transfer_matrix,
-    _sparse_superoperator,
     apply,
     is_state,
 )
@@ -232,7 +232,7 @@ def _fixed_pair(ch, tol):
     d = ch.dim
     n2 = d * d
     sigma = 1.0 + 3e-6
-    m = _sparse_superoperator(ch)
+    m = _cached_superoperator(ch)
     if m is not None:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
