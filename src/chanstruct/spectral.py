@@ -3,17 +3,18 @@
 The central computation, solved once per channel and tolerance, is the
 eigenvalue-1 eigenspace pair of the channel's superoperator M: the right
 kernel K of (M - I) spans the fixed points of the channel and the left kernel
-L spans the fixed points of the adjoint.  Because 1 is a semisimple
-eigenvalue for trace-preserving maps, these two spaces determine the
-spectral projection onto the eigenvalue-1 cluster (the Cesaro limit),
+L spans the fixed points of the adjoint.  Everything else is read off these
+two bases.  The positive and negative parts of a Hermitian fixed point of a
+positive trace-preserving map are fixed, so for the Hermitian basis X_i of K
 
-    Pi_1 = K (L^H K)^{-1} L^H,
+    rho_max = sum_i |X_i| / tr
 
-which applied to vec(I/d) yields the maximal-support invariant state whose
-range is the recurrent subspace R, and applied to P_V / dim V the unique
-invariant state on a minimal enclosure V.  X -> P_R X P_R maps the adjoint's
-fixed points onto those of the channel restricted to R (Baumgartner-Narnhofer,
-Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra too.
+is an invariant state whose range is the recurrent subspace R.  Inside R the
+orthocomplement of an enclosure is an enclosure, so on a minimal enclosure
+V the compression P_V rho_max P_V / tr is the unique invariant state.
+X -> P_R X P_R maps the adjoint's fixed points onto those of the channel
+restricted to R (Baumgartner-Narnhofer, Rev. Math. Phys. 24 (2012)), so
+compressing L to R gives that algebra.
 
 A CPTP map preserves Hermiticity, so M commutes with the conjugation
 vec(X) -> vec(X^H) and its eigenvalue-1 eigenspaces are spanned by Hermitian
@@ -59,7 +60,7 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, unvec, vec
+from .linalg import DEFAULT_TOL, Subspace, unvec
 
 __all__ = [
     "FixedSpace",
@@ -102,7 +103,8 @@ class RecurrentSplit:
     """The orthogonal split C^d = R ⊕ D.
 
     R is the closed span of supports of all invariant states, D = R^⊥ the
-    transient part, and rho_max an invariant state with range exactly R.
+    transient part, and rho_max an invariant state with range R (read-only,
+    shared with the channel's eigenvalue-1 solve).
     """
 
     R: Subspace
@@ -127,26 +129,19 @@ class PerronFrobeniusCertificate:
 @dataclass(frozen=True)
 class _SpectralCore:
     """The eigenvalue-1 solve of a channel: orthonormal bases ``right`` of
-    ker(M - I) and ``left`` of ker(M^H - I), as (d^2, k) arrays, and the LU
-    factors ``pairing`` of left^H right."""
+    ker(M - I) and ``left`` of ker(M^H - I), as (d^2, k) arrays of vecs of
+    Hermitian matrices, and the read-only invariant state ``rho_max`` with
+    range R."""
 
-    dim: int
     right: np.ndarray
     left: np.ndarray
-    pairing: tuple
+    rho_max: np.ndarray
     gap: float
     warnings: tuple
 
     @property
     def multiplicity(self):
         return self.right.shape[1]
-
-    def project(self, x):
-        """Pi_1 applied to a d x d matrix."""
-        from scipy.linalg import lu_solve
-
-        coeff = lu_solve(self.pairing, self.left.conj().T @ vec(x))
-        return unvec(self.right @ coeff, self.dim)
 
 
 def _block_kernel(solve, matmul, n2, sigma, tol):
@@ -191,8 +186,8 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
             continue
         basis = np.linalg.qr(y @ z[:, :k])[0]
         res = max(np.linalg.norm(matmul(basis) - basis, axis=0), default=0.0)
-        # keep iterating while the residual still halves: rank decisions on
-        # Pi_1 (rho_max, block states) need accuracy far below the tolerance
+        # keep iterating while the residual still halves: the rank cut on
+        # rho_max and the block states need accuracy far below the tolerance
         stalled, residual = res >= 0.5 * residual, res
         if k == last and residual <= tol.eig_cluster_tol and stalled:
             mu = np.linalg.eigvals(t[k:, k:])
@@ -281,17 +276,15 @@ def _spectral_core(ch, tol):
     """The eigenvalue-1 solve of ``ch`` at ``tol``, made on first use and
     kept with the channel."""
     if tol not in ch._cores:
-        from scipy.linalg import lu_factor
-
         right, left, gap = _fixed_pair(ch, tol)
-        pairing = lu_factor(left.conj().T @ right, check_finite=False)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (
                 "eigenvalue-1 cluster ill-separated "
                 f"(nearest non-fixed distance {gap:.3e})",
             )
-        ch._cores[tol] = _SpectralCore(ch.dim, right, left, pairing, gap, warnings)
+        rho = _rho_max(right, ch.dim)
+        ch._cores[tol] = _SpectralCore(right, left, rho, gap, warnings)
     return ch._cores[tol]
 
 
@@ -320,29 +313,26 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     return acc / float(n)
 
 
-def _rho_max(core):
-    """Pi_1(I/d), Hermitized and normalized."""
-    d = core.dim
-    rho = core.project(np.eye(d, dtype=complex) / d)
-    rho = (rho + rho.conj().T) / 2.0
-    trace = np.trace(rho).real
-    if not 0.0 < trace < np.inf:  # also a singular left/right pairing
-        raise DecompositionError(
-            "recurrent-split", f"spectral projection of I/d has trace {trace:.3e}"
-        )
-    return rho / trace
+def _rho_max(right, d):
+    """sum_i |X_i| / tr over the Hermitian fixed points X_i, the columns of
+    ``right``, made exactly Hermitian and read-only."""
+    w, v = np.linalg.eigh(np.stack([unvec(x, d) for x in right.T]))
+    rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    rho.setflags(write=False)
+    return rho
 
 
 def recurrent_split(ch, tol=DEFAULT_TOL):
     """Split C^d into the recurrent subspace R and the transient part D.
 
-    rho_max is the eigenvalue-1 spectral projection of the superoperator
-    applied to vec(I/d), Hermitized and normalized; its range at rank_tol
+    rho_max is the invariant state sum_i |X_i| / tr over the Hermitian
+    fixed-point basis X_i (see the module docstring); its range at rank_tol
     is R and D is the orthocomplement.  Every invariant state is supported
     inside R.
     """
     core = _spectral_core(ch, tol)
-    rho = _rho_max(core)
+    rho = core.rho_max
     w, v = np.linalg.eigh(rho)
     if w[0] < -tol.psd_tol:
         raise DecompositionError(

@@ -508,16 +508,24 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
 def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     """Unique invariant state supported on a minimal enclosure V.
 
-    Computed as Pi_1(P_V / dim V), the Cesaro limit of a state on V, which
-    stays on V.  V is minimal iff it carries a faithful invariant state and
-    the adjoint's fixed points compress to multiples of P_V on it.
+    A minimal enclosure lies in R, and R ⊖ V is an enclosure too
+    (Baumgartner-Narnhofer, arXiv:1507.08404), so on R every Kraus operator
+    is block diagonal over V ⊕ (R ⊖ V) and the compression
+    P_V rho_max P_V / tr of the maximal invariant state is invariant.  An
+    enclosure V ⊆ R is minimal iff the adjoint's fixed points compress to
+    multiples of P_V on it.
     """
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")
     if not is_enclosure(ch, v, tol):
         raise ArgumentError("V is not an enclosure of the channel")
     with _stage("block-invariant-state"):
+        split = recurrent_split(ch, tol)
         core = _spectral_core(ch, tol)
+    if not split.R.contains(v, tol):
+        raise DecompositionError(
+            "block-invariant-state", "V not minimal: V is not contained in R"
+        )
     k = v.dimension
     frame = v.frame
     for x in core.left.T:
@@ -527,26 +535,8 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
                 "block-invariant-state",
                 "V not minimal: an adjoint fixed point is not constant on V",
             )
-    rho = frame.conj().T @ core.project(v.projector() / k) @ frame
-    trace = np.trace(rho)
-    if np.abs(trace) < 1e-10:
-        raise DecompositionError(
-            "block-invariant-state", "projected state on V is traceless"
-        )
-    rho = rho / trace
-    rho = (rho + rho.conj().T) / 2.0
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol.psd_tol:
-        raise DecompositionError(
-            "block-invariant-state",
-            f"projected state on V is not PSD (min eigenvalue {w[0]:.3e})",
-        )
-    if int(np.sum(w >= tol.rank_tol * w[-1])) != k:
-        raise DecompositionError(
-            "block-invariant-state",
-            "V not minimal: invariant state is not faithful on V",
-        )
-    return _expand(frame, rho)
+    rho = frame.conj().T @ split.rho_max @ frame
+    return _expand(frame, (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
 
 
 def _local_state(ch, v, tol):
@@ -578,7 +568,7 @@ def _verify_report(ch, report, tol):
         )
     stacked = np.hstack([f for f in frames if f.shape[1] > 0])
     gram = stacked.conj().T @ stacked
-    if np.abs(gram - np.eye(total)).max() > 1e-8:
+    if np.abs(gram - np.eye(total)).max() > tol.eig_cluster_tol:
         raise DecompositionError(
             "verification", "blocks are not mutually orthogonal"
         )
@@ -601,7 +591,7 @@ def _verify_report(ch, report, tol):
             # Q_g = F_g F_0^H gives Q_g Q_g^H = P_g, and Q_g^H Q_g = P_0
             # exactly when F_g has orthonormal columns
             f = blk.enclosures[g].frame
-            if np.abs(f.conj().T @ f - eye).max() > 1e-8:
+            if np.abs(f.conj().T @ f - eye).max() > tol.eig_cluster_tol:
                 raise DecompositionError(
                     "verification", f"Q^H Q mismatch in B-block {blk.index}"
                 )
@@ -609,7 +599,7 @@ def _verify_report(ch, report, tol):
             # is sigma_ref
             independent = _local_state(ch, blk.enclosures[g], tol)
             deviation = np.abs(blk.sigma_ref - independent).max()
-            if deviation > 1e-7:
+            if deviation > tol.subspace_tol:
                 raise DecompositionError(
                     "verification",
                     f"transported reference state disagrees with the "
@@ -622,12 +612,12 @@ def _verify_block_state(ch, enclosure, sigma, label, tol):
     if not is_state(sigma, tol):
         raise DecompositionError("verification", f"{label} state is not a state")
     rho = _expand(enclosure.frame, sigma)
-    if np.abs(apply(ch, rho) - rho).max() > 1e-8:
+    if np.abs(apply(ch, rho) - rho).max() > tol.eig_cluster_tol:
         raise DecompositionError(
             "verification", f"{label} state is not invariant"
         )
     comp = np.eye(ch.dim) - enclosure.projector()
-    if np.abs(comp @ rho).max() > 1e-8:
+    if np.abs(comp @ rho).max() > tol.eig_cluster_tol:
         raise DecompositionError(
             "verification", f"{label} state leaks outside its enclosure"
         )
@@ -765,7 +755,7 @@ def extract_parameters(report, rho, tol=None):
     """Recover block parameters from an invariant state.
 
     A-block weights come from traces against the block projectors; B-block
-    matrices from Hilbert-Schmidt pairings with the transported reference
+    matrices from Hilbert-Schmidt inner products with the transported reference
     states.  Returns the parameters together with the max-abs residual of
     the re-assembled state; the residual is reported, and a warning is
     emitted when an invariant input fails to round-trip.

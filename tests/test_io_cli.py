@@ -712,11 +712,15 @@ class TestCliDecompose:
         self, tmp_path, capsys, monkeypatch
     ):
         # The eigenvalue-1 kernel of the identity channel on C^2 without
-        # vec(E22).  The rest of the pipeline stays self-consistent (R =
-        # span{e1}, one A-block), so only the count n_alpha + sum n_b^2 = 1
+        # i (E12 - E21) / sqrt 2, the Hermitian columns E11, E22 and
+        # (E12 + E21) / sqrt 2 on both sides.  The rest of the pipeline stays
+        # self-consistent (R = C^2, the two copies of one B-block linked by
+        # the third column), so only the count n_alpha + sum n_b^2 = 4
         # against rank K = 3 exposes the lost column.
         def dropped(ch, tol):
-            keep = np.eye(4, dtype=complex)[:, :3]
+            keep = np.zeros((4, 3), dtype=complex)
+            keep[[0, 3], [0, 1]] = 1.0
+            keep[[1, 2], 2] = 1.0 / np.sqrt(2.0)
             return keep, keep.copy(), np.inf
 
         monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", dropped)
@@ -725,7 +729,7 @@ class TestCliDecompose:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "DecompositionError"
         assert err["stage"] == "verification"
-        assert err["diagnostics"] == {"expected": 1, "found": 3}
+        assert err["diagnostics"] == {"expected": 4, "found": 3}
 
 
 class TestCliBuild:

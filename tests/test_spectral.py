@@ -185,8 +185,9 @@ class TestHermitianCoordinates:
             assert np.abs(x - x.conj().T).max() <= 1e-12
             assert np.abs(cs.apply(ch, x) - x).max() <= 1e-9
 
-    def test_rho_max_equals_dense_spectral_projection(self):
-        # reference Pi_1 from a full eigendecomposition of M, no kernel
+    def test_rho_max_is_invariant_state_with_range_of_dense_projection(self):
+        # reference range from Pi_1(I/d), Pi_1 from a full eigendecomposition
+        # of M, no kernel
         rng = np.random.default_rng(343)
         ch, truth = planted_channel(rng, [2, 3], [(2, 2)], 2)
         d = ch.dim
@@ -194,12 +195,17 @@ class TestHermitianCoordinates:
         cluster = np.abs(w - 1.0) <= cs.DEFAULT_TOL.eig_cluster_tol
         assert cluster.sum() == truth["fixed_dim"]
         pi = v[:, cluster] @ np.linalg.inv(v)[cluster, :]
-        rho = cs.unvec(pi @ cs.vec(np.eye(d) / d), d)
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.trace(rho).real
+        w_ref, v_ref = np.linalg.eigh(cs.unvec(pi @ cs.vec(np.eye(d) / d), d))
+        range_ref = v_ref[:, w_ref > 1e-9 * w_ref[-1]]
         split = cs.recurrent_split(ch)
-        assert split.D.dimension == 2
-        assert np.abs(split.rho_max - rho).max() <= 1e-10
+        rho = split.rho_max
+        assert np.abs(cs.apply(ch, rho) - rho).max() <= 1e-10
+        assert np.abs(rho - rho.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert split.D.dimension == 2 and range_ref.shape[1] == d - 2
+        proj = range_ref @ range_ref.conj().T
+        assert np.abs(split.R.projector() - proj).max() <= 1e-10
 
 
 class TestCesaro:

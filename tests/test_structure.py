@@ -310,6 +310,16 @@ class TestPartialIsometry:
             )
 
 
+def _enclosure_off_R():
+    """A planted channel (one 3-dim A-block, 2 transient dimensions) and the
+    5-dim enclosure that a transient vector generates."""
+    ch, _ = planted_channel(np.random.default_rng(5), [3], [], 2, n_kraus=3)
+    split = cs.recurrent_split(ch)
+    v = cs.enclosure_generated(ch, split.D.frame[:, 0])
+    assert v.dimension == 5
+    return ch, v
+
+
 class TestBlockInvariantState:
     def test_amplitude_damping(self):
         ch = amplitude_damping_channel(0.4)
@@ -326,6 +336,23 @@ class TestBlockInvariantState:
         ch = cs.KrausChannel([np.eye(2)])
         with pytest.raises(cs.DecompositionError, match="V not minimal"):
             cs.block_invariant_state(ch, cs.Subspace.full(2))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (amplitude_damping_channel(0.4), cs.Subspace.full(2)),
+            _enclosure_off_R,
+        ],
+        ids=["amplitude-damping-full", "planted-transient-seed"],
+    )
+    def test_rejects_enclosure_outside_R(self, make):
+        # the adjoint fixed space is {I}, constant on any V, so only the
+        # containment V ⊆ R rejects these non-minimal enclosures
+        ch, v = make()
+        assert cs.fixed_space(ch).dimension == 1
+        assert cs.is_enclosure(ch, v)
+        with pytest.raises(cs.DecompositionError, match="V not minimal"):
+            cs.block_invariant_state(ch, v)
 
     def test_faithful_invariant_state(self):
         ch, _ = planted_channel(RNG, [3], [], 0, n_kraus=3)
@@ -573,6 +600,17 @@ class TestBlockStateParity:
 
 
 class TestTolerancePassing:
+    @pytest.mark.parametrize("eig_cluster_tol", [1e-10, 1e-6, 1e-4])
+    def test_cluster_tolerance_sweep_keeps_block_counts(self, eig_cluster_tol):
+        # every threshold of the final verification follows the tolerance
+        ch, truth = planted_channel(
+            np.random.default_rng(577), [2, 1], [(2, 2)], 2, n_kraus=3
+        )
+        rep = cs.decompose(ch, tol=cs.Tolerance(eig_cluster_tol=eig_cluster_tol))
+        assert len(rep.alpha_blocks) == truth["n_alpha"]
+        assert [len(b.enclosures) for b in rep.beta_blocks] == truth["beta_sizes"]
+        assert rep.D.dimension == truth["d_transient"]
+
     def test_loose_psd_tolerance_accepts_slightly_negative_state(self):
         ch = amplitude_damping_channel(0.3)
         rho = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
