@@ -125,7 +125,8 @@ class ValidationReport:
 
 
 def is_state(rho, tol=DEFAULT_TOL):
-    """Density-matrix predicate: Hermitian, PSD within psd_tol, trace 1."""
+    """Density-matrix predicate: Hermitian, PSD within psd_tol, trace 1
+    within eig_cluster_tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
@@ -133,7 +134,8 @@ def is_state(rho, tol=DEFAULT_TOL):
         1.0, np.abs(rho).max()
     ):
         return False
-    if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
+    trace = np.trace(rho)
+    if max(abs(trace.real - 1.0), abs(trace.imag)) > tol.eig_cluster_tol:
         return False
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     return bool(w[0] >= -tol.psd_tol)

@@ -36,10 +36,10 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, _hermitian_transfer_matrix, _transfer_matrix
+from .channels import KrausChannel, _transfer_matrix
 from .errors import ArgumentError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
-from .spectral import _peripheral
+from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
     AlphaBlock,
     BetaBlock,
@@ -273,30 +273,36 @@ def report_file_from_report(report):
     """Attach the fixed-space dimension n_alpha + sum_b n_b^2 and the
     peripheral spectrum of the report's channel, which is that of the
     channel on B(R), taken per unordered pair of blocks (see the README's
-    numerical policy): the spectrum of the pair of first copies counts
+    numerical policy).  The (i, i) pair is block i's own channel, whose
+    peripheral spectrum is the exact p-th roots of unity for its certified
+    period p (``spectral._block_period``), or the eigenvalues of its M_h
+    when the period walk finds no start, gives up, or fails its certificate.
+    It counts n_i^2 times.  A pair of blocks of unequal dimension has no
+    peripheral eigenvalue; any other (i, j) pair of first copies counts
     n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
     if report.channel is None:
         raise ParseError("report does not retain its channel")
     stack = report.channel._stack
-    # F^H V_a F for the first enclosure F of every block, and its copy count
-    blocks = [(blk.enclosure.frame, 1) for blk in report.alpha_blocks] + [
-        (blk.enclosures[0].frame, len(blk.enclosures)) for blk in report.beta_blocks
+    tol = report.tolerance
+    # F^H V_a F for the first enclosure F of every block, its state and its
+    # copy count
+    blocks = [(blk.enclosure.frame, blk.sigma, 1) for blk in report.alpha_blocks] + [
+        (blk.enclosures[0].frame, blk.sigma_ref, len(blk.enclosures))
+        for blk in report.beta_blocks
     ]
-    parts = [(f.conj().T @ stack @ f, n) for f, n in blocks]
+    parts = [(f.conj().T @ stack @ f, sigma, n) for f, sigma, n in blocks]
     eigenvalues = []
-    for i, (a, n_i) in enumerate(parts):
-        # the (i, i) pair map preserves Hermiticity: real coordinates
-        w = np.linalg.eigvals(_hermitian_transfer_matrix(a))
-        eigenvalues.append(np.tile(w, n_i * n_i))
-        for b, n_j in parts[i + 1:]:
+    for i, (a, sigma, n_i) in enumerate(parts):
+        eigenvalues.append(np.tile(_block_eigenvalues(a, sigma, tol), n_i * n_i))
+        for b, _, n_j in parts[i + 1:]:
+            if b.shape != a.shape:
+                continue
             w = np.linalg.eigvals(_transfer_matrix(a, b))
             eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))
     return ReportFile(
         report=report,
         fixed_space_dimension=_fixed_dimension(report),
-        peripheral_spectrum=tuple(
-            _peripheral(np.concatenate(eigenvalues), report.tolerance)
-        ),
+        peripheral_spectrum=tuple(_peripheral(np.concatenate(eigenvalues), tol)),
     )
 
 
@@ -347,7 +353,7 @@ def _subspace_from_lists(data, dim, where):
         raise ParseError(f"{where}: frame is not orthonormal ({err})") from err
 
 
-def _block_state(data, space, ambient, where):
+def _block_state(data, space, ambient, tol, where):
     """A block state in the coordinates of ``space.frame``.  A d x d state
     (versions 1 and 2) is compressed, F^H rho F, after checking that it lies
     inside the enclosure: nothing outside it may be dropped."""
@@ -357,12 +363,12 @@ def _block_state(data, space, ambient, where):
     d = space.ambient_dim
     rho = _matrix_from_lists(data, d, d, where)
     sigma = space.frame.conj().T @ rho @ space.frame
-    if np.abs(rho - _expand(space.frame, sigma)).max() > 1e-8:
+    if np.abs(rho - _expand(space.frame, sigma)).max() > tol.eig_cluster_tol:
         raise ParseError(f"{where}: state lies outside its enclosure")
     return sigma
 
 
-def _aligned_frames(data, encs, where):
+def _aligned_frames(data, encs, tol, where):
     """The frames F_g = Q_g F_0 of a B-block stored with d x d transports Q_g
     (versions 1 and 2).  Q_0 must be the projector onto enclosures[0], and
     each Q_g must map it onto enclosures[g]."""
@@ -381,7 +387,7 @@ def _aligned_frames(data, encs, where):
                 np.abs(q.conj().T @ q - p0).max(),
                 np.abs(q @ q.conj().T - enc.projector()).max(),
             )
-        if dev > 1e-8:
+        if dev > tol.eig_cluster_tol:
             raise ParseError(
                 f"{where}.isometries[{g}]: does not map enclosures[0] onto "
                 f"enclosures[{g}] (deviation {dev:.3e})"
@@ -428,7 +434,7 @@ def report_file_from_dict(data, re_verify=True):
             _require(blk, "enclosure", prefix), dim, f"{prefix}.enclosure"
         )
         sigma = _block_state(
-            _require(blk, "rho", prefix), enc, ambient, f"{prefix}.rho"
+            _require(blk, "rho", prefix), enc, ambient, tol, f"{prefix}.rho"
         )
         alpha.append(AlphaBlock(enclosure=enc, sigma=sigma))
     beta = []
@@ -441,9 +447,12 @@ def report_file_from_dict(data, re_verify=True):
         if not encs:
             raise ParseError(f"{prefix}: enclosures must be nonempty")
         if ambient:
-            encs = _aligned_frames(_require(blk, "isometries", prefix), encs, prefix)
+            encs = _aligned_frames(
+                _require(blk, "isometries", prefix), encs, tol, prefix
+            )
         sigma_ref = _block_state(
-            _require(blk, "rho_ref", prefix), encs[0], ambient, f"{prefix}.rho_ref"
+            _require(blk, "rho_ref", prefix), encs[0], ambient, tol,
+            f"{prefix}.rho_ref",
         )
         beta.append(
             BetaBlock(

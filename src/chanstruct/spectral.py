@@ -43,10 +43,17 @@ Every accepted vector is residual-verified against M_h, so misconvergence
 cannot silently corrupt the result.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
-those of M: exact for any Kraus family; a report carries the same list at far
-less cost.
+those of M: exact for any Kraus family.  A report carries the same list at far
+less cost, read off its blocks (``serialize.report_file_from_report``): each
+block's own channel is irreducible, so its peripheral spectrum is the exact
+p-th roots of unity for its period p, found by a walk of spans through the
+cyclic subspaces and certified by residuals (``_block_period``), with all
+eigenvalues of the block's M_h as the fallback; a pair of blocks of unequal
+dimension has no peripheral eigenvalue, and a pair of equal dimension takes
+all eigenvalues of its pair map.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -56,6 +63,7 @@ import numpy as np
 from .channels import (
     _cached_superoperator,
     _hermitian_transfer_matrix,
+    _sandwich,
     apply,
     is_state,
 )
@@ -361,9 +369,90 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
 
 
 def _peripheral(eigenvalues, tol):
-    """The eigenvalues with |lambda| >= 1 - eig_cluster_tol, sorted by argument."""
+    """The eigenvalues with |lambda| >= 1 - eig_cluster_tol, sorted by
+    argument in (-pi, pi].  An argument within eig_cluster_tol of -pi counts
+    as pi, so -1 sorts last whatever the sign of its rounded imaginary part."""
+
+    def key(z):
+        angle = cmath.phase(z)
+        if angle < tol.eig_cluster_tol - math.pi:
+            angle = math.pi
+        return (angle, z.real, z.imag)
+
     kept = [complex(z) for z in eigenvalues if abs(z) >= 1.0 - tol.eig_cluster_tol]
-    return sorted(kept, key=lambda z: (np.angle(z), z.real, z.imag))
+    return sorted(kept, key=key)
+
+
+def _cyclic_projections(stack, sigma, tol):
+    """The cyclic projections of an irreducible channel with Kraus stack
+    ``stack`` (n, m, m) and invariant state ``sigma``, in the order the
+    Kraus operators visit them; None when the walk cannot start or does not
+    close.
+
+    The walk starts from an eigenvector of the most isolated eigenvalue of
+    sigma, which counts as simple when it lies farther than
+    sqrt(subspace_tol) from every other one; sigma commutes with the cyclic
+    projections, so that vector lies in one of them.  Each step replaces the
+    span S by the range of Phi(P_S) = Y Y^H, Y = [C_1 F ... C_n F] for the
+    frame F of S, keeping the eigenvectors of this m x m Gram matrix at
+    eigenvalues >= eig_cluster_tol.  A span that fills C^m gives period 1;
+    otherwise the spans repeat once they saturate (to subspace_tol, max-abs
+    on the projectors), and the repeat distance is the period.  The walk
+    gives up after 3m steps.
+    """
+    n, m, _ = stack.shape
+    w, v = np.linalg.eigh(sigma)
+    gaps = np.diff(w)
+    isolation = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    start = int(np.argmax(isolation))
+    if isolation[start] <= math.sqrt(tol.subspace_tol):
+        return None
+    flat = stack.reshape(n * m, m)
+    frame = v[:, start : start + 1]
+    seen = []  # (rank, projector) of the earlier spans, the latest last
+    for _ in range(3 * m):
+        rank, proj = frame.shape[1], frame @ frame.conj().T
+        if rank == m:
+            return [proj]
+        for q in range(1, min(len(seen), m) + 1):
+            old_rank, old = seen[-q]
+            if old_rank == rank and np.abs(old - proj).max() <= tol.subspace_tol:
+                return [p for _, p in seen[-q:]]
+        seen.append((rank, proj))
+        images = (flat @ frame).reshape(n, m, -1).transpose(1, 0, 2).reshape(m, -1)
+        gram_w, gram_v = np.linalg.eigh(images @ images.conj().T)
+        frame = gram_v[:, gram_w >= tol.eig_cluster_tol]
+    return None
+
+
+def _block_period(stack, sigma, tol):
+    """The period p of an irreducible channel (see ``_cyclic_projections``),
+    certified by residuals, or None.  The cyclic projections P_k must sum to
+    I, and u = sum_k omega^k P_k, omega = exp(2 pi i / p), must satisfy
+    |Phi^*(u) - omega u|_max <= subspace_tol."""
+    projs = _cyclic_projections(stack, sigma, tol)
+    if projs is None:
+        return None
+    p = len(projs)
+    if np.abs(sum(projs) - np.eye(stack.shape[1])).max() > tol.subspace_tol:
+        return None
+    omega = np.exp(2j * np.pi / p)
+    u = sum(omega**k * proj for k, proj in enumerate(projs))
+    adjoint = stack.conj().transpose(0, 2, 1)
+    if np.abs(_sandwich(adjoint, stack, u) - omega * u).max() > tol.subspace_tol:
+        return None
+    return p
+
+
+def _block_eigenvalues(stack, sigma, tol):
+    """Eigenvalues of an irreducible channel that include its whole
+    peripheral spectrum: the p-th roots of unity, each simple, for a
+    certified period p (Evans-Hoegh-Krohn), else all m^2 eigenvalues of its
+    real matrix M_h."""
+    p = _block_period(stack, sigma, tol)
+    if p is None:
+        return np.linalg.eigvals(_hermitian_transfer_matrix(stack))
+    return np.exp(2j * np.pi * np.arange(p) / p)
 
 
 def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):

@@ -712,14 +712,15 @@ def _check_parameters(report, params, tol):
                 f"B-block {blk.index} matrix has shape {m.shape}, expected "
                 f"({n_g}, {n_g})"
             )
-        if np.abs(m - m.conj().T).max() > 1e-8 * max(1.0, np.abs(m).max()):
+        scale = max(1.0, np.abs(m).max())
+        if np.abs(m - m.conj().T).max() > tol.eig_cluster_tol * scale:
             raise ArgumentError(f"B-block {blk.index} matrix is not Hermitian")
         m = (m + m.conj().T) / 2.0
         if np.linalg.eigvalsh(m)[0] < -tol.psd_tol:
             raise ArgumentError(f"B-block {blk.index} matrix is not PSD")
         m_list.append(m)
         total += float(np.trace(m).real)
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > tol.eig_cluster_tol:
         raise ArgumentError(
             f"parameters have total weight {total:.12f}, expected 1"
         )
@@ -730,8 +731,8 @@ def build_invariant_state(report, params, tol=None):
     """Assemble the invariant state with the given block parameters.
 
     The output is verified to be a state, and (when the report retains its
-    channel) verified invariant within 1e-8; this is the defining contract
-    of the parametrization and is asserted rather than assumed.
+    channel) verified invariant within eig_cluster_tol; this is the defining
+    contract of the parametrization and is asserted rather than assumed.
     """
     tol = tol if tol is not None else report.tolerance
     t, m_list = _check_parameters(report, params, tol)
@@ -743,7 +744,7 @@ def build_invariant_state(report, params, tol=None):
         )
     if report.channel is not None:
         dev = np.abs(apply(report.channel, rho) - rho).max()
-        if dev > 1e-8:
+        if dev > tol.eig_cluster_tol:
             raise DecompositionError(
                 "build-invariant-state",
                 f"assembled state is not invariant (deviation {dev:.3e})",
@@ -786,8 +787,8 @@ def extract_parameters(report, rho, tol=None):
     params = InvariantStateParameters(t=t, M=tuple(m_list))
     residual = float(np.abs(rho - _assemble(report, t, m_list)).max())
     if report.channel is not None:
-        invariant = np.abs(apply(report.channel, rho) - rho).max() <= 1e-8
-        if invariant and residual > 1e-7:
+        deviation = np.abs(apply(report.channel, rho) - rho).max()
+        if deviation <= tol.eig_cluster_tol and residual > tol.subspace_tol:
             _warnings.warn(
                 "invariant state failed to round-trip through the block "
                 f"parametrization (residual {residual:.3e})",

@@ -36,6 +36,27 @@ def random_channel(d, k, rng):
     return cs.KrausChannel(random_kraus_family(d, k, rng))
 
 
+def cyclic_channel(rng, dims, n_kraus=3):
+    """An irreducible channel of period len(dims), in a Haar-random basis:
+    every Kraus operator maps the k-th of orthogonal subspaces of dimensions
+    ``dims`` into the next one, cyclically, as a block of a random isometry
+    C^(dims[k]) -> C^(n_kraus dims[k+1])."""
+    offsets = np.cumsum([0, *dims])
+    m = offsets[-1]
+    stack = np.zeros((n_kraus, m, m), dtype=complex)
+    for k, src in enumerate(dims):
+        j = (k + 1) % len(dims)
+        dst = dims[j]
+        z = rng.standard_normal((n_kraus * dst, src))
+        q, _ = np.linalg.qr(z + 1j * rng.standard_normal(z.shape))
+        block = (slice(None), slice(offsets[j], offsets[j + 1]))
+        stack[block + (slice(offsets[k], offsets[k + 1]),)] = q.reshape(
+            n_kraus, dst, src
+        )
+    u = haar_unitary(m, rng)
+    return cs.KrausChannel(u @ stack @ u.conj().T)
+
+
 def random_state(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = z @ z.conj().T

@@ -7,11 +7,13 @@ import chanstruct as cs
 import chanstruct.channels
 import chanstruct.spectral
 from helpers import (
+    cyclic_channel,
     haar_unitary,
     amplitude_damping_channel,
     phased_walk,
     planted_channel,
     random_channel,
+    random_kraus_family,
     random_state,
 )
 
@@ -331,6 +333,21 @@ class TestPeripheralSpectrum:
         assert len(spec) == 1
         assert abs(spec[0] - 1.0) < 1e-8
 
+    def test_minus_one_sorts_last_on_both_sides_of_the_cut(self):
+        tol = cs.DEFAULT_TOL
+        got = cs.spectral._peripheral(
+            [complex(-1.0, -1e-17), 1.0, complex(-1.0, 1e-17), -1j], tol
+        )
+        assert [z.imag for z in got] == [-1.0, 0.0, -1e-17, 1e-17]
+        # conjugation by Z: -1 from the off-diagonal pair of 1-dim blocks,
+        # the same values in the same order in the report and the reference
+        ch = cs.KrausChannel([np.diag([1.0, -1.0])])
+        full = cs.peripheral_spectrum(ch)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert np.allclose(full, [1, 1, -1, -1], atol=1e-12)
+        assert len(rf.peripheral_spectrum) == len(full)
+        assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() <= 1e-10
+
 
 class TestCertificate:
     def test_irreducible(self):
@@ -482,6 +499,126 @@ class TestPeripheralSpectrumOnR:
         got = cs.report_file_from_report(rep).peripheral_spectrum
         assert len(got) == len(ref)
         assert np.abs(np.array(got) - np.array(ref)).max() <= 1e-10
+
+
+@pytest.fixture
+def eigvals_sizes(monkeypatch):
+    """The matrix size of every np.linalg.eigvals call from here on."""
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        sizes.append(np.shape(a)[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return sizes
+
+
+def _report_spectrum(ch, eigvals_sizes):
+    """The report and its peripheral spectrum, checked against
+    peripheral_spectrum(ch) value by value; ``eigvals_sizes`` is left with
+    the calls report_file_from_report made."""
+    rep = cs.decompose(ch)
+    full = cs.peripheral_spectrum(ch)
+    eigvals_sizes.clear()
+    got = cs.report_file_from_report(rep).peripheral_spectrum
+    assert len(got) == len(full)
+    assert np.abs(np.array(got) - np.array(full)).max(initial=0.0) <= 1e-10
+    return rep, got
+
+
+def _phase_shifted_copy(rng):
+    # A ⊕ ωA, ω = exp(2πi/3): two unlinked 3-dim A-blocks whose cross pair
+    # map has the peripheral eigenvalues ω and its conjugate
+    omega = np.exp(2j * np.pi / 3)
+    u = haar_unitary(6, rng)
+    kraus = [
+        u @ np.kron(np.diag([1.0, omega]), a) @ u.conj().T
+        for a in random_kraus_family(3, 2, rng)
+    ]
+    return cs.KrausChannel(kraus)
+
+
+class TestReportPeriodWalk:
+    @pytest.mark.parametrize(
+        "dims", [[2, 3], [2, 2, 3], [1, 2, 2, 3], [2, 3, 1, 2, 2]],
+        ids=["p2", "p3", "p4", "p5"],
+    )
+    def test_cyclic_channel_takes_the_walk(self, dims, eigvals_sizes):
+        p = len(dims)
+        ch = cyclic_channel(np.random.default_rng(600 + p), dims)
+        rep, got = _report_spectrum(ch, eigvals_sizes)
+        assert eigvals_sizes == []
+        sigma = rep.alpha_blocks[0].sigma
+        assert np.ptp(np.linalg.eigvalsh(sigma)) > 0.1
+        roots = np.sort_complex(np.exp(2j * np.pi * np.arange(p) / p))
+        assert np.abs(np.sort_complex(np.array(got)) - roots).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["unital", "three-cycle"])
+    def test_no_simple_state_eigenvalue_falls_back(self, case, eigvals_sizes):
+        if case == "unital":
+            rng = np.random.default_rng(607)
+            ch = cs.KrausChannel(
+                [haar_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
+            )
+        else:
+            ch = cs.from_markov_chain(np.roll(np.eye(3), 1, axis=0))
+        rep, got = _report_spectrum(ch, eigvals_sizes)
+        blk = rep.alpha_blocks[0]
+        assert np.abs(blk.sigma - np.eye(3) / 3).max() < 1e-10
+        assert eigvals_sizes == [9]
+        assert len(got) == (1 if case == "unital" else 3)
+
+    def test_unequal_dimension_pair_makes_no_eigvals_call(self, eigvals_sizes):
+        ch, _ = planted_channel(np.random.default_rng(609), [2, 3], [], 1)
+        rep, got = _report_spectrum(ch, eigvals_sizes)
+        assert sorted(b.enclosure.dimension for b in rep.alpha_blocks) == [2, 3]
+        assert eigvals_sizes == []
+        assert got == (1.0, 1.0)
+
+    def test_phase_shifted_copy_is_found(self, eigvals_sizes):
+        rep, got = _report_spectrum(
+            _phase_shifted_copy(np.random.default_rng(611)), eigvals_sizes
+        )
+        assert [b.enclosure.dimension for b in rep.alpha_blocks] == [3, 3]
+        assert rep.beta_blocks == ()
+        # one eigvals, for the off-diagonal pair only
+        assert eigvals_sizes == [9]
+        omega = np.exp(2j * np.pi / 3)
+        expected = [omega.conjugate(), 1.0, 1.0, omega]
+        assert np.abs(np.array(got) - np.array(expected)).max() < 1e-10
+
+    @pytest.mark.parametrize("wrong", ["merged", "repeated"])
+    def test_certificate_rejects_a_wrong_period(
+        self, wrong, monkeypatch, eigvals_sizes
+    ):
+        walk = chanstruct.spectral._cyclic_projections
+
+        def forced(stack, sigma, tol):
+            projs = walk(stack, sigma, tol)
+            assert len(projs) == 3
+            if wrong == "merged":  # period 2: P_0 + P_1 and P_2
+                return [projs[0] + projs[1], projs[2]]
+            return projs + projs  # period 6: the projections sum to 2 I
+
+        ch = cyclic_channel(np.random.default_rng(613), [2, 2, 3])
+        _, reference = _report_spectrum(ch, eigvals_sizes)
+        assert eigvals_sizes == []
+        monkeypatch.setattr(chanstruct.spectral, "_cyclic_projections", forced)
+        _, got = _report_spectrum(ch, eigvals_sizes)
+        assert eigvals_sizes == [49]
+        assert len(got) == 3
+        assert np.abs(np.array(got) - np.array(reference)).max() <= 1e-10
+
+    def test_oqrw_report_makes_no_eigvals_call(self, eigvals_sizes):
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 13), 13)
+        rep = cs.decompose(ch)
+        eigvals_sizes.clear()
+        rf = cs.report_file_from_report(rep)
+        assert eigvals_sizes == []
+        assert [len(b.enclosures) for b in rep.beta_blocks] == [2]
+        assert rf.peripheral_spectrum == (1.0, 1.0, 1.0, 1.0)
 
 
 def _svd_kernels(ch, tol):

@@ -611,6 +611,19 @@ class TestTolerancePassing:
         assert [len(b.enclosures) for b in rep.beta_blocks] == truth["beta_sizes"]
         assert rep.D.dimension == truth["d_transient"]
 
+    def test_loose_cluster_tolerance_accepts_total_weight_off_by_5e_7(self):
+        ch, _ = planted_channel(np.random.default_rng(579), [2], [(2, 2)], 1)
+        rep = cs.decompose(ch)
+        params = cs.InvariantStateParameters(
+            t=np.array([0.4 + 5e-7]), M=(np.diag([0.35, 0.25]).astype(complex),)
+        )
+        with pytest.raises(cs.ArgumentError, match="total weight"):
+            cs.build_invariant_state(rep, params)
+        loose = cs.Tolerance(eig_cluster_tol=1e-6)
+        rho = cs.build_invariant_state(rep, params, tol=loose)
+        assert abs(np.trace(rho).real - (1.0 + 5e-7)) < 1e-12
+        assert np.abs(cs.apply(ch, rho) - rho).max() < 1e-10
+
     def test_loose_psd_tolerance_accepts_slightly_negative_state(self):
         ch = amplitude_damping_channel(0.3)
         rho = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
