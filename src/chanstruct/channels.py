@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, as_complex_matrix, unvec, vec
+from .linalg import DEFAULT_TOL, as_complex_matrix
 
 __all__ = [
     "KrausChannel",
@@ -148,10 +148,7 @@ def apply(ch, rho):
         raise ArgumentError(
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    m = _cached_superoperator(ch)
-    if m is not None:
-        return unvec(m @ vec(rho), ch.dim)
-    return _sandwich(ch._stack, ch._adjoint, rho)
+    return _apply_stack(ch, rho[None])[0]
 
 
 def apply_adjoint(ch, x):
@@ -161,21 +158,35 @@ def apply_adjoint(ch, x):
         raise ArgumentError(
             f"operand shape {x.shape} does not match channel dimension {ch.dim}"
         )
+    return _apply_stack(ch, x[None], adjoint=True)[0]
+
+
+def _apply_stack(ch, xs, adjoint=False):
+    """Phi (or Phi^* when ``adjoint``) of every matrix of a (k, d, d) stack:
+    by the cached CSC superoperator M of a sparse family, else by the two
+    GEMMs of ``_sandwich``."""
     m = _cached_superoperator(ch)
-    if m is not None:
-        # M^H v = conj(M^T conj(v)); the transpose of a CSC matrix is a CSR
-        # view of the same arrays
-        return unvec((m.T @ vec(x).conj()).conj(), ch.dim)
-    return _sandwich(ch._adjoint, ch._stack, x)
+    if m is None:
+        pair = (ch._adjoint, ch._stack) if adjoint else (ch._stack, ch._adjoint)
+        return _sandwich(*pair, xs)
+    k, d = xs.shape[0], ch.dim
+    # column c is vec(X_c), X_c^T read row by row
+    vecs = xs.transpose(0, 2, 1).reshape(k, d * d).T
+    # M^H v = conj(M^T conj(v)); the transpose of a CSC matrix is a CSR view
+    # of the same arrays
+    out = (m.T @ vecs.conj()).conj() if adjoint else m @ vecs
+    return out.T.reshape(k, d, d).transpose(0, 2, 1)
 
 
-def _sandwich(left, right, x):
-    """sum_i L_i x R_i for (n, d, d) stacks L and R: one GEMM forms the
-    products L_i x stacked vertically, and one sums them against R, with
-    the products side by side."""
+def _sandwich(left, right, xs):
+    """sum_i L_i X R_i for (n, d, d) stacks L and R and each X of a
+    (k, d, d) stack: one GEMM forms every product L_i X stacked vertically,
+    and one sums them against R, with the products of one X side by side."""
     n, d, _ = left.shape
-    y = (left.reshape(n * d, d) @ x).reshape(n, d, d)
-    return y.transpose(1, 0, 2).reshape(d, n * d) @ right.reshape(n * d, d)
+    k = xs.shape[0]
+    y = left.reshape(n * d, d) @ xs.transpose(1, 0, 2).reshape(d, k * d)
+    y = y.reshape(n, d, k, d).transpose(2, 1, 0, 3).reshape(k * d, n * d)
+    return (y @ right.reshape(n * d, d)).reshape(k, d, d)
 
 
 def superoperator(ch):

@@ -281,35 +281,27 @@ def unvec(v, d):
 
 
 def hermitian_encode(x):
-    """Isometric real encoding of a Hermitian matrix.
+    """Real coordinates Re vec X + Im vec X of Hermitian matrices X.
 
-    Maps Hermitian d x d matrices to real vectors of length d^2 preserving
-    the Hilbert-Schmidt inner product, so rank decisions over Hermitian
-    spans can be made with a real SVD without leaving the Hermitian cone.
+    Batched: an (..., d, d) array gives (..., d^2) real vectors.  The map is
+    an isometry from the Hermitian matrices onto R^(d^2) (Re X and Im X are
+    symmetric and antisymmetric, hence Hilbert-Schmidt orthogonal), so rank
+    decisions over Hermitian spans can be made with a real SVD, and it is
+    the inverse of U = ((1+i) I + (1-i) K) / 2, K the vec swap
+    vec(X) -> vec(X^T), in which a Kraus map's superoperator is real.
     """
     x = np.asarray(x)
-    d = x.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate(
-        [
-            x.diagonal().real,
-            np.sqrt(2.0) * x[iu].real,
-            np.sqrt(2.0) * x[iu].imag,
-        ]
-    )
+    # vec stacks columns, and X^T = conj(X), so vec(Re X + Im X) is
+    # Re X - Im X read row by row
+    return (x.real - x.imag).reshape(*x.shape[:-2], -1)
 
 
 def hermitian_decode(v, d):
-    """Inverse of :func:`hermitian_encode`."""
-    v = np.asarray(v, dtype=float)
-    x = np.zeros((d, d), dtype=complex)
-    iu = np.triu_indices(d, k=1)
-    n_off = iu[0].size
-    x[np.diag_indices(d)] = v[:d]
-    upper = (v[d : d + n_off] + 1j * v[d + n_off :]) / np.sqrt(2.0)
-    x[iu] = upper
-    x[(iu[1], iu[0])] = upper.conj()
-    return x
+    """Inverse of :func:`hermitian_encode`: the Hermitian matrix
+    sym Y + i antisym Y of Y = unvec(v), batched over leading axes."""
+    yt = np.asarray(v, dtype=float).reshape(*np.shape(v)[:-1], d, d)  # Y^T
+    ty = np.swapaxes(yt, -1, -2)
+    return ((ty + yt) + 1j * (ty - yt)) / 2.0
 
 
 def hermitian_span_basis(mats, tol=DEFAULT_TOL):
@@ -330,9 +322,8 @@ def hermitian_span_basis(mats, tol=DEFAULT_TOL):
     if not mats:
         return []
     d = mats[0].shape[0]
-    stacked = np.column_stack([hermitian_encode(m) for m in mats])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    u, s, _ = np.linalg.svd(hermitian_encode(np.stack(mats)).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
     rank = int(np.sum(s >= tol.rank_tol * s[0]))
-    return [hermitian_decode(u[:, i], d) for i in range(rank)]
+    return list(hermitian_decode(u[:, :rank].T, d))

@@ -9,7 +9,8 @@ positive trace-preserving map are fixed, so for the Hermitian basis X_i of K
 
     rho_max = sum_i |X_i| / tr
 
-is an invariant state whose range is the recurrent subspace R.  Inside R the
+is an invariant state whose range is the recurrent subspace R; R and its
+orthocomplement D are split off it once, with the solve.  Inside R the
 orthocomplement of an enclosure is an enclosure, so on a minimal enclosure
 V the compression P_V rho_max P_V / tr is the unique invariant state.
 X -> P_R X P_R maps the adjoint's fixed points onto those of the channel
@@ -27,7 +28,8 @@ coordinates the superoperator is the real d^2 x d^2 matrix
 
 whose columns are those of M with the imaginary parts swapped by one
 transpose (K M K = conj(M)).  Both kernels are found there and mapped back by
-U, so every basis vector is the vec of a Hermitian matrix.
+U, the package's Hermitian codec (``linalg.hermitian_decode``), so every
+basis vector is the vec of a Hermitian matrix.
 
 Both kernels come from block shift-invert subspace iteration around
 sigma = 1 + 3e-6, at every channel size.  (M_h - sigma I)^{-1} is applied by a
@@ -35,12 +37,15 @@ sparse LU when the Kraus family is sparse (the rule and the cached sparse M
 are the channel's, see chanstruct.channels), and otherwise by an explicit
 dense inverse (its transpose for the left kernel), all in real arithmetic.
 A dense M_h is built straight from the real and imaginary parts of the
-Kraus stack, and its diagonal is shifted in place.  A block wider than the
-eigenvalue-1 multiplicity captures the whole degenerate eigenspace, where
-single-vector Krylov methods under-count it, and the block is widened until
-some Ritz value falls outside the cluster: that certifies the multiplicity.
-Every accepted vector is residual-verified against M_h, so misconvergence
-cannot silently corrupt the result.
+Kraus stack, its diagonal is shifted in place, and it is released once
+inverted, so the inverse is the only d^2 x d^2 matrix held.  A block wider
+than the eigenvalue-1 multiplicity captures the whole degenerate eigenspace,
+where single-vector Krylov methods under-count it, and the block is widened
+until some Ritz value falls outside the cluster: that certifies the
+multiplicity.  Every accepted vector q is verified through the channel
+itself: |Phi(X) - X|_F for X = U q (Phi^* for the left kernel) equals
+|M_h q - q|, but does not depend on how M_h was built or inverted, so
+neither misconvergence nor a wrong M_h can make a vector pass.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
 those of M: exact for any Kraus family.  A report carries the same list at far
@@ -61,6 +66,7 @@ from functools import partial
 import numpy as np
 
 from .channels import (
+    _apply_stack,
     _cached_superoperator,
     _hermitian_transfer_matrix,
     _sandwich,
@@ -68,7 +74,7 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, unvec
+from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, unvec
 
 __all__ = [
     "FixedSpace",
@@ -81,7 +87,7 @@ __all__ = [
     "perron_frobenius_certificate",
 ]
 
-_ARNOLDI_SEED = 1729
+_BLOCK_SEED = 1729
 _MAX_BLOCK_STEPS = 50
 # widest accepted multiplicity: 256, or more while the block holds no more
 # entries than a dense d = 40 superoperator (so every k <= d^2 for d <= 40)
@@ -138,21 +144,18 @@ class PerronFrobeniusCertificate:
 class _SpectralCore:
     """The eigenvalue-1 solve of a channel: orthonormal bases ``right`` of
     ker(M - I) and ``left`` of ker(M^H - I), as (d^2, k) arrays of vecs of
-    Hermitian matrices, and the read-only invariant state ``rho_max`` with
-    range R."""
+    Hermitian matrices, and the recurrent split read off them."""
 
     right: np.ndarray
     left: np.ndarray
-    rho_max: np.ndarray
-    gap: float
-    warnings: tuple
+    split: RecurrentSplit
 
     @property
     def multiplicity(self):
         return self.right.shape[1]
 
 
-def _block_kernel(solve, matmul, n2, sigma, tol):
+def _block_kernel(solve, residuals, n2, sigma, tol):
     """Orthonormal real basis of the eigenvectors of a real matrix with
     |lambda - 1| <= eig_cluster_tol, and the distance from 1 of the nearest
     Ritz value outside that cluster.
@@ -161,9 +164,11 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
     Rayleigh-Ritz step on X^T Y with the cluster's Schur vectors Z first
     (Ritz values mu give lambda = sigma + 1/mu, well apart even for
     eigenvalues just outside the cluster), and X <- qr(Y).  The cluster basis
-    qr(Y Z) is accepted on its residual against M_h (``matmul``) once the
-    cluster count has held for two steps.  While every Ritz value is in the
-    cluster the block doubles.
+    qr(Y Z) is accepted once the cluster count has held for two steps and
+    ``residuals(basis)``, which gives |Phi(X) - X|_F through the channel
+    itself for the Hermitian matrix X of each column, is within
+    eig_cluster_tol: how M_h was built or inverted cannot make a vector
+    pass.  While every Ritz value is in the cluster the block doubles.
     """
     from scipy.linalg import schur
 
@@ -174,7 +179,7 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
     def random_block(width):
         return np.linalg.qr(rng.standard_normal((n2, width)))[0]
 
-    rng = np.random.default_rng(_ARNOLDI_SEED)
+    rng = np.random.default_rng(_BLOCK_SEED)
     cap = max(256, _MAX_BLOCK_ENTRIES // n2)
     width, last, residual = min(8, n2), -1, np.inf
     x = random_block(width)
@@ -193,7 +198,7 @@ def _block_kernel(solve, matmul, n2, sigma, tol):
             x, last = random_block(width), -1
             continue
         basis = np.linalg.qr(y @ z[:, :k])[0]
-        res = max(np.linalg.norm(matmul(basis) - basis, axis=0), default=0.0)
+        res = max(residuals(basis), default=0.0)
         # keep iterating while the residual still halves: the rank cut on
         # rho_max and the block states need accuracy far below the tolerance
         stalled, residual = res >= 0.5 * residual, res
@@ -221,13 +226,6 @@ def _hermitian_coordinates(m):
     return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
 
 
-def _from_hermitian_coordinates(y, d):
-    """U y = ((1+i) y + (1-i) K y) / 2 for the real (d^2, k) array ``y``:
-    columns that are vecs of Hermitian matrices."""
-    ky = y.reshape(d, d, -1).transpose(1, 0, 2).reshape(y.shape)
-    return ((y + ky) + 1j * (y - ky)) / 2.0
-
-
 def _fixed_pair(ch, tol):
     """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays
     of vecs of Hermitian matrices, and the distance from 1 of the nearest
@@ -240,10 +238,9 @@ def _fixed_pair(ch, tol):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        h = _hermitian_coordinates(m)
-        lu = spla.splu((h - sigma * sp.identity(n2, format="csc")).tocsc())
+        shifted = _hermitian_coordinates(m) - sigma * sp.identity(n2, format="csc")
+        lu = spla.splu(shifted.tocsc())
         solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="T")
-        matmul_fwd, matmul_adj = h.__matmul__, h.T.__matmul__
     else:
         # an explicit inverse applied by matmul, in numpy's BLAS: multi-RHS
         # lu_solve calls stalled at 2 BLAS threads on small systems (n = 100,
@@ -252,16 +249,16 @@ def _fixed_pair(ch, tol):
         shifted.flat[:: n2 + 1] -= sigma
         inv = np.linalg.inv(shifted)
         solve_fwd, solve_adj = inv.__matmul__, inv.T.__matmul__
+    # only the inverse (or the LU) is kept: residuals go through the channel
+    del shifted
 
-        # M_h q = (M_h - sigma I) q + sigma q: one d^2 x d^2 matrix is held
-        def matmul_fwd(q):
-            return shifted @ q + sigma * q
+    def residuals(q, adjoint):
+        x = hermitian_decode(q.T, d)
+        return np.linalg.norm(_apply_stack(ch, x, adjoint) - x, axis=(1, 2))
 
-        def matmul_adj(q):
-            return shifted.T @ q + sigma * q
-
-    right, gap_r = _block_kernel(solve_fwd, matmul_fwd, n2, sigma, tol)
-    left, gap_l = _block_kernel(solve_adj, matmul_adj, n2, sigma, tol)
+    fwd, adj = partial(residuals, adjoint=False), partial(residuals, adjoint=True)
+    right, gap_r = _block_kernel(solve_fwd, fwd, n2, sigma, tol)
+    left, gap_l = _block_kernel(solve_adj, adj, n2, sigma, tol)
     if right.shape[1] == 0:
         raise DecompositionError(
             "fixed-space",
@@ -273,11 +270,11 @@ def _fixed_pair(ch, tol):
             "left/right eigenvalue-1 dimensions disagree "
             f"({right.shape[1]} vs {left.shape[1]})",
         )
-    return (
-        _from_hermitian_coordinates(right, d),
-        _from_hermitian_coordinates(left, d),
-        min(gap_r, gap_l),
+    # vec(X) is X^T = conj(X) read row by row
+    right, left = (
+        hermitian_decode(q.T, d).reshape(q.shape[1], n2).conj().T for q in (right, left)
     )
+    return right, left, min(gap_r, gap_l)
 
 
 def _spectral_core(ch, tol):
@@ -291,8 +288,8 @@ def _spectral_core(ch, tol):
                 "eigenvalue-1 cluster ill-separated "
                 f"(nearest non-fixed distance {gap:.3e})",
             )
-        rho = _rho_max(right, ch.dim)
-        ch._cores[tol] = _SpectralCore(right, left, rho, gap, warnings)
+        split = _split(right, ch.dim, tol, warnings)
+        ch._cores[tol] = _SpectralCore(right, left, split)
     return ch._cores[tol]
 
 
@@ -321,39 +318,31 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     return acc / float(n)
 
 
-def _rho_max(right, d):
-    """sum_i |X_i| / tr over the Hermitian fixed points X_i, the columns of
-    ``right``, made exactly Hermitian and read-only."""
+def _split(right, d, tol, warnings):
+    """The recurrent split read off the Hermitian fixed points X_i, the
+    columns of ``right``: rho_max = sum_i |X_i| / tr, made exactly Hermitian
+    and read-only, R its range at rank_tol relative to its largest
+    eigenvalue, and D = R^perp."""
     w, v = np.linalg.eigh(np.stack([unvec(x, d) for x in right.T]))
     rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
     rho.setflags(write=False)
-    return rho
+    w, v = np.linalg.eigh(rho)
+    mask = w >= tol.rank_tol * w[-1]
+    r_space, d_space = Subspace(d, v[:, mask]), Subspace(d, v[:, ~mask])
+    return RecurrentSplit(R=r_space, D=d_space, rho_max=rho, warnings=warnings)
 
 
 def recurrent_split(ch, tol=DEFAULT_TOL):
     """Split C^d into the recurrent subspace R and the transient part D.
 
     rho_max is the invariant state sum_i |X_i| / tr over the Hermitian
-    fixed-point basis X_i (see the module docstring); its range at rank_tol
-    is R and D is the orthocomplement.  Every invariant state is supported
-    inside R.
+    fixed-point basis X_i (see the module docstring), PSD by construction;
+    its range at rank_tol is R and D is the orthocomplement.  Every
+    invariant state is supported inside R.  The split is made once with the
+    channel's eigenvalue-1 solve.
     """
-    core = _spectral_core(ch, tol)
-    rho = core.rho_max
-    w, v = np.linalg.eigh(rho)
-    if w[0] < -tol.psd_tol:
-        raise DecompositionError(
-            "recurrent-split", f"rho_max is not PSD (min eigenvalue {w[0]:.3e})"
-        )
-    cutoff = tol.rank_tol * w[-1]
-    mask = w >= cutoff
-    d = ch.dim
-    r_space = Subspace(d, v[:, mask])
-    d_space = Subspace(d, v[:, ~mask])
-    return RecurrentSplit(
-        R=r_space, D=d_space, rho_max=rho, warnings=core.warnings
-    )
+    return _spectral_core(ch, tol).split
 
 
 def peripheral_spectrum(ch, tol=DEFAULT_TOL):
@@ -439,7 +428,8 @@ def _block_period(stack, sigma, tol):
     omega = np.exp(2j * np.pi / p)
     u = sum(omega**k * proj for k, proj in enumerate(projs))
     adjoint = stack.conj().transpose(0, 2, 1)
-    if np.abs(_sandwich(adjoint, stack, u) - omega * u).max() > tol.subspace_tol:
+    image = _sandwich(adjoint, stack, u[None])[0]
+    if np.abs(image - omega * u).max() > tol.subspace_tol:
         return None
     return p
 

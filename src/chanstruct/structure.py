@@ -90,6 +90,12 @@ def _expand(frame, sigma):
     return frame @ sigma @ frame.conj().T
 
 
+def _compression(rho, frame):
+    """The state F^H rho F / tr in the coordinates of F, made Hermitian."""
+    sigma = frame.conj().T @ rho @ frame
+    return (sigma + sigma.conj().T) / (2.0 * np.trace(sigma).real)
+
+
 @dataclass(frozen=True)
 class AlphaBlock:
     """A minimal enclosure carrying a unique invariant state of its own;
@@ -535,13 +541,7 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
                 "block-invariant-state",
                 "V not minimal: an adjoint fixed point is not constant on V",
             )
-    rho = frame.conj().T @ split.rho_max @ frame
-    return _expand(frame, (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
-
-
-def _local_state(ch, v, tol):
-    """``block_invariant_state`` in the coordinates of ``v.frame``."""
-    return v.frame.conj().T @ block_invariant_state(ch, v, tol) @ v.frame
+    return _expand(frame, _compression(split.rho_max, frame))
 
 
 def _fixed_dimension(report):
@@ -597,8 +597,8 @@ def _verify_report(ch, report, tol):
                 )
             # both states in the coordinates of F_g, where Q_g rho_ref Q_g^H
             # is sigma_ref
-            independent = _local_state(ch, blk.enclosures[g], tol)
-            deviation = np.abs(blk.sigma_ref - independent).max()
+            independent = block_invariant_state(ch, blk.enclosures[g], tol)
+            deviation = np.abs(blk.sigma_ref - f.conj().T @ independent @ f).max()
             if deviation > tol.subspace_tol:
                 raise DecompositionError(
                     "verification",
@@ -640,7 +640,7 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     alpha_spaces, beta_groups = group_into_blocks(ch, enclosures, algebra, tol)
     with _stage("invariant-states"):
         alpha_blocks = tuple(
-            AlphaBlock(enclosure=v, sigma=_local_state(ch, v, tol))
+            AlphaBlock(enclosure=v, sigma=_compression(split.rho_max, v.frame))
             for v in alpha_spaces
         )
         beta_blocks = []
@@ -658,7 +658,7 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
                 BetaBlock(
                     index=b_idx,
                     enclosures=tuple(aligned),
-                    sigma_ref=_local_state(ch, base, tol),
+                    sigma_ref=_compression(split.rho_max, base.frame),
                 )
             )
     report = DecompositionReport(

@@ -142,6 +142,15 @@ class TestApply:
             preimage = sum(v.conj().T @ x @ v for v in ch.kraus)
             assert np.abs(cs.apply(ch, x) - image).max() <= 1e-13
             assert np.abs(cs.apply_adjoint(ch, x) - preimage).max() <= 1e-13
+        # the batched form, which the eigenvalue-1 kernel's residuals use
+        xs = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        images = chanstruct.channels._apply_stack(ch, xs)
+        preimages = chanstruct.channels._apply_stack(ch, xs, adjoint=True)
+        for x, image, preimage in zip(xs, images, preimages):
+            ref = sum(v @ x @ v.conj().T for v in ch.kraus)
+            assert np.abs(image - ref).max() <= 1e-13
+            ref = sum(v.conj().T @ x @ v for v in ch.kraus)
+            assert np.abs(preimage - ref).max() <= 1e-13
         # a sparse family applies its cached superoperator, a dense one keeps none
         assert (ch._superop is not None) is sparse
 

@@ -187,6 +187,18 @@ class TestHermitianCoordinates:
             assert np.abs(x - x.conj().T).max() <= 1e-12
             assert np.abs(cs.apply(ch, x) - x).max() <= 1e-9
 
+    def test_codec_is_the_unitary(self):
+        # hermitian_decode is U on real coordinates, batched over leading
+        # axes, and hermitian_encode inverts it on Hermitian matrices
+        d = 3
+        q = RNG.standard_normal((2, 4, d * d))
+        x = chanstruct.linalg.hermitian_decode(q, d)
+        assert x.shape == (2, 4, d, d)
+        vecs = np.swapaxes(x, -1, -2).reshape(2, 4, d * d)
+        assert np.abs(vecs - q @ _hermitian_unitary(d).T).max() <= 1e-15
+        assert np.abs(x - np.swapaxes(x, -1, -2).conj()).max() == 0.0
+        assert np.abs(chanstruct.linalg.hermitian_encode(x) - q).max() <= 1e-15
+
     def test_rho_max_is_invariant_state_with_range_of_dense_projection(self):
         # reference range from Pi_1(I/d), Pi_1 from a full eigendecomposition
         # of M, no kernel
@@ -644,6 +656,26 @@ PARITY_CASES = {
         np.random.default_rng(331), [2], [(2, 2)], 3
     )[0],
 }
+
+
+class TestKernelAcceptance:
+    def test_accepts_only_what_phi_fixes(self, monkeypatch):
+        # S M_h S^-1 with S = I + 1e-3 e_0 e_1^T has the spectrum of M_h, but
+        # its eigenvalue-1 vectors are not fixed by the channel: they must
+        # fail their residuals, which are taken through Phi itself
+        build = chanstruct.spectral._hermitian_transfer_matrix
+
+        def similar(stack):
+            h = build(stack)
+            s = np.eye(h.shape[0])
+            s[0, 1] = 1e-3
+            return s @ h @ np.linalg.inv(s)
+
+        monkeypatch.setattr(chanstruct.spectral, "_hermitian_transfer_matrix", similar)
+        ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.fixed_space(ch)
+        assert err.value.stage == "fixed-space"
 
 
 class TestKernelParity:

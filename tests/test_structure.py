@@ -197,6 +197,34 @@ class TestMinimalEnclosures:
         for a, b in zip(encs0, encs7):
             assert a.approx_equal(b)
 
+    def test_seeded_fallback_on_cyclic_shift(self, monkeypatch):
+        # the circulant algebra of the cyclic shift on C^4 projects the
+        # canonical reference to a multiple of I, whose one eigenspace is not
+        # minimal; the first seeded element splits C^4 into Fourier lines
+        ch = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
+        calls = []
+        eigensplit = chanstruct.structure._try_eigensplit
+
+        def counting(ch, split, algebra, x, tol):
+            calls.append((x, eigensplit(ch, split, algebra, x, tol)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(chanstruct.structure, "_try_eigensplit", counting)
+        _, _, encs0 = self._pipeline(ch, seed=0)
+        (canonical, rejected), (_, found) = calls
+        assert np.abs(canonical - canonical[0, 0] * np.eye(4)).max() < 1e-12
+        assert rejected is None and found is not None
+        _, _, encs7 = self._pipeline(ch, seed=7)
+        assert len(encs0) == len(encs7) == 4
+        assert all(e.dimension == 1 for e in encs0 + encs7)
+        # the seeds may order the lines differently
+        for a in encs0:
+            assert sum(a.approx_equal(b) for b in encs7) == 1
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        assert len(rf.report.alpha_blocks) == 4 and not rf.report.beta_blocks
+        assert rf.fixed_space_dimension == 4
+        assert len(rf.peripheral_spectrum) == 16
+
     def test_degenerate_sampling_error(self, monkeypatch):
         ch = cs.KrausChannel([np.eye(2)])
         split = cs.recurrent_split(ch)
@@ -610,6 +638,25 @@ class TestTolerancePassing:
         assert len(rep.alpha_blocks) == truth["n_alpha"]
         assert [len(b.enclosures) for b in rep.beta_blocks] == truth["beta_sizes"]
         assert rep.D.dimension == truth["d_transient"]
+
+    @pytest.mark.parametrize(
+        "case, psd_tol, counts",
+        [("planted", 1e-18, (1, [2], 4)), ("walk", 1e-20, (0, [2], 14))],
+    )
+    def test_psd_tolerance_below_rounding_keeps_block_counts(
+        self, case, psd_tol, counts
+    ):
+        # rho_max is PSD by construction and every block state is an exactly
+        # Hermitian compression of it, so no check fails on rounding alone
+        if case == "planted":
+            ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        else:
+            ch = cs.from_oqrw(cs.oqrw_transition_map(0.4, 0.3, 13), 13)
+        default = cs.decompose(ch)
+        for rep in (default, cs.decompose(ch, tol=cs.Tolerance(psd_tol=psd_tol))):
+            assert len(rep.alpha_blocks) == counts[0]
+            assert [len(b.enclosures) for b in rep.beta_blocks] == counts[1]
+            assert rep.D.dimension == counts[2]
 
     def test_loose_cluster_tolerance_accepts_total_weight_off_by_5e_7(self):
         ch, _ = planted_channel(np.random.default_rng(579), [2], [(2, 2)], 1)
