@@ -374,7 +374,8 @@ def oqrw_transition_map(p, q, num_sites):
     Internal space C^3; sites 0..N on the half-line with N = num_sites.
     Requires 0 < p < 1/2 and p + q < 1 with q > 0.  The returned map
     contains L_{N+1,N}, which :func:`from_oqrw` removes via the reflecting
-    boundary rule.
+    boundary rule; that rule rescales L_{N-1,N}, so the map builds a
+    channel only for num_sites >= 1.
 
     Returns
     -------
@@ -458,7 +459,9 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     if overflow:
         del ops[(n_last + 1, n_last)]
         back = (n_last - 1, n_last)
-        if back[0] < 0 or back not in ops:
+        if back[0] < 0:
+            raise ArgumentError("reflecting boundary needs a site N - 1 (num_sites >= 1)")
+        if back not in ops:
             raise ArgumentError("normalization failure after adjustment")
         others = sum(
             m.conj().T @ m

@@ -280,8 +280,6 @@ def report_file_from_report(report):
     It counts n_i^2 times.  A pair of blocks of unequal dimension has no
     peripheral eigenvalue; any other (i, j) pair of first copies counts
     n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
-    if report.channel is None:
-        raise ParseError("report does not retain its channel")
     stack = report.channel._stack
     tol = report.tolerance
     # F^H V_a F for the first enclosure F of every block, its state and its
@@ -454,6 +452,12 @@ def report_file_from_dict(data, re_verify=True):
             _require(blk, "rho_ref", prefix), encs[0], ambient, tol,
             f"{prefix}.rho_ref",
         )
+        for g, enc in enumerate(encs):
+            if enc.dimension != len(sigma_ref):
+                raise ParseError(
+                    f"{prefix}.enclosures[{g}]: {enc.dimension} columns, but "
+                    f"rho_ref is {len(sigma_ref)} x {len(sigma_ref)}"
+                )
         beta.append(
             BetaBlock(
                 index=_require_int(blk, "index", prefix),
@@ -486,20 +490,9 @@ def report_file_from_dict(data, re_verify=True):
         fixed_space_dimension=_require_int(data, "fixed_space_dimension", where),
         peripheral_spectrum=spectrum,
     )
-    if re_verify:
-        _re_verify(rf)
+    if re_verify and not all(is_enclosure(ch, v, tol) for v in _enclosures(report)):
+        raise ParseError("report: a stored frame fails the enclosure predicate")
     return rf
-
-
-def _re_verify(rf):
-    report = rf.report
-    ch = report.channel
-    tol = report.tolerance
-    for space in _enclosures(report):
-        if not is_enclosure(ch, space, tol):
-            raise ParseError(
-                "report: a stored frame fails the enclosure predicate"
-            )
 
 
 def validation_to_dict(ch, vr):

@@ -28,8 +28,9 @@ coordinates the superoperator is the real d^2 x d^2 matrix
 
 whose columns are those of M with the imaginary parts swapped by one
 transpose (K M K = conj(M)).  Both kernels are found there and mapped back by
-U, the package's Hermitian codec (``linalg.hermitian_decode``), so every
-basis vector is the vec of a Hermitian matrix.
+U, the package's Hermitian codec (``linalg.hermitian_decode``), to read-only
+(k, d, d) stacks of Hermitian matrices, which every consumer reads with
+batched products.
 
 Both kernels come from block shift-invert subspace iteration around
 sigma = 1 + 3e-6, at every channel size.  (M_h - sigma I)^{-1} is applied by a
@@ -74,7 +75,7 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, unvec
+from .linalg import DEFAULT_TOL, Subspace, hermitian_decode
 
 __all__ = [
     "FixedSpace",
@@ -117,8 +118,9 @@ class RecurrentSplit:
     """The orthogonal split C^d = R ⊕ D.
 
     R is the closed span of supports of all invariant states, D = R^⊥ the
-    transient part, and rho_max an invariant state with range R (read-only,
-    shared with the channel's eigenvalue-1 solve).
+    transient part, and rho_max an invariant state with range R.  rho_max
+    and both frames are read-only: they are shared with the channel's
+    eigenvalue-1 solve.
     """
 
     R: Subspace
@@ -142,9 +144,10 @@ class PerronFrobeniusCertificate:
 
 @dataclass(frozen=True)
 class _SpectralCore:
-    """The eigenvalue-1 solve of a channel: orthonormal bases ``right`` of
-    ker(M - I) and ``left`` of ker(M^H - I), as (d^2, k) arrays of vecs of
-    Hermitian matrices, and the recurrent split read off them."""
+    """The eigenvalue-1 solve of a channel: Hilbert-Schmidt-orthonormal
+    bases ``right`` of the fixed points and ``left`` of the adjoint's fixed
+    points, as read-only (k, d, d) stacks of Hermitian matrices, and the
+    recurrent split read off them."""
 
     right: np.ndarray
     left: np.ndarray
@@ -152,7 +155,7 @@ class _SpectralCore:
 
     @property
     def multiplicity(self):
-        return self.right.shape[1]
+        return len(self.right)
 
 
 def _block_kernel(solve, residuals, n2, sigma, tol):
@@ -227,8 +230,8 @@ def _hermitian_coordinates(m):
 
 
 def _fixed_pair(ch, tol):
-    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (d^2, k) arrays
-    of vecs of Hermitian matrices, and the distance from 1 of the nearest
+    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (k, d, d)
+    stacks of Hermitian matrices, and the distance from 1 of the nearest
     Ritz value outside the eigenvalue-1 cluster."""
     d = ch.dim
     n2 = d * d
@@ -270,16 +273,13 @@ def _fixed_pair(ch, tol):
             "left/right eigenvalue-1 dimensions disagree "
             f"({right.shape[1]} vs {left.shape[1]})",
         )
-    # vec(X) is X^T = conj(X) read row by row
-    right, left = (
-        hermitian_decode(q.T, d).reshape(q.shape[1], n2).conj().T for q in (right, left)
-    )
-    return right, left, min(gap_r, gap_l)
+    return hermitian_decode(right.T, d), hermitian_decode(left.T, d), min(gap_r, gap_l)
 
 
 def _spectral_core(ch, tol):
     """The eigenvalue-1 solve of ``ch`` at ``tol``, made on first use and
-    kept with the channel."""
+    kept with the channel.  Every array of it is made read-only: callers
+    share it, and a write would change later answers for the channel."""
     if tol not in ch._cores:
         right, left, gap = _fixed_pair(ch, tol)
         warnings = ()
@@ -288,7 +288,9 @@ def _spectral_core(ch, tol):
                 "eigenvalue-1 cluster ill-separated "
                 f"(nearest non-fixed distance {gap:.3e})",
             )
-        split = _split(right, ch.dim, tol, warnings)
+        split = _split(right, tol, warnings)
+        for a in (right, left, split.R.frame, split.D.frame, split.rho_max):
+            a.setflags(write=False)
         ch._cores[tol] = _SpectralCore(right, left, split)
     return ch._cores[tol]
 
@@ -299,8 +301,7 @@ def fixed_space(ch, tol=DEFAULT_TOL):
     The dimension is at least 1: a trace-preserving map in finite dimension
     always has an invariant state.
     """
-    core = _spectral_core(ch, tol)
-    basis = tuple(unvec(x, ch.dim) for x in core.right.T)
+    basis = tuple(_spectral_core(ch, tol).right)
     return FixedSpace(dim_ambient=ch.dim, basis=basis, hermitian_basis=basis)
 
 
@@ -318,15 +319,14 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     return acc / float(n)
 
 
-def _split(right, d, tol, warnings):
-    """The recurrent split read off the Hermitian fixed points X_i, the
-    columns of ``right``: rho_max = sum_i |X_i| / tr, made exactly Hermitian
-    and read-only, R its range at rank_tol relative to its largest
-    eigenvalue, and D = R^perp."""
-    w, v = np.linalg.eigh(np.stack([unvec(x, d) for x in right.T]))
+def _split(right, tol, warnings):
+    """The recurrent split read off the stack ``right`` of Hermitian fixed
+    points X_i: rho_max = sum_i |X_i| / tr, made exactly Hermitian, R its
+    range at rank_tol relative to its largest eigenvalue, and D = R^perp."""
+    d = right.shape[-1]
+    w, v = np.linalg.eigh(right)
     rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
-    rho.setflags(write=False)
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
     r_space, d_space = Subspace(d, v[:, mask]), Subspace(d, v[:, ~mask])

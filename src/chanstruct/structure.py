@@ -7,7 +7,10 @@ unitarily equivalent restrictions group into B-blocks connected by partial
 isometries; isolated ones are A-blocks.  On a B-block the fixed-point
 algebra of the adjoint on R is I ⊗ M_n (Baumgartner-Narnhofer,
 arXiv:1507.08404), so one generic element of it shows every link, and the
-polar factor of its block between two copies is their isometry.  Together
+polar factor of its block between two copies is their isometry.  Every
+algebra element used is the orthogonal projection of a reference matrix onto
+the algebra (``_algebra_element``), so no result depends on the basis in
+which the algebra was found.  Together
 these give the complete parametrization of the invariant states:
 
     rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
@@ -38,7 +41,6 @@ from .linalg import (
     hermitian_span_basis,
     loewner_geq,
     orthonormal_basis,
-    unvec,
 )
 from .spectral import _spectral_core, recurrent_split
 
@@ -71,14 +73,15 @@ _MAX_SAMPLING_ATTEMPTS = 8
 
 @dataclass(frozen=True)
 class FixedPointAlgebra:
-    """Hermitian basis of the fixed points of the adjoint channel on R.
+    """Hermitian basis of the fixed points of the adjoint channel on R, as
+    a (k, r, r) stack in the coordinates of ``R.frame``.
 
     This set is a von Neumann algebra when restricted to the recurrent
     subspace; its structure drives the block decomposition.
     """
 
     R: Subspace
-    hermitian_basis: tuple
+    hermitian_basis: np.ndarray
 
     @property
     def dimension(self):
@@ -154,7 +157,7 @@ class DecompositionReport:
     tolerance: "object"
     rng_seed: int
     warnings: tuple
-    channel: KrausChannel | None = None
+    channel: KrausChannel
 
 
 @dataclass(frozen=True)
@@ -310,30 +313,34 @@ def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
     with _stage("fixed-point-algebra"):
         core = _spectral_core(ch, tol)
     frame = split.R.frame
-    # the columns of L are vecs of Hermitian matrices, and so are their
-    # compressions; a lost dimension fails the fixed-dimension check in
-    # _verify_report
-    basis = hermitian_span_basis(
-        [frame.conj().T @ unvec(x, ch.dim) @ frame for x in core.left.T], tol
-    )
+    # a lost dimension fails the fixed-dimension check in _verify_report
+    basis = hermitian_span_basis(frame.conj().T @ core.left @ frame, tol)
+    basis = np.array(basis, dtype=complex).reshape(-1, r, r)
     ident = np.eye(r)
-    projected = sum(np.trace(h).real * h for h in basis)
-    if np.abs(projected - ident).max() > tol.subspace_tol:
+    if np.abs(_algebra_element(basis, ident) - ident).max() > tol.subspace_tol:
         raise DecompositionError(
             "fixed-point-algebra",
             "identity is not in the span of the computed fixed points",
         )
-    return FixedPointAlgebra(R=split.R, hermitian_basis=tuple(basis))
+    return FixedPointAlgebra(R=split.R, hermitian_basis=basis)
 
 
-def _cluster_boundaries(w, tol):
-    """Split sorted eigenvalues into clusters at gaps above eig_cluster_tol."""
-    bounds = [0]
-    for i in range(1, w.shape[0]):
-        if w[i] - w[i - 1] > tol.eig_cluster_tol:
-            bounds.append(i)
-    bounds.append(w.shape[0])
-    return bounds
+def _algebra_element(basis, g):
+    """The orthogonal projection sum_j tr(h_j G) h_j of a Hermitian r x r
+    reference G onto the algebra with orthonormal Hermitian basis h_j, a
+    (k, r, r) stack; it does not depend on the basis chosen (tr(h G) =
+    <h, G> for Hermitian h)."""
+    return np.tensordot(np.tensordot(basis.conj(), g, 2).real, basis, 1)
+
+
+def _gaussian_reference(rng, frame):
+    """A Hermitian Gaussian d x d reference (Z + Z^H) / 2 compressed to the
+    (d, r) frame, so its projection does not depend on the frame either.  Z
+    is complex: a real symmetric reference is orthogonal to every imaginary
+    antisymmetric algebra element."""
+    d = len(frame)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return frame.conj().T @ (z + z.conj().T) @ frame / 2.0
 
 
 def _try_eigensplit(ch, split, algebra, x, tol):
@@ -347,7 +354,8 @@ def _try_eigensplit(ch, split, algebra, x, tol):
     compressed = frame.conj().T @ _kraus_images(ch, frame)
     x = (x + x.conj().T) / 2.0
     w, vecs = np.linalg.eigh(x)
-    bounds = _cluster_boundaries(w, tol)
+    # clusters of the sorted eigenvalues, split at gaps above eig_cluster_tol
+    bounds = [0, *(np.flatnonzero(np.diff(w) > tol.eig_cluster_tol) + 1), len(w)]
     result = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = vecs[:, lo:hi]
@@ -358,9 +366,8 @@ def _try_eigensplit(ch, split, algebra, x, tol):
             return None
         # minimality: the algebra compressed to this eigenspace must be
         # trivial (span dimension one)
-        comps = [cols.conj().T @ h @ cols for h in algebra.hermitian_basis]
-        stacked = np.stack([c.reshape(-1) for c in comps])
-        s = np.linalg.svd(stacked, compute_uv=False)
+        comps = cols.conj().T @ algebra.hermitian_basis @ cols
+        s = np.linalg.svd(comps.reshape(len(comps), -1), compute_uv=False)
         if int(np.sum(s >= tol.rank_tol * s[0])) != 1:
             return None
         ambient = Subspace(ch.dim, frame @ cols)
@@ -375,27 +382,24 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
 
     Eigenspaces of a generic Hermitian element of the fixed-point algebra
     are exactly the minimal enclosures of one orthogonal decomposition.
-    The first candidate element is deterministic (the algebra projection
-    of a fixed diagonal reference), which keeps the output stable across
-    runs; degenerate samples fall back to seeded random algebra elements.
+    Each candidate element is the projection of a reference matrix onto the
+    algebra (``_algebra_element``).  The first reference is deterministic,
+    diag(1, ..., d) / d compressed to R; when its projection is degenerate,
+    up to ``_MAX_SAMPLING_ATTEMPTS`` Hermitian Gaussian references follow,
+    drawn from ``default_rng(rng_seed + attempt)``.  The enclosures and
+    their order are thus a function of the channel, the seed and the
+    tolerance, not of the algebra basis.
     """
     if algebra.dimension == 1:
         return [Subspace(ch.dim, split.R.frame)]
     frame = split.R.frame
-    d = ch.dim
-    weights = np.arange(1, d + 1, dtype=float) / d
-    delta = frame.conj().T @ np.diag(weights).astype(complex) @ frame
-    canonical = sum(
-        np.trace(h @ delta).real * h for h in algebra.hermitian_basis
-    )
-    candidates = [canonical]
-    for attempt in range(_MAX_SAMPLING_ATTEMPTS):
-        rng = np.random.default_rng(rng_seed + attempt)
-        coeffs = rng.standard_normal(algebra.dimension)
-        candidates.append(
-            sum(c * h for c, h in zip(coeffs, algebra.hermitian_basis))
-        )
-    for x in candidates:
+    weights = np.arange(1, ch.dim + 1, dtype=float) / ch.dim
+    references = [frame.conj().T @ (weights[:, None] * frame)] + [
+        _gaussian_reference(np.random.default_rng(rng_seed + attempt), frame)
+        for attempt in range(_MAX_SAMPLING_ATTEMPTS)
+    ]
+    for g in references:
+        x = _algebra_element(algebra.hermitian_basis, g)
         found = _try_eigensplit(ch, split, algebra, x, tol)
         if found is not None and len(found) >= 1:
             return found
@@ -414,17 +418,18 @@ def _coords_in(space, enclosure, stage, tol):
 
 def _linking_element(algebra, tol):
     """A generic Hermitian element h of the algebra (coordinates of R) and
-    the cut above which a block of h links two minimal enclosures.
+    the cut subspace_tol |h|_F above which a block of h links two minimal
+    enclosures.
 
-    The coefficients come from a seed stream with its own spawn key, which
-    no ``minimal_enclosures`` candidate draws: the element whose
-    eigenspaces gave the enclosures is block diagonal over them.
+    h is the projection of a Hermitian Gaussian reference drawn from a seed
+    stream with its own spawn key, which no ``minimal_enclosures``
+    candidate draws: the element whose eigenspaces gave the enclosures is
+    block diagonal over them.
     """
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
-    coeffs = rng.standard_normal(algebra.dimension)
-    h = np.tensordot(coeffs, np.stack(algebra.hermitian_basis), 1)
-    # the basis is orthonormal, so |h|_F = |coeffs|
-    return h, tol.subspace_tol * np.linalg.norm(coeffs)
+    g = _gaussian_reference(rng, algebra.R.frame)
+    h = _algebra_element(algebra.hermitian_basis, g)
+    return h, tol.subspace_tol * np.linalg.norm(h)
 
 
 def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
@@ -534,13 +539,13 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
         )
     k = v.dimension
     frame = v.frame
-    for x in core.left.T:
-        x = frame.conj().T @ unvec(x, ch.dim) @ frame
-        if np.abs(x - np.trace(x) / k * np.eye(k)).max() > tol.subspace_tol:
-            raise DecompositionError(
-                "block-invariant-state",
-                "V not minimal: an adjoint fixed point is not constant on V",
-            )
+    x = frame.conj().T @ core.left @ frame
+    scalars = np.trace(x, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    if np.abs(x - scalars).max() > tol.subspace_tol:
+        raise DecompositionError(
+            "block-invariant-state",
+            "V not minimal: an adjoint fixed point is not constant on V",
+        )
     return _expand(frame, _compression(split.rho_max, frame))
 
 
@@ -730,9 +735,9 @@ def _check_parameters(report, params, tol):
 def build_invariant_state(report, params, tol=None):
     """Assemble the invariant state with the given block parameters.
 
-    The output is verified to be a state, and (when the report retains its
-    channel) verified invariant within eig_cluster_tol; this is the defining
-    contract of the parametrization and is asserted rather than assumed.
+    The output is verified to be a state, and verified invariant under the
+    report's channel within eig_cluster_tol; this is the defining contract
+    of the parametrization and is asserted rather than assumed.
     """
     tol = tol if tol is not None else report.tolerance
     t, m_list = _check_parameters(report, params, tol)
@@ -742,13 +747,12 @@ def build_invariant_state(report, params, tol=None):
         raise DecompositionError(
             "build-invariant-state", "assembled matrix is not a state"
         )
-    if report.channel is not None:
-        dev = np.abs(apply(report.channel, rho) - rho).max()
-        if dev > tol.eig_cluster_tol:
-            raise DecompositionError(
-                "build-invariant-state",
-                f"assembled state is not invariant (deviation {dev:.3e})",
-            )
+    dev = np.abs(apply(report.channel, rho) - rho).max()
+    if dev > tol.eig_cluster_tol:
+        raise DecompositionError(
+            "build-invariant-state",
+            f"assembled state is not invariant (deviation {dev:.3e})",
+        )
     return rho
 
 
@@ -786,13 +790,12 @@ def extract_parameters(report, rho, tol=None):
         m_list.append((m + m.conj().T) / 2.0)
     params = InvariantStateParameters(t=t, M=tuple(m_list))
     residual = float(np.abs(rho - _assemble(report, t, m_list)).max())
-    if report.channel is not None:
-        deviation = np.abs(apply(report.channel, rho) - rho).max()
-        if deviation <= tol.eig_cluster_tol and residual > tol.subspace_tol:
-            _warnings.warn(
-                "invariant state failed to round-trip through the block "
-                f"parametrization (residual {residual:.3e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    deviation = np.abs(apply(report.channel, rho) - rho).max()
+    if deviation <= tol.eig_cluster_tol and residual > tol.subspace_tol:
+        _warnings.warn(
+            "invariant state failed to round-trip through the block "
+            f"parametrization (residual {residual:.3e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return ExtractionResult(params=params, residual=residual)

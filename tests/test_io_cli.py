@@ -579,6 +579,20 @@ class TestReportSchemaV3:
         ):
             cs.report_file_from_dict(doc)
 
+    def test_copy_of_other_dimension_is_parse_error(self):
+        # the identity channel on C^3 is one B-block of three lines, and
+        # span{e2, e3} is an enclosure too: only the copy's column count
+        # against rho_ref can reject it as the second copy
+        rf = cs.report_file_from_report(cs.decompose(cs.KrausChannel([np.eye(3)])))
+        doc = cs.report_file_to_dict(rf)
+        (blk,) = doc["beta_blocks"]
+        assert len(blk["enclosures"]) == 3
+        blk["enclosures"][1] = _matrix_to_lists(np.eye(3)[:, 1:])
+        with pytest.raises(
+            cs.ParseError, match=re.escape("beta_blocks[0].enclosures[1]: 2 columns")
+        ):
+            cs.report_file_from_dict(doc)
+
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -718,9 +732,9 @@ class TestCliDecompose:
         # the third column), so only the count n_alpha + sum n_b^2 = 4
         # against rank K = 3 exposes the lost column.
         def dropped(ch, tol):
-            keep = np.zeros((4, 3), dtype=complex)
-            keep[[0, 3], [0, 1]] = 1.0
-            keep[[1, 2], 2] = 1.0 / np.sqrt(2.0)
+            keep = np.zeros((3, 2, 2), dtype=complex)
+            keep[[0, 1], [0, 1], [0, 1]] = 1.0
+            keep[[2, 2], [0, 1], [1, 0]] = 1.0 / np.sqrt(2.0)
             return keep, keep.copy(), np.inf
 
         monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", dropped)
@@ -752,6 +766,14 @@ class TestCliBuild:
         code = main(["build", "oqrw", "--p", "0.6", "--q", "0.2", "--sites", "5"])
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().out)
+
+    def test_oqrw_without_reflecting_site(self, capsys):
+        # N = 0 leaves no site N - 1 for the reflecting boundary to rescale
+        code = main(["build", "oqrw", "--p", "0.3", "--q", "0.3", "--sites", "0"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ArgumentError"
+        assert "needs a site N - 1 (num_sites >= 1)" in err["message"]
 
     def test_markov_two_cycle(self, tmp_path, capsys):
         mat = tmp_path / "p.json"

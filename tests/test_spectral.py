@@ -283,6 +283,29 @@ class TestRecurrentSplit:
         assert "ill-separated" in split.warnings[0]
 
 
+class TestSharedSolveIsReadOnly:
+    """The eigenvalue-1 solve is kept with the channel and shared by every
+    caller, so a write into what it hands out must fail."""
+
+    def test_fixed_space_basis(self):
+        ch = cs.KrausChannel([np.eye(2)])
+        before = np.stack(cs.fixed_space(ch).basis)
+        with pytest.raises(ValueError):
+            cs.fixed_space(ch).basis[0][...] = 0
+        assert np.array_equal(np.stack(cs.fixed_space(ch).basis), before)
+
+    def test_split_frames(self):
+        ch = amplitude_damping_channel(0.5)
+        split = cs.recurrent_split(ch)
+        with pytest.raises(ValueError):
+            split.R.frame[...] = split.D.frame
+        with pytest.raises(ValueError):
+            split.D.frame[...] = split.R.frame
+        report = cs.decompose(ch)
+        assert np.abs(report.R.projector() - np.diag([1.0, 0.0])).max() < 1e-10
+        assert np.abs(report.D.projector() - np.diag([0.0, 1.0])).max() < 1e-10
+
+
 class TestPeripheralSpectrum:
     def test_three_cycle_markov(self):
         # the per-transition Kraus family annihilates coherences in one
@@ -682,7 +705,10 @@ class TestKernelParity:
     @pytest.mark.parametrize("case", list(PARITY_CASES))
     def test_kernels_match_svd_null_spaces(self, case):
         ch = PARITY_CASES[case]()
-        right, left, _ = chanstruct.spectral._fixed_pair(ch, cs.DEFAULT_TOL)
+        right, left = (
+            np.column_stack([cs.vec(x) for x in stack])
+            for stack in chanstruct.spectral._fixed_pair(ch, cs.DEFAULT_TOL)[:2]
+        )
         ref_right, ref_left = _svd_kernels(ch, cs.DEFAULT_TOL)
         assert right.shape == ref_right.shape and left.shape == ref_left.shape
         for q, ref in ((right, ref_right), (left, ref_left)):

@@ -225,6 +225,33 @@ class TestMinimalEnclosures:
         assert rf.fixed_space_dimension == 4
         assert len(rf.peripheral_spectrum) == 16
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_fallback_order_does_not_depend_on_algebra_basis(self, monkeypatch, seed):
+        # the seeded fallback elements are projections onto the algebra, so
+        # a rotated orthonormal basis of it gives the Fourier lines of the
+        # cyclic shift in the same order
+        ch = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
+
+        def lines():
+            report = cs.decompose(ch, rng_seed=seed)
+            return [blk.enclosure.projector() for blk in report.alpha_blocks]
+
+        reference = lines()
+        span_basis = chanstruct.structure.hermitian_span_basis
+        for rotation_seed in (1, 2):
+
+            def rotated(mats, tol=cs.DEFAULT_TOL):
+                basis = np.stack(span_basis(mats, tol))
+                g = np.random.default_rng(rotation_seed).standard_normal(
+                    (len(basis), len(basis))
+                )
+                return list(np.tensordot(np.linalg.qr(g)[0], basis, 1))
+
+            monkeypatch.setattr(chanstruct.structure, "hermitian_span_basis", rotated)
+            got = lines()
+            assert len(got) == len(reference) == 4
+            assert all(np.abs(p - q).max() < 1e-8 for p, q in zip(reference, got))
+
     def test_degenerate_sampling_error(self, monkeypatch):
         ch = cs.KrausChannel([np.eye(2)])
         split = cs.recurrent_split(ch)
