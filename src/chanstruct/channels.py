@@ -7,12 +7,20 @@ under column-stacking vectorization, trace-preservation validation, and
 constructors for classical Markov-chain channels, truncated open quantum
 random walks, and the Bloch-affine form of qubit channels.
 
-It owns the one sparse/dense rule (``_SPARSE_FRACTION``).  A sparse family
-(a superoperator with at most that fraction of nonzero entries) builds its
-CSC superoperator M on first use and keeps it: Phi(rho) = M vec(rho) and
-Phi^*(X) = M^H vec(X), and the eigenvalue-1 solve reuses M.  A dense family
-applies Phi and Phi^* as two GEMMs over the stacked operators and their
-stacked adjoints, whatever the number of operators.
+A channel holds its family as the nonzero rows of the stacked operator
+W = [V_1; ...; V_n] (n d x d): an (m, d) block and the m row ids a d + i of
+row i of V_a, in increasing order.  A row is kept when one of its entries
+has a nonzero bit pattern, so -0.0 survives.  Building, checking, loading
+and writing a channel read only this block and import no scipy.
+
+The module owns the one sparse/dense rule (``_SPARSE_FRACTION``).  A sparse
+family (a superoperator with at most that fraction of nonzero entries) keeps
+only its nonzero rows and builds its CSC superoperator M from them on first
+use: Phi(rho) = M vec(rho) and Phi^*(X) = M^H vec(X), and the eigenvalue-1
+solve reuses M.  A dense family keeps all n d rows, so its block is the
+(n, d, d) Kraus stack reshaped, and applies Phi and Phi^* as two GEMMs over
+the stacked operators and their stacked adjoints.  A sparse family builds
+the dense stack only when asked for it (``kraus``, :func:`superoperator`).
 """
 
 from dataclasses import dataclass
@@ -50,8 +58,10 @@ class KrausChannel:
     kraus : sequence of (d, d) array_like, or an (n, d, d) array
         The Kraus operators V_i.  All-zero operators are dropped (the index
         set of an unravelling is arbitrary; zero operators are inert).  The
-        channel keeps its own read-only copy, and ``kraus`` holds views of
-        it.
+        channel keeps its own read-only copy as the nonzero rows of the
+        stacked operators (see the module docstring).  ``kraus`` is the
+        tuple of read-only (d, d) operators: views of the held block for a
+        dense family, built on first access for a sparse one.
     unchecked : bool, optional
         Skip the eager trace-preservation check.  Needed to exercise the
         failure path of :func:`validate`; everything downstream assumes a
@@ -61,33 +71,69 @@ class KrausChannel:
     """
 
     __slots__ = (
-        "dim", "kraus", "_stack", "_sparse", "_superop", "_adjoint", "_cores"
+        "dim", "_n", "_rows", "_row_ids", "_stack", "_sparse", "_superop",
+        "_adjoint", "_kraus", "_cores",
     )
 
     def __init__(self, kraus, *, unchecked=False, tol=DEFAULT_TOL):
         stack = _kraus_stack(kraus)
-        keep = stack.any(axis=(1, 2))
-        if not keep.any():
+        n, d, _ = stack.shape
+        self._hold(stack.reshape(n * d, d), np.arange(n * d), d, unchecked, tol)
+
+    @classmethod
+    def _from_rows(cls, rows, row_ids, d, *, unchecked=False, tol=DEFAULT_TOL):
+        """The channel whose stacked operator W has the rows ``rows`` (m, d)
+        at the strictly increasing ``row_ids`` and zeros elsewhere; it takes
+        ``rows`` over.  No (n, d, d) stack is formed for a sparse family."""
+        ch = object.__new__(cls)
+        ch._hold(rows, row_ids, d, unchecked, tol)
+        return ch
+
+    def _hold(self, rows, row_ids, d, unchecked, tol):
+        """Drop the zero operators, check trace preservation, and keep the
+        rows by the sparse/dense rule (see the module docstring)."""
+        nonzero = rows.any(axis=1)
+        if not nonzero.any():
             raise ArgumentError("all Kraus operators are zero")
+        # the rows of one operator are consecutive: g numbers the operators
+        # present, and those with a nonzero entry stay, renumbered in order
+        g = np.cumsum(np.diff(row_ids // d, prepend=-1) > 0) - 1
+        live = np.zeros(g[-1] + 1, dtype=bool)
+        live[g[nonzero]] = True
+        keep = live[g]
         if not keep.all():
-            stack = stack[keep]
-        d = stack.shape[1]
+            rows, row_ids, g = rows[keep], row_ids[keep], g[keep]
+        op = np.cumsum(live)[g] - 1
+        row_ids = op * d + row_ids % d
+        n = int(op[-1]) + 1
         if not unchecked:
-            dev = np.abs(_kraus_gram(stack) - np.eye(d)).max()
+            dev = np.abs(_kraus_gram(rows) - np.eye(d)).max()
             if dev > 10.0 * tol.psd_tol:
                 raise ArgumentError(
                     "Kraus family is not trace preserving "
                     f"(|sum V^H V - I|_max = {dev:.3e}); "
                     "pass unchecked=True to construct anyway"
                 )
-        stack.flags.writeable = False
-        sparse = bool(_nnz_fraction(stack) <= _SPARSE_FRACTION)
+        sparse = bool(_nnz_fraction(rows, op, n) <= _SPARSE_FRACTION)
+        if sparse:
+            # the rows with a nonzero bit pattern
+            stored = np.ascontiguousarray(rows).view(np.uint64).any(axis=1)
+            rows, row_ids = rows[stored], row_ids[stored]
+        elif len(rows) < n * d:
+            full = np.zeros((n * d, d), dtype=complex)
+            full[row_ids] = rows
+            rows, row_ids = full, np.arange(n * d)
+        rows.flags.writeable = False
+        stack = None if sparse else rows.reshape(n, d, d)
         object.__setattr__(self, "dim", int(d))
-        object.__setattr__(self, "kraus", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_ids", row_ids)
         # how apply and apply_adjoint act: a sparse family keeps its CSC
-        # superoperator, made on first use; a dense one keeps the stack of
-        # its adjoints V_i^H, one of the two stacks in each GEMM pair
+        # superoperator, made on first use; a dense one keeps its (n, d, d)
+        # stack, a view of the rows, and the stack of its adjoints V_i^H,
+        # the two stacks of each GEMM pair
+        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_superop", None)
         object.__setattr__(
@@ -95,18 +141,39 @@ class KrausChannel:
             "_adjoint",
             None if sparse else np.ascontiguousarray(stack.conj().transpose(0, 2, 1)),
         )
+        object.__setattr__(self, "_kraus", None)
         # eigenvalue-1 solves by Tolerance, filled on first use by
         # chanstruct.spectral; derived data, the channel stays immutable
         object.__setattr__(self, "_cores", {})
+
+    @property
+    def kraus(self):
+        """The Kraus operators, a tuple of read-only (d, d) arrays."""
+        if self._kraus is None:
+            object.__setattr__(self, "_kraus", tuple(_dense_stack(self)))
+        return self._kraus
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
 
     def __len__(self):
-        return len(self.kraus)
+        return self._n
 
     def __repr__(self):
-        return f"KrausChannel(dim={self.dim}, n_kraus={len(self.kraus)})"
+        return f"KrausChannel(dim={self.dim}, n_kraus={len(self)})"
+
+
+def _dense_stack(ch):
+    """The read-only (n, d, d) Kraus stack: the held view for a dense
+    family, scattered from the rows into a new array for a sparse one
+    (assignment keeps -0.0, where accumulating into zeros would not)."""
+    if ch._stack is not None:
+        return ch._stack
+    n, d = len(ch), ch.dim
+    stack = np.zeros((n * d, d), dtype=complex)
+    stack[ch._row_ids] = ch._rows
+    stack.flags.writeable = False
+    return stack.reshape(n, d, d)
 
 
 @dataclass(frozen=True)
@@ -192,9 +259,11 @@ def _sandwich(left, right, xs):
 def superoperator(ch):
     """Matrix M with M vec(rho) = vec(apply(rho)), vec stacking columns.
 
-    Equals sum_i conj(V_i) ⊗ V_i.
+    Equals sum_i conj(V_i) ⊗ V_i.  A sparse family builds its dense Kraus
+    stack for it.
     """
-    return _transfer_matrix(ch._stack, ch._stack)
+    stack = _dense_stack(ch)
+    return _transfer_matrix(stack, stack)
 
 
 def _transfer_matrix(a, b):
@@ -242,13 +311,15 @@ def _superoperator_sparse(ch):
 
     Every pair of nonzeros x = V_a[i, j], x' = V_a[i', j'] of one operator
     adds conj(x) x' at (i d + i', j d + j'); the COO constructor sums the
-    pairs that land on one position.
+    pairs that land on one position.  The nonzeros are read off the held
+    rows, in the order (a, i, j).
     """
     import scipy.sparse as sp
 
     d = ch.dim
-    op, row, col = np.nonzero(ch._stack)
-    x = ch._stack[op, row, col]
+    r, col = np.nonzero(ch._rows)
+    op, row = np.divmod(ch._row_ids[r], d)
+    x = ch._rows[r, col]
     counts = np.bincount(op)
     first = np.cumsum(counts) - counts
     # every ordered pair (p, q) of nonzeros of one operator: p is repeated
@@ -270,12 +341,30 @@ def _cached_superoperator(ch):
     return ch._superop
 
 
-def _nnz_fraction(stack):
-    """Fraction of nonzero entries of the superoperator of an (n, d, d)
-    Kraus stack, from the sparsity of the operators."""
-    n2 = stack.shape[1] ** 2
-    nnz = (np.count_nonzero(stack, axis=(1, 2)) ** 2).sum()
-    return min(1.0, nnz / float(n2 * n2))
+def _kraus_images(ch, frame):
+    """[V_1 F ... V_n F], the images of a (d, k) frame side by side, (d, n k):
+    row i of V_a F, a held row of W times F, is put at (i, a)."""
+    n, d = len(ch), ch.dim
+    op, i = np.divmod(ch._row_ids, d)
+    z = np.zeros((d, n, frame.shape[1]), dtype=complex)
+    z[i, op] = ch._rows @ frame
+    return z.reshape(d, -1)
+
+
+def _compressions(ch, frame):
+    """The compressions F^H V_a F of every operator to the span of a (d, k)
+    frame F, an (n, k, k) stack, from the Kraus images of F."""
+    k = frame.shape[1]
+    compressed = frame.conj().T @ _kraus_images(ch, frame)
+    return compressed.reshape(k, -1, k).transpose(1, 0, 2)
+
+
+def _nnz_fraction(rows, op, n):
+    """Fraction of nonzero entries of the superoperator of the Kraus family
+    with the rows ``rows`` (m, d) of its n operators ``op``, from the
+    sparsity of the operators: sum_a nnz(V_a)^2 / d^4."""
+    nnz = np.bincount(op, weights=np.count_nonzero(rows, axis=1), minlength=n)
+    return min(1.0, (nnz**2).sum() / float(rows.shape[1]) ** 4)
 
 
 def _kraus_stack(kraus):
@@ -308,10 +397,10 @@ def _kraus_stack(kraus):
     return np.stack(mats)
 
 
-def _kraus_gram(stack):
-    """sum_i V_i^H V_i of an (n, d, d) stack, as one product W^H W of the
-    operators stacked into an (n d, d) matrix W."""
-    w = stack.reshape(-1, stack.shape[-1])
+def _kraus_gram(w):
+    """sum_i V_i^H V_i as one product W^H W, for W the stacked operators
+    (n d, d), the nonzero rows of it, or an (n, d, d) stack."""
+    w = w.reshape(-1, w.shape[-1])
     return w.conj().T @ w
 
 
@@ -322,7 +411,7 @@ def validate(ch, tol=DEFAULT_TOL):
     flags.  The adjoint map is positive, so by Russo-Dye its norm, which
     bounds the spectral radius, is |Phi^*(I)| = |sum V_i^H V_i|.
     """
-    gram = _kraus_gram(ch._stack)
+    gram = _kraus_gram(ch._rows)
     dev = float(np.abs(gram - np.eye(ch.dim)).max())
     radius = float(np.linalg.eigvalsh(gram)[-1])
     return ValidationReport(
@@ -360,11 +449,12 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
         raise ArgumentError(
             f"columns must sum to one (deviation {col_dev:.3e})"
         )
-    # one operator per positive entry, ordered by column j, then row i
+    # one operator per positive entry, ordered by column j, then row i; its
+    # only nonzero row is row i
     j, i = np.nonzero(p.T > 0.0)
-    stack = np.zeros((j.size, n, n), dtype=complex)
-    stack[np.arange(j.size), i, j] = np.sqrt(p[i, j])
-    return KrausChannel(stack, tol=tol)
+    rows = np.zeros((j.size, n), dtype=complex)
+    rows[np.arange(j.size), j] = np.sqrt(p[i, j])
+    return KrausChannel._from_rows(rows, np.arange(j.size) * n + i, n, tol=tol)
 
 
 def oqrw_transition_map(p, q, num_sites):
@@ -492,14 +582,18 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         if np.abs(check - eye).max() > 1e-12:
             raise ArgumentError("normalization failure after adjustment")
 
-    kraus = []
+    # V = L ⊗ |i><j| has its nonzero rows a (N+1) + i, row a being
+    # L[a] ⊗ <j|: one (n_int, d) block per operator
+    d = n_int * n_sites
+    blocks, row_ids = [], []
     for (i, j), mat in sorted(ops.items()):
-        if np.abs(mat).max() == 0.0:
-            continue
-        site = np.zeros((n_sites, n_sites), dtype=complex)
-        site[i, j] = 1.0
-        kraus.append(np.kron(mat, site))
-    return KrausChannel(kraus, tol=tol)
+        site = np.zeros((1, n_sites), dtype=complex)
+        site[0, j] = 1.0
+        blocks.append(np.kron(mat, site))
+        row_ids.append(len(row_ids) * d + np.arange(n_int) * n_sites + i)
+    return KrausChannel._from_rows(
+        np.concatenate(blocks), np.concatenate(row_ids), d, tol=tol
+    )
 
 
 # Normalized Pauli basis: sigma_0 = I/sqrt(2), sigma_k = pauli_k/sqrt(2).

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, _transfer_matrix
+from .channels import KrausChannel, _compressions, _dense_stack, _transfer_matrix
 from .errors import ArgumentError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 from .spectral import _block_eigenvalues, _peripheral
@@ -150,24 +150,35 @@ def _check_schema(data, layouts, kraus_data, where):
         )
 
 
-def _kraus_to_dict(stack):
-    """The version-2 ``kraus`` object of an n x d x d stack: the stored
-    entries (a part with a nonzero bit pattern), indexed when they are at
-    most half of the stack, else the whole stack."""
-    pairs = np.stack((stack.real, stack.imag), axis=-1).reshape(-1, 2)
+def _entry_pairs(a):
+    """The entries of a complex array as rows of [re, im] pairs, (size, 2)."""
+    return np.stack((a.real, a.imag), axis=-1).reshape(-1, 2)
+
+
+def _kraus_to_dict(ch):
+    """The version-2 ``kraus`` object of a channel: the stored entries (a
+    part with a nonzero bit pattern) of its n x d x d stack, read off the
+    held rows and indexed when they are at most half of the stack, else the
+    whole stack."""
+    n, d = len(ch), ch.dim
+    pairs = _entry_pairs(ch._rows)
     stored = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
-    doc = {"shape": list(stack.shape)}
-    if 2 * stored.size <= len(pairs):
-        doc["index"] = stored.tolist()
-        pairs = pairs[stored]
-    doc["values"] = pairs.tolist()
+    doc = {"shape": [n, d, d]}
+    if 2 * stored.size <= n * d * d:
+        doc["index"] = (ch._row_ids[stored // d] * d + stored % d).tolist()
+        doc["values"] = pairs[stored].tolist()
+    else:
+        # the whole stack, which a sparse family holds only part of
+        if ch._stack is None:
+            pairs = _entry_pairs(_dense_stack(ch))
+        doc["values"] = pairs.tolist()
     return doc
 
 
 def _kraus_from_dict(data, dim, where):
-    """The Kraus stack of a version-2 ``kraus`` object.  Operators without a
-    stored entry are zero, and a channel drops them, so an indexed stack is
-    allocated for the others only: memory follows the file, not ``shape``."""
+    """The nonzero rows of the stacked operators of a version-2 ``kraus``
+    object and their row ids.  An indexed object allocates the rows holding
+    a stored entry only: memory follows the file, not ``shape``."""
     shape = _require(data, "shape", where)
     if (
         not isinstance(shape, list)
@@ -189,7 +200,7 @@ def _kraus_from_dict(data, dim, where):
             raise ParseError(
                 f"{where}: without an index, values must hold all {size} entries"
             )
-        return flat.reshape(shape)
+        return flat.reshape(-1, dim), np.arange(shape[0] * dim)
     index = data["index"]
     if not isinstance(index, list) or len(index) != len(values):
         raise ParseError(f"{where}: index and values must have equal lengths")
@@ -200,17 +211,17 @@ def _kraus_from_dict(data, dim, where):
     positions = np.array(index, dtype=np.int64)
     if (np.diff(positions) <= 0).any():
         raise ParseError(f"{where}: index must be strictly increasing")
-    ops, slot = np.unique(positions // (dim * dim), return_inverse=True)
-    stack = np.zeros((ops.size, dim * dim), dtype=complex)
-    stack[slot, positions % (dim * dim)] = flat
-    return stack.reshape(-1, dim, dim)
+    row_ids, slot = np.unique(positions // dim, return_inverse=True)
+    rows = np.zeros((row_ids.size, dim), dtype=complex)
+    rows[slot, positions % dim] = flat
+    return rows, row_ids
 
 
 def channel_to_dict(ch, metadata=None):
     doc = {
         "schema": CHANNEL_SCHEMA,
         "dim": ch.dim,
-        "kraus": _kraus_to_dict(ch._stack),
+        "kraus": _kraus_to_dict(ch),
     }
     if metadata:
         doc["metadata"] = dict(metadata)
@@ -229,12 +240,13 @@ def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
     kraus_data = _require(data, "kraus", where)
     _check_schema(data, _CHANNEL_LAYOUTS, kraus_data, where)
     if isinstance(kraus_data, dict):
-        kraus = _kraus_from_dict(kraus_data, dim, f"{where}.kraus")
+        rows, row_ids = _kraus_from_dict(kraus_data, dim, f"{where}.kraus")
     elif isinstance(kraus_data, list) and kraus_data:
-        kraus = [
+        rows = np.concatenate([
             _matrix_from_lists(m, dim, dim, f"{where}.kraus[{a}]")
             for a, m in enumerate(kraus_data)
-        ]
+        ])
+        row_ids = np.arange(len(rows))
     else:
         raise ParseError(
             f"{where}: kraus must be an object or a nonempty list of matrices"
@@ -242,7 +254,7 @@ def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError(f"{where}: metadata must be an object")
-    return KrausChannel(kraus, tol=tol, unchecked=unchecked)
+    return KrausChannel._from_rows(rows, row_ids, dim, tol=tol, unchecked=unchecked)
 
 
 def _load_json(path):
@@ -280,7 +292,7 @@ def report_file_from_report(report):
     It counts n_i^2 times.  A pair of blocks of unequal dimension has no
     peripheral eigenvalue; any other (i, j) pair of first copies counts
     n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
-    stack = report.channel._stack
+    ch = report.channel
     tol = report.tolerance
     # F^H V_a F for the first enclosure F of every block, its state and its
     # copy count
@@ -288,7 +300,7 @@ def report_file_from_report(report):
         (blk.enclosures[0].frame, blk.sigma_ref, len(blk.enclosures))
         for blk in report.beta_blocks
     ]
-    parts = [(f.conj().T @ stack @ f, sigma, n) for f, sigma, n in blocks]
+    parts = [(_compressions(ch, f), sigma, n) for f, sigma, n in blocks]
     eigenvalues = []
     for i, (a, sigma, n_i) in enumerate(parts):
         eigenvalues.append(np.tile(_block_eigenvalues(a, sigma, tol), n_i * n_i))
@@ -498,7 +510,7 @@ def report_file_from_dict(data, re_verify=True):
 def validation_to_dict(ch, vr):
     return {
         "dim": ch.dim,
-        "kraus_count": len(ch.kraus),
+        "kraus_count": len(ch),
         "kraus_sum_deviation": vr.kraus_sum_deviation,
         "spectral_radius": vr.spectral_radius,
         "trace_preserving": vr.trace_preserving,

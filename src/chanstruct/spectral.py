@@ -350,10 +350,15 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
 
     Sorted by argument, with multiplicity, from all d^2 eigenvalues of the
     real d^2 x d^2 matrix M_h, unitarily similar to the superoperator: exact
-    for any Kraus family, at O(d^6) cost.  For a large trace-preserving
-    channel read its report's ``peripheral_spectrum``.
+    for any Kraus family, at O(d^6) cost.  A sparse family takes M_h from
+    its cached sparse superoperator.  For a large trace-preserving channel
+    read its report's ``peripheral_spectrum``.
     """
-    h = _hermitian_transfer_matrix(ch._stack)
+    m = _cached_superoperator(ch)
+    if m is None:
+        h = _hermitian_transfer_matrix(ch._stack)
+    else:
+        h = _hermitian_coordinates(m).toarray()
     return _peripheral(np.linalg.eigvals(h), tol)
 
 

@@ -27,12 +27,19 @@ d x d matrices rho, rho_ref and Q_g are derived on request.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 import warnings as _warnings
 
 import numpy as np
 
-from .channels import KrausChannel, apply, apply_adjoint, is_state
+from .channels import (
+    KrausChannel,
+    _kraus_images,
+    apply,
+    apply_adjoint,
+    is_state,
+)
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import (
     DEFAULT_TOL,
@@ -86,6 +93,12 @@ class FixedPointAlgebra:
     @property
     def dimension(self):
         return len(self.hermitian_basis)
+
+    @cached_property
+    def linking_element(self):
+        """The generic element that links minimal enclosures (see
+        ``_linking_element``), made once per algebra."""
+        return _linking_element(self)
 
 
 def _expand(frame, sigma):
@@ -206,13 +219,6 @@ def enclosure_generated(ch, x, tol=DEFAULT_TOL):
             break
         space = grown
     return space
-
-
-def _kraus_images(ch, frame):
-    """[V_1 F ... V_n F], the images of a (d, k) frame side by side, (d, n k)."""
-    n, d, _ = ch._stack.shape
-    z = (ch._stack.reshape(n * d, d) @ frame).reshape(n, d, -1)
-    return z.transpose(1, 0, 2).reshape(d, -1)
 
 
 def _enclosure_leak(ch, frame):
@@ -349,9 +355,6 @@ def _try_eigensplit(ch, split, algebra, x, tol):
     ambient subspaces, or None when some eigenspace fails fixedness,
     minimality, or the enclosure property (a degenerate sample)."""
     frame = split.R.frame
-    r = split.R.dimension
-    # the compressed Kraus operators C_a = F^H V_a F side by side, (r, n r)
-    compressed = frame.conj().T @ _kraus_images(ch, frame)
     x = (x + x.conj().T) / 2.0
     w, vecs = np.linalg.eigh(x)
     # clusters of the sorted eigenvalues, split at gaps above eig_cluster_tol
@@ -359,10 +362,12 @@ def _try_eigensplit(ch, split, algebra, x, tol):
     result = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = vecs[:, lo:hi]
-        pi = cols @ cols.conj().T
-        # sum_a C_a^H pi C_a = W^H W, W the row stack of the blocks cols^H C_a
-        wa = (cols.conj().T @ compressed).reshape(-1, r)
-        if np.abs(wa.conj().T @ wa - pi).max() > tol.subspace_tol:
+        g = frame @ cols
+        # fixedness: pi = cols cols^H is fixed by the adjoint of the channel
+        # restricted to R, sum_a C_a^H pi C_a with C_a = F^H V_a F, which is
+        # F^H Phi^*(G G^H) F
+        fixed = frame.conj().T @ apply_adjoint(ch, g @ g.conj().T) @ frame
+        if np.abs(fixed - cols @ cols.conj().T).max() > tol.subspace_tol:
             return None
         # minimality: the algebra compressed to this eigenspace must be
         # trivial (span dimension one)
@@ -370,7 +375,7 @@ def _try_eigensplit(ch, split, algebra, x, tol):
         s = np.linalg.svd(comps.reshape(len(comps), -1), compute_uv=False)
         if int(np.sum(s >= tol.rank_tol * s[0])) != 1:
             return None
-        ambient = Subspace(ch.dim, frame @ cols)
+        ambient = Subspace(ch.dim, g)
         if not is_enclosure(ch, ambient, tol):
             return None
         result.append(ambient)
@@ -416,19 +421,23 @@ def _coords_in(space, enclosure, stage, tol):
     return space.frame.conj().T @ enclosure.frame
 
 
-def _linking_element(algebra, tol):
-    """A generic Hermitian element h of the algebra (coordinates of R) and
-    the cut subspace_tol |h|_F above which a block of h links two minimal
-    enclosures.
+def _linking_element(algebra):
+    """A generic Hermitian element h of the algebra (coordinates of R).
 
     h is the projection of a Hermitian Gaussian reference drawn from a seed
     stream with its own spawn key, which no ``minimal_enclosures``
     candidate draws: the element whose eigenspaces gave the enclosures is
-    block diagonal over them.
+    block diagonal over them.  A block of h above the cut subspace_tol |h|_F
+    (``_link_cut``) links two minimal enclosures.
     """
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
     g = _gaussian_reference(rng, algebra.R.frame)
-    h = _algebra_element(algebra.hermitian_basis, g)
+    return _algebra_element(algebra.hermitian_basis, g)
+
+
+def _link_cut(algebra, tol):
+    """The algebra's linking element h and the cut subspace_tol |h|_F."""
+    h = algebra.linking_element
     return h, tol.subspace_tol * np.linalg.norm(h)
 
 
@@ -447,7 +456,7 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
     coords = [
         _coords_in(algebra.R, e, "block-grouping", tol) for e in enclosures
     ]
-    h, cut = _linking_element(algebra, tol)
+    h, cut = _link_cut(algebra, tol)
     adj = [
         [np.linalg.norm(ci.conj().T @ h @ cj) > cut for cj in coords] for ci in coords
     ]
@@ -494,7 +503,7 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
         raise ArgumentError("enclosures must be nonzero")
     gi = _coords_in(algebra.R, vi, "partial-isometry", tol)
     gj = _coords_in(algebra.R, vj, "partial-isometry", tol)
-    h, cut = _linking_element(algebra, tol)
+    h, cut = _link_cut(algebra, tol)
     link = gj.conj().T @ h @ gi
     if np.linalg.norm(link) <= cut:
         raise DecompositionError(

@@ -51,16 +51,16 @@ class TestConstruction:
         from_list = cs.KrausChannel(family)
         array = np.stack(family)
         from_array = cs.KrausChannel(array)
-        assert from_list._stack.tobytes() == from_array._stack.tobytes()
         assert len(from_list) == len(from_array) == 4
         for ch in (from_list, from_array):
-            assert ch._stack.shape == (4, 3, 3) and not ch._stack.flags.writeable
+            assert len(ch.kraus) == 4
             for a, v in enumerate(ch.kraus):
-                assert v.base is ch._stack
+                assert v.shape == (3, 3) and not v.flags.writeable
                 assert v.tobytes() == family[a].astype(complex).tobytes()
         # the channel holds a copy: changing the input changes nothing
         array[0] = 0.0
-        assert from_array._stack.tobytes() == from_list._stack.tobytes()
+        stacks = [np.stack(ch.kraus).tobytes() for ch in (from_array, from_list)]
+        assert stacks[0] == stacks[1]
 
     @pytest.mark.parametrize(
         "family, message",
@@ -188,7 +188,8 @@ class TestSuperoperator:
             gram = np.einsum("aji,ajk->ik", u.conj(), u)
             w, vecs = np.linalg.eigh(gram)
             ch = cs.KrausChannel(list(u @ (vecs / np.sqrt(w)) @ vecs.conj().T))
-            assert not np.count_nonzero(ch._stack[:, [0, 0, 1], [0, 2, 1]] == 0)
+            shared = np.stack(ch.kraus)[:, [0, 0, 1], [0, 2, 1]]
+            assert not np.count_nonzero(shared == 0)
         sparse = chanstruct.channels._superoperator_sparse(ch)
         assert sparse.format == "csc"
         assert np.abs(sparse.toarray() - cs.superoperator(ch)).max() <= 1e-15
@@ -221,7 +222,7 @@ class TestSuperoperator:
         ref = chanstruct.spectral._hermitian_coordinates(
             sp.csc_matrix(cs.superoperator(ch))
         ).toarray()
-        got = chanstruct.channels._hermitian_transfer_matrix(ch._stack)
+        got = chanstruct.channels._hermitian_transfer_matrix(np.stack(ch.kraus))
         assert got.dtype == np.float64 and got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-15
 
@@ -309,7 +310,7 @@ class TestMarkov:
                     v = np.zeros((6, 6), dtype=complex)
                     v[i, j] = np.sqrt(p[i, j])
                     ref.append(v)
-        assert ch._stack.tobytes() == np.stack(ref).tobytes()
+        assert np.stack(ch.kraus).tobytes() == np.stack(ref).tobytes()
 
     def test_rejects_bad_columns(self):
         with pytest.raises(cs.ArgumentError):

@@ -1,8 +1,12 @@
 """JSON schemas and the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +208,7 @@ def _markov_chain(n=5):
 def _with_negative_zeros(ch, entries):
     """``ch`` with the given (operator, row, col) zeros replaced by -0.0
     in the real part, the imaginary part or both (in turn)."""
-    stack = ch._stack.copy()
+    stack = np.stack(ch.kraus)
     signs = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     for k, (a, i, j) in enumerate(entries):
         assert stack[a, i, j] == 0
@@ -222,6 +226,22 @@ def _dense_with_zeros():
         m[2, 2] = np.sqrt(0.5)
         kraus.append(m)
     return cs.KrausChannel(kraus)
+
+
+def _cycle_with_negative_zeros():
+    """The cyclic shift on C^8, a sparse family (8 single-entry operators,
+    sum nnz^2 / d^4 = 0.2%), with -0.0 put into a row that holds the
+    operator's entry and into rows that are otherwise zero, and one
+    operator whose only entries are -0.0 (a zero operator, dropped)."""
+    d = 8
+    stack = np.zeros((d + 1, d, d), dtype=complex)
+    for a in range(d):
+        stack[a, (a + 1) % d, a] = 1.0
+    stack[0, 1, 3] = complex(-0.0, 0.0)
+    stack[2, 5, 5] = complex(0.0, -0.0)
+    stack[7, 0, 0] = complex(-0.0, -0.0)
+    stack[d, 4, 4] = complex(-0.0, -0.0)
+    return stack
 
 
 def _sparse_doc():
@@ -249,8 +269,39 @@ class TestChannelSchemaV2:
         text = cs.canonical_dumps(doc)
         assert "-0.0," in text and ",-0.0]" in text
         ch2 = cs.channel_from_dict(json.loads(text))
-        assert self._same_bits(ch2._stack, ch._stack)
+        assert self._same_bits(np.stack(ch2.kraus), np.stack(ch.kraus))
         assert cs.canonical_dumps(cs.channel_to_dict(ch2, {"name": family})) == text
+
+    @pytest.mark.parametrize("family", ["dense-by-rule", "negative-zeros", "sparse"])
+    def test_negative_zeros_survive_every_route(self, family, tmp_path):
+        # every route into and out of a channel keeps each entry's bits: the
+        # list and array constructors, the /1 and /2 files, and the dense
+        # stack a sparse family builds on demand
+        if family == "sparse":
+            source = _cycle_with_negative_zeros()
+            stack = source[:-1]
+        else:
+            ch = _markov_chain()
+            if family == "negative-zeros":
+                ch = _with_negative_zeros(ch, [(0, 0, 1), (2, 4, 4), (5, 1, 0)])
+            source = stack = np.stack(ch.kraus)
+        built = [cs.KrausChannel(list(source)), cs.KrausChannel(source)]
+        # the d = 5 chain is indexed on disk but dense by the superoperator
+        # rule (sum nnz^2 / d^4 = 13 / 625)
+        assert all(ch._sparse is (family == "sparse") for ch in built)
+        text = cs.canonical_dumps(cs.channel_to_dict(built[0]))
+        assert "index" in json.loads(text)["kraus"]
+        if family != "dense-by-rule":
+            assert "-0.0," in text and ",-0.0]" in text
+        v1 = tmp_path / "v1.json"
+        v1.write_text(cs.canonical_dumps(v1_doc(built[0])))
+        v2 = tmp_path / "v2.json"
+        v2.write_text(text)
+        loaded = [cs.load_channel(str(v1)), cs.load_channel(str(v2))]
+        for ch in built + loaded:
+            assert len(ch) == len(stack)
+            assert self._same_bits(np.stack(ch.kraus), stack)
+            assert cs.canonical_dumps(cs.channel_to_dict(ch)) == text
 
     def test_index_is_written_at_most_half_dense(self):
         # 4 of 8 entries stored: the index is written; 5 of 8: it is not
@@ -273,7 +324,7 @@ class TestChannelSchemaV2:
         ch = make()
         for doc in (v1_doc(ch), {k: v for k, v in v1_doc(ch).items() if k != "schema"}):
             ch1 = cs.channel_from_dict(json.loads(cs.canonical_dumps(doc)))
-            assert self._same_bits(ch1._stack, ch._stack)
+            assert self._same_bits(np.stack(ch1.kraus), np.stack(ch.kraus))
 
     def test_operators_without_entries_are_not_allocated(self):
         # the second operator of amplitude damping moved to the last of 10^6
@@ -289,7 +340,51 @@ class TestChannelSchemaV2:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert self._same_bits(ch._stack, amplitude_damping_channel(0.3)._stack)
+        assert self._same_bits(
+            np.stack(ch.kraus), np.stack(amplitude_damping_channel(0.3).kraus)
+        )
+
+    def test_sparse_family_is_never_held_dense(self, tmp_path):
+        # d = 60, six closed classes of 10 states: 600 single-entry
+        # operators, whose dense stack would take 34.6 MB
+        rng = np.random.default_rng(607)
+        p = np.zeros((60, 60))
+        for c in range(0, 60, 10):
+            block = rng.uniform(0.1, 1.0, size=(10, 10))
+            p[c : c + 10, c : c + 10] = block / block.sum(axis=0)
+        ch = cs.from_markov_chain(p)
+        assert len(ch) == 600 and ch._sparse
+        bound = 600 * 60 * 60 * 16 / 4
+        path = write_channel(tmp_path / "ch.json", ch)
+        for make in (lambda: cs.load_channel(path), lambda: cs.channel_to_dict(ch)):
+            tracemalloc.start()
+            try:
+                make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+        # building and checking a channel in a fresh interpreter loads no
+        # scipy
+        mat = tmp_path / "p.json"
+        mat.write_text(json.dumps(p.tolist()))
+        built = tmp_path / "built.json"
+        script = (
+            "import sys; from chanstruct.cli import main; "
+            f"assert main(['build', 'markov', '--matrix', {str(mat)!r}, "
+            f"'--out', {str(built)!r}]) == 0; "
+            f"assert main(['validate', {path!r}]) == 0; "
+            "assert 'scipy' not in sys.modules"
+        )
+        src = os.path.dirname(os.path.dirname(cs.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        kraus = [json.loads(Path(f).read_text())["kraus"] for f in (built, path)]
+        assert kraus[0] == kraus[1]
 
     def test_decompose_v1_and_v2_files_write_identical_reports(self, tmp_path, capsys):
         ch = _markov_chain()

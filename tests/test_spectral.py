@@ -523,7 +523,7 @@ class TestPeripheralSpectrumOnR:
         firsts = [(b.enclosure.frame, 1) for b in rep.alpha_blocks] + [
             (b.enclosures[0].frame, len(b.enclosures)) for b in rep.beta_blocks
         ]
-        parts = [(f.conj().T @ ch._stack @ f, n) for f, n in firsts]
+        parts = [(f.conj().T @ np.stack(ch.kraus) @ f, n) for f, n in firsts]
         eigenvalues = []
         for i, (a, n_i) in enumerate(parts):
             for j, (b, n_j) in enumerate(parts[i:], start=i):

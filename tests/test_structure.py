@@ -434,6 +434,21 @@ class TestDecompose:
             p0 = blk.enclosures[0].projector()
             assert np.abs(blk.isometries[0] - p0).max() < 1e-12
 
+    def test_linking_element_made_once(self, monkeypatch):
+        # the identity channel on C^10 is one B-block of 10 lines: grouping
+        # and the 9 partial isometries all read one linking element
+        made = []
+        make = chanstruct.structure._linking_element
+
+        def counting(algebra):
+            made.append(algebra)
+            return make(algebra)
+
+        monkeypatch.setattr(chanstruct.structure, "_linking_element", counting)
+        rep = cs.decompose(cs.KrausChannel([np.eye(10)]))
+        assert [len(b.enclosures) for b in rep.beta_blocks] == [10]
+        assert len(made) == 1
+
     def test_stage_tagging(self):
         ch = cs.KrausChannel([np.eye(2), np.eye(2)], unchecked=True)
         with pytest.raises(cs.DecompositionError) as err:
