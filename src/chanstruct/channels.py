@@ -130,9 +130,9 @@ class KrausChannel:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_ids", row_ids)
         # how apply and apply_adjoint act: a sparse family keeps its CSC
-        # superoperator, made on first use; a dense one keeps its (n, d, d)
-        # stack, a view of the rows, and the stack of its adjoints V_i^H,
-        # the two stacks of each GEMM pair
+        # superoperator M and the CSR view M^T, made on first use; a dense
+        # one keeps its (n, d, d) stack, a view of the rows, and the stack
+        # of its adjoints V_i^H, the two stacks of each GEMM pair
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_superop", None)
@@ -239,9 +239,8 @@ def _apply_stack(ch, xs, adjoint=False):
     k, d = xs.shape[0], ch.dim
     # column c is vec(X_c), X_c^T read row by row
     vecs = xs.transpose(0, 2, 1).reshape(k, d * d).T
-    # M^H v = conj(M^T conj(v)); the transpose of a CSC matrix is a CSR view
-    # of the same arrays
-    out = (m.T @ vecs.conj()).conj() if adjoint else m @ vecs
+    # M^H v = conj(M^T conj(v)), M^T the CSR view kept with M
+    out = (ch._adjoint @ vecs.conj()).conj() if adjoint else m @ vecs
     return out.T.reshape(k, d, d).transpose(0, 2, 1)
 
 
@@ -334,10 +333,13 @@ def _superoperator_sparse(ch):
 
 
 def _cached_superoperator(ch):
-    """The CSC superoperator of a sparse Kraus family, made on first use and
-    kept with the channel; None for a dense family."""
+    """The CSC superoperator M of a sparse Kraus family, made on first use and
+    kept with the channel together with its transpose, a CSR view of the same
+    arrays that Phi^* applies; None for a dense family."""
     if ch._sparse and ch._superop is None:
-        object.__setattr__(ch, "_superop", _superoperator_sparse(ch))
+        m = _superoperator_sparse(ch)
+        object.__setattr__(ch, "_superop", m)
+        object.__setattr__(ch, "_adjoint", m.T)
     return ch._superop
 
 
@@ -429,7 +431,8 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
     ----------
     p : (n, n) array_like
         Column-stochastic transition matrix: p[i, j] is the probability of
-        jumping from state j to state i, columns sum to one.
+        jumping from state j to state i, columns sum to one within
+        10 ``tol.psd_tol``.  Entries down to -``tol.psd_tol`` count as zero.
 
     Returns
     -------
@@ -441,11 +444,11 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ArgumentError("transition matrix must be square")
     n = p.shape[0]
-    if p.min() < -1e-12:
+    if p.min() < -tol.psd_tol:
         raise ArgumentError("transition matrix has negative entries")
     p = np.where(p < 0.0, 0.0, p)
     col_dev = np.abs(p.sum(axis=0) - 1.0).max()
-    if col_dev > 1e-12:
+    if col_dev > 10.0 * tol.psd_tol:
         raise ArgumentError(
             f"columns must sum to one (deviation {col_dev:.3e})"
         )
@@ -499,7 +502,8 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     transitions : mapping (i, j) -> (n, n) array_like
         Site-transition operators L_{i,j} of the walk, for source sites
         0 <= j <= N.  Every retained column j must satisfy
-        sum_i L_{i,j}^H L_{i,j} = I within 1e-12 *before* truncation.
+        sum_i L_{i,j}^H L_{i,j} = I within 10 ``tol.psd_tol`` (max-abs)
+        *before* truncation.
     num_sites : int
         Truncation index N; sites 0..N are kept.
 
@@ -531,11 +535,13 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         raise ArgumentError("transition map is empty")
 
     eye = np.eye(n_int)
+    # the bound KrausChannel puts on |sum V^H V - I|
+    tp_tol = 10.0 * tol.psd_tol
     for j in range(n_sites):
         total = sum(
             m.conj().T @ m for (i, jj), m in ops.items() if jj == j
         )
-        if not isinstance(total, np.ndarray) or np.abs(total - eye).max() > 1e-12:
+        if not isinstance(total, np.ndarray) or np.abs(total - eye).max() > tp_tol:
             raise ArgumentError(
                 f"column {j} is not normalized before truncation"
             )
@@ -566,20 +572,20 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
             np.abs(target - np.diag(np.diag(target))).max(),
             np.abs(gram - np.diag(np.diag(gram))).max(),
         )
-        if off_mass > 1e-12:
+        if off_mass > tol.psd_tol:
             raise ArgumentError("normalization failure after adjustment")
         t_diag, g_diag = np.diag(target).real, np.diag(gram).real
         scale = np.zeros(n_int)
         for k in range(n_int):
-            if g_diag[k] > 1e-12:
-                if t_diag[k] < -1e-12:
+            if g_diag[k] > tol.psd_tol:
+                if t_diag[k] < -tol.psd_tol:
                     raise ArgumentError("normalization failure after adjustment")
                 scale[k] = np.sqrt(max(t_diag[k], 0.0) / g_diag[k])
-            elif abs(t_diag[k]) > 1e-12:
+            elif abs(t_diag[k]) > tol.psd_tol:
                 raise ArgumentError("normalization failure after adjustment")
         ops[back] = ops[back] @ np.diag(scale)
         check = others + ops[back].conj().T @ ops[back]
-        if np.abs(check - eye).max() > 1e-12:
+        if np.abs(check - eye).max() > tp_tol:
             raise ArgumentError("normalization failure after adjustment")
 
     # V = L ⊗ |i><j| has its nonzero rows a (N+1) + i, row a being

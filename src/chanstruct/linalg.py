@@ -111,7 +111,7 @@ class Subspace:
         if frame.shape[1]:
             gram = frame.conj().T @ frame
             dev = np.abs(gram - np.eye(frame.shape[1])).max()
-            if dev > 1e-7:
+            if dev > DEFAULT_TOL.subspace_tol:
                 raise ArgumentError(
                     f"frame columns are not orthonormal (deviation {dev:.3e})"
                 )

@@ -15,11 +15,9 @@ A report (``chanstruct-report/3``) embeds its channel and keeps block data in
 the coordinates of the enclosures: an A-block's ``rho`` is the n x n state
 F^H rho F on its frame F, and a B-block stores the frames F_g = Q_g F_0 of
 its copies, aligned by the intertwiners Q_g, and the m x m ``rho_ref`` on
-F_0.  Reports of versions 1 and 2 (which embed a channel of version 1 and 2)
-store d x d states and the d x d transports Q_g under ``isometries``; they
-are read into the version-3 layout after checking that each state lies in
-its enclosure and each Q_g maps enclosures[0] onto enclosures[g].  A report
-without a ``schema`` entry is read in the version-3 layout.
+F_0.  A report without a ``schema`` entry is read in this layout; a report
+of any other version is not read (re-run ``chanstruct decompose`` on its
+channel).
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -45,7 +43,6 @@ from .structure import (
     BetaBlock,
     DecompositionReport,
     _enclosures,
-    _expand,
     _fixed_dimension,
     is_enclosure,
 )
@@ -65,11 +62,7 @@ CHANNEL_SCHEMA = "chanstruct-channel/2"
 REPORT_SCHEMA = "chanstruct-report/3"
 # the JSON type of the (embedded) channel's "kraus" in each known version
 _CHANNEL_LAYOUTS = {"chanstruct-channel/1": list, CHANNEL_SCHEMA: dict}
-_REPORT_LAYOUTS = {
-    "chanstruct-report/1": list,
-    "chanstruct-report/2": dict,
-    REPORT_SCHEMA: dict,
-}
+_REPORT_LAYOUTS = {REPORT_SCHEMA: dict}
 
 
 def canonical_dumps(obj):
@@ -363,56 +356,18 @@ def _subspace_from_lists(data, dim, where):
         raise ParseError(f"{where}: frame is not orthonormal ({err})") from err
 
 
-def _block_state(data, space, ambient, tol, where):
-    """A block state in the coordinates of ``space.frame``.  A d x d state
-    (versions 1 and 2) is compressed, F^H rho F, after checking that it lies
-    inside the enclosure: nothing outside it may be dropped."""
-    if not ambient:
-        k = space.dimension
-        return _matrix_from_lists(data, k, k, where)
-    d = space.ambient_dim
-    rho = _matrix_from_lists(data, d, d, where)
-    sigma = space.frame.conj().T @ rho @ space.frame
-    if np.abs(rho - _expand(space.frame, sigma)).max() > tol.eig_cluster_tol:
-        raise ParseError(f"{where}: state lies outside its enclosure")
-    return sigma
-
-
-def _aligned_frames(data, encs, tol, where):
-    """The frames F_g = Q_g F_0 of a B-block stored with d x d transports Q_g
-    (versions 1 and 2).  Q_0 must be the projector onto enclosures[0], and
-    each Q_g must map it onto enclosures[g]."""
-    if not isinstance(data, list) or len(data) != len(encs):
-        raise ParseError(f"{where}: isometry/enclosure count mismatch")
-    base = encs[0]
-    d = base.ambient_dim
-    p0 = base.projector()
-    aligned = [base]
-    for g, (q, enc) in enumerate(zip(data, encs)):
-        q = _matrix_from_lists(q, d, d, f"{where}.isometries[{g}]")
-        if g == 0:
-            dev = np.abs(q - p0).max()
-        else:
-            dev = max(
-                np.abs(q.conj().T @ q - p0).max(),
-                np.abs(q @ q.conj().T - enc.projector()).max(),
-            )
-        if dev > tol.eig_cluster_tol:
-            raise ParseError(
-                f"{where}.isometries[{g}]: does not map enclosures[0] onto "
-                f"enclosures[{g}] (deviation {dev:.3e})"
-            )
-        if g:
-            aligned.append(Subspace(d, q @ base.frame))
-    return aligned
-
-
 def report_file_from_dict(data, re_verify=True):
-    """Parse a report document of any version, re-verifying frame
+    """Parse a ``chanstruct-report/3`` document, re-verifying frame
     orthonormality and the enclosure predicate against the embedded
     channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
+    schema = data.get("schema", REPORT_SCHEMA)
+    if schema != REPORT_SCHEMA:
+        raise ParseError(
+            f"{where}: unknown schema {schema!r}; re-run `chanstruct decompose` "
+            f"on its channel to write a {REPORT_SCHEMA} report"
+        )
     channel_data = _require(data, "channel", where)
     _check_schema(
         data, _REPORT_LAYOUTS, _require(channel_data, "kraus", "channel"), where
@@ -435,17 +390,14 @@ def report_file_from_dict(data, re_verify=True):
     d_space = _subspace_from_lists(
         _require(data, "transient_basis", where), dim, "transient_basis"
     )
-    # versions 1 and 2 store block states and transports as d x d matrices
-    ambient = data.get("schema", REPORT_SCHEMA) != REPORT_SCHEMA
     alpha = []
     for i, blk in enumerate(_require(data, "alpha_blocks", where)):
         prefix = f"alpha_blocks[{i}]"
         enc = _subspace_from_lists(
             _require(blk, "enclosure", prefix), dim, f"{prefix}.enclosure"
         )
-        sigma = _block_state(
-            _require(blk, "rho", prefix), enc, ambient, tol, f"{prefix}.rho"
-        )
+        k = enc.dimension
+        sigma = _matrix_from_lists(_require(blk, "rho", prefix), k, k, f"{prefix}.rho")
         alpha.append(AlphaBlock(enclosure=enc, sigma=sigma))
     beta = []
     for i, blk in enumerate(_require(data, "beta_blocks", where)):
@@ -456,13 +408,9 @@ def report_file_from_dict(data, re_verify=True):
         ]
         if not encs:
             raise ParseError(f"{prefix}: enclosures must be nonempty")
-        if ambient:
-            encs = _aligned_frames(
-                _require(blk, "isometries", prefix), encs, tol, prefix
-            )
-        sigma_ref = _block_state(
-            _require(blk, "rho_ref", prefix), encs[0], ambient, tol,
-            f"{prefix}.rho_ref",
+        m = encs[0].dimension
+        sigma_ref = _matrix_from_lists(
+            _require(blk, "rho_ref", prefix), m, m, f"{prefix}.rho_ref"
         )
         for g, enc in enumerate(encs):
             if enc.dimension != len(sigma_ref):

@@ -154,6 +154,31 @@ class TestApply:
         # a sparse family applies its cached superoperator, a dense one keeps none
         assert (ch._superop is not None) is sparse
 
+    def test_sparse_adjoint_transposes_once(self, monkeypatch):
+        # Phi^* of a sparse family applies the CSR view M^T kept with M, so
+        # repeated applications build no new transpose of M
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.2, 6), 6)
+        assert ch._sparse
+        d = ch.dim
+        xs = RNG.standard_normal((4, d, d)) + 1j * RNG.standard_normal((4, d, d))
+        m = chanstruct.channels._cached_superoperator(ch)
+        vecs = xs.transpose(0, 2, 1).reshape(4, d * d).T
+        ref = (m.T @ vecs.conj()).conj().T.reshape(4, d, d).transpose(0, 2, 1)
+        calls = []
+        transpose = sp.csc_matrix.transpose
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shape)
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csc_matrix, "transpose", counting)
+        for _ in range(3):
+            for x, expected in zip(xs, ref):
+                assert cs.apply_adjoint(ch, x).tobytes() == expected.tobytes()
+            stacked = chanstruct.channels._apply_stack(ch, xs, adjoint=True)
+            assert stacked.tobytes() == ref.tobytes()
+        assert calls == []
+
 
 class TestSuperoperator:
     def test_consistent_with_apply(self):
@@ -318,6 +343,15 @@ class TestMarkov:
         with pytest.raises(cs.ArgumentError):
             cs.from_markov_chain(np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
+    def test_column_sums_checked_at_tolerance(self):
+        # columns sum to 1 + 1e-7 and 1 - 1e-7: beyond 10 psd_tol at the
+        # default tolerance, within it at psd_tol = 1e-6
+        p = np.array([[0.5 + 1e-7, 0.3], [0.5, 0.7 - 1e-7]])
+        with pytest.raises(cs.ArgumentError, match="columns must sum to one"):
+            cs.from_markov_chain(p)
+        ch = cs.from_markov_chain(p, tol=cs.Tolerance(psd_tol=1e-6))
+        assert len(ch) == 4
+
 
 class TestOqrw:
     def test_constraints(self):
@@ -357,6 +391,15 @@ class TestOqrw:
         tr[(0, 0)] = 0.5 * tr[(0, 0)]
         with pytest.raises(cs.ArgumentError, match="not normalized"):
             cs.from_oqrw(tr, 3)
+
+    def test_normalization_checked_at_tolerance(self):
+        # column 0 off by about 1e-7, which psd_tol = 1e-6 accepts
+        tr = cs.oqrw_transition_map(0.3, 0.3, 3)
+        tr[(0, 0)] = np.sqrt(1 + 1.5e-7) * tr[(0, 0)]
+        with pytest.raises(cs.ArgumentError, match="not normalized"):
+            cs.from_oqrw(tr, 3)
+        ch = cs.from_oqrw(tr, 3, tol=cs.Tolerance(psd_tol=1e-6))
+        assert ch.dim == 12
 
     def test_bad_overflow_rejected(self):
         tr = cs.oqrw_transition_map(0.3, 0.3, 3)

@@ -18,7 +18,6 @@ from chanstruct.cli import main
 from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
 from helpers import (
     amplitude_damping_channel,
-    haar_unitary,
     planted_channel,
     random_kraus_family,
 )
@@ -39,34 +38,6 @@ def v1_doc(ch):
         "dim": ch.dim,
         "kraus": [_matrix_to_lists(v) for v in ch.kraus],
     }
-
-
-def ambient_report_doc(rf, schema="chanstruct-report/2", rng=None):
-    """The report of ``rf`` in the layout of versions 1 and 2: d x d block
-    states, and the d x d transports Q_g of every B-block under
-    ``isometries``.  With ``rng``, every stored enclosure frame is turned by
-    a random unitary, so the frames of the copies are no longer aligned."""
-    report = rf.report
-    doc = cs.report_file_to_dict(rf)
-    doc["schema"] = schema
-    if schema == "chanstruct-report/1":
-        doc["channel"] = v1_doc(report.channel)
-
-    def frame(space):
-        f = space.frame
-        if rng is not None:
-            f = f @ haar_unitary(f.shape[1], rng)
-        return _matrix_to_lists(f)
-
-    for blk, data in zip(report.alpha_blocks, doc["alpha_blocks"]):
-        data.update(enclosure=frame(blk.enclosure), rho=_matrix_to_lists(blk.rho))
-    for blk, data in zip(report.beta_blocks, doc["beta_blocks"]):
-        data.update(
-            enclosures=[frame(v) for v in blk.enclosures],
-            isometries=[_matrix_to_lists(q) for q in blk.isometries],
-            rho_ref=_matrix_to_lists(blk.rho_ref),
-        )
-    return doc
 
 
 def _negate_zeros(obj):
@@ -485,39 +456,22 @@ class TestSchemaString:
             cs.report_file_from_report(cs.decompose(_markov_chain()))
         )
 
-    @pytest.mark.parametrize("schema", ["chanstruct-report/1", "chanstruct-report/2"])
-    def test_report_v1_v2_load_and_rewrite_as_v3(self, schema):
-        # an A-block and a B-block of 3 copies, frames turned at random
-        rng = np.random.default_rng(521)
-        ch, _ = planted_channel(rng, [2], [(2, 3)], 2, n_kraus=3)
-        rf = cs.report_file_from_report(cs.decompose(ch))
-        doc = ambient_report_doc(rf, schema, rng)
-        rf2 = cs.report_file_from_dict(
-            json.loads(cs.canonical_dumps(doc)), re_verify=True
-        )
-        text = cs.canonical_dumps(cs.report_file_to_dict(rf2))
-        assert json.loads(text)["schema"] == "chanstruct-report/3"
-        assert cs.canonical_dumps(
-            cs.report_file_to_dict(cs.report_file_from_dict(json.loads(text)))
-        ) == text
-        for a, b in zip(rf.report.alpha_blocks, rf2.report.alpha_blocks):
-            assert np.abs(a.enclosure.projector() - b.enclosure.projector()).max() < 1e-12
-            assert np.abs(a.rho - b.rho).max() < 1e-12
-        (a,), (b,) = rf.report.beta_blocks, rf2.report.beta_blocks
-        assert np.abs(a.rho_ref - b.rho_ref).max() < 1e-12
-        for g, (qa, qb) in enumerate(zip(a.isometries, b.isometries)):
-            assert np.abs(qa - qb).max() < 1e-12
-            # the copies' frames were re-aligned to F_g = Q_g F_0
-            fb = b.enclosures[g].frame
-            assert np.abs(fb - qb @ b.enclosures[0].frame).max() < 1e-12
-
     @pytest.mark.parametrize(
         "schema, channel, message",
         [
             ("chanstruct-report/4", "v2", "unknown schema 'chanstruct-report/4'"),
             ("chanstruct-channel/2", "v2", "unknown schema 'chanstruct-channel/2'"),
-            ("chanstruct-report/1", "v2", "'chanstruct-report/1' does not match"),
-            ("chanstruct-report/2", "v1", "'chanstruct-report/2' does not match"),
+            # one message for every report version but /3
+            (
+                "chanstruct-report/1",
+                "v2",
+                "'chanstruct-report/1'; re-run `chanstruct decompose`",
+            ),
+            (
+                "chanstruct-report/2",
+                "v1",
+                "'chanstruct-report/2'; re-run `chanstruct decompose`",
+            ),
             ("chanstruct-report/3", "v1", "'chanstruct-report/3' does not match"),
         ],
     )
@@ -647,33 +601,6 @@ class TestReportSchemaV3:
         rf = cs.report_file_from_dict(json.loads(text), re_verify=True)
         assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
 
-    def _push_outside(self, data, frame, outside):
-        """A d x d state moved by 1e-6 (max-abs) along |u><v| + |v><u|, u in
-        the enclosure and v orthogonal to it."""
-        u = np.asarray(frame, dtype=float).view(complex)[:, 0, 0]
-        delta = np.outer(u, outside.conj()) + np.outer(outside, u.conj())
-        rho = np.asarray(data, dtype=float).view(complex)[..., 0]
-        return _matrix_to_lists(rho + 1e-6 * delta / np.abs(delta).max())
-
-    @pytest.mark.parametrize("block", ["alpha_blocks", "beta_blocks"])
-    def test_ambient_state_outside_enclosure_is_parse_error(self, block):
-        rf = self._report_file("three-copies")
-        doc = ambient_report_doc(rf)
-        outside = rf.report.D.frame[:, 0]
-        data = doc[block][0]
-        if block == "alpha_blocks":
-            data["rho"] = self._push_outside(data["rho"], data["enclosure"], outside)
-            where = "alpha_blocks[0].rho"
-        else:
-            data["rho_ref"] = self._push_outside(
-                data["rho_ref"], data["enclosures"][0], outside
-            )
-            where = "beta_blocks[0].rho_ref"
-        with pytest.raises(
-            cs.ParseError, match=re.escape(where) + ": state lies outside"
-        ):
-            cs.report_file_from_dict(doc)
-
     def test_copy_of_other_dimension_is_parse_error(self):
         # the identity channel on C^3 is one B-block of three lines, and
         # span{e2, e3} is an enclosure too: only the copy's column count
@@ -688,28 +615,21 @@ class TestReportSchemaV3:
         ):
             cs.report_file_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda q, r: q.__setitem__(1, q[2]), ".isometries[1]: does not map"),
-            (lambda q, r: q.__setitem__(0, q[1]), ".isometries[0]: does not map"),
-            (lambda q, r: q.__setitem__(2, r), ".isometries[2]: does not map"),
-            (lambda q, r: q.pop(), ": isometry/enclosure count mismatch"),
-        ],
-        ids=["wrong-target", "first-not-projector", "off-by-1e-6", "count"],
-    )
-    def test_ambient_transport_mismatch_is_parse_error(self, mutate, message):
+    def test_ambient_layout_labelled_v3_is_parse_error(self):
+        # the old layout (d x d block states, B-blocks carrying their d x d
+        # transports) under the /3 label: the n x n shape of an A-block's
+        # rho is what rejects it
         rf = self._report_file("three-copies")
-        doc = ambient_report_doc(rf)
-        i, blk = next(
-            (i, b) for i, b in enumerate(rf.report.beta_blocks) if len(b.enclosures) == 3
-        )
-        # Q_2 plus 1e-6 (max-abs) of |v><u|, u in enclosures[0], v in D
-        u, v = blk.enclosures[0].frame[:, 0], rf.report.D.frame[:, 0]
-        delta = np.outer(v, u.conj())
-        pushed = blk.isometries[2] + 1e-6 * delta / np.abs(delta).max()
-        mutate(doc["beta_blocks"][i]["isometries"], _matrix_to_lists(pushed))
-        with pytest.raises(cs.ParseError, match=re.escape(f"beta_blocks[{i}]{message}")):
+        report, doc = rf.report, cs.report_file_to_dict(rf)
+        for blk, data in zip(report.alpha_blocks, doc["alpha_blocks"]):
+            data["rho"] = _matrix_to_lists(blk.rho)
+        for blk, data in zip(report.beta_blocks, doc["beta_blocks"]):
+            data["isometries"] = [_matrix_to_lists(q) for q in blk.isometries]
+            data["rho_ref"] = _matrix_to_lists(blk.rho_ref)
+        assert doc["schema"] == "chanstruct-report/3"
+        with pytest.raises(
+            cs.ParseError, match=re.escape("alpha_blocks[0].rho: expected 2 rows")
+        ):
             cs.report_file_from_dict(doc)
 
 
