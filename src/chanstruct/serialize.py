@@ -280,24 +280,24 @@ def report_file_from_report(report):
     channel on B(R), taken per unordered pair of blocks (see the README's
     numerical policy).  The (i, i) pair is block i's own channel, whose
     peripheral spectrum is the exact p-th roots of unity for its certified
-    period p (``spectral._block_period``), or the eigenvalues of its M_h
-    when the period walk finds no start, gives up, or fails its certificate.
-    It counts n_i^2 times.  A pair of blocks of unequal dimension has no
+    period p (``spectral._block_eigenvalues``), or the eigenvalues of its
+    M_h in the rare case that the period walk finds no start in one cyclic
+    subspace, gives up, or fails its certificate.  The walk reads only the
+    block's compressed Kraus operators, not its state.  It counts n_i^2
+    times.  A pair of blocks of unequal dimension has no
     peripheral eigenvalue; any other (i, j) pair of first copies counts
     n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
     ch = report.channel
     tol = report.tolerance
-    # F^H V_a F for the first enclosure F of every block, its state and its
-    # copy count
-    blocks = [(blk.enclosure.frame, blk.sigma, 1) for blk in report.alpha_blocks] + [
-        (blk.enclosures[0].frame, blk.sigma_ref, len(blk.enclosures))
-        for blk in report.beta_blocks
+    # F^H V_a F for the first enclosure F of every block, and its copy count
+    blocks = [(blk.enclosure.frame, 1) for blk in report.alpha_blocks] + [
+        (blk.enclosures[0].frame, len(blk.enclosures)) for blk in report.beta_blocks
     ]
-    parts = [(_compressions(ch, f), sigma, n) for f, sigma, n in blocks]
+    parts = [(_compressions(ch, f), n) for f, n in blocks]
     eigenvalues = []
-    for i, (a, sigma, n_i) in enumerate(parts):
-        eigenvalues.append(np.tile(_block_eigenvalues(a, sigma, tol), n_i * n_i))
-        for b, _, n_j in parts[i + 1:]:
+    for i, (a, n_i) in enumerate(parts):
+        eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
+        for b, n_j in parts[i + 1:]:
             if b.shape != a.shape:
                 continue
             w = np.linalg.eigvals(_transfer_matrix(a, b))

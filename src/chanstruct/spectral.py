@@ -53,8 +53,12 @@ those of M: exact for any Kraus family.  A report carries the same list at far
 less cost, read off its blocks (``serialize.report_file_from_report``): each
 block's own channel is irreducible, so its peripheral spectrum is the exact
 p-th roots of unity for its period p, found by a walk of spans through the
-cyclic subspaces and certified by residuals (``_block_period``), with all
-eigenvalues of the block's M_h as the fallback; a pair of blocks of unequal
+cyclic subspaces and certified by residuals (``_block_eigenvalues``).  The
+walk starts in one cyclic subspace, at an eigenvector of a Hermitian
+combination of products of the block's Kraus operators, which is block
+diagonal over them (``_cyclic_projections``); all eigenvalues of the block's
+M_h are the fallback when that combination has no simple eigenvalue, the
+walk does not close, or the certificate fails.  A pair of blocks of unequal
 dimension has no peripheral eigenvalue, and a pair of equal dimension takes
 all eigenvalues of its pair map.
 """
@@ -377,29 +381,35 @@ def _peripheral(eigenvalues, tol):
     return sorted(kept, key=key)
 
 
-def _cyclic_projections(stack, sigma, tol):
+def _cyclic_projections(stack, tol):
     """The cyclic projections of an irreducible channel with Kraus stack
-    ``stack`` (n, m, m) and invariant state ``sigma``, in the order the
-    Kraus operators visit them; None when the walk cannot start or does not
-    close.
+    ``stack`` (n, m, m), in the order the Kraus operators visit them; None
+    when the walk cannot start or does not close.
 
     The walk starts from an eigenvector of the most isolated eigenvalue of
-    sigma, which counts as simple when it lies farther than
-    sqrt(subspace_tol) from every other one; sigma commutes with the cyclic
-    projections, so that vector lies in one of them.  Each step replaces the
-    span S by the range of Phi(P_S) = Y Y^H, Y = [C_1 F ... C_n F] for the
-    frame F of S, keeping the eigenvectors of this m x m Gram matrix at
-    eigenvalues >= eig_cluster_tol.  A span that fills C^m gives period 1;
-    otherwise the spans repeat once they saturate (to subspace_tol, max-abs
-    on the projectors), and the repeat distance is the period.  The walk
-    gives up after 3m steps.
+    H = A^H B + B^H A, A = sum_a alpha_a V_a and B = sum_a beta_a V_a, with
+    complex Gaussian alpha, beta from a seed stream with its own spawn key.
+    Every V_a maps P_k into P_(k+1), so H is block diagonal over the cyclic
+    projections, and an eigenvalue that lies farther than
+    sqrt(subspace_tol) |H| from every other one is simple, with its
+    eigenvector in one of them.  Each step replaces the span S by the range
+    of Phi(P_S) = Y Y^H, Y = [C_1 F ... C_n F] for the frame F of S, keeping
+    the eigenvectors of this m x m Gram matrix at eigenvalues >=
+    eig_cluster_tol.  A span that fills C^m gives period 1; otherwise the
+    spans repeat once they saturate (to subspace_tol, max-abs on the
+    projectors), and the repeat distance is the period.  The walk gives up
+    after 3m steps.
     """
     n, m, _ = stack.shape
-    w, v = np.linalg.eigh(sigma)
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2,)))
+    coef = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    a, b = (coef @ stack.reshape(n, m * m)).reshape(2, m, m)
+    h = a.conj().T @ b
+    w, v = np.linalg.eigh(h + h.conj().T)
     gaps = np.diff(w)
     isolation = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
     start = int(np.argmax(isolation))
-    if isolation[start] <= math.sqrt(tol.subspace_tol):
+    if isolation[start] <= math.sqrt(tol.subspace_tol) * np.abs(w).max():
         return None
     flat = stack.reshape(n * m, m)
     frame = v[:, start : start + 1]
@@ -419,35 +429,24 @@ def _cyclic_projections(stack, sigma, tol):
     return None
 
 
-def _block_period(stack, sigma, tol):
-    """The period p of an irreducible channel (see ``_cyclic_projections``),
-    certified by residuals, or None.  The cyclic projections P_k must sum to
-    I, and u = sum_k omega^k P_k, omega = exp(2 pi i / p), must satisfy
-    |Phi^*(u) - omega u|_max <= subspace_tol."""
-    projs = _cyclic_projections(stack, sigma, tol)
-    if projs is None:
-        return None
-    p = len(projs)
-    if np.abs(sum(projs) - np.eye(stack.shape[1])).max() > tol.subspace_tol:
-        return None
-    omega = np.exp(2j * np.pi / p)
-    u = sum(omega**k * proj for k, proj in enumerate(projs))
-    adjoint = stack.conj().transpose(0, 2, 1)
-    image = _sandwich(adjoint, stack, u[None])[0]
-    if np.abs(image - omega * u).max() > tol.subspace_tol:
-        return None
-    return p
-
-
-def _block_eigenvalues(stack, sigma, tol):
+def _block_eigenvalues(stack, tol):
     """Eigenvalues of an irreducible channel that include its whole
-    peripheral spectrum: the p-th roots of unity, each simple, for a
-    certified period p (Evans-Hoegh-Krohn), else all m^2 eigenvalues of its
-    real matrix M_h."""
-    p = _block_period(stack, sigma, tol)
-    if p is None:
-        return np.linalg.eigvals(_hermitian_transfer_matrix(stack))
-    return np.exp(2j * np.pi * np.arange(p) / p)
+    peripheral spectrum: the p-th roots of unity, each simple, for the
+    period p of ``_cyclic_projections`` (Evans-Hoegh-Krohn), else all m^2
+    eigenvalues of its real matrix M_h.  The period is certified by
+    residuals: the cyclic projections P_k must sum to I, and
+    u = sum_k omega^k P_k, omega = exp(2 pi i / p), must satisfy
+    |Phi^*(u) - omega u|_max <= subspace_tol."""
+    projs = _cyclic_projections(stack, tol)
+    if projs is not None:
+        p = len(projs)
+        omega = np.exp(2j * np.pi / p)
+        u = sum(omega**k * proj for k, proj in enumerate(projs))
+        image = _sandwich(stack.conj().transpose(0, 2, 1), stack, u[None])[0]
+        residuals = (sum(projs) - np.eye(stack.shape[1]), image - omega * u)
+        if max(np.abs(r).max() for r in residuals) <= tol.subspace_tol:
+            return np.exp(2j * np.pi * np.arange(p) / p)
+    return np.linalg.eigvals(_hermitian_transfer_matrix(stack))
 
 
 def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):

@@ -575,6 +575,12 @@ def _phase_shifted_copy(rng):
     return cs.KrausChannel(kraus)
 
 
+def _unital_mixture(m, rng):
+    # the equal mixture of two Haar unitaries: a unital irreducible channel
+    # of period 1, whose invariant state I/m has no simple eigenvalue
+    return cs.KrausChannel([haar_unitary(m, rng) / np.sqrt(2) for _ in range(2)])
+
+
 class TestReportPeriodWalk:
     @pytest.mark.parametrize(
         "dims", [[2, 3], [2, 2, 3], [1, 2, 2, 3], [2, 3, 1, 2, 2]],
@@ -590,20 +596,21 @@ class TestReportPeriodWalk:
         roots = np.sort_complex(np.exp(2j * np.pi * np.arange(p) / p))
         assert np.abs(np.sort_complex(np.array(got)) - roots).max() < 1e-12
 
-    @pytest.mark.parametrize("case", ["unital", "three-cycle"])
-    def test_no_simple_state_eigenvalue_falls_back(self, case, eigvals_sizes):
-        if case == "unital":
-            rng = np.random.default_rng(607)
-            ch = cs.KrausChannel(
-                [haar_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
-            )
+    @pytest.mark.parametrize("case", ["unital-3", "unital-30", "three-cycle"])
+    def test_uniform_block_state_takes_the_walk(self, case, eigvals_sizes):
+        # sigma = I/m has no simple eigenvalue; the walk starts from the
+        # Kraus products and needs none
+        if case == "three-cycle":
+            ch, p = cs.from_markov_chain(np.roll(np.eye(3), 1, axis=0)), 3
         else:
-            ch = cs.from_markov_chain(np.roll(np.eye(3), 1, axis=0))
+            m = int(case.split("-")[1])
+            ch, p = _unital_mixture(m, np.random.default_rng(607 if m == 3 else 30)), 1
         rep, got = _report_spectrum(ch, eigvals_sizes)
         blk = rep.alpha_blocks[0]
-        assert np.abs(blk.sigma - np.eye(3) / 3).max() < 1e-10
-        assert eigvals_sizes == [9]
-        assert len(got) == (1 if case == "unital" else 3)
+        assert np.abs(blk.sigma - np.eye(ch.dim) / ch.dim).max() < 1e-10
+        assert eigvals_sizes == []
+        roots = np.sort_complex(np.exp(2j * np.pi * np.arange(p) / p))
+        assert np.abs(np.sort_complex(np.array(got)) - roots).max() < 1e-12
 
     def test_unequal_dimension_pair_makes_no_eigvals_call(self, eigvals_sizes):
         ch, _ = planted_channel(np.random.default_rng(609), [2, 3], [], 1)
@@ -630,8 +637,8 @@ class TestReportPeriodWalk:
     ):
         walk = chanstruct.spectral._cyclic_projections
 
-        def forced(stack, sigma, tol):
-            projs = walk(stack, sigma, tol)
+        def forced(stack, tol):
+            projs = walk(stack, tol)
             assert len(projs) == 3
             if wrong == "merged":  # period 2: P_0 + P_1 and P_2
                 return [projs[0] + projs[1], projs[2]]
@@ -646,6 +653,17 @@ class TestReportPeriodWalk:
         assert len(got) == 3
         assert np.abs(np.array(got) - np.array(reference)).max() <= 1e-10
 
+    def test_no_simple_eigenvalue_of_h_falls_back(self, eigvals_sizes):
+        # one unitary Kraus operator U makes H = A^H B + B^H A a multiple of
+        # I: the walk has no start, and all 9 eigenvalues of the 3-cycle's
+        # X -> U X U^H are taken, each cube root of unity 3 times
+        stack = np.roll(np.eye(3, dtype=complex), 1, axis=0)[None]
+        assert chanstruct.spectral._cyclic_projections(stack, cs.DEFAULT_TOL) is None
+        w = chanstruct.spectral._block_eigenvalues(stack, cs.DEFAULT_TOL)
+        assert eigvals_sizes == [9]
+        roots = np.exp(2j * np.pi * np.arange(3) / 3)
+        assert (np.abs(w[:, None] - roots) < 1e-10).sum(axis=0).tolist() == [3, 3, 3]
+
     def test_oqrw_report_makes_no_eigvals_call(self, eigvals_sizes):
         ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 13), 13)
         rep = cs.decompose(ch)
@@ -654,6 +672,39 @@ class TestReportPeriodWalk:
         assert eigvals_sizes == []
         assert [len(b.enclosures) for b in rep.beta_blocks] == [2]
         assert rf.peripheral_spectrum == (1.0, 1.0, 1.0, 1.0)
+
+
+def _conjugated(u, kraus):
+    return u @ kraus @ u.conj().T
+
+
+# other Kraus families of the same channel, up to a unitary change of basis
+KRAUS_FREEDOM = {
+    "mix": lambda k, rng: np.tensordot(haar_unitary(len(k), rng), k, 1),
+    "permute": lambda k, rng: k[rng.permutation(len(k))],
+    "pad-zero": lambda k, rng: np.concatenate((k, np.zeros_like(k[:1]))),
+    "conjugate": lambda k, rng: _conjugated(haar_unitary(k.shape[1], rng), k),
+}
+
+
+class TestReportSpectrumKrausFreedom:
+    # the walk starts from products of Kraus operators, the one part of the
+    # report spectrum that reads the Kraus family rather than the channel
+    @pytest.mark.parametrize("change", sorted(KRAUS_FREEDOM))
+    @pytest.mark.parametrize("case", ["cyclic-2-2-3", "unital-3"])
+    def test_spectrum_does_not_depend_on_the_family(self, case, change, eigvals_sizes):
+        rng = np.random.default_rng(617)
+        if case == "unital-3":
+            ch = _unital_mixture(3, rng)
+        else:
+            ch = cyclic_channel(rng, [2, 2, 3])
+        _, reference = _report_spectrum(ch, eigvals_sizes)
+        assert eigvals_sizes == []
+        kraus = KRAUS_FREEDOM[change](np.stack(ch.kraus), rng)
+        _, got = _report_spectrum(cs.KrausChannel(kraus), eigvals_sizes)
+        assert eigvals_sizes == []
+        assert len(got) == len(reference) == (1 if case == "unital-3" else 3)
+        assert np.abs(np.array(got) - np.array(reference)).max() <= 1e-10
 
 
 def _svd_kernels(ch, tol):
