@@ -4,149 +4,27 @@ Given a channel in Kraus form, this package computes the recurrent/transient
 splitting of the underlying space, decomposes the recurrent part into
 minimal enclosures, groups them into blocks connected by partial isometries,
 and parametrizes every invariant state of the channel in block coordinates.
+
+Each module's ``__all__`` is its public surface; this package exports their
+union.
 """
 
-from .channels import (
-    KrausChannel,
-    ValidationReport,
-    apply,
-    apply_adjoint,
-    from_markov_chain,
-    from_oqrw,
-    is_state,
-    oqrw_transition_map,
-    qubit_bloch_form,
-    superoperator,
-    validate,
-)
-from .errors import (
-    ArgumentError,
-    ChanstructError,
-    DecompositionError,
-    ParseError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    Tolerance,
-    hermitian_span_basis,
-    loewner_geq,
-    orthonormal_basis,
-    relative_orthocomplement,
-    subspace_intersection,
-    subspace_sum,
-    unvec,
-    vec,
-)
-from .serialize import (
-    ReportFile,
-    canonical_dumps,
-    channel_from_dict,
-    channel_to_dict,
-    load_channel,
-    report_file_from_dict,
-    report_file_from_report,
-    report_file_to_dict,
-)
-from .spectral import (
-    FixedSpace,
-    PerronFrobeniusCertificate,
-    RecurrentSplit,
-    cesaro_average,
-    fixed_space,
-    peripheral_spectrum,
-    perron_frobenius_certificate,
-    recurrent_split,
-)
-from .structure import (
-    AlphaBlock,
-    BetaBlock,
-    DecompositionReport,
-    ExtractionResult,
-    FixedPointAlgebra,
-    InvariantStateParameters,
-    accessible,
-    block_invariant_state,
-    build_invariant_state,
-    communicates,
-    decompose,
-    enclosure_generated,
-    ergodicity_probe,
-    extract_parameters,
-    fixed_point_algebra_on_R,
-    group_into_blocks,
-    is_enclosure,
-    is_irreducible,
-    is_subharmonic,
-    minimal_enclosures,
-    partial_isometry,
-)
+from . import channels, errors, linalg, serialize, spectral, structure
+from .channels import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .structure import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentError",
-    "ChanstructError",
-    "DecompositionError",
-    "ParseError",
-    "Tolerance",
-    "DEFAULT_TOL",
-    "Subspace",
-    "orthonormal_basis",
-    "subspace_sum",
-    "subspace_intersection",
-    "relative_orthocomplement",
-    "loewner_geq",
-    "vec",
-    "unvec",
-    "hermitian_span_basis",
-    "KrausChannel",
-    "ValidationReport",
-    "is_state",
-    "apply",
-    "apply_adjoint",
-    "superoperator",
-    "validate",
-    "from_markov_chain",
-    "oqrw_transition_map",
-    "from_oqrw",
-    "qubit_bloch_form",
-    "FixedSpace",
-    "RecurrentSplit",
-    "PerronFrobeniusCertificate",
-    "fixed_space",
-    "cesaro_average",
-    "recurrent_split",
-    "peripheral_spectrum",
-    "perron_frobenius_certificate",
-    "FixedPointAlgebra",
-    "AlphaBlock",
-    "BetaBlock",
-    "DecompositionReport",
-    "InvariantStateParameters",
-    "ExtractionResult",
-    "enclosure_generated",
-    "is_enclosure",
-    "is_subharmonic",
-    "accessible",
-    "communicates",
-    "is_irreducible",
-    "ergodicity_probe",
-    "fixed_point_algebra_on_R",
-    "minimal_enclosures",
-    "group_into_blocks",
-    "partial_isometry",
-    "block_invariant_state",
-    "decompose",
-    "build_invariant_state",
-    "extract_parameters",
-    "ReportFile",
-    "canonical_dumps",
-    "channel_to_dict",
-    "channel_from_dict",
-    "load_channel",
-    "report_file_from_report",
-    "report_file_to_dict",
-    "report_file_from_dict",
+    *errors.__all__,
+    *linalg.__all__,
+    *channels.__all__,
+    *spectral.__all__,
+    *structure.__all__,
+    *serialize.__all__,
     "__version__",
 ]

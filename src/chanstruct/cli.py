@@ -44,28 +44,6 @@ from .structure import decompose, enclosure_generated
 __all__ = ["main"]
 
 
-def _add_tol_flags(parser):
-    parser.add_argument(
-        "--tol-rank", type=float, default=None, metavar="X",
-        help="relative singular-value cutoff for rank decisions",
-    )
-    parser.add_argument(
-        "--tol-eig", type=float, default=None, metavar="X",
-        help="eigenvalue clustering distance",
-    )
-    parser.add_argument(
-        "--tol-psd", type=float, default=None, metavar="X",
-        help="allowed negative-eigenvalue magnitude in PSD checks",
-    )
-
-
-def _add_out_flag(parser):
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the JSON output to this file",
-    )
-
-
 def _tolerance(args):
     kwargs = {}
     if args.tol_rank is not None:
@@ -95,7 +73,7 @@ def cmd_validate(args):
 
 def cmd_decompose(args):
     tol = _tolerance(args)
-    ch = load_channel(args.channel, tol=tol, unchecked=args.unchecked)
+    ch = load_channel(args.channel, tol=tol)
     report = decompose(ch, rng_seed=args.seed, tol=tol)
     rf = report_file_from_report(report)
     _emit(report_file_to_dict(rf), args.out)
@@ -196,41 +174,51 @@ def cmd_query(args):
 
 
 def _build_parser():
+    # options every subcommand takes, and the channel file most of them read
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, help_text in (
+        ("--tol-rank", "relative singular-value cutoff for rank decisions"),
+        ("--tol-eig", "eigenvalue clustering distance"),
+        ("--tol-psd", "allowed negative-eigenvalue magnitude in PSD checks"),
+    ):
+        common.add_argument(
+            flag, type=float, default=None, metavar="X", help=help_text
+        )
+    common.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="also write the JSON output to this file",
+    )
+    channel = argparse.ArgumentParser(add_help=False, parents=[common])
+    channel.add_argument("channel", help="channel JSON file")
+
     parser = argparse.ArgumentParser(
         prog="chanstruct",
         description="Structure analysis of quantum channels in Kraus form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", help="check trace preservation")
-    p_val.add_argument("channel", help="channel JSON file")
-    _add_tol_flags(p_val)
-    _add_out_flag(p_val)
-    p_val.set_defaults(func=cmd_validate)
+    sub.add_parser(
+        "validate", parents=[channel], help="check trace preservation"
+    ).set_defaults(func=cmd_validate)
 
-    p_dec = sub.add_parser("decompose", help="full structure report")
-    p_dec.add_argument("channel", help="channel JSON file")
-    p_dec.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_dec.add_argument(
-        "--unchecked", action="store_true",
-        help="skip channel validation on load",
+    p_dec = sub.add_parser(
+        "decompose", parents=[channel], help="full structure report"
     )
-    _add_tol_flags(p_dec)
-    _add_out_flag(p_dec)
+    p_dec.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_build = sub.add_parser("build", help="construct channel files")
     family = p_build.add_subparsers(dest="family", required=True)
-    p_markov = family.add_parser("markov", help="classical Markov-chain channel")
+    p_markov = family.add_parser(
+        "markov", parents=[common], help="classical Markov-chain channel"
+    )
     p_markov.add_argument(
         "--matrix", required=True,
         help="JSON file with a column-stochastic matrix",
     )
-    _add_tol_flags(p_markov)
-    _add_out_flag(p_markov)
     p_markov.set_defaults(func=cmd_build, family="markov")
     p_oqrw = family.add_parser(
-        "oqrw", help="truncated open quantum random walk"
+        "oqrw", parents=[common], help="truncated open quantum random walk"
     )
     p_oqrw.add_argument("--p", type=float, required=True, help="hop-up probability")
     p_oqrw.add_argument("--q", type=float, required=True, help="boundary-lane rate")
@@ -238,8 +226,6 @@ def _build_parser():
         "--sites", type=int, required=True,
         help="last retained site index N (sites 0..N)",
     )
-    _add_tol_flags(p_oqrw)
-    _add_out_flag(p_oqrw)
     p_oqrw.set_defaults(func=cmd_build, family="oqrw")
 
     p_query = sub.add_parser("query", help="single-object queries")
@@ -251,8 +237,7 @@ def _build_parser():
         "spectrum": "peripheral eigenvalues of the superoperator",
     }
     for name, help_text in specs.items():
-        p_what = what.add_parser(name, help=help_text)
-        p_what.add_argument("channel", help="channel JSON file")
+        p_what = what.add_parser(name, parents=[channel], help=help_text)
         if name == "enclosure":
             p_what.add_argument(
                 "--vector", required=True,
@@ -262,8 +247,6 @@ def _build_parser():
             "--unchecked", action="store_true",
             help="skip channel validation on load",
         )
-        _add_tol_flags(p_what)
-        _add_out_flag(p_what)
         p_what.set_defaults(func=cmd_query, what=name)
     return parser
 
@@ -273,27 +256,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        _emit({"error": {"type": "ParseError", "message": str(err)}})
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DecompositionError as err:
-        doc = {
-            "error": {
-                "type": "DecompositionError",
-                "stage": err.stage,
-                "message": str(err),
-            }
-        }
-        if err.diagnostics:
-            doc["error"]["diagnostics"] = err.diagnostics
-        _emit(doc)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except ChanstructError as err:
-        _emit({"error": {"type": type(err).__name__, "message": str(err)}})
+        error = {"type": type(err).__name__, "message": str(err)}
+        if isinstance(err, DecompositionError):
+            error["stage"] = err.stage
+            if err.diagnostics:
+                error["diagnostics"] = err.diagnostics
+        _emit({"error": error})
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exception hierarchy for chanstruct."""
 
+__all__ = ["ChanstructError", "ArgumentError", "ParseError", "DecompositionError"]
+
 
 class ChanstructError(Exception):
     """Base class for all chanstruct errors."""

@@ -28,8 +28,6 @@ __all__ = [
     "loewner_geq",
     "vec",
     "unvec",
-    "hermitian_encode",
-    "hermitian_decode",
     "hermitian_span_basis",
 ]
 

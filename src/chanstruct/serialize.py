@@ -357,9 +357,10 @@ def _subspace_from_lists(data, dim, where):
 
 
 def report_file_from_dict(data, re_verify=True):
-    """Parse a ``chanstruct-report/3`` document, re-verifying frame
-    orthonormality and the enclosure predicate against the embedded
-    channel."""
+    """Parse a ``chanstruct-report/3`` document, checking frame
+    orthonormality and the derived fields (each B-block's ``index`` is its
+    position, ``fixed_space_dimension`` is n_alpha + sum_b n_b^2) and, with
+    ``re_verify``, the enclosure predicate against the embedded channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -418,13 +419,9 @@ def report_file_from_dict(data, re_verify=True):
                     f"{prefix}.enclosures[{g}]: {enc.dimension} columns, but "
                     f"rho_ref is {len(sigma_ref)} x {len(sigma_ref)}"
                 )
-        beta.append(
-            BetaBlock(
-                index=_require_int(blk, "index", prefix),
-                enclosures=tuple(encs),
-                sigma_ref=sigma_ref,
-            )
-        )
+        if _require_int(blk, "index", prefix) != i:
+            raise ParseError(f"{prefix}.index: expected {i}, its position")
+        beta.append(BetaBlock(index=i, enclosures=tuple(encs), sigma_ref=sigma_ref))
     spectrum = tuple(
         complex(_pair_to_complex(z, f"peripheral_spectrum[{i}]"))
         for i, z in enumerate(_require(data, "peripheral_spectrum", where))
@@ -445,10 +442,14 @@ def report_file_from_dict(data, re_verify=True):
         warnings=tuple(warnings_data),
         channel=ch,
     )
+    fixed_dim = _require_int(data, "fixed_space_dimension", where)
+    if fixed_dim != _fixed_dimension(report):
+        raise ParseError(
+            f"{where}: fixed_space_dimension {fixed_dim} disagrees with the "
+            f"{_fixed_dimension(report)} its blocks imply"
+        )
     rf = ReportFile(
-        report=report,
-        fixed_space_dimension=_require_int(data, "fixed_space_dimension", where),
-        peripheral_spectrum=spectrum,
+        report=report, fixed_space_dimension=fixed_dim, peripheral_spectrum=spectrum
     )
     if re_verify and not all(is_enclosure(ch, v, tol) for v in _enclosures(report)):
         raise ParseError("report: a stored frame fails the enclosure predicate")

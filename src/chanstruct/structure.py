@@ -28,6 +28,7 @@ d x d matrices rho, rho_ref and Q_g are derived on request.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 import warnings as _warnings
 
@@ -339,6 +340,17 @@ def _algebra_element(basis, g):
     return np.tensordot(np.tensordot(basis.conj(), g, 2).real, basis, 1)
 
 
+def _is_minimal(fixed, frame, tol):
+    """Whether every matrix of the (k, n, n) stack of adjoint fixed points
+    compresses to a multiple of the identity on the span of the orthonormal
+    (n, m) frame, to ``subspace_tol`` entrywise.  An enclosure inside the
+    recurrent subspace is minimal exactly when it passes."""
+    x = frame.conj().T @ fixed @ frame
+    m = frame.shape[1]
+    scalars = np.trace(x, axis1=1, axis2=2)[:, None, None] / m * np.eye(m)
+    return bool(np.abs(x - scalars).max() <= tol.subspace_tol)
+
+
 def _gaussian_reference(rng, frame):
     """A Hermitian Gaussian d x d reference (Z + Z^H) / 2 compressed to the
     (d, r) frame, so its projection does not depend on the frame either.  Z
@@ -369,11 +381,7 @@ def _try_eigensplit(ch, split, algebra, x, tol):
         fixed = frame.conj().T @ apply_adjoint(ch, g @ g.conj().T) @ frame
         if np.abs(fixed - cols @ cols.conj().T).max() > tol.subspace_tol:
             return None
-        # minimality: the algebra compressed to this eigenspace must be
-        # trivial (span dimension one)
-        comps = cols.conj().T @ algebra.hermitian_basis @ cols
-        s = np.linalg.svd(comps.reshape(len(comps), -1), compute_uv=False)
-        if int(np.sum(s >= tol.rank_tol * s[0])) != 1:
+        if not _is_minimal(algebra.hermitian_basis, cols, tol):
             return None
         ambient = Subspace(ch.dim, g)
         if not is_enclosure(ch, ambient, tol):
@@ -399,10 +407,11 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
         return [Subspace(ch.dim, split.R.frame)]
     frame = split.R.frame
     weights = np.arange(1, ch.dim + 1, dtype=float) / ch.dim
-    references = [frame.conj().T @ (weights[:, None] * frame)] + [
+    # a generator: a Gaussian reference is drawn only when it is tried
+    references = chain([frame.conj().T @ (weights[:, None] * frame)], (
         _gaussian_reference(np.random.default_rng(rng_seed + attempt), frame)
         for attempt in range(_MAX_SAMPLING_ATTEMPTS)
-    ]
+    ))
     for g in references:
         x = _algebra_element(algebra.hermitian_basis, g)
         found = _try_eigensplit(ch, split, algebra, x, tol)
@@ -546,16 +555,12 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
         raise DecompositionError(
             "block-invariant-state", "V not minimal: V is not contained in R"
         )
-    k = v.dimension
-    frame = v.frame
-    x = frame.conj().T @ core.left @ frame
-    scalars = np.trace(x, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
-    if np.abs(x - scalars).max() > tol.subspace_tol:
+    if not _is_minimal(core.left, v.frame, tol):
         raise DecompositionError(
             "block-invariant-state",
             "V not minimal: an adjoint fixed point is not constant on V",
         )
-    return _expand(frame, _compression(split.rho_max, frame))
+    return _expand(v.frame, _compression(split.rho_max, v.frame))
 
 
 def _fixed_dimension(report):

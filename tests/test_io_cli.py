@@ -570,6 +570,34 @@ class TestReportSchema:
             cs.report_file_from_dict(doc)
 
 
+    def _markov_doc(self):
+        # two closed classes, one a period-2 cycle: blocks imply n_alpha = 2
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        rf = cs.report_file_from_report(cs.decompose(cs.from_markov_chain(p)))
+        return cs.report_file_to_dict(rf)
+
+    @pytest.mark.parametrize("value", [7, -3])
+    def test_fixed_space_dimension_must_match_blocks(self, value):
+        doc = self._markov_doc()
+        assert doc["fixed_space_dimension"] == 2 and not doc["beta_blocks"]
+        doc["fixed_space_dimension"] = value
+        for re_verify in (True, False):
+            with pytest.raises(cs.ParseError, match="fixed_space_dimension"):
+                cs.report_file_from_dict(doc, re_verify=re_verify)
+
+    def test_beta_block_index_must_be_its_position(self):
+        ch, _ = planted_channel(
+            np.random.default_rng(11), [1], [(1, 2), (2, 2)], 1, n_kraus=2
+        )
+        doc = cs.report_file_to_dict(cs.report_file_from_report(cs.decompose(ch)))
+        assert [blk["index"] for blk in doc["beta_blocks"]] == [0, 1]
+        doc["beta_blocks"][1]["index"] = 0
+        with pytest.raises(
+            cs.ParseError, match=re.escape("beta_blocks[1].index: expected 1")
+        ):
+            cs.report_file_from_dict(doc)
+
+
 class TestReportSchemaV3:
     """Block data in the coordinates of its enclosure."""
 

@@ -252,6 +252,35 @@ class TestMinimalEnclosures:
             assert len(got) == len(reference) == 4
             assert all(np.abs(p - q).max() < 1e-8 for p, q in zip(reference, got))
 
+    def test_gaussian_references_drawn_only_when_tried(self, monkeypatch):
+        # the deterministic reference splits this channel at once, so the
+        # only Gaussian draw is the linking element's
+        ch, _ = planted_channel(
+            np.random.default_rng(17), [2], [(2, 2)], 1, n_kraus=3
+        )
+        draws, tries = [], []
+        reference = chanstruct.structure._gaussian_reference
+        eigensplit = chanstruct.structure._try_eigensplit
+
+        def counting_reference(rng, frame):
+            draws.append(1)
+            return reference(rng, frame)
+
+        def counting_eigensplit(*args):
+            tries.append(eigensplit(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(
+            chanstruct.structure, "_gaussian_reference", counting_reference
+        )
+        monkeypatch.setattr(
+            chanstruct.structure, "_try_eigensplit", counting_eigensplit
+        )
+        report = cs.decompose(ch)
+        assert len(tries) == 1 and tries[0] is not None
+        assert len(report.alpha_blocks) == 1 and len(report.beta_blocks) == 1
+        assert len(draws) == 1
+
     def test_degenerate_sampling_error(self, monkeypatch):
         ch = cs.KrausChannel([np.eye(2)])
         split = cs.recurrent_split(ch)
