@@ -353,6 +353,37 @@ def _kraus_images(ch, frame):
     return z.reshape(d, -1)
 
 
+def _leak(ch, comp, cols):
+    """eigh of U U^H, U = Q^H [V_1 C ... V_n C] (q, n c): the leak of the
+    columns C out of a span P, in the coordinates of an orthonormal frame Q
+    of P^perp.  For C a frame of P its top eigenvalue is |(I - P) [V_1 C ...
+    V_n C]|_2^2 = lambda_max((I - P) Phi(P) (I - P)), free of the Kraus
+    representation; U is formed first, so a tiny leak keeps its accuracy."""
+    u = comp.conj().T @ _kraus_images(ch, cols)
+    return np.linalg.eigh(u @ u.conj().T)
+
+
+def _enclosure_frame(ch, frame, comp, tol):
+    """A frame of the smallest enclosure containing the span of the (d, k)
+    frame F, and one of its orthocomplement, given Q with [F, Q] unitary
+    (both as given when nothing moves).  Each step moves the directions Q e
+    to F for the eigenvectors e of U U^H above subspace_tol^2, U the leak of
+    the newest columns (``_leak``), until a step moves nothing for the leak
+    of the whole of F: the stop rule is ``is_enclosure``'s."""
+    new = frame
+    while comp.shape[1]:
+        w, e = _leak(ch, comp, new)
+        grow = w > tol.subspace_tol**2
+        if grow.any():
+            new = comp @ e[:, grow]
+            frame, comp = np.hstack((frame, new)), comp @ e[:, ~grow]
+        elif new is frame:
+            break
+        else:
+            new = frame
+    return frame, comp
+
+
 def _compressions(ch, frame):
     """The compressions F^H V_a F of every operator to the span of a (d, k)
     frame F, an (n, k, k) stack, from the Kraus images of F."""
@@ -627,15 +658,10 @@ def qubit_bloch_form(ch):
     """
     if ch.dim != 2:
         raise ArgumentError("qubit_bloch_form requires a channel on C^2")
-    images = [apply(ch, _PAULI[k]) for k in range(4)]
-    b = np.array([np.trace(_PAULI[i] @ images[0]) for i in (1, 2, 3)])
-    a = np.array(
-        [[np.trace(_PAULI[i] @ images[j]) for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
-    imag_max = max(np.abs(b.imag).max(), np.abs(a.imag).max())
-    if imag_max > 1e-10:
-        raise ArgumentError(
-            f"Bloch coefficients are not real (residual {imag_max:.3e}); "
-            "is the Kraus family trace preserving?"
-        )
-    return b.real, a.real
+    # t[i, j] = tr(sigma_i Phi(sigma_j)); t[0, 0] = 1 for a trace-preserving
+    # map.  Phi(X)^H = Phi(X^H) for any Kraus map, so t is real up to rounding
+    t = np.einsum("iab,jba->ij", _PAULI, _apply_stack(ch, _PAULI))
+    imag_max, scale = np.abs(t.imag).max(), np.abs(t).max()
+    if imag_max > DEFAULT_TOL.subspace_tol * scale:
+        raise ArgumentError(f"Bloch coefficients have an imaginary part {imag_max:.3e}")
+    return t[1:, 0].real, t[1:, 1:].real

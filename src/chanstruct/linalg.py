@@ -165,16 +165,12 @@ class Subspace:
         return diff <= tol.subspace_tol
 
     def orthocomplement(self):
-        """The orthogonal complement as a Subspace."""
+        """The orthogonal complement as a Subspace: the trailing columns of
+        the complete QR factor of the frame, which is unitary."""
         d, k = self.ambient_dim, self.dimension
         if k == 0:
             return Subspace.full(d)
-        if k == d:
-            return Subspace.zero(d)
-        # Eigenvectors of the projector at eigenvalue 0 form an exact
-        # orthonormal basis of the complement.
-        w, v = np.linalg.eigh(self.projector())
-        return Subspace(d, v[:, : d - k])
+        return Subspace(d, np.linalg.qr(self.frame, mode="complete")[0][:, k:])
 
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dimension})"

@@ -359,7 +359,8 @@ def _subspace_from_lists(data, dim, where):
 def report_file_from_dict(data, re_verify=True):
     """Parse a ``chanstruct-report/3`` document, checking frame
     orthonormality and the derived fields (each B-block's ``index`` is its
-    position, ``fixed_space_dimension`` is n_alpha + sum_b n_b^2) and, with
+    position, ``fixed_space_dimension`` is n_alpha + sum_b n_b^2 and the
+    count of ``peripheral_spectrum`` values at 1, all on |z| = 1) and, with
     ``re_verify``, the enclosure predicate against the embedded channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
@@ -448,6 +449,10 @@ def report_file_from_dict(data, re_verify=True):
             f"{where}: fixed_space_dimension {fixed_dim} disagrees with the "
             f"{_fixed_dimension(report)} its blocks imply"
         )
+    if any(abs(abs(z) - 1.0) > tol.eig_cluster_tol for z in spectrum):
+        raise ParseError(f"{where}: peripheral_spectrum has a value off |z| = 1")
+    if sum(abs(z - 1.0) <= tol.eig_cluster_tol for z in spectrum) != fixed_dim:
+        raise ParseError(f"{where}: peripheral_spectrum needs {fixed_dim} values at 1")
     rf = ReportFile(
         report=report, fixed_space_dimension=fixed_dim, peripheral_spectrum=spectrum
     )

@@ -9,13 +9,13 @@ positive trace-preserving map are fixed, so for the Hermitian basis X_i of K
 
     rho_max = sum_i |X_i| / tr
 
-is an invariant state whose range is the recurrent subspace R; R and its
-orthocomplement D are split off it once, with the solve.  Inside R the
-orthocomplement of an enclosure is an enclosure, so on a minimal enclosure
-V the compression P_V rho_max P_V / tr is the unique invariant state.
-X -> P_R X P_R maps the adjoint's fixed points onto those of the channel
-restricted to R (Baumgartner-Narnhofer, Rev. Math. Phys. 24 (2012)), so
-compressing L to R gives that algebra.
+is an invariant state supported in the recurrent subspace R, an enclosure:
+R is the enclosure its range at rank_tol generates, split off once with the
+solve, and D = R^perp.  Inside R the orthocomplement of an enclosure is an
+enclosure, so on a minimal enclosure V the compression P_V rho_max P_V / tr
+is the unique invariant state.  X -> P_R X P_R maps the adjoint's fixed
+points onto those of the channel restricted to R (Baumgartner-Narnhofer,
+Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra.
 
 A CPTP map preserves Hermiticity, so M commutes with the conjugation
 vec(X) -> vec(X^H) and its eigenvalue-1 eigenspaces are spanned by Hermitian
@@ -73,6 +73,7 @@ import numpy as np
 from .channels import (
     _apply_stack,
     _cached_superoperator,
+    _enclosure_frame,
     _hermitian_transfer_matrix,
     _sandwich,
     apply,
@@ -122,9 +123,9 @@ class RecurrentSplit:
     """The orthogonal split C^d = R ⊕ D.
 
     R is the closed span of supports of all invariant states, D = R^⊥ the
-    transient part, and rho_max an invariant state with range R.  rho_max
-    and both frames are read-only: they are shared with the channel's
-    eigenvalue-1 solve.
+    transient part, and rho_max an invariant state supported in R, whose
+    eigenvalues on the far part of R may fall below rank_tol.  rho_max and
+    both frames are read-only: the channel's eigenvalue-1 solve shares them.
     """
 
     R: Subspace
@@ -292,7 +293,7 @@ def _spectral_core(ch, tol):
                 "eigenvalue-1 cluster ill-separated "
                 f"(nearest non-fixed distance {gap:.3e})",
             )
-        split = _split(right, tol, warnings)
+        split = _split(ch, right, tol, warnings)
         for a in (right, left, split.R.frame, split.D.frame, split.rho_max):
             a.setflags(write=False)
         ch._cores[tol] = _SpectralCore(right, left, split)
@@ -323,28 +324,32 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     return acc / float(n)
 
 
-def _split(right, tol, warnings):
+def _split(ch, right, tol, warnings):
     """The recurrent split read off the stack ``right`` of Hermitian fixed
-    points X_i: rho_max = sum_i |X_i| / tr, made exactly Hermitian, R its
-    range at rank_tol relative to its largest eigenvalue, and D = R^perp."""
+    points X_i: rho_max = sum_i |X_i| / tr, made exactly Hermitian, R the
+    enclosure its range at rank_tol (relative to its largest eigenvalue)
+    generates (``channels._enclosure_frame``), and D = R^perp.  rho_max is
+    supported in R, but its eigenvalues on the far part of R may fall below
+    rank_tol."""
     d = right.shape[-1]
     w, v = np.linalg.eigh(right)
     rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
-    r_space, d_space = Subspace(d, v[:, mask]), Subspace(d, v[:, ~mask])
-    return RecurrentSplit(R=r_space, D=d_space, rho_max=rho, warnings=warnings)
+    r, q = _enclosure_frame(ch, v[:, mask], v[:, ~mask], tol)
+    return RecurrentSplit(Subspace(d, r), Subspace(d, q), rho, warnings)
 
 
 def recurrent_split(ch, tol=DEFAULT_TOL):
     """Split C^d into the recurrent subspace R and the transient part D.
 
     rho_max is the invariant state sum_i |X_i| / tr over the Hermitian
-    fixed-point basis X_i (see the module docstring), PSD by construction;
-    its range at rank_tol is R and D is the orthocomplement.  Every
-    invariant state is supported inside R.  The split is made once with the
-    channel's eigenvalue-1 solve.
+    fixed-point basis X_i (see the module docstring), PSD by construction.
+    R is the enclosure generated by its range at rank_tol, and D = R^perp.
+    Every invariant state is supported inside R, rho_max too, but rho_max's
+    eigenvalues on the far part of R may fall below rank_tol.  The split is
+    made once with the channel's eigenvalue-1 solve.
     """
     return _spectral_core(ch, tol).split
 

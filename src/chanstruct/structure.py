@@ -36,7 +36,8 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
-    _kraus_images,
+    _enclosure_frame,
+    _leak,
     apply,
     apply_adjoint,
     is_state,
@@ -48,7 +49,6 @@ from .linalg import (
     as_complex_matrix,
     hermitian_span_basis,
     loewner_geq,
-    orthonormal_basis,
 )
 from .spectral import _spectral_core, recurrent_split
 
@@ -200,51 +200,27 @@ def _stage(name):
 
 
 def enclosure_generated(ch, x, tol=DEFAULT_TOL):
-    """Smallest enclosure containing the vector x.
-
-    Iterates span growth under the Kraus family; a step with no growth is
-    conclusive because a stable span is already invariant under every
-    Kraus operator.
-    """
+    """Smallest enclosure containing the vector x: the span of x grown by
+    the directions its Kraus images reach, until the leak is at most
+    ``subspace_tol`` (``channels._enclosure_frame``)."""
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape[0] != ch.dim:
         raise ArgumentError(f"x has length {x.shape[0]}, channel dimension is {ch.dim}")
     if np.linalg.norm(x) == 0.0:
         raise ArgumentError("x must be nonzero")
-    space = orthonormal_basis([x], tol)
-    for _ in range(ch.dim):
-        grown = orthonormal_basis(
-            np.hstack((space.frame, _kraus_images(ch, space.frame))), tol
-        )
-        if grown.dimension == space.dimension:
-            break
-        space = grown
-    return space
-
-
-def _enclosure_leak(ch, frame):
-    """The 2-norm of the stacked leak Y = [(I - P) V_a F]_a (n d x k) of the
-    span of the orthonormal (d, k) frame F.  Its square is
-    lambda_max(F^H Phi^*(I - P) F), the largest probability that a state on
-    the span leaves it in one step, so it does not depend on the Kraus
-    representation of the channel."""
-    z = _kraus_images(ch, frame)
-    # rows (i, a) instead of (a, i): a row permutation keeps the 2-norm
-    y = (z - frame @ (frame.conj().T @ z)).reshape(-1, frame.shape[1])
-    # |Y|_2^2 is the largest eigenvalue of the k x k Gram matrix Y^H Y; Y is
-    # formed first, so even a tiny leak keeps its relative accuracy
-    return float(np.sqrt(max(np.linalg.eigvalsh(y.conj().T @ y)[-1], 0.0)))
+    line = Subspace(ch.dim, x[:, None] / np.linalg.norm(x))
+    frame, _ = _enclosure_frame(ch, line.frame, line.orthocomplement().frame, tol)
+    return Subspace(ch.dim, frame)
 
 
 def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
-    """Whether every Kraus operator maps the subspace into itself: the
-    stacked leak (see ``_enclosure_leak``) is at most ``subspace_tol``."""
+    """Whether every Kraus operator maps the subspace into itself: the leak
+    |(I - P) [V_1 F ... V_n F]|_2 of its frame F (``channels._leak``) is at
+    most ``subspace_tol``, the stop rule of :func:`enclosure_generated`."""
     if subspace.ambient_dim != ch.dim:
         raise ArgumentError("subspace ambient dimension does not match channel")
-    k = subspace.dimension
-    if k == 0 or k == ch.dim:
-        return True
-    return _enclosure_leak(ch, subspace.frame) <= tol.subspace_tol
+    comp = subspace.orthocomplement().frame
+    return not (_leak(ch, comp, subspace.frame)[0] > tol.subspace_tol**2).any()
 
 
 def is_subharmonic(ch, p, tol=DEFAULT_TOL):

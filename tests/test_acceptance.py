@@ -243,6 +243,7 @@ def test_criterion_6_invariant_suites(capsys):
             enc = cs.enclosure_generated(ch, x)
             orc = support_closure(ch, x)
             assert np.abs(enc.projector() - orc.projector()).max() <= 1e-8
+            assert cs.is_enclosure(ch, enc)
 
         # (b) subharmonic projector <=> enclosure, on 100 subspaces
         channels = []

@@ -427,6 +427,21 @@ class TestBlochForm:
         with pytest.raises(cs.ArgumentError):
             cs.qubit_bloch_form(random_channel(3, 2, RNG))
 
+    def test_completely_depolarizing_has_zero_coefficients(self):
+        # A = 0 and b = 0: the imaginary-part bound scales with t[0, 0] = 1
+        paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+        b, a = cs.qubit_bloch_form(cs.KrausChannel([np.array(p) / 2 for p in paulis]))
+        assert np.abs(b).max() < 1e-15 and np.abs(a).max() < 1e-15
+
+    def test_imaginary_part_beyond_rounding_is_rejected(self, monkeypatch):
+        ch = random_channel(2, 3, RNG)
+        images = chanstruct.channels._apply_stack(ch, chanstruct.channels._PAULI)
+        monkeypatch.setattr(
+            chanstruct.channels, "_apply_stack", lambda ch, xs: 1j * images
+        )
+        with pytest.raises(cs.ArgumentError, match="imaginary part"):
+            cs.qubit_bloch_form(ch)
+
     def test_unitary_is_rotation(self):
         theta = 0.7
         u = np.array(

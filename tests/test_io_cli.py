@@ -585,6 +585,24 @@ class TestReportSchema:
             with pytest.raises(cs.ParseError, match="fixed_space_dimension"):
                 cs.report_file_from_dict(doc, re_verify=re_verify)
 
+    @pytest.mark.parametrize(
+        "spectrum, message",
+        [
+            ([[5.0, 0.0]], "off"),
+            ([[1.0, 0.0], [-1.0, 0.0]], "needs 2 values at 1"),
+            ([[1.0, 0.0]] * 3 + [[-1.0, 0.0]], "needs 2 values at 1"),
+        ],
+    )
+    def test_peripheral_spectrum_must_match_the_circle_and_fixed_space(
+        self, spectrum, message
+    ):
+        doc = self._markov_doc()
+        assert len(doc["peripheral_spectrum"]) == 3
+        doc["peripheral_spectrum"] = spectrum
+        for re_verify in (True, False):
+            with pytest.raises(cs.ParseError, match=message):
+                cs.report_file_from_dict(doc, re_verify=re_verify)
+
     def test_beta_block_index_must_be_its_position(self):
         ch, _ = planted_channel(
             np.random.default_rng(11), [1], [(1, 2), (2, 2)], 1, n_kraus=2

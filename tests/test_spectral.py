@@ -274,6 +274,19 @@ class TestRecurrentSplit:
         assert split.D.dimension == 0
         assert not split.warnings
 
+    def test_slow_birth_death_chain_is_irreducible(self):
+        # up 0.1, down 0.9, reflecting: the stationary law falls as 9^-i, so
+        # rho_max's range at rank_tol holds only the first 10 states, and R
+        # is the enclosure they generate, all of C^20
+        n = 20
+        p = np.diag(np.full(n - 1, 0.1), -1) + np.diag(np.full(n - 1, 0.9), 1)
+        p[0, 0], p[-1, -1] = 0.9, 0.1
+        ch = cs.from_markov_chain(p)
+        split = cs.recurrent_split(ch)
+        assert (split.R.dimension, split.D.dimension) == (20, 0)
+        assert cs.is_irreducible(ch)
+        assert cs.perron_frobenius_certificate(ch).invariant_state_rank == 20
+
     def test_metastable_gap_warning(self):
         # second eigenvalue within the warning band of the fixed cluster
         eps = 3e-8

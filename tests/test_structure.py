@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.channels
 import chanstruct.structure
 from helpers import (
     amplitude_damping_channel,
@@ -16,6 +17,13 @@ from helpers import (
 )
 
 RNG = np.random.default_rng(404)
+
+
+def leak(ch, frame):
+    """The 2-norm of the leak |(I - P) [V_1 F ... V_n F]|_2 of the span of
+    the orthonormal frame F, the measure of ``is_enclosure``."""
+    comp = cs.Subspace(ch.dim, frame).orthocomplement().frame
+    return np.sqrt(max(chanstruct.channels._leak(ch, comp, frame)[0][-1], 0.0))
 
 
 class TestEnclosureGenerated:
@@ -36,6 +44,7 @@ class TestEnclosureGenerated:
             enc = cs.enclosure_generated(ch, x)
             orc = support_closure(ch, x)
             assert np.abs(enc.projector() - orc.projector()).max() < 1e-8
+            assert cs.is_enclosure(ch, enc)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(cs.ArgumentError):
@@ -78,15 +87,14 @@ class TestEnclosurePredicates:
         u = haar_unitary(len(padded), rng)
         mixed = cs.KrausChannel(list(np.tensordot(u, np.stack(padded), 1)))
         assert len(mixed.kraus) == 5
-        leak = chanstruct.structure._enclosure_leak
         for f in frames:
             ref = leak(ch, f)
             assert abs(leak(cs.KrausChannel(padded), f) - ref) <= 1e-12
             assert abs(leak(mixed, f) - ref) <= 1e-12
-            # its square is lambda_max(F^H Phi^*(I - P) F), and it bounds the
-            # leak of every single Kraus operator
+            # its square is lambda_max((I - P) Phi(P) (I - P)), and it bounds
+            # the leak of every single Kraus operator
             comp = np.eye(d) - f @ f.conj().T
-            w = np.linalg.eigvalsh(f.conj().T @ cs.apply_adjoint(ch, comp) @ f)
+            w = np.linalg.eigvalsh(comp @ cs.apply(ch, f @ f.conj().T) @ comp)
             assert abs(ref**2 - w[-1]) <= 1e-12
             per_op = max(np.linalg.norm(comp @ v @ f, 2) for v in ch.kraus)
             assert ref >= per_op - 1e-15
@@ -96,17 +104,17 @@ class TestEnclosurePredicates:
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
     def test_gram_leak_matches_spectral_norm(self, scale):
         # V = span(e_0 .. e_{k-1}) and Kraus operators whose lower-left block
-        # is scale * G_a: the leak Y = [scale * G_a]_a is formed exactly, so
-        # the Gram form and an SVD see the same matrix
+        # is scale * G_a: the leak Y = [scale * G_1 ... scale * G_n] is formed
+        # exactly, so the Gram form and an SVD see the same matrix
         rng = np.random.default_rng(433)
         d, k, n = 7, 3, 4
         kraus = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
         kraus[:, k:, :k] *= scale
         ch = cs.KrausChannel(kraus, unchecked=True)
         frame = np.eye(d, dtype=complex)[:, :k]
-        y = np.concatenate([v[k:, :k] for v in ch.kraus])
+        y = np.hstack([v[k:, :k] for v in ch.kraus])
         ref = np.linalg.norm(y, 2)
-        got = chanstruct.structure._enclosure_leak(ch, frame)
+        got = leak(ch, frame)
         assert abs(got - ref) <= 1e-12 * ref
 
     def test_subharmonic_rejects_non_projector(self):
@@ -462,6 +470,20 @@ class TestDecompose:
         for blk in rep.beta_blocks:
             p0 = blk.enclosures[0].projector()
             assert np.abs(blk.isometries[0] - p0).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "p, q, n", [(0.1, 0.2, 13), (0.1, 0.2, 20), (0.05, 0.1, 13)]
+    )
+    def test_slow_walks_keep_the_whole_recurrent_subspace(self, p, q, n):
+        # the last sites' stationary weight (p/(1-p))^n is below rank_tol, so
+        # rho_max's range at rank_tol misses them and R must be grown
+        ch = cs.from_oqrw(cs.oqrw_transition_map(p, q, n), n)
+        rep = cs.decompose(ch)
+        assert rep.R.dimension == 2 * (n + 1)
+        assert cs.is_enclosure(ch, rep.R)
+        assert not rep.alpha_blocks
+        assert [len(b.enclosures) for b in rep.beta_blocks] == [2]
+        assert cs.report_file_from_report(rep).fixed_space_dimension == 4
 
     def test_linking_element_made_once(self, monkeypatch):
         # the identity channel on C^10 is one B-block of 10 lines: grouping
