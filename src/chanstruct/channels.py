@@ -353,35 +353,46 @@ def _kraus_images(ch, frame):
     return z.reshape(d, -1)
 
 
-def _leak(ch, comp, cols):
-    """eigh of U U^H, U = Q^H [V_1 C ... V_n C] (q, n c): the leak of the
-    columns C out of a span P, in the coordinates of an orthonormal frame Q
-    of P^perp.  For C a frame of P its top eigenvalue is |(I - P) [V_1 C ...
-    V_n C]|_2^2 = lambda_max((I - P) Phi(P) (I - P)), free of the Kraus
-    representation; U is formed first, so a tiny leak keeps its accuracy."""
-    u = comp.conj().T @ _kraus_images(ch, cols)
-    return np.linalg.eigh(u @ u.conj().T)
+def _leak(ch, frame, cols):
+    """Y = (I - P) [S_1 L_1 ... S_n L_n], P the span of the frame F: V_a C =
+    S_a R_a places its held rows R_a = L_a Q_a^H (QR), so Y Y^H = (I - P)
+    Phi(C C^H) (I - P); for C = F, |Y|_2^2 is the leak^2, free of the Kraus form."""
+    op, i = np.divmod(ch._row_ids, ch.dim)
+    j = np.arange(op.size) - np.searchsorted(op, op)  # row j of R_op
+    l = ch._rows @ cols
+    if j.max() + 1 < cols.shape[1]:  # fewer rows than columns: L_a is narrower
+        r = np.zeros((len(ch), cols.shape[1], j.max() + 1), dtype=complex)
+        r[op, :, j] = l.conj()
+        l = np.linalg.qr(r, mode="r").conj().transpose(0, 2, 1)[op, j]
+    z = np.zeros((ch.dim, len(ch) * l.shape[1]), dtype=complex)
+    z.reshape(ch.dim, len(ch), -1)[i, op] = l  # a view: column (a, k) of V_a C
+    return z - frame @ (frame.conj().T @ z)
 
 
-def _enclosure_frame(ch, frame, comp, tol):
-    """A frame of the smallest enclosure containing the span of the (d, k)
-    frame F, and one of its orthocomplement, given Q with [F, Q] unitary
-    (both as given when nothing moves).  Each step moves the directions Q e
-    to F for the eigenvectors e of U U^H above subspace_tol^2, U the leak of
-    the newest columns (``_leak``), until a step moves nothing for the leak
-    of the whole of F: the stop rule is ``is_enclosure``'s."""
+def _leak_norm2(y):
+    """|Y|_2^2 from the smaller Gram matrix, formed after Y: keeps tiny leaks."""
+    g = y.conj().T @ y if y.shape[1] < y.shape[0] else y @ y.conj().T
+    return max(np.linalg.eigvalsh(g)[-1], 0.0) if g.size else 0.0
+
+
+def _enclosure_frame(ch, frame, tol):
+    """The smallest enclosure containing the span of the frame F: append Y Y^H e,
+    orthonormal to F, for eigenvectors e of Y Y^H (Y the leak of the newest
+    columns) above subspace_tol^2 and d eps lambda_max, to a leak <= subspace_tol."""
     new = frame
-    while comp.shape[1]:
-        w, e = _leak(ch, comp, new)
-        grow = w > tol.subspace_tol**2
+    while frame.shape[1] < ch.dim:
+        y = _leak(ch, frame, new)
+        w, e = np.linalg.eigh(y @ y.conj().T)
+        grow = (w > tol.subspace_tol**2) & (w > ch.dim * np.finfo(float).eps * w[-1])
         if grow.any():
-            new = comp @ e[:, grow]
-            frame, comp = np.hstack((frame, new)), comp @ e[:, ~grow]
+            m = y @ (y.conj().T @ e[:, grow])  # in Y's range to rounding; e may not be
+            new = np.linalg.qr(m - frame @ (frame.conj().T @ m))[0]
+            frame = np.hstack((frame, new))
         elif new is frame:
             break
         else:
             new = frame
-    return frame, comp
+    return frame
 
 
 def _compressions(ch, frame):
@@ -658,8 +669,7 @@ def qubit_bloch_form(ch):
     """
     if ch.dim != 2:
         raise ArgumentError("qubit_bloch_form requires a channel on C^2")
-    # t[i, j] = tr(sigma_i Phi(sigma_j)); t[0, 0] = 1 for a trace-preserving
-    # map.  Phi(X)^H = Phi(X^H) for any Kraus map, so t is real up to rounding
+    # t[i, j] = tr(sigma_i Phi(sigma_j)), real to rounding: Phi(X)^H = Phi(X^H)
     t = np.einsum("iab,jba->ij", _PAULI, _apply_stack(ch, _PAULI))
     imag_max, scale = np.abs(t.imag).max(), np.abs(t).max()
     if imag_max > DEFAULT_TOL.subspace_tol * scale:

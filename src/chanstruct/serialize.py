@@ -357,11 +357,10 @@ def _subspace_from_lists(data, dim, where):
 
 
 def report_file_from_dict(data, re_verify=True):
-    """Parse a ``chanstruct-report/3`` document, checking frame
-    orthonormality and the derived fields (each B-block's ``index`` is its
-    position, ``fixed_space_dimension`` is n_alpha + sum_b n_b^2 and the
-    count of ``peripheral_spectrum`` values at 1, all on |z| = 1) and, with
-    ``re_verify``, the enclosure predicate against the embedded channel."""
+    """Parse a ``chanstruct-report/3`` document, checking frames and derived
+    fields (B-block ``index`` = position, ``fixed_space_dimension`` = n_alpha
+    + sum_b n_b^2 = the count of spectrum values at 1, all on |z| = 1) and,
+    with ``re_verify``, the enclosure predicate against the embedded channel."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)

@@ -9,13 +9,12 @@ positive trace-preserving map are fixed, so for the Hermitian basis X_i of K
 
     rho_max = sum_i |X_i| / tr
 
-is an invariant state supported in the recurrent subspace R, an enclosure:
-R is the enclosure its range at rank_tol generates, split off once with the
-solve, and D = R^perp.  Inside R the orthocomplement of an enclosure is an
-enclosure, so on a minimal enclosure V the compression P_V rho_max P_V / tr
-is the unique invariant state.  X -> P_R X P_R maps the adjoint's fixed
-points onto those of the channel restricted to R (Baumgartner-Narnhofer,
-Rev. Math. Phys. 24 (2012)), so compressing L to R gives that algebra.
+is an invariant state in the recurrent subspace R, the enclosure its range
+at rank_tol generates, split off once with the solve; D = R^perp.  Inside R
+the orthocomplement of an enclosure is an enclosure, so on a minimal
+enclosure V, P_V rho_max P_V / tr is the unique invariant state.  The map
+X -> P_R X P_R takes the adjoint's fixed points onto those of the channel
+on R (Baumgartner-Narnhofer, Rev. Math. Phys. 24 (2012)): compress L to R.
 
 A CPTP map preserves Hermiticity, so M commutes with the conjugation
 vec(X) -> vec(X^H) and its eigenvalue-1 eigenspaces are spanned by Hermitian
@@ -327,18 +326,17 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
 def _split(ch, right, tol, warnings):
     """The recurrent split read off the stack ``right`` of Hermitian fixed
     points X_i: rho_max = sum_i |X_i| / tr, made exactly Hermitian, R the
-    enclosure its range at rank_tol (relative to its largest eigenvalue)
-    generates (``channels._enclosure_frame``), and D = R^perp.  rho_max is
-    supported in R, but its eigenvalues on the far part of R may fall below
-    rank_tol."""
+    enclosure generated by its range at relative rank_tol, and D = R^perp.
+    rho_max lives in R, but its eigenvalues on the far part may fall below rank_tol."""
     d = right.shape[-1]
     w, v = np.linalg.eigh(right)
     rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
-    r, q = _enclosure_frame(ch, v[:, mask], v[:, ~mask], tol)
-    return RecurrentSplit(Subspace(d, r), Subspace(d, q), rho, warnings)
+    r = Subspace(d, _enclosure_frame(ch, v[:, mask], tol))
+    q = Subspace(d, v[:, ~mask]) if r.dimension == mask.sum() else r.orthocomplement()
+    return RecurrentSplit(R=r, D=q, rho_max=rho, warnings=warnings)
 
 
 def recurrent_split(ch, tol=DEFAULT_TOL):
@@ -347,9 +345,8 @@ def recurrent_split(ch, tol=DEFAULT_TOL):
     rho_max is the invariant state sum_i |X_i| / tr over the Hermitian
     fixed-point basis X_i (see the module docstring), PSD by construction.
     R is the enclosure generated by its range at rank_tol, and D = R^perp.
-    Every invariant state is supported inside R, rho_max too, but rho_max's
-    eigenvalues on the far part of R may fall below rank_tol.  The split is
-    made once with the channel's eigenvalue-1 solve.
+    Every invariant state, rho_max too, is supported in R; rho_max's
+    eigenvalues on the far part of R may fall below rank_tol.  Made once.
     """
     return _spectral_core(ch, tol).split
 

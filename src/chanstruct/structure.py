@@ -38,6 +38,7 @@ from .channels import (
     KrausChannel,
     _enclosure_frame,
     _leak,
+    _leak_norm2,
     apply,
     apply_adjoint,
     is_state,
@@ -208,9 +209,7 @@ def enclosure_generated(ch, x, tol=DEFAULT_TOL):
         raise ArgumentError(f"x has length {x.shape[0]}, channel dimension is {ch.dim}")
     if np.linalg.norm(x) == 0.0:
         raise ArgumentError("x must be nonzero")
-    line = Subspace(ch.dim, x[:, None] / np.linalg.norm(x))
-    frame, _ = _enclosure_frame(ch, line.frame, line.orthocomplement().frame, tol)
-    return Subspace(ch.dim, frame)
+    return Subspace(ch.dim, _enclosure_frame(ch, x[:, None] / np.linalg.norm(x), tol))
 
 
 def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
@@ -219,8 +218,7 @@ def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
     most ``subspace_tol``, the stop rule of :func:`enclosure_generated`."""
     if subspace.ambient_dim != ch.dim:
         raise ArgumentError("subspace ambient dimension does not match channel")
-    comp = subspace.orthocomplement().frame
-    return not (_leak(ch, comp, subspace.frame)[0] > tol.subspace_tol**2).any()
+    return _leak_norm2(_leak(ch, subspace.frame, subspace.frame)) <= tol.subspace_tol**2
 
 
 def is_subharmonic(ch, p, tol=DEFAULT_TOL):

@@ -287,6 +287,21 @@ class TestRecurrentSplit:
         assert cs.is_irreducible(ch)
         assert cs.perron_frobenius_certificate(ch).invariant_state_rank == 20
 
+    @pytest.mark.parametrize("tail", [2, 3])
+    def test_slow_birth_death_chain_with_transient_tail(self, tail):
+        # the chain above and a path 20 -> ... -> 0 of D -> D steps: the
+        # eigenvectors of rho_max near the rank_tol cut may tilt towards D,
+        # and a tilt above subspace_tol would pull the path into R
+        n = 20
+        p = np.zeros((n + tail, n + tail))
+        p[:n, :n] = np.diag(np.full(n - 1, 0.1), -1) + np.diag(np.full(n - 1, 0.9), 1)
+        p[0, 0], p[n - 1, n - 1] = 0.9, 0.1
+        p[np.r_[n + 1 : n + tail, 0], np.arange(n, n + tail)] = 1.0
+        ch = cs.from_markov_chain(p)
+        split = cs.recurrent_split(ch)
+        assert (split.R.dimension, split.D.dimension) == (n, tail)
+        assert not cs.is_irreducible(ch)
+
     def test_metastable_gap_warning(self):
         # second eigenvalue within the warning band of the fixed cluster
         eps = 3e-8

@@ -22,8 +22,13 @@ RNG = np.random.default_rng(404)
 def leak(ch, frame):
     """The 2-norm of the leak |(I - P) [V_1 F ... V_n F]|_2 of the span of
     the orthonormal frame F, the measure of ``is_enclosure``."""
-    comp = cs.Subspace(ch.dim, frame).orthocomplement().frame
-    return np.sqrt(max(chanstruct.channels._leak(ch, comp, frame)[0][-1], 0.0))
+    y = chanstruct.channels._leak(ch, frame, frame)
+    return np.sqrt(chanstruct.channels._leak_norm2(y))
+
+
+def rotated(ch, u):
+    """The channel U Phi(U^H . U) U^H, Kraus operators U V_a U^H."""
+    return cs.KrausChannel([u @ v @ u.conj().T for v in ch.kraus])
 
 
 class TestEnclosureGenerated:
@@ -45,6 +50,37 @@ class TestEnclosureGenerated:
             orc = support_closure(ch, x)
             assert np.abs(enc.projector() - orc.projector()).max() < 1e-8
             assert cs.is_enclosure(ch, enc)
+        # a star: state 0 fans out to 60 leaves that all feed one hub, so one
+        # step's leak has lambda_max = 60 and eigh's rounding on the zero
+        # eigenvalues of Y Y^H passes subspace_tol^2; states 62..99 are a
+        # path into 0 that 0 never reaches.  Rotated, the rounding is dense.
+        p = np.zeros((100, 100))
+        p[1:61, 0], p[61, 1:61], p[0, 61] = 1.0 / 60, 1.0, 1.0
+        p[np.r_[63:100, 0], np.arange(62, 100)] = 1.0
+        u = haar_unitary(100, RNG)
+        ch = rotated(cs.from_markov_chain(p), u)
+        enc = cs.enclosure_generated(ch, u[:, 0])
+        orc = support_closure(ch, u[:, 0])
+        assert enc.dimension == orc.dimension == 62
+        assert np.abs(enc.projector() - orc.projector()).max() < 1e-8
+        assert cs.is_enclosure(ch, enc)
+
+    @pytest.mark.parametrize("small", [1e-10, 1e-12, 1e-13])
+    def test_small_leak_beside_a_large_one(self, small):
+        # 0 -> 1 with probability 1 - small, 0 -> 2 with probability small,
+        # 1, 2 -> 0, and a path 3 -> ... -> 29 -> 0: the enclosure of e_0 is
+        # span(e_0, e_1, e_2) although one step's leak has eigenvalues 1 and
+        # small.  The eigenvector at small is off the range of the leak by
+        # about eps / small, and that error alone would pull in the path
+        d = 30
+        p = np.zeros((d, d))
+        p[1, 0], p[2, 0], p[0, 1], p[0, 2] = 1.0 - small, small, 1.0, 1.0
+        p[np.r_[4:d, 0], np.arange(3, d)] = 1.0
+        u = haar_unitary(d, RNG)
+        ch = rotated(cs.from_markov_chain(p), u)
+        enc = cs.enclosure_generated(ch, u[:, 0])
+        assert enc.approx_equal(cs.Subspace(d, u[:, :3]))
+        assert cs.is_enclosure(ch, enc)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(cs.ArgumentError):
@@ -100,6 +136,33 @@ class TestEnclosurePredicates:
             assert ref >= per_op - 1e-15
         assert max(leak(ch, f) for f in frames[:-3]) < 1e-10
         assert min(leak(ch, f) for f in frames[-3:]) > 1e-3
+        # sparse families hold a few rows per operator, so the leak keeps a
+        # factor of each operator's rows, (d, n) for the one-row operators of
+        # a Markov chain; unitary mixing makes the operators dense again.
+        # The Markov classes {0, 1} and {2, 3, 4} are closed, 5 is transient
+        p = np.zeros((6, 6))
+        p[:2, :2] = rng.dirichlet(np.ones(2), 2).T
+        p[2:5, 2:5] = rng.dirichlet(np.ones(3), 3).T
+        p[:, 5] = rng.dirichlet(np.ones(6))
+        mk = cs.from_markov_chain(p)
+        e = np.eye(6, dtype=complex)
+        assert chanstruct.channels._leak(mk, e[:, :2], e).shape == (6, len(mk.kraus))
+        walk = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.2, 4), 4)
+        for ch, closed in ((mk, [(0, 2), (2, 5), (0, 5)]), (walk, [])):
+            d = ch.dim
+            frames = [np.eye(d, dtype=complex)[:, a:b] for a, b in closed]
+            frames.append(cs.recurrent_split(ch).R.frame)
+            for k in (1, 3, 5):
+                z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+                frames.append(np.linalg.qr(z)[0])
+            u = haar_unitary(len(ch.kraus), rng)
+            mixed = cs.KrausChannel(list(np.tensordot(u, np.stack(ch.kraus), 1)))
+            for f in frames:
+                y = np.hstack([(np.eye(d) - f @ f.conj().T) @ v @ f for v in ch.kraus])
+                assert abs(leak(ch, f) - np.linalg.norm(y, 2)) <= 1e-12
+                assert abs(leak(mixed, f) - leak(ch, f)) <= 1e-12
+            assert max(leak(ch, f) for f in frames[:-3]) < 1e-12
+            assert min(leak(ch, f) for f in frames[-3:]) > 1e-3
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
     def test_gram_leak_matches_spectral_norm(self, scale):
