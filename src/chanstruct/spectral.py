@@ -1,51 +1,44 @@
 """Fixed points and the recurrent/transient decomposition.
 
-The central computation, solved once per channel and tolerance, is the
-eigenvalue-1 eigenspace pair of the channel's superoperator M: the right
-kernel K of (M - I) spans the fixed points of the channel and the left kernel
-L spans the fixed points of the adjoint.  Everything else is read off these
-two bases.  The positive and negative parts of a Hermitian fixed point of a
-positive trace-preserving map are fixed, so for the Hermitian basis X_i of K
+The central computation, made once per channel and tolerance, is one LU
+factorization of M_h - sigma I, sigma = 1 + eig_cluster_tol, for the
+channel's superoperator M in real Hermitian coordinates (below).  The
+spectral projection Pi_1 onto the fixed points (the Cesaro limit of Phi^n)
+is applied to one Hermitian matrix by the steps x <- (1 - sigma)
+(M_h - sigma I)^{-1} x, which keep every fixed vector and multiply an
+eigenvector of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda);
+the transposed solves apply the adjoint's Pi_1^* (``_project``).  They stop
+once the residual through the channel itself, |Phi(X) - X|_F (Phi^* for
+Pi_1^*), is within eig_cluster_tol |X|_F and no longer halves, so how M_h
+was built or factored cannot make a vector pass.  The residual is iterated
+by the same steps: the ratio of successive residuals estimates the largest
+theta outside the cluster, and (sigma - 1)(1/theta - 1) the distance from 1
+of the nearest non-fixed eigenvalue, which below 10 eig_cluster_tol gives
+the split an "ill-separated" warning.  The solve yields rho_max = Pi_1(I/d),
+an invariant state whose support is all of the recurrent subspace R (R is
+the enclosure its range generates, D = R^perp), and, for Hermitian
+references G, the adjoint's fixed points Pi_1^*(G), which compressed to R
+are elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev.
+Math. Phys. 24 (2012); see chanstruct.structure).  No basis of either fixed
+space is computed: the structure theorem gives both from the blocks
+(Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` and
+``perron_frobenius_certificate`` are assembled from ``decompose``.
 
-    rho_max = sum_i |X_i| / tr
-
-is an invariant state in the recurrent subspace R, the enclosure its range
-at rank_tol generates, split off once with the solve; D = R^perp.  Inside R
-the orthocomplement of an enclosure is an enclosure, so on a minimal
-enclosure V, P_V rho_max P_V / tr is the unique invariant state.  The map
-X -> P_R X P_R takes the adjoint's fixed points onto those of the channel
-on R (Baumgartner-Narnhofer, Rev. Math. Phys. 24 (2012)): compress L to R.
-
-A CPTP map preserves Hermiticity, so M commutes with the conjugation
-vec(X) -> vec(X^H) and its eigenvalue-1 eigenspaces are spanned by Hermitian
-matrices.  Let K be the vec swap vec(X) -> vec(X^T).  The unitary
-U = ((1+i) I + (1-i) K) / 2 maps a real vector vec(Y) to the vec of the
-Hermitian matrix sym Y + i antisym Y, and in these real Hermitian
-coordinates the superoperator is the real d^2 x d^2 matrix
+A CPTP map preserves Hermiticity, so with K the vec swap vec(X) -> vec(X^T)
+the unitary U = ((1+i) I + (1-i) K) / 2, which maps a real vector vec(Y) to
+the vec of the Hermitian matrix sym Y + i antisym Y (the package's
+Hermitian codec, ``linalg.hermitian_decode``), makes the superoperator the
+real d^2 x d^2 matrix
 
     M_h = U^H M U = Re M + Im(M K),
 
 whose columns are those of M with the imaginary parts swapped by one
-transpose (K M K = conj(M)).  Both kernels are found there and mapped back by
-U, the package's Hermitian codec (``linalg.hermitian_decode``), to read-only
-(k, d, d) stacks of Hermitian matrices, which every consumer reads with
-batched products.
-
-Both kernels come from block shift-invert subspace iteration around
-sigma = 1 + 3e-6, at every channel size.  (M_h - sigma I)^{-1} is applied by a
-sparse LU when the Kraus family is sparse (the rule and the cached sparse M
-are the channel's, see chanstruct.channels), and otherwise by an explicit
-dense inverse (its transpose for the left kernel), all in real arithmetic.
-A dense M_h is built straight from the real and imaginary parts of the
-Kraus stack, its diagonal is shifted in place, and it is released once
-inverted, so the inverse is the only d^2 x d^2 matrix held.  A block wider
-than the eigenvalue-1 multiplicity captures the whole degenerate eigenspace,
-where single-vector Krylov methods under-count it, and the block is widened
-until some Ritz value falls outside the cluster: that certifies the
-multiplicity.  Every accepted vector q is verified through the channel
-itself: |Phi(X) - X|_F for X = U q (Phi^* for the left kernel) equals
-|M_h q - q|, but does not depend on how M_h was built or inverted, so
-neither misconvergence nor a wrong M_h can make a vector pass.
+transpose (K M K = conj(M)).  M_h - sigma I is factored by a sparse LU when
+the Kraus family is sparse (the rule and the cached sparse M are the
+channel's, see chanstruct.channels), and otherwise by a dense LU.  A dense
+M_h is built straight from the real and imaginary parts of the Kraus stack
+and its diagonal shifted in place; the LU overwrites its transposed,
+Fortran-ordered view, so it is the only d^2 x d^2 matrix held.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
 those of M: exact for any Kraus family.  A report carries the same list at far
@@ -65,7 +58,6 @@ all eigenvalues of its pair map.
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -79,7 +71,7 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, hermitian_decode
+from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, hermitian_encode
 
 __all__ = [
     "FixedSpace",
@@ -91,12 +83,6 @@ __all__ = [
     "peripheral_spectrum",
     "perron_frobenius_certificate",
 ]
-
-_BLOCK_SEED = 1729
-_MAX_BLOCK_STEPS = 50
-# widest accepted multiplicity: 256, or more while the block holds no more
-# entries than a dense d = 40 superoperator (so every k <= d^2 for d <= 40)
-_MAX_BLOCK_ENTRIES = 1600 * 1600
 
 
 @dataclass(frozen=True)
@@ -122,9 +108,10 @@ class RecurrentSplit:
     """The orthogonal split C^d = R ⊕ D.
 
     R is the closed span of supports of all invariant states, D = R^⊥ the
-    transient part, and rho_max an invariant state supported in R, whose
-    eigenvalues on the far part of R may fall below rank_tol.  rho_max and
-    both frames are read-only: the channel's eigenvalue-1 solve shares them.
+    transient part, and rho_max = Pi_1(I/d) an invariant state supported in
+    R, whose eigenvalues on the far part of R may fall below rank_tol.
+    rho_max and both frames are read-only: the channel's eigenvalue-1 solve
+    shares them.
     """
 
     R: Subspace
@@ -148,78 +135,17 @@ class PerronFrobeniusCertificate:
 
 @dataclass(frozen=True)
 class _SpectralCore:
-    """The eigenvalue-1 solve of a channel: Hilbert-Schmidt-orthonormal
-    bases ``right`` of the fixed points and ``left`` of the adjoint's fixed
-    points, as read-only (k, d, d) stacks of Hermitian matrices, and the
-    recurrent split read off them."""
+    """The eigenvalue-1 solve of a channel at one tolerance: ``solve(b,
+    adjoint)`` applies (M_h - sigma I)^{-1} (transposed when ``adjoint``)
+    from the one factorization; the split read off rho_max = Pi_1(I/d);
+    ``probes``, a (2, d, d) stack of normalized generic fixed points
+    Pi_1^*(G) of the adjoint; and ``gap``, the estimated distance from 1 of
+    the nearest non-fixed eigenvalue."""
 
-    right: np.ndarray
-    left: np.ndarray
+    solve: object
     split: RecurrentSplit
-
-    @property
-    def multiplicity(self):
-        return len(self.right)
-
-
-def _block_kernel(solve, residuals, n2, sigma, tol):
-    """Orthonormal real basis of the eigenvectors of a real matrix with
-    |lambda - 1| <= eig_cluster_tol, and the distance from 1 of the nearest
-    Ritz value outside that cluster.
-
-    Each step is one multi-RHS solve Y = (M_h - sigma)^{-1} X, a real
-    Rayleigh-Ritz step on X^T Y with the cluster's Schur vectors Z first
-    (Ritz values mu give lambda = sigma + 1/mu, well apart even for
-    eigenvalues just outside the cluster), and X <- qr(Y).  The cluster basis
-    qr(Y Z) is accepted once the cluster count has held for two steps and
-    ``residuals(basis)``, which gives |Phi(X) - X|_F through the channel
-    itself for the Hermitian matrix X of each column, is within
-    eig_cluster_tol: how M_h was built or inverted cannot make a vector
-    pass.  While every Ritz value is in the cluster the block doubles.
-    """
-    from scipy.linalg import schur
-
-    def in_cluster(re, im):  # |sigma + 1/mu - 1| <= eig_cluster_tol
-        mu = complex(re, im)
-        return abs(1.0 + (sigma - 1.0) * mu) <= tol.eig_cluster_tol * abs(mu)
-
-    def random_block(width):
-        return np.linalg.qr(rng.standard_normal((n2, width)))[0]
-
-    rng = np.random.default_rng(_BLOCK_SEED)
-    cap = max(256, _MAX_BLOCK_ENTRIES // n2)
-    width, last, residual = min(8, n2), -1, np.inf
-    x = random_block(width)
-    for step in range(1, _MAX_BLOCK_STEPS + 1):
-        y = solve(x)
-        # a real Schur form keeps conjugate pairs in 2 x 2 blocks, and k
-        # counts both members of a pair in the cluster
-        t, z, k = schur(x.T @ y, output="real", sort=in_cluster)
-        if k > cap:
-            raise DecompositionError(
-                "fixed-space",
-                f"eigenvalue-1 multiplicity exceeds {cap}; refusing to continue",
-            )
-        if k == width < n2:
-            width = min(2 * width, n2)
-            x, last = random_block(width), -1
-            continue
-        basis = np.linalg.qr(y @ z[:, :k])[0]
-        res = max(residuals(basis), default=0.0)
-        # keep iterating while the residual still halves: the rank cut on
-        # rho_max and the block states need accuracy far below the tolerance
-        stalled, residual = res >= 0.5 * residual, res
-        if k == last and residual <= tol.eig_cluster_tol and stalled:
-            mu = np.linalg.eigvals(t[k:, k:])
-            gap = np.abs(1.0 + (sigma - 1.0) * mu) / np.abs(mu)
-            return basis, float(gap.min(initial=np.inf))
-        last = k
-        x = np.linalg.qr(y)[0]
-    raise DecompositionError(
-        "fixed-space",
-        "eigenvalue-1 subspace iteration did not converge",
-        diagnostics={"steps": step, "block_width": width, "residual": float(residual)},
-    )
+    probes: np.ndarray
+    gap: float
 
 
 def _hermitian_coordinates(m):
@@ -233,13 +159,10 @@ def _hermitian_coordinates(m):
     return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
 
 
-def _fixed_pair(ch, tol):
-    """Orthonormal bases of ker(M - I) and ker(M^H - I), as (k, d, d)
-    stacks of Hermitian matrices, and the distance from 1 of the nearest
-    Ritz value outside the eigenvalue-1 cluster."""
-    d = ch.dim
-    n2 = d * d
-    sigma = 1.0 + 3e-6
+def _factor(ch, sigma):
+    """``solve(b, adjoint)`` for one real right-hand side b, from one LU of
+    M_h - sigma I (see the module docstring)."""
+    n2 = ch.dim**2
     m = _cached_superoperator(ch)
     if m is not None:
         import scipy.sparse as sp
@@ -247,37 +170,61 @@ def _fixed_pair(ch, tol):
 
         shifted = _hermitian_coordinates(m) - sigma * sp.identity(n2, format="csc")
         lu = spla.splu(shifted.tocsc())
-        solve_fwd, solve_adj = lu.solve, partial(lu.solve, trans="T")
-    else:
-        # an explicit inverse applied by matmul, in numpy's BLAS: multi-RHS
-        # lu_solve calls stalled at 2 BLAS threads on small systems (n = 100,
-        # 8 right-hand sides: 2.9 ms per call against 59 us at 1 thread)
-        shifted = _hermitian_transfer_matrix(ch._stack)
-        shifted.flat[:: n2 + 1] -= sigma
-        inv = np.linalg.inv(shifted)
-        solve_fwd, solve_adj = inv.__matmul__, inv.T.__matmul__
-    # only the inverse (or the LU) is kept: residuals go through the channel
-    del shifted
+        return lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")
+    import scipy.linalg as sla
 
-    def residuals(q, adjoint):
-        x = hermitian_decode(q.T, d)
-        return np.linalg.norm(_apply_stack(ch, x, adjoint) - x, axis=(1, 2))
+    shifted = _hermitian_transfer_matrix(ch._stack)
+    shifted.flat[:: n2 + 1] -= sigma
+    # the factors are those of the transpose, so the plain solve is trans=1
+    lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
+    return lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint, check_finite=False)
 
-    fwd, adj = partial(residuals, adjoint=False), partial(residuals, adjoint=True)
-    right, gap_r = _block_kernel(solve_fwd, fwd, n2, sigma, tol)
-    left, gap_l = _block_kernel(solve_adj, adj, n2, sigma, tol)
-    if right.shape[1] == 0:
+
+def _distance(theta, tol):
+    """(sigma - 1)(1/theta - 1), the distance from 1 of the eigenvalue that a
+    step contracts by theta."""
+    if not theta:
+        return math.inf
+    return max(tol.eig_cluster_tol * (1.0 / theta - 1.0), 0.0)
+
+
+def _project(ch, solve, x, adjoint, tol):
+    """Pi_1(X), or Pi_1^*(X) when ``adjoint``, of a Hermitian d x d matrix X
+    (see the module docstring), and the largest ratio theta of successive
+    residuals r = |Phi(X) - X|_F / |X|_F (Phi^* when ``adjoint``) above
+    100 eps, which rounding alone (a few eps) does not reach.  The steps go
+    on while r halves, and the result is accepted when r <= eig_cluster_tol."""
+    d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
+    v, res, theta, solves = hermitian_encode(x), math.inf, 0.0, 0
+    while True:
+        v = (1.0 - sigma) * solve(v, adjoint)
+        y, solves = hermitian_decode(v, d), solves + 1
+        new = np.linalg.norm(_apply_stack(ch, y[None], adjoint)[0] - y)
+        new /= np.linalg.norm(v)
+        if new > 100.0 * np.finfo(float).eps:
+            theta = max(theta, new / res)
+        halving, res = new < 0.5 * res, new
+        if not halving:
+            break
+    if not res <= tol.eig_cluster_tol:
         raise DecompositionError(
             "fixed-space",
-            "no eigenvalue-1 cluster found; is the channel trace preserving?",
+            "no eigenvalue-1 cluster found; is the channel trace preserving? "
+            f"(residual {res:.3e} after {solves} solves)",
+            diagnostics={
+                "solves": solves,
+                "residual": float(res),
+                "nearest_non_fixed_distance": _distance(theta, tol),
+            },
         )
-    if right.shape[1] != left.shape[1]:
-        raise DecompositionError(
-            "fixed-space",
-            "left/right eigenvalue-1 dimensions disagree "
-            f"({right.shape[1]} vs {left.shape[1]})",
-        )
-    return hermitian_decode(right.T, d), hermitian_decode(left.T, d), min(gap_r, gap_l)
+    return y, theta
+
+
+def _gaussian_hermitian(rng, d):
+    """A Hermitian Gaussian d x d reference (Z + Z^H) / 2.  Z is complex: a
+    real symmetric reference misses every imaginary antisymmetric element."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (z + z.conj().T) / 2.0
 
 
 def _spectral_core(ch, tol):
@@ -285,27 +232,40 @@ def _spectral_core(ch, tol):
     kept with the channel.  Every array of it is made read-only: callers
     share it, and a write would change later answers for the channel."""
     if tol not in ch._cores:
-        right, left, gap = _fixed_pair(ch, tol)
+        d = ch.dim
+        solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
+        rho = _project(ch, solve, np.eye(d) / d, False, tol)[0]
+        # the first probe is the linking element of chanstruct.structure
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
+        probes, thetas = zip(*(_project(ch, solve, g, True, tol) for g in refs))
+        probes = np.stack(probes) / np.linalg.norm(probes, axis=(1, 2))[:, None, None]
+        gap = _distance(max(thetas), tol)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (
                 "eigenvalue-1 cluster ill-separated "
-                f"(nearest non-fixed distance {gap:.3e})",
+                f"(estimated nearest non-fixed distance {gap:.3e})",
             )
-        split = _split(ch, right, tol, warnings)
-        for a in (right, left, split.R.frame, split.D.frame, split.rho_max):
+        split = _split(ch, rho, tol, warnings)
+        for a in (probes, split.R.frame, split.D.frame, split.rho_max):
             a.setflags(write=False)
-        ch._cores[tol] = _SpectralCore(right, left, split)
+        ch._cores[tol] = _SpectralCore(solve, split, probes, gap)
     return ch._cores[tol]
 
 
 def fixed_space(ch, tol=DEFAULT_TOL):
     """The space F(Phi) of matrices fixed by the channel.
 
-    The dimension is at least 1: a trace-preserving map in finite dimension
-    always has an invariant state.
+    Assembled from the blocks of :func:`structure.decompose`, so it fails
+    wherever that fails: by the structure theorem it is spanned by the
+    A-block states and the transported B-block states Q_g rho_ref Q_h^H.
     """
-    basis = tuple(_spectral_core(ch, tol).right)
+    from .structure import _block_basis, decompose
+
+    basis = tuple(_block_basis(decompose(ch, tol=tol), states=True))
+    for x in basis:
+        x.setflags(write=False)
     return FixedSpace(dim_ambient=ch.dim, basis=basis, hermitian_basis=basis)
 
 
@@ -323,14 +283,11 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
     return acc / float(n)
 
 
-def _split(ch, right, tol, warnings):
-    """The recurrent split read off the stack ``right`` of Hermitian fixed
-    points X_i: rho_max = sum_i |X_i| / tr, made exactly Hermitian, R the
-    enclosure generated by its range at relative rank_tol, and D = R^perp.
-    rho_max lives in R, but its eigenvalues on the far part may fall below rank_tol."""
-    d = right.shape[-1]
-    w, v = np.linalg.eigh(right)
-    rho = np.tensordot(v * np.abs(w)[:, None, :], v.conj(), ([0, 2], [0, 2]))
+def _split(ch, rho, tol, warnings):
+    """The split read off rho = Pi_1(I/d): rho_max = rho / tr, made exactly
+    Hermitian, R the enclosure generated by its range at relative rank_tol,
+    and D = R^perp."""
+    d = rho.shape[0]
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
@@ -342,10 +299,9 @@ def _split(ch, right, tol, warnings):
 def recurrent_split(ch, tol=DEFAULT_TOL):
     """Split C^d into the recurrent subspace R and the transient part D.
 
-    rho_max is the invariant state sum_i |X_i| / tr over the Hermitian
-    fixed-point basis X_i (see the module docstring), PSD by construction.
-    R is the enclosure generated by its range at rank_tol, and D = R^perp.
-    Every invariant state, rho_max too, is supported in R; rho_max's
+    rho_max is the invariant state Pi_1(I/d), the Cesaro limit of I/d (see
+    the module docstring), whose support is all of R.  R is the enclosure
+    generated by its range at rank_tol, and D = R^perp.  rho_max's
     eigenvalues on the far part of R may fall below rank_tol.  Made once.
     """
     return _spectral_core(ch, tol).split
@@ -453,9 +409,14 @@ def _block_eigenvalues(stack, tol):
 
 def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):
     """Multiplicity of eigenvalue 1 and the rank of the maximal invariant
-    state, which is dim R of :func:`recurrent_split`."""
-    multiplicity = _spectral_core(ch, tol).multiplicity
-    rank = recurrent_split(ch, tol).R.dimension
+    state, which is dim R of :func:`recurrent_split`.  The multiplicity is
+    n_alpha + sum_b n_b^2, assembled from the blocks of
+    :func:`structure.decompose`, so this fails wherever ``decompose`` fails."""
+    from .structure import _fixed_dimension, decompose
+
+    report = decompose(ch, tol=tol)
+    multiplicity = _fixed_dimension(report)
+    rank = report.R.dimension
     return PerronFrobeniusCertificate(
         eigenvalue_1_multiplicity=multiplicity,
         invariant_state_rank=rank,

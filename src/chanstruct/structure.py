@@ -5,13 +5,14 @@ operator; minimal enclosures inside the recurrent subspace R are the
 irreducible components of the dynamics.  Minimal enclosures supporting
 unitarily equivalent restrictions group into B-blocks connected by partial
 isometries; isolated ones are A-blocks.  On a B-block the fixed-point
-algebra of the adjoint on R is I ⊗ M_n (Baumgartner-Narnhofer,
+algebra of the adjoint on R is M_n ⊗ I (Baumgartner-Narnhofer,
 arXiv:1507.08404), so one generic element of it shows every link, and the
 polar factor of its block between two copies is their isometry.  Every
-algebra element used is the orthogonal projection of a reference matrix onto
-the algebra (``_algebra_element``), so no result depends on the basis in
-which the algebra was found.  Together
-these give the complete parametrization of the invariant states:
+algebra element used is F^H Pi_1^*(G) F for a seeded Hermitian reference G
+and the R frame F, from the channel's one eigenvalue-1 factorization (see
+chanstruct.spectral), so every result is a function of the channel, the
+seed and the tolerance.  Together these give the complete parametrization
+of the invariant states:
 
     rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
 
@@ -44,14 +45,8 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, ChanstructError, DecompositionError
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    as_complex_matrix,
-    hermitian_span_basis,
-    loewner_geq,
-)
-from .spectral import _spectral_core, recurrent_split
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix, loewner_geq
+from .spectral import _gaussian_hermitian, _project, _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
@@ -82,15 +77,32 @@ _MAX_SAMPLING_ATTEMPTS = 8
 
 @dataclass(frozen=True)
 class FixedPointAlgebra:
-    """Hermitian basis of the fixed points of the adjoint channel on R, as
-    a (k, r, r) stack in the coordinates of ``R.frame``.
+    """The fixed points of the adjoint of the channel restricted to R, in the
+    coordinates of ``R.frame``: a von Neumann algebra, ⊕ C P_a ⊕ (M_n ⊗ I)
+    over the blocks, whose structure drives the block decomposition.
 
-    This set is a von Neumann algebra when restricted to the recurrent
-    subspace; its structure drives the block decomposition.
+    Its elements are read off the channel's eigenvalue-1 solve one at a time
+    (``_element``).  ``hermitian_basis``, a Hilbert-Schmidt-orthonormal
+    (k, r, r) stack, is assembled from the blocks of :func:`decompose`, so
+    it and ``dimension`` fail wherever ``decompose`` fails.
     """
 
     R: Subspace
-    hermitian_basis: np.ndarray
+    channel: KrausChannel
+    tolerance: Tolerance
+
+    def _element(self, g):
+        """F^H Pi_1^*(G) F for a Hermitian d x d reference G: compression to
+        R maps the adjoint's fixed points onto the algebra."""
+        core = _spectral_core(self.channel, self.tolerance)
+        x = _project(self.channel, core.solve, g, True, self.tolerance)[0]
+        return self.R.frame.conj().T @ x @ self.R.frame
+
+    @cached_property
+    def hermitian_basis(self):
+        basis = _block_basis(decompose(self.channel, tol=self.tolerance), states=False)
+        frame = self.R.frame
+        return np.array([frame.conj().T @ h @ frame for h in basis])
 
     @property
     def dimension(self):
@@ -279,68 +291,42 @@ def ergodicity_probe(ch, rho, t=1.0, terms=20, tol=DEFAULT_TOL):
 
 
 def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
-    """Hermitian basis of the adjoint's fixed points on the recurrent part.
+    """The fixed-point algebra of the adjoint on the recurrent part.
 
     The adjoint's fixed points of the whole channel, compressed to R
     (X -> F^H X F): R is the recurrent subspace, so the compression maps
     them onto the fixed points of the adjoint of the channel restricted to
-    R, where they form an algebra containing the identity.
+    R, where they form an algebra containing the identity.  Its elements
+    are taken from the channel's eigenvalue-1 solve on request.
     """
-    r = split.R.dimension
-    if r == 0:
+    if split.R.dimension == 0:
         raise DecompositionError(
             "fixed-point-algebra", "recurrent subspace is zero-dimensional"
         )
-    with _stage("fixed-point-algebra"):
-        core = _spectral_core(ch, tol)
-    frame = split.R.frame
-    # a lost dimension fails the fixed-dimension check in _verify_report
-    basis = hermitian_span_basis(frame.conj().T @ core.left @ frame, tol)
-    basis = np.array(basis, dtype=complex).reshape(-1, r, r)
-    ident = np.eye(r)
-    if np.abs(_algebra_element(basis, ident) - ident).max() > tol.subspace_tol:
-        raise DecompositionError(
-            "fixed-point-algebra",
-            "identity is not in the span of the computed fixed points",
-        )
-    return FixedPointAlgebra(R=split.R, hermitian_basis=basis)
-
-
-def _algebra_element(basis, g):
-    """The orthogonal projection sum_j tr(h_j G) h_j of a Hermitian r x r
-    reference G onto the algebra with orthonormal Hermitian basis h_j, a
-    (k, r, r) stack; it does not depend on the basis chosen (tr(h G) =
-    <h, G> for Hermitian h)."""
-    return np.tensordot(np.tensordot(basis.conj(), g, 2).real, basis, 1)
+    return FixedPointAlgebra(R=split.R, channel=ch, tolerance=tol)
 
 
 def _is_minimal(fixed, frame, tol):
     """Whether every matrix of the (k, n, n) stack of adjoint fixed points
     compresses to a multiple of the identity on the span of the orthonormal
     (n, m) frame, to ``subspace_tol`` entrywise.  An enclosure inside the
-    recurrent subspace is minimal exactly when it passes."""
+    recurrent subspace is minimal exactly when the adjoint's fixed points
+    pass, and so, with probability 1, when two generic ones do (the solve's
+    ``probes``): a linear condition true at a generic point of a span holds
+    on all of it."""
     x = frame.conj().T @ fixed @ frame
     m = frame.shape[1]
     scalars = np.trace(x, axis1=1, axis2=2)[:, None, None] / m * np.eye(m)
     return bool(np.abs(x - scalars).max() <= tol.subspace_tol)
 
 
-def _gaussian_reference(rng, frame):
-    """A Hermitian Gaussian d x d reference (Z + Z^H) / 2 compressed to the
-    (d, r) frame, so its projection does not depend on the frame either.  Z
-    is complex: a real symmetric reference is orthogonal to every imaginary
-    antisymmetric algebra element."""
-    d = len(frame)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return frame.conj().T @ (z + z.conj().T) @ frame / 2.0
-
-
-def _try_eigensplit(ch, split, algebra, x, tol):
+def _try_eigensplit(ch, split, x, tol):
     """Attempt to split R into minimal enclosures via the eigenspaces of a
     Hermitian algebra element x (coordinates of R).  Returns a list of
     ambient subspaces, or None when some eigenspace fails fixedness,
     minimality, or the enclosure property (a degenerate sample)."""
     frame = split.R.frame
+    probes = _spectral_core(ch, tol).probes
     x = (x + x.conj().T) / 2.0
     w, vecs = np.linalg.eigh(x)
     # clusters of the sorted eigenvalues, split at gaps above eig_cluster_tol
@@ -355,7 +341,7 @@ def _try_eigensplit(ch, split, algebra, x, tol):
         fixed = frame.conj().T @ apply_adjoint(ch, g @ g.conj().T) @ frame
         if np.abs(fixed - cols @ cols.conj().T).max() > tol.subspace_tol:
             return None
-        if not _is_minimal(algebra.hermitian_basis, cols, tol):
+        if not _is_minimal(probes, g, tol):
             return None
         ambient = Subspace(ch.dim, g)
         if not is_enclosure(ch, ambient, tol):
@@ -369,32 +355,31 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
 
     Eigenspaces of a generic Hermitian element of the fixed-point algebra
     are exactly the minimal enclosures of one orthogonal decomposition.
-    Each candidate element is the projection of a reference matrix onto the
-    algebra (``_algebra_element``).  The first reference is deterministic,
-    diag(1, ..., d) / d compressed to R; when its projection is degenerate,
-    up to ``_MAX_SAMPLING_ATTEMPTS`` Hermitian Gaussian references follow,
-    drawn from ``default_rng(rng_seed + attempt)``.  The enclosures and
-    their order are thus a function of the channel, the seed and the
-    tolerance, not of the algebra basis.
+    Each candidate element is F^H Pi_1^*(G) F for a reference G.  The
+    first reference is deterministic, diag(1, ..., d) / d; when its element
+    is degenerate, up to ``_MAX_SAMPLING_ATTEMPTS`` Hermitian Gaussian
+    references follow, drawn from ``default_rng(rng_seed + attempt)``.  The
+    enclosures and their order are thus a function of the channel, the seed
+    and the tolerance.  A failure carries the solve's estimate of the
+    distance from 1 of the nearest non-fixed eigenvalue.
     """
-    if algebra.dimension == 1:
-        return [Subspace(ch.dim, split.R.frame)]
-    frame = split.R.frame
-    weights = np.arange(1, ch.dim + 1, dtype=float) / ch.dim
+    d = ch.dim
     # a generator: a Gaussian reference is drawn only when it is tried
-    references = chain([frame.conj().T @ (weights[:, None] * frame)], (
-        _gaussian_reference(np.random.default_rng(rng_seed + attempt), frame)
+    references = chain([np.diag(np.arange(1, d + 1, dtype=float) / d)], (
+        _gaussian_hermitian(np.random.default_rng(rng_seed + attempt), d)
         for attempt in range(_MAX_SAMPLING_ATTEMPTS)
     ))
     for g in references:
-        x = _algebra_element(algebra.hermitian_basis, g)
-        found = _try_eigensplit(ch, split, algebra, x, tol)
-        if found is not None and len(found) >= 1:
+        found = _try_eigensplit(ch, split, algebra._element(g), tol)
+        if found:
             return found
+    gap = _spectral_core(ch, tol).gap
     raise DecompositionError(
         "minimal-enclosures",
         "degenerate algebra sampling: no candidate element produced a "
-        f"clean eigensplit in {_MAX_SAMPLING_ATTEMPTS + 1} attempts",
+        f"clean eigensplit in {_MAX_SAMPLING_ATTEMPTS + 1} attempts "
+        f"(estimated nearest non-fixed distance {gap:.3e})",
+        diagnostics={"nearest_non_fixed_distance": gap},
     )
 
 
@@ -407,15 +392,15 @@ def _coords_in(space, enclosure, stage, tol):
 def _linking_element(algebra):
     """A generic Hermitian element h of the algebra (coordinates of R).
 
-    h is the projection of a Hermitian Gaussian reference drawn from a seed
-    stream with its own spawn key, which no ``minimal_enclosures``
-    candidate draws: the element whose eigenspaces gave the enclosures is
-    block diagonal over them.  A block of h above the cut subspace_tol |h|_F
-    (``_link_cut``) links two minimal enclosures.
+    h is the first of the solve's ``probes`` compressed to R: Pi_1^*(G) for
+    a Hermitian Gaussian G from a seed stream with its own spawn key, which
+    no ``minimal_enclosures`` candidate draws (the element whose eigenspaces
+    gave the enclosures is block diagonal over them).  A block of h above
+    the cut subspace_tol |h|_F (``_link_cut``) links two minimal enclosures.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
-    g = _gaussian_reference(rng, algebra.R.frame)
-    return _algebra_element(algebra.hermitian_basis, g)
+    frame = algebra.R.frame
+    probe = _spectral_core(algebra.channel, algebra.tolerance).probes[0]
+    return frame.conj().T @ probe @ frame
 
 
 def _link_cut(algebra, tol):
@@ -516,7 +501,8 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     is block diagonal over V ⊕ (R ⊖ V) and the compression
     P_V rho_max P_V / tr of the maximal invariant state is invariant.  An
     enclosure V ⊆ R is minimal iff the adjoint's fixed points compress to
-    multiples of P_V on it.
+    multiples of P_V on it; two generic ones (the solve's ``probes``) are
+    tested.
     """
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")
@@ -529,12 +515,34 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
         raise DecompositionError(
             "block-invariant-state", "V not minimal: V is not contained in R"
         )
-    if not _is_minimal(core.left, v.frame, tol):
+    if not _is_minimal(core.probes, v.frame, tol):
         raise DecompositionError(
             "block-invariant-state",
             "V not minimal: an adjoint fixed point is not constant on V",
         )
     return _expand(v.frame, _compression(split.rho_max, v.frame))
+
+
+def _block_basis(report, states):
+    """Hilbert-Schmidt-orthonormal Hermitian matrices spanning F_g S F_h^H
+    over the copies g, h of each block of a report (an A-block has one):
+    the fixed space for S the block state, the algebra of the adjoint's
+    fixed points on R (in ambient coordinates) for S = I.  The matrices
+    E_gh = F_g S F_h^H / |S|_F are orthonormal, and so are E_gg and
+    (E_gh + E_hg) / sqrt 2, i (E_gh - E_hg) / sqrt 2 for g > h."""
+    blocks = [((b.enclosure.frame,), b.sigma) for b in report.alpha_blocks] + [
+        ([v.frame for v in b.enclosures], b.sigma_ref) for b in report.beta_blocks
+    ]
+    basis = []
+    for frames, sigma in blocks:
+        s = sigma if states else np.eye(len(sigma))
+        s = s / np.linalg.norm(s)
+        for g, fg in enumerate(frames):
+            basis.append(fg @ s @ fg.conj().T)
+            for fh in frames[:g]:
+                e = fg @ s @ fh.conj().T / np.sqrt(2.0)
+                basis += [e + e.conj().T, 1j * (e - e.conj().T)]
+    return basis
 
 
 def _fixed_dimension(report):
@@ -552,7 +560,11 @@ def _enclosures(report):
 
 
 def _verify_report(ch, report, tol):
-    """Independent consistency checks of a finished decomposition."""
+    """Independent consistency checks of a finished decomposition.  Among
+    them, a fixed point X = Pi_1(G) for a fresh seeded Hermitian G must be
+    re-assembled from the blocks (the arithmetic of
+    :func:`extract_parameters`) to subspace_tol relative to |X|_F: a
+    dropped block or a missing link fails it."""
     frames = [report.D.frame] + [v.frame for v in _enclosures(report)]
     total = sum(f.shape[1] for f in frames)
     if total != report.dim:
@@ -565,14 +577,22 @@ def _verify_report(ch, report, tol):
         raise DecompositionError(
             "verification", "blocks are not mutually orthogonal"
         )
-    expected = _fixed_dimension(report)
-    found = _spectral_core(ch, tol).multiplicity
-    if expected != found:
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
+    core = _spectral_core(ch, tol)
+    x = _project(ch, core.solve, _gaussian_hermitian(rng, ch.dim), False, tol)[0]
+    deviation = float(
+        np.linalg.norm(x - _assemble(report, *_parameters(report, x)))
+        / np.linalg.norm(x)
+    )
+    if deviation > tol.subspace_tol:
         raise DecompositionError(
             "verification",
-            f"blocks imply a fixed space of dimension {expected}, the "
-            f"eigenvalue-1 kernel has dimension {found}",
-            diagnostics={"expected": expected, "found": found},
+            "a fixed point is not spanned by the blocks (relative deviation "
+            f"{deviation:.3e})",
+            diagnostics={
+                "deviation": deviation,
+                "fixed_space_dimension": _fixed_dimension(report),
+            },
         )
     for blk in report.alpha_blocks:
         _verify_block_state(ch, blk.enclosure, blk.sigma, "A-block", tol)
@@ -744,6 +764,30 @@ def build_invariant_state(report, params, tol=None):
     return rho
 
 
+def _parameters(report, x):
+    """Block parameters (t, [M^b]) of a Hermitian d x d matrix x: A-block
+    weights from traces against the block projectors, B-block matrices from
+    Hilbert-Schmidt inner products with the transported reference states."""
+    # Tr(P x) = Tr(F^H x F)
+    t = np.array(
+        [
+            np.vdot(blk.enclosure.frame, x @ blk.enclosure.frame).real
+            for blk in report.alpha_blocks
+        ]
+    )
+    m_list = []
+    for blk in report.beta_blocks:
+        # m[g, h] = Tr(sigma_ref F_g^H x F_h) / Tr(sigma_ref^2), read off the
+        # (n m, n m) compression G^H x G
+        n, k = len(blk.enclosures), blk.sigma_ref.shape[0]
+        stack = np.hstack([v.frame for v in blk.enclosures])
+        blocks = (stack.conj().T @ x @ stack).reshape(n, k, n, k)
+        norm = float(np.trace(blk.sigma_ref @ blk.sigma_ref).real)
+        m = np.einsum("ji,gihj->gh", blk.sigma_ref, blocks) / norm
+        m_list.append((m + m.conj().T) / 2.0)
+    return t, m_list
+
+
 def extract_parameters(report, rho, tol=None):
     """Recover block parameters from an invariant state.
 
@@ -759,23 +803,7 @@ def extract_parameters(report, rho, tol=None):
         raise ArgumentError("rho has wrong shape for this report")
     if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
-    # Tr(P rho) = Tr(F^H rho F)
-    t = np.array(
-        [
-            np.vdot(blk.enclosure.frame, rho @ blk.enclosure.frame).real
-            for blk in report.alpha_blocks
-        ]
-    )
-    m_list = []
-    for blk in report.beta_blocks:
-        # m[g, h] = Tr(sigma_ref F_g^H rho F_h) / Tr(sigma_ref^2), read off the
-        # (n m, n m) compression G^H rho G
-        n, k = len(blk.enclosures), blk.sigma_ref.shape[0]
-        stack = np.hstack([v.frame for v in blk.enclosures])
-        blocks = (stack.conj().T @ rho @ stack).reshape(n, k, n, k)
-        norm = float(np.trace(blk.sigma_ref @ blk.sigma_ref).real)
-        m = np.einsum("ji,gihj->gh", blk.sigma_ref, blocks) / norm
-        m_list.append((m + m.conj().T) / 2.0)
+    t, m_list = _parameters(report, rho)
     params = InvariantStateParameters(t=t, M=tuple(m_list))
     residual = float(np.abs(rho - _assemble(report, t, m_list)).max())
     deviation = np.abs(apply(report.channel, rho) - rho).max()

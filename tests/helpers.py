@@ -252,3 +252,74 @@ def support_closure(ch, x, tol=1e-9):
         sigma = rho0 + cs.apply(ch, sigma)
         sigma = sigma / np.trace(sigma).real
     return cs.Subspace(d, v[:, mask])
+
+
+# ---------------------------------------------------------------------------
+# report invariants
+
+
+def report_invariants(report):
+    """What a decomposition determines, free of the frames and block order
+    it was written in: the R and D projectors, each A-block's projector and
+    state spectrum, each B-block's span, copy count and reference-state
+    spectrum, the fixed-space dimension and the peripheral spectrum.  Takes a
+    DecompositionReport or a ReportFile."""
+    rf = report if hasattr(report, "report") else cs.report_file_from_report(report)
+    rep = rf.report
+    return {
+        "R": rep.R.projector(),
+        "D": rep.D.projector(),
+        "alpha": [
+            (b.enclosure.projector(), np.linalg.eigvalsh(b.sigma))
+            for b in rep.alpha_blocks
+        ],
+        "beta": [
+            (
+                sum(v.projector() for v in b.enclosures),
+                len(b.enclosures),
+                np.linalg.eigvalsh(b.sigma_ref),
+            )
+            for b in rep.beta_blocks
+        ],
+        "fixed_space_dimension": rf.fixed_space_dimension,
+        "peripheral_spectrum": np.array(rf.peripheral_spectrum),
+    }
+
+
+def conjugated_invariants(inv, u):
+    """The invariants of the channel conjugated by the unitary u: every
+    projector P becomes u P u^H, the spectra stay."""
+    move = lambda p: u @ p @ u.conj().T  # noqa: E731
+    return {
+        **inv,
+        "R": move(inv["R"]),
+        "D": move(inv["D"]),
+        "alpha": [(move(p), s) for p, s in inv["alpha"]],
+        "beta": [(move(p), n, s) for p, n, s in inv["beta"]],
+    }
+
+
+def invariant_deviations(a, b):
+    """The largest max-abs deviations between two reports' invariants, as
+    {"R": ..., "D": ..., "blocks": ..., "spectrum": ...}; the blocks of b are
+    matched to those of a by their projectors.  Raises AssertionError when
+    the block counts, copy counts or fixed-space dimensions differ."""
+    assert a["fixed_space_dimension"] == b["fixed_space_dimension"]
+    assert len(a["alpha"]) == len(b["alpha"])
+    assert sorted(n for _, n, _ in a["beta"]) == sorted(n for _, n, _ in b["beta"])
+    blocks = 0.0
+    for kind in ("alpha", "beta"):
+        rest = list(b[kind])
+        for block in a[kind]:
+            dist = [np.abs(block[0] - other[0]).max() for other in rest]
+            match = rest.pop(int(np.argmin(dist)))
+            assert block[1:-1] == match[1:-1] and len(block[-1]) == len(match[-1])
+            blocks = max(blocks, min(dist), np.abs(block[-1] - match[-1]).max())
+    sa, sb = a["peripheral_spectrum"], b["peripheral_spectrum"]
+    assert sa.shape == sb.shape
+    return {
+        "R": float(np.abs(a["R"] - b["R"]).max()),
+        "D": float(np.abs(a["D"] - b["D"]).max()),
+        "blocks": float(blocks),
+        "spectrum": float(np.abs(sa - sb).max(initial=0.0)),
+    }

@@ -142,7 +142,7 @@ class TestApply:
             preimage = sum(v.conj().T @ x @ v for v in ch.kraus)
             assert np.abs(cs.apply(ch, x) - image).max() <= 1e-13
             assert np.abs(cs.apply_adjoint(ch, x) - preimage).max() <= 1e-13
-        # the batched form, which the eigenvalue-1 kernel's residuals use
+        # the batched form, which the eigenvalue-1 solve's residuals use
         xs = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         images = chanstruct.channels._apply_stack(ch, xs)
         preimages = chanstruct.channels._apply_stack(ch, xs, adjoint=True)

@@ -13,7 +13,7 @@ import pytest
 
 import chanstruct as cs
 import chanstruct.serialize
-import chanstruct.spectral
+import chanstruct.structure
 from chanstruct.cli import main
 from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
 from helpers import (
@@ -786,25 +786,24 @@ class TestCliDecompose:
     def test_fixed_dimension_mismatch_carries_diagnostics(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The eigenvalue-1 kernel of the identity channel on C^2 without
-        # i (E12 - E21) / sqrt 2, the Hermitian columns E11, E22 and
-        # (E12 + E21) / sqrt 2 on both sides.  The rest of the pipeline stays
-        # self-consistent (R = C^2, the two copies of one B-block linked by
-        # the third column), so only the count n_alpha + sum n_b^2 = 4
-        # against rank K = 3 exposes the lost column.
-        def dropped(ch, tol):
-            keep = np.zeros((3, 2, 2), dtype=complex)
-            keep[[0, 1], [0, 1], [0, 1]] = 1.0
-            keep[[2, 2], [0, 1], [1, 0]] = 1.0 / np.sqrt(2.0)
-            return keep, keep.copy(), np.inf
-
-        monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", dropped)
+        # The identity channel on C^2 with its B-block unlinked: no block of
+        # the linking element clears an infinite cut, so the two lines become
+        # two A-blocks.  The rest of the pipeline stays self-consistent (each
+        # line carries an invariant state), so only the fresh fixed point
+        # Pi_1(G) = G of the verification, whose off-diagonal part the blocks
+        # cannot re-assemble, exposes the lost link.
+        monkeypatch.setattr(
+            chanstruct.structure,
+            "_link_cut",
+            lambda algebra, tol: (algebra.linking_element, np.inf),
+        )
         path = write_channel(tmp_path / "id2.json", cs.KrausChannel([np.eye(2)]))
         assert main(["decompose", path]) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "DecompositionError"
         assert err["stage"] == "verification"
-        assert err["diagnostics"] == {"expected": 4, "found": 3}
+        assert err["diagnostics"]["fixed_space_dimension"] == 2
+        assert err["diagnostics"]["deviation"] > 0.1
 
 
 class TestCliBuild:

@@ -28,7 +28,7 @@ class TestFixedSpace:
         assert len(fs.hermitian_basis) == 9
 
     def test_identity_multiplicity_above_256(self):
-        # k = d^2 = 289: the block widens to the whole space
+        # k = d^2 = 289, assembled from one B-block of 17 lines
         fs = cs.fixed_space(cs.KrausChannel([np.eye(17)]))
         assert fs.dimension == 289
 
@@ -64,7 +64,7 @@ class TestFixedSpace:
 
 class TestLargeTier:
     def test_arnoldi_dense_lu_counts_degenerate_kernel(self):
-        # d = 41, dense-inverse path; two isolated irreducible summands
+        # d = 41, dense-LU path; two isolated irreducible summands
         ch, truth = planted_channel(RNG, [20, 21], [], 0, n_kraus=2)
         assert ch.dim == 41
         fs = cs.fixed_space(ch)
@@ -78,8 +78,8 @@ class TestLargeTier:
         assert fs.dimension == 4
 
     def test_multiplicity_above_starting_block_width(self):
-        # d = 41, dense-inverse path; k = 1 + 3^2 + 2^2 = 14 exceeds the first
-        # block of 8 Ritz vectors, so the block must be widened
+        # d = 41, dense-LU path; k = 1 + 3^2 + 2^2 = 14 fixed points from a
+        # few vectors: the blocks give the multiplicity
         ch, truth = planted_channel(
             np.random.default_rng(5), [5], [(4, 3), (3, 2)], 18
         )
@@ -311,6 +311,54 @@ class TestRecurrentSplit:
         assert "ill-separated" in split.warnings[0]
 
 
+def _two_class_chain(eps):
+    """Two 2-state classes, {0, 1} and {2, 3}, joined by eps each way: state
+    1 (stationary weight 0.46 in its class) jumps to 2 and state 2 (0.46) to
+    1, so lambda_2 = 1 - 0.92 eps to first order.  The flows 1 -> 2 and
+    2 -> 1 balance, so the stationary law is (0.27, 0.23, 0.23, 0.27) for
+    every eps."""
+    p = np.array(
+        [
+            [0.77, 0.27, 0.0, 0.0],
+            [0.23, 0.73 - eps, eps, 0.0],
+            [0.0, eps, 0.73 - eps, 0.23],
+            [0.0, 0.0, 0.27, 0.77],
+        ]
+    )
+    return cs.from_markov_chain(p)
+
+
+class TestNearDegenerateChain:
+    @pytest.mark.parametrize(
+        "eps, warned", [(1e-3, False), (1e-5, False), (1e-6, False), (1e-7, True)]
+    )
+    def test_one_block_on_c4(self, eps, warned):
+        # the chain is irreducible: one A-block on C^4 with the stationary
+        # law; at eps = 1e-7, lambda_2 lies within 10 eig_cluster_tol of 1
+        ch = _two_class_chain(eps)
+        rep = cs.decompose(ch)
+        assert rep.R.dimension == 4 and len(rep.alpha_blocks) == 1
+        assert not rep.beta_blocks
+        rho = rep.alpha_blocks[0].rho
+        assert np.abs(rho - np.diag([0.27, 0.23, 0.23, 0.27])).max() <= 1e-10
+        assert bool(rep.warnings) == warned
+        if warned:
+            gap = chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).gap
+            assert 0.5 * 0.92 * eps < gap < 2.0 * 0.92 * eps
+            assert "ill-separated" in rep.warnings[0]
+
+    def test_inside_the_cluster_fails_with_the_estimated_distance(self):
+        # at eps = 1e-8, lambda_2 counts as fixed, but the two classes leak
+        # into each other far above subspace_tol, so no split is clean; the
+        # failure carries the estimated distance of lambda_2 from 1
+        ch = _two_class_chain(1e-8)
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.decompose(ch)
+        assert err.value.stage == "minimal-enclosures"
+        gap = err.value.diagnostics["nearest_non_fixed_distance"]
+        assert 0.5 * 0.92e-8 < gap < 2.0 * 0.92e-8
+
+
 class TestSharedSolveIsReadOnly:
     """The eigenvalue-1 solve is kept with the channel and shared by every
     caller, so a write into what it hands out must fail."""
@@ -435,14 +483,15 @@ class TestCertificate:
 
 class TestSingleSolve:
     def test_decompose_and_report_extras_solve_once(self, monkeypatch):
+        # one factorization of M_h - sigma I per channel and tolerance
         calls = []
-        kernel = chanstruct.spectral._fixed_pair
+        factor = chanstruct.spectral._factor
 
-        def counting(ch, tol):
+        def counting(ch, sigma):
             calls.append(ch.dim)
-            return kernel(ch, tol)
+            return factor(ch, sigma)
 
-        monkeypatch.setattr(chanstruct.spectral, "_fixed_pair", counting)
+        monkeypatch.setattr(chanstruct.spectral, "_factor", counting)
         rng = np.random.default_rng(311)
         ch, truth = planted_channel(rng, [2, 1], [(2, 2)], 2, n_kraus=3)
         rf = cs.report_file_from_report(cs.decompose(ch))
@@ -736,7 +785,8 @@ class TestReportSpectrumKrausFreedom:
 
 
 def _svd_kernels(ch, tol):
-    """Reference right and left kernels of M - I from one dense SVD."""
+    """Reference right and left kernels of M - I from one dense SVD: vecs of
+    the fixed points and of the adjoint's fixed points."""
     n2 = ch.dim**2
     u, s, vh = np.linalg.svd(cs.superoperator(ch) - np.eye(n2))
     k = int(np.sum(s <= tol.eig_cluster_tol))
@@ -745,7 +795,7 @@ def _svd_kernels(ch, tol):
 
 PARITY_CASES = {
     "identity-1": lambda: cs.KrausChannel([np.eye(1)]),
-    # k = d^2 = block width: the block cannot widen
+    # k = d^2: every matrix is fixed
     "identity-2": lambda: cs.KrausChannel([np.eye(2)]),
     "amplitude-damping": lambda: amplitude_damping_channel(0.3),
     "three-cycle-unitary": lambda: cs.KrausChannel([np.roll(np.eye(3), 1, axis=0)]),
@@ -783,12 +833,21 @@ class TestKernelAcceptance:
 class TestKernelParity:
     @pytest.mark.parametrize("case", list(PARITY_CASES))
     def test_kernels_match_svd_null_spaces(self, case):
+        # the fixed space assembled from the blocks against the right kernel,
+        # and the algebra's basis against the left kernel compressed to R
+        tol = cs.DEFAULT_TOL
         ch = PARITY_CASES[case]()
-        right, left = (
-            np.column_stack([cs.vec(x) for x in stack])
-            for stack in chanstruct.spectral._fixed_pair(ch, cs.DEFAULT_TOL)[:2]
+        ref_right, ref_left = _svd_kernels(ch, tol)
+        right = np.column_stack([cs.vec(x) for x in cs.fixed_space(ch, tol).basis])
+        split = cs.recurrent_split(ch, tol)
+        frame = split.R.frame
+        algebra = cs.fixed_point_algebra_on_R(ch, split, tol)
+        left = np.column_stack([cs.vec(h) for h in algebra.hermitian_basis])
+        compressed = np.column_stack(
+            [cs.vec(frame.conj().T @ cs.unvec(x, ch.dim) @ frame) for x in ref_left.T]
         )
-        ref_right, ref_left = _svd_kernels(ch, cs.DEFAULT_TOL)
+        u, s, _ = np.linalg.svd(compressed, full_matrices=False)
+        ref_left = u[:, s > 1e-8 * s[0]]
         assert right.shape == ref_right.shape and left.shape == ref_left.shape
         for q, ref in ((right, ref_right), (left, ref_left)):
             diff = q @ q.conj().T - ref @ ref.conj().T

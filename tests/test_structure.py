@@ -8,11 +8,14 @@ import chanstruct.channels
 import chanstruct.structure
 from helpers import (
     amplitude_damping_channel,
+    conjugated_invariants,
     haar_unitary,
+    invariant_deviations,
     planted_channel,
     random_channel,
     random_kraus_family,
     random_state,
+    report_invariants,
     support_closure,
 )
 
@@ -269,15 +272,15 @@ class TestMinimalEnclosures:
             assert a.approx_equal(b)
 
     def test_seeded_fallback_on_cyclic_shift(self, monkeypatch):
-        # the circulant algebra of the cyclic shift on C^4 projects the
-        # canonical reference to a multiple of I, whose one eigenspace is not
+        # Pi_1^* of the cyclic shift on C^4 averages the canonical reference
+        # over the shifts, to a multiple of I, whose one eigenspace is not
         # minimal; the first seeded element splits C^4 into Fourier lines
         ch = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
         calls = []
         eigensplit = chanstruct.structure._try_eigensplit
 
-        def counting(ch, split, algebra, x, tol):
-            calls.append((x, eigensplit(ch, split, algebra, x, tol)))
+        def counting(ch, split, x, tol):
+            calls.append((x, eigensplit(ch, split, x, tol)))
             return calls[-1][1]
 
         monkeypatch.setattr(chanstruct.structure, "_try_eigensplit", counting)
@@ -297,52 +300,45 @@ class TestMinimalEnclosures:
         assert len(rf.peripheral_spectrum) == 16
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_fallback_order_does_not_depend_on_algebra_basis(self, monkeypatch, seed):
-        # the seeded fallback elements are projections onto the algebra, so
-        # a rotated orthonormal basis of it gives the Fourier lines of the
-        # cyclic shift in the same order
-        ch = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
+    def test_fallback_order_does_not_depend_on_kraus_family(self, seed):
+        # the seeded fallback elements are F^H Pi_1^*(G) F, functions of the
+        # channel alone, so another Kraus family of the cyclic shift (padded
+        # with a zero operator and mixed by a unitary) gives its Fourier lines
+        # in the same order
+        shift = np.roll(np.eye(4), 1, axis=0)
 
-        def lines():
-            report = cs.decompose(ch, rng_seed=seed)
+        def lines(kraus):
+            report = cs.decompose(cs.KrausChannel(kraus), rng_seed=seed)
             return [blk.enclosure.projector() for blk in report.alpha_blocks]
 
-        reference = lines()
-        span_basis = chanstruct.structure.hermitian_span_basis
-        for rotation_seed in (1, 2):
-
-            def rotated(mats, tol=cs.DEFAULT_TOL):
-                basis = np.stack(span_basis(mats, tol))
-                g = np.random.default_rng(rotation_seed).standard_normal(
-                    (len(basis), len(basis))
-                )
-                return list(np.tensordot(np.linalg.qr(g)[0], basis, 1))
-
-            monkeypatch.setattr(chanstruct.structure, "hermitian_span_basis", rotated)
-            got = lines()
+        reference = lines([shift])
+        for mixing_seed in (1, 2):
+            u = haar_unitary(2, np.random.default_rng(mixing_seed))
+            got = lines([u[0, 0] * shift, u[1, 0] * shift])
             assert len(got) == len(reference) == 4
             assert all(np.abs(p - q).max() < 1e-8 for p, q in zip(reference, got))
 
     def test_gaussian_references_drawn_only_when_tried(self, monkeypatch):
         # the deterministic reference splits this channel at once, so the
-        # only Gaussian draw is the linking element's
+        # only Gaussian draw of the pipeline after the solve (which draws the
+        # linking element) is the fresh fixed point of the verification
         ch, _ = planted_channel(
             np.random.default_rng(17), [2], [(2, 2)], 1, n_kraus=3
         )
         draws, tries = [], []
-        reference = chanstruct.structure._gaussian_reference
+        reference = chanstruct.structure._gaussian_hermitian
         eigensplit = chanstruct.structure._try_eigensplit
 
-        def counting_reference(rng, frame):
+        def counting_reference(rng, d):
             draws.append(1)
-            return reference(rng, frame)
+            return reference(rng, d)
 
         def counting_eigensplit(*args):
             tries.append(eigensplit(*args))
             return tries[-1]
 
         monkeypatch.setattr(
-            chanstruct.structure, "_gaussian_reference", counting_reference
+            chanstruct.structure, "_gaussian_hermitian", counting_reference
         )
         monkeypatch.setattr(
             chanstruct.structure, "_try_eigensplit", counting_eigensplit
@@ -802,8 +798,9 @@ class TestTolerancePassing:
     def test_psd_tolerance_below_rounding_keeps_block_counts(
         self, case, psd_tol, counts
     ):
-        # rho_max is PSD by construction and every block state is an exactly
-        # Hermitian compression of it, so no check fails on rounding alone
+        # rho_max = Pi_1(I/d) is PSD up to rounding and every block state is an
+        # exactly Hermitian compression of it, so no check fails on rounding
+        # alone
         if case == "planted":
             ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
         else:
@@ -842,3 +839,46 @@ class TestTolerancePassing:
             cs.ergodicity_probe(ch, rho)
         # accepted now; e1 is absorbing, so the orbit stays near span{e1}
         assert not cs.ergodicity_probe(ch, rho, tol=loose)
+
+
+def _two_classes_and_transients():
+    """A chain with closed classes {0, 1} and {2} and transient states 3, 4."""
+    p = np.zeros((5, 5))
+    p[:2, :2] = [[0.6, 0.3], [0.4, 0.7]]
+    p[2, 2] = 1.0
+    p[:, 3] = [0.2, 0.1, 0.3, 0.1, 0.3]
+    p[:, 4] = [0.0, 0.5, 0.2, 0.3, 0.0]
+    return cs.from_markov_chain(p)
+
+
+INVARIANCE_CASES = {
+    "planted": lambda: planted_channel(np.random.default_rng(701), [2], [(2, 2)], 2)[0],
+    "markov": _two_classes_and_transients,
+    "oqrw": lambda: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 3), 3),
+}
+
+
+class TestReportInvariance:
+    # the report's frames and block order may change with the Kraus family
+    # or the basis; what it determines (report_invariants) may not
+    @pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+    def test_kraus_freedom_and_unitary_conjugation(self, case):
+        ch = INVARIANCE_CASES[case]()
+        rng = np.random.default_rng(709)
+        reference = report_invariants(cs.decompose(ch))
+        kraus = np.stack(ch.kraus)
+        # another Kraus family of the same channel: padded with a zero
+        # operator and mixed by a Haar unitary
+        padded = np.concatenate((kraus, np.zeros_like(kraus[:1])))
+        mixed = cs.KrausChannel(np.tensordot(haar_unitary(len(padded), rng), padded, 1))
+        deviations = invariant_deviations(
+            reference, report_invariants(cs.decompose(mixed))
+        )
+        assert max(deviations.values()) <= 1e-10, deviations
+        # the channel conjugated by U: R, D and the spans move with U
+        u = haar_unitary(ch.dim, rng)
+        moved = cs.KrausChannel(u @ kraus @ u.conj().T)
+        deviations = invariant_deviations(
+            conjugated_invariants(reference, u), report_invariants(cs.decompose(moved))
+        )
+        assert max(deviations.values()) <= 1e-10, deviations
