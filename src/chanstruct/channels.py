@@ -142,8 +142,8 @@ class KrausChannel:
             None if sparse else np.ascontiguousarray(stack.conj().transpose(0, 2, 1)),
         )
         object.__setattr__(self, "_kraus", None)
-        # eigenvalue-1 solves by Tolerance, filled on first use by
-        # chanstruct.spectral; derived data, the channel stays immutable
+        # fixed points of the eigenvalue-1 solve by Tolerance, filled on first
+        # use by chanstruct.spectral; derived data, the channel stays immutable
         object.__setattr__(self, "_cores", {})
 
     @property

@@ -2,27 +2,32 @@
 
 The central computation, made once per channel and tolerance, is one LU
 factorization of M_h - sigma I, sigma = 1 + eig_cluster_tol, for the
-channel's superoperator M in real Hermitian coordinates (below).  The
-spectral projection Pi_1 onto the fixed points (the Cesaro limit of Phi^n)
-is applied to one Hermitian matrix by the steps x <- (1 - sigma)
-(M_h - sigma I)^{-1} x, which keep every fixed vector and multiply an
-eigenvector of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda);
-the transposed solves apply the adjoint's Pi_1^* (``_project``).  They stop
-once the residual through the channel itself, |Phi(X) - X|_F (Phi^* for
-Pi_1^*), is within eig_cluster_tol |X|_F and no longer halves, so how M_h
-was built or factored cannot make a vector pass.  The residual is iterated
+channel's superoperator M in real Hermitian coordinates (below), held only
+inside ``_spectral_core``, which frees it once it has made the five fixed
+points the pipeline reads.  The spectral projection Pi_1 onto the fixed
+points (the Cesaro limit of Phi^n) is applied to one Hermitian matrix by
+the steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which keep every fixed
+vector and multiply an eigenvector of eigenvalue lambda by
+theta = (sigma - 1) / (sigma - lambda); the transposed solves apply the
+adjoint's Pi_1^* (``_project``).  They stop once the residual through the
+channel itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within
+eig_cluster_tol |X|_F and no longer halves, so how M_h was built or
+factored cannot make a vector pass.  The residual is iterated
 by the same steps: the ratio of successive residuals estimates the largest
 theta outside the cluster, and (sigma - 1)(1/theta - 1) the distance from 1
 of the nearest non-fixed eigenvalue, which below 10 eig_cluster_tol gives
 the split an "ill-separated" warning.  The solve yields rho_max = Pi_1(I/d),
 an invariant state whose support is all of the recurrent subspace R (R is
-the enclosure its range generates, D = R^perp), and, for Hermitian
-references G, the adjoint's fixed points Pi_1^*(G), which compressed to R
-are elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev.
-Math. Phys. 24 (2012); see chanstruct.structure).  No basis of either fixed
-space is computed: the structure theorem gives both from the blocks
-(Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` and
-``perron_frobenius_certificate`` are assembled from ``decompose``.
+the enclosure its range generates, D = R^perp); for Hermitian references
+G, the adjoint's fixed points Pi_1^*(G), which compressed to R are
+elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev.
+Math. Phys. 24 (2012); see chanstruct.structure): two Gaussian probes and
+the first candidate of the enclosure split, G = diag(1, ..., d) / d; and
+Pi_1(G) for a Gaussian G, which a decomposition's blocks must re-assemble.
+No basis of either fixed space is computed: the structure theorem gives
+both from the blocks (Carbone-Pautrat, arXiv:1507.08404), so
+``fixed_space`` and ``perron_frobenius_certificate`` are assembled from
+``decompose``.
 
 A CPTP map preserves Hermiticity, so with K the vec swap vec(X) -> vec(X^T)
 the unitary U = ((1+i) I + (1-i) K) / 2, which maps a real vector vec(Y) to
@@ -135,16 +140,18 @@ class PerronFrobeniusCertificate:
 
 @dataclass(frozen=True)
 class _SpectralCore:
-    """The eigenvalue-1 solve of a channel at one tolerance: ``solve(b,
-    adjoint)`` applies (M_h - sigma I)^{-1} (transposed when ``adjoint``)
-    from the one factorization; the split read off rho_max = Pi_1(I/d);
-    ``probes``, a (2, d, d) stack of normalized generic fixed points
-    Pi_1^*(G) of the adjoint; and ``gap``, the estimated distance from 1 of
-    the nearest non-fixed eigenvalue."""
+    """The fixed points that the eigenvalue-1 solve of a channel at one
+    tolerance made, its factorization freed: the split read off
+    rho_max = Pi_1(I/d); ``probes``, a (2, d, d) stack of normalized
+    generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
+    Pi_1^*(diag(1, ..., d) / d); ``witness``, Pi_1(G) for a Gaussian G;
+    and ``gap``, the estimated distance from 1 of the nearest non-fixed
+    eigenvalue."""
 
-    solve: object
     split: RecurrentSplit
     probes: np.ndarray
+    candidate: np.ndarray
+    witness: np.ndarray
     gap: float
 
 
@@ -228,9 +235,10 @@ def _gaussian_hermitian(rng, d):
 
 
 def _spectral_core(ch, tol):
-    """The eigenvalue-1 solve of ``ch`` at ``tol``, made on first use and
-    kept with the channel.  Every array of it is made read-only: callers
-    share it, and a write would change later answers for the channel."""
+    """The five fixed points of ``ch`` at ``tol`` that the pipeline reads,
+    made on first use from one factorization, which is freed on return, and
+    kept with the channel read-only: callers share them, and a write would
+    change later answers for the channel."""
     if tol not in ch._cores:
         d = ch.dim
         solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
@@ -248,9 +256,13 @@ def _spectral_core(ch, tol):
                 f"(estimated nearest non-fixed distance {gap:.3e})",
             )
         split = _split(ch, rho, tol, warnings)
-        for a in (probes, split.R.frame, split.D.frame, split.rho_max):
+        candidate = _project(ch, solve, np.diag(np.arange(1, d + 1) / d), True, tol)[0]
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
+        witness = _project(ch, solve, _gaussian_hermitian(rng, d), False, tol)[0]
+        kept = (probes, candidate, witness, split.R.frame, split.D.frame, split.rho_max)
+        for a in kept:
             a.setflags(write=False)
-        ch._cores[tol] = _SpectralCore(solve, split, probes, gap)
+        ch._cores[tol] = _SpectralCore(split, probes, candidate, witness, gap)
     return ch._cores[tol]
 
 

@@ -9,7 +9,7 @@ algebra of the adjoint on R is M_n ⊗ I (Baumgartner-Narnhofer,
 arXiv:1507.08404), so one generic element of it shows every link, and the
 polar factor of its block between two copies is their isometry.  Every
 algebra element used is F^H Pi_1^*(G) F for a seeded Hermitian reference G
-and the R frame F, from the channel's one eigenvalue-1 factorization (see
+and the R frame F, read off the channel's one eigenvalue-1 solve (see
 chanstruct.spectral), so every result is a function of the channel, the
 seed and the tolerance.  Together these give the complete parametrization
 of the invariant states:
@@ -46,7 +46,7 @@ from .channels import (
 )
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix, loewner_geq
-from .spectral import _gaussian_hermitian, _project, _spectral_core, recurrent_split
+from .spectral import _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
@@ -81,8 +81,8 @@ class FixedPointAlgebra:
     coordinates of ``R.frame``: a von Neumann algebra, ⊕ C P_a ⊕ (M_n ⊗ I)
     over the blocks, whose structure drives the block decomposition.
 
-    Its elements are read off the channel's eigenvalue-1 solve one at a time
-    (``_element``).  ``hermitian_basis``, a Hilbert-Schmidt-orthonormal
+    Its elements are compressed fixed points of the channel's eigenvalue-1
+    solve, made with it.  ``hermitian_basis``, a Hilbert-Schmidt-orthonormal
     (k, r, r) stack, is assembled from the blocks of :func:`decompose`, so
     it and ``dimension`` fail wherever ``decompose`` fails.
     """
@@ -90,13 +90,6 @@ class FixedPointAlgebra:
     R: Subspace
     channel: KrausChannel
     tolerance: Tolerance
-
-    def _element(self, g):
-        """F^H Pi_1^*(G) F for a Hermitian d x d reference G: compression to
-        R maps the adjoint's fixed points onto the algebra."""
-        core = _spectral_core(self.channel, self.tolerance)
-        x = _project(self.channel, core.solve, g, True, self.tolerance)[0]
-        return self.R.frame.conj().T @ x @ self.R.frame
 
     @cached_property
     def hermitian_basis(self):
@@ -110,9 +103,14 @@ class FixedPointAlgebra:
 
     @cached_property
     def linking_element(self):
-        """The generic element that links minimal enclosures (see
-        ``_linking_element``), made once per algebra."""
-        return _linking_element(self)
+        """A generic Hermitian element h of the algebra (coordinates of R),
+        made once: the first of the solve's ``probes`` compressed to R,
+        Pi_1^*(G) for a Gaussian G of a spawn key no ``minimal_enclosures``
+        candidate reads (the element whose eigenspaces gave the enclosures
+        is block diagonal over them).  A block of h above the cut
+        subspace_tol |h|_F (``_link_cut``) links two minimal enclosures."""
+        probe = _spectral_core(self.channel, self.tolerance).probes[0]
+        return self.R.frame.conj().T @ probe @ self.R.frame
 
 
 def _expand(frame, sigma):
@@ -297,7 +295,7 @@ def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
     (X -> F^H X F): R is the recurrent subspace, so the compression maps
     them onto the fixed points of the adjoint of the channel restricted to
     R, where they form an algebra containing the identity.  Its elements
-    are taken from the channel's eigenvalue-1 solve on request.
+    are read off the fixed points of the channel's eigenvalue-1 solve.
     """
     if split.R.dimension == 0:
         raise DecompositionError(
@@ -355,31 +353,30 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
 
     Eigenspaces of a generic Hermitian element of the fixed-point algebra
     are exactly the minimal enclosures of one orthogonal decomposition.
-    Each candidate element is F^H Pi_1^*(G) F for a reference G.  The
-    first reference is deterministic, diag(1, ..., d) / d; when its element
-    is degenerate, up to ``_MAX_SAMPLING_ATTEMPTS`` Hermitian Gaussian
-    references follow, drawn from ``default_rng(rng_seed + attempt)``.  The
-    enclosures and their order are thus a function of the channel, the seed
-    and the tolerance.  A failure carries the solve's estimate of the
+    Each candidate is an adjoint fixed point of the channel's eigenvalue-1
+    solve compressed by the R frame F of ``algebra``: first
+    x = F^H Pi_1^*(diag(1, ..., d) / d) F; when x is degenerate, up to
+    ``_MAX_SAMPLING_ATTEMPTS`` combinations a x + b y, y the second probe
+    compressed and Gaussian (a, b) from ``default_rng(rng_seed + attempt)``.
+    The enclosures and their order are thus a function of the channel, the
+    seed and the tolerance.  A failure carries the solve's estimate of the
     distance from 1 of the nearest non-fixed eigenvalue.
     """
-    d = ch.dim
-    # a generator: a Gaussian reference is drawn only when it is tried
-    references = chain([np.diag(np.arange(1, d + 1, dtype=float) / d)], (
-        _gaussian_hermitian(np.random.default_rng(rng_seed + attempt), d)
-        for attempt in range(_MAX_SAMPLING_ATTEMPTS)
-    ))
-    for g in references:
-        found = _try_eigensplit(ch, split, algebra._element(g), tol)
+    frame, core = algebra.R.frame, _spectral_core(ch, tol)
+    x, y = (frame.conj().T @ z @ frame for z in (core.candidate, core.probes[1]))
+    seeds = range(rng_seed, rng_seed + _MAX_SAMPLING_ATTEMPTS)
+    # a generator: an attempt's coefficients are drawn only when it is tried
+    draws = (np.random.default_rng(seed).standard_normal(2) for seed in seeds)
+    for element in chain([x], (a * x + b * y for a, b in draws)):
+        found = _try_eigensplit(ch, split, element, tol)
         if found:
             return found
-    gap = _spectral_core(ch, tol).gap
     raise DecompositionError(
         "minimal-enclosures",
         "degenerate algebra sampling: no candidate element produced a "
         f"clean eigensplit in {_MAX_SAMPLING_ATTEMPTS + 1} attempts "
-        f"(estimated nearest non-fixed distance {gap:.3e})",
-        diagnostics={"nearest_non_fixed_distance": gap},
+        f"(estimated nearest non-fixed distance {core.gap:.3e})",
+        diagnostics={"nearest_non_fixed_distance": core.gap},
     )
 
 
@@ -387,20 +384,6 @@ def _coords_in(space, enclosure, stage, tol):
     if not space.contains(enclosure, tol):
         raise DecompositionError(stage, "enclosure is not contained in R")
     return space.frame.conj().T @ enclosure.frame
-
-
-def _linking_element(algebra):
-    """A generic Hermitian element h of the algebra (coordinates of R).
-
-    h is the first of the solve's ``probes`` compressed to R: Pi_1^*(G) for
-    a Hermitian Gaussian G from a seed stream with its own spawn key, which
-    no ``minimal_enclosures`` candidate draws (the element whose eigenspaces
-    gave the enclosures is block diagonal over them).  A block of h above
-    the cut subspace_tol |h|_F (``_link_cut``) links two minimal enclosures.
-    """
-    frame = algebra.R.frame
-    probe = _spectral_core(algebra.channel, algebra.tolerance).probes[0]
-    return frame.conj().T @ probe @ frame
 
 
 def _link_cut(algebra, tol):
@@ -414,8 +397,8 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
     B-blocks (connected families linked by the algebra).
 
     Two enclosures are linked when the block of a generic algebra element
-    between them is above a cut (see ``_linking_element``); linked
-    enclosures necessarily have equal dimension.
+    between them is above a cut (``FixedPointAlgebra.linking_element``);
+    linked enclosures necessarily have equal dimension.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -455,7 +438,7 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
 def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
     """Partial isometry Q with Q^H Q = P_Vi, Q Q^H = P_Vj intertwining the
     restricted dynamics: the polar factor of the block of the generic
-    algebra element between Vi and Vj (see ``_linking_element``).
+    algebra element between Vi and Vj (``FixedPointAlgebra.linking_element``).
 
     The global phase is fixed by making real and positive the first entry
     of Q, in row-major order, whose modulus is within ``subspace_tol``
@@ -561,8 +544,8 @@ def _enclosures(report):
 
 def _verify_report(ch, report, tol):
     """Independent consistency checks of a finished decomposition.  Among
-    them, a fixed point X = Pi_1(G) for a fresh seeded Hermitian G must be
-    re-assembled from the blocks (the arithmetic of
+    them, the solve's ``witness``, a fixed point X = Pi_1(G) made before any
+    block, must be re-assembled from the blocks (the arithmetic of
     :func:`extract_parameters`) to subspace_tol relative to |X|_F: a
     dropped block or a missing link fails it."""
     frames = [report.D.frame] + [v.frame for v in _enclosures(report)]
@@ -577,9 +560,7 @@ def _verify_report(ch, report, tol):
         raise DecompositionError(
             "verification", "blocks are not mutually orthogonal"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
-    core = _spectral_core(ch, tol)
-    x = _project(ch, core.solve, _gaussian_hermitian(rng, ch.dim), False, tol)[0]
+    x = _spectral_core(ch, tol).witness
     deviation = float(
         np.linalg.norm(x - _assemble(report, *_parameters(report, x)))
         / np.linalg.norm(x)

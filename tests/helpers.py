@@ -141,8 +141,13 @@ def classical_recurrent_classes(p):
 
 
 def stationary_law(p_block):
-    """Stationary distribution of an irreducible column-stochastic block."""
+    """Stationary distribution of an irreducible column-stochastic block.
+
+    Least squares on [P - I; 1] is off by about eps / |1 - lambda_2|, so a
+    block whose second eigenvalue lies within 1e-6 of 1 is refused."""
     n = p_block.shape[0]
+    distances = np.sort(np.abs(np.linalg.eigvals(p_block) - 1.0))
+    assert distances[1:2].min(initial=np.inf) > 1e-6, distances[:2]
     a = np.vstack([p_block - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0

@@ -1,5 +1,8 @@
 """Fixed spaces, recurrent splits, peripheral spectrum, PF certificate."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -381,6 +384,14 @@ class TestSharedSolveIsReadOnly:
         assert np.abs(report.R.projector() - np.diag([1.0, 0.0])).max() < 1e-10
         assert np.abs(report.D.projector() - np.diag([0.0, 1.0])).max() < 1e-10
 
+    def test_fixed_points_of_the_solve(self):
+        ch = amplitude_damping_channel(0.5)
+        core = chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL)
+        for a in (core.probes, core.candidate, core.witness, core.split.rho_max):
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert cs.decompose(ch).alpha_blocks[0].enclosure.dimension == 1
+
 
 class TestPeripheralSpectrum:
     def test_three_cycle_markov(self):
@@ -500,6 +511,57 @@ class TestSingleSolve:
         assert len(rf.report.beta_blocks) == 1
         assert rf.report.D.dimension == 2
         assert rf.fixed_space_dimension == truth["fixed_dim"]
+
+    def test_five_projections_per_channel_and_tolerance(self, monkeypatch):
+        # the solve projects I/d and the verification's reference forward,
+        # and the two probes and the first candidate backward; nothing read
+        # after it projects again, not even the fallback of the cyclic shift
+        calls = []
+        project = chanstruct.spectral._project
+
+        def counting(ch, solve, x, adjoint, tol):
+            calls.append(adjoint)
+            return project(ch, solve, x, adjoint, tol)
+
+        monkeypatch.setattr(chanstruct.spectral, "_project", counting)
+        rng = np.random.default_rng(311)
+        planted, _ = planted_channel(rng, [2, 1], [(2, 2)], 2, n_kraus=3)
+        shift = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
+        for ch in (planted, shift):
+            calls.clear()
+            report = cs.decompose(ch)
+            cs.decompose(ch, rng_seed=7)
+            cs.report_file_from_report(report)
+            cs.fixed_space(ch)
+            cs.perron_frobenius_certificate(ch)
+            algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
+            assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
+            cs.block_invariant_state(ch, report.alpha_blocks[0].enclosure)
+            assert sorted(calls) == [False, False, True, True, True]
+
+    @pytest.mark.parametrize("family", ["planted", "markov"])
+    def test_factorization_freed_after_decompose(self, monkeypatch, family):
+        # the solve makes every fixed point the pipeline reads, so nothing
+        # holds the factorization once it returns, while the channel lives
+        solves = []
+        factor = chanstruct.spectral._factor
+
+        def recording(ch, sigma):
+            solve = factor(ch, sigma)
+            solves.append(weakref.ref(solve))
+            return solve
+
+        monkeypatch.setattr(chanstruct.spectral, "_factor", recording)
+        if family == "planted":
+            rng = np.random.default_rng(311)
+            ch, _ = planted_channel(rng, [2, 1], [(2, 2)], 2, n_kraus=3)
+        else:
+            ch = _markov_cycle_fed_by_transients()
+        assert ch._sparse == (family == "markov")
+        report = cs.decompose(ch)
+        gc.collect()
+        assert len(solves) == 1 and solves[0]() is None
+        assert report.channel is ch and ch._cores
 
     @pytest.mark.parametrize("family", ["markov", "oqrw"])
     def test_sparse_superoperator_built_once(self, monkeypatch, family):

@@ -319,34 +319,33 @@ class TestMinimalEnclosures:
             assert all(np.abs(p - q).max() < 1e-8 for p, q in zip(reference, got))
 
     def test_gaussian_references_drawn_only_when_tried(self, monkeypatch):
-        # the deterministic reference splits this channel at once, so the
-        # only Gaussian draw of the pipeline after the solve (which draws the
-        # linking element) is the fresh fixed point of the verification
+        # the first candidate splits this channel at once, so decompose tries
+        # one eigensplit and seeds no generator for fallback coefficients
+        # (the solve, made first here, seeds its own references)
         ch, _ = planted_channel(
             np.random.default_rng(17), [2], [(2, 2)], 1, n_kraus=3
         )
-        draws, tries = [], []
-        reference = chanstruct.structure._gaussian_hermitian
+        cs.recurrent_split(ch)
+        seeded, tries = [], []
+        default_rng = np.random.default_rng
         eigensplit = chanstruct.structure._try_eigensplit
 
-        def counting_reference(rng, d):
-            draws.append(1)
-            return reference(rng, d)
+        def counting_rng(*args, **kwargs):
+            seeded.append(args)
+            return default_rng(*args, **kwargs)
 
         def counting_eigensplit(*args):
             tries.append(eigensplit(*args))
             return tries[-1]
 
-        monkeypatch.setattr(
-            chanstruct.structure, "_gaussian_hermitian", counting_reference
-        )
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(
             chanstruct.structure, "_try_eigensplit", counting_eigensplit
         )
         report = cs.decompose(ch)
         assert len(tries) == 1 and tries[0] is not None
         assert len(report.alpha_blocks) == 1 and len(report.beta_blocks) == 1
-        assert len(draws) == 1
+        assert seeded == []
 
     def test_degenerate_sampling_error(self, monkeypatch):
         ch = cs.KrausChannel([np.eye(2)])
@@ -547,17 +546,19 @@ class TestDecompose:
     def test_linking_element_made_once(self, monkeypatch):
         # the identity channel on C^10 is one B-block of 10 lines: grouping
         # and the 9 partial isometries all read one linking element
-        made = []
-        make = chanstruct.structure._linking_element
+        handed = []
+        link_cut = chanstruct.structure._link_cut
 
-        def counting(algebra):
-            made.append(algebra)
-            return make(algebra)
+        def recording(algebra, tol):
+            h, cut = link_cut(algebra, tol)
+            handed.append(h)
+            return h, cut
 
-        monkeypatch.setattr(chanstruct.structure, "_linking_element", counting)
+        monkeypatch.setattr(chanstruct.structure, "_link_cut", recording)
         rep = cs.decompose(cs.KrausChannel([np.eye(10)]))
         assert [len(b.enclosures) for b in rep.beta_blocks] == [10]
-        assert len(made) == 1
+        assert len(handed) == 10
+        assert all(h is handed[0] for h in handed)
 
     def test_stage_tagging(self):
         ch = cs.KrausChannel([np.eye(2), np.eye(2)], unchecked=True)
@@ -851,10 +852,27 @@ def _two_classes_and_transients():
     return cs.from_markov_chain(p)
 
 
+def _copies_with_scalar_candidate():
+    """{X, Z} / sqrt 2, irreducible and unital on C^2, on two copies (W ⊗ I),
+    with the product basis vectors moved to positions 0, 2, 3, 1: both
+    copies see diag(1, 2, 3, 4) / 4 at the mean 5/8, so Pi_1^* maps it to a
+    multiple of I."""
+    perm = np.eye(4)[[0, 3, 1, 2]]
+    paulis = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
+    return cs.KrausChannel(
+        [perm @ np.kron(w, np.eye(2)) @ perm.T / np.sqrt(2) for w in paulis]
+    )
+
+
 INVARIANCE_CASES = {
     "planted": lambda: planted_channel(np.random.default_rng(701), [2], [(2, 2)], 2)[0],
     "markov": _two_classes_and_transients,
     "oqrw": lambda: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 3), 3),
+    # the first candidate of these two is degenerate, so their splits take
+    # the fallback; on the two copies of a B-block it must leave the linking
+    # element out, or no link is left to find
+    "shift": lambda: cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)]),
+    "b-block-fallback": _copies_with_scalar_candidate,
 }
 
 
@@ -867,14 +885,16 @@ class TestReportInvariance:
         rng = np.random.default_rng(709)
         reference = report_invariants(cs.decompose(ch))
         kraus = np.stack(ch.kraus)
-        # another Kraus family of the same channel: padded with a zero
-        # operator and mixed by a Haar unitary
+        # other Kraus families of the same channel: padded with a zero
+        # operator and mixed by a Haar unitary, or permuted; another seed
         padded = np.concatenate((kraus, np.zeros_like(kraus[:1])))
         mixed = cs.KrausChannel(np.tensordot(haar_unitary(len(padded), rng), padded, 1))
-        deviations = invariant_deviations(
-            reference, report_invariants(cs.decompose(mixed))
-        )
-        assert max(deviations.values()) <= 1e-10, deviations
+        permuted = cs.KrausChannel(kraus[::-1])
+        for other, seed in ((mixed, 0), (permuted, 0), (ch, 7)):
+            deviations = invariant_deviations(
+                reference, report_invariants(cs.decompose(other, rng_seed=seed))
+            )
+            assert max(deviations.values()) <= 1e-10, (seed, deviations)
         # the channel conjugated by U: R, D and the spans move with U
         u = haar_unitary(ch.dim, rng)
         moved = cs.KrausChannel(u @ kraus @ u.conj().T)
