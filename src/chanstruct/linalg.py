@@ -1,4 +1,4 @@
-"""Dense complex matrix utilities and subspace arithmetic.
+"""Dense complex matrix utilities, subspaces and the tolerance policy.
 
 All higher layers consume the single tolerance policy defined here:
 ``rank_tol`` is a relative singular-value cutoff, ``eig_cluster_tol`` groups
@@ -21,10 +21,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "Subspace",
-    "orthonormal_basis",
-    "subspace_sum",
-    "subspace_intersection",
-    "relative_orthocomplement",
     "loewner_geq",
     "vec",
     "unvec",
@@ -174,77 +170,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dimension})"
-
-
-def orthonormal_basis(vectors, tol=DEFAULT_TOL, ambient_dim=None):
-    """Span of a list of vectors as a Subspace.
-
-    Numerical rank is decided by singular values >= rank_tol times the
-    largest singular value.  Deterministic for a fixed input order.
-
-    Parameters
-    ----------
-    vectors : sequence of 1-d arrays, or a (d, m) matrix of columns
-    tol : Tolerance
-    ambient_dim : int, optional
-        Required when ``vectors`` is empty.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = as_complex_matrix(vectors, "vectors")
-    else:
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not vecs:
-            if ambient_dim is None:
-                raise ArgumentError("ambient dimension required")
-            return Subspace.zero(ambient_dim)
-        dims = {v.shape[0] for v in vecs}
-        if len(dims) != 1:
-            raise ArgumentError("vectors do not share one ambient dimension")
-        cols = as_complex_matrix(np.column_stack(vecs), "vectors")
-    if ambient_dim is not None and cols.shape[0] != ambient_dim:
-        raise ArgumentError("vectors do not match the given ambient dimension")
-    d = cols.shape[0]
-    if cols.shape[1] == 0:
-        return Subspace.zero(d)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace.zero(d)
-    rank = int(np.sum(s >= tol.rank_tol * s[0]))
-    return Subspace(d, u[:, :rank])
-
-
-def subspace_sum(s1, s2, tol=DEFAULT_TOL):
-    """Span of the union of two subspaces."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ArgumentError("ambient dimensions differ")
-    stacked = np.hstack([s1.frame, s2.frame])
-    return orthonormal_basis(stacked, tol, ambient_dim=s1.ambient_dim)
-
-
-def subspace_intersection(s1, s2, tol=DEFAULT_TOL):
-    """Intersection of two subspaces.
-
-    Computed as the eigenspace of P1 + P2 at eigenvalue 2 within
-    eig_cluster_tol, where P1, P2 are the orthogonal projectors.
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ArgumentError("ambient dimensions differ")
-    d = s1.ambient_dim
-    w, v = np.linalg.eigh(s1.projector() + s2.projector())
-    mask = np.abs(w - 2.0) <= tol.eig_cluster_tol
-    if not np.any(mask):
-        return Subspace.zero(d)
-    return Subspace(d, v[:, mask])
-
-
-def relative_orthocomplement(s, w, tol=DEFAULT_TOL):
-    """The subspace S intersected with the orthocomplement of W, for W ⊆ S."""
-    if s.ambient_dim != w.ambient_dim:
-        raise ArgumentError("ambient dimensions differ")
-    if not s.contains(w, tol):
-        raise ArgumentError("W not contained in S")
-    reduced = s.frame - w.frame @ (w.frame.conj().T @ s.frame)
-    return orthonormal_basis(reduced, tol, ambient_dim=s.ambient_dim)
 
 
 def loewner_geq(x, y, tol=DEFAULT_TOL):

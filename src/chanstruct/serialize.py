@@ -129,6 +129,13 @@ def _require_int(data, key, where):
     return value
 
 
+def _require_list(data, key, where):
+    value = _require(data, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: {key!r} must be an array")
+    return value
+
+
 def _check_schema(data, layouts, kraus_data, where):
     """A ``schema`` entry, when present, must name a known version whose
     layout matches the type of the document's Kraus data."""
@@ -392,7 +399,7 @@ def report_file_from_dict(data, re_verify=True):
         _require(data, "transient_basis", where), dim, "transient_basis"
     )
     alpha = []
-    for i, blk in enumerate(_require(data, "alpha_blocks", where)):
+    for i, blk in enumerate(_require_list(data, "alpha_blocks", where)):
         prefix = f"alpha_blocks[{i}]"
         enc = _subspace_from_lists(
             _require(blk, "enclosure", prefix), dim, f"{prefix}.enclosure"
@@ -401,11 +408,11 @@ def report_file_from_dict(data, re_verify=True):
         sigma = _matrix_from_lists(_require(blk, "rho", prefix), k, k, f"{prefix}.rho")
         alpha.append(AlphaBlock(enclosure=enc, sigma=sigma))
     beta = []
-    for i, blk in enumerate(_require(data, "beta_blocks", where)):
+    for i, blk in enumerate(_require_list(data, "beta_blocks", where)):
         prefix = f"beta_blocks[{i}]"
         encs = [
             _subspace_from_lists(e, dim, f"{prefix}.enclosures[{g}]")
-            for g, e in enumerate(_require(blk, "enclosures", prefix))
+            for g, e in enumerate(_require_list(blk, "enclosures", prefix))
         ]
         if not encs:
             raise ParseError(f"{prefix}: enclosures must be nonempty")
@@ -424,12 +431,10 @@ def report_file_from_dict(data, re_verify=True):
         beta.append(BetaBlock(index=i, enclosures=tuple(encs), sigma_ref=sigma_ref))
     spectrum = tuple(
         complex(_pair_to_complex(z, f"peripheral_spectrum[{i}]"))
-        for i, z in enumerate(_require(data, "peripheral_spectrum", where))
+        for i, z in enumerate(_require_list(data, "peripheral_spectrum", where))
     )
-    warnings_data = _require(data, "warnings", where)
-    if not isinstance(warnings_data, list) or not all(
-        isinstance(w, str) for w in warnings_data
-    ):
+    warnings_data = _require_list(data, "warnings", where)
+    if not all(isinstance(w, str) for w in warnings_data):
         raise ParseError(f"{where}: warnings must be a list of strings")
     report = DecompositionReport(
         dim=dim,

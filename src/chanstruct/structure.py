@@ -5,14 +5,14 @@ operator; minimal enclosures inside the recurrent subspace R are the
 irreducible components of the dynamics.  Minimal enclosures supporting
 unitarily equivalent restrictions group into B-blocks connected by partial
 isometries; isolated ones are A-blocks.  On a B-block the fixed-point
-algebra of the adjoint on R is M_n ⊗ I (Baumgartner-Narnhofer,
-arXiv:1507.08404), so one generic element of it shows every link, and the
-polar factor of its block between two copies is their isometry.  Every
-algebra element used is F^H Pi_1^*(G) F for a seeded Hermitian reference G
-and the R frame F, read off the channel's one eigenvalue-1 solve (see
-chanstruct.spectral), so every result is a function of the channel, the
-seed and the tolerance.  Together these give the complete parametrization
-of the invariant states:
+algebra of the adjoint on R is M_n ⊗ I (Baumgartner-Narnhofer, Rev. Math.
+Phys. 24 (2012); Carbone-Pautrat, arXiv:1507.08404), so one generic element
+of it shows every link, and the polar factor of its block between two
+copies is their isometry.  Every algebra element used is F^H Pi_1^*(G) F
+for a seeded Hermitian reference G and the R frame F, read off the
+channel's one eigenvalue-1 solve (see chanstruct.spectral), so every result
+is a function of the channel, the seed and the tolerance.  Together these
+give the complete parametrization of the invariant states:
 
     rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
 
@@ -348,6 +348,11 @@ def _try_eigensplit(ch, split, x, tol):
     return result
 
 
+def _check_seed(rng_seed):
+    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise ArgumentError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
+
+
 def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
     """Decompose R into mutually orthogonal minimal enclosures.
 
@@ -362,6 +367,7 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
     seed and the tolerance.  A failure carries the solve's estimate of the
     distance from 1 of the nearest non-fixed eigenvalue.
     """
+    _check_seed(rng_seed)
     frame, core = algebra.R.frame, _spectral_core(ch, tol)
     x, y = (frame.conj().T @ z @ frame for z in (core.candidate, core.probes[1]))
     seeds = range(rng_seed, rng_seed + _MAX_SAMPLING_ATTEMPTS)
@@ -480,12 +486,12 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     """Unique invariant state supported on a minimal enclosure V.
 
     A minimal enclosure lies in R, and R ⊖ V is an enclosure too
-    (Baumgartner-Narnhofer, arXiv:1507.08404), so on R every Kraus operator
-    is block diagonal over V ⊕ (R ⊖ V) and the compression
-    P_V rho_max P_V / tr of the maximal invariant state is invariant.  An
-    enclosure V ⊆ R is minimal iff the adjoint's fixed points compress to
-    multiples of P_V on it; two generic ones (the solve's ``probes``) are
-    tested.
+    (Baumgartner-Narnhofer, Rev. Math. Phys. 24 (2012); Carbone-Pautrat,
+    arXiv:1507.08404), so on R every Kraus operator is block diagonal over
+    V ⊕ (R ⊖ V) and the compression P_V rho_max P_V / tr of the maximal
+    invariant state is invariant.  An enclosure V ⊆ R is minimal iff the
+    adjoint's fixed points compress to multiples of P_V on it; two generic
+    ones (the solve's ``probes``) are tested.
     """
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")
@@ -624,8 +630,10 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     on R, minimal-enclosure decomposition, linkage grouping into A- and
     B-blocks, invariant states and transport isometries per block, and a
     final independent verification pass.  Each stage failure raises
-    :class:`DecompositionError` tagged with the stage name.
+    :class:`DecompositionError` tagged with the stage name; an ``rng_seed``
+    that is not a non-negative integer raises :class:`ArgumentError` first.
     """
+    _check_seed(rng_seed)
     with _stage("recurrent-split"):
         split = recurrent_split(ch, tol)
     algebra = fixed_point_algebra_on_R(ch, split, tol)

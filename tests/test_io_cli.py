@@ -615,6 +615,29 @@ class TestReportSchema:
         ):
             cs.report_file_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [5, None])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("alpha_blocks",),
+            ("beta_blocks",),
+            ("beta_blocks", 0, "enclosures"),
+            ("peripheral_spectrum",),
+        ],
+        ids=lambda p: ".".join(map(str, p)),
+    )
+    def test_non_array_is_parse_error(self, path, value):
+        doc = cs.report_file_to_dict(
+            cs.report_file_from_report(cs.decompose(cs.KrausChannel([np.eye(2)])))
+        )
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(cs.ParseError, match=f"'{key}' must be an array"):
+            cs.report_file_from_dict(doc)
+
 
 class TestReportSchemaV3:
     """Block data in the coordinates of its enclosure."""
@@ -777,6 +800,22 @@ class TestCliDecompose:
             "type": "ParseError",
             "message": "channel.kraus[0][0][0]: entry out of float range",
         }
+
+    def test_negative_seed_exits_1_with_argument_error(self, tmp_path, capsys):
+        # the cyclic shift takes the seeded fallback; the chain splits on its
+        # first candidate: both refuse the seed before solving
+        channels = {
+            "sh4": cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)]),
+            "markov": cs.from_markov_chain(np.array([[0.5, 0.2], [0.5, 0.8]])),
+        }
+        for name, ch in channels.items():
+            path = write_channel(tmp_path / f"{name}.json", ch)
+            assert main(["decompose", path, "--seed", "-1"]) == 1
+            captured = capsys.readouterr()
+            err = json.loads(captured.out)["error"]
+            assert err["type"] == "ArgumentError" and "stage" not in err
+            assert "rng_seed" in err["message"]
+            assert "Traceback" not in captured.err
 
     def test_tolerance_flags(self, tmp_path):
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))

@@ -12,6 +12,7 @@ from helpers import (
     haar_unitary,
     invariant_deviations,
     planted_channel,
+    planted_markov,
     random_channel,
     random_kraus_family,
     random_state,
@@ -107,7 +108,7 @@ class TestEnclosurePredicates:
             cols = RNG.standard_normal((ch.dim, k)) + (
                 1j * RNG.standard_normal((ch.dim, k))
             )
-            space = cs.orthonormal_basis(cols)
+            space = cs.Subspace(ch.dim, np.linalg.qr(cols)[0])
             is_enc = cs.is_enclosure(ch, space)
             hits += is_enc
             assert cs.is_subharmonic(ch, space.projector()) == is_enc
@@ -346,6 +347,26 @@ class TestMinimalEnclosures:
         assert len(tries) == 1 and tries[0] is not None
         assert len(report.alpha_blocks) == 1 and len(report.beta_blocks) == 1
         assert seeded == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)]),
+            lambda: cs.from_markov_chain(np.array([[0.5, 0.2], [0.5, 0.8]])),
+        ],
+        ids=["shift-fallback", "markov-first-candidate"],
+    )
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_argument_error(self, build, seed):
+        # refused before any solve, whether or not the fallback would seed
+        ch = build()
+        with pytest.raises(cs.ArgumentError, match="rng_seed"):
+            cs.decompose(ch, rng_seed=seed)
+        assert ch._cores == {}
+        split = cs.recurrent_split(ch)
+        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        with pytest.raises(cs.ArgumentError, match="rng_seed"):
+            cs.minimal_enclosures(ch, split, algebra, rng_seed=seed)
 
     def test_degenerate_sampling_error(self, monkeypatch):
         ch = cs.KrausChannel([np.eye(2)])
@@ -901,4 +922,26 @@ class TestReportInvariance:
         deviations = invariant_deviations(
             conjugated_invariants(reference, u), report_invariants(cs.decompose(moved))
         )
+        assert max(deviations.values()) <= 1e-10, deviations
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cs.from_markov_chain(planted_markov(np.random.default_rng(5))[0]),
+            lambda: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 6), 6),
+            lambda: planted_channel(np.random.default_rng(3), [3, 4], [(2, 2)], 3)[0],
+        ],
+        ids=["markov", "oqrw", "planted"],
+    )
+    def test_sparse_and_dense_row_forms_agree(self, build, monkeypatch):
+        # the row form is chosen at construction by _SPARSE_FRACTION; forcing
+        # each side must not change what the decomposition determines
+        invariants, forms = [], []
+        for fraction in (0.0, 1.0):
+            monkeypatch.setattr(chanstruct.channels, "_SPARSE_FRACTION", fraction)
+            ch = build()
+            forms.append(ch._sparse)
+            invariants.append(report_invariants(cs.decompose(ch)))
+        assert forms[0] != forms[1]
+        deviations = invariant_deviations(*invariants)
         assert max(deviations.values()) <= 1e-10, deviations

@@ -24,11 +24,10 @@ PUBLIC = {
     "fixed_space", "from_markov_chain", "from_oqrw", "group_into_blocks",
     "hermitian_span_basis", "is_enclosure", "is_irreducible", "is_state",
     "is_subharmonic", "load_channel", "loewner_geq", "minimal_enclosures",
-    "orthonormal_basis", "oqrw_transition_map", "partial_isometry",
-    "peripheral_spectrum", "perron_frobenius_certificate", "qubit_bloch_form",
-    "recurrent_split", "relative_orthocomplement", "report_file_from_dict",
-    "report_file_from_report", "report_file_to_dict", "subspace_intersection",
-    "subspace_sum", "superoperator", "unvec", "validate", "vec",
+    "oqrw_transition_map", "partial_isometry", "peripheral_spectrum",
+    "perron_frobenius_certificate", "qubit_bloch_form", "recurrent_split",
+    "report_file_from_dict", "report_file_from_report", "report_file_to_dict",
+    "superoperator", "unvec", "validate", "vec",
 }
 
 # every subcommand, with the arguments it requires besides the channel file
@@ -45,7 +44,7 @@ SUBCOMMANDS = {
 
 
 def test_top_level_names_are_frozen():
-    assert len(cs.__all__) == len(PUBLIC) == 64
+    assert len(cs.__all__) == len(PUBLIC) == 60
     assert set(cs.__all__) == PUBLIC
 
 
