@@ -24,6 +24,7 @@ from .channels import (
 from .errors import ChanstructError, DecompositionError, ParseError
 from .linalg import Tolerance
 from .serialize import (
+    _frame_to_lists,
     _load_json,
     _matrix_to_lists,
     _pair_to_complex,
@@ -148,7 +149,7 @@ def cmd_query(args):
         space = enclosure_generated(ch, vector, tol)
         doc = {
             "dimension": space.dimension,
-            "frame": _matrix_to_lists(space.frame),
+            "frame": _frame_to_lists(space.frame),
         }
     elif args.what == "irreducible":
         cert = perron_frobenius_certificate(ch, tol)

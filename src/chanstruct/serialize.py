@@ -17,7 +17,9 @@ F^H rho F on its frame F, and a B-block stores the frames F_g = Q_g F_0 of
 its copies, aligned by the intertwiners Q_g, and the m x m ``rho_ref`` on
 F_0.  A report without a ``schema`` entry is read in this layout; a report
 of any other version is not read (re-run ``chanstruct decompose`` on its
-channel).
+channel).  A real or imaginary part of a frame below eps times the frame's
+largest part is rounding residue: it is written as a zero of its sign, so
+the rule is idempotent.  States and the spectrum are written as computed.
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -75,6 +77,14 @@ def _matrix_to_lists(m):
     """Row-major nested ``[re, im]`` pairs; a vector gives a list of pairs."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def _frame_to_lists(frame):
+    """``_matrix_to_lists`` of a frame, with each part below eps times the
+    frame's largest part written as a zero of its sign."""
+    pairs = np.stack((frame.real, frame.imag), axis=-1)
+    cut = np.finfo(float).eps * np.abs(pairs).max(initial=0.0)
+    return np.where(np.abs(pairs) < cut, 0.0 * pairs, pairs).tolist()
 
 
 def _pair_to_complex(entry, where):
@@ -329,11 +339,11 @@ def report_file_to_dict(rf):
             "psd_tol": tol.psd_tol,
         },
         "rng_seed": report.rng_seed,
-        "recurrent_basis": _matrix_to_lists(report.R.frame),
-        "transient_basis": _matrix_to_lists(report.D.frame),
+        "recurrent_basis": _frame_to_lists(report.R.frame),
+        "transient_basis": _frame_to_lists(report.D.frame),
         "alpha_blocks": [
             {
-                "enclosure": _matrix_to_lists(blk.enclosure.frame),
+                "enclosure": _frame_to_lists(blk.enclosure.frame),
                 "rho": _matrix_to_lists(blk.sigma),
             }
             for blk in report.alpha_blocks
@@ -341,7 +351,7 @@ def report_file_to_dict(rf):
         "beta_blocks": [
             {
                 "index": blk.index,
-                "enclosures": [_matrix_to_lists(e.frame) for e in blk.enclosures],
+                "enclosures": [_frame_to_lists(e.frame) for e in blk.enclosures],
                 "rho_ref": _matrix_to_lists(blk.sigma_ref),
             }
             for blk in report.beta_blocks
@@ -392,6 +402,8 @@ def report_file_from_dict(data, re_verify=True):
     except (ArgumentError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{where}: bad tolerances ({err})") from err
     seed = _require_int(data, "rng_seed", where)
+    if seed < 0:
+        raise ParseError(f"{where}: rng_seed must be >= 0, got {seed}")
     r_space = _subspace_from_lists(
         _require(data, "recurrent_basis", where), dim, "recurrent_basis"
     )

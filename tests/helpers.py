@@ -155,6 +155,45 @@ def stationary_law(p_block):
     return x
 
 
+def two_classes_and_transients():
+    """A chain with closed classes {0, 1} and {2} and transient states 3, 4."""
+    p = np.zeros((5, 5))
+    p[:2, :2] = [[0.6, 0.3], [0.4, 0.7]]
+    p[2, 2] = 1.0
+    p[:, 3] = [0.2, 0.1, 0.3, 0.1, 0.3]
+    p[:, 4] = [0.0, 0.5, 0.2, 0.3, 0.0]
+    return cs.from_markov_chain(p)
+
+
+def two_class_chain(eps):
+    """Two 2-state classes, {0, 1} and {2, 3}, joined by eps each way: state
+    1 (stationary weight 0.46 in its class) jumps to 2 and state 2 (0.46) to
+    1, so lambda_2 = 1 - 0.92 eps to first order.  The flows 1 -> 2 and
+    2 -> 1 balance, so the stationary law is (0.27, 0.23, 0.23, 0.27) for
+    every eps."""
+    p = np.array(
+        [
+            [0.77, 0.27, 0.0, 0.0],
+            [0.23, 0.73 - eps, eps, 0.0],
+            [0.0, eps, 0.73 - eps, 0.23],
+            [0.0, 0.0, 0.27, 0.77],
+        ]
+    )
+    return cs.from_markov_chain(p)
+
+
+def slow_birth_death(n=20, tail=0):
+    """A reflecting chain on n states, up 0.1 and down 0.9, so the stationary
+    law falls as 9^-i; with ``tail`` > 0, a path n -> ... -> 0 of ``tail``
+    transient states feeds it."""
+    p = np.zeros((n + tail, n + tail))
+    p[:n, :n] = np.diag(np.full(n - 1, 0.1), -1) + np.diag(np.full(n - 1, 0.9), 1)
+    p[0, 0], p[n - 1, n - 1] = 0.9, 0.1
+    if tail:
+        p[np.r_[n + 1 : n + tail, 0], np.arange(n, n + tail)] = 1.0
+    return cs.from_markov_chain(p)
+
+
 def coordinate_projector(n, indices):
     p = np.zeros((n, n))
     for i in indices:

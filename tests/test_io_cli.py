@@ -1,5 +1,6 @@
 """JSON schemas and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -497,6 +498,32 @@ class TestSchemaString:
         }
 
 
+FRAME_CASES = {
+    "oqrw": lambda: cs.from_oqrw(cs.oqrw_transition_map(0.1, 0.2, 13), 13),
+    "planted": lambda: planted_channel(
+        np.random.default_rng(523), [2], [(3, 3), (1, 2)], 2
+    )[0],
+}
+
+
+def _residue(frame):
+    """The count of parts of a written frame strictly between 0 and eps
+    times the frame's largest part."""
+    parts = np.abs(np.array(frame, dtype=float))
+    cut = np.finfo(float).eps * parts.max(initial=0.0)
+    return int(((parts > 0.0) & (parts < cut)).sum())
+
+
+def _frames(doc):
+    """Every frame a report document writes, in the writer's order."""
+    return [
+        doc["recurrent_basis"],
+        doc["transient_basis"],
+        *(blk["enclosure"] for blk in doc["alpha_blocks"]),
+        *(e for blk in doc["beta_blocks"] for e in blk["enclosures"]),
+    ]
+
+
 class TestReportSchema:
     def _report_file(self):
         ch, _ = planted_channel(RNG, [1], [(1, 2)], 1, n_kraus=2)
@@ -637,6 +664,53 @@ class TestReportSchema:
         node[key] = value
         with pytest.raises(cs.ParseError, match=f"'{key}' must be an array"):
             cs.report_file_from_dict(doc)
+
+    def test_negative_rng_seed_is_parse_error(self):
+        # decompose refuses such a seed, so no report can carry one
+        p = np.array([[0.4, 0.7], [0.6, 0.3]])
+        doc = cs.report_file_to_dict(
+            cs.report_file_from_report(cs.decompose(cs.from_markov_chain(p)))
+        )
+        doc["rng_seed"] = -3
+        with pytest.raises(cs.ParseError, match="rng_seed must be >= 0"):
+            cs.report_file_from_dict(doc, re_verify=True)
+
+    @pytest.mark.parametrize("case", sorted(FRAME_CASES))
+    def test_frames_carry_no_rounding_residue(self, case):
+        # an OQRW's subspaces are site lanes, exactly zero off the lane; the
+        # zeros written in place of the residue must read back to the same
+        # bytes
+        rf = cs.report_file_from_report(cs.decompose(FRAME_CASES[case]()))
+        text = cs.canonical_dumps(cs.report_file_to_dict(rf))
+        assert not any(map(_residue, _frames(json.loads(text))))
+        rf2 = cs.report_file_from_dict(json.loads(text), re_verify=True)
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf2)) == text
+
+    def test_frame_residue_is_written_as_a_signed_zero(self):
+        # R = span{e1}, D = span{e2}; the frames are replaced by ones whose
+        # parts are (re, im) pairs, so that -0.0 and -1e-17 survive
+        rf = cs.report_file_from_report(cs.decompose(amplitude_damping_channel(0.3)))
+        r_parts = [[[1.0, 0.0]], [[-1e-17, 1e-17]]]
+        d_parts = [[[-0.0, -0.0]], [[1.0, 0.0]]]
+        r, d = (
+            cs.Subspace(2, np.array(parts).view(complex)[..., 0])
+            for parts in (r_parts, d_parts)
+        )
+        report = dataclasses.replace(rf.report, R=r, D=d)
+        doc = cs.report_file_to_dict(dataclasses.replace(rf, report=report))
+        written = cs.canonical_dumps([doc["recurrent_basis"], doc["transient_basis"]])
+        assert written == "[[[[1.0,0.0]],[[-0.0,0.0]]],[[[-0.0,-0.0]],[[1.0,0.0]]]]\n"
+
+    def test_planted_frames_are_written_whole(self):
+        # a Haar-rotated frame has no part below eps times its largest
+        rf = cs.report_file_from_report(cs.decompose(FRAME_CASES["planted"]()))
+        rep = rf.report
+        frames = [rep.R, rep.D, *(b.enclosure for b in rep.alpha_blocks)]
+        frames += [e for b in rep.beta_blocks for e in b.enclosures]
+        written = _frames(cs.report_file_to_dict(rf))
+        assert cs.canonical_dumps(written) == cs.canonical_dumps(
+            [_matrix_to_lists(v.frame) for v in frames]
+        )
 
 
 class TestReportSchemaV3:
@@ -924,6 +998,15 @@ class TestCliQuery:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["dimension"] == 1
+
+    def test_enclosure_frame_carries_no_rounding_residue(self, tmp_path, capsys):
+        # the enclosure generated by e_35 is 28-dimensional, and its frame,
+        # as computed, holds parts below eps times its largest part
+        path = write_channel(tmp_path / "ch.json", FRAME_CASES["oqrw"]())
+        vector = json.dumps([float(i == 35) for i in range(42)])
+        assert main(["query", "enclosure", path, "--vector", vector]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dimension"] == 28 and _residue(doc["frame"]) == 0
 
     def test_huge_int_vector_exits_2(self, tmp_path, capsys):
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))

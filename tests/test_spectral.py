@@ -18,6 +18,8 @@ from helpers import (
     random_channel,
     random_kraus_family,
     random_state,
+    slow_birth_death,
+    two_class_chain,
 )
 
 RNG = np.random.default_rng(303)
@@ -281,10 +283,7 @@ class TestRecurrentSplit:
         # up 0.1, down 0.9, reflecting: the stationary law falls as 9^-i, so
         # rho_max's range at rank_tol holds only the first 10 states, and R
         # is the enclosure they generate, all of C^20
-        n = 20
-        p = np.diag(np.full(n - 1, 0.1), -1) + np.diag(np.full(n - 1, 0.9), 1)
-        p[0, 0], p[-1, -1] = 0.9, 0.1
-        ch = cs.from_markov_chain(p)
+        ch = slow_birth_death()
         split = cs.recurrent_split(ch)
         assert (split.R.dimension, split.D.dimension) == (20, 0)
         assert cs.is_irreducible(ch)
@@ -296,11 +295,7 @@ class TestRecurrentSplit:
         # eigenvectors of rho_max near the rank_tol cut may tilt towards D,
         # and a tilt above subspace_tol would pull the path into R
         n = 20
-        p = np.zeros((n + tail, n + tail))
-        p[:n, :n] = np.diag(np.full(n - 1, 0.1), -1) + np.diag(np.full(n - 1, 0.9), 1)
-        p[0, 0], p[n - 1, n - 1] = 0.9, 0.1
-        p[np.r_[n + 1 : n + tail, 0], np.arange(n, n + tail)] = 1.0
-        ch = cs.from_markov_chain(p)
+        ch = slow_birth_death(n, tail)
         split = cs.recurrent_split(ch)
         assert (split.R.dimension, split.D.dimension) == (n, tail)
         assert not cs.is_irreducible(ch)
@@ -314,23 +309,6 @@ class TestRecurrentSplit:
         assert "ill-separated" in split.warnings[0]
 
 
-def _two_class_chain(eps):
-    """Two 2-state classes, {0, 1} and {2, 3}, joined by eps each way: state
-    1 (stationary weight 0.46 in its class) jumps to 2 and state 2 (0.46) to
-    1, so lambda_2 = 1 - 0.92 eps to first order.  The flows 1 -> 2 and
-    2 -> 1 balance, so the stationary law is (0.27, 0.23, 0.23, 0.27) for
-    every eps."""
-    p = np.array(
-        [
-            [0.77, 0.27, 0.0, 0.0],
-            [0.23, 0.73 - eps, eps, 0.0],
-            [0.0, eps, 0.73 - eps, 0.23],
-            [0.0, 0.0, 0.27, 0.77],
-        ]
-    )
-    return cs.from_markov_chain(p)
-
-
 class TestNearDegenerateChain:
     @pytest.mark.parametrize(
         "eps, warned", [(1e-3, False), (1e-5, False), (1e-6, False), (1e-7, True)]
@@ -338,7 +316,7 @@ class TestNearDegenerateChain:
     def test_one_block_on_c4(self, eps, warned):
         # the chain is irreducible: one A-block on C^4 with the stationary
         # law; at eps = 1e-7, lambda_2 lies within 10 eig_cluster_tol of 1
-        ch = _two_class_chain(eps)
+        ch = two_class_chain(eps)
         rep = cs.decompose(ch)
         assert rep.R.dimension == 4 and len(rep.alpha_blocks) == 1
         assert not rep.beta_blocks
@@ -354,7 +332,7 @@ class TestNearDegenerateChain:
         # at eps = 1e-8, lambda_2 counts as fixed, but the two classes leak
         # into each other far above subspace_tol, so no split is clean; the
         # failure carries the estimated distance of lambda_2 from 1
-        ch = _two_class_chain(1e-8)
+        ch = two_class_chain(1e-8)
         with pytest.raises(cs.DecompositionError) as err:
             cs.decompose(ch)
         assert err.value.stage == "minimal-enclosures"

@@ -18,6 +18,7 @@ from helpers import (
     random_state,
     report_invariants,
     support_closure,
+    two_classes_and_transients,
 )
 
 RNG = np.random.default_rng(404)
@@ -863,16 +864,6 @@ class TestTolerancePassing:
         assert not cs.ergodicity_probe(ch, rho, tol=loose)
 
 
-def _two_classes_and_transients():
-    """A chain with closed classes {0, 1} and {2} and transient states 3, 4."""
-    p = np.zeros((5, 5))
-    p[:2, :2] = [[0.6, 0.3], [0.4, 0.7]]
-    p[2, 2] = 1.0
-    p[:, 3] = [0.2, 0.1, 0.3, 0.1, 0.3]
-    p[:, 4] = [0.0, 0.5, 0.2, 0.3, 0.0]
-    return cs.from_markov_chain(p)
-
-
 def _copies_with_scalar_candidate():
     """{X, Z} / sqrt 2, irreducible and unital on C^2, on two copies (W ⊗ I),
     with the product basis vectors moved to positions 0, 2, 3, 1: both
@@ -887,7 +878,7 @@ def _copies_with_scalar_candidate():
 
 INVARIANCE_CASES = {
     "planted": lambda: planted_channel(np.random.default_rng(701), [2], [(2, 2)], 2)[0],
-    "markov": _two_classes_and_transients,
+    "markov": two_classes_and_transients,
     "oqrw": lambda: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 3), 3),
     # the first candidate of these two is degenerate, so their splits take
     # the fallback; on the two copies of a B-block it must leave the linking
