@@ -195,7 +195,7 @@ def is_state(rho, tol=DEFAULT_TOL):
     """Density-matrix predicate: Hermitian, PSD within psd_tol, trace 1
     within eig_cluster_tol."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
         return False
     if np.abs(rho - rho.conj().T).max() > 100.0 * tol.psd_tol * max(
         1.0, np.abs(rho).max()
@@ -483,8 +483,10 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
         Diagonal states evolve exactly as the classical chain.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ArgumentError("transition matrix must be square")
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
+        raise ArgumentError("transition matrix must be square and nonempty")
+    if not np.isfinite(p).all():
+        raise ArgumentError("transition matrix has non-finite entries")
     n = p.shape[0]
     if p.min() < -tol.psd_tol:
         raise ArgumentError("transition matrix has negative entries")
@@ -552,8 +554,10 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     Notes
     -----
     Reflecting boundary: at the last site N the outgoing operator
-    L_{N+1,N} is removed and L_{N-1,N} is rescaled by the unique
-    nonnegative diagonal factor restoring normalization.  The ambient
+    L_{N+1,N} is removed and L = L_{N-1,N} becomes L diag(s), s_k^2 =
+    max(t_k, 0) / g_k (0 where g_k <= psd_tol), for t and g the diagonals of
+    I - sum_{i<=N, i!=N-1} L_{i,N}^H L_{i,N} and of L^H L.  The rescaled column
+    must be normalized within 10 ``tol.psd_tol``.  The ambient
     ordering is internal ⊗ site, i.e. basis vector e_a ⊗ |j> sits at
     index a*(N+1) + j.
     """
@@ -565,9 +569,11 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     n_int = None
     for (i, j), mat in transitions.items():
         mat = as_complex_matrix(mat, f"L[{i},{j}]")
+        if mat.ndim != 2 or not mat.size:
+            raise ArgumentError(f"L[{i},{j}] must be a nonempty matrix")
         if n_int is None:
             n_int = mat.shape[0]
-        if mat.ndim != 2 or mat.shape != (n_int, n_int):
+        if mat.shape != (n_int, n_int):
             raise ArgumentError(f"L[{i},{j}] must be {n_int}x{n_int}")
         if j < 0 or i < 0:
             raise ArgumentError("site indices must be nonnegative")
@@ -600,34 +606,19 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         if back[0] < 0:
             raise ArgumentError("reflecting boundary needs a site N - 1 (num_sites >= 1)")
         if back not in ops:
-            raise ArgumentError("normalization failure after adjustment")
+            raise ArgumentError("reflecting boundary needs the back-hop L[N-1,N]")
         others = sum(
             m.conj().T @ m
             for (i, jj), m in ops.items()
             if jj == n_last and (i, jj) != back
         )
-        if not isinstance(others, np.ndarray):
-            others = np.zeros((n_int, n_int), dtype=complex)
-        target = eye - others
-        gram = ops[back].conj().T @ ops[back]
-        off_mass = max(
-            np.abs(target - np.diag(np.diag(target))).max(),
-            np.abs(gram - np.diag(np.diag(gram))).max(),
-        )
-        if off_mass > tol.psd_tol:
-            raise ArgumentError("normalization failure after adjustment")
-        t_diag, g_diag = np.diag(target).real, np.diag(gram).real
+        t_diag = np.diag(eye - others).real
+        g_diag = np.diag(ops[back].conj().T @ ops[back]).real
         scale = np.zeros(n_int)
-        for k in range(n_int):
-            if g_diag[k] > tol.psd_tol:
-                if t_diag[k] < -tol.psd_tol:
-                    raise ArgumentError("normalization failure after adjustment")
-                scale[k] = np.sqrt(max(t_diag[k], 0.0) / g_diag[k])
-            elif abs(t_diag[k]) > tol.psd_tol:
-                raise ArgumentError("normalization failure after adjustment")
+        kept = g_diag > tol.psd_tol
+        scale[kept] = np.sqrt(np.maximum(t_diag[kept], 0.0) / g_diag[kept])
         ops[back] = ops[back] @ np.diag(scale)
-        check = others + ops[back].conj().T @ ops[back]
-        if np.abs(check - eye).max() > tp_tol:
+        if np.abs(others + ops[back].conj().T @ ops[back] - eye).max() > tp_tol:
             raise ArgumentError("normalization failure after adjustment")
 
     # V = L ⊗ |i><j| has its nonzero rows a (N+1) + i, row a being

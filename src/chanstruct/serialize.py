@@ -37,15 +37,17 @@ import math
 import numpy as np
 
 from .channels import KrausChannel, _compressions, _dense_stack, _transfer_matrix
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, DecompositionError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
     AlphaBlock,
     BetaBlock,
     DecompositionReport,
+    _blocks,
     _enclosures,
     _fixed_dimension,
+    _verify_blocks,
     is_enclosure,
 )
 
@@ -307,10 +309,7 @@ def report_file_from_report(report):
     ch = report.channel
     tol = report.tolerance
     # F^H V_a F for the first enclosure F of every block, and its copy count
-    blocks = [(blk.enclosure.frame, 1) for blk in report.alpha_blocks] + [
-        (blk.enclosures[0].frame, len(blk.enclosures)) for blk in report.beta_blocks
-    ]
-    parts = [(_compressions(ch, f), n) for f, n in blocks]
+    parts = [(_compressions(ch, e[0].frame), len(e)) for e, _ in _blocks(report)]
     eigenvalues = []
     for i, (a, n_i) in enumerate(parts):
         eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
@@ -377,7 +376,7 @@ def report_file_from_dict(data, re_verify=True):
     """Parse a ``chanstruct-report/3`` document, checking frames and derived
     fields (B-block ``index`` = position, ``fixed_space_dimension`` = n_alpha
     + sum_b n_b^2 = the count of spectrum values at 1, all on |z| = 1) and,
-    with ``re_verify``, the enclosure predicate against the embedded channel."""
+    with ``re_verify``, the enclosure predicate and :func:`_verify_blocks`."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -394,9 +393,9 @@ def report_file_from_dict(data, re_verify=True):
     if ch.dim != dim:
         raise ParseError(f"{where}: channel dimension disagrees with dim")
     tol_data = _require(data, "tolerances", where)
-    try:
+    try:  # no float(): only a JSON number passes Tolerance's range check
         tol = Tolerance(**{
-            key: float(_require(tol_data, key, "tolerances"))
+            key: _require(tol_data, key, "tolerances")
             for key in ("rank_tol", "eig_cluster_tol", "psd_tol")
         })
     except (ArgumentError, TypeError, ValueError, OverflowError) as err:
@@ -472,8 +471,13 @@ def report_file_from_dict(data, re_verify=True):
     rf = ReportFile(
         report=report, fixed_space_dimension=fixed_dim, peripheral_spectrum=spectrum
     )
-    if re_verify and not all(is_enclosure(ch, v, tol) for v in _enclosures(report)):
-        raise ParseError("report: a stored frame fails the enclosure predicate")
+    if re_verify:
+        if not all(is_enclosure(ch, v, tol) for v in _enclosures(report)):
+            raise ParseError("report: a stored frame fails the enclosure predicate")
+        try:
+            _verify_blocks(ch, report, tol)
+        except DecompositionError as err:
+            raise ParseError(f"report: {err}") from err
     return rf
 
 

@@ -512,6 +512,14 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     return _expand(v.frame, _compression(split.rho_max, v.frame))
 
 
+def _blocks(report):
+    """(enclosures, state) of each block, A-blocks first.  A B-block's
+    reference state is the state of every copy in the copy's own frame."""
+    return [((b.enclosure,), b.sigma) for b in report.alpha_blocks] + [
+        (b.enclosures, b.sigma_ref) for b in report.beta_blocks
+    ]
+
+
 def _block_basis(report, states):
     """Hilbert-Schmidt-orthonormal Hermitian matrices spanning F_g S F_h^H
     over the copies g, h of each block of a report (an A-block has one):
@@ -519,11 +527,9 @@ def _block_basis(report, states):
     fixed points on R (in ambient coordinates) for S = I.  The matrices
     E_gh = F_g S F_h^H / |S|_F are orthonormal, and so are E_gg and
     (E_gh + E_hg) / sqrt 2, i (E_gh - E_hg) / sqrt 2 for g > h."""
-    blocks = [((b.enclosure.frame,), b.sigma) for b in report.alpha_blocks] + [
-        ([v.frame for v in b.enclosures], b.sigma_ref) for b in report.beta_blocks
-    ]
     basis = []
-    for frames, sigma in blocks:
+    for enclosures, sigma in _blocks(report):
+        frames = [v.frame for v in enclosures]
         s = sigma if states else np.eye(len(sigma))
         s = s / np.linalg.norm(s)
         for g, fg in enumerate(frames):
@@ -536,36 +542,54 @@ def _block_basis(report, states):
 
 def _fixed_dimension(report):
     """n_alpha + sum_b n_b^2: the fixed-space dimension the blocks imply."""
-    return len(report.alpha_blocks) + sum(
-        len(blk.enclosures) ** 2 for blk in report.beta_blocks
-    )
+    return sum(len(enclosures) ** 2 for enclosures, _ in _blocks(report))
 
 
 def _enclosures(report):
     """The report's minimal enclosures: A-blocks, then every B-block copy."""
-    return [blk.enclosure for blk in report.alpha_blocks] + [
-        v for blk in report.beta_blocks for v in blk.enclosures
-    ]
+    return [v for enclosures, _ in _blocks(report) for v in enclosures]
 
 
-def _verify_report(ch, report, tol):
-    """Independent consistency checks of a finished decomposition.  Among
-    them, the solve's ``witness``, a fixed point X = Pi_1(G) made before any
-    block, must be re-assembled from the blocks (the arithmetic of
-    :func:`extract_parameters`) to subspace_tol relative to |X|_F: a
-    dropped block or a missing link fails it."""
+def _verify_blocks(ch, report, tol):
+    """The checks of a decomposition that need only its channel and its
+    blocks, run by :func:`decompose` and by report read-back: the frames of
+    D and of every enclosure fill C^d, and their Gram matrix is I; each
+    A-block state, and each B-block's reference state in the frame of
+    every copy, is a state, and invariant."""
     frames = [report.D.frame] + [v.frame for v in _enclosures(report)]
     total = sum(f.shape[1] for f in frames)
     if total != report.dim:
         raise DecompositionError(
             "verification", f"block dimensions sum to {total}, ambient is {report.dim}"
         )
+    # the Gram check decides every frame's orthonormality too: for a copy,
+    # Q_g = F_g F_0^H has Q_g Q_g^H = P_g, and Q_g^H Q_g = P_0 exactly when
+    # F_g^H F_g = I; and F sigma F^H stays in its enclosure, as
+    # (I - F F^H) F sigma F^H = F (I - F^H F) sigma F^H
     stacked = np.hstack([f for f in frames if f.shape[1] > 0])
     gram = stacked.conj().T @ stacked
     if np.abs(gram - np.eye(total)).max() > tol.eig_cluster_tol:
-        raise DecompositionError(
-            "verification", "blocks are not mutually orthogonal"
-        )
+        raise DecompositionError("verification", "blocks are not mutually orthogonal")
+    n_alpha = len(report.alpha_blocks)
+    for i, (enclosures, sigma) in enumerate(_blocks(report)):
+        label = f"A-block {i}" if i < n_alpha else f"B-block {i - n_alpha}"
+        if not is_state(sigma, tol):
+            raise DecompositionError("verification", f"{label} state is not a state")
+        for g, v in enumerate(enclosures):
+            rho = _expand(v.frame, sigma)
+            if np.abs(apply(ch, rho) - rho).max() > tol.eig_cluster_tol:
+                raise DecompositionError(
+                    "verification", f"{label} state is not invariant on copy {g}"
+                )
+
+
+def _verify_report(ch, report, tol):
+    """:func:`_verify_blocks`, then the checks that read the solve.  Its
+    ``witness``, a fixed point X = Pi_1(G) made before any block, must be
+    re-assembled from the blocks (the arithmetic of :func:`extract_parameters`)
+    to subspace_tol relative to |X|_F: a dropped block or a missing link fails
+    it.  Each B-block copy's state must agree with an independent solve."""
+    _verify_blocks(ch, report, tol)
     x = _spectral_core(ch, tol).witness
     deviation = float(
         np.linalg.norm(x - _assemble(report, *_parameters(report, x)))
@@ -581,23 +605,10 @@ def _verify_report(ch, report, tol):
                 "fixed_space_dimension": _fixed_dimension(report),
             },
         )
-    for blk in report.alpha_blocks:
-        _verify_block_state(ch, blk.enclosure, blk.sigma, "A-block", tol)
     for blk in report.beta_blocks:
-        base = blk.enclosures[0]
-        _verify_block_state(ch, base, blk.sigma_ref, "B-block reference", tol)
-        eye = np.eye(base.dimension)
-        for g in range(1, len(blk.enclosures)):
-            # Q_g = F_g F_0^H gives Q_g Q_g^H = P_g, and Q_g^H Q_g = P_0
-            # exactly when F_g has orthonormal columns
-            f = blk.enclosures[g].frame
-            if np.abs(f.conj().T @ f - eye).max() > tol.eig_cluster_tol:
-                raise DecompositionError(
-                    "verification", f"Q^H Q mismatch in B-block {blk.index}"
-                )
-            # both states in the coordinates of F_g, where Q_g rho_ref Q_g^H
-            # is sigma_ref
-            independent = block_invariant_state(ch, blk.enclosures[g], tol)
+        for v in blk.enclosures[1:]:
+            # both states in the coordinates of F_g: Q_g rho_ref Q_g^H is sigma_ref
+            f, independent = v.frame, block_invariant_state(ch, v, tol)
             deviation = np.abs(blk.sigma_ref - f.conj().T @ independent @ f).max()
             if deviation > tol.subspace_tol:
                 raise DecompositionError(
@@ -606,21 +617,6 @@ def _verify_report(ch, report, tol):
                     f"independently computed invariant state in B-block "
                     f"{blk.index} (deviation {deviation:.3e})",
                 )
-
-
-def _verify_block_state(ch, enclosure, sigma, label, tol):
-    if not is_state(sigma, tol):
-        raise DecompositionError("verification", f"{label} state is not a state")
-    rho = _expand(enclosure.frame, sigma)
-    if np.abs(apply(ch, rho) - rho).max() > tol.eig_cluster_tol:
-        raise DecompositionError(
-            "verification", f"{label} state is not invariant"
-        )
-    comp = np.eye(ch.dim) - enclosure.projector()
-    if np.abs(comp @ rho).max() > tol.eig_cluster_tol:
-        raise DecompositionError(
-            "verification", f"{label} state leaks outside its enclosure"
-        )
 
 
 def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):

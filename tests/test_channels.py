@@ -352,6 +352,54 @@ class TestMarkov:
         ch = cs.from_markov_chain(p, tol=cs.Tolerance(psd_tol=1e-6))
         assert len(ch) == 4
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(cs.ArgumentError, match="square and nonempty"):
+            cs.from_markov_chain(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        # NaN fails every comparison, so the sign and column checks pass it
+        with pytest.raises(cs.ArgumentError, match="non-finite"):
+            cs.from_markov_chain([[1.0, value], [0.0, 1.0]])
+
+
+def _psd_sqrt(m):
+    w, v = np.linalg.eigh(np.asarray(m, dtype=float))
+    return v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+
+# Boundary cases of a walk on sites 0..1 with internal space C^2: site 0
+# stays put, and the last site N = 1 stays, hops back and overflows with
+# the square roots of the Gram matrices L^H L below.  psd_tol is 1e-9.
+_BOUNDARY_CASES = {
+    # the column before truncation already fails a deficit beyond 10 psd_tol
+    "deficit-beyond-bound": (
+        np.diag([1 + 12e-9, 0.5]), np.diag([0.0, 0.25]), np.diag([0.0, 0.25]),
+        "column 1 is not normalized before truncation",
+    ),
+    # the back-hop's Gram matrix couples the two levels
+    "off-diagonal-mass": (
+        0.5 * np.eye(2), [[0.2, 0.1], [0.1, 0.2]], [[0.3, -0.1], [-0.1, 0.3]],
+        "normalization failure after adjustment",
+    ),
+    # level 0 has weight to restore but no back-hop to carry it: g_0 = 0
+    "no-back-hop-weight": (
+        0.5 * np.eye(2), np.diag([0.0, 0.25]), np.diag([0.5, 0.25]),
+        "normalization failure after adjustment",
+    ),
+    "missing-back-hop": (
+        0.5 * np.eye(2), None, 0.5 * np.eye(2),
+        "reflecting boundary needs the back-hop",
+    ),
+}
+
+
+def _boundary_map(stay, back, out):
+    tr = {(0, 0): np.eye(2), (1, 1): _psd_sqrt(stay), (2, 1): _psd_sqrt(out)}
+    if back is not None:
+        tr[(0, 1)] = _psd_sqrt(back)
+    return tr
+
 
 class TestOqrw:
     def test_constraints(self):
@@ -406,6 +454,29 @@ class TestOqrw:
         tr[(5, 3)] = tr.pop((4, 3))
         with pytest.raises(cs.ArgumentError):
             cs.from_oqrw(tr, 3)
+
+    @pytest.mark.parametrize("op", [1.0, np.zeros((0, 0))], ids=["scalar", "empty"])
+    def test_scalar_or_empty_operator_rejected(self, op):
+        with pytest.raises(cs.ArgumentError, match="must be a nonempty matrix"):
+            cs.from_oqrw({(0, 0): op}, 0)
+
+    @pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES))
+    def test_reflecting_boundary_refusals(self, case):
+        *grams, message = _BOUNDARY_CASES[case]
+        with pytest.raises(cs.ArgumentError, match=message):
+            cs.from_oqrw(_boundary_map(*grams), 1)
+
+    def test_small_negative_deficit_is_accepted(self):
+        # t_0 = -5 psd_tol where the back-hop has weight g_0 = 2 psd_tol: the
+        # back-hop's level 0 is dropped (s_0 = 0), and the column stays within
+        # the one bound, 10 psd_tol, that KrausChannel also puts on it
+        tr = _boundary_map(
+            np.diag([1 + 5e-9, 0.5]), np.diag([2e-9, 0.25]), np.diag([0.0, 0.25])
+        )
+        ch = cs.from_oqrw(tr, 1)
+        back = np.kron(tr[(0, 1)] @ np.diag([0.0, np.sqrt(2.0)]), [[0, 1], [0, 0]])
+        assert any(np.abs(v - back).max() < 1e-15 for v in ch.kraus)
+        assert 4e-9 < cs.validate(ch).kraus_sum_deviation <= 1e-8
 
 
 class TestBlochForm:

@@ -1,6 +1,7 @@
 """JSON schemas and the command-line interface."""
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -524,6 +525,85 @@ def _frames(doc):
     ]
 
 
+@functools.cache
+def _bare_report_text(case):
+    """The report of a tamper case's channel, with fixed_space_dimension
+    values at 1 for its peripheral spectrum, which the read path checks
+    only for that count (the walk's own takes about 0.5 s on 2 cores)."""
+    if case == "walk":
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.4, 0.3, 45), 45)
+    else:
+        ch, _ = planted_channel(np.random.default_rng(1), [5, 7], [(4, 3)], 6)
+    report = cs.decompose(ch)
+    n = chanstruct.structure._fixed_dimension(report)
+    rf = chanstruct.serialize.ReportFile(report, n, (1.0,) * n)
+    return cs.canonical_dumps(cs.report_file_to_dict(rf))
+
+
+def _add_blocks(doc, kind, block, fixed):
+    doc[kind].append(block)
+    doc["fixed_space_dimension"] += fixed
+    doc["peripheral_spectrum"] += [[1.0, 0.0]] * fixed
+
+
+def _shift_rho_ref(doc):
+    # the walk's largest two diagonal weights of rho_ref, +0.05 and -0.05
+    rho = doc["beta_blocks"][0]["rho_ref"]
+    rho[32][32][0] += 0.05
+    rho[23][23][0] -= 0.05
+
+
+def _drop_alpha_block(doc):
+    # the blocks and D then span 23 of C^30
+    del doc["alpha_blocks"][0]
+    doc["fixed_space_dimension"] -= 1
+    del doc["peripheral_spectrum"][0]
+
+
+def _mix_alpha_state(doc):
+    n = len(doc["alpha_blocks"][0]["rho"])
+    doc["alpha_blocks"][0]["rho"] = _matrix_to_lists(np.eye(n) / n)
+
+
+def _permute_copy_frame(doc):
+    # the same span and orthonormal: only the copy's state moves
+    frame = doc["beta_blocks"][0]["enclosures"][1]
+    doc["beta_blocks"][0]["enclosures"][1] = [row[1:] + row[:1] for row in frame]
+
+
+# each case parses without the solve-free verification; the message names
+# the check that refuses it
+TAMPER_CASES = {
+    "empty-alpha-block": (
+        "planted",
+        lambda doc: _add_blocks(
+            doc, "alpha_blocks", {"enclosure": [[]] * doc["dim"], "rho": []}, 1
+        ),
+        "A-block 2 state is not a state",
+    ),
+    "empty-beta-copies": (
+        "planted",
+        lambda doc: _add_blocks(
+            doc,
+            "beta_blocks",
+            {"index": 1, "enclosures": [[[]] * doc["dim"]] * 2, "rho_ref": []},
+            4,
+        ),
+        "B-block 1 state is not a state",
+    ),
+    "shifted-rho-ref": ("walk", _shift_rho_ref, "B-block 0 state is not a state"),
+    "dropped-alpha-block": (
+        "planted", _drop_alpha_block, "block dimensions sum to 23, ambient is 30"
+    ),
+    "mixed-alpha-state": (
+        "planted", _mix_alpha_state, "A-block 0 state is not invariant on copy 0"
+    ),
+    "permuted-copy-frame": (
+        "planted", _permute_copy_frame, "B-block 0 state is not invariant on copy 1"
+    ),
+}
+
+
 class TestReportSchema:
     def _report_file(self):
         ch, _ = planted_channel(RNG, [1], [(1, 2)], 1, n_kraus=2)
@@ -573,7 +653,7 @@ class TestReportSchema:
         with pytest.raises(cs.ParseError, match="out of float range"):
             cs.report_file_from_dict(doc)
 
-    @pytest.mark.parametrize("value", [0.5, 0, float("nan")])
+    @pytest.mark.parametrize("value", [0.5, 0, float("nan"), "1e-9", True, None])
     def test_out_of_range_tolerance_is_parse_error(self, value):
         doc = cs.report_file_to_dict(self._report_file())
         doc["tolerances"]["rank_tol"] = value
@@ -595,6 +675,19 @@ class TestReportSchema:
         doc["alpha_blocks"][0]["enclosure"] = [[[0.0, 0.0]], [[1.0, 0.0]]]
         with pytest.raises(cs.ParseError, match="enclosure"):
             cs.report_file_from_dict(doc)
+
+    def test_tamper_cases_are_untouched_reports_that_parse(self):
+        for case in ("walk", "planted"):
+            cs.report_file_from_dict(json.loads(_bare_report_text(case)))
+
+    @pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+    def test_reload_runs_the_solve_free_verification(self, case):
+        channel, tamper, message = TAMPER_CASES[case]
+        doc = json.loads(_bare_report_text(channel))
+        tamper(doc)
+        cs.report_file_from_dict(doc, re_verify=False)
+        with pytest.raises(cs.ParseError, match=f"verification: {message}"):
+            cs.report_file_from_dict(doc, re_verify=True)
 
 
     def _markov_doc(self):

@@ -888,6 +888,23 @@ INVARIANCE_CASES = {
 }
 
 
+# channel, and its R and D dimensions, A-block count and B-block copy counts
+SWEEP_CASES = {
+    "planted-577": (
+        lambda: planted_channel(np.random.default_rng(577), [2, 1], [(2, 2)], 2)[0],
+        (7, 2, 2, [2]),
+    ),
+    "planted-1": (
+        lambda: planted_channel(np.random.default_rng(1), [5, 7], [(4, 3)], 6)[0],
+        (24, 6, 2, [3]),
+    ),
+    "oqrw-0.1-0.2-13": (
+        lambda: cs.from_oqrw(cs.oqrw_transition_map(0.1, 0.2, 13), 13),
+        (28, 14, 0, [2]),
+    ),
+}
+
+
 class TestReportInvariance:
     # the report's frames and block order may change with the Kraus family
     # or the basis; what it determines (report_invariants) may not
@@ -936,3 +953,18 @@ class TestReportInvariance:
         assert forms[0] != forms[1]
         deviations = invariant_deviations(*invariants)
         assert max(deviations.values()) <= 1e-10, deviations
+
+    @pytest.mark.parametrize("value", [1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("name", ["rank_tol", "eig_cluster_tol", "psd_tol"])
+    def test_block_counts_hold_across_tolerances(self, name, value):
+        # one tolerance at a time over six decades, the other two at default
+        tol = cs.Tolerance(**{name: value})
+        for case, (build, counts) in SWEEP_CASES.items():
+            report = cs.decompose(build(), tol=tol)
+            got = (
+                report.R.dimension,
+                report.D.dimension,
+                len(report.alpha_blocks),
+                sorted(len(blk.enclosures) for blk in report.beta_blocks),
+            )
+            assert got == counts, case
