@@ -2,14 +2,15 @@
 
 Complex numbers serialize as two-element ``[re, im]`` arrays, matrices as
 row-major nested lists of such pairs.  A channel file
-(``chanstruct-channel/2``) stores its Kraus family as one object:
-``shape`` [n, d, d], and ``values``, the ``[re, im]`` pairs of the stored
-entries of the n x d x d stack in row-major order.  An entry is stored when
-either part has a nonzero bit pattern (so -0.0 survives).  When at most half
-of the entries are stored, ``index`` lists their increasing flat positions;
-otherwise ``index`` is omitted and ``values`` holds the whole stack.  The
-older ``chanstruct-channel/1`` layout (``kraus`` a list of matrices) is still
-read; writers emit version 2.
+(``chanstruct-channel/3``) stores its Kraus family as one object: ``shape``
+[n, d, d], and ``values``, the stored entries of the n x d x d stack in
+row-major order, as base64 of their (re, im) parts in little-endian float64
+bytes.  An entry is stored when either part has a nonzero bit pattern (so
+-0.0 survives).  When at most half of the entries are stored, ``index``
+lists their increasing flat positions; otherwise ``index`` is omitted and
+``values`` holds the whole stack.  Writers emit version 3; version 2 (the
+same object with ``values`` a list of ``[re, im]`` pairs) and version 1
+(``kraus`` a list of matrices) are still read.
 
 A report (``chanstruct-report/3``) embeds its channel and keeps block data in
 the coordinates of the enclosures: an A-block's ``rho`` is the n x n state
@@ -29,6 +30,7 @@ Whitespace is not part of the schema: indented files parse to the same
 objects.
 """
 
+import base64
 from dataclasses import dataclass
 from itertools import chain
 import json
@@ -62,11 +64,14 @@ __all__ = [
     "report_file_from_dict",
 ]
 
-CHANNEL_SCHEMA = "chanstruct-channel/2"
+CHANNEL_SCHEMA = "chanstruct-channel/3"
 REPORT_SCHEMA = "chanstruct-report/3"
-# the JSON type of the (embedded) channel's "kraus" in each known version
-_CHANNEL_LAYOUTS = {"chanstruct-channel/1": list, CHANNEL_SCHEMA: dict}
-_REPORT_LAYOUTS = {REPORT_SCHEMA: dict}
+# the layouts (see _layout) of the (embedded) channel's "kraus" in each version
+_CHANNEL_LAYOUTS = {
+    "chanstruct-channel/1": ("matrices",), "chanstruct-channel/2": ("pairs",),
+    CHANNEL_SCHEMA: ("packed",),
+}
+_REPORT_LAYOUTS = {REPORT_SCHEMA: ("pairs", "packed")}
 
 
 def canonical_dumps(obj):
@@ -148,15 +153,23 @@ def _require_list(data, key, where):
     return value
 
 
+def _layout(kraus_data):
+    """A list of matrices, or an object with packed ``values`` (a string) or,
+    given any other ``values``, ``[re, im]`` pairs."""
+    if isinstance(kraus_data, dict):
+        return "packed" if isinstance(kraus_data.get("values"), str) else "pairs"
+    return "matrices" if isinstance(kraus_data, list) else None
+
+
 def _check_schema(data, layouts, kraus_data, where):
     """A ``schema`` entry, when present, must name a known version whose
-    layout matches the type of the document's Kraus data."""
+    layout matches the document's Kraus data."""
     if "schema" not in data:
         return
     schema = data["schema"]
     if not isinstance(schema, str) or schema not in layouts:
         raise ParseError(f"{where}: unknown schema {schema!r}")
-    if not isinstance(kraus_data, layouts[schema]):
+    if _layout(kraus_data) not in layouts[schema]:
         raise ParseError(
             f"{where}: schema {schema!r} does not match the layout of 'kraus'"
         )
@@ -168,28 +181,28 @@ def _entry_pairs(a):
 
 
 def _kraus_to_dict(ch):
-    """The version-2 ``kraus`` object of a channel: the stored entries (a
+    """The version-3 ``kraus`` object of a channel: the stored entries (a
     part with a nonzero bit pattern) of its n x d x d stack, read off the
     held rows and indexed when they are at most half of the stack, else the
-    whole stack."""
+    whole stack, packed into one string."""
     n, d = len(ch), ch.dim
     pairs = _entry_pairs(ch._rows)
     stored = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
     doc = {"shape": [n, d, d]}
     if 2 * stored.size <= n * d * d:
         doc["index"] = (ch._row_ids[stored // d] * d + stored % d).tolist()
-        doc["values"] = pairs[stored].tolist()
-    else:
+        pairs = pairs[stored]
+    elif ch._stack is None:
         # the whole stack, which a sparse family holds only part of
-        if ch._stack is None:
-            pairs = _entry_pairs(_dense_stack(ch))
-        doc["values"] = pairs.tolist()
+        pairs = _entry_pairs(_dense_stack(ch))
+    # (re, im) parts as little-endian float64 bytes
+    doc["values"] = base64.b64encode(pairs.astype("<f8").tobytes()).decode("ascii")
     return doc
 
 
 def _kraus_from_dict(data, dim, where):
-    """The nonzero rows of the stacked operators of a version-2 ``kraus``
-    object and their row ids.  An indexed object allocates the rows holding
+    """The nonzero rows of the stacked operators of a ``kraus`` object (/2
+    or /3) and their row ids.  An indexed object allocates the rows holding
     a stored entry only: memory follows the file, not ``shape``."""
     shape = _require(data, "shape", where)
     if (
@@ -204,17 +217,29 @@ def _kraus_from_dict(data, dim, where):
     if size > np.iinfo(np.int64).max:
         raise ParseError(f"{where}: shape {shape} is too large")
     values = _require(data, "values", where)
-    if not isinstance(values, list):
+    if isinstance(values, str):
+        try:
+            raw = base64.b64decode(values, validate=True)
+        except ValueError as err:
+            raise ParseError(f"{where}: values must be a base64 string") from err
+        if len(raw) % 16:
+            raise ParseError(f"{where}: values hold {len(raw)} bytes, not 16 per entry")
+        # a native-order, writable copy, which the channel can take rows from
+        flat = np.frombuffer(raw, "<f8").astype(float).view(complex)
+        if not np.isfinite(flat).all():
+            raise ParseError(f"{where}.values: non-finite entry")
+    elif isinstance(values, list):
+        flat = _matrix_from_lists([values], 1, len(values), f"{where}.values")[0]
+    else:
         raise ParseError(f"{where}: values must be a list of [re, im] pairs")
-    flat = _matrix_from_lists([values], 1, len(values), f"{where}.values")[0]
     if "index" not in data:
-        if len(values) != size:
+        if flat.size != size:
             raise ParseError(
                 f"{where}: without an index, values must hold all {size} entries"
             )
         return flat.reshape(-1, dim), np.arange(shape[0] * dim)
     index = data["index"]
-    if not isinstance(index, list) or len(index) != len(values):
+    if not isinstance(index, list) or len(index) != flat.size:
         raise ParseError(f"{where}: index and values must have equal lengths")
     if not {int}.issuperset(map(type, index)):
         raise ParseError(f"{where}: index entries must be integers")
@@ -241,7 +266,7 @@ def channel_to_dict(ch, metadata=None):
 
 
 def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
-    """Parse a channel document of either schema version (the layout of
+    """Parse a channel document of any schema version (the layout of
     ``kraus`` tells them apart).  Schema faults raise ParseError; with
     ``unchecked`` false the channel must also pass trace-preservation
     validation."""

@@ -1,5 +1,6 @@
 """JSON schemas and the command-line interface."""
 
+import base64
 import dataclasses
 import functools
 import json
@@ -217,17 +218,52 @@ def _cycle_with_negative_zeros():
     return stack
 
 
-def _sparse_doc():
+def v2_doc(ch, metadata=None):
+    """The ``chanstruct-channel/2`` document of ``ch``: the stored entries
+    (a part with a nonzero bit pattern) of its n x d x d stack as a list of
+    ``[re, im]`` pairs, indexed when they are at most half of the stack."""
+    stack = np.stack(ch.kraus)
+    pairs = np.stack((stack.real, stack.imag), axis=-1).reshape(-1, 2)
+    stored = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    kraus = {"shape": [len(ch), ch.dim, ch.dim]}
+    if 2 * stored.size <= len(pairs):
+        kraus["index"] = stored.tolist()
+        pairs = pairs[stored]
+    kraus["values"] = pairs.tolist()
+    doc = {"schema": "chanstruct-channel/2", "dim": ch.dim, "kraus": kraus}
+    if metadata:
+        doc["metadata"] = dict(metadata)
+    return doc
+
+
+def _pack(pairs):
+    """Base64 of (re, im) parts as little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(pairs, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text):
+    """The (re, im) parts a packed ``values`` string holds, (count, 2)."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 2)
+
+
+def _sparse_doc(version):
     # amplitude damping: entries 1, 4 and 7 of the 2 x 2 x 2 stack
-    doc = cs.channel_to_dict(amplitude_damping_channel(0.3))
+    ch = amplitude_damping_channel(0.3)
+    doc = v2_doc(ch) if version == 2 else cs.channel_to_dict(ch)
     assert doc["kraus"]["index"] == [1, 4, 7]
     return doc
 
 
-class TestChannelSchemaV2:
-    def _same_bits(self, a, b):
-        return a.shape == b.shape and a.tobytes() == b.tobytes()
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
+
+def _has_negative_zero(pairs):
+    pairs = np.asarray(pairs, dtype=float)
+    return bool(((pairs == 0.0) & np.signbit(pairs)).any())
+
+
+class TestChannelSchemaV3:
     @pytest.mark.parametrize("family", ["sparse", "dense"])
     def test_round_trip_bytes_with_negative_zeros(self, family):
         if family == "sparse":
@@ -236,19 +272,32 @@ class TestChannelSchemaV2:
         else:
             ch = _dense_with_zeros()
         doc = cs.channel_to_dict(ch, {"name": family})
-        assert doc["schema"] == "chanstruct-channel/2"
+        assert doc["schema"] == "chanstruct-channel/3"
         assert doc["kraus"]["shape"] == [len(ch), ch.dim, ch.dim]
         assert ("index" in doc["kraus"]) == (family == "sparse")
+        # the packed values are the /2 pairs, bit for bit, -0.0 included
+        pairs = v2_doc(ch)["kraus"]["values"]
+        assert _has_negative_zero(pairs)
+        assert _same_bits(_unpack(doc["kraus"]["values"]), np.array(pairs))
         text = cs.canonical_dumps(doc)
-        assert "-0.0," in text and ",-0.0]" in text
         ch2 = cs.channel_from_dict(json.loads(text))
-        assert self._same_bits(np.stack(ch2.kraus), np.stack(ch.kraus))
+        assert _same_bits(np.stack(ch2.kraus), np.stack(ch.kraus))
         assert cs.canonical_dumps(cs.channel_to_dict(ch2, {"name": family})) == text
+
+    def test_packed_values_are_little_endian_float64(self):
+        # 3 of 4 entries stored: the whole stack, each entry's re and im as
+        # 8 little-endian bytes (1.0 ends in f0 3f, -0.0 is 00 .. 00 80)
+        ch = cs.KrausChannel([np.array([[1.0, complex(0.0, -0.0)], [0.0, 1.0]])])
+        one, zero, minus_zero = bytes(6) + b"\xf0\x3f", bytes(8), bytes(7) + b"\x80"
+        raw = one + zero + zero + minus_zero + zero + zero + one + zero
+        assert cs.channel_to_dict(ch)["kraus"] == {
+            "shape": [1, 2, 2], "values": base64.b64encode(raw).decode("ascii")
+        }
 
     @pytest.mark.parametrize("family", ["dense-by-rule", "negative-zeros", "sparse"])
     def test_negative_zeros_survive_every_route(self, family, tmp_path):
         # every route into and out of a channel keeps each entry's bits: the
-        # list and array constructors, the /1 and /2 files, and the dense
+        # list and array constructors, the /1, /2 and /3 files, and the dense
         # stack a sparse family builds on demand
         if family == "sparse":
             source = _cycle_with_negative_zeros()
@@ -264,16 +313,19 @@ class TestChannelSchemaV2:
         assert all(ch._sparse is (family == "sparse") for ch in built)
         text = cs.canonical_dumps(cs.channel_to_dict(built[0]))
         assert "index" in json.loads(text)["kraus"]
-        if family != "dense-by-rule":
-            assert "-0.0," in text and ",-0.0]" in text
-        v1 = tmp_path / "v1.json"
-        v1.write_text(cs.canonical_dumps(v1_doc(built[0])))
-        v2 = tmp_path / "v2.json"
-        v2.write_text(text)
-        loaded = [cs.load_channel(str(v1)), cs.load_channel(str(v2))]
+        packed = _unpack(json.loads(text)["kraus"]["values"])
+        assert _has_negative_zero(packed) == (family != "dense-by-rule")
+        files = {
+            "v1.json": cs.canonical_dumps(v1_doc(built[0])),
+            "v2.json": cs.canonical_dumps(v2_doc(built[0])),
+            "v3.json": text,
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_text(content)
+        loaded = [cs.load_channel(str(tmp_path / name)) for name in files]
         for ch in built + loaded:
             assert len(ch) == len(stack)
-            assert self._same_bits(np.stack(ch.kraus), stack)
+            assert _same_bits(np.stack(ch.kraus), stack)
             assert cs.canonical_dumps(cs.channel_to_dict(ch)) == text
 
     def test_index_is_written_at_most_half_dense(self):
@@ -283,27 +335,17 @@ class TestChannelSchemaV2:
         )
         doc = cs.channel_to_dict(half)
         assert doc["kraus"]["index"] == [0, 3, 5, 6]
-        assert len(doc["kraus"]["values"]) == 4
+        assert len(_unpack(doc["kraus"]["values"])) == 4
         more = _with_negative_zeros(half, [(0, 0, 1)])
         doc = cs.channel_to_dict(more)
-        assert "index" not in doc["kraus"] and len(doc["kraus"]["values"]) == 8
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: amplitude_damping_channel(0.3), _markov_chain, _dense_with_zeros],
-        ids=["amplitude-damping", "markov", "dense"],
-    )
-    def test_v1_document_loads_bit_identical(self, make):
-        ch = make()
-        for doc in (v1_doc(ch), {k: v for k, v in v1_doc(ch).items() if k != "schema"}):
-            ch1 = cs.channel_from_dict(json.loads(cs.canonical_dumps(doc)))
-            assert self._same_bits(np.stack(ch1.kraus), np.stack(ch.kraus))
+        assert "index" not in doc["kraus"]
+        assert len(_unpack(doc["kraus"]["values"])) == 8
 
     def test_operators_without_entries_are_not_allocated(self):
         # the second operator of amplitude damping moved to the last of 10^6
         # slots: the 10^6 - 2 operators between are zero, and a full stack
         # would take 64 MB
-        doc = _sparse_doc()
+        doc = _sparse_doc(3)
         last = 4 * (10**6 - 1)
         doc["kraus"].update(shape=[10**6, 2, 2], index=[1, last, last + 3])
         tracemalloc.start()
@@ -313,7 +355,7 @@ class TestChannelSchemaV2:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert self._same_bits(
+        assert _same_bits(
             np.stack(ch.kraus), np.stack(amplitude_damping_channel(0.3).kraus)
         )
 
@@ -359,19 +401,89 @@ class TestChannelSchemaV2:
         kraus = [json.loads(Path(f).read_text())["kraus"] for f in (built, path)]
         assert kraus[0] == kraus[1]
 
-    def test_decompose_v1_and_v2_files_write_identical_reports(self, tmp_path, capsys):
-        ch = _markov_chain()
-        v1 = tmp_path / "v1.json"
-        v1.write_text(cs.canonical_dumps(v1_doc(ch)))
-        v2 = write_channel(tmp_path / "v2.json", ch)
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["decompose", str(v1), "--out", str(out1)]) == 0
-        assert main(["decompose", v2, "--out", str(out2)]) == 0
+    @pytest.mark.parametrize("family", ["markov", "dense"])
+    def test_decompose_v1_v2_and_v3_files_write_identical_reports(
+        self, family, tmp_path, capsys
+    ):
+        ch = _markov_chain() if family == "markov" else _dense_with_zeros()
+        paths = [tmp_path / f"v{k}.json" for k in (1, 2, 3)]
+        for path, doc in zip(paths, (v1_doc(ch), v2_doc(ch), cs.channel_to_dict(ch))):
+            path.write_text(cs.canonical_dumps(doc))
+        reports = []
+        for path in paths:
+            out = path.with_suffix(".report.json")
+            assert main(["decompose", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
         capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-        doc = json.loads(out1.read_text())
+        assert reports[0] == reports[1] == reports[2]
+        doc = json.loads(reports[0])
         assert doc["schema"] == "chanstruct-report/3"
-        assert doc["channel"]["schema"] == "chanstruct-channel/2"
+        assert doc["channel"]["schema"] == "chanstruct-channel/3"
+
+    def test_report_with_v2_channel_parses_to_current_bytes(self, tmp_path, capsys):
+        # a report written before /3 embeds its channel as /2; it re-verifies
+        # and re-serializes to the bytes `decompose` writes now
+        ch = _dense_with_zeros()
+        path = write_channel(tmp_path / "ch.json", ch)
+        out = tmp_path / "r.json"
+        assert main(["decompose", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        doc["channel"] = v2_doc(ch)
+        rf = cs.report_file_from_dict(json.loads(json.dumps(doc)), re_verify=True)
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == out.read_text()
+
+    ZEROS = _pack(np.zeros((3, 2)))
+    NOT_BASE64 = "kraus: values must be a base64 string"
+    UNEQUAL = "kraus: index and values must have equal lengths"
+    NON_FINITE = "kraus.values: non-finite entry"
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("!" + ZEROS[1:], NOT_BASE64),
+            (ZEROS + "\n", NOT_BASE64),
+            ("é" + ZEROS[1:], NOT_BASE64),
+            (ZEROS[:-1], NOT_BASE64),
+            (_pack(np.zeros(5)), "kraus: values hold 40 bytes, not 16 per entry"),
+            (_pack(np.zeros((2, 2))), UNEQUAL),
+            (_pack(np.zeros((4, 2))), UNEQUAL),
+            (_pack([[0.5, 0.0], [np.nan, 0.0], [0.5, 0.0]]), NON_FINITE),
+            (_pack([[0.5, 0.0], [0.5, -np.inf], [0.5, 0.0]]), NON_FINITE),
+        ],
+        ids=[
+            "bad-character", "newline", "non-ascii", "bad-padding", "partial-entry",
+            "short-values", "long-values", "nan", "inf",
+        ],
+    )
+    def test_malformed_v3_raises_parse_error(self, values, message):
+        doc = _sparse_doc(3)
+        doc["kraus"]["values"] = values
+        with pytest.raises(cs.ParseError) as err:
+            cs.channel_from_dict(doc)
+        assert str(err.value) == f"channel.{message}"
+
+    def test_unindexed_v3_must_hold_the_whole_stack(self):
+        doc = _sparse_doc(3)
+        del doc["kraus"]["index"]
+        with pytest.raises(cs.ParseError) as err:
+            cs.channel_from_dict(doc)
+        assert str(err.value) == (
+            "channel.kraus: without an index, values must hold all 8 entries"
+        )
+
+
+class TestChannelSchemaV2:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: amplitude_damping_channel(0.3), _markov_chain, _dense_with_zeros],
+        ids=["amplitude-damping", "markov", "dense"],
+    )
+    def test_v1_document_loads_bit_identical(self, make):
+        ch = make()
+        for doc in (v1_doc(ch), {k: v for k, v in v1_doc(ch).items() if k != "schema"}):
+            ch1 = cs.channel_from_dict(json.loads(cs.canonical_dumps(doc)))
+            assert _same_bits(np.stack(ch1.kraus), np.stack(ch.kraus))
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -410,13 +522,13 @@ class TestChannelSchemaV2:
         ],
     )
     def test_malformed_v2_raises_parse_error(self, mutate, message):
-        doc = _sparse_doc()
+        doc = _sparse_doc(2)
         mutate(doc["kraus"])
         with pytest.raises(cs.ParseError, match=message):
             cs.channel_from_dict(doc)
 
     def test_malformed_v2_exits_2(self, tmp_path, capsys):
-        doc = _sparse_doc()
+        doc = _sparse_doc(2)
         doc["kraus"]["index"] = [1, 7, 4]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -432,24 +544,34 @@ class TestSchemaString:
     @pytest.mark.parametrize(
         "schema, layout, message",
         [
-            ("chanstruct-channel/3", "v2", "unknown schema 'chanstruct-channel/3'"),
-            ("chanstruct-report/2", "v2", "unknown schema 'chanstruct-report/2'"),
-            (7, "v2", "unknown schema 7"),
+            ("chanstruct-channel/4", "v3", "unknown schema 'chanstruct-channel/4'"),
+            ("chanstruct-report/2", "v3", "unknown schema 'chanstruct-report/2'"),
+            (7, "v3", "unknown schema 7"),
             (None, "v1", "unknown schema None"),
             ("chanstruct-channel/1", "v2", "'chanstruct-channel/1' does not match"),
+            ("chanstruct-channel/1", "v3", "'chanstruct-channel/1' does not match"),
             ("chanstruct-channel/2", "v1", "'chanstruct-channel/2' does not match"),
+            # the /2 object with its values packed, and the /3 object with
+            # a list of pairs
+            ("chanstruct-channel/2", "v3", "'chanstruct-channel/2' does not match"),
+            ("chanstruct-channel/3", "v1", "'chanstruct-channel/3' does not match"),
+            ("chanstruct-channel/3", "v2", "'chanstruct-channel/3' does not match"),
         ],
     )
     def test_channel_schema_must_match_layout(self, schema, layout, message):
         ch = amplitude_damping_channel(0.3)
-        doc = cs.channel_to_dict(ch) if layout == "v2" else v1_doc(ch)
+        doc = {"v1": v1_doc, "v2": v2_doc, "v3": cs.channel_to_dict}[layout](ch)
         doc["schema"] = schema
-        with pytest.raises(cs.ParseError, match=message):
+        with pytest.raises(cs.ParseError) as err:
             cs.channel_from_dict(doc)
+        assert str(err.value) in (
+            f"channel: {message}",
+            f"channel: schema {message} the layout of 'kraus'",
+        )
 
-    def test_both_channel_versions_load_without_schema(self):
+    def test_every_channel_version_loads_without_schema(self):
         ch = amplitude_damping_channel(0.3)
-        for doc in (cs.channel_to_dict(ch), v1_doc(ch)):
+        for doc in (cs.channel_to_dict(ch), v2_doc(ch), v1_doc(ch)):
             del doc["schema"]
             assert cs.channel_from_dict(doc).kraus[0].tobytes() == ch.kraus[0].tobytes()
 
@@ -625,15 +747,20 @@ class TestReportSchema:
 
     def test_negative_zero_round_trip_bytes(self):
         # a random unitary mixed with diag(1, i): 6 of the 8 Kraus entries
-        # are stored, so the embedded family is written whole, zeros included
+        # are stored, so the embedded family is written whole, zeros included;
+        # the two zeros are written as -0.0 in both parts
         rng = np.random.default_rng(7)
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(z)
-        ch = cs.KrausChannel([np.sqrt(0.6) * u, np.sqrt(0.4) * np.diag([1.0, 1j])])
+        v = np.sqrt(0.4) * np.diag([1.0, 1j])
+        v[0, 1] = v[1, 0] = complex(-0.0, -0.0)
+        ch = cs.KrausChannel([np.sqrt(0.6) * u, v])
         doc = cs.report_file_to_dict(cs.report_file_from_report(cs.decompose(ch)))
-        assert "index" not in doc["channel"]["kraus"]
+        kraus = doc["channel"]["kraus"]
+        assert "index" not in kraus
+        assert np.signbit(_unpack(kraus["values"])[[5, 6]]).all()
         text = cs.canonical_dumps(_negate_zeros(doc))
-        assert "[-0.0,-0.0]" in text
+        assert "-0.0" in text
         rf = cs.report_file_from_dict(json.loads(text))
         assert cs.canonical_dumps(cs.report_file_to_dict(rf)) == text
 
