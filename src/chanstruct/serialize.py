@@ -400,8 +400,9 @@ def _subspace_from_lists(data, dim, where):
 def report_file_from_dict(data, re_verify=True):
     """Parse a ``chanstruct-report/3`` document, checking frames and derived
     fields (B-block ``index`` = position, ``fixed_space_dimension`` = n_alpha
-    + sum_b n_b^2 = the count of spectrum values at 1, all on |z| = 1) and,
-    with ``re_verify``, the enclosure predicate and :func:`_verify_blocks`."""
+    + sum_b n_b^2 = the count of spectrum values at 1, all on |z| = 1,
+    ``recurrent_basis`` the orthocomplement of ``transient_basis``) and, with
+    ``re_verify``, the enclosure predicate and :func:`_verify_blocks`."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -489,6 +490,10 @@ def report_file_from_dict(data, re_verify=True):
             f"{where}: fixed_space_dimension {fixed_dim} disagrees with the "
             f"{_fixed_dimension(report)} its blocks imply"
         )
+    # R = D^⊥, the span of the blocks when they and D fill C^d (_verify_blocks)
+    overlap = np.abs(r_space.frame.conj().T @ d_space.frame).max(initial=0.0)
+    if r_space.dimension + d_space.dimension != dim or overlap > tol.eig_cluster_tol:
+        raise ParseError(f"{where}: recurrent_basis must complement transient_basis")
     if any(abs(abs(z) - 1.0) > tol.eig_cluster_tol for z in spectrum):
         raise ParseError(f"{where}: peripheral_spectrum has a value off |z| = 1")
     if sum(abs(z - 1.0) <= tol.eig_cluster_tol for z in spectrum) != fixed_dim:

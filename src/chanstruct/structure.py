@@ -319,10 +319,10 @@ def _is_minimal(fixed, frame, tol):
 
 
 def _try_eigensplit(ch, split, x, tol):
-    """Attempt to split R into minimal enclosures via the eigenspaces of a
-    Hermitian algebra element x (coordinates of R).  Returns a list of
-    ambient subspaces, or None when some eigenspace fails fixedness,
-    minimality, or the enclosure property (a degenerate sample)."""
+    """Split R into minimal enclosures, the eigenspaces of a Hermitian algebra
+    element x (coordinates of R), or None when one fails minimality or the
+    enclosure predicate (a degenerate sample).  They fill R, so each one's
+    complement in R is an enclosure too, and its projector an adjoint fixed point."""
     frame = split.R.frame
     probes = _spectral_core(ch, tol).probes
     x = (x + x.conj().T) / 2.0
@@ -331,14 +331,7 @@ def _try_eigensplit(ch, split, x, tol):
     bounds = [0, *(np.flatnonzero(np.diff(w) > tol.eig_cluster_tol) + 1), len(w)]
     result = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        cols = vecs[:, lo:hi]
-        g = frame @ cols
-        # fixedness: pi = cols cols^H is fixed by the adjoint of the channel
-        # restricted to R, sum_a C_a^H pi C_a with C_a = F^H V_a F, which is
-        # F^H Phi^*(G G^H) F
-        fixed = frame.conj().T @ apply_adjoint(ch, g @ g.conj().T) @ frame
-        if np.abs(fixed - cols @ cols.conj().T).max() > tol.subspace_tol:
-            return None
+        g = frame @ vecs[:, lo:hi]
         if not _is_minimal(probes, g, tol):
             return None
         ambient = Subspace(ch.dim, g)
@@ -592,7 +585,7 @@ def _verify_report(ch, report, tol):
     _verify_blocks(ch, report, tol)
     x = _spectral_core(ch, tol).witness
     deviation = float(
-        np.linalg.norm(x - _assemble(report, *_parameters(report, x)))
+        np.linalg.norm(x - _assemble(report, _parameters(report, x)))
         / np.linalg.norm(x)
     )
     if deviation > tol.subspace_tol:
@@ -674,15 +667,13 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     return report
 
 
-def _assemble(report, t, m_list):
-    d = report.dim
-    rho = np.zeros((d, d), dtype=complex)
-    for weight, blk in zip(t, report.alpha_blocks):
-        rho += weight * blk.rho
-    for m, blk in zip(m_list, report.beta_blocks):
-        # sum_{g,h} m[g, h] Q_g rho_ref Q_h^H = G (m ⊗ sigma_ref) G^H
-        stack = np.hstack([v.frame for v in blk.enclosures])
-        rho += stack @ np.kron(m, blk.sigma_ref) @ stack.conj().T
+def _assemble(report, mats):
+    """sum over the blocks of G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}] the
+    block's frames and M its n x n parameters (an A-block's 1 x 1 weight)."""
+    rho = np.zeros((report.dim, report.dim), dtype=complex)
+    for m, (enclosures, sigma) in zip(mats, _blocks(report)):
+        stack = np.hstack([v.frame for v in enclosures])
+        rho += stack @ np.kron(m, sigma) @ stack.conj().T
     return rho
 
 
@@ -734,7 +725,7 @@ def build_invariant_state(report, params, tol=None):
     """
     tol = tol if tol is not None else report.tolerance
     t, m_list = _check_parameters(report, params, tol)
-    rho = _assemble(report, t, m_list)
+    rho = _assemble(report, [[[weight]] for weight in t] + m_list)
     rho = (rho + rho.conj().T) / 2.0
     if not is_state(rho, tol):
         raise DecompositionError(
@@ -750,36 +741,26 @@ def build_invariant_state(report, params, tol=None):
 
 
 def _parameters(report, x):
-    """Block parameters (t, [M^b]) of a Hermitian d x d matrix x: A-block
-    weights from traces against the block projectors, B-block matrices from
-    Hilbert-Schmidt inner products with the transported reference states."""
-    # Tr(P x) = Tr(F^H x F)
-    t = np.array(
-        [
-            np.vdot(blk.enclosure.frame, x @ blk.enclosure.frame).real
-            for blk in report.alpha_blocks
-        ]
-    )
-    m_list = []
-    for blk in report.beta_blocks:
-        # m[g, h] = Tr(sigma_ref F_g^H x F_h) / Tr(sigma_ref^2), read off the
-        # (n m, n m) compression G^H x G
-        n, k = len(blk.enclosures), blk.sigma_ref.shape[0]
-        stack = np.hstack([v.frame for v in blk.enclosures])
-        blocks = (stack.conj().T @ x @ stack).reshape(n, k, n, k)
-        norm = float(np.trace(blk.sigma_ref @ blk.sigma_ref).real)
-        m = np.einsum("ji,gihj->gh", blk.sigma_ref, blocks) / norm
-        m_list.append((m + m.conj().T) / 2.0)
-    return t, m_list
+    """Each block's n x n parameters for a Hermitian d x d matrix x: M[g, h] =
+    tr(F_g^H x F_h), the partial trace of G^H x G over the block's own factor
+    (an A-block's 1 x 1 M is its weight).  For x PSD each M is PSD and the
+    traces sum to tr(P_R x); for x invariant F_g^H x F_h = M[g, h] sigma."""
+    mats = []
+    for enclosures, sigma in _blocks(report):
+        n, k = len(enclosures), len(sigma)
+        stack = np.hstack([v.frame for v in enclosures])
+        m = np.trace((stack.conj().T @ x @ stack).reshape(n, k, n, k), axis1=1, axis2=3)
+        mats.append((m + m.conj().T) / 2.0)
+    return mats
 
 
 def extract_parameters(report, rho, tol=None):
-    """Recover block parameters from an invariant state.
-
-    A-block weights come from traces against the block projectors; B-block
-    matrices from Hilbert-Schmidt inner products with the transported reference
-    states.  Returns the parameters together with the max-abs residual of
-    the re-assembled state; the residual is reported, and a warning is
+    """Recover block parameters from a state: the weight of an A-block is
+    tr(F^H rho F), and a B-block's matrix is M[g, h] = tr(F_g^H rho F_h) over
+    its copies (:func:`_parameters`).  For any state the M are PSD and the
+    weights sum to tr(P_R rho); for an invariant state they are its
+    coordinates.  Returns the parameters together with the max-abs residual
+    of the re-assembled state; the residual is reported, and a warning is
     emitted when an invariant input fails to round-trip.
     """
     tol = tol if tol is not None else report.tolerance
@@ -788,9 +769,10 @@ def extract_parameters(report, rho, tol=None):
         raise ArgumentError("rho has wrong shape for this report")
     if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
-    t, m_list = _parameters(report, rho)
-    params = InvariantStateParameters(t=t, M=tuple(m_list))
-    residual = float(np.abs(rho - _assemble(report, t, m_list)).max())
+    mats, n_alpha = _parameters(report, rho), len(report.alpha_blocks)
+    t = np.array([m[0, 0].real for m in mats[:n_alpha]])
+    params = InvariantStateParameters(t=t, M=tuple(mats[n_alpha:]))
+    residual = float(np.abs(rho - _assemble(report, mats)).max())
     deviation = np.abs(apply(report.channel, rho) - rho).max()
     if deviation <= tol.eig_cluster_tol and residual > tol.subspace_tol:
         _warnings.warn(

@@ -850,6 +850,26 @@ class TestReportSchema:
             with pytest.raises(cs.ParseError, match=message):
                 cs.report_file_from_dict(doc, re_verify=re_verify)
 
+    @pytest.mark.parametrize("case", ["rotated", "one-column"])
+    def test_recurrent_basis_must_complement_transient_basis(self, case):
+        # R = span{e1, e2, e3} holds two closed classes, D = span{e4}; a
+        # rotated 3-column frame overlaps D, a 1-column one misses a class
+        p = np.array(
+            [[0.5, 0.5, 0, 0.2], [0.5, 0.5, 0, 0.2], [0, 0, 1, 0.3], [0, 0, 0, 0.3]]
+        )
+        rf = cs.report_file_from_report(cs.decompose(cs.from_markov_chain(p)))
+        doc = cs.report_file_to_dict(rf)
+        assert (rf.report.R.dimension, rf.report.D.dimension) == (3, 1)
+        if case == "rotated":
+            frame, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))
+            assert np.abs(frame.T @ rf.report.D.frame).max() > 0.5
+        else:
+            frame = np.eye(4)[:, :1]
+        doc["recurrent_basis"] = _matrix_to_lists(frame)
+        for re_verify in (True, False):
+            with pytest.raises(cs.ParseError, match="recurrent_basis must complement"):
+                cs.report_file_from_dict(doc, re_verify=re_verify)
+
     def test_beta_block_index_must_be_its_position(self):
         ch, _ = planted_channel(
             np.random.default_rng(11), [1], [(1, 2), (2, 2)], 1, n_kraus=2

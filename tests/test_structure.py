@@ -582,6 +582,25 @@ class TestDecompose:
         assert len(handed) == 10
         assert all(h is handed[0] for h in handed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verification_decides_copy_alignment(self, seed, monkeypatch):
+        # a polar factor twisted by diag(e^{ik}) on its source still maps
+        # the base enclosure onto the copy, but no longer intertwines: the
+        # reference state in the twisted copy's frame is not invariant
+        polar = cs.partial_isometry
+
+        def twisting(ch, algebra, vi, vj, tol=cs.DEFAULT_TOL):
+            phases = np.exp(1j * np.arange(vi.dimension))
+            f = vi.frame
+            return polar(ch, algebra, vi, vj, tol) @ f @ np.diag(phases) @ f.conj().T
+
+        monkeypatch.setattr(chanstruct.structure, "partial_isometry", twisting)
+        ch, _ = planted_channel(np.random.default_rng(seed), [1], [(2, 2)], 1)
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.decompose(ch)
+        assert err.value.stage == "verification"
+        assert "B-block 0 state is not invariant on copy 1" in str(err.value)
+
     def test_stage_tagging(self):
         ch = cs.KrausChannel([np.eye(2), np.eye(2)], unchecked=True)
         with pytest.raises(cs.DecompositionError) as err:
@@ -661,6 +680,19 @@ class TestParametrization:
         # generic states are far from the invariant manifold
         assert res.residual > 1e-3
 
+    def test_extract_of_any_state_is_psd_with_the_mass_on_R(self):
+        # M[g, h] = tr(F_g^H rho F_h) is a Gram matrix, and the blocks fill R
+        rng = np.random.default_rng(5)
+        ch, _ = planted_channel(rng, [3], [(3, 2), (2, 3)], 4)
+        rep = cs.decompose(ch)
+        rho = random_state(rep.dim, rng)
+        assert np.abs(cs.apply(ch, rho) - rho).max() > 1e-3
+        params = cs.extract_parameters(rep, rho).params
+        assert (params.t >= 0).all()
+        assert all(np.linalg.eigvalsh(m)[0] >= -1e-12 for m in params.M)
+        total = params.t.sum() + sum(np.trace(m).real for m in params.M)
+        assert abs(total - np.trace(rep.R.projector() @ rho).real) <= 1e-12
+
     def test_assembly_matches_explicit_block_sum(self):
         # reference loops for the contractions in _assemble / extract
         rng = np.random.default_rng(417)
@@ -678,21 +710,17 @@ class TestParametrization:
                 )
         params = cs.InvariantStateParameters(t=np.array([0.4]), M=(m,))
         assert np.abs(cs.build_invariant_state(rep, params) - rho).max() < 1e-12
-        norm = np.trace(blk.rho_ref @ blk.rho_ref).real
         m_ref = np.array(
             [
                 [
-                    np.trace(
-                        blk.rho_ref @ blk.isometries[a].conj().T @ rho
-                        @ blk.isometries[b]
-                    ) / norm
+                    np.trace(blk.isometries[a].conj().T @ rho @ blk.isometries[b])
                     for b in range(3)
                 ]
                 for a in range(3)
             ]
         )
         res = cs.extract_parameters(rep, rho)
-        assert np.abs(res.params.M[0] - (m_ref + m_ref.conj().T) / 2.0).max() < 1e-12
+        assert np.abs(res.params.M[0] - m_ref).max() < 1e-12
 
 
 # planted layouts with B-blocks of 2 and of 3 copies
@@ -743,7 +771,7 @@ class TestLocalBlockData:
             mats.append(w * (z @ z.conj().T) / np.trace(z @ z.conj().T).real)
         params = cs.InvariantStateParameters(t=weights[:n_a], M=tuple(mats))
         # the d x d contractions over stacked isometries that the block-local
-        # forms G (M ⊗ sigma_ref) G^H and Tr(sigma_ref F_g^H rho F_h) replace
+        # forms G (M ⊗ sigma_ref) G^H and Tr(F_g^H rho F_h) replace
         ref = sum(t * blk.rho for t, blk in zip(weights[:n_a], rep.alpha_blocks))
         for m, blk in zip(mats, rep.beta_blocks):
             q = np.stack(blk.isometries)
@@ -757,11 +785,8 @@ class TestLocalBlockData:
         assert np.abs(res.params.t - t_ref).max(initial=0.0) <= 1e-12
         for m, blk in zip(res.params.M, rep.beta_blocks):
             q = np.stack(blk.isometries)
-            norm = np.trace(blk.rho_ref @ blk.rho_ref).real
-            m_ref = np.einsum(
-                "ab,gcb,ce,hea->gh", blk.rho_ref, q.conj(), rho, q, optimize=True
-            ) / norm
-            assert np.abs(m - (m_ref + m_ref.conj().T) / 2.0).max() <= 1e-12
+            m_ref = np.einsum("gca,ce,hea->gh", q.conj(), rho, q, optimize=True)
+            assert np.abs(m - m_ref).max() <= 1e-12
         assert res.residual <= 1e-12
 
 
