@@ -192,10 +192,12 @@ class ValidationReport:
 
 
 def is_state(rho, tol=DEFAULT_TOL):
-    """Density-matrix predicate: Hermitian, PSD within psd_tol, trace 1
-    within eig_cluster_tol."""
+    """Density-matrix predicate: finite, Hermitian, PSD within psd_tol,
+    trace 1 within eig_cluster_tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        return False
+    if not np.isfinite(rho).all():
         return False
     if np.abs(rho - rho.conj().T).max() > 100.0 * tol.psd_tol * max(
         1.0, np.abs(rho).max()

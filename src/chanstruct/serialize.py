@@ -12,15 +12,17 @@ lists their increasing flat positions; otherwise ``index`` is omitted and
 same object with ``values`` a list of ``[re, im]`` pairs) and version 1
 (``kraus`` a list of matrices) are still read.
 
-A report (``chanstruct-report/3``) embeds its channel and keeps block data in
-the coordinates of the enclosures: an A-block's ``rho`` is the n x n state
-F^H rho F on its frame F, and a B-block stores the frames F_g = Q_g F_0 of
-its copies, aligned by the intertwiners Q_g, and the m x m ``rho_ref`` on
-F_0.  A report without a ``schema`` entry is read in this layout; a report
-of any other version is not read (re-run ``chanstruct decompose`` on its
-channel).  A real or imaginary part of a frame below eps times the frame's
-largest part is rounding residue: it is written as a zero of its sign, so
-the rule is idempotent.  States and the spectrum are written as computed.
+A report (``chanstruct-report/3``, unchanged by the one block type of
+``structure.Block``) embeds its channel and keeps block data in the
+coordinates of the enclosures: a one-copy block is an ``alpha_blocks`` entry,
+its frame F and the n x n state F^H rho F as ``rho``; a block of two or more
+copies is a ``beta_blocks`` entry, the frames F_g = Q_g F_0 aligned by the
+intertwiners Q_g and the m x m state on F_0 as ``rho_ref``.  A report without
+a ``schema`` entry is read in this layout; a report of any other version is
+not read (re-run ``chanstruct decompose`` on its channel).  A real or
+imaginary part of a frame below eps times the frame's largest part is
+rounding residue: it is written as a zero of its sign, so the rule is
+idempotent.  States and the spectrum are written as computed.
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -43,11 +45,8 @@ from .errors import ArgumentError, DecompositionError, ParseError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
-    AlphaBlock,
-    BetaBlock,
+    Block,
     DecompositionReport,
-    _blocks,
-    _enclosures,
     _fixed_dimension,
     _verify_blocks,
     is_enclosure,
@@ -334,7 +333,10 @@ def report_file_from_report(report):
     ch = report.channel
     tol = report.tolerance
     # F^H V_a F for the first enclosure F of every block, and its copy count
-    parts = [(_compressions(ch, e[0].frame), len(e)) for e, _ in _blocks(report)]
+    parts = [
+        (_compressions(ch, b.enclosures[0].frame), len(b.enclosures))
+        for b in report.blocks
+    ]
     eigenvalues = []
     for i, (a, n_i) in enumerate(parts):
         eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
@@ -348,6 +350,15 @@ def report_file_from_report(report):
         fixed_space_dimension=_fixed_dimension(report),
         peripheral_spectrum=tuple(_peripheral(np.concatenate(eigenvalues), tol)),
     )
+
+
+def _block_entry(blk, i):
+    """The entry of a block, ``i``-th of its kind, in ``alpha_blocks`` (one
+    copy) or ``beta_blocks`` (two or more)."""
+    frames = [_frame_to_lists(v.frame) for v in blk.enclosures]
+    if len(frames) == 1:
+        return {"enclosure": frames[0], "rho": _matrix_to_lists(blk.sigma)}
+    return {"index": i, "enclosures": frames, "rho_ref": _matrix_to_lists(blk.sigma)}
 
 
 def report_file_to_dict(rf):
@@ -365,21 +376,8 @@ def report_file_to_dict(rf):
         "rng_seed": report.rng_seed,
         "recurrent_basis": _frame_to_lists(report.R.frame),
         "transient_basis": _frame_to_lists(report.D.frame),
-        "alpha_blocks": [
-            {
-                "enclosure": _frame_to_lists(blk.enclosure.frame),
-                "rho": _matrix_to_lists(blk.sigma),
-            }
-            for blk in report.alpha_blocks
-        ],
-        "beta_blocks": [
-            {
-                "index": blk.index,
-                "enclosures": [_frame_to_lists(e.frame) for e in blk.enclosures],
-                "rho_ref": _matrix_to_lists(blk.sigma_ref),
-            }
-            for blk in report.beta_blocks
-        ],
+        "alpha_blocks": [_block_entry(b, i) for i, b in enumerate(report.alpha_blocks)],
+        "beta_blocks": [_block_entry(b, i) for i, b in enumerate(report.beta_blocks)],
         "fixed_space_dimension": rf.fixed_space_dimension,
         "peripheral_spectrum": _matrix_to_lists(rf.peripheral_spectrum),
         "warnings": list(report.warnings),
@@ -397,12 +395,45 @@ def _subspace_from_lists(data, dim, where):
         raise ParseError(f"{where}: frame is not orthonormal ({err})") from err
 
 
+def _blocks_from_lists(data, key, dim):
+    """The blocks of a report's ``alpha_blocks`` (a frame ``enclosure`` and
+    the state ``rho``) or ``beta_blocks`` (two or more frames ``enclosures``,
+    the state ``rho_ref``, and ``index``, the position)."""
+    blocks = []
+    for i, blk in enumerate(_require_list(data, key, "report")):
+        prefix = f"{key}[{i}]"
+        if key == "alpha_blocks":
+            state_key = "rho"
+            frames = [("enclosure", _require(blk, "enclosure", prefix))]
+        else:
+            listed, state_key = _require_list(blk, "enclosures", prefix), "rho_ref"
+            if len(listed) < 2:
+                raise ParseError(f"{prefix}: a B-block needs two or more enclosures")
+            if _require_int(blk, "index", prefix) != i:
+                raise ParseError(f"{prefix}.index: expected {i}, its position")
+            frames = [(f"enclosures[{g}]", e) for g, e in enumerate(listed)]
+        encs = [_subspace_from_lists(e, dim, f"{prefix}.{k}") for k, e in frames]
+        m = encs[0].dimension
+        sigma = _matrix_from_lists(
+            _require(blk, state_key, prefix), m, m, f"{prefix}.{state_key}"
+        )
+        for (k, _), enc in zip(frames, encs):
+            if enc.dimension != m:
+                raise ParseError(
+                    f"{prefix}.{k}: {enc.dimension} columns, but {state_key} is "
+                    f"{m} x {m}"
+                )
+        blocks.append(Block(enclosures=tuple(encs), sigma=sigma))
+    return blocks
+
+
 def report_file_from_dict(data, re_verify=True):
     """Parse a ``chanstruct-report/3`` document, checking frames and derived
-    fields (B-block ``index`` = position, ``fixed_space_dimension`` = n_alpha
-    + sum_b n_b^2 = the count of spectrum values at 1, all on |z| = 1,
-    ``recurrent_basis`` the orthocomplement of ``transient_basis``) and, with
-    ``re_verify``, the enclosure predicate and :func:`_verify_blocks`."""
+    fields (two or more copies per B-block, its ``index`` = position,
+    ``fixed_space_dimension`` = n_alpha + sum_b n_b^2 = the count of
+    spectrum values at 1, all on |z| = 1, ``recurrent_basis`` the
+    orthocomplement of ``transient_basis``) and, with ``re_verify``, the
+    enclosure predicate and :func:`_verify_blocks`."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -435,37 +466,8 @@ def report_file_from_dict(data, re_verify=True):
     d_space = _subspace_from_lists(
         _require(data, "transient_basis", where), dim, "transient_basis"
     )
-    alpha = []
-    for i, blk in enumerate(_require_list(data, "alpha_blocks", where)):
-        prefix = f"alpha_blocks[{i}]"
-        enc = _subspace_from_lists(
-            _require(blk, "enclosure", prefix), dim, f"{prefix}.enclosure"
-        )
-        k = enc.dimension
-        sigma = _matrix_from_lists(_require(blk, "rho", prefix), k, k, f"{prefix}.rho")
-        alpha.append(AlphaBlock(enclosure=enc, sigma=sigma))
-    beta = []
-    for i, blk in enumerate(_require_list(data, "beta_blocks", where)):
-        prefix = f"beta_blocks[{i}]"
-        encs = [
-            _subspace_from_lists(e, dim, f"{prefix}.enclosures[{g}]")
-            for g, e in enumerate(_require_list(blk, "enclosures", prefix))
-        ]
-        if not encs:
-            raise ParseError(f"{prefix}: enclosures must be nonempty")
-        m = encs[0].dimension
-        sigma_ref = _matrix_from_lists(
-            _require(blk, "rho_ref", prefix), m, m, f"{prefix}.rho_ref"
-        )
-        for g, enc in enumerate(encs):
-            if enc.dimension != len(sigma_ref):
-                raise ParseError(
-                    f"{prefix}.enclosures[{g}]: {enc.dimension} columns, but "
-                    f"rho_ref is {len(sigma_ref)} x {len(sigma_ref)}"
-                )
-        if _require_int(blk, "index", prefix) != i:
-            raise ParseError(f"{prefix}.index: expected {i}, its position")
-        beta.append(BetaBlock(index=i, enclosures=tuple(encs), sigma_ref=sigma_ref))
+    blocks = _blocks_from_lists(data, "alpha_blocks", dim)
+    blocks += _blocks_from_lists(data, "beta_blocks", dim)
     spectrum = tuple(
         complex(_pair_to_complex(z, f"peripheral_spectrum[{i}]"))
         for i, z in enumerate(_require_list(data, "peripheral_spectrum", where))
@@ -477,8 +479,7 @@ def report_file_from_dict(data, re_verify=True):
         dim=dim,
         R=r_space,
         D=d_space,
-        alpha_blocks=tuple(alpha),
-        beta_blocks=tuple(beta),
+        blocks=tuple(blocks),
         tolerance=tol,
         rng_seed=seed,
         warnings=tuple(warnings_data),
@@ -502,7 +503,7 @@ def report_file_from_dict(data, re_verify=True):
         report=report, fixed_space_dimension=fixed_dim, peripheral_spectrum=spectrum
     )
     if re_verify:
-        if not all(is_enclosure(ch, v, tol) for v in _enclosures(report)):
+        if not all(is_enclosure(ch, v, tol) for b in blocks for v in b.enclosures):
             raise ParseError("report: a stored frame fails the enclosure predicate")
         try:
             _verify_blocks(ch, report, tol)

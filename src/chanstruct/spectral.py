@@ -271,7 +271,7 @@ def fixed_space(ch, tol=DEFAULT_TOL):
 
     Assembled from the blocks of :func:`structure.decompose`, so it fails
     wherever that fails: by the structure theorem it is spanned by the
-    A-block states and the transported B-block states Q_g rho_ref Q_h^H.
+    block states transported between copies, Q_g rho Q_h^H.
     """
     from .structure import _block_basis, decompose
 

@@ -14,16 +14,16 @@ channel's one eigenvalue-1 solve (see chanstruct.spectral), so every result
 is a function of the channel, the seed and the tolerance.  Together these
 give the complete parametrization of the invariant states:
 
-    rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_ref Q_{g'}^H
+    rho = sum_a t_a rho_a  +  sum_b sum_{g,g'} M^b_{g,g'} Q_g rho_b Q_{g'}^H
 
 with t >= 0 entrywise, each M^b PSD, and total trace 1.
 
-Block data is kept in the coordinates of the enclosures.  An A-block stores
-its frame F and the state sigma = F^H rho F.  The copies of a B-block store
-frames aligned by the intertwiner, F_g = Q_g F_0, and the reference state
-sigma_ref in F_0's coordinates, so Q_g = F_g F_0^H and the block's part of
-an invariant state is G (M ⊗ sigma_ref) G^H with G = [F_0 ... F_{n-1}].  The
-d x d matrices rho, rho_ref and Q_g are derived on request.
+An A-block is a block of one copy, t_a its 1 x 1 M.  A :class:`Block` keeps
+the frames of its copies, aligned by the intertwiner, F_g = Q_g F_0, and the
+state sigma of every copy in its own frame, so Q_g = F_g F_0^H and the
+block's part of an invariant state is G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}];
+rho and Q_g are derived on request.  A report holds A-blocks first, views
+them by copy count, and is written in the unchanged ``chanstruct-report/3``.
 """
 
 from contextlib import contextmanager
@@ -50,8 +50,7 @@ from .spectral import _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
-    "AlphaBlock",
-    "BetaBlock",
+    "Block",
     "DecompositionReport",
     "InvariantStateParameters",
     "ExtractionResult",
@@ -125,38 +124,24 @@ def _compression(rho, frame):
 
 
 @dataclass(frozen=True)
-class AlphaBlock:
-    """A minimal enclosure carrying a unique invariant state of its own;
-    ``sigma`` is that state in the coordinates of ``enclosure.frame``."""
-
-    enclosure: Subspace
-    sigma: np.ndarray
-
-    @property
-    def rho(self):
-        """The block's invariant state as a d x d matrix."""
-        return _expand(self.enclosure.frame, self.sigma)
-
-
-@dataclass(frozen=True)
-class BetaBlock:
-    """A family of mutually linked minimal enclosures of equal dimension.
+class Block:
+    """A family of mutually linked minimal enclosures of equal dimension,
+    one for an A-block.
 
     The frames are aligned by the intertwiners: the partial isometry
     Q_g = F_g F_0^H (``isometries[g]``) maps ``enclosures[0]`` onto
     ``enclosures[g]`` and intertwines the restricted dynamics, and Q_0 is
-    the orthogonal projector onto ``enclosures[0]``.  ``sigma_ref`` is the
-    unique invariant state on ``enclosures[0]`` in the coordinates of F_0.
+    the orthogonal projector onto ``enclosures[0]``.  ``sigma`` is the
+    unique invariant state on every copy, in the coordinates of its frame.
     """
 
-    index: int
     enclosures: tuple
-    sigma_ref: np.ndarray
+    sigma: np.ndarray
 
     @property
-    def rho_ref(self):
-        """The reference state as a d x d matrix."""
-        return _expand(self.enclosures[0].frame, self.sigma_ref)
+    def rho(self):
+        """The state on the first copy as a d x d matrix."""
+        return _expand(self.enclosures[0].frame, self.sigma)
 
     @property
     def isometries(self):
@@ -169,20 +154,30 @@ class BetaBlock:
 class DecompositionReport:
     """Full structure report for one channel.
 
-    The ambient space splits as D ⊕ (A-block enclosures) ⊕ (B-block
-    enclosures); every invariant state is a convex-like combination encoded
-    by :class:`InvariantStateParameters`.
+    The ambient space splits as D ⊕ (the enclosures of the blocks); every
+    invariant state is a convex-like combination encoded by
+    :class:`InvariantStateParameters`.  ``blocks`` holds the A-blocks
+    first, then the B-blocks.
     """
 
     dim: int
     R: Subspace
     D: Subspace
-    alpha_blocks: tuple
-    beta_blocks: tuple
+    blocks: tuple
     tolerance: "object"
     rng_seed: int
     warnings: tuple
     channel: KrausChannel
+
+    @property
+    def alpha_blocks(self):
+        """The blocks with one copy."""
+        return tuple(b for b in self.blocks if len(b.enclosures) == 1)
+
+    @property
+    def beta_blocks(self):
+        """The blocks with two or more copies."""
+        return tuple(b for b in self.blocks if len(b.enclosures) > 1)
 
 
 @dataclass(frozen=True)
@@ -210,13 +205,21 @@ def _stage(name):
         raise DecompositionError(name, str(err)) from err
 
 
+def _vector(ch, x, name):
+    """``x`` as a finite complex vector of the channel's dimension."""
+    x = as_complex_matrix(x, name).reshape(-1)
+    if x.shape[0] != ch.dim:
+        raise ArgumentError(
+            f"{name} has length {x.shape[0]}, channel dimension is {ch.dim}"
+        )
+    return x
+
+
 def enclosure_generated(ch, x, tol=DEFAULT_TOL):
     """Smallest enclosure containing the vector x: the span of x grown by
     the directions its Kraus images reach, until the leak is at most
     ``subspace_tol`` (``channels._enclosure_frame``)."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape[0] != ch.dim:
-        raise ArgumentError(f"x has length {x.shape[0]}, channel dimension is {ch.dim}")
+    x = _vector(ch, x, "x")
     if np.linalg.norm(x) == 0.0:
         raise ArgumentError("x must be nonzero")
     return Subspace(ch.dim, _enclosure_frame(ch, x[:, None] / np.linalg.norm(x), tol))
@@ -248,7 +251,7 @@ def is_subharmonic(ch, p, tol=DEFAULT_TOL):
 
 def accessible(ch, x, y, tol=DEFAULT_TOL):
     """Whether y lies in the enclosure generated by x."""
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    y = _vector(ch, y, "y")
     return enclosure_generated(ch, x, tol).contains_vector(y, tol)
 
 
@@ -273,8 +276,8 @@ def ergodicity_probe(ch, rho, t=1.0, terms=20, tol=DEFAULT_TOL):
     orbit reaches every direction."""
     if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise ArgumentError("t must be positive and finite")
     if int(terms) < 1:
         raise ArgumentError("terms must be at least 1")
     current = np.asarray(rho, dtype=complex)
@@ -417,21 +420,16 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
         [i for i in range(n) if labels[i] == c] for c in range(n_comp)
     ]
     components.sort(key=min)
-    alpha = []
-    beta = []
-    for members in components:
-        if len(members) == 1:
-            alpha.append(enclosures[members[0]])
-            continue
-        dims = {enclosures[i].dimension for i in members}
+    groups = [[enclosures[i] for i in members] for members in components]
+    for group in groups:
+        dims = {v.dimension for v in group}
         if len(dims) != 1:
             raise DecompositionError(
                 "block-grouping",
                 "algebra/tolerance inconsistency: linked enclosures with "
                 f"unequal dimensions {sorted(dims)}",
             )
-        beta.append([enclosures[i] for i in members])
-    return alpha, beta
+    return [g[0] for g in groups if len(g) == 1], [g for g in groups if len(g) > 1]
 
 
 def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
@@ -505,12 +503,11 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     return _expand(v.frame, _compression(split.rho_max, v.frame))
 
 
-def _blocks(report):
-    """(enclosures, state) of each block, A-blocks first.  A B-block's
-    reference state is the state of every copy in the copy's own frame."""
-    return [((b.enclosure,), b.sigma) for b in report.alpha_blocks] + [
-        (b.enclosures, b.sigma_ref) for b in report.beta_blocks
-    ]
+def _labels(report):
+    """The label of each block, "A-block i" or "B-block i": its kind and its
+    place in that kind's view."""
+    kinds = ["A" if len(b.enclosures) == 1 else "B" for b in report.blocks]
+    return [f"{k}-block {kinds[:i].count(k)}" for i, k in enumerate(kinds)]
 
 
 def _block_basis(report, states):
@@ -521,9 +518,9 @@ def _block_basis(report, states):
     E_gh = F_g S F_h^H / |S|_F are orthonormal, and so are E_gg and
     (E_gh + E_hg) / sqrt 2, i (E_gh - E_hg) / sqrt 2 for g > h."""
     basis = []
-    for enclosures, sigma in _blocks(report):
-        frames = [v.frame for v in enclosures]
-        s = sigma if states else np.eye(len(sigma))
+    for blk in report.blocks:
+        frames = [v.frame for v in blk.enclosures]
+        s = blk.sigma if states else np.eye(len(blk.sigma))
         s = s / np.linalg.norm(s)
         for g, fg in enumerate(frames):
             basis.append(fg @ s @ fg.conj().T)
@@ -535,21 +532,15 @@ def _block_basis(report, states):
 
 def _fixed_dimension(report):
     """n_alpha + sum_b n_b^2: the fixed-space dimension the blocks imply."""
-    return sum(len(enclosures) ** 2 for enclosures, _ in _blocks(report))
-
-
-def _enclosures(report):
-    """The report's minimal enclosures: A-blocks, then every B-block copy."""
-    return [v for enclosures, _ in _blocks(report) for v in enclosures]
+    return sum(len(b.enclosures) ** 2 for b in report.blocks)
 
 
 def _verify_blocks(ch, report, tol):
     """The checks of a decomposition that need only its channel and its
     blocks, run by :func:`decompose` and by report read-back: the frames of
     D and of every enclosure fill C^d, and their Gram matrix is I; each
-    A-block state, and each B-block's reference state in the frame of
-    every copy, is a state, and invariant."""
-    frames = [report.D.frame] + [v.frame for v in _enclosures(report)]
+    block's state is a state, and invariant in the frame of every copy."""
+    frames = [report.D.frame] + [v.frame for b in report.blocks for v in b.enclosures]
     total = sum(f.shape[1] for f in frames)
     if total != report.dim:
         raise DecompositionError(
@@ -563,13 +554,11 @@ def _verify_blocks(ch, report, tol):
     gram = stacked.conj().T @ stacked
     if np.abs(gram - np.eye(total)).max() > tol.eig_cluster_tol:
         raise DecompositionError("verification", "blocks are not mutually orthogonal")
-    n_alpha = len(report.alpha_blocks)
-    for i, (enclosures, sigma) in enumerate(_blocks(report)):
-        label = f"A-block {i}" if i < n_alpha else f"B-block {i - n_alpha}"
-        if not is_state(sigma, tol):
+    for blk, label in zip(report.blocks, _labels(report)):
+        if not is_state(blk.sigma, tol):
             raise DecompositionError("verification", f"{label} state is not a state")
-        for g, v in enumerate(enclosures):
-            rho = _expand(v.frame, sigma)
+        for g, v in enumerate(blk.enclosures):
+            rho = _expand(v.frame, blk.sigma)
             if np.abs(apply(ch, rho) - rho).max() > tol.eig_cluster_tol:
                 raise DecompositionError(
                     "verification", f"{label} state is not invariant on copy {g}"
@@ -598,17 +587,17 @@ def _verify_report(ch, report, tol):
                 "fixed_space_dimension": _fixed_dimension(report),
             },
         )
-    for blk in report.beta_blocks:
+    for blk, label in zip(report.blocks, _labels(report)):
         for v in blk.enclosures[1:]:
-            # both states in the coordinates of F_g: Q_g rho_ref Q_g^H is sigma_ref
+            # both states in the coordinates of F_g: Q_g rho Q_g^H is sigma
             f, independent = v.frame, block_invariant_state(ch, v, tol)
-            deviation = np.abs(blk.sigma_ref - f.conj().T @ independent @ f).max()
+            deviation = np.abs(blk.sigma - f.conj().T @ independent @ f).max()
             if deviation > tol.subspace_tol:
                 raise DecompositionError(
                     "verification",
                     f"transported reference state disagrees with the "
-                    f"independently computed invariant state in B-block "
-                    f"{blk.index} (deviation {deviation:.3e})",
+                    f"independently computed invariant state in {label} "
+                    f"(deviation {deviation:.3e})",
                 )
 
 
@@ -628,36 +617,20 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     algebra = fixed_point_algebra_on_R(ch, split, tol)
     with _stage("minimal-enclosures"):
         enclosures = minimal_enclosures(ch, split, algebra, rng_seed, tol)
-    alpha_spaces, beta_groups = group_into_blocks(ch, enclosures, algebra, tol)
+    alpha, beta = group_into_blocks(ch, enclosures, algebra, tol)
     with _stage("invariant-states"):
-        alpha_blocks = tuple(
-            AlphaBlock(enclosure=v, sigma=_compression(split.rho_max, v.frame))
-            for v in alpha_spaces
-        )
-        beta_blocks = []
-        for b_idx, group in enumerate(beta_groups):
-            base = group[0]
+        blocks = []
+        for base, *others in [[v] for v in alpha] + beta:
             # each copy's frame is aligned with the base frame: F_g = Q_g F_0
-            aligned = [base] + [
-                Subspace(
-                    ch.dim,
-                    partial_isometry(ch, algebra, base, other, tol) @ base.frame,
-                )
-                for other in group[1:]
-            ]
-            beta_blocks.append(
-                BetaBlock(
-                    index=b_idx,
-                    enclosures=tuple(aligned),
-                    sigma_ref=_compression(split.rho_max, base.frame),
-                )
-            )
+            qs = [partial_isometry(ch, algebra, base, v, tol) for v in others]
+            aligned = [base] + [Subspace(ch.dim, q @ base.frame) for q in qs]
+            sigma = _compression(split.rho_max, base.frame)
+            blocks.append(Block(enclosures=tuple(aligned), sigma=sigma))
     report = DecompositionReport(
         dim=ch.dim,
         R=split.R,
         D=split.D,
-        alpha_blocks=alpha_blocks,
-        beta_blocks=tuple(beta_blocks),
+        blocks=tuple(blocks),
         tolerance=tol,
         rng_seed=int(rng_seed),
         warnings=tuple(split.warnings),
@@ -671,49 +644,44 @@ def _assemble(report, mats):
     """sum over the blocks of G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}] the
     block's frames and M its n x n parameters (an A-block's 1 x 1 weight)."""
     rho = np.zeros((report.dim, report.dim), dtype=complex)
-    for m, (enclosures, sigma) in zip(mats, _blocks(report)):
-        stack = np.hstack([v.frame for v in enclosures])
-        rho += stack @ np.kron(m, sigma) @ stack.conj().T
+    for m, blk in zip(mats, report.blocks):
+        stack = np.hstack([v.frame for v in blk.enclosures])
+        rho += stack @ np.kron(m, blk.sigma) @ stack.conj().T
     return rho
 
 
 def _check_parameters(report, params, tol):
+    """Each block's n x n parameter matrix, an A-block's weight as its 1 x 1
+    M, checked finite, Hermitian and PSD, with traces summing to 1."""
     t = np.asarray(params.t, dtype=float).reshape(-1)
-    if t.shape[0] != len(report.alpha_blocks):
+    n_alpha, n_beta = len(report.alpha_blocks), len(report.beta_blocks)
+    if (len(t), len(params.M)) != (n_alpha, n_beta):
         raise ArgumentError(
-            f"t has length {t.shape[0]}, report has "
-            f"{len(report.alpha_blocks)} A-blocks"
+            f"t has length {len(t)} and M {len(params.M)} entries, report has "
+            f"{n_alpha} A-blocks and {n_beta} B-blocks"
         )
-    if len(params.M) != len(report.beta_blocks):
-        raise ArgumentError(
-            f"M has {len(params.M)} entries, report has "
-            f"{len(report.beta_blocks)} B-blocks"
-        )
-    if t.size and t.min() < -tol.psd_tol:
-        raise ArgumentError(f"A-block weights must be nonnegative (min {t.min():.3e})")
-    m_list = []
-    total = float(t.sum())
-    for m, blk in zip(params.M, report.beta_blocks):
-        m = as_complex_matrix(m, "M")
-        n_g = len(blk.enclosures)
-        if m.shape != (n_g, n_g):
+    mats = []
+    given = [[[w]] for w in t] + list(params.M)
+    for m, blk, label in zip(given, report.blocks, _labels(report)):
+        m = as_complex_matrix(m, f"{label} parameter matrix")
+        n = len(blk.enclosures)
+        if m.shape != (n, n):
             raise ArgumentError(
-                f"B-block {blk.index} matrix has shape {m.shape}, expected "
-                f"({n_g}, {n_g})"
+                f"{label} parameter matrix has shape {m.shape}, expected ({n}, {n})"
             )
         scale = max(1.0, np.abs(m).max())
         if np.abs(m - m.conj().T).max() > tol.eig_cluster_tol * scale:
-            raise ArgumentError(f"B-block {blk.index} matrix is not Hermitian")
+            raise ArgumentError(f"{label} parameter matrix is not Hermitian")
         m = (m + m.conj().T) / 2.0
         if np.linalg.eigvalsh(m)[0] < -tol.psd_tol:
-            raise ArgumentError(f"B-block {blk.index} matrix is not PSD")
-        m_list.append(m)
-        total += float(np.trace(m).real)
+            raise ArgumentError(f"{label} parameter matrix is not PSD")
+        mats.append(m)
+    total = sum(float(np.trace(m).real) for m in mats)
     if abs(total - 1.0) > tol.eig_cluster_tol:
         raise ArgumentError(
             f"parameters have total weight {total:.12f}, expected 1"
         )
-    return t, m_list
+    return mats
 
 
 def build_invariant_state(report, params, tol=None):
@@ -724,8 +692,7 @@ def build_invariant_state(report, params, tol=None):
     of the parametrization and is asserted rather than assumed.
     """
     tol = tol if tol is not None else report.tolerance
-    t, m_list = _check_parameters(report, params, tol)
-    rho = _assemble(report, [[[weight]] for weight in t] + m_list)
+    rho = _assemble(report, _check_parameters(report, params, tol))
     rho = (rho + rho.conj().T) / 2.0
     if not is_state(rho, tol):
         raise DecompositionError(
@@ -746,9 +713,9 @@ def _parameters(report, x):
     (an A-block's 1 x 1 M is its weight).  For x PSD each M is PSD and the
     traces sum to tr(P_R x); for x invariant F_g^H x F_h = M[g, h] sigma."""
     mats = []
-    for enclosures, sigma in _blocks(report):
-        n, k = len(enclosures), len(sigma)
-        stack = np.hstack([v.frame for v in enclosures])
+    for blk in report.blocks:
+        n, k = len(blk.enclosures), len(blk.sigma)
+        stack = np.hstack([v.frame for v in blk.enclosures])
         m = np.trace((stack.conj().T @ x @ stack).reshape(n, k, n, k), axis1=1, axis2=3)
         mats.append((m + m.conj().T) / 2.0)
     return mats

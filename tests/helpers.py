@@ -314,14 +314,14 @@ def report_invariants(report):
         "R": rep.R.projector(),
         "D": rep.D.projector(),
         "alpha": [
-            (b.enclosure.projector(), np.linalg.eigvalsh(b.sigma))
+            (b.enclosures[0].projector(), np.linalg.eigvalsh(b.sigma))
             for b in rep.alpha_blocks
         ],
         "beta": [
             (
                 sum(v.projector() for v in b.enclosures),
                 len(b.enclosures),
-                np.linalg.eigvalsh(b.sigma_ref),
+                np.linalg.eigvalsh(b.sigma),
             )
             for b in rep.beta_blocks
         ],

@@ -127,7 +127,7 @@ def test_criterion_3_classical_reduction(capsys):
             assert np.abs(rep.D.projector() - d_target).max() <= 1e-8
             matched = set()
             for blk in rep.alpha_blocks:
-                proj = blk.enclosure.projector()
+                proj = blk.enclosures[0].projector()
                 hit = None
                 for ci, cls in enumerate(oracle_classes):
                     if np.abs(proj - coordinate_projector(n, cls)).max() <= 1e-8:
@@ -166,7 +166,7 @@ def test_criterion_4_open_quantum_random_walk(capsys):
         overlap = np.vdot(target, qmat)
         phase = overlap / abs(overlap)
         assert np.abs(qmat - phase * target).max() <= 1e-6
-        lane_weights = np.diag(blk.rho_ref).real.reshape(3, n_sites)
+        lane_weights = np.diag(blk.rho).real.reshape(3, n_sites)
         lane = int(np.argmax(lane_weights.sum(axis=1)))
         w = lane_weights[lane]
         ratios = w[4:17] / w[3:16]  # pairs (j, j+1) for 3 <= j <= 15
@@ -294,7 +294,7 @@ def test_criterion_6_invariant_suites(capsys):
             for blk in rep.beta_blocks:
                 for g in range(1, len(blk.enclosures)):
                     qmat = blk.isometries[g]
-                    transported = qmat @ blk.rho_ref @ qmat.conj().T
+                    transported = qmat @ blk.rho @ qmat.conj().T
                     independent = cs.block_invariant_state(
                         ch, blk.enclosures[g]
                     )

@@ -180,6 +180,19 @@ class TestApply:
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [
+        np.diag([np.nan, 1.0, 0.0]),
+        np.full((3, 3), np.nan),
+        np.diag([np.inf, 1.0, 0.0]),
+    ],
+    ids=["nan-diagonal", "all-nan", "inf-diagonal"],
+)
+def test_is_state_refuses_non_finite_entries(rho):
+    assert cs.is_state(rho) is False
+
+
 class TestSuperoperator:
     def test_consistent_with_apply(self):
         ch = random_channel(3, 3, RNG)

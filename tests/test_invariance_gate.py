@@ -137,6 +137,20 @@ def test_invariants_match_the_stored_file(name, stored):
         assert max(deviations.values()) <= TOLERANCE, (source, deviations)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["planted-a2-b3x3-b1x2-d2", "markov-two-classes-transients", "oqrw-0.1-0.2-13"],
+)
+def test_block_views_split_the_blocks_by_copy_count(name):
+    rf = _report_file(name)
+    text = cs.canonical_dumps(cs.report_file_to_dict(rf))
+    parsed = cs.report_file_from_dict(json.loads(text))
+    for rep in (rf.report, parsed.report):
+        assert rep.blocks == rep.alpha_blocks + rep.beta_blocks
+        assert all(len(b.enclosures) == 1 for b in rep.alpha_blocks)
+        assert all(len(b.enclosures) >= 2 for b in rep.beta_blocks)
+
+
 def test_stored_file_covers_every_case(stored):
     assert sorted(stored) == sorted(CASES)
 

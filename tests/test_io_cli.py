@@ -693,15 +693,24 @@ def _permute_copy_frame(doc):
     doc["beta_blocks"][0]["enclosures"][1] = [row[1:] + row[:1] for row in frame]
 
 
-# each case parses without the solve-free verification; the message names
-# the check that refuses it
+def _alpha_block_as_one_copy(doc):
+    # 1 = 1^2: fixed_space_dimension and the spectrum still agree with the
+    # blocks, so only the copy count of a B-block can refuse it
+    blk = doc["alpha_blocks"].pop(0)
+    doc["beta_blocks"].append(
+        {"index": 1, "enclosures": [blk["enclosure"]], "rho_ref": blk["rho"]}
+    )
+
+
+# the message names the check that refuses each case; a case whose check is
+# the solve-free verification parses without it
 TAMPER_CASES = {
     "empty-alpha-block": (
         "planted",
         lambda doc: _add_blocks(
             doc, "alpha_blocks", {"enclosure": [[]] * doc["dim"], "rho": []}, 1
         ),
-        "A-block 2 state is not a state",
+        "verification: A-block 2 state is not a state",
     ),
     "empty-beta-copies": (
         "planted",
@@ -711,17 +720,30 @@ TAMPER_CASES = {
             {"index": 1, "enclosures": [[[]] * doc["dim"]] * 2, "rho_ref": []},
             4,
         ),
-        "B-block 1 state is not a state",
+        "verification: B-block 1 state is not a state",
     ),
-    "shifted-rho-ref": ("walk", _shift_rho_ref, "B-block 0 state is not a state"),
+    "shifted-rho-ref": (
+        "walk", _shift_rho_ref, "verification: B-block 0 state is not a state"
+    ),
     "dropped-alpha-block": (
-        "planted", _drop_alpha_block, "block dimensions sum to 23, ambient is 30"
+        "planted",
+        _drop_alpha_block,
+        "verification: block dimensions sum to 23, ambient is 30",
     ),
     "mixed-alpha-state": (
-        "planted", _mix_alpha_state, "A-block 0 state is not invariant on copy 0"
+        "planted",
+        _mix_alpha_state,
+        "verification: A-block 0 state is not invariant on copy 0",
     ),
     "permuted-copy-frame": (
-        "planted", _permute_copy_frame, "B-block 0 state is not invariant on copy 1"
+        "planted",
+        _permute_copy_frame,
+        "verification: B-block 0 state is not invariant on copy 1",
+    ),
+    "one-copy-beta-block": (
+        "planted",
+        _alpha_block_as_one_copy,
+        "beta_blocks[1]: a B-block needs two or more enclosures",
     ),
 }
 
@@ -812,8 +834,9 @@ class TestReportSchema:
         channel, tamper, message = TAMPER_CASES[case]
         doc = json.loads(_bare_report_text(channel))
         tamper(doc)
-        cs.report_file_from_dict(doc, re_verify=False)
-        with pytest.raises(cs.ParseError, match=f"verification: {message}"):
+        if message.startswith("verification: "):
+            cs.report_file_from_dict(doc, re_verify=False)
+        with pytest.raises(cs.ParseError, match=re.escape(message)):
             cs.report_file_from_dict(doc, re_verify=True)
 
 
@@ -945,7 +968,7 @@ class TestReportSchema:
         # a Haar-rotated frame has no part below eps times its largest
         rf = cs.report_file_from_report(cs.decompose(FRAME_CASES["planted"]()))
         rep = rf.report
-        frames = [rep.R, rep.D, *(b.enclosure for b in rep.alpha_blocks)]
+        frames = [rep.R, rep.D, *(b.enclosures[0] for b in rep.alpha_blocks)]
         frames += [e for b in rep.beta_blocks for e in b.enclosures]
         written = _frames(cs.report_file_to_dict(rf))
         assert cs.canonical_dumps(written) == cs.canonical_dumps(
@@ -1008,7 +1031,7 @@ class TestReportSchemaV3:
             data["rho"] = _matrix_to_lists(blk.rho)
         for blk, data in zip(report.beta_blocks, doc["beta_blocks"]):
             data["isometries"] = [_matrix_to_lists(q) for q in blk.isometries]
-            data["rho_ref"] = _matrix_to_lists(blk.rho_ref)
+            data["rho_ref"] = _matrix_to_lists(blk.rho)
         assert doc["schema"] == "chanstruct-report/3"
         with pytest.raises(
             cs.ParseError, match=re.escape("alpha_blocks[0].rho: expected 2 rows")

@@ -368,7 +368,7 @@ class TestSharedSolveIsReadOnly:
         for a in (core.probes, core.candidate, core.witness, core.split.rho_max):
             with pytest.raises(ValueError):
                 a[...] = 0
-        assert cs.decompose(ch).alpha_blocks[0].enclosure.dimension == 1
+        assert cs.decompose(ch).alpha_blocks[0].enclosures[0].dimension == 1
 
 
 class TestPeripheralSpectrum:
@@ -514,7 +514,7 @@ class TestSingleSolve:
             cs.perron_frobenius_certificate(ch)
             algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
-            cs.block_invariant_state(ch, report.alpha_blocks[0].enclosure)
+            cs.block_invariant_state(ch, report.alpha_blocks[0].enclosures[0])
             assert sorted(calls) == [False, False, True, True, True]
 
     @pytest.mark.parametrize("family", ["planted", "markov"])
@@ -637,7 +637,7 @@ class TestPeripheralSpectrumOnR:
         else:
             ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 4), 4)
         rep = cs.decompose(ch)
-        firsts = [(b.enclosure.frame, 1) for b in rep.alpha_blocks] + [
+        firsts = [(b.enclosures[0].frame, 1) for b in rep.alpha_blocks] + [
             (b.enclosures[0].frame, len(b.enclosures)) for b in rep.beta_blocks
         ]
         parts = [(f.conj().T @ np.stack(ch.kraus) @ f, n) for f, n in firsts]
@@ -732,7 +732,7 @@ class TestReportPeriodWalk:
     def test_unequal_dimension_pair_makes_no_eigvals_call(self, eigvals_sizes):
         ch, _ = planted_channel(np.random.default_rng(609), [2, 3], [], 1)
         rep, got = _report_spectrum(ch, eigvals_sizes)
-        assert sorted(b.enclosure.dimension for b in rep.alpha_blocks) == [2, 3]
+        assert sorted(b.enclosures[0].dimension for b in rep.alpha_blocks) == [2, 3]
         assert eigvals_sizes == []
         assert got == (1.0, 1.0)
 
@@ -740,7 +740,7 @@ class TestReportPeriodWalk:
         rep, got = _report_spectrum(
             _phase_shifted_copy(np.random.default_rng(611)), eigvals_sizes
         )
-        assert [b.enclosure.dimension for b in rep.alpha_blocks] == [3, 3]
+        assert [b.enclosures[0].dimension for b in rep.alpha_blocks] == [3, 3]
         assert rep.beta_blocks == ()
         # one eigvals, for the off-diagonal pair only
         assert eigvals_sizes == [9]

@@ -119,7 +119,7 @@ class TestEnclosurePredicates:
         rng = np.random.default_rng(431)
         ch, _ = planted_channel(rng, [2], [(2, 2)], 2, n_kraus=3)
         rep = cs.decompose(ch)
-        frames = [v.frame for v in chanstruct.structure._enclosures(rep)]
+        frames = [v.frame for b in rep.blocks for v in b.enclosures]
         for k in (1, 3, 5):
             z = rng.standard_normal((ch.dim, k)) + 1j * rng.standard_normal((ch.dim, k))
             frames.append(np.linalg.qr(z)[0])
@@ -203,6 +203,8 @@ class TestAccessibility:
         assert not cs.accessible(ch, e1, e2)
         assert not cs.communicates(ch, e1, e2)
         assert cs.communicates(ch, e1, 2.0 * e1)
+        with pytest.raises(cs.ArgumentError, match="y has length 3"):
+            cs.accessible(ch, e1, np.ones(3))
 
     def test_irreducibility(self):
         p = np.zeros((3, 3))
@@ -216,6 +218,31 @@ class TestAccessibility:
         assert cs.ergodicity_probe(ch, np.diag([0.0, 1.0]).astype(complex))
         # e1 is absorbing: the orbit never leaves span{e1}
         assert not cs.ergodicity_probe(ch, np.diag([1.0, 0.0]).astype(complex))
+
+
+# two absorbing states and a transient one: two A-blocks
+_TWO_ABSORBING = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+_NAN_STATE = np.diag([np.nan, 1.0, 0.0])
+
+# each call gets a non-finite entry in a state, a vector, a weight or t
+NON_FINITE_CALLS = {
+    "cesaro-average": lambda ch: cs.cesaro_average(ch, _NAN_STATE, 3),
+    "ergodicity-probe": lambda ch: cs.ergodicity_probe(ch, _NAN_STATE),
+    "ergodicity-probe-t-nan": lambda ch: cs.ergodicity_probe(ch, np.eye(3) / 3, np.nan),
+    "ergodicity-probe-t-inf": lambda ch: cs.ergodicity_probe(ch, np.eye(3) / 3, np.inf),
+    "enclosure-generated": lambda ch: cs.enclosure_generated(ch, [np.nan, 0, 1]),
+    "accessible": lambda ch: cs.accessible(ch, [1, 0, 0], [np.nan, 0, 0]),
+    "build-invariant-state": lambda ch: cs.build_invariant_state(
+        cs.decompose(ch), cs.InvariantStateParameters(t=[np.nan, 1.0], M=())
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_is_argument_error(case):
+    ch = cs.from_markov_chain(_TWO_ABSORBING)
+    with pytest.raises(cs.ArgumentError):
+        NON_FINITE_CALLS[case](ch)
 
 
 class TestFixedPointAlgebra:
@@ -311,7 +338,7 @@ class TestMinimalEnclosures:
 
         def lines(kraus):
             report = cs.decompose(cs.KrausChannel(kraus), rng_seed=seed)
-            return [blk.enclosure.projector() for blk in report.alpha_blocks]
+            return [blk.enclosures[0].projector() for blk in report.alpha_blocks]
 
         reference = lines([shift])
         for mixing_seed in (1, 2):
@@ -643,7 +670,9 @@ class TestParametrization:
         rep = self._mixed_report()
         nc = len(rep.beta_blocks[0].enclosures)
         ok_m = np.eye(nc, dtype=complex) * (0.7 / nc)
-        with pytest.raises(cs.ArgumentError, match="nonnegative"):
+        with pytest.raises(
+            cs.ArgumentError, match="A-block 0 parameter matrix is not PSD"
+        ):
             cs.build_invariant_state(
                 rep,
                 cs.InvariantStateParameters(
@@ -706,7 +735,7 @@ class TestParametrization:
         for a in range(3):
             for b in range(3):
                 rho = rho + m[a, b] * (
-                    blk.isometries[a] @ blk.rho_ref @ blk.isometries[b].conj().T
+                    blk.isometries[a] @ blk.rho @ blk.isometries[b].conj().T
                 )
         params = cs.InvariantStateParameters(t=np.array([0.4]), M=(m,))
         assert np.abs(cs.build_invariant_state(rep, params) - rho).max() < 1e-12
@@ -738,9 +767,9 @@ class TestLocalBlockData:
         rep = cs.decompose(ch)
         algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
         for blk in rep.alpha_blocks:
-            k = blk.enclosure.dimension
+            k = blk.enclosures[0].dimension
             assert blk.sigma.shape == (k, k)
-            ref = cs.block_invariant_state(ch, blk.enclosure)
+            ref = cs.block_invariant_state(ch, blk.enclosures[0])
             assert np.abs(blk.rho - ref).max() <= 1e-12
         assert sorted(len(b.enclosures) for b in rep.beta_blocks) == sorted(
             n for _, n in beta
@@ -748,9 +777,9 @@ class TestLocalBlockData:
         for blk in rep.beta_blocks:
             base = blk.enclosures[0]
             m = base.dimension
-            assert blk.sigma_ref.shape == (m, m)
+            assert blk.sigma.shape == (m, m)
             ref = cs.block_invariant_state(ch, base)
-            assert np.abs(blk.rho_ref - ref).max() <= 1e-12
+            assert np.abs(blk.rho - ref).max() <= 1e-12
             assert np.abs(blk.isometries[0] - base.projector()).max() <= 1e-12
             for g, enc in enumerate(blk.enclosures[1:], start=1):
                 q = cs.partial_isometry(ch, algebra, base, enc)
@@ -776,12 +805,12 @@ class TestLocalBlockData:
         for m, blk in zip(mats, rep.beta_blocks):
             q = np.stack(blk.isometries)
             ref = ref + np.einsum(
-                "gh,gij,jk,hlk->il", m, q, blk.rho_ref, q.conj(), optimize=True
+                "gh,gij,jk,hlk->il", m, q, blk.rho, q.conj(), optimize=True
             )
         rho = cs.build_invariant_state(rep, params)
         assert np.abs(rho - ref).max() <= 1e-12
         res = cs.extract_parameters(rep, rho)
-        t_ref = [np.trace(blk.enclosure.projector() @ rho).real for blk in rep.alpha_blocks]
+        t_ref = [np.trace(blk.enclosures[0].projector() @ rho).real for blk in rep.alpha_blocks]
         assert np.abs(res.params.t - t_ref).max(initial=0.0) <= 1e-12
         for m, blk in zip(res.params.M, rep.beta_blocks):
             q = np.stack(blk.isometries)
@@ -815,15 +844,15 @@ class TestBlockStateParity:
         ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
         rep = cs.decompose(ch)
         for blk in rep.alpha_blocks:
-            oracle = _compressed_null_state(ch, blk.enclosure)
+            oracle = _compressed_null_state(ch, blk.enclosures[0])
             assert np.abs(blk.rho - oracle).max() < 1e-10
         for blk in rep.beta_blocks:
             oracle = _compressed_null_state(ch, blk.enclosures[0])
-            assert np.abs(blk.rho_ref - oracle).max() < 1e-10
+            assert np.abs(blk.rho - oracle).max() < 1e-10
             for q, enc in zip(blk.isometries[1:], blk.enclosures[1:]):
                 oracle = _compressed_null_state(ch, enc)
                 assert np.abs(cs.block_invariant_state(ch, enc) - oracle).max() < 1e-10
-                transported = q @ blk.rho_ref @ q.conj().T
+                transported = q @ blk.rho @ q.conj().T
                 assert np.abs(transported - oracle).max() < 1e-10
 
 

@@ -11,7 +11,7 @@ from chanstruct.cli import _build_parser, main
 MODULES = ["channels", "errors", "linalg", "serialize", "spectral", "structure"]
 
 PUBLIC = {
-    "AlphaBlock", "ArgumentError", "BetaBlock", "ChanstructError",
+    "ArgumentError", "Block", "ChanstructError",
     "DEFAULT_TOL", "DecompositionError", "DecompositionReport",
     "ExtractionResult", "FixedPointAlgebra", "FixedSpace",
     "InvariantStateParameters", "KrausChannel", "ParseError",
@@ -44,7 +44,7 @@ SUBCOMMANDS = {
 
 
 def test_top_level_names_are_frozen():
-    assert len(cs.__all__) == len(PUBLIC) == 60
+    assert len(cs.__all__) == len(PUBLIC) == 59
     assert set(cs.__all__) == PUBLIC
 
 
