@@ -286,7 +286,9 @@ def _transfer_matrix(a, b):
 
 def _hermitian_transfer_matrix(stack):
     """The real matrix M_h = Re M + Im(M K) of M = sum_a conj(V_a) ⊗ V_a
-    (see chanstruct.spectral), straight from an (n, p, p) stack V = A + iB.
+    (see chanstruct.spectral), straight from an (n, p, p) stack V = A + iB,
+    for ``spectral.peripheral_spectrum`` and the fallback of
+    ``spectral._block_eigenvalues``; ``decompose`` never builds it.
 
     Entry (j p + i, l p + k) is sum_a A_jl A_ik + B_jl B_ik (Re M) plus
     sum_a A_jk B_il - B_jk A_il (Im M at the swapped column k p + l), with

@@ -1,63 +1,42 @@
 """Fixed points and the recurrent/transient decomposition.
 
-The central computation, made once per channel and tolerance, is one LU
-factorization of M_h - sigma I, sigma = 1 + eig_cluster_tol, for the
-channel's superoperator M in real Hermitian coordinates (below), held only
-inside ``_spectral_core``, which frees it once it has made the five fixed
-points the pipeline reads.  The spectral projection Pi_1 onto the fixed
-points (the Cesaro limit of Phi^n) is applied to one Hermitian matrix by
-the steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which keep every fixed
-vector and multiply an eigenvector of eigenvalue lambda by
-theta = (sigma - 1) / (sigma - lambda); the transposed solves apply the
-adjoint's Pi_1^* (``_project``).  They stop once the residual through the
-channel itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within
-eig_cluster_tol |X|_F and no longer halves, so how M_h was built or
-factored cannot make a vector pass.  The residual is iterated
-by the same steps: the ratio of successive residuals estimates the largest
-theta outside the cluster, and (sigma - 1)(1/theta - 1) the distance from 1
-of the nearest non-fixed eigenvalue, which below 10 eig_cluster_tol gives
-the split an "ill-separated" warning.  The solve yields rho_max = Pi_1(I/d),
-an invariant state whose support is all of the recurrent subspace R (R is
-the enclosure its range generates, D = R^perp); for Hermitian references
-G, the adjoint's fixed points Pi_1^*(G), which compressed to R are
-elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev.
-Math. Phys. 24 (2012); see chanstruct.structure): two Gaussian probes and
-the first candidate of the enclosure split, G = diag(1, ..., d) / d; and
-Pi_1(G) for a Gaussian G, which a decomposition's blocks must re-assemble.
-No basis of either fixed space is computed: the structure theorem gives
-both from the blocks (Carbone-Pautrat, arXiv:1507.08404), so
-``fixed_space`` and ``perron_frobenius_certificate`` are assembled from
-``decompose``.
+The central computation, made once per channel and tolerance by
+``_spectral_core``, applies the spectral projection Pi_1 onto the fixed
+points (the Cesaro limit of Phi^n), or the adjoint's Pi_1^*, to the five
+Hermitian matrices that ``_SpectralCore`` lists.  rho_max = Pi_1(I/d) has
+all of the recurrent subspace R as its support (R is the enclosure its range
+generates, D = R^perp), and adjoint fixed points compressed to R are
+elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev. Math.
+Phys. 24 (2012); see chanstruct.structure).  No basis of either fixed space
+is computed: the structure theorem gives both from the blocks
+(Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` and
+``perron_frobenius_certificate`` are assembled from ``decompose``.
 
-A CPTP map preserves Hermiticity, so with K the vec swap vec(X) -> vec(X^T)
-the unitary U = ((1+i) I + (1-i) K) / 2, which maps a real vector vec(Y) to
-the vec of the Hermitian matrix sym Y + i antisym Y (the package's
-Hermitian codec, ``linalg.hermitian_decode``), makes the superoperator the
-real d^2 x d^2 matrix
+Pi_1 works on real coordinates: a CPTP map preserves Hermiticity, so with K
+the vec swap vec(X) -> vec(X^T), the unitary U = ((1+i) I + (1-i) K) / 2 (the
+package's Hermitian codec, ``linalg.hermitian_decode``) makes the
+superoperator the real d^2 x d^2 matrix M_h = U^H M U = Re M + Im(M K).  A
+dense Kraus family forms no such matrix: ``_filter`` returns u = x - e, e
+the restarted GMRES solution of the singular consistent system
+(I - Phi) e = (I - Phi) x (Saad-Schultz 1986; Brown-Walker, SIAM J. Matrix
+Anal. Appl. 18 (1997)), so u = p(Phi) x for the p, p(1) = 1, that minimizes
+|Phi(u) - u|, with Phi applied through ``channels._apply_stack``.  A Ritz
+value mu of I - Phi within eig_cluster_tol of 0 counts as fixed, so u is
+corrected only along the Ritz vectors outside that cluster, and the smallest
+Ritz |mu| above rounding estimates the distance from 1 of the nearest
+non-fixed eigenvalue.  A sparse family (the rule is the channel's) factors
+M_h - sigma I, sigma = 1 + eig_cluster_tol, once by a sparse LU and takes the
+steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
+of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
+residual halves; the largest ratio theta of successive residuals gives the
+distance (sigma - 1)(1/theta - 1).  Either way a vector is accepted only
+when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
+Pi_1^*), is within eig_cluster_tol |X|_F, and a distance below
+10 eig_cluster_tol gives the split an "ill-separated" warning.
 
-    M_h = U^H M U = Re M + Im(M K),
-
-whose columns are those of M with the imaginary parts swapped by one
-transpose (K M K = conj(M)).  M_h - sigma I is factored by a sparse LU when
-the Kraus family is sparse (the rule and the cached sparse M are the
-channel's, see chanstruct.channels), and otherwise by a dense LU.  A dense
-M_h is built straight from the real and imaginary parts of the Kraus stack
-and its diagonal shifted in place; the LU overwrites its transposed,
-Fortran-ordered view, so it is the only d^2 x d^2 matrix held.
-
-``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, which are
-those of M: exact for any Kraus family.  A report carries the same list at far
-less cost, read off its blocks (``serialize.report_file_from_report``): each
-block's own channel is irreducible, so its peripheral spectrum is the exact
-p-th roots of unity for its period p, found by a walk of spans through the
-cyclic subspaces and certified by residuals (``_block_eigenvalues``).  The
-walk starts in one cyclic subspace, at an eigenvector of a Hermitian
-combination of products of the block's Kraus operators, which is block
-diagonal over them (``_cyclic_projections``); all eigenvalues of the block's
-M_h are the fallback when that combination has no simple eigenvalue, the
-walk does not close, or the certificate fails.  A pair of blocks of unequal
-dimension has no peripheral eigenvalue, and a pair of equal dimension takes
-all eigenvalues of its pair map.
+``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, exact for
+any Kraus family.  A report reads the same list off its blocks at far less
+cost (``serialize.report_file_from_report``, ``_block_eigenvalues``).
 """
 
 import cmath
@@ -141,7 +120,7 @@ class PerronFrobeniusCertificate:
 @dataclass(frozen=True)
 class _SpectralCore:
     """The fixed points that the eigenvalue-1 solve of a channel at one
-    tolerance made, its factorization freed: the split read off
+    tolerance made, with no factorization kept: the split read off
     rho_max = Pi_1(I/d); ``probes``, a (2, d, d) stack of normalized
     generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
     Pi_1^*(diag(1, ..., d) / d); ``witness``, Pi_1(G) for a Gaussian G;
@@ -157,74 +136,114 @@ class _SpectralCore:
 
 def _hermitian_coordinates(m):
     """The real sparse matrix M_h = U^H M U = Re M + Im(M K) of a sparse
-    Hermiticity-preserving superoperator M (see the module docstring); a
-    dense M_h comes straight from the Kraus stack,
-    ``channels._hermitian_transfer_matrix``."""
+    Hermiticity-preserving superoperator M (see the module docstring)."""
     n2 = m.shape[0]
     d = math.isqrt(n2)
     # column j d + i of M K is column i d + j of M
     return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
 
 
+_RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
+
+
 def _factor(ch, sigma):
-    """``solve(b, adjoint)`` for one real right-hand side b, from one LU of
-    M_h - sigma I (see the module docstring)."""
-    n2 = ch.dim**2
+    """What ``_project`` iterates on real coordinates b: for a sparse family
+    ``solve(b, adjoint)`` from one sparse LU of M_h - sigma I, for a dense one
+    the defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` reads."""
     m = _cached_superoperator(ch)
-    if m is not None:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
+    if m is None:
+        return lambda b, adjoint: b - hermitian_encode(
+            _apply_stack(ch, hermitian_decode(b, ch.dim)[None], adjoint)[0]
+        )
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
-        shifted = _hermitian_coordinates(m) - sigma * sp.identity(n2, format="csc")
-        lu = spla.splu(shifted.tocsc())
-        return lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")
-    import scipy.linalg as sla
-
-    shifted = _hermitian_transfer_matrix(ch._stack)
-    shifted.flat[:: n2 + 1] -= sigma
-    # the factors are those of the transpose, so the plain solve is trans=1
-    lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
-    return lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint, check_finite=False)
+    shifted = _hermitian_coordinates(m) - sigma * sp.identity(ch.dim**2, format="csc")
+    lu = spla.splu(shifted.tocsc())
+    return lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")
 
 
-def _distance(theta, tol):
-    """(sigma - 1)(1/theta - 1), the distance from 1 of the eigenvalue that a
-    step contracts by theta."""
-    if not theta:
-        return math.inf
-    return max(tol.eig_cluster_tol * (1.0 / theta - 1.0), 0.0)
+def _filter(defect, x, tol):
+    """Pi_1 x by restarted GMRES on the defect A = I - Phi (see the module
+    docstring): u, the applications of A, the smallest Ritz |mu| above
+    rounding, and whether the residual reached 1e-14 |x| within ``_BUDGET``."""
+    floor, rounding = 1e-14 * np.linalg.norm(x), 100.0 * np.finfo(float).eps
+    u, r, count, distance = x.copy(), defect(x), 1, math.inf
+    while np.linalg.norm(r) > floor and count < _BUDGET - 1:
+        m, beta = min(_RESTART, x.size, _BUDGET - count - 1), np.linalg.norm(r)
+        basis, hess, tri = np.zeros((m + 1, x.size)), np.zeros((m + 1, m)), np.eye(m)
+        g, rotations, basis[0] = [beta] + [0.0] * m, [], r / beta
+        for k in range(1, m + 1):
+            w = defect(basis[k - 1])
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = basis[:k] @ w
+                w -= h @ basis[:k]
+                hess[:k, k - 1] += h
+            hess[k, k - 1] = np.linalg.norm(w)
+            col = hess[: k + 1, k - 1].tolist()  # the Givens-rotated column
+            for i, (c, s) in enumerate(rotations):
+                a, b = col[i], col[i + 1]
+                col[i], col[i + 1] = c * a + s * b, c * b - s * a
+            norm = math.hypot(col[-2], col[-1]) or 1.0
+            rotations.append((col[-2] / norm, col[-1] / norm))
+            c, s = rotations[-1]
+            tri[:k, k - 1] = col[:-2] + [norm]
+            g[k - 1 : k + 1] = c * g[k - 1], -s * g[k - 1]
+            if abs(g[k]) <= floor or k == m:
+                break
+            basis[k] = w / hess[k, k - 1]
+        count += k
+        mu = np.abs(np.linalg.eigvals(hess[:k, :k]))
+        distance = min([distance, *mu[mu > rounding].tolist()])
+        if (mu > tol.eig_cluster_tol).all():  # the GMRES step, R y = g
+            y = np.linalg.solve(tri[:k, :k], g[:k])
+        else:  # least squares along the Ritz vectors outside the cluster
+            mu, vecs = np.linalg.eig(hess[:k, :k])
+            q = np.linalg.qr(vecs[:, np.abs(mu) > tol.eig_cluster_tol])[0]
+            y = (q @ np.linalg.lstsq(tri[:k, :k] @ q, g[:k], rcond=None)[0]).real
+        u -= y @ basis[:k]
+        if abs(g[k]) <= floor:
+            return u, count, distance, True
+        r, count = defect(u), count + 1
+    return u, count, distance, np.linalg.norm(r) <= floor
+
+
+def _residual(ch, v, adjoint):
+    """|Phi(X) - X|_F / |X|_F (Phi^* if ``adjoint``; inf at X = 0), X = decode(v)."""
+    y, norm = hermitian_decode(v, ch.dim), np.linalg.norm(v)
+    new = np.linalg.norm(_apply_stack(ch, y[None], adjoint)[0] - y)
+    return new / norm if norm else math.inf
 
 
 def _project(ch, solve, x, adjoint, tol):
-    """Pi_1(X), or Pi_1^*(X) when ``adjoint``, of a Hermitian d x d matrix X
-    (see the module docstring), and the largest ratio theta of successive
-    residuals r = |Phi(X) - X|_F / |X|_F (Phi^* when ``adjoint``) above
-    100 eps, which rounding alone (a few eps) does not reach.  The steps go
-    on while r halves, and the result is accepted when r <= eig_cluster_tol."""
-    d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
-    v, res, theta, solves = hermitian_encode(x), math.inf, 0.0, 0
-    while True:
-        v = (1.0 - sigma) * solve(v, adjoint)
-        y, solves = hermitian_decode(v, d), solves + 1
-        new = np.linalg.norm(_apply_stack(ch, y[None], adjoint)[0] - y)
-        new /= np.linalg.norm(v)
-        if new > 100.0 * np.finfo(float).eps:
-            theta = max(theta, new / res)
-        halving, res = new < 0.5 * res, new
-        if not halving:
-            break
-    if not res <= tol.eig_cluster_tol:
+    """Pi_1(X), or Pi_1^*(X) when ``adjoint``, of a Hermitian d x d matrix X,
+    and the estimated distance from 1 of the nearest non-fixed eigenvalue,
+    accepted when its residual <= eig_cluster_tol (see the module docstring)."""
+    v, converged, tau, count = hermitian_encode(x), True, tol.eig_cluster_tol, 0
+    if ch._sparse:
+        sigma, res, theta, halving, unit = 1.0 + tau, math.inf, 0.0, True, "solves"
+        while halving:
+            v = (1.0 - sigma) * solve(v, adjoint)
+            new, count = _residual(ch, v, adjoint), count + 1
+            if new > 100.0 * np.finfo(float).eps:  # above what rounding reaches
+                theta = max(theta, new / res)
+            halving, res = new < 0.5 * res, new
+        distance = max(tau * (1.0 / theta - 1.0), 0.0) if theta else math.inf
+    else:
+        v, count, distance, converged = _filter(lambda b: solve(b, adjoint), v, tol)
+        res, unit = _residual(ch, v, adjoint), "applications"
+    if not (converged and res <= tau):
         raise DecompositionError(
             "fixed-space",
             "no eigenvalue-1 cluster found; is the channel trace preserving? "
-            f"(residual {res:.3e} after {solves} solves)",
+            f"(residual {res:.3e} after {count} {unit})",
             diagnostics={
-                "solves": solves,
+                unit: count,
                 "residual": float(res),
-                "nearest_non_fixed_distance": _distance(theta, tol),
+                "nearest_non_fixed_distance": distance,
             },
         )
-    return y, theta
+    return hermitian_decode(v, ch.dim), distance
 
 
 def _gaussian_hermitian(rng, d):
@@ -236,7 +255,7 @@ def _gaussian_hermitian(rng, d):
 
 def _spectral_core(ch, tol):
     """The five fixed points of ``ch`` at ``tol`` that the pipeline reads,
-    made on first use from one factorization, which is freed on return, and
+    made on first use from one ``_factor``, which is freed on return, and
     kept with the channel read-only: callers share them, and a write would
     change later answers for the channel."""
     if tol not in ch._cores:
@@ -246,10 +265,9 @@ def _spectral_core(ch, tol):
         # the first probe is the linking element of chanstruct.structure
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
-        probes, thetas = zip(*(_project(ch, solve, g, True, tol) for g in refs))
+        probes, distances = zip(*(_project(ch, solve, g, True, tol) for g in refs))
         probes = np.stack(probes) / np.linalg.norm(probes, axis=(1, 2))[:, None, None]
-        gap = _distance(max(thetas), tol)
-        warnings = ()
+        gap, warnings = min(distances), ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (
                 "eigenvalue-1 cluster ill-separated "

@@ -1,6 +1,8 @@
 """Fixed spaces, recurrent splits, peripheral spectrum, PF certificate."""
 
 import gc
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -13,11 +15,13 @@ from helpers import (
     cyclic_channel,
     haar_unitary,
     amplitude_damping_channel,
+    invariant_deviations,
     phased_walk,
     planted_channel,
     random_channel,
     random_kraus_family,
     random_state,
+    report_invariants,
     slow_birth_death,
     two_class_chain,
 )
@@ -69,7 +73,8 @@ class TestFixedSpace:
 
 class TestLargeTier:
     def test_arnoldi_dense_lu_counts_degenerate_kernel(self):
-        # d = 41, dense-LU path; two isolated irreducible summands
+        # d = 41, dense path (the Krylov filter); two isolated irreducible
+        # summands
         ch, truth = planted_channel(RNG, [20, 21], [], 0, n_kraus=2)
         assert ch.dim == 41
         fs = cs.fixed_space(ch)
@@ -83,8 +88,8 @@ class TestLargeTier:
         assert fs.dimension == 4
 
     def test_multiplicity_above_starting_block_width(self):
-        # d = 41, dense-LU path; k = 1 + 3^2 + 2^2 = 14 fixed points from a
-        # few vectors: the blocks give the multiplicity
+        # d = 41, dense path (the Krylov filter); k = 1 + 3^2 + 2^2 = 14
+        # fixed points from a few vectors: the blocks give the multiplicity
         ch, truth = planted_channel(
             np.random.default_rng(5), [5], [(4, 3), (3, 2)], 18
         )
@@ -520,7 +525,8 @@ class TestSingleSolve:
     @pytest.mark.parametrize("family", ["planted", "markov"])
     def test_factorization_freed_after_decompose(self, monkeypatch, family):
         # the solve makes every fixed point the pipeline reads, so nothing
-        # holds the factorization once it returns, while the channel lives
+        # holds a sparse family's LU once it returns, while the channel lives,
+        # and a dense family's filter leaves nothing d^2 x d^2 on the channel
         solves = []
         factor = chanstruct.spectral._factor
 
@@ -538,8 +544,11 @@ class TestSingleSolve:
         assert ch._sparse == (family == "markov")
         report = cs.decompose(ch)
         gc.collect()
-        assert len(solves) == 1 and solves[0]() is None
-        assert report.channel is ch and ch._cores
+        assert len(solves) == 1 and report.channel is ch and ch._cores
+        if family == "markov":
+            assert solves[0]() is None
+        else:
+            assert max(a.size for a in _reachable_arrays(ch)) < ch.dim**4
 
     @pytest.mark.parametrize("family", ["markov", "oqrw"])
     def test_sparse_superoperator_built_once(self, monkeypatch, family):
@@ -569,6 +578,23 @@ class TestSingleSolve:
         rho = cs.build_invariant_state(report, params)
         assert np.abs(cs.apply(ch, rho) - rho).max() <= 1e-10
         assert built == [ch.dim]
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from root through containers, instance
+    attributes and array bases; types, modules and functions are not
+    followed."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 def _markov_cycle_fed_by_transients():
@@ -852,22 +878,80 @@ PARITY_CASES = {
 
 class TestKernelAcceptance:
     def test_accepts_only_what_phi_fixes(self, monkeypatch):
-        # S M_h S^-1 with S = I + 1e-3 e_0 e_1^T has the spectrum of M_h, but
-        # its eigenvalue-1 vectors are not fixed by the channel: they must
-        # fail their residuals, which are taken through Phi itself
-        build = chanstruct.spectral._hermitian_transfer_matrix
+        # the filter iterates S A S^-1 for the defect A = I - Phi on Hermitian
+        # coordinates and S = I + 1e-3 e_0 e_1^T: the spectrum of A, but its
+        # kernel is not fixed by the channel, so what the filter returns must
+        # fail its residual, which is taken through Phi itself
+        factor = chanstruct.spectral._factor
 
-        def similar(stack):
-            h = build(stack)
-            s = np.eye(h.shape[0])
+        def similar(ch, sigma):
+            defect = factor(ch, sigma)
+            s = np.eye(ch.dim**2)
             s[0, 1] = 1e-3
-            return s @ h @ np.linalg.inv(s)
+            s_inv = np.linalg.inv(s)
+            return lambda b, adjoint: s @ defect(s_inv @ b, adjoint)
 
-        monkeypatch.setattr(chanstruct.spectral, "_hermitian_transfer_matrix", similar)
+        monkeypatch.setattr(chanstruct.spectral, "_factor", similar)
         ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        assert not ch._sparse
         with pytest.raises(cs.DecompositionError) as err:
             cs.fixed_space(ch)
         assert err.value.stage == "fixed-space"
+
+
+class TestKrylovFilter:
+    """Pi_1 of a dense family by the Krylov filter: no LU, nothing d^2 x d^2."""
+
+    def test_dense_decompose_needs_no_lu_and_no_superoperator(self, monkeypatch):
+        # planted d = 48: M_h alone would take 8 d^4 bytes, the LU as much
+        import scipy.linalg as sla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense LU called")
+
+        monkeypatch.setattr(sla, "lu_factor", refuse)
+        monkeypatch.setattr(sla, "lu_solve", refuse)
+        ch, truth = planted_channel(np.random.default_rng(48), [6, 8], [(4, 3), (5, 2)], 12)
+        assert ch.dim == 48 and not ch._sparse
+        tracemalloc.start()
+        try:
+            report = cs.decompose(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ch.dim**4
+        assert len(report.alpha_blocks) == 2 and report.D.dimension == 12
+        assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
+
+    def test_planted_d96_matches_the_truth(self):
+        ch, truth = planted_channel(
+            np.random.default_rng(96), [8, 10, 12], [(6, 3), (7, 2)], 34
+        )
+        assert ch.dim == 96 and not ch._sparse
+        report = cs.decompose(ch)
+        assert len(report.alpha_blocks) == 3 and report.D.dimension == 34
+        assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
+        fixed = len(report.alpha_blocks) + sum(len(b.enclosures) ** 2 for b in report.beta_blocks)
+        assert fixed == truth["fixed_dim"] == 16
+
+    def test_exhausted_budget_fails_at_fixed_space(self, monkeypatch):
+        monkeypatch.setattr(chanstruct.spectral, "_BUDGET", 12)
+        ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        with pytest.raises(cs.DecompositionError, match="no eigenvalue-1 cluster") as err:
+            cs.decompose(ch)
+        assert err.value.stage == "fixed-space"
+        diagnostics = err.value.diagnostics
+        assert diagnostics["applications"] == 12
+        assert 0.0 < diagnostics["residual"] < np.inf
+        assert 0.0 < diagnostics["nearest_non_fixed_distance"] < np.inf
+
+    def test_restarts_give_the_same_decomposition(self, monkeypatch):
+        # ten Arnoldi steps per cycle instead of one cycle for the whole solve
+        make = lambda: planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)[0]  # noqa: E731
+        whole = report_invariants(cs.decompose(make()))
+        monkeypatch.setattr(chanstruct.spectral, "_RESTART", 10)
+        restarted = report_invariants(cs.decompose(make()))
+        assert max(invariant_deviations(whole, restarted).values()) <= 1e-10
 
 
 class TestKernelParity:
