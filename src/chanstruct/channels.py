@@ -24,6 +24,7 @@ the dense stack only when asked for it (``kraus``, :func:`superoperator`).
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def _dense_stack(ch):
     """The read-only (n, d, d) Kraus stack: the held view for a dense
     family, scattered from the rows into a new array for a sparse one
     (assignment keeps -0.0, where accumulating into zeros would not)."""
-    if ch._stack is not None:
+    if not ch._sparse:
         return ch._stack
     n, d = len(ch), ch.dim
     stack = np.zeros((n * d, d), dtype=complex)
@@ -234,11 +235,10 @@ def _apply_stack(ch, xs, adjoint=False):
     """Phi (or Phi^* when ``adjoint``) of every matrix of a (k, d, d) stack:
     by the cached CSC superoperator M of a sparse family, else by the two
     GEMMs of ``_sandwich``."""
-    m = _cached_superoperator(ch)
-    if m is None:
+    if not ch._sparse:
         pair = (ch._adjoint, ch._stack) if adjoint else (ch._stack, ch._adjoint)
         return _sandwich(*pair, xs)
-    k, d = xs.shape[0], ch.dim
+    m, (k, d) = _cached_superoperator(ch), (xs.shape[0], ch.dim)
     # column c is vec(X_c), X_c^T read row by row
     vecs = xs.transpose(0, 2, 1).reshape(k, d * d).T
     # M^H v = conj(M^T conj(v)), M^T the CSR view kept with M
@@ -267,45 +267,45 @@ def superoperator(ch):
     return _transfer_matrix(stack, stack)
 
 
+def _transfer_block(a, b, j):
+    """Row block j of the matrix of X -> sum_i A_i X B_i^H on column-stacked
+    vec(X), sum_i conj(B_i) ⊗ A_i for stacks ``a`` (n, p, q) and ``b`` of
+    Kraus-like operators, as a (p, s, q) array: entry (i, l, k) of block j
+    is sum_a conj(B)[a, j, l] A[a, i, k]."""
+    n, p, q = a.shape
+    block = b[:, j, :].conj().T @ a.reshape(n, p * q)
+    return block.reshape(-1, p, q).transpose(1, 0, 2)
+
+
 def _transfer_matrix(a, b):
     """Matrix of X -> sum_i A_i X B_i^H on column-stacked vec(X), for
-    stacks ``a`` and ``b`` of Kraus-like operators: sum_i conj(B_i) ⊗ A_i.
-
-    Entry (j p + i, l q + k) is sum_a conj(B)[a, j, l] A[a, i, k].  It is
-    written straight into the result one row block j at a time, so besides
-    the result only one block of size 1/r of it is held.
-    """
-    n, p, q = a.shape
-    r, s = b.shape[1:]
+    stacks ``a`` and ``b`` of Kraus-like operators: sum_i conj(B_i) ⊗ A_i,
+    written straight into the result one row block at a time, so besides
+    the result only one block of size 1/r of it is held."""
+    (p, q), (r, s) = a.shape[1:], b.shape[1:]
     out = np.empty((r, p, s, q), dtype=complex)
-    a2 = a.reshape(n, p * q)
     for j in range(r):
-        out[j] = (b[:, j, :].conj().T @ a2).reshape(s, p, q).transpose(1, 0, 2)
+        out[j] = _transfer_block(a, b, j)
     return out.reshape(r * p, s * q)
 
 
-def _hermitian_transfer_matrix(stack):
-    """The real matrix M_h = Re M + Im(M K) of M = sum_a conj(V_a) ⊗ V_a
-    (see chanstruct.spectral), straight from an (n, p, p) stack V = A + iB,
-    for ``spectral.peripheral_spectrum`` and the fallback of
-    ``spectral._block_eigenvalues``; ``decompose`` never builds it.
+def _hermitian_coordinates(m):
+    """Rows of the real M_h = U^H M U = Re M + Im(M K) (see chanstruct.spectral)
+    from the same rows of a Hermiticity-preserving superoperator M, sparse or
+    dense: column j d + i of M K is column i d + j of M."""
+    d = math.isqrt(m.shape[1])
+    return m.real + m.imag[:, np.arange(d * d).reshape(d, d).T.ravel()]
 
-    Entry (j p + i, l p + k) is sum_a A_jl A_ik + B_jl B_ik (Re M) plus
-    sum_a A_jk B_il - B_jk A_il (Im M at the swapped column k p + l), with
-    every factor taken from operator a.  Each row block j is two real GEMMs,
-    rows of [A; B] against [A; B] and rows of [A; -B] against [B; A], so no
-    complex matrix is formed.
-    """
-    n, p, _ = stack.shape
-    re_im = np.concatenate((stack.real, stack.imag))
-    re_neg = np.concatenate((stack.real, -stack.imag))
-    flat = re_im.reshape(2 * n, p * p)
-    im_re = np.concatenate((stack.imag, stack.real)).reshape(2 * n, p * p)
-    out = np.empty((p, p, p, p))
+
+def _hermitian_transfer_matrix(stack):
+    """The real matrix M_h of M = sum_a conj(V_a) ⊗ V_a for an (n, p, p) stack
+    V, one complex row block of M at a time, for ``spectral.peripheral_spectrum``
+    and the fallback of ``spectral._block_eigenvalues``; ``decompose`` never
+    builds it."""
+    p = stack.shape[1]
+    out = np.empty((p, p, p * p))
     for j in range(p):
-        re = (re_im[:, j, :].T @ flat).reshape(p, p, p)  # (l, i, k)
-        im = (re_neg[:, j, :].T @ im_re).reshape(p, p, p)  # (k, i, l)
-        np.add(re.transpose(1, 0, 2), im.transpose(1, 2, 0), out=out[j])
+        out[j] = _hermitian_coordinates(_transfer_block(stack, stack, j).reshape(p, -1))
     return out.reshape(p * p, p * p)
 
 
@@ -339,8 +339,8 @@ def _superoperator_sparse(ch):
 def _cached_superoperator(ch):
     """The CSC superoperator M of a sparse Kraus family, made on first use and
     kept with the channel together with its transpose, a CSR view of the same
-    arrays that Phi^* applies; None for a dense family."""
-    if ch._sparse and ch._superop is None:
+    arrays that Phi^* applies."""
+    if ch._superop is None:
         m = _superoperator_sparse(ch)
         object.__setattr__(ch, "_superop", m)
         object.__setattr__(ch, "_adjoint", m.T)

@@ -244,11 +244,12 @@ def _build_parser():
                 "--vector", required=True,
                 help="JSON array; entries are numbers or [re, im] pairs",
             )
-        p_what.add_argument(
-            "--unchecked", action="store_true",
-            help="skip channel validation on load",
-        )
-        p_what.set_defaults(func=cmd_query, what=name)
+        if name in ("enclosure", "spectrum"):  # the queries with no eigenvalue-1 solve
+            p_what.add_argument(
+                "--unchecked", action="store_true",
+                help="skip channel validation on load",
+            )
+        p_what.set_defaults(func=cmd_query, what=name, unchecked=False)
     return parser
 
 

@@ -191,7 +191,7 @@ def _kraus_to_dict(ch):
     if 2 * stored.size <= n * d * d:
         doc["index"] = (ch._row_ids[stored // d] * d + stored % d).tolist()
         pairs = pairs[stored]
-    elif ch._stack is None:
+    elif ch._sparse:
         # the whole stack, which a sparse family holds only part of
         pairs = _entry_pairs(_dense_stack(ch))
     # (re, im) parts as little-endian float64 bytes

@@ -49,6 +49,7 @@ from .channels import (
     _apply_stack,
     _cached_superoperator,
     _enclosure_frame,
+    _hermitian_coordinates,
     _hermitian_transfer_matrix,
     _sandwich,
     apply,
@@ -73,18 +74,17 @@ __all__ = [
 class FixedSpace:
     """Fixed points F(Phi) = {X : Phi(X) = X}.
 
-    ``basis`` is Hilbert-Schmidt-orthonormal and consists of Hermitian
-    matrices (F(Phi) is closed under X -> X^H because the channel has a
-    Kraus form); ``hermitian_basis`` is the same tuple.
+    ``hermitian_basis`` is Hilbert-Schmidt-orthonormal and consists of
+    Hermitian matrices (F(Phi) is closed under X -> X^H because the channel
+    has a Kraus form).
     """
 
     dim_ambient: int
-    basis: tuple
     hermitian_basis: tuple
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.hermitian_basis)
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,6 @@ class _SpectralCore:
     gap: float
 
 
-def _hermitian_coordinates(m):
-    """The real sparse matrix M_h = U^H M U = Re M + Im(M K) of a sparse
-    Hermiticity-preserving superoperator M (see the module docstring)."""
-    n2 = m.shape[0]
-    d = math.isqrt(n2)
-    # column j d + i of M K is column i d + j of M
-    return (m.real + m.imag[:, np.arange(n2).reshape(d, d).T.ravel()]).tocsc()
-
-
 _RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
 
 
@@ -150,15 +141,15 @@ def _factor(ch, sigma):
     """What ``_project`` iterates on real coordinates b: for a sparse family
     ``solve(b, adjoint)`` from one sparse LU of M_h - sigma I, for a dense one
     the defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` reads."""
-    m = _cached_superoperator(ch)
-    if m is None:
+    if not ch._sparse:
         return lambda b, adjoint: b - hermitian_encode(
             _apply_stack(ch, hermitian_decode(b, ch.dim)[None], adjoint)[0]
         )
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    shifted = _hermitian_coordinates(m) - sigma * sp.identity(ch.dim**2, format="csc")
+    m = _hermitian_coordinates(_cached_superoperator(ch))
+    shifted = m - sigma * sp.identity(ch.dim**2, format="csc")
     lu = spla.splu(shifted.tocsc())
     return lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")
 
@@ -296,7 +287,7 @@ def fixed_space(ch, tol=DEFAULT_TOL):
     basis = tuple(_block_basis(decompose(ch, tol=tol), states=True))
     for x in basis:
         x.setflags(write=False)
-    return FixedSpace(dim_ambient=ch.dim, basis=basis, hermitian_basis=basis)
+    return FixedSpace(dim_ambient=ch.dim, hermitian_basis=basis)
 
 
 def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
@@ -346,11 +337,10 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     its cached sparse superoperator.  For a large trace-preserving channel
     read its report's ``peripheral_spectrum``.
     """
-    m = _cached_superoperator(ch)
-    if m is None:
-        h = _hermitian_transfer_matrix(ch._stack)
+    if ch._sparse:
+        h = _hermitian_coordinates(_cached_superoperator(ch)).toarray()
     else:
-        h = _hermitian_coordinates(m).toarray()
+        h = _hermitian_transfer_matrix(ch._stack)
     return _peripheral(np.linalg.eigvals(h), tol)
 
 

@@ -24,6 +24,8 @@ state sigma of every copy in its own frame, so Q_g = F_g F_0^H and the
 block's part of an invariant state is G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}];
 rho and Q_g are derived on request.  A report holds A-blocks first, views
 them by copy count, and is written in the unchanged ``chanstruct-report/3``.
+The stages after the split read one :class:`FixedPointAlgebra`, which
+carries the channel and tolerance and takes R from them, so none can mix them.
 """
 
 from contextlib import contextmanager
@@ -80,15 +82,21 @@ class FixedPointAlgebra:
     coordinates of ``R.frame``: a von Neumann algebra, ⊕ C P_a ⊕ (M_n ⊗ I)
     over the blocks, whose structure drives the block decomposition.
 
-    Its elements are compressed fixed points of the channel's eigenvalue-1
-    solve, made with it.  ``hermitian_basis``, a Hilbert-Schmidt-orthonormal
-    (k, r, r) stack, is assembled from the blocks of :func:`decompose`, so
-    it and ``dimension`` fail wherever ``decompose`` fails.
+    The one handle the later stages read: ``R``, the channel's eigenvalue-1
+    solve and every threshold come from ``channel`` and ``tolerance``.  Its
+    elements are compressed fixed points of that solve, made with it.
+    ``hermitian_basis``, a Hilbert-Schmidt-orthonormal (k, r, r) stack, is
+    assembled from the blocks of :func:`decompose`, so it and ``dimension``
+    fail wherever ``decompose`` fails.
     """
 
-    R: Subspace
     channel: KrausChannel
     tolerance: Tolerance
+
+    @cached_property
+    def R(self):
+        """The recurrent subspace of :func:`spectral.recurrent_split`."""
+        return recurrent_split(self.channel, self.tolerance).R
 
     @cached_property
     def hermitian_basis(self):
@@ -291,20 +299,19 @@ def ergodicity_probe(ch, rho, t=1.0, terms=20, tol=DEFAULT_TOL):
     return bool(np.linalg.eigvalsh(acc)[0] > tol.psd_tol)
 
 
-def fixed_point_algebra_on_R(ch, split, tol=DEFAULT_TOL):
+def fixed_point_algebra_on_R(ch, tol=DEFAULT_TOL):
     """The fixed-point algebra of the adjoint on the recurrent part.
 
     The adjoint's fixed points of the whole channel, compressed to R
     (X -> F^H X F): R is the recurrent subspace, so the compression maps
     them onto the fixed points of the adjoint of the channel restricted to
     R, where they form an algebra containing the identity.  Its elements
-    are read off the fixed points of the channel's eigenvalue-1 solve.
+    are read off the fixed points of the channel's eigenvalue-1 solve, made
+    on first use.  The later stages take only the returned algebra.
     """
-    if split.R.dimension == 0:
-        raise DecompositionError(
-            "fixed-point-algebra", "recurrent subspace is zero-dimensional"
-        )
-    return FixedPointAlgebra(R=split.R, channel=ch, tolerance=tol)
+    if not isinstance(tol, Tolerance):
+        raise TypeError(f"tol must be a Tolerance, got {type(tol).__name__}")
+    return FixedPointAlgebra(channel=ch, tolerance=tol)
 
 
 def _is_minimal(fixed, frame, tol):
@@ -321,12 +328,12 @@ def _is_minimal(fixed, frame, tol):
     return bool(np.abs(x - scalars).max() <= tol.subspace_tol)
 
 
-def _try_eigensplit(ch, split, x, tol):
+def _try_eigensplit(algebra, x):
     """Split R into minimal enclosures, the eigenspaces of a Hermitian algebra
     element x (coordinates of R), or None when one fails minimality or the
     enclosure predicate (a degenerate sample).  They fill R, so each one's
     complement in R is an enclosure too, and its projector an adjoint fixed point."""
-    frame = split.R.frame
+    ch, tol, frame = algebra.channel, algebra.tolerance, algebra.R.frame
     probes = _spectral_core(ch, tol).probes
     x = (x + x.conj().T) / 2.0
     w, vecs = np.linalg.eigh(x)
@@ -345,17 +352,18 @@ def _try_eigensplit(ch, split, x, tol):
 
 
 def _check_seed(rng_seed):
-    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+    # refuses bool and np.bool_ too, which the report reader refuses
+    if not np.issubdtype(type(rng_seed), np.integer) or rng_seed < 0:
         raise ArgumentError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
 
 
-def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
-    """Decompose R into mutually orthogonal minimal enclosures.
+def minimal_enclosures(algebra, rng_seed=0):
+    """Decompose the algebra's R into mutually orthogonal minimal enclosures.
 
     Eigenspaces of a generic Hermitian element of the fixed-point algebra
     are exactly the minimal enclosures of one orthogonal decomposition.
-    Each candidate is an adjoint fixed point of the channel's eigenvalue-1
-    solve compressed by the R frame F of ``algebra``: first
+    Each candidate is an adjoint fixed point of the eigenvalue-1 solve of
+    the algebra's channel and tolerance, compressed by its R frame F: first
     x = F^H Pi_1^*(diag(1, ..., d) / d) F; when x is degenerate, up to
     ``_MAX_SAMPLING_ATTEMPTS`` combinations a x + b y, y the second probe
     compressed and Gaussian (a, b) from ``default_rng(rng_seed + attempt)``.
@@ -364,13 +372,13 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
     distance from 1 of the nearest non-fixed eigenvalue.
     """
     _check_seed(rng_seed)
-    frame, core = algebra.R.frame, _spectral_core(ch, tol)
+    frame, core = algebra.R.frame, _spectral_core(algebra.channel, algebra.tolerance)
     x, y = (frame.conj().T @ z @ frame for z in (core.candidate, core.probes[1]))
     seeds = range(rng_seed, rng_seed + _MAX_SAMPLING_ATTEMPTS)
     # a generator: an attempt's coefficients are drawn only when it is tried
     draws = (np.random.default_rng(seed).standard_normal(2) for seed in seeds)
     for element in chain([x], (a * x + b * y for a, b in draws)):
-        found = _try_eigensplit(ch, split, element, tol)
+        found = _try_eigensplit(algebra, element)
         if found:
             return found
     raise DecompositionError(
@@ -382,19 +390,20 @@ def minimal_enclosures(ch, split, algebra, rng_seed=0, tol=DEFAULT_TOL):
     )
 
 
-def _coords_in(space, enclosure, stage, tol):
-    if not space.contains(enclosure, tol):
+def _coords_in(algebra, enclosure, stage):
+    """The frame of an enclosure in the coordinates of the algebra's R."""
+    if not algebra.R.contains(enclosure, algebra.tolerance):
         raise DecompositionError(stage, "enclosure is not contained in R")
-    return space.frame.conj().T @ enclosure.frame
+    return algebra.R.frame.conj().T @ enclosure.frame
 
 
-def _link_cut(algebra, tol):
+def _link_cut(algebra):
     """The algebra's linking element h and the cut subspace_tol |h|_F."""
     h = algebra.linking_element
-    return h, tol.subspace_tol * np.linalg.norm(h)
+    return h, algebra.tolerance.subspace_tol * np.linalg.norm(h)
 
 
-def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
+def group_into_blocks(enclosures, algebra):
     """Partition minimal enclosures into A-blocks (unlinked singletons) and
     B-blocks (connected families linked by the algebra).
 
@@ -406,19 +415,15 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
     from scipy.sparse.csgraph import connected_components
 
     n = len(enclosures)
-    coords = [
-        _coords_in(algebra.R, e, "block-grouping", tol) for e in enclosures
-    ]
-    h, cut = _link_cut(algebra, tol)
+    coords = [_coords_in(algebra, e, "block-grouping") for e in enclosures]
+    h, cut = _link_cut(algebra)
     adj = [
         [np.linalg.norm(ci.conj().T @ h @ cj) > cut for cj in coords] for ci in coords
     ]
     n_comp, labels = connected_components(
         csr_matrix(adj), directed=False, return_labels=True
     )
-    components = [
-        [i for i in range(n) if labels[i] == c] for c in range(n_comp)
-    ]
+    components = [[i for i in range(n) if labels[i] == c] for c in range(n_comp)]
     components.sort(key=min)
     groups = [[enclosures[i] for i in members] for members in components]
     for group in groups:
@@ -432,7 +437,7 @@ def group_into_blocks(ch, enclosures, algebra, tol=DEFAULT_TOL):
     return [g[0] for g in groups if len(g) == 1], [g for g in groups if len(g) > 1]
 
 
-def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
+def partial_isometry(algebra, vi, vj):
     """Partial isometry Q with Q^H Q = P_Vi, Q Q^H = P_Vj intertwining the
     restricted dynamics: the polar factor of the block of the generic
     algebra element between Vi and Vj (``FixedPointAlgebra.linking_element``).
@@ -449,9 +454,9 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
         )
     if vi.dimension == 0:
         raise ArgumentError("enclosures must be nonzero")
-    gi = _coords_in(algebra.R, vi, "partial-isometry", tol)
-    gj = _coords_in(algebra.R, vj, "partial-isometry", tol)
-    h, cut = _link_cut(algebra, tol)
+    gi = _coords_in(algebra, vi, "partial-isometry")
+    gj = _coords_in(algebra, vj, "partial-isometry")
+    h, cut = _link_cut(algebra)
     link = gj.conj().T @ h @ gi
     if np.linalg.norm(link) <= cut:
         raise DecompositionError(
@@ -460,6 +465,7 @@ def partial_isometry(ch, algebra, vi, vj, tol=DEFAULT_TOL):
             "belong to one B-block)",
         )
     u, s, wh = np.linalg.svd(link)
+    tol = algebra.tolerance
     if (s[0] - s[-1]) / s[0] > tol.subspace_tol:
         raise DecompositionError(
             "partial-isometry",
@@ -614,15 +620,15 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     _check_seed(rng_seed)
     with _stage("recurrent-split"):
         split = recurrent_split(ch, tol)
-    algebra = fixed_point_algebra_on_R(ch, split, tol)
+    algebra = fixed_point_algebra_on_R(ch, tol)
     with _stage("minimal-enclosures"):
-        enclosures = minimal_enclosures(ch, split, algebra, rng_seed, tol)
-    alpha, beta = group_into_blocks(ch, enclosures, algebra, tol)
+        enclosures = minimal_enclosures(algebra, rng_seed)
+    alpha, beta = group_into_blocks(enclosures, algebra)
     with _stage("invariant-states"):
         blocks = []
         for base, *others in [[v] for v in alpha] + beta:
             # each copy's frame is aligned with the base frame: F_g = Q_g F_0
-            qs = [partial_isometry(ch, algebra, base, v, tol) for v in others]
+            qs = [partial_isometry(algebra, base, v) for v in others]
             aligned = [base] + [Subspace(ch.dim, q @ base.frame) for q in qs]
             sigma = _compression(split.rho_max, base.frame)
             blocks.append(Block(enclosures=tuple(aligned), sigma=sigma))

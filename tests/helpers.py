@@ -201,6 +201,17 @@ def coordinate_projector(n, indices):
     return p
 
 
+def hermitian_unitary(d):
+    """U = ((1+i) I + (1-i) K) / 2, K the vec swap vec(X) -> vec(X^T): the
+    explicit matrix of the real coordinates M_h = U^H M U."""
+    n2 = d * d
+    swap = np.zeros((n2, n2))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return ((1 + 1j) * np.eye(n2) + (1 - 1j) * swap) / 2.0
+
+
 def phased_walk(n_sites):
     """OQRW conjugated by a diagonal phase: sparse Kraus operators with
     complex entries."""

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 
 import chanstruct as cs
 import chanstruct.channels
-import chanstruct.spectral
 from helpers import (
     amplitude_damping_apply,
     amplitude_damping_channel,
+    hermitian_unitary,
     phased_walk,
     planted_channel,
     random_channel,
@@ -257,12 +257,13 @@ class TestSuperoperator:
         else:
             p = rng.uniform(size=(5, 5))
             ch = cs.from_markov_chain(p / p.sum(axis=0))
-        ref = chanstruct.spectral._hermitian_coordinates(
-            sp.csc_matrix(cs.superoperator(ch))
-        ).toarray()
+        # the explicit similarity, independent of the rule Re M + Im(M K)
+        u = hermitian_unitary(ch.dim)
+        ref = u.conj().T @ cs.superoperator(ch) @ u
         got = chanstruct.channels._hermitian_transfer_matrix(np.stack(ch.kraus))
         assert got.dtype == np.float64 and got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-15
+        assert np.abs(ref.imag).max() <= 1e-14
+        assert np.abs(got - ref.real).max() <= 1e-14
 
     def test_superoperator_holds_one_copy(self):
         ch = random_channel(24, 3, RNG)

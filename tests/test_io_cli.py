@@ -1171,7 +1171,7 @@ class TestCliDecompose:
         monkeypatch.setattr(
             chanstruct.structure,
             "_link_cut",
-            lambda algebra, tol: (algebra.linking_element, np.inf),
+            lambda algebra: (algebra.linking_element, np.inf),
         )
         path = write_channel(tmp_path / "id2.json", cs.KrausChannel([np.eye(2)]))
         assert main(["decompose", path]) == 1
@@ -1313,13 +1313,17 @@ class TestCliQuery:
         assert any(abs(z - 1.0) < 1e-8 for z in values)
         assert all(abs(z ** 3 - 1.0) < 1e-8 for z in values)
 
-    def test_unchecked_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "query", [["spectrum"], ["enclosure", "--vector", "[1, 0]"]], ids=lambda q: q[0]
+    )
+    def test_unchecked_flag(self, query, tmp_path, capsys):
+        # the two queries that run no eigenvalue-1 solve
         doc = {
             "dim": 2,
             "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["query", "spectrum", str(path)]) == 1
+        assert main(["query", query[0], str(path), *query[1:]]) == 1
         capsys.readouterr()
-        assert main(["query", "spectrum", str(path), "--unchecked"]) == 0
+        assert main(["query", query[0], str(path), *query[1:], "--unchecked"]) == 0

@@ -15,6 +15,7 @@ from helpers import (
     cyclic_channel,
     haar_unitary,
     amplitude_damping_channel,
+    hermitian_unitary,
     invariant_deviations,
     phased_walk,
     planted_channel,
@@ -45,7 +46,7 @@ class TestFixedSpace:
         ch = random_channel(4, 3, RNG)
         fs = cs.fixed_space(ch)
         assert fs.dimension == 1
-        x = fs.basis[0]
+        x = fs.hermitian_basis[0]
         assert np.abs(cs.apply(ch, x) - x).max() < 1e-8
 
     def test_unitary_commutant(self):
@@ -147,16 +148,6 @@ class TestLargeTier:
         assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() < 1e-10
 
 
-def _hermitian_unitary(d):
-    """U = ((1+i) I + (1-i) K) / 2, K the vec swap vec(X) -> vec(X^T)."""
-    n2 = d * d
-    swap = np.zeros((n2, n2))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return ((1 + 1j) * np.eye(n2) + (1 - 1j) * swap) / 2.0
-
-
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("case", ["dense-random", "sparse-walk", "sparse-phased"])
     def test_coordinates_are_real_unitary_similarity(self, case):
@@ -170,11 +161,11 @@ class TestHermitianCoordinates:
             if case == "sparse-phased":
                 ch = phased_walk(5)
             m = chanstruct.channels._superoperator_sparse(ch)
-            h = chanstruct.spectral._hermitian_coordinates(m)
+            h = chanstruct.channels._hermitian_coordinates(m)
             assert h.format == "csc"
             h = h.toarray()
         assert h.dtype == np.float64
-        u = _hermitian_unitary(ch.dim)
+        u = hermitian_unitary(ch.dim)
         assert np.abs(u.conj().T @ u - np.eye(ch.dim**2)).max() <= 1e-15
         ref = u.conj().T @ cs.superoperator(ch) @ u
         assert np.abs(ref.imag).max() <= 1e-14
@@ -193,7 +184,7 @@ class TestHermitianCoordinates:
     def test_fixed_space_basis_is_hermitian(self, make):
         ch = make()
         fs = cs.fixed_space(ch)
-        for x in fs.basis:
+        for x in fs.hermitian_basis:
             assert np.abs(x - x.conj().T).max() <= 1e-12
             assert np.abs(cs.apply(ch, x) - x).max() <= 1e-9
 
@@ -205,7 +196,7 @@ class TestHermitianCoordinates:
         x = chanstruct.linalg.hermitian_decode(q, d)
         assert x.shape == (2, 4, d, d)
         vecs = np.swapaxes(x, -1, -2).reshape(2, 4, d * d)
-        assert np.abs(vecs - q @ _hermitian_unitary(d).T).max() <= 1e-15
+        assert np.abs(vecs - q @ hermitian_unitary(d).T).max() <= 1e-15
         assert np.abs(x - np.swapaxes(x, -1, -2).conj()).max() == 0.0
         assert np.abs(chanstruct.linalg.hermitian_encode(x) - q).max() <= 1e-15
 
@@ -351,10 +342,10 @@ class TestSharedSolveIsReadOnly:
 
     def test_fixed_space_basis(self):
         ch = cs.KrausChannel([np.eye(2)])
-        before = np.stack(cs.fixed_space(ch).basis)
+        before = np.stack(cs.fixed_space(ch).hermitian_basis)
         with pytest.raises(ValueError):
-            cs.fixed_space(ch).basis[0][...] = 0
-        assert np.array_equal(np.stack(cs.fixed_space(ch).basis), before)
+            cs.fixed_space(ch).hermitian_basis[0][...] = 0
+        assert np.array_equal(np.stack(cs.fixed_space(ch).hermitian_basis), before)
 
     def test_split_frames(self):
         ch = amplitude_damping_channel(0.5)
@@ -517,7 +508,7 @@ class TestSingleSolve:
             cs.report_file_from_report(report)
             cs.fixed_space(ch)
             cs.perron_frobenius_certificate(ch)
-            algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
+            algebra = cs.fixed_point_algebra_on_R(ch)
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
             cs.block_invariant_state(ch, report.alpha_blocks[0].enclosures[0])
             assert sorted(calls) == [False, False, True, True, True]
@@ -962,10 +953,10 @@ class TestKernelParity:
         tol = cs.DEFAULT_TOL
         ch = PARITY_CASES[case]()
         ref_right, ref_left = _svd_kernels(ch, tol)
-        right = np.column_stack([cs.vec(x) for x in cs.fixed_space(ch, tol).basis])
-        split = cs.recurrent_split(ch, tol)
-        frame = split.R.frame
-        algebra = cs.fixed_point_algebra_on_R(ch, split, tol)
+        fixed = cs.fixed_space(ch, tol).hermitian_basis
+        right = np.column_stack([cs.vec(x) for x in fixed])
+        algebra = cs.fixed_point_algebra_on_R(ch, tol)
+        frame = algebra.R.frame
         left = np.column_stack([cs.vec(h) for h in algebra.hermitian_basis])
         compressed = np.column_stack(
             [cs.vec(frame.conj().T @ cs.unvec(x, ch.dim) @ frame) for x in ref_left.T]

@@ -248,17 +248,15 @@ def test_non_finite_input_is_argument_error(case):
 class TestFixedPointAlgebra:
     def test_identity_channel_full_algebra(self):
         ch = cs.KrausChannel([np.eye(3)])
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        algebra = cs.fixed_point_algebra_on_R(ch)
         assert algebra.dimension == 9
 
     def test_planted_dimension(self):
         ch, truth = planted_channel(RNG, [2, 3], [(2, 2)], 2, n_kraus=3)
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        algebra = cs.fixed_point_algebra_on_R(ch)
         assert algebra.dimension == truth["fixed_dim"]
         # every basis element is fixed by the adjoint of the restriction
-        frame = split.R.frame
+        frame = algebra.R.frame
         compressed = [frame.conj().T @ v @ frame for v in ch.kraus]
         for h in algebra.hermitian_basis:
             image = sum(w.conj().T @ h @ w for w in compressed)
@@ -267,20 +265,17 @@ class TestFixedPointAlgebra:
 
 class TestMinimalEnclosures:
     def _pipeline(self, ch, seed=0):
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
-        encs = cs.minimal_enclosures(ch, split, algebra, rng_seed=seed)
-        return split, algebra, encs
+        return cs.minimal_enclosures(cs.fixed_point_algebra_on_R(ch), rng_seed=seed)
 
     def test_identity_channel_splits_into_lines(self):
         ch = cs.KrausChannel([np.eye(3)])
-        _, _, encs = self._pipeline(ch)
+        encs = self._pipeline(ch)
         assert len(encs) == 3
         assert all(e.dimension == 1 for e in encs)
 
     def test_mutually_orthogonal_minimal_enclosures(self):
         ch, truth = planted_channel(RNG, [2], [(2, 2)], 0, n_kraus=3)
-        _, _, encs = self._pipeline(ch)
+        encs = self._pipeline(ch)
         assert len(encs) == 3  # one A summand + two copies
         for i, ei in enumerate(encs):
             assert cs.is_enclosure(ch, ei)
@@ -294,8 +289,8 @@ class TestMinimalEnclosures:
 
     def test_deterministic_across_seeds(self):
         ch, _ = planted_channel(RNG, [], [(2, 3)], 0, n_kraus=3)
-        _, _, encs0 = self._pipeline(ch, seed=0)
-        _, _, encs7 = self._pipeline(ch, seed=7)
+        encs0 = self._pipeline(ch, seed=0)
+        encs7 = self._pipeline(ch, seed=7)
         assert len(encs0) == len(encs7) == 3
         for a, b in zip(encs0, encs7):
             assert a.approx_equal(b)
@@ -308,16 +303,16 @@ class TestMinimalEnclosures:
         calls = []
         eigensplit = chanstruct.structure._try_eigensplit
 
-        def counting(ch, split, x, tol):
-            calls.append((x, eigensplit(ch, split, x, tol)))
+        def counting(algebra, x):
+            calls.append((x, eigensplit(algebra, x)))
             return calls[-1][1]
 
         monkeypatch.setattr(chanstruct.structure, "_try_eigensplit", counting)
-        _, _, encs0 = self._pipeline(ch, seed=0)
+        encs0 = self._pipeline(ch, seed=0)
         (canonical, rejected), (_, found) = calls
         assert np.abs(canonical - canonical[0, 0] * np.eye(4)).max() < 1e-12
         assert rejected is None and found is not None
-        _, _, encs7 = self._pipeline(ch, seed=7)
+        encs7 = self._pipeline(ch, seed=7)
         assert len(encs0) == len(encs7) == 4
         assert all(e.dimension == 1 for e in encs0 + encs7)
         # the seeds may order the lines differently
@@ -384,29 +379,27 @@ class TestMinimalEnclosures:
         ],
         ids=["shift-fallback", "markov-first-candidate"],
     )
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_is_argument_error(self, build, seed):
-        # refused before any solve, whether or not the fallback would seed
+        # refused before any solve, whether or not the fallback would seed;
+        # a bool too, which the report reader would refuse
         ch = build()
         with pytest.raises(cs.ArgumentError, match="rng_seed"):
             cs.decompose(ch, rng_seed=seed)
         assert ch._cores == {}
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        algebra = cs.fixed_point_algebra_on_R(ch)
         with pytest.raises(cs.ArgumentError, match="rng_seed"):
-            cs.minimal_enclosures(ch, split, algebra, rng_seed=seed)
+            cs.minimal_enclosures(algebra, rng_seed=seed)
 
     def test_degenerate_sampling_error(self, monkeypatch):
-        ch = cs.KrausChannel([np.eye(2)])
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel([np.eye(2)]))
         monkeypatch.setattr(
             chanstruct.structure, "_try_eigensplit", lambda *a, **k: None
         )
         with pytest.raises(
             cs.DecompositionError, match="degenerate algebra sampling"
         ):
-            cs.minimal_enclosures(ch, split, algebra)
+            cs.minimal_enclosures(algebra)
 
 
 class TestGrouping:
@@ -419,39 +412,34 @@ class TestGrouping:
         )
         for rng, alpha_dims, beta_specs in layouts:
             ch, truth = planted_channel(rng, alpha_dims, beta_specs, 0, n_kraus=3)
-            split = cs.recurrent_split(ch)
-            algebra = cs.fixed_point_algebra_on_R(ch, split)
-            encs = cs.minimal_enclosures(ch, split, algebra)
-            alpha, beta = cs.group_into_blocks(ch, encs, algebra)
+            algebra = cs.fixed_point_algebra_on_R(ch)
+            encs = cs.minimal_enclosures(algebra)
+            alpha, beta = cs.group_into_blocks(encs, algebra)
             assert len(alpha) == truth["n_alpha"]
             assert [len(grp) for grp in beta] == truth["beta_sizes"]
 
     def test_unequal_linked_dimensions_rejected(self):
         # for the identity channel every subspace is an enclosure and the
         # algebra links everything, so a dim-1/dim-2 split is inconsistent
-        ch = cs.KrausChannel([np.eye(3)])
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
+        algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel([np.eye(3)]))
         e = np.eye(3)
         fake = [cs.Subspace(3, e[:, :1]), cs.Subspace(3, e[:, 1:])]
         with pytest.raises(
             cs.DecompositionError, match="algebra/tolerance inconsistency"
         ):
-            cs.group_into_blocks(ch, fake, algebra)
+            cs.group_into_blocks(fake, algebra)
 
 
 class TestPartialIsometry:
     def _beta_pair(self):
         ch, truth = planted_channel(RNG, [], [(2, 2)], 0, n_kraus=3)
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
-        encs = cs.minimal_enclosures(ch, split, algebra)
-        _, beta = cs.group_into_blocks(ch, encs, algebra)
+        algebra = cs.fixed_point_algebra_on_R(ch)
+        _, beta = cs.group_into_blocks(cs.minimal_enclosures(algebra), algebra)
         return ch, algebra, beta[0]
 
     def test_isometry_identities(self):
         ch, algebra, (v1, v2) = self._beta_pair()
-        q = cs.partial_isometry(ch, algebra, v1, v2)
+        q = cs.partial_isometry(algebra, v1, v2)
         assert np.abs(q.conj().T @ q - v1.projector()).max() < 1e-10
         assert np.abs(q @ q.conj().T - v2.projector()).max() < 1e-10
         # intertwines the restricted dynamics
@@ -473,40 +461,33 @@ class TestPartialIsometry:
             np.block([[v, zero], [zero, d_phase @ v @ d_phase.conj()]])
             for v in random_kraus_family(2, 2, rng)
         ]
-        ch = cs.KrausChannel(kraus)
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
-        encs = cs.minimal_enclosures(ch, split, algebra)
-        _, beta = cs.group_into_blocks(ch, encs, algebra)
+        algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel(kraus))
+        _, beta = cs.group_into_blocks(cs.minimal_enclosures(algebra), algebra)
         (v1, v2), = beta
-        ref = cs.partial_isometry(ch, algebra, v1, v2)
+        ref = cs.partial_isometry(algebra, v1, v2)
         for _ in range(8):
             w1, w2 = haar_unitary(2, rng), haar_unitary(2, rng)
             q = cs.partial_isometry(
-                ch, algebra,
-                cs.Subspace(4, v1.frame @ w1), cs.Subspace(4, v2.frame @ w2),
+                algebra, cs.Subspace(4, v1.frame @ w1), cs.Subspace(4, v2.frame @ w2)
             )
             assert np.abs(q - ref).max() <= 1e-10
 
     def test_same_enclosure_gives_projector(self):
-        ch, algebra, (v1, _) = self._beta_pair()
-        q = cs.partial_isometry(ch, algebra, v1, v1)
+        _, algebra, (v1, _) = self._beta_pair()
+        q = cs.partial_isometry(algebra, v1, v1)
         assert np.abs(q - v1.projector()).max() < 1e-10
 
     def test_unlinked_pair_rejected(self):
         ch, _ = planted_channel(RNG, [2, 2], [], 0, n_kraus=3)
-        split = cs.recurrent_split(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, split)
-        encs = cs.minimal_enclosures(ch, split, algebra)
+        algebra = cs.fixed_point_algebra_on_R(ch)
+        encs = cs.minimal_enclosures(algebra)
         with pytest.raises(cs.DecompositionError, match="links"):
-            cs.partial_isometry(ch, algebra, encs[0], encs[1])
+            cs.partial_isometry(algebra, encs[0], encs[1])
 
     def test_dimension_mismatch_rejected(self):
         ch, algebra, (v1, _) = self._beta_pair()
         with pytest.raises(cs.ArgumentError):
-            cs.partial_isometry(
-                ch, algebra, v1, cs.Subspace(ch.dim, np.eye(ch.dim))
-            )
+            cs.partial_isometry(algebra, v1, cs.Subspace(ch.dim, np.eye(ch.dim)))
 
 
 def _enclosure_off_R():
@@ -598,8 +579,8 @@ class TestDecompose:
         handed = []
         link_cut = chanstruct.structure._link_cut
 
-        def recording(algebra, tol):
-            h, cut = link_cut(algebra, tol)
+        def recording(algebra):
+            h, cut = link_cut(algebra)
             handed.append(h)
             return h, cut
 
@@ -616,10 +597,10 @@ class TestDecompose:
         # reference state in the twisted copy's frame is not invariant
         polar = cs.partial_isometry
 
-        def twisting(ch, algebra, vi, vj, tol=cs.DEFAULT_TOL):
+        def twisting(algebra, vi, vj):
             phases = np.exp(1j * np.arange(vi.dimension))
             f = vi.frame
-            return polar(ch, algebra, vi, vj, tol) @ f @ np.diag(phases) @ f.conj().T
+            return polar(algebra, vi, vj) @ f @ np.diag(phases) @ f.conj().T
 
         monkeypatch.setattr(chanstruct.structure, "partial_isometry", twisting)
         ch, _ = planted_channel(np.random.default_rng(seed), [1], [(2, 2)], 1)
@@ -765,7 +746,7 @@ class TestLocalBlockData:
         rng = np.random.default_rng(433)
         ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
         rep = cs.decompose(ch)
-        algebra = cs.fixed_point_algebra_on_R(ch, cs.recurrent_split(ch))
+        algebra = cs.fixed_point_algebra_on_R(ch)
         for blk in rep.alpha_blocks:
             k = blk.enclosures[0].dimension
             assert blk.sigma.shape == (k, k)
@@ -782,7 +763,7 @@ class TestLocalBlockData:
             assert np.abs(blk.rho - ref).max() <= 1e-12
             assert np.abs(blk.isometries[0] - base.projector()).max() <= 1e-12
             for g, enc in enumerate(blk.enclosures[1:], start=1):
-                q = cs.partial_isometry(ch, algebra, base, enc)
+                q = cs.partial_isometry(algebra, base, enc)
                 assert np.abs(blk.isometries[g] - q).max() <= 1e-12
                 assert np.abs(enc.frame - q @ base.frame).max() <= 1e-12
 

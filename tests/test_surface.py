@@ -2,7 +2,10 @@
 and every CLI subcommand takes the shared options."""
 
 import importlib
+import pathlib
+import re
 
+import numpy as np
 import pytest
 
 import chanstruct as cs
@@ -69,10 +72,49 @@ def test_every_subcommand_takes_the_shared_options(command):
     )
 
 
-def test_decompose_has_no_unchecked_flag(tmp_path, capsys):
+# the subcommands that run the eigenvalue-1 solve, which needs a
+# trace-preserving channel
+SOLVING = [("decompose",), ("query", "irreducible"), ("query", "fixed-points")]
+
+
+@pytest.mark.parametrize("command", SOLVING, ids=" ".join)
+def test_decompose_has_no_unchecked_flag(command, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
-        main(["decompose", str(tmp_path / "ch.json"), "--unchecked"])
+        main([*command, str(tmp_path / "ch.json"), "--unchecked"])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: chanstruct")
     assert "unrecognized arguments: --unchecked" in err
+
+
+def test_staged_api_reads_the_algebra():
+    # the stages after the algebra take no channel, split or tolerance
+    ch = cs.KrausChannel([np.eye(2)])
+    split = cs.recurrent_split(ch)
+    algebra = cs.fixed_point_algebra_on_R(ch)
+    encs = cs.minimal_enclosures(algebra)
+    _, (pair,) = cs.group_into_blocks(encs, algebra)
+    assert algebra.R is split.R and cs.partial_isometry(algebra, *pair).shape == (2, 2)
+    old_forms = [
+        lambda: cs.fixed_point_algebra_on_R(ch, split),
+        lambda: cs.fixed_point_algebra_on_R(ch, split, cs.DEFAULT_TOL),
+        lambda: cs.minimal_enclosures(ch, split, algebra),
+        lambda: cs.minimal_enclosures(algebra, tol=cs.DEFAULT_TOL),
+        lambda: cs.group_into_blocks(ch, encs, algebra),
+        lambda: cs.partial_isometry(ch, algebra, *pair),
+    ]
+    for old_form in old_forms:
+        with pytest.raises(TypeError):
+            old_form()
+
+
+def test_readme_python_block_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    report, alpha, beta = names["report"], names["alpha"], names["beta"]
+    assert len(alpha) == len(report.alpha_blocks) == 1 and beta == []
+    assert alpha[0].approx_equal(report.alpha_blocks[0].enclosures[0])
+    assert names["back"].residual <= 1e-12
