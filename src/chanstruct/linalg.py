@@ -71,6 +71,17 @@ def as_complex_matrix(a, name="matrix"):
     return m
 
 
+def _check_tolerance(tol):
+    if not isinstance(tol, Tolerance):
+        raise TypeError(f"tol must be a Tolerance, got {type(tol).__name__}")
+
+
+def _check_integer(value, name, least):
+    # refuses bool and np.bool_ too, which the report reader refuses
+    if not np.issubdtype(type(value), np.integer) or value < least:
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_hermitian(x, tol, name="matrix"):
     dev = np.abs(x - x.conj().T).max() if x.size else 0.0
     scale = max(1.0, np.abs(x).max()) if x.size else 1.0

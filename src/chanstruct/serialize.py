@@ -310,26 +310,28 @@ def load_channel(path, tol=DEFAULT_TOL, unchecked=False):
 @dataclass(frozen=True)
 class ReportFile:
     """A decomposition report plus the spectral summary that accompanies it
-    on disk."""
+    on disk.  The fixed-space dimension is the one its blocks imply."""
 
     report: DecompositionReport
-    fixed_space_dimension: int
     peripheral_spectrum: tuple
+
+    @property
+    def fixed_space_dimension(self):
+        return _fixed_dimension(self.report)
 
 
 def report_file_from_report(report):
-    """Attach the fixed-space dimension n_alpha + sum_b n_b^2 and the
-    peripheral spectrum of the report's channel, which is that of the
-    channel on B(R), taken per unordered pair of blocks (see the README's
-    numerical policy).  The (i, i) pair is block i's own channel, whose
-    peripheral spectrum is the exact p-th roots of unity for its certified
-    period p (``spectral._block_eigenvalues``), or the eigenvalues of its
-    M_h in the rare case that the period walk finds no start in one cyclic
-    subspace, gives up, or fails its certificate.  The walk reads only the
-    block's compressed Kraus operators, not its state.  It counts n_i^2
-    times.  A pair of blocks of unequal dimension has no
-    peripheral eigenvalue; any other (i, j) pair of first copies counts
-    n_i n_j times, and the (j, i) pair has the conjugate spectrum."""
+    """Attach the peripheral spectrum of the report's channel, which is that
+    of the channel on B(R), taken per unordered pair of blocks (see the
+    README's numerical policy).  The (i, i) pair is block i's own channel,
+    whose peripheral spectrum is the exact p-th roots of unity for its
+    certified period p (``spectral._block_eigenvalues``), or the eigenvalues
+    of its M_h in the rare case that the period walk finds no start in one
+    cyclic subspace, gives up, or fails its certificate.  The walk reads only
+    the block's compressed Kraus operators, not its state.  It counts n_i^2
+    times.  A pair of blocks of unequal dimension has no peripheral
+    eigenvalue; any other (i, j) pair of first copies counts n_i n_j times,
+    and the (j, i) pair has the conjugate spectrum."""
     ch = report.channel
     tol = report.tolerance
     # F^H V_a F for the first enclosure F of every block, and its copy count
@@ -347,7 +349,6 @@ def report_file_from_report(report):
             eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))
     return ReportFile(
         report=report,
-        fixed_space_dimension=_fixed_dimension(report),
         peripheral_spectrum=tuple(_peripheral(np.concatenate(eigenvalues), tol)),
     )
 
@@ -429,11 +430,12 @@ def _blocks_from_lists(data, key, dim):
 
 def report_file_from_dict(data, re_verify=True):
     """Parse a ``chanstruct-report/3`` document, checking frames and derived
-    fields (two or more copies per B-block, its ``index`` = position,
-    ``fixed_space_dimension`` = n_alpha + sum_b n_b^2 = the count of
-    spectrum values at 1, all on |z| = 1, ``recurrent_basis`` the
-    orthocomplement of ``transient_basis``) and, with ``re_verify``, the
-    enclosure predicate and :func:`_verify_blocks`."""
+    fields (``dim`` = the channel's, two or more copies per B-block, its
+    ``index`` = position, ``fixed_space_dimension`` = the n_alpha + sum_b
+    n_b^2 of ``ReportFile.fixed_space_dimension`` = the count of spectrum
+    values at 1, all on |z| = 1, ``recurrent_basis`` the orthocomplement of
+    ``transient_basis``) and, with ``re_verify``, the enclosure predicate and
+    :func:`_verify_blocks`."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -476,7 +478,6 @@ def report_file_from_dict(data, re_verify=True):
     if not all(isinstance(w, str) for w in warnings_data):
         raise ParseError(f"{where}: warnings must be a list of strings")
     report = DecompositionReport(
-        dim=dim,
         R=r_space,
         D=d_space,
         blocks=tuple(blocks),
@@ -485,11 +486,12 @@ def report_file_from_dict(data, re_verify=True):
         warnings=tuple(warnings_data),
         channel=ch,
     )
+    rf = ReportFile(report=report, peripheral_spectrum=spectrum)
     fixed_dim = _require_int(data, "fixed_space_dimension", where)
-    if fixed_dim != _fixed_dimension(report):
+    if fixed_dim != rf.fixed_space_dimension:
         raise ParseError(
             f"{where}: fixed_space_dimension {fixed_dim} disagrees with the "
-            f"{_fixed_dimension(report)} its blocks imply"
+            f"{rf.fixed_space_dimension} its blocks imply"
         )
     # R = D^⊥, the span of the blocks when they and D fill C^d (_verify_blocks)
     overlap = np.abs(r_space.frame.conj().T @ d_space.frame).max(initial=0.0)
@@ -499,14 +501,11 @@ def report_file_from_dict(data, re_verify=True):
         raise ParseError(f"{where}: peripheral_spectrum has a value off |z| = 1")
     if sum(abs(z - 1.0) <= tol.eig_cluster_tol for z in spectrum) != fixed_dim:
         raise ParseError(f"{where}: peripheral_spectrum needs {fixed_dim} values at 1")
-    rf = ReportFile(
-        report=report, fixed_space_dimension=fixed_dim, peripheral_spectrum=spectrum
-    )
     if re_verify:
         if not all(is_enclosure(ch, v, tol) for b in blocks for v in b.enclosures):
             raise ParseError("report: a stored frame fails the enclosure predicate")
         try:
-            _verify_blocks(ch, report, tol)
+            _verify_blocks(report)
         except DecompositionError as err:
             raise ParseError(f"report: {err}") from err
     return rf

@@ -57,6 +57,7 @@ from .channels import (
 )
 from .errors import ArgumentError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, hermitian_encode
+from .linalg import _check_integer, _check_tolerance
 
 __all__ = [
     "FixedSpace",
@@ -249,6 +250,7 @@ def _spectral_core(ch, tol):
     made on first use from one ``_factor``, which is freed on return, and
     kept with the channel read-only: callers share them, and a write would
     change later answers for the channel."""
+    _check_tolerance(tol)
     if tol not in ch._cores:
         d = ch.dim
         solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
@@ -291,17 +293,17 @@ def fixed_space(ch, tol=DEFAULT_TOL):
 
 
 def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
-    """Cesaro mean (1/n) sum_{k<n} Phi^k(rho) for a state rho."""
-    if int(n) < 1:
-        raise ArgumentError("n must be at least 1")
+    """Cesaro mean (1/n) sum_{k<n} Phi^k(rho) for a state rho and an
+    integer n >= 1."""
+    _check_integer(n, "n", 1)
     if not is_state(rho, tol):
         raise ArgumentError("rho is not a state")
     current = np.asarray(rho, dtype=complex)
     acc = current.copy()
-    for _ in range(int(n) - 1):
+    for _ in range(n - 1):
         current = apply(ch, current)
         acc += current
-    return acc / float(n)
+    return acc / n
 
 
 def _split(ch, rho, tol, warnings):

@@ -24,8 +24,10 @@ state sigma of every copy in its own frame, so Q_g = F_g F_0^H and the
 block's part of an invariant state is G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}];
 rho and Q_g are derived on request.  A report holds A-blocks first, views
 them by copy count, and is written in the unchanged ``chanstruct-report/3``.
-The stages after the split read one :class:`FixedPointAlgebra`, which
-carries the channel and tolerance and takes R from them, so none can mix them.
+The stages after the split and :func:`block_invariant_state` read one
+:class:`FixedPointAlgebra`, which carries the channel and tolerance and takes
+R from them, so none can mix them; a report is likewise the one source of its
+channel, dimension and tolerance.
 """
 
 from contextlib import contextmanager
@@ -48,6 +50,7 @@ from .channels import (
 )
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix, loewner_geq
+from .linalg import _check_integer, _check_tolerance
 from .spectral import _spectral_core, recurrent_split
 
 __all__ = [
@@ -62,7 +65,6 @@ __all__ = [
     "accessible",
     "communicates",
     "is_irreducible",
-    "ergodicity_probe",
     "fixed_point_algebra_on_R",
     "minimal_enclosures",
     "group_into_blocks",
@@ -165,10 +167,9 @@ class DecompositionReport:
     The ambient space splits as D ⊕ (the enclosures of the blocks); every
     invariant state is a convex-like combination encoded by
     :class:`InvariantStateParameters`.  ``blocks`` holds the A-blocks
-    first, then the B-blocks.
+    first, then the B-blocks.  ``dim`` is the channel's.
     """
 
-    dim: int
     R: Subspace
     D: Subspace
     blocks: tuple
@@ -176,6 +177,10 @@ class DecompositionReport:
     rng_seed: int
     warnings: tuple
     channel: KrausChannel
+
+    @property
+    def dim(self):
+        return self.channel.dim
 
     @property
     def alpha_blocks(self):
@@ -278,27 +283,6 @@ def is_irreducible(ch, tol=DEFAULT_TOL):
     return perron_frobenius_certificate(ch, tol).simple_and_faithful
 
 
-def ergodicity_probe(ch, rho, t=1.0, terms=20, tol=DEFAULT_TOL):
-    """Positivity check of a truncated exp(t(Phi - id))-style resolvent sum
-    sum_k t^k Phi^k(rho) / k!; full rank of the result witnesses that rho's
-    orbit reaches every direction."""
-    if not is_state(rho, tol):
-        raise ArgumentError("rho is not a state")
-    if not 0.0 < t < np.inf:
-        raise ArgumentError("t must be positive and finite")
-    if int(terms) < 1:
-        raise ArgumentError("terms must be at least 1")
-    current = np.asarray(rho, dtype=complex)
-    acc = current.copy()
-    coeff = 1.0
-    for k in range(1, int(terms) + 1):
-        current = apply(ch, current)
-        coeff *= t / k
-        acc += coeff * current
-    acc = (acc + acc.conj().T) / 2.0
-    return bool(np.linalg.eigvalsh(acc)[0] > tol.psd_tol)
-
-
 def fixed_point_algebra_on_R(ch, tol=DEFAULT_TOL):
     """The fixed-point algebra of the adjoint on the recurrent part.
 
@@ -309,8 +293,7 @@ def fixed_point_algebra_on_R(ch, tol=DEFAULT_TOL):
     are read off the fixed points of the channel's eigenvalue-1 solve, made
     on first use.  The later stages take only the returned algebra.
     """
-    if not isinstance(tol, Tolerance):
-        raise TypeError(f"tol must be a Tolerance, got {type(tol).__name__}")
+    _check_tolerance(tol)
     return FixedPointAlgebra(channel=ch, tolerance=tol)
 
 
@@ -351,12 +334,6 @@ def _try_eigensplit(algebra, x):
     return result
 
 
-def _check_seed(rng_seed):
-    # refuses bool and np.bool_ too, which the report reader refuses
-    if not np.issubdtype(type(rng_seed), np.integer) or rng_seed < 0:
-        raise ArgumentError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
-
-
 def minimal_enclosures(algebra, rng_seed=0):
     """Decompose the algebra's R into mutually orthogonal minimal enclosures.
 
@@ -371,7 +348,7 @@ def minimal_enclosures(algebra, rng_seed=0):
     seed and the tolerance.  A failure carries the solve's estimate of the
     distance from 1 of the nearest non-fixed eigenvalue.
     """
-    _check_seed(rng_seed)
+    _check_integer(rng_seed, "rng_seed", 0)
     frame, core = algebra.R.frame, _spectral_core(algebra.channel, algebra.tolerance)
     x, y = (frame.conj().T @ z @ frame for z in (core.candidate, core.probes[1]))
     seeds = range(rng_seed, rng_seed + _MAX_SAMPLING_ATTEMPTS)
@@ -479,7 +456,7 @@ def partial_isometry(algebra, vi, vj):
     return q
 
 
-def block_invariant_state(ch, v, tol=DEFAULT_TOL):
+def block_invariant_state(algebra, v):
     """Unique invariant state supported on a minimal enclosure V.
 
     A minimal enclosure lies in R, and R ⊖ V is an enclosure too
@@ -490,14 +467,17 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
     adjoint's fixed points compress to multiples of P_V on it; two generic
     ones (the solve's ``probes``) are tested.
     """
+    if not isinstance(algebra, FixedPointAlgebra):
+        name = type(algebra).__name__
+        raise TypeError(f"algebra must be a FixedPointAlgebra, got {name}")
+    ch, tol = algebra.channel, algebra.tolerance
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")
     if not is_enclosure(ch, v, tol):
         raise ArgumentError("V is not an enclosure of the channel")
     with _stage("block-invariant-state"):
-        split = recurrent_split(ch, tol)
         core = _spectral_core(ch, tol)
-    if not split.R.contains(v, tol):
+    if not algebra.R.contains(v, tol):
         raise DecompositionError(
             "block-invariant-state", "V not minimal: V is not contained in R"
         )
@@ -506,7 +486,7 @@ def block_invariant_state(ch, v, tol=DEFAULT_TOL):
             "block-invariant-state",
             "V not minimal: an adjoint fixed point is not constant on V",
         )
-    return _expand(v.frame, _compression(split.rho_max, v.frame))
+    return _expand(v.frame, _compression(core.split.rho_max, v.frame))
 
 
 def _labels(report):
@@ -541,11 +521,12 @@ def _fixed_dimension(report):
     return sum(len(b.enclosures) ** 2 for b in report.blocks)
 
 
-def _verify_blocks(ch, report, tol):
+def _verify_blocks(report):
     """The checks of a decomposition that need only its channel and its
     blocks, run by :func:`decompose` and by report read-back: the frames of
     D and of every enclosure fill C^d, and their Gram matrix is I; each
     block's state is a state, and invariant in the frame of every copy."""
+    ch, tol = report.channel, report.tolerance
     frames = [report.D.frame] + [v.frame for b in report.blocks for v in b.enclosures]
     total = sum(f.shape[1] for f in frames)
     if total != report.dim:
@@ -571,14 +552,16 @@ def _verify_blocks(ch, report, tol):
                 )
 
 
-def _verify_report(ch, report, tol):
-    """:func:`_verify_blocks`, then the checks that read the solve.  Its
+def _verify_report(report, algebra):
+    """:func:`_verify_blocks`, then the checks that read the solve, which
+    ``algebra``, of the report's channel and tolerance, carries.  Its
     ``witness``, a fixed point X = Pi_1(G) made before any block, must be
     re-assembled from the blocks (the arithmetic of :func:`extract_parameters`)
     to subspace_tol relative to |X|_F: a dropped block or a missing link fails
     it.  Each B-block copy's state must agree with an independent solve."""
-    _verify_blocks(ch, report, tol)
-    x = _spectral_core(ch, tol).witness
+    _verify_blocks(report)
+    tol = report.tolerance
+    x = _spectral_core(report.channel, tol).witness
     deviation = float(
         np.linalg.norm(x - _assemble(report, _parameters(report, x)))
         / np.linalg.norm(x)
@@ -596,7 +579,7 @@ def _verify_report(ch, report, tol):
     for blk, label in zip(report.blocks, _labels(report)):
         for v in blk.enclosures[1:]:
             # both states in the coordinates of F_g: Q_g rho Q_g^H is sigma
-            f, independent = v.frame, block_invariant_state(ch, v, tol)
+            f, independent = v.frame, block_invariant_state(algebra, v)
             deviation = np.abs(blk.sigma - f.conj().T @ independent @ f).max()
             if deviation > tol.subspace_tol:
                 raise DecompositionError(
@@ -617,7 +600,7 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     :class:`DecompositionError` tagged with the stage name; an ``rng_seed``
     that is not a non-negative integer raises :class:`ArgumentError` first.
     """
-    _check_seed(rng_seed)
+    _check_integer(rng_seed, "rng_seed", 0)
     with _stage("recurrent-split"):
         split = recurrent_split(ch, tol)
     algebra = fixed_point_algebra_on_R(ch, tol)
@@ -633,7 +616,6 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
             sigma = _compression(split.rho_max, base.frame)
             blocks.append(Block(enclosures=tuple(aligned), sigma=sigma))
     report = DecompositionReport(
-        dim=ch.dim,
         R=split.R,
         D=split.D,
         blocks=tuple(blocks),
@@ -642,7 +624,7 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
         warnings=tuple(split.warnings),
         channel=ch,
     )
-    _verify_report(ch, report, tol)
+    _verify_report(report, algebra)
     return report
 
 
@@ -656,10 +638,11 @@ def _assemble(report, mats):
     return rho
 
 
-def _check_parameters(report, params, tol):
+def _check_parameters(report, params):
     """Each block's n x n parameter matrix, an A-block's weight as its 1 x 1
     M, checked finite, Hermitian and PSD, with traces summing to 1."""
-    t = np.asarray(params.t, dtype=float).reshape(-1)
+    tol = report.tolerance
+    t = np.asarray(params.t, dtype=complex).reshape(-1)
     n_alpha, n_beta = len(report.alpha_blocks), len(report.beta_blocks)
     if (len(t), len(params.M)) != (n_alpha, n_beta):
         raise ArgumentError(
@@ -690,15 +673,15 @@ def _check_parameters(report, params, tol):
     return mats
 
 
-def build_invariant_state(report, params, tol=None):
+def build_invariant_state(report, params):
     """Assemble the invariant state with the given block parameters.
 
     The output is verified to be a state, and verified invariant under the
     report's channel within eig_cluster_tol; this is the defining contract
     of the parametrization and is asserted rather than assumed.
     """
-    tol = tol if tol is not None else report.tolerance
-    rho = _assemble(report, _check_parameters(report, params, tol))
+    tol = report.tolerance
+    rho = _assemble(report, _check_parameters(report, params))
     rho = (rho + rho.conj().T) / 2.0
     if not is_state(rho, tol):
         raise DecompositionError(
@@ -727,7 +710,7 @@ def _parameters(report, x):
     return mats
 
 
-def extract_parameters(report, rho, tol=None):
+def extract_parameters(report, rho):
     """Recover block parameters from a state: the weight of an A-block is
     tr(F^H rho F), and a B-block's matrix is M[g, h] = tr(F_g^H rho F_h) over
     its copies (:func:`_parameters`).  For any state the M are PSD and the
@@ -736,7 +719,7 @@ def extract_parameters(report, rho, tol=None):
     of the re-assembled state; the residual is reported, and a warning is
     emitted when an invariant input fails to round-trip.
     """
-    tol = tol if tol is not None else report.tolerance
+    tol = report.tolerance
     rho = as_complex_matrix(rho, "rho")
     if rho.shape != (report.dim, report.dim):
         raise ArgumentError("rho has wrong shape for this report")

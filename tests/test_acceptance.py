@@ -290,13 +290,13 @@ def test_criterion_6_invariant_suites(capsys):
         ]
         checked = 0
         for ch in report_sources:
-            rep = cs.decompose(ch)
+            rep, algebra = cs.decompose(ch), cs.fixed_point_algebra_on_R(ch)
             for blk in rep.beta_blocks:
                 for g in range(1, len(blk.enclosures)):
                     qmat = blk.isometries[g]
                     transported = qmat @ blk.rho @ qmat.conj().T
                     independent = cs.block_invariant_state(
-                        ch, blk.enclosures[g]
+                        algebra, blk.enclosures[g]
                     )
                     assert np.abs(transported - independent).max() <= 1e-7
                     checked += 1

@@ -658,7 +658,7 @@ def _bare_report_text(case):
         ch, _ = planted_channel(np.random.default_rng(1), [5, 7], [(4, 3)], 6)
     report = cs.decompose(ch)
     n = chanstruct.structure._fixed_dimension(report)
-    rf = chanstruct.serialize.ReportFile(report, n, (1.0,) * n)
+    rf = chanstruct.serialize.ReportFile(report, (1.0,) * n)
     return cs.canonical_dumps(cs.report_file_to_dict(rf))
 
 

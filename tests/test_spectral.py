@@ -248,6 +248,17 @@ class TestCesaro:
         with pytest.raises(cs.ArgumentError):
             cs.cesaro_average(ch, np.diag([1.0, 0.0]), 0)
 
+    def test_refuses_non_integer_n(self):
+        # a 2.5-term mean would sum 2 terms and divide by 2.5, trace 0.8
+        ch = cs.from_markov_chain(np.full((2, 2), 0.5))
+        rho = np.diag([1.0, 0.0])
+        for n in (2.5, True, np.bool_(True), np.nan, 2.0):
+            with pytest.raises(cs.ArgumentError, match="n must be an integer >= 1"):
+                cs.cesaro_average(ch, rho, n)
+        for n in (2, np.int64(2)):
+            avg = cs.cesaro_average(ch, rho, n)
+            assert np.abs(avg - np.diag([0.75, 0.25])).max() <= 1e-15
+
 
 class TestRecurrentSplit:
     def test_amplitude_damping_split(self):
@@ -510,7 +521,7 @@ class TestSingleSolve:
             cs.perron_frobenius_certificate(ch)
             algebra = cs.fixed_point_algebra_on_R(ch)
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
-            cs.block_invariant_state(ch, report.alpha_blocks[0].enclosures[0])
+            cs.block_invariant_state(algebra, report.alpha_blocks[0].enclosures[0])
             assert sorted(calls) == [False, False, True, True, True]
 
     @pytest.mark.parametrize("family", ["planted", "markov"])

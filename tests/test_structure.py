@@ -212,24 +212,21 @@ class TestAccessibility:
         assert cs.is_irreducible(cs.from_markov_chain(p))
         assert not cs.is_irreducible(amplitude_damping_channel(0.2))
 
-    def test_ergodicity_probe(self):
+    def test_orbit_reach_is_the_generated_enclosure(self):
         ch = amplitude_damping_channel(0.3)
         # e2 is transient: its orbit sweeps the whole space
-        assert cs.ergodicity_probe(ch, np.diag([0.0, 1.0]).astype(complex))
+        assert cs.enclosure_generated(ch, [0.0, 1.0]).dimension == 2
         # e1 is absorbing: the orbit never leaves span{e1}
-        assert not cs.ergodicity_probe(ch, np.diag([1.0, 0.0]).astype(complex))
+        assert cs.enclosure_generated(ch, [1.0, 0.0]).dimension == 1
 
 
 # two absorbing states and a transient one: two A-blocks
 _TWO_ABSORBING = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
 _NAN_STATE = np.diag([np.nan, 1.0, 0.0])
 
-# each call gets a non-finite entry in a state, a vector, a weight or t
+# each call gets a non-finite entry in a state, a vector or a weight
 NON_FINITE_CALLS = {
     "cesaro-average": lambda ch: cs.cesaro_average(ch, _NAN_STATE, 3),
-    "ergodicity-probe": lambda ch: cs.ergodicity_probe(ch, _NAN_STATE),
-    "ergodicity-probe-t-nan": lambda ch: cs.ergodicity_probe(ch, np.eye(3) / 3, np.nan),
-    "ergodicity-probe-t-inf": lambda ch: cs.ergodicity_probe(ch, np.eye(3) / 3, np.inf),
     "enclosure-generated": lambda ch: cs.enclosure_generated(ch, [np.nan, 0, 1]),
     "accessible": lambda ch: cs.accessible(ch, [1, 0, 0], [np.nan, 0, 0]),
     "build-invariant-state": lambda ch: cs.build_invariant_state(
@@ -504,18 +501,18 @@ class TestBlockInvariantState:
     def test_amplitude_damping(self):
         ch = amplitude_damping_channel(0.4)
         v = cs.Subspace(2, np.eye(2)[:, :1])
-        rho = cs.block_invariant_state(ch, v)
+        rho = cs.block_invariant_state(cs.fixed_point_algebra_on_R(ch), v)
         assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
 
     def test_rejects_non_enclosure(self):
-        ch = amplitude_damping_channel(0.4)
+        algebra = cs.fixed_point_algebra_on_R(amplitude_damping_channel(0.4))
         with pytest.raises(cs.ArgumentError, match="not an enclosure"):
-            cs.block_invariant_state(ch, cs.Subspace(2, np.eye(2)[:, 1:]))
+            cs.block_invariant_state(algebra, cs.Subspace(2, np.eye(2)[:, 1:]))
 
     def test_rejects_non_minimal(self):
-        ch = cs.KrausChannel([np.eye(2)])
+        algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel([np.eye(2)]))
         with pytest.raises(cs.DecompositionError, match="V not minimal"):
-            cs.block_invariant_state(ch, cs.Subspace.full(2))
+            cs.block_invariant_state(algebra, cs.Subspace.full(2))
 
     @pytest.mark.parametrize(
         "make",
@@ -532,7 +529,7 @@ class TestBlockInvariantState:
         assert cs.fixed_space(ch).dimension == 1
         assert cs.is_enclosure(ch, v)
         with pytest.raises(cs.DecompositionError, match="V not minimal"):
-            cs.block_invariant_state(ch, v)
+            cs.block_invariant_state(cs.fixed_point_algebra_on_R(ch), v)
 
     def test_faithful_invariant_state(self):
         ch, _ = planted_channel(RNG, [3], [], 0, n_kraus=3)
@@ -670,6 +667,14 @@ class TestParametrization:
                 rep,
                 cs.InvariantStateParameters(t=np.array([0.9]), M=(ok_m,)),
             )
+        # a weight keeps its imaginary part, which the Hermitian test refuses
+        with pytest.raises(cs.ArgumentError, match="A-block 0 .* not Hermitian"):
+            cs.build_invariant_state(
+                rep, cs.InvariantStateParameters(t=[0.3 + 0.1j], M=(ok_m,))
+            )
+        assert cs.is_state(cs.build_invariant_state(
+            rep, cs.InvariantStateParameters(t=[0.3 + 0j], M=(ok_m,))
+        ))
         with pytest.raises(cs.ArgumentError, match="shape"):
             cs.build_invariant_state(
                 rep,
@@ -750,7 +755,7 @@ class TestLocalBlockData:
         for blk in rep.alpha_blocks:
             k = blk.enclosures[0].dimension
             assert blk.sigma.shape == (k, k)
-            ref = cs.block_invariant_state(ch, blk.enclosures[0])
+            ref = cs.block_invariant_state(algebra, blk.enclosures[0])
             assert np.abs(blk.rho - ref).max() <= 1e-12
         assert sorted(len(b.enclosures) for b in rep.beta_blocks) == sorted(
             n for _, n in beta
@@ -759,7 +764,7 @@ class TestLocalBlockData:
             base = blk.enclosures[0]
             m = base.dimension
             assert blk.sigma.shape == (m, m)
-            ref = cs.block_invariant_state(ch, base)
+            ref = cs.block_invariant_state(algebra, base)
             assert np.abs(blk.rho - ref).max() <= 1e-12
             assert np.abs(blk.isometries[0] - base.projector()).max() <= 1e-12
             for g, enc in enumerate(blk.enclosures[1:], start=1):
@@ -823,7 +828,7 @@ class TestBlockStateParity:
     ):
         rng = np.random.default_rng(411)
         ch, _ = planted_channel(rng, alpha, beta, n_transient, n_kraus=3)
-        rep = cs.decompose(ch)
+        rep, algebra = cs.decompose(ch), cs.fixed_point_algebra_on_R(ch)
         for blk in rep.alpha_blocks:
             oracle = _compressed_null_state(ch, blk.enclosures[0])
             assert np.abs(blk.rho - oracle).max() < 1e-10
@@ -832,7 +837,8 @@ class TestBlockStateParity:
             assert np.abs(blk.rho - oracle).max() < 1e-10
             for q, enc in zip(blk.isometries[1:], blk.enclosures[1:]):
                 oracle = _compressed_null_state(ch, enc)
-                assert np.abs(cs.block_invariant_state(ch, enc) - oracle).max() < 1e-10
+                independent = cs.block_invariant_state(algebra, enc)
+                assert np.abs(independent - oracle).max() < 1e-10
                 transported = q @ blk.rho @ q.conj().T
                 assert np.abs(transported - oracle).max() < 1e-10
 
@@ -878,7 +884,7 @@ class TestTolerancePassing:
         with pytest.raises(cs.ArgumentError, match="total weight"):
             cs.build_invariant_state(rep, params)
         loose = cs.Tolerance(eig_cluster_tol=1e-6)
-        rho = cs.build_invariant_state(rep, params, tol=loose)
+        rho = cs.build_invariant_state(cs.decompose(ch, tol=loose), params)
         assert abs(np.trace(rho).real - (1.0 + 5e-7)) < 1e-12
         assert np.abs(cs.apply(ch, rho) - rho).max() < 1e-10
 
@@ -893,10 +899,6 @@ class TestTolerancePassing:
         with pytest.raises(cs.ArgumentError):
             cs.cesaro_average(ch, rho, 3)
         assert abs(np.trace(cs.cesaro_average(ch, rho, 3, tol=loose)) - 1.0) < 1e-12
-        with pytest.raises(cs.ArgumentError):
-            cs.ergodicity_probe(ch, rho)
-        # accepted now; e1 is absorbing, so the orbit stays near span{e1}
-        assert not cs.ergodicity_probe(ch, rho, tol=loose)
 
 
 def _copies_with_scalar_candidate():

@@ -1,6 +1,7 @@
 """The public surface: the package exports exactly its modules' ``__all__``,
 and every CLI subcommand takes the shared options."""
 
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -23,7 +24,7 @@ PUBLIC = {
     "apply_adjoint", "block_invariant_state", "build_invariant_state",
     "canonical_dumps", "cesaro_average", "channel_from_dict",
     "channel_to_dict", "communicates", "decompose", "enclosure_generated",
-    "ergodicity_probe", "extract_parameters", "fixed_point_algebra_on_R",
+    "extract_parameters", "fixed_point_algebra_on_R",
     "fixed_space", "from_markov_chain", "from_oqrw", "group_into_blocks",
     "hermitian_span_basis", "is_enclosure", "is_irreducible", "is_state",
     "is_subharmonic", "load_channel", "loewner_geq", "minimal_enclosures",
@@ -47,7 +48,7 @@ SUBCOMMANDS = {
 
 
 def test_top_level_names_are_frozen():
-    assert len(cs.__all__) == len(PUBLIC) == 59
+    assert len(cs.__all__) == len(PUBLIC) == 58
     assert set(cs.__all__) == PUBLIC
 
 
@@ -95,6 +96,8 @@ def test_staged_api_reads_the_algebra():
     encs = cs.minimal_enclosures(algebra)
     _, (pair,) = cs.group_into_blocks(encs, algebra)
     assert algebra.R is split.R and cs.partial_isometry(algebra, *pair).shape == (2, 2)
+    rho = cs.block_invariant_state(algebra, pair[0])
+    assert np.abs(rho - pair[0].projector()).max() <= 1e-12
     old_forms = [
         lambda: cs.fixed_point_algebra_on_R(ch, split),
         lambda: cs.fixed_point_algebra_on_R(ch, split, cs.DEFAULT_TOL),
@@ -102,10 +105,53 @@ def test_staged_api_reads_the_algebra():
         lambda: cs.minimal_enclosures(algebra, tol=cs.DEFAULT_TOL),
         lambda: cs.group_into_blocks(ch, encs, algebra),
         lambda: cs.partial_isometry(ch, algebra, *pair),
+        lambda: cs.block_invariant_state(ch, pair[0]),
+        lambda: cs.block_invariant_state(ch, pair[0], cs.DEFAULT_TOL),
     ]
     for old_form in old_forms:
         with pytest.raises(TypeError):
             old_form()
+
+
+def test_report_consumers_read_the_report():
+    # a report is the one source of its dimension, tolerance and fixed-space
+    # dimension: none is passed beside it
+    ch = cs.KrausChannel([np.eye(2)])
+    rep = cs.decompose(ch)
+    rf = cs.report_file_from_report(rep)
+    assert rep.dim == ch.dim == 2 and rf.fixed_space_dimension == 4
+    params = cs.InvariantStateParameters(t=np.zeros(0), M=(np.eye(2) / 2,))
+    rho = cs.build_invariant_state(rep, params)
+    assert cs.extract_parameters(rep, rho).residual <= 1e-12
+    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    assert cs.DecompositionReport(**fields).dim == 2
+    old_forms = [
+        lambda: cs.build_invariant_state(rep, params, tol=cs.DEFAULT_TOL),
+        lambda: cs.extract_parameters(rep, rho, tol=cs.DEFAULT_TOL),
+        lambda: cs.DecompositionReport(dim=2, **fields),
+        lambda: cs.ReportFile(rep, 4, rf.peripheral_spectrum),
+    ]
+    for old_form in old_forms:
+        with pytest.raises(TypeError):
+            old_form()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ch, tol: cs.decompose(ch, tol=tol),
+        lambda ch, tol: cs.recurrent_split(ch, tol),
+        lambda ch, tol: cs.fixed_space(ch, tol),
+        lambda ch, tol: cs.perron_frobenius_certificate(ch, tol),
+        lambda ch, tol: cs.fixed_point_algebra_on_R(ch, tol),
+    ],
+    ids=["decompose", "recurrent_split", "fixed_space",
+         "perron_frobenius_certificate", "fixed_point_algebra_on_R"],
+)
+@pytest.mark.parametrize("tol", [0.1, None], ids=repr)
+def test_tolerance_of_the_wrong_type_is_type_error(call, tol):
+    with pytest.raises(TypeError, match="tol must be a Tolerance, got"):
+        call(cs.KrausChannel([np.eye(2)]), tol)
 
 
 def test_readme_python_block_runs():
@@ -118,3 +164,4 @@ def test_readme_python_block_runs():
     assert len(alpha) == len(report.alpha_blocks) == 1 and beta == []
     assert alpha[0].approx_equal(report.alpha_blocks[0].enclosures[0])
     assert names["back"].residual <= 1e-12
+    assert np.abs(names["state"] - report.alpha_blocks[0].rho).max() <= 1e-12
