@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain failure, 2 input/parse failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -174,7 +175,9 @@ def cmd_query(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    # built once per process (about 2 ms); parsing does not change it
     # options every subcommand takes, and the channel file most of them read
     common = argparse.ArgumentParser(add_help=False)
     for flag, help_text in (
