@@ -1,9 +1,10 @@
 """Quantum channels in Kraus form.
 
 A channel is represented by a finite family of d x d Kraus matrices
-(V_i) with sum_i V_i^H V_i = I (trace preservation).  The module provides
-application of the channel and its adjoint, the matrix of the channel
-under column-stacking vectorization, trace-preservation validation, and
+(V_i), trace preserving when sum_i V_i^H V_i = I, which only the
+eigenvalue-1 solve needs and checks (chanstruct.spectral).  The module
+provides application of the channel and its adjoint, its matrix under
+column-stacking vectorization, trace-preservation validation, and
 constructors for classical Markov-chain channels, truncated open quantum
 random walks, and the Bloch-affine form of qubit channels.
 
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, as_complex_matrix
+from .linalg import DEFAULT_TOL, _check_tolerance, as_complex_matrix
 
 __all__ = [
     "KrausChannel",
@@ -52,7 +53,7 @@ _SPARSE_FRACTION = 0.02
 
 
 class KrausChannel:
-    """A completely positive trace-preserving map in Kraus form.
+    """A completely positive map in Kraus form (see the module docstring).
 
     Parameters
     ----------
@@ -63,12 +64,6 @@ class KrausChannel:
         stacked operators (see the module docstring).  ``kraus`` is the
         tuple of read-only (d, d) operators: views of the held block for a
         dense family, built on first access for a sparse one.
-    unchecked : bool, optional
-        Skip the eager trace-preservation check.  Needed to exercise the
-        failure path of :func:`validate`; everything downstream assumes a
-        trace-preserving family.
-    tol : Tolerance, optional
-        Tolerance used for the eager check.
     """
 
     __slots__ = (
@@ -76,23 +71,23 @@ class KrausChannel:
         "_adjoint", "_kraus", "_cores",
     )
 
-    def __init__(self, kraus, *, unchecked=False, tol=DEFAULT_TOL):
+    def __init__(self, kraus):
         stack = _kraus_stack(kraus)
         n, d, _ = stack.shape
-        self._hold(stack.reshape(n * d, d), np.arange(n * d), d, unchecked, tol)
+        self._hold(stack.reshape(n * d, d), np.arange(n * d), d)
 
     @classmethod
-    def _from_rows(cls, rows, row_ids, d, *, unchecked=False, tol=DEFAULT_TOL):
+    def _from_rows(cls, rows, row_ids, d):
         """The channel whose stacked operator W has the rows ``rows`` (m, d)
         at the strictly increasing ``row_ids`` and zeros elsewhere; it takes
         ``rows`` over.  No (n, d, d) stack is formed for a sparse family."""
         ch = object.__new__(cls)
-        ch._hold(rows, row_ids, d, unchecked, tol)
+        ch._hold(rows, row_ids, d)
         return ch
 
-    def _hold(self, rows, row_ids, d, unchecked, tol):
-        """Drop the zero operators, check trace preservation, and keep the
-        rows by the sparse/dense rule (see the module docstring)."""
+    def _hold(self, rows, row_ids, d):
+        """Drop the zero operators and keep the rows by the sparse/dense
+        rule (see the module docstring)."""
         nonzero = rows.any(axis=1)
         if not nonzero.any():
             raise ArgumentError("all Kraus operators are zero")
@@ -107,14 +102,6 @@ class KrausChannel:
         op = np.cumsum(live)[g] - 1
         row_ids = op * d + row_ids % d
         n = int(op[-1]) + 1
-        if not unchecked:
-            dev = np.abs(_kraus_gram(rows) - np.eye(d)).max()
-            if dev > 10.0 * tol.psd_tol:
-                raise ArgumentError(
-                    "Kraus family is not trace preserving "
-                    f"(|sum V^H V - I|_max = {dev:.3e}); "
-                    "pass unchecked=True to construct anyway"
-                )
         sparse = bool(_nnz_fraction(rows, op, n) <= _SPARSE_FRACTION)
         if sparse:
             # the rows with a nonzero bit pattern
@@ -195,6 +182,7 @@ class ValidationReport:
 def is_state(rho, tol=DEFAULT_TOL):
     """Density-matrix predicate: finite, Hermitian, PSD within psd_tol,
     trace 1 within eig_cluster_tol."""
+    _check_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
         return False
@@ -417,32 +405,33 @@ def _nnz_fraction(rows, op, n):
 
 def _kraus_stack(kraus):
     """The Kraus operators as a new (n, d, d) complex array.  A family that
-    converts to one is checked whole; otherwise, or when an entry is not
-    finite, operator by operator, so that the error names the operator."""
-    if not isinstance(kraus, np.ndarray):
-        kraus = list(kraus)
+    converts to one with finite entries is taken whole; otherwise the error
+    names the input or the first operator at fault."""
     try:
-        stack = np.array(kraus, dtype=complex)
-    except (TypeError, ValueError):
-        stack = None
-    if (
-        stack is not None
-        and stack.ndim == 3
-        and stack.shape[0] >= 1
-        and stack.shape[1] == stack.shape[2]
-        and np.isfinite(stack).all()
-    ):
-        return stack
-    mats = [as_complex_matrix(v, f"kraus[{i}]") for i, v in enumerate(kraus)]
-    if not mats:
+        ops = kraus if isinstance(kraus, np.ndarray) and kraus.ndim else list(kraus)
+    except TypeError:
+        raise ArgumentError(
+            f"kraus must be a sequence of matrices, got {type(kraus).__name__}"
+        ) from None
+    if not len(ops):
         raise ArgumentError("a channel needs at least one Kraus operator")
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != (d, d):
-            raise ArgumentError(
-                f"kraus[{i}] has shape {m.shape}, expected ({d}, {d})"
-            )
-    return np.stack(mats)
+    try:
+        stack = np.array(ops, dtype=complex)
+    except (TypeError, ValueError):
+        stack = np.empty(0)
+    square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+    if square and np.isfinite(stack).all():
+        return stack
+    for i, v in enumerate(ops):
+        try:
+            m = as_complex_matrix(v, f"kraus[{i}]")
+        except (TypeError, ValueError) as err:
+            raise ArgumentError(f"kraus[{i}] is not a numeric matrix ({err})") from None
+        if i == 0:
+            shape = (len(m), len(m)) if m.ndim == 2 else "(d, d)"
+        if m.shape != shape:
+            raise ArgumentError(f"kraus[{i}] has shape {m.shape}, expected {shape}")
+    raise ArgumentError("kraus is not a family of equal square matrices")
 
 
 def _kraus_gram(w):
@@ -459,6 +448,7 @@ def validate(ch, tol=DEFAULT_TOL):
     flags.  The adjoint map is positive, so by Russo-Dye its norm, which
     bounds the spectral radius, is |Phi^*(I)| = |sum V_i^H V_i|.
     """
+    _check_tolerance(tol)
     gram = _kraus_gram(ch._rows)
     dev = float(np.abs(gram - np.eye(ch.dim)).max())
     radius = float(np.linalg.eigvalsh(gram)[-1])
@@ -486,6 +476,7 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
         Kraus operators sqrt(p[i, j]) |e_i><e_j| (zero entries dropped).
         Diagonal states evolve exactly as the classical chain.
     """
+    _check_tolerance(tol)
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
         raise ArgumentError("transition matrix must be square and nonempty")
@@ -505,7 +496,7 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
     j, i = np.nonzero(p.T > 0.0)
     rows = np.zeros((j.size, n), dtype=complex)
     rows[np.arange(j.size), j] = np.sqrt(p[i, j])
-    return KrausChannel._from_rows(rows, np.arange(j.size) * n + i, n, tol=tol)
+    return KrausChannel._from_rows(rows, np.arange(j.size) * n + i, n)
 
 
 def oqrw_transition_map(p, q, num_sites):
@@ -565,6 +556,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     ordering is internal ⊗ site, i.e. basis vector e_a ⊗ |j> sits at
     index a*(N+1) + j.
     """
+    _check_tolerance(tol)
     n_last = int(num_sites)
     if n_last < 0:
         raise ArgumentError("num_sites must be nonnegative")
@@ -587,7 +579,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         raise ArgumentError("transition map is empty")
 
     eye = np.eye(n_int)
-    # the bound KrausChannel puts on |sum V^H V - I|
+    # the max-abs bound of validate on |sum V^H V - I|
     tp_tol = 10.0 * tol.psd_tol
     for j in range(n_sites):
         total = sum(
@@ -634,9 +626,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         site[0, j] = 1.0
         blocks.append(np.kron(mat, site))
         row_ids.append(len(row_ids) * d + np.arange(n_int) * n_sites + i)
-    return KrausChannel._from_rows(
-        np.concatenate(blocks), np.concatenate(row_ids), d, tol=tol
-    )
+    return KrausChannel._from_rows(np.concatenate(blocks), np.concatenate(row_ids), d)
 
 
 # Normalized Pauli basis: sigma_0 = I/sqrt(2), sigma_k = pauli_k/sqrt(2).
@@ -655,7 +645,8 @@ def qubit_bloch_form(ch):
     """Affine Bloch action (b, A) of a qubit channel.
 
     With the normalized Pauli basis sigma_0..sigma_3, the channel acts as
-    Phi(sigma_0 + u . sigma) = sigma_0 + (b + A u) . sigma.
+    Phi(sigma_0 + u . sigma) = sigma_0 + (b + A u) . sigma.  It needs a trace-
+    preserving channel: tr(sigma_0 Phi(sigma_j)) = 1, 0, 0, 0 for j = 0..3.
 
     Returns
     -------
@@ -666,7 +657,10 @@ def qubit_bloch_form(ch):
         raise ArgumentError("qubit_bloch_form requires a channel on C^2")
     # t[i, j] = tr(sigma_i Phi(sigma_j)), real to rounding: Phi(X)^H = Phi(X^H)
     t = np.einsum("iab,jba->ij", _PAULI, _apply_stack(ch, _PAULI))
-    imag_max, scale = np.abs(t.imag).max(), np.abs(t).max()
-    if imag_max > DEFAULT_TOL.subspace_tol * scale:
+    imag_max, cut = np.abs(t.imag).max(), DEFAULT_TOL.subspace_tol * np.abs(t).max()
+    if imag_max > cut:
         raise ArgumentError(f"Bloch coefficients have an imaginary part {imag_max:.3e}")
+    dev = np.abs(t[0] - [1.0, 0.0, 0.0, 0.0]).max()
+    if dev > cut:
+        raise ArgumentError(f"channel is not trace preserving (deviation {dev:.3e})")
     return t[1:, 0].real, t[1:, 1:].real

@@ -67,7 +67,7 @@ def _emit(doc, out_path=None):
 
 def cmd_validate(args):
     tol = _tolerance(args)
-    ch = load_channel(args.channel, tol=tol, unchecked=True)
+    ch = load_channel(args.channel)
     vr = validate(ch, tol)
     _emit(validation_to_dict(ch, vr), args.out)
     return 0 if vr.trace_preserving else 1
@@ -75,7 +75,7 @@ def cmd_validate(args):
 
 def cmd_decompose(args):
     tol = _tolerance(args)
-    ch = load_channel(args.channel, tol=tol)
+    ch = load_channel(args.channel)
     report = decompose(ch, rng_seed=args.seed, tol=tol)
     rf = report_file_from_report(report)
     _emit(report_file_to_dict(rf), args.out)
@@ -144,7 +144,7 @@ def _parse_vector(text, dim):
 
 def cmd_query(args):
     tol = _tolerance(args)
-    ch = load_channel(args.channel, tol=tol, unchecked=args.unchecked)
+    ch = load_channel(args.channel)
     if args.what == "enclosure":
         vector = _parse_vector(args.vector, ch.dim)
         space = enclosure_generated(ch, vector, tol)
@@ -247,12 +247,7 @@ def _build_parser():
                 "--vector", required=True,
                 help="JSON array; entries are numbers or [re, im] pairs",
             )
-        if name in ("enclosure", "spectrum"):  # the queries with no eigenvalue-1 solve
-            p_what.add_argument(
-                "--unchecked", action="store_true",
-                help="skip channel validation on load",
-            )
-        p_what.set_defaults(func=cmd_query, what=name, unchecked=False)
+        p_what.set_defaults(func=cmd_query, what=name)
     return parser
 
 

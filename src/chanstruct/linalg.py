@@ -146,6 +146,7 @@ class Subspace:
 
     def contains_vector(self, x, tol=DEFAULT_TOL):
         """Whether the vector ``x`` lies in the subspace, relative to |x|."""
+        _check_tolerance(tol)
         x = np.asarray(x, dtype=complex).reshape(-1)
         norm = np.linalg.norm(x)
         if norm == 0.0:
@@ -155,6 +156,7 @@ class Subspace:
 
     def contains(self, other, tol=DEFAULT_TOL):
         """Whether ``other`` (a Subspace) is contained in this subspace."""
+        _check_tolerance(tol)
         if other.ambient_dim != self.ambient_dim:
             raise ArgumentError("ambient dimensions differ")
         if other.dimension == 0:
@@ -166,6 +168,7 @@ class Subspace:
 
     def approx_equal(self, other, tol=DEFAULT_TOL):
         """Projector equality within tolerance (frames are gauge dependent)."""
+        _check_tolerance(tol)
         if other.ambient_dim != self.ambient_dim:
             raise ArgumentError("ambient dimensions differ")
         diff = np.abs(self.projector() - other.projector()).max()
@@ -189,6 +192,7 @@ def loewner_geq(x, y, tol=DEFAULT_TOL):
     True iff the minimum eigenvalue of X - Y is >= -psd_tol.  Both inputs
     must be Hermitian within tolerance.
     """
+    _check_tolerance(tol)
     x = as_complex_matrix(x, "X")
     y = as_complex_matrix(y, "Y")
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -248,6 +252,7 @@ def hermitian_span_basis(mats, tol=DEFAULT_TOL):
     list of (d, d) Hermitian ndarrays, orthonormal in the Hilbert-Schmidt
     inner product.
     """
+    _check_tolerance(tol)
     mats = list(mats)
     if not mats:
         return []

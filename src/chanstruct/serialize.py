@@ -10,7 +10,8 @@ bytes.  An entry is stored when either part has a nonzero bit pattern (so
 lists their increasing flat positions; otherwise ``index`` is omitted and
 ``values`` holds the whole stack.  Writers emit version 3; version 2 (the
 same object with ``values`` a list of ``[re, im]`` pairs) and version 1
-(``kraus`` a list of matrices) are still read.
+(``kraus`` a list of matrices) are still read.  Reading checks the schema,
+not trace preservation, which the eigenvalue-1 solve checks.
 
 A report (``chanstruct-report/3``, unchanged by the one block type of
 ``structure.Block``) embeds its channel and keeps block data in the
@@ -42,7 +43,7 @@ import numpy as np
 
 from .channels import KrausChannel, _compressions, _dense_stack, _transfer_matrix
 from .errors import ArgumentError, DecompositionError, ParseError
-from .linalg import DEFAULT_TOL, Subspace, Tolerance
+from .linalg import Subspace, Tolerance
 from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
     Block,
@@ -264,11 +265,9 @@ def channel_to_dict(ch, metadata=None):
     return doc
 
 
-def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
+def channel_from_dict(data):
     """Parse a channel document of any schema version (the layout of
-    ``kraus`` tells them apart).  Schema faults raise ParseError; with
-    ``unchecked`` false the channel must also pass trace-preservation
-    validation."""
+    ``kraus`` tells them apart).  Schema faults raise ParseError."""
     where = "channel"
     dim = _require_int(data, "dim", where)
     if dim < 1:
@@ -290,7 +289,7 @@ def channel_from_dict(data, tol=DEFAULT_TOL, unchecked=False):
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError(f"{where}: metadata must be an object")
-    return KrausChannel._from_rows(rows, row_ids, dim, tol=tol, unchecked=unchecked)
+    return KrausChannel._from_rows(rows, row_ids, dim)
 
 
 def _load_json(path):
@@ -303,8 +302,8 @@ def _load_json(path):
         raise ParseError(f"{path}: malformed JSON ({err})") from err
 
 
-def load_channel(path, tol=DEFAULT_TOL, unchecked=False):
-    return channel_from_dict(_load_json(path), tol=tol, unchecked=unchecked)
+def load_channel(path):
+    return channel_from_dict(_load_json(path))
 
 
 @dataclass(frozen=True)
@@ -448,7 +447,7 @@ def report_file_from_dict(data, re_verify=True):
     _check_schema(
         data, _REPORT_LAYOUTS, _require(channel_data, "kraus", "channel"), where
     )
-    ch = channel_from_dict(channel_data, unchecked=True)
+    ch = channel_from_dict(channel_data)
     if ch.dim != dim:
         raise ParseError(f"{where}: channel dimension disagrees with dim")
     tol_data = _require(data, "tolerances", where)

@@ -12,6 +12,10 @@ is computed: the structure theorem gives both from the blocks
 (Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` and
 ``perron_frobenius_certificate`` are assembled from ``decompose``.
 
+The solve alone needs a trace-preserving channel, as the structure theorem
+needs a unital adjoint: ``_spectral_core`` first checks Phi^*(I) = I by the
+rule it applies to every fixed point, and refuses the channel otherwise.
+
 Pi_1 works on real coordinates: a CPTP map preserves Hermiticity, so with K
 the vec swap vec(X) -> vec(X^T), the unitary U = ((1+i) I + (1-i) K) / 2 (the
 package's Hermitian codec, ``linalg.hermitian_decode``) makes the
@@ -227,8 +231,7 @@ def _project(ch, solve, x, adjoint, tol):
     if not (converged and res <= tau):
         raise DecompositionError(
             "fixed-space",
-            "no eigenvalue-1 cluster found; is the channel trace preserving? "
-            f"(residual {res:.3e} after {count} {unit})",
+            f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit})",
             diagnostics={
                 unit: count,
                 "residual": float(res),
@@ -253,6 +256,14 @@ def _spectral_core(ch, tol):
     _check_tolerance(tol)
     if tol not in ch._cores:
         d = ch.dim
+        unital = _residual(ch, hermitian_encode(np.eye(d)), True)
+        if unital > tol.eig_cluster_tol:
+            raise DecompositionError(
+                "fixed-space",
+                "the channel is not trace preserving "
+                f"(|Phi^*(I) - I|_F / |I|_F = {unital:.3e})",
+                diagnostics={"residual": float(unital)},
+            )
         solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
         rho = _project(ch, solve, np.eye(d) / d, False, tol)[0]
         # the first probe is the linking element of chanstruct.structure
@@ -339,6 +350,7 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
     its cached sparse superoperator.  For a large trace-preserving channel
     read its report's ``peripheral_spectrum``.
     """
+    _check_tolerance(tol)
     if ch._sparse:
         h = _hermitian_coordinates(_cached_superoperator(ch)).toarray()
     else:

@@ -232,6 +232,7 @@ def enclosure_generated(ch, x, tol=DEFAULT_TOL):
     """Smallest enclosure containing the vector x: the span of x grown by
     the directions its Kraus images reach, until the leak is at most
     ``subspace_tol`` (``channels._enclosure_frame``)."""
+    _check_tolerance(tol)
     x = _vector(ch, x, "x")
     if np.linalg.norm(x) == 0.0:
         raise ArgumentError("x must be nonzero")
@@ -242,6 +243,7 @@ def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
     """Whether every Kraus operator maps the subspace into itself: the leak
     |(I - P) [V_1 F ... V_n F]|_2 of its frame F (``channels._leak``) is at
     most ``subspace_tol``, the stop rule of :func:`enclosure_generated`."""
+    _check_tolerance(tol)
     if subspace.ambient_dim != ch.dim:
         raise ArgumentError("subspace ambient dimension does not match channel")
     return _leak_norm2(_leak(ch, subspace.frame, subspace.frame)) <= tol.subspace_tol**2
@@ -252,6 +254,7 @@ def is_subharmonic(ch, p, tol=DEFAULT_TOL):
 
     Range projectors of enclosures are exactly the subharmonic projectors.
     """
+    _check_tolerance(tol)
     p = as_complex_matrix(p, "P")
     if p.shape != (ch.dim, ch.dim):
         raise ArgumentError("P has wrong shape for this channel")
@@ -295,6 +298,12 @@ def fixed_point_algebra_on_R(ch, tol=DEFAULT_TOL):
     """
     _check_tolerance(tol)
     return FixedPointAlgebra(channel=ch, tolerance=tol)
+
+
+def _check_algebra(algebra):
+    if not isinstance(algebra, FixedPointAlgebra):
+        name = type(algebra).__name__
+        raise TypeError(f"algebra must be a FixedPointAlgebra, got {name}")
 
 
 def _is_minimal(fixed, frame, tol):
@@ -348,6 +357,7 @@ def minimal_enclosures(algebra, rng_seed=0):
     seed and the tolerance.  A failure carries the solve's estimate of the
     distance from 1 of the nearest non-fixed eigenvalue.
     """
+    _check_algebra(algebra)
     _check_integer(rng_seed, "rng_seed", 0)
     frame, core = algebra.R.frame, _spectral_core(algebra.channel, algebra.tolerance)
     x, y = (frame.conj().T @ z @ frame for z in (core.candidate, core.probes[1]))
@@ -391,6 +401,7 @@ def group_into_blocks(enclosures, algebra):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
+    _check_algebra(algebra)
     n = len(enclosures)
     coords = [_coords_in(algebra, e, "block-grouping") for e in enclosures]
     h, cut = _link_cut(algebra)
@@ -424,6 +435,7 @@ def partial_isometry(algebra, vi, vj):
     (relative) of the largest: entries of tied modulus then cannot trade
     places through rounding.
     """
+    _check_algebra(algebra)
     if vi.dimension != vj.dimension:
         raise ArgumentError(
             f"enclosures have different dimensions ({vi.dimension} vs "
@@ -467,9 +479,7 @@ def block_invariant_state(algebra, v):
     adjoint's fixed points compress to multiples of P_V on it; two generic
     ones (the solve's ``probes``) are tested.
     """
-    if not isinstance(algebra, FixedPointAlgebra):
-        name = type(algebra).__name__
-        raise TypeError(f"algebra must be a FixedPointAlgebra, got {name}")
+    _check_algebra(algebra)
     ch, tol = algebra.channel, algebra.tolerance
     if v.dimension == 0:
         raise ArgumentError("V must be nonzero")

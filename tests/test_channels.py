@@ -24,11 +24,16 @@ RNG = np.random.default_rng(202)
 
 class TestConstruction:
     def test_rejects_non_trace_preserving(self):
-        with pytest.raises(cs.ArgumentError, match="unchecked=True"):
-            cs.KrausChannel([np.eye(2), np.eye(2)])
+        # any family constructs; the eigenvalue-1 solve, which needs
+        # Phi^*(I) = I, refuses it: |Phi^*(I) - I|_F / |I|_F = |2I - I|_F / |I|_F
+        ch = cs.KrausChannel([np.eye(2), np.eye(2)])
+        with pytest.raises(cs.DecompositionError, match="not trace preserving") as err:
+            cs.recurrent_split(ch)
+        assert err.value.stage == "fixed-space"
+        assert err.value.diagnostics == {"residual": pytest.approx(1.0)}
 
     def test_unchecked_constructs_anyway(self):
-        ch = cs.KrausChannel([np.eye(2), np.eye(2)], unchecked=True)
+        ch = cs.KrausChannel([np.eye(2), np.eye(2)])
         assert ch.dim == 2
         report = cs.validate(ch)
         assert not report.trace_preserving
@@ -71,13 +76,18 @@ class TestConstruction:
             ([np.eye(2), np.diag([1.0, np.inf])], r"kraus\[1\] contains non-finite"),
             ([], "at least one Kraus operator"),
             ([np.zeros((2, 2)), np.zeros((2, 2))], "all Kraus operators are zero"),
+            ([1.0], r"kraus\[0\] has shape \(\), expected \(d, d\)"),
+            ("ab", r"kraus\[0\] is not a numeric matrix"),
+            (5, "kraus must be a sequence of matrices, got int"),
         ],
-        ids=["ragged", "vector", "nan", "inf", "empty", "all-zero"],
+        ids=["ragged", "vector", "nan", "inf", "empty", "all-zero", "scalar",
+             "string", "int"],
     )
     def test_errors_name_the_operator(self, family, message):
         with pytest.raises(cs.ArgumentError, match=message):
             cs.KrausChannel(family)
-        if family and len({np.shape(v) for v in family}) == 1:
+        shapes = {np.shape(v) for v in family} if isinstance(family, list) else ()
+        if len(shapes) == 1:
             with pytest.raises(cs.ArgumentError, match=message):
                 cs.KrausChannel(np.array(family))
 
@@ -302,13 +312,13 @@ class TestSuperoperator:
         for scale in (0.5, 0.9, 1.3):
             kraus = [scale * v for v in random_kraus_family(4, 3, rng)]
             kraus[0] = kraus[0] @ np.diag([1.0, 0.4, 0.7, 1.1])
-            ch = cs.KrausChannel(kraus, unchecked=True)
+            ch = cs.KrausChannel(kraus)
             m = sum(np.kron(v.conj(), v) for v in ch.kraus)
             radius = np.abs(np.linalg.eigvals(m)).max()
             assert cs.validate(ch).spectral_radius >= radius - 1e-12
 
     def test_validate_radius_exact_on_scalar_family(self):
-        ch = cs.KrausChannel([np.sqrt(0.5) * np.eye(3)], unchecked=True)
+        ch = cs.KrausChannel([np.sqrt(0.5) * np.eye(3)])
         m = sum(np.kron(v.conj(), v) for v in ch.kraus)
         report = cs.validate(ch)
         assert report.spectral_radius == pytest.approx(0.5, abs=1e-15)
@@ -526,6 +536,11 @@ class TestBlochForm:
         )
         with pytest.raises(cs.ArgumentError, match="imaginary part"):
             cs.qubit_bloch_form(ch)
+
+    def test_requires_trace_preservation(self):
+        # row 0 of t[i, j] = tr(sigma_i Phi(sigma_j)) is (2, 0, 0, 0) here
+        with pytest.raises(cs.ArgumentError, match="not trace preserving"):
+            cs.qubit_bloch_form(cs.KrausChannel([np.eye(2), np.eye(2)]))
 
     def test_unitary_is_rotation(self):
         theta = 0.7

@@ -164,10 +164,12 @@ class TestChannelSchema:
             "dim": 2,
             "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
         }
-        with pytest.raises(cs.ArgumentError):
-            cs.channel_from_dict(doc)
-        ch = cs.channel_from_dict(doc, unchecked=True)
+        # parsing checks the schema only; the eigenvalue-1 solve refuses
+        # the channel, which validate reports as not trace preserving
+        ch = cs.channel_from_dict(doc)
         assert not cs.validate(ch).trace_preserving
+        with pytest.raises(cs.DecompositionError, match="not trace preserving"):
+            cs.decompose(ch)
 
 
 def _markov_chain(n=5):
@@ -283,6 +285,24 @@ class TestChannelSchemaV3:
         ch2 = cs.channel_from_dict(json.loads(text))
         assert _same_bits(np.stack(ch2.kraus), np.stack(ch.kraus))
         assert cs.canonical_dumps(cs.channel_to_dict(ch2, {"name": family})) == text
+
+    def test_sparse_family_with_negative_zeros_is_written_whole(self):
+        # the six operators |a+1><a| of the 6-cycle padded with -0.0: sparse
+        # by the superoperator rule (6 / 6^4), yet every entry is stored, so
+        # the file holds the whole stack, which the channel builds for it
+        d = 6
+        stack = np.full((d, d, d), complex(-0.0, -0.0))
+        stack[np.arange(d), (np.arange(d) + 1) % d, np.arange(d)] = 1.0
+        ch = cs.KrausChannel(stack)
+        assert ch._sparse
+        doc = cs.channel_to_dict(ch)
+        assert "index" not in doc["kraus"]
+        pairs = np.stack((stack.real, stack.imag), axis=-1).reshape(-1, 2)
+        assert _same_bits(_unpack(doc["kraus"]["values"]), pairs)
+        text = cs.canonical_dumps(doc)
+        ch2 = cs.channel_from_dict(json.loads(text))
+        assert ch2._sparse and _same_bits(np.stack(ch2.kraus), stack)
+        assert cs.canonical_dumps(cs.channel_to_dict(ch2)) == text
 
     def test_packed_values_are_little_endian_float64(self):
         # 3 of 4 entries stored: the whole stack, each entry's re and im as
@@ -654,6 +674,8 @@ def _bare_report_text(case):
     only for that count (the walk's own takes about 0.5 s on 2 cores)."""
     if case == "walk":
         ch = cs.from_oqrw(cs.oqrw_transition_map(0.4, 0.3, 45), 45)
+    elif case == "markov":  # three A-blocks of dimension 1
+        ch = cs.from_markov_chain(np.eye(3))
     else:
         ch, _ = planted_channel(np.random.default_rng(1), [5, 7], [(4, 3)], 6)
     report = cs.decompose(ch)
@@ -691,6 +713,11 @@ def _permute_copy_frame(doc):
     # the same span and orthonormal: only the copy's state moves
     frame = doc["beta_blocks"][0]["enclosures"][1]
     doc["beta_blocks"][0]["enclosures"][1] = [row[1:] + row[:1] for row in frame]
+
+
+def _copy_alpha_frame(doc):
+    # an enclosure of its own, so only the blocks' Gram matrix refuses it
+    doc["alpha_blocks"][1]["enclosure"] = doc["alpha_blocks"][0]["enclosure"]
 
 
 def _alpha_block_as_one_copy(doc):
@@ -739,6 +766,9 @@ TAMPER_CASES = {
         "planted",
         _permute_copy_frame,
         "verification: B-block 0 state is not invariant on copy 1",
+    ),
+    "copied-alpha-frame": (
+        "markov", _copy_alpha_frame, "verification: blocks are not mutually orthogonal"
     ),
     "one-copy-beta-block": (
         "planted",
@@ -1317,13 +1347,17 @@ class TestCliQuery:
         "query", [["spectrum"], ["enclosure", "--vector", "[1, 0]"]], ids=lambda q: q[0]
     )
     def test_unchecked_flag(self, query, tmp_path, capsys):
-        # the two queries that run no eigenvalue-1 solve
+        # the two queries that run no eigenvalue-1 solve take a channel that
+        # is not trace preserving as it is, and have no flag to skip a check
         doc = {
             "dim": 2,
             "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["query", query[0], str(path), *query[1:]]) == 1
+        assert main(["query", query[0], str(path), *query[1:]]) == 0
         capsys.readouterr()
-        assert main(["query", query[0], str(path), *query[1:], "--unchecked"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["query", query[0], str(path), *query[1:], "--unchecked"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --unchecked" in capsys.readouterr().err

@@ -58,9 +58,44 @@ class TestFixedSpace:
         assert fs.dimension == 3
 
     def test_contraction_has_no_eigenvalue_1_cluster(self):
-        ch = cs.KrausChannel([0.5 * np.eye(2)], unchecked=True)
-        with pytest.raises(cs.DecompositionError, match="no eigenvalue-1 cluster"):
+        ch = cs.KrausChannel([0.5 * np.eye(2)])
+        with pytest.raises(cs.DecompositionError, match="not trace preserving"):
             cs.fixed_space(ch)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ch: cs.decompose(ch),
+            lambda ch: cs.recurrent_split(ch),
+            lambda ch: cs.fixed_space(ch),
+            lambda ch: cs.perron_frobenius_certificate(ch),
+            lambda ch: cs.is_irreducible(ch),
+            lambda ch: cs.minimal_enclosures(cs.fixed_point_algebra_on_R(ch)),
+            lambda ch: cs.group_into_blocks([], cs.fixed_point_algebra_on_R(ch)),
+            lambda ch: cs.partial_isometry(
+                cs.fixed_point_algebra_on_R(ch), *[cs.Subspace.full(ch.dim)] * 2
+            ),
+            lambda ch: cs.block_invariant_state(
+                cs.fixed_point_algebra_on_R(ch), cs.Subspace.full(ch.dim)
+            ),
+        ],
+        ids=["decompose", "recurrent_split", "fixed_space",
+             "perron_frobenius_certificate", "is_irreducible", "minimal_enclosures",
+             "group_into_blocks", "partial_isometry", "block_invariant_state"],
+    )
+    @pytest.mark.parametrize("family", ["dense", "sparse"])
+    def test_every_solve_refuses_a_family_that_is_not_trace_preserving(
+        self, call, family
+    ):
+        # two copies of a unitary: Phi^*(I) = 2 I, relative residual 1; the
+        # shift on C^10 is sparse by the superoperator rule (2 * 10^2 / 10^4)
+        d = 2 if family == "dense" else 10
+        ch = cs.KrausChannel([np.roll(np.eye(d), 1, axis=0)] * 2)
+        assert ch._sparse is (family == "sparse")
+        with pytest.raises(cs.DecompositionError, match="not trace preserving") as err:
+            call(ch)
+        assert err.value.stage == "fixed-space"
+        assert err.value.diagnostics == {"residual": pytest.approx(1.0)}
 
     def test_hermitian_basis_spans_and_is_fixed(self):
         # 2-cycle chain: only multiples of the identity are fixed

@@ -178,7 +178,7 @@ class TestEnclosurePredicates:
         d, k, n = 7, 3, 4
         kraus = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
         kraus[:, k:, :k] *= scale
-        ch = cs.KrausChannel(kraus, unchecked=True)
+        ch = cs.KrausChannel(kraus)
         frame = np.eye(d, dtype=complex)[:, :k]
         y = np.hstack([v[k:, :k] for v in ch.kraus])
         ref = np.linalg.norm(y, 2)
@@ -607,7 +607,7 @@ class TestDecompose:
         assert "B-block 0 state is not invariant on copy 1" in str(err.value)
 
     def test_stage_tagging(self):
-        ch = cs.KrausChannel([np.eye(2), np.eye(2)], unchecked=True)
+        ch = cs.KrausChannel([np.eye(2), np.eye(2)])
         with pytest.raises(cs.DecompositionError) as err:
             cs.decompose(ch)
         assert err.value.stage in {"recurrent-split", "fixed-space"}

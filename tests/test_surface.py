@@ -73,15 +73,12 @@ def test_every_subcommand_takes_the_shared_options(command):
     )
 
 
-# the subcommands that run the eigenvalue-1 solve, which needs a
-# trace-preserving channel
-SOLVING = [("decompose",), ("query", "irreducible"), ("query", "fixed-points")]
-
-
-@pytest.mark.parametrize("command", SOLVING, ids=" ".join)
-def test_decompose_has_no_unchecked_flag(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids=" ".join)
+def test_decompose_has_no_unchecked_flag(command, capsys):
+    # no subcommand skips a check on load: loading checks the schema only,
+    # and the eigenvalue-1 solve checks trace preservation
     with pytest.raises(SystemExit) as info:
-        main([*command, str(tmp_path / "ch.json"), "--unchecked"])
+        main([*command, *SUBCOMMANDS[command], "--unchecked"])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: chanstruct")
@@ -107,6 +104,40 @@ def test_staged_api_reads_the_algebra():
         lambda: cs.partial_isometry(ch, algebra, *pair),
         lambda: cs.block_invariant_state(ch, pair[0]),
         lambda: cs.block_invariant_state(ch, pair[0], cs.DEFAULT_TOL),
+    ]
+    for old_form in old_forms:
+        with pytest.raises(TypeError):
+            old_form()
+    # a channel in the algebra's place: every stage checks its first argument
+    stages = [
+        lambda: cs.minimal_enclosures(ch),
+        lambda: cs.group_into_blocks([], ch),
+        lambda: cs.partial_isometry(ch, pair[0], pair[0]),
+        lambda: cs.block_invariant_state(ch, pair[0]),
+    ]
+    for stage in stages:
+        with pytest.raises(TypeError, match="algebra must be a FixedPointAlgebra, got"):
+            stage()
+
+
+def test_channel_inputs_take_no_check_knobs(tmp_path):
+    # construction and loading check no trace preservation, so they take no
+    # unchecked or tol: the eigenvalue-1 solve checks at the analysis tolerance
+    kraus = [np.eye(2), np.eye(2)]
+    ch = cs.KrausChannel(kraus)
+    doc = cs.channel_to_dict(ch)
+    path = tmp_path / "ch.json"
+    path.write_text(cs.canonical_dumps(doc))
+    assert len(cs.channel_from_dict(doc)) == len(cs.load_channel(str(path))) == 2
+    old_forms = [
+        lambda: cs.KrausChannel(kraus, unchecked=True),
+        lambda: cs.KrausChannel(kraus, tol=cs.DEFAULT_TOL),
+        lambda: cs.channel_from_dict(doc, unchecked=True),
+        lambda: cs.channel_from_dict(doc, tol=cs.DEFAULT_TOL),
+        lambda: cs.channel_from_dict(doc, cs.DEFAULT_TOL),
+        lambda: cs.load_channel(str(path), unchecked=True),
+        lambda: cs.load_channel(str(path), tol=cs.DEFAULT_TOL),
+        lambda: cs.load_channel(str(path), cs.DEFAULT_TOL),
     ]
     for old_form in old_forms:
         with pytest.raises(TypeError):
@@ -144,9 +175,31 @@ def test_report_consumers_read_the_report():
         lambda ch, tol: cs.fixed_space(ch, tol),
         lambda ch, tol: cs.perron_frobenius_certificate(ch, tol),
         lambda ch, tol: cs.fixed_point_algebra_on_R(ch, tol),
+        lambda ch, tol: cs.is_irreducible(ch, tol),
+        lambda ch, tol: cs.peripheral_spectrum(ch, tol),
+        lambda ch, tol: cs.validate(ch, tol),
+        lambda ch, tol: cs.enclosure_generated(ch, [1.0, 0.0], tol),
+        lambda ch, tol: cs.accessible(ch, [1.0, 0.0], [0.0, 1.0], tol),
+        lambda ch, tol: cs.communicates(ch, [1.0, 0.0], [0.0, 1.0], tol),
+        lambda ch, tol: cs.is_enclosure(ch, cs.Subspace.full(2), tol),
+        lambda ch, tol: cs.is_subharmonic(ch, np.eye(2), tol),
+        lambda ch, tol: cs.cesaro_average(ch, np.eye(2) / 2, 2, tol),
+        lambda ch, tol: cs.is_state(np.eye(2) / 2, tol),
+        lambda ch, tol: cs.loewner_geq(np.eye(2), np.eye(2), tol),
+        lambda ch, tol: cs.hermitian_span_basis([np.eye(2)], tol),
+        lambda ch, tol: cs.Subspace.full(2).contains_vector([1.0, 0.0], tol),
+        lambda ch, tol: cs.Subspace.full(2).contains(cs.Subspace.full(2), tol),
+        lambda ch, tol: cs.Subspace.full(2).approx_equal(cs.Subspace.full(2), tol),
+        lambda ch, tol: cs.from_markov_chain(np.eye(2), tol),
+        lambda ch, tol: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 2), 2, tol),
     ],
     ids=["decompose", "recurrent_split", "fixed_space",
-         "perron_frobenius_certificate", "fixed_point_algebra_on_R"],
+         "perron_frobenius_certificate", "fixed_point_algebra_on_R",
+         "is_irreducible", "peripheral_spectrum", "validate",
+         "enclosure_generated", "accessible", "communicates", "is_enclosure",
+         "is_subharmonic", "cesaro_average", "is_state", "loewner_geq",
+         "hermitian_span_basis", "Subspace.contains_vector", "Subspace.contains",
+         "Subspace.approx_equal", "from_markov_chain", "from_oqrw"],
 )
 @pytest.mark.parametrize("tol", [0.1, None], ids=repr)
 def test_tolerance_of_the_wrong_type_is_type_error(call, tol):
