@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, _check_tolerance, as_complex_matrix
+from .linalg import DEFAULT_TOL, _check_tolerance, _is_hermitian, as_complex_matrix
 
 __all__ = [
     "KrausChannel",
@@ -188,9 +188,7 @@ def is_state(rho, tol=DEFAULT_TOL):
         return False
     if not np.isfinite(rho).all():
         return False
-    if np.abs(rho - rho.conj().T).max() > 100.0 * tol.psd_tol * max(
-        1.0, np.abs(rho).max()
-    ):
+    if not _is_hermitian(rho, tol):
         return False
     trace = np.trace(rho)
     if max(abs(trace.real - 1.0), abs(trace.imag)) > tol.eig_cluster_tol:

@@ -82,13 +82,19 @@ def _check_integer(value, name, least):
         raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _is_hermitian(x, tol):
+    """The package's rule for a finite square input to count as Hermitian:
+    |X - X^H|_max <= 100 psd_tol max(1, |X|_max)."""
+    if not x.size:
+        return True
+    scale = max(1.0, np.abs(x).max())
+    return bool(np.abs(x - x.conj().T).max() <= 100.0 * tol.psd_tol * scale)
+
+
 def _check_hermitian(x, tol, name="matrix"):
-    dev = np.abs(x - x.conj().T).max() if x.size else 0.0
-    scale = max(1.0, np.abs(x).max()) if x.size else 1.0
-    if dev > 100.0 * tol.psd_tol * scale:
-        raise ArgumentError(
-            f"{name} is not Hermitian (deviation {dev:.3e})"
-        )
+    if not _is_hermitian(x, tol):
+        dev = np.abs(x - x.conj().T).max()
+        raise ArgumentError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
 class Subspace:

@@ -28,14 +28,22 @@ Anal. Appl. 18 (1997)), so u = p(Phi) x for the p, p(1) = 1, that minimizes
 value mu of I - Phi within eig_cluster_tol of 0 counts as fixed, so u is
 corrected only along the Ritz vectors outside that cluster, and the smallest
 Ritz |mu| above rounding estimates the distance from 1 of the nearest
-non-fixed eigenvalue.  A sparse family (the rule is the channel's) factors
+non-fixed eigenvalue.  Only the first probe Pi_1^*(G) runs this filter in
+full.  Its GMRES steps leave u = p(I - Phi) x for a product p of factors
+(1 - z / theta), theta the harmonic Ritz values of each step, and p is small
+on the non-fixed spectrum of Phi^* and so of Phi (M_h is real).  The other
+four starts are multiplied by p first, on one stack per direction
+(``_replay``), skipping the roots with |theta| < sqrt(eig_cluster_tol),
+whose factors would amplify the rest of the spectrum (``_leja``); a short
+filter run then finishes each.  A sparse family (the rule is the channel's) factors
 M_h - sigma I, sigma = 1 + eig_cluster_tol, once by a sparse LU and takes the
 steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
 of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
 residual halves; the largest ratio theta of successive residuals gives the
 distance (sigma - 1)(1/theta - 1).  Either way a vector is accepted only
 when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
-Pi_1^*), is within eig_cluster_tol |X|_F, and a distance below
+Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first
+probe's projection is the channel's gap, and a gap below
 10 eig_cluster_tol gives the split an "ill-separated" warning.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, exact for
@@ -130,7 +138,8 @@ class _SpectralCore:
     generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
     Pi_1^*(diag(1, ..., d) / d); ``witness``, Pi_1(G) for a Gaussian G;
     and ``gap``, the estimated distance from 1 of the nearest non-fixed
-    eigenvalue."""
+    eigenvalue, from the projection of the first probe, the one full
+    Krylov run of a dense family."""
 
     split: RecurrentSplit
     probes: np.ndarray
@@ -145,11 +154,18 @@ _RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
 def _factor(ch, sigma):
     """What ``_project`` iterates on real coordinates b: for a sparse family
     ``solve(b, adjoint)`` from one sparse LU of M_h - sigma I, for a dense one
-    the defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` reads."""
+    the defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` and
+    ``_replay`` read, of one vector or of each row of a (k, d^2) stack."""
     if not ch._sparse:
-        return lambda b, adjoint: b - hermitian_encode(
-            _apply_stack(ch, hermitian_decode(b, ch.dim)[None], adjoint)[0]
-        )
+        d = ch.dim
+
+        def defect(b, adjoint):
+            # Phi(Z^T) = Phi(Z)^H for a real Z, so with Z = b read row by row
+            # and W = Phi(Z), encode(Phi(decode(b))) is Re W + Im W^T
+            w = _apply_stack(ch, b.reshape(-1, d, d), adjoint)
+            return b - (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
+
+        return defect
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -162,9 +178,11 @@ def _factor(ch, sigma):
 def _filter(defect, x, tol):
     """Pi_1 x by restarted GMRES on the defect A = I - Phi (see the module
     docstring): u, the applications of A, the smallest Ritz |mu| above
-    rounding, and whether the residual reached 1e-14 |x| within ``_BUDGET``."""
+    rounding, whether the residual reached 1e-14 |x| within ``_BUDGET``, and
+    the roots of the residual polynomials of the GMRES steps taken, whose
+    product p has u = p(A) x up to the least-squares steps (see ``_replay``)."""
     floor, rounding = 1e-14 * np.linalg.norm(x), 100.0 * np.finfo(float).eps
-    u, r, count, distance = x.copy(), defect(x), 1, math.inf
+    u, r, count, distance, roots = x.copy(), defect(x), 1, math.inf, []
     while np.linalg.norm(r) > floor and count < _BUDGET - 1:
         m, beta = min(_RESTART, x.size, _BUDGET - count - 1), np.linalg.norm(r)
         basis, hess, tri = np.zeros((m + 1, x.size)), np.zeros((m + 1, m)), np.eye(m)
@@ -193,15 +211,22 @@ def _filter(defect, x, tol):
         distance = min([distance, *mu[mu > rounding].tolist()])
         if (mu > tol.eig_cluster_tol).all():  # the GMRES step, R y = g
             y = np.linalg.solve(tri[:k, :k], g[:k])
+            # its residual polynomial vanishes at the harmonic Ritz values,
+            # eig(H_k + h_(k+1,k)^2 H_k^-T e_k e_k^T)
+            harmonic = hess[:k, :k].copy()
+            harmonic[:, k - 1] += hess[k, k - 1] ** 2 * np.linalg.solve(
+                harmonic.T, np.eye(k)[k - 1]
+            )
+            roots.extend(np.linalg.eigvals(harmonic).tolist())
         else:  # least squares along the Ritz vectors outside the cluster
             mu, vecs = np.linalg.eig(hess[:k, :k])
             q = np.linalg.qr(vecs[:, np.abs(mu) > tol.eig_cluster_tol])[0]
             y = (q @ np.linalg.lstsq(tri[:k, :k] @ q, g[:k], rcond=None)[0]).real
         u -= y @ basis[:k]
         if abs(g[k]) <= floor:
-            return u, count, distance, True
+            return u, count, distance, True, roots
         r, count = defect(u), count + 1
-    return u, count, distance, np.linalg.norm(r) <= floor
+    return u, count, distance, np.linalg.norm(r) <= floor, roots
 
 
 def _residual(ch, v, adjoint):
@@ -213,9 +238,11 @@ def _residual(ch, v, adjoint):
 
 def _project(ch, solve, x, adjoint, tol):
     """Pi_1(X), or Pi_1^*(X) when ``adjoint``, of a Hermitian d x d matrix X,
-    and the estimated distance from 1 of the nearest non-fixed eigenvalue,
-    accepted when its residual <= eig_cluster_tol (see the module docstring)."""
+    accepted when its residual <= eig_cluster_tol (see the module docstring),
+    the estimated distance from 1 of the nearest non-fixed eigenvalue, and
+    the roots that ``_filter`` returns (none for a sparse family)."""
     v, converged, tau, count = hermitian_encode(x), True, tol.eig_cluster_tol, 0
+    roots = []
     if ch._sparse:
         sigma, res, theta, halving, unit = 1.0 + tau, math.inf, 0.0, True, "solves"
         while halving:
@@ -226,19 +253,85 @@ def _project(ch, solve, x, adjoint, tol):
             halving, res = new < 0.5 * res, new
         distance = max(tau * (1.0 / theta - 1.0), 0.0) if theta else math.inf
     else:
-        v, count, distance, converged = _filter(lambda b: solve(b, adjoint), v, tol)
+        defect = lambda b: solve(b, adjoint)  # noqa: E731
+        v, count, distance, converged, roots = _filter(defect, v, tol)
         res, unit = _residual(ch, v, adjoint), "applications"
     if not (converged and res <= tau):
-        raise DecompositionError(
-            "fixed-space",
-            f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit})",
-            diagnostics={
-                unit: count,
-                "residual": float(res),
-                "nearest_non_fixed_distance": distance,
-            },
-        )
-    return hermitian_decode(v, ch.dim), distance
+        raise _no_cluster(res, count, unit, distance)
+    return hermitian_decode(v, ch.dim), distance, roots
+
+
+def _no_cluster(res, count, unit, distance):
+    return DecompositionError(
+        "fixed-space",
+        f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit})",
+        diagnostics={
+            unit: count,
+            "residual": float(res),
+            "nearest_non_fixed_distance": distance,
+        },
+    )
+
+
+def _leja(roots, tol):
+    """The ``roots`` theta with |theta| >= sqrt(eig_cluster_tol), one of each
+    conjugate pair, in Leja order: the largest first, then each maximizing
+    the product of its distances to the roots taken, a pair counting twice
+    (Loe-Morgan, Numer. Linear Algebra Appl. 29 (2022)).  A factor
+    (1 - z / theta) of a root near 0 would amplify the rest of the spectrum
+    by up to 2 / |theta|, so the slow modes of the roots below the cut are
+    left to the ``_filter`` run that follows the replay."""
+    t = np.array(roots, dtype=complex)
+    t = t[(np.abs(t) >= math.sqrt(tol.eig_cluster_tol)) & (t.imag >= 0.0)]
+    tiny = np.finfo(float).tiny
+    # gain[i, j]: the log distance from t_i to t_j, and to its conjugate
+    gain = np.log(np.maximum(np.abs(t[:, None] - t), tiny))
+    pairs = np.log(np.maximum(np.abs(t[:, None] - t.conj()), tiny))
+    gain += np.where(t.imag > 0.0, pairs, 0.0)
+    order, score = [], np.abs(t)
+    for _ in range(t.size):
+        j = int(np.argmax(score))
+        score = gain[:, j] + (score if order else 0.0)
+        score[j] = -np.inf
+        order.append(t[j])
+    return order
+
+
+def _replay(solve, roots, v, adjoint):
+    """p(A) v for each row of the (k, d^2) stack v, A the defect of
+    ``solve``, and the applications of A made: p is the product of
+    (1 - z / theta) over the roots in the order ``_leja`` gives, a root
+    with its conjugate as one real quadratic factor.  Every factor is 1 at
+    z = 0, so Pi_1 v is unchanged."""
+    count = 0
+    for theta in roots:
+        a, count = solve(v, adjoint), count + 1
+        if theta.imag == 0.0:
+            v = v - a / theta.real
+        else:
+            size = abs(theta) ** 2
+            v = v - (2.0 * theta.real / size) * a + solve(a, adjoint) / size
+            count += 1
+    return v, count
+
+
+def _replayed(ch, solve, roots, starts, adjoint, tol):
+    """Pi_1 (Pi_1^* when ``adjoint``) of each Hermitian start, replayed on
+    one stack by ``_replay`` with the ``roots`` of ``_leja`` and finished by
+    ``_project``; a failure counts the replay's applications too."""
+    v = hermitian_encode(np.stack(starts))
+    v, replayed = _replay(solve, roots, v, adjoint)
+    if replayed:
+        starts = hermitian_decode(v, ch.dim)
+    try:
+        return [_project(ch, solve, x, adjoint, tol)[0] for x in starts]
+    except DecompositionError as err:
+        if not replayed:
+            raise
+        info = err.diagnostics
+        count = info["applications"] + replayed
+        distance = info["nearest_non_fixed_distance"]
+        raise _no_cluster(info["residual"], count, "applications", distance) from None
 
 
 def _gaussian_hermitian(rng, d):
@@ -265,22 +358,27 @@ def _spectral_core(ch, tol):
                 diagnostics={"residual": float(unital)},
             )
         solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
-        rho = _project(ch, solve, np.eye(d) / d, False, tol)[0]
-        # the first probe is the linking element of chanstruct.structure
+        # the first probe is the linking element of chanstruct.structure; its
+        # run alone builds a Krylov space, and the other four starts replay
+        # its residual polynomial (Phi and Phi^* share their spectrum)
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
-        probes, distances = zip(*(_project(ch, solve, g, True, tol) for g in refs))
-        probes = np.stack(probes) / np.linalg.norm(probes, axis=(1, 2))[:, None, None]
-        gap, warnings = min(distances), ()
+        first, gap, roots = _project(ch, solve, refs[0], True, tol)
+        roots = _leja(roots, tol)
+        warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (
                 "eigenvalue-1 cluster ill-separated "
                 f"(estimated nearest non-fixed distance {gap:.3e})",
             )
-        split = _split(ch, rho, tol, warnings)
-        candidate = _project(ch, solve, np.diag(np.arange(1, d + 1) / d), True, tol)[0]
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
-        witness = _project(ch, solve, _gaussian_hermitian(rng, d), False, tol)[0]
+        starts = [np.eye(d) / d, _gaussian_hermitian(rng, d)]
+        rho, witness = _replayed(ch, solve, roots, starts, False, tol)
+        starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
+        second, candidate = _replayed(ch, solve, roots, starts, True, tol)
+        probes = np.stack([first, second])
+        probes /= np.linalg.norm(probes, axis=(1, 2))[:, None, None]
+        split = _split(ch, rho, tol, warnings)
         kept = (probes, candidate, witness, split.R.frame, split.D.frame, split.rho_max)
         for a in kept:
             a.setflags(write=False)

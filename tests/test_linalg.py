@@ -106,6 +106,18 @@ class TestLoewner:
         with pytest.raises(cs.ArgumentError):
             cs.loewner_geq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    @pytest.mark.parametrize("factor, hermitian", [(0.9, True), (1.1, False)])
+    def test_is_state_and_loewner_share_the_hermiticity_rule(self, factor, hermitian):
+        # |X - X^H|_max against 100 psd_tol max(1, |X|_max), here 1e-7
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = factor * 100.0 * cs.DEFAULT_TOL.psd_tol
+        assert cs.is_state(rho) == hermitian
+        if hermitian:
+            assert cs.loewner_geq(rho, rho)
+        else:
+            with pytest.raises(cs.ArgumentError, match=r"X is not Hermitian \(deviation"):
+                cs.loewner_geq(rho, rho)
+
 
 class TestVecHermitian:
     def test_vec_is_column_stacking(self):

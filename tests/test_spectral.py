@@ -990,6 +990,100 @@ class TestKrylovFilter:
         restarted = report_invariants(cs.decompose(make()))
         assert max(invariant_deviations(whole, restarted).values()) <= 1e-10
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_dense_defect_equals_the_codec_round_trip(self, adjoint):
+        # the defect reads a (k, d^2) stack without decoding it: Phi(Z^T) =
+        # Phi(Z)^H for a real Z gives the coordinates Re W + Im W^T
+        ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        assert not ch._sparse
+        b = np.random.default_rng(6).standard_normal((3, ch.dim**2))
+        got = chanstruct.spectral._factor(ch, 1.0)(b, adjoint)
+        images = chanstruct.channels._apply_stack(
+            ch, cs.linalg.hermitian_decode(b, ch.dim), adjoint
+        )
+        want = b - cs.linalg.hermitian_encode(images)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# the bench's planted layouts at d = 20 and 32, and TestKrylovFilter's d = 48
+REPLAY_CASES = {
+    20: (0, [3, 5], [(3, 2)], 6),
+    32: (2, [3, 6], [(3, 3), (4, 2)], 6),
+    48: (48, [6, 8], [(4, 3), (5, 2)], 12),
+}
+
+
+class TestReplay:
+    """Only the first probe runs the full Krylov filter; the four other
+    starts replay its residual polynomial and finish with a short run."""
+
+    @pytest.mark.parametrize("d", list(REPLAY_CASES))
+    def test_replayed_fixed_points_match_full_filter_runs(self, monkeypatch, d):
+        seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[d]
+        rng = np.random.default_rng(seed)
+        ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
+        assert ch.dim == d and not ch._sparse
+        spectral, tol = chanstruct.spectral, cs.DEFAULT_TOL
+        full, runs = spectral._filter, []
+
+        def recording(defect, x, tol):
+            out = full(defect, x, tol)
+            runs.append(out[1])
+            return out
+
+        monkeypatch.setattr(spectral, "_filter", recording)
+        core = spectral._spectral_core(ch, tol)
+        # one full-length run, and four starts finished in a few steps
+        assert len(runs) == 5 and runs[0] > 10 and max(runs[1:]) <= 10
+        spectral._spectral_core(ch, tol)
+        assert len(runs) == 5
+        spectral._spectral_core(ch, cs.Tolerance(eig_cluster_tol=1e-9))
+        assert len(runs) == 10 and runs[5] > 10 and max(runs[6:]) <= 10
+        # the reference: a full filter run from each start
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        probes = [spectral._gaussian_hermitian(rng, d) for _ in range(2)]
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
+        witness = spectral._gaussian_hermitian(rng, d)
+        candidate = np.diag(np.arange(1, d + 1) / d)
+        solve = spectral._factor(ch, 1.0 + tol.eig_cluster_tol)
+
+        def reference(x, adjoint):
+            v = cs.linalg.hermitian_encode(x)
+            u = full(lambda b: solve(b, adjoint), v, tol)[0]
+            return cs.linalg.hermitian_decode(u, d)
+
+        rho = reference(np.eye(d) / d, False)
+        pairs = [
+            (core.split.rho_max, rho / np.trace(rho).real),
+            (core.witness, reference(witness, False)),
+            (core.candidate, reference(candidate, True)),
+        ]
+        for got, g in zip(core.probes, probes):
+            ref = reference(g, True)
+            pairs.append((got, ref / np.linalg.norm(ref)))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("restart", [100, 10])
+    def test_replay_of_the_first_start_reproduces_its_run(self, monkeypatch, restart):
+        # u = p(A) x exactly when the roots are the harmonic Ritz values of
+        # every cycle, restarted or not; taken in Leja order, the product
+        # loses nothing to rounding
+        monkeypatch.setattr(chanstruct.spectral, "_RESTART", restart)
+        spectral, tol = chanstruct.spectral, cs.DEFAULT_TOL
+        seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[32]
+        rng = np.random.default_rng(seed)
+        ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
+        solve = spectral._factor(ch, 1.0 + tol.eig_cluster_tol)
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        x = cs.linalg.hermitian_encode(spectral._gaussian_hermitian(rng, ch.dim))
+        u, _, _, converged, roots = spectral._filter(lambda b: solve(b, True), x, tol)
+        assert converged
+        ordered = spectral._leja(roots, tol)
+        replayed, applications = spectral._replay(solve, ordered, x[None], True)
+        assert applications == len(roots)
+        assert np.abs(replayed[0] - u).max() <= 1e-12 * np.abs(u).max()
+
 
 class TestKernelParity:
     @pytest.mark.parametrize("case", list(PARITY_CASES))
