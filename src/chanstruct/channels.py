@@ -30,7 +30,8 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import DEFAULT_TOL, _check_tolerance, _is_hermitian, as_complex_matrix
+from .linalg import DEFAULT_TOL, _check_integer, _check_tolerance, _is_hermitian
+from .linalg import as_complex_matrix
 
 __all__ = [
     "KrausChannel",
@@ -515,6 +516,7 @@ def oqrw_transition_map(p, q, num_sites):
         raise ArgumentError("p must satisfy 0 < p < 1/2")
     if not (0.0 < q and p + q < 1.0):
         raise ArgumentError("q must satisfy q > 0 and p + q < 1")
+    _check_integer(num_sites, "num_sites", 0)
     n_sites = num_sites + 1
     eye3 = np.eye(3, dtype=complex)
     l_up = np.sqrt(p) * eye3
@@ -555,10 +557,8 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     index a*(N+1) + j.
     """
     _check_tolerance(tol)
-    n_last = int(num_sites)
-    if n_last < 0:
-        raise ArgumentError("num_sites must be nonnegative")
-    n_sites = n_last + 1
+    _check_integer(num_sites, "num_sites", 0)
+    n_last, n_sites = num_sites, num_sites + 1
     ops = {}
     n_int = None
     for (i, j), mat in transitions.items():

@@ -192,6 +192,34 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dimension})"
 
 
+def _residue_free(frame):
+    """The frame with each part below eps times its largest part zeroed, sign kept."""
+    parts = np.ascontiguousarray(frame, dtype=complex).view(float)
+    residue = np.abs(parts) < np.finfo(float).eps * np.abs(parts).max(initial=0.0)
+    return np.where(residue, 0.0 * parts, parts).view(complex)
+
+
+def _canonical(frame):
+    """The one orthonormal basis of the span of a (d, k) frame F that the span
+    fixes (F and F U give it to rounding).  With the rows ordered by decreasing
+    norm (8 decimals, ties by index), it is F Q for P^H = Q R, P the first k
+    rows that add to the span (R^H when they lead): each column zero before its
+    pivot row, real and positive there, without residue, every zero +0.0."""
+    k, cut = frame.shape[1], np.finfo(float).eps ** 0.5
+    if not k:
+        return frame
+    order = np.argsort(-np.round(np.linalg.norm(frame, axis=1), 8), kind="stable")
+    f, pivots = frame[order], np.arange(k)
+    r = np.linalg.qr(f.conj().T, mode="r").conj().T
+    if np.abs(r[pivots, pivots]).min() < cut:  # the leading k rows are dependent
+        ranks = [np.linalg.matrix_rank(f[: i + 1], tol=cut) for i in range(len(f))]
+        pivots = np.flatnonzero(np.diff(ranks, prepend=0))
+        r = f @ np.linalg.qr(f[pivots].conj().T)[0]
+    lead = r[pivots, np.arange(k)]
+    r *= lead.conj() / np.abs(lead)
+    return _residue_free(r[np.argsort(order)]) + 0.0
+
+
 def loewner_geq(x, y, tol=DEFAULT_TOL):
     """Operator-order comparison X >= Y.
 

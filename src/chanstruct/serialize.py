@@ -21,9 +21,11 @@ copies is a ``beta_blocks`` entry, the frames F_g = Q_g F_0 aligned by the
 intertwiners Q_g and the m x m state on F_0 as ``rho_ref``.  A report without
 a ``schema`` entry is read in this layout; a report of any other version is
 not read (re-run ``chanstruct decompose`` on its channel).  A real or
-imaginary part of a frame below eps times the frame's largest part is
-rounding residue: it is written as a zero of its sign, so the rule is
-idempotent.  States and the spectrum are written as computed.
+imaginary part of a frame below eps times its largest part is rounding
+residue, written as a zero of its sign (``linalg._residue_free``); R, D and
+each F_0 are made canonical (``linalg._canonical``) and F_g = Q_g F_0 without
+residue, so a report holds the frames it writes.  States and the spectrum are
+written as computed.
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -43,7 +45,7 @@ import numpy as np
 
 from .channels import KrausChannel, _compressions, _dense_stack, _transfer_matrix
 from .errors import ArgumentError, DecompositionError, ParseError
-from .linalg import Subspace, Tolerance
+from .linalg import Subspace, Tolerance, _residue_free
 from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
     Block,
@@ -87,11 +89,9 @@ def _matrix_to_lists(m):
 
 
 def _frame_to_lists(frame):
-    """``_matrix_to_lists`` of a frame, with each part below eps times the
-    frame's largest part written as a zero of its sign."""
-    pairs = np.stack((frame.real, frame.imag), axis=-1)
-    cut = np.finfo(float).eps * np.abs(pairs).max(initial=0.0)
-    return np.where(np.abs(pairs) < cut, 0.0 * pairs, pairs).tolist()
+    """``_matrix_to_lists`` of a frame without its rounding residue
+    (``linalg._residue_free``)."""
+    return _matrix_to_lists(_residue_free(frame))
 
 
 def _pair_to_complex(entry, where):

@@ -69,7 +69,7 @@ from .channels import (
 )
 from .errors import ArgumentError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, hermitian_encode
-from .linalg import _check_integer, _check_tolerance
+from .linalg import _canonical, _check_integer, _check_tolerance
 
 __all__ = [
     "FixedSpace",
@@ -418,13 +418,13 @@ def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
 def _split(ch, rho, tol, warnings):
     """The split read off rho = Pi_1(I/d): rho_max = rho / tr, made exactly
     Hermitian, R the enclosure generated by its range at relative rank_tol,
-    and D = R^perp."""
+    and D = R^perp, both in their canonical frames."""
     d = rho.shape[0]
     rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
-    r = Subspace(d, _enclosure_frame(ch, v[:, mask], tol))
-    q = Subspace(d, v[:, ~mask]) if r.dimension == mask.sum() else r.orthocomplement()
+    r = Subspace(d, _canonical(_enclosure_frame(ch, v[:, mask], tol)))
+    q = Subspace(d, _canonical(r.orthocomplement().frame))
     return RecurrentSplit(R=r, D=q, rho_max=rho, warnings=warnings)
 
 

@@ -50,7 +50,7 @@ from .channels import (
 )
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix, loewner_geq
-from .linalg import _check_integer, _check_tolerance
+from .linalg import _canonical, _check_integer, _check_tolerance, _residue_free
 from .spectral import _spectral_core, recurrent_split
 
 __all__ = [
@@ -620,9 +620,11 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     with _stage("invariant-states"):
         blocks = []
         for base, *others in [[v] for v in alpha] + beta:
-            # each copy's frame is aligned with the base frame: F_g = Q_g F_0
+            # a canonical base frame, each copy's aligned with it: F_g = Q_g F_0
+            base = Subspace(ch.dim, _canonical(base.frame))
             qs = [partial_isometry(algebra, base, v) for v in others]
-            aligned = [base] + [Subspace(ch.dim, q @ base.frame) for q in qs]
+            copies = (_residue_free(q @ base.frame) for q in qs)
+            aligned = [base] + [Subspace(ch.dim, f) for f in copies]
             sigma = _compression(split.rho_max, base.frame)
             blocks.append(Block(enclosures=tuple(aligned), sigma=sigma))
     report = DecompositionReport(

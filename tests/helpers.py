@@ -378,3 +378,16 @@ def invariant_deviations(a, b):
         "blocks": float(blocks),
         "spectrum": float(np.abs(sa - sb).max(initial=0.0)),
     }
+
+
+def assert_canonical(frame):
+    """The form ``_canonical`` gives: in the order of decreasing row norm
+    (8 decimals, ties by index), zero after the diagonal, with real positive
+    leading entries, and no zero of negative sign."""
+    order = np.argsort(-np.round(np.linalg.norm(frame, axis=1), 8), kind="stable")
+    r = frame[order]
+    assert not np.triu(r, 1).any()
+    lead = np.diag(r)
+    assert (lead.imag == 0.0).all() and (lead.real > 0.0).all()
+    assert not np.signbit(frame.real[frame.real == 0.0]).any()
+    assert not np.signbit(frame.imag[frame.imag == 0.0]).any()

@@ -18,9 +18,11 @@ import chanstruct as cs
 import chanstruct.serialize
 import chanstruct.structure
 from chanstruct.cli import main
+from chanstruct.linalg import _canonical
 from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
 from helpers import (
     amplitude_damping_channel,
+    assert_canonical,
     planted_channel,
     random_kraus_family,
 )
@@ -969,6 +971,17 @@ class TestReportSchema:
             cs.report_file_from_dict(doc, re_verify=True)
 
     @pytest.mark.parametrize("case", sorted(FRAME_CASES))
+    def test_frames_are_canonical(self, case):
+        # R, D and each block's first copy are held in the basis their span
+        # fixes; the other copies are aligned with the first, F_g = Q_g F_0
+        rep = cs.decompose(FRAME_CASES[case]())
+        frames = [rep.R, rep.D, *(b.enclosures[0] for b in rep.blocks)]
+        assert rep.beta_blocks
+        for v in frames:
+            assert np.abs(_canonical(v.frame) - v.frame).max(initial=0.0) <= 1e-13
+            assert_canonical(v.frame)
+
+    @pytest.mark.parametrize("case", sorted(FRAME_CASES))
     def test_frames_carry_no_rounding_residue(self, case):
         # an OQRW's subspaces are site lanes, exactly zero off the lane; the
         # zeros written in place of the residue must read back to the same
@@ -1095,6 +1108,17 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_psd_flag_sets_the_trace_preservation_bound(self, tmp_path, capsys):
+        # sum V^H V = (1 - 1e-6) I: trace preserving to 1e-6, within the
+        # bound 10 psd_tol at --tol-psd 1e-6, not at the default 1e-9
+        ch = cs.KrausChannel([np.sqrt(1.0 - 1e-6) * np.eye(2)])
+        path = write_channel(tmp_path / "ch.json", ch)
+        assert main(["validate", path, "--tol-psd", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert main(["validate", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["trace_preserving"] is False and out["passed"] is False
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -1188,6 +1212,14 @@ class TestCliDecompose:
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
         assert main(["decompose", path, "--tol-rank", "1e-8"]) == 0
         assert main(["decompose", path, "--tol-rank", "-1.0"]) == 1
+
+    def test_eig_and_psd_flags_reach_the_report(self, tmp_path, capsys):
+        path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
+        argv = ["decompose", path, "--tol-eig", "1e-7", "--tol-psd", "1e-8"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"] == {
+            "rank_tol": 1e-9, "eig_cluster_tol": 1e-7, "psd_tol": 1e-8
+        }
 
     def test_fixed_dimension_mismatch_carries_diagnostics(
         self, tmp_path, capsys, monkeypatch

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
-from chanstruct.linalg import hermitian_decode, hermitian_encode
+from chanstruct.linalg import _canonical, hermitian_decode, hermitian_encode
+from helpers import assert_canonical
 
 RNG = np.random.default_rng(101)
 
@@ -77,6 +78,41 @@ class TestSubspace:
         # together S and its complement span C^5
         both = np.hstack([s.frame, c.frame])
         assert np.abs(both.conj().T @ both - np.eye(5)).max() < 1e-12
+
+
+def _unitary(k):
+    z = RNG.standard_normal((k, k)) + 1j * RNG.standard_normal((k, k))
+    return np.linalg.qr(z)[0]
+
+
+class TestCanonicalFrame:
+    """One basis per subspace, fixed by its span."""
+
+    @pytest.mark.parametrize("d, k", [(20, 1), (30, 6), (32, 26), (42, 28), (12, 12)])
+    def test_fixed_by_the_span(self, d, k):
+        f = _unitary(d)[:, :k]
+        c = _canonical(f)
+        for _ in range(3):
+            assert np.abs(_canonical(f @ _unitary(k)) - c).max() <= 1e-13
+        assert np.abs(c @ c.conj().T - f @ f.conj().T).max() <= 1e-13
+        assert np.abs(c.conj().T @ c - np.eye(k)).max() <= 1e-13
+        assert_canonical(c)
+
+    def test_rotated_lanes_come_back_as_coordinate_columns(self):
+        # span{e1, e4} of C^6 in a rotated frame: the lanes have equal row
+        # norms, so the tie-break orders them by index
+        lanes = np.eye(6)[:, [1, 4]]
+        for _ in range(20):
+            c = _canonical(lanes @ _unitary(2))
+            assert np.abs(c - lanes).max() <= 1e-15
+            assert not c[[0, 2, 3, 5]].any()
+
+    def test_dependent_leading_rows(self):
+        # span{e0 + e1, e2 + e3, e4 + e5} / sqrt 2 in C^8: the tied rows 0 and
+        # 1 are parallel, so the second column's pivot is row 2, not row 1
+        f = np.kron(np.eye(4, 3), np.ones((2, 1))) / np.sqrt(2.0)
+        for _ in range(20):
+            assert np.abs(_canonical(f @ _unitary(3)) - f).max() <= 1e-13
 
 
 class TestLoewner:

@@ -926,7 +926,8 @@ class TestKernelAcceptance:
             s = np.eye(ch.dim**2)
             s[0, 1] = 1e-3
             s_inv = np.linalg.inv(s)
-            return lambda b, adjoint: s @ defect(s_inv @ b, adjoint)
+            # each row of a (k, d^2) stack, and a single vector, transformed
+            return lambda b, adjoint: (s @ defect((s_inv @ b.T).T, adjoint).T).T
 
         monkeypatch.setattr(chanstruct.spectral, "_factor", similar)
         ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
@@ -934,6 +935,45 @@ class TestKernelAcceptance:
         with pytest.raises(cs.DecompositionError) as err:
             cs.fixed_space(ch)
         assert err.value.stage == "fixed-space"
+
+    def test_failed_replayed_projection_counts_the_replay(self, monkeypatch):
+        # the residual through Phi fails every forward projection, so the
+        # first one, I/d replayed with the witness start, fails after its
+        # replay: the error counts every forward application of the defect
+        spectral = chanstruct.spectral
+        factor, replay, residual = spectral._factor, spectral._replay, spectral._residual
+        forward, replayed = [], []
+
+        def counting(ch, sigma):
+            defect = factor(ch, sigma)
+
+            def counted(b, adjoint):
+                if not adjoint:
+                    forward.append(b.ndim)  # 2 for the replay's stack
+                return defect(b, adjoint)
+
+            return counted
+
+        def recording(solve, roots, v, adjoint):
+            out = replay(solve, roots, v, adjoint)
+            replayed.append((adjoint, out[1]))
+            return out
+
+        def failing(ch, v, adjoint):
+            return residual(ch, v, adjoint) if adjoint else 1.0
+
+        monkeypatch.setattr(spectral, "_factor", counting)
+        monkeypatch.setattr(spectral, "_replay", recording)
+        monkeypatch.setattr(spectral, "_residual", failing)
+        ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
+        assert not ch._sparse
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.decompose(ch)
+        assert err.value.stage == "fixed-space"
+        # the replay ran on the stack of the two forward starts
+        assert replayed == [(False, forward.count(2))] and replayed[0][1] > 0
+        assert err.value.diagnostics["applications"] == len(forward)
+        assert err.value.diagnostics["residual"] == 1.0
 
 
 class TestKrylovFilter:

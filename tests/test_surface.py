@@ -207,6 +207,22 @@ def test_tolerance_of_the_wrong_type_is_type_error(call, tol):
         call(cs.KrausChannel([np.eye(2)]), tol)
 
 
+def test_site_counts_must_be_non_negative_integers():
+    # 4.7 would build a 5-site walk (d = 15), True a 2-site one from a
+    # 4-site map, and range(3.5) a bare TypeError
+    walk = cs.oqrw_transition_map(0.3, 0.3, 4)
+    calls = [
+        lambda n: cs.from_oqrw(walk, n),
+        lambda n: cs.oqrw_transition_map(0.3, 0.3, n),
+    ]
+    for call in calls:
+        for n in (4.7, 2.5, True, np.bool_(True), -1, 4.0):
+            with pytest.raises(cs.ArgumentError, match="num_sites must be an integer >= 0"):
+                call(n)
+    assert cs.from_oqrw(walk, np.int64(4)).dim == 15
+    assert len(cs.oqrw_transition_map(0.3, 0.3, np.int64(2))) == 8
+
+
 def test_readme_python_block_runs():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
