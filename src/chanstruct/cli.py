@@ -36,12 +36,8 @@ from .serialize import (
     report_file_to_dict,
     validation_to_dict,
 )
-from .spectral import (
-    fixed_space,
-    peripheral_spectrum,
-    perron_frobenius_certificate,
-)
-from .structure import decompose, enclosure_generated
+from .spectral import fixed_space, peripheral_spectrum
+from .structure import _fixed_dimension, _irreducible, decompose, enclosure_generated
 
 __all__ = ["main"]
 
@@ -153,13 +149,14 @@ def cmd_query(args):
             "frame": _frame_to_lists(space.frame),
         }
     elif args.what == "irreducible":
-        cert = perron_frobenius_certificate(ch, tol)
+        report = decompose(ch, tol=tol)
+        irreducible = _irreducible(report)
         doc = {
-            "irreducible": cert.simple_and_faithful,
+            "irreducible": irreducible,
             "certificate": {
-                "eigenvalue_1_multiplicity": cert.eigenvalue_1_multiplicity,
-                "invariant_state_rank": cert.invariant_state_rank,
-                "simple_and_faithful": cert.simple_and_faithful,
+                "eigenvalue_1_multiplicity": _fixed_dimension(report),
+                "invariant_state_rank": report.R.dimension,
+                "simple_and_faithful": irreducible,
             },
         }
     elif args.what == "fixed-points":

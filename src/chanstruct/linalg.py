@@ -21,9 +21,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "Subspace",
-    "loewner_geq",
-    "vec",
-    "unvec",
     "hermitian_span_basis",
 ]
 
@@ -89,12 +86,6 @@ def _is_hermitian(x, tol):
         return True
     scale = max(1.0, np.abs(x).max())
     return bool(np.abs(x - x.conj().T).max() <= 100.0 * tol.psd_tol * scale)
-
-
-def _check_hermitian(x, tol, name="matrix"):
-    if not _is_hermitian(x, tol):
-        dev = np.abs(x - x.conj().T).max()
-        raise ArgumentError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
 class Subspace:
@@ -218,34 +209,6 @@ def _canonical(frame):
     lead = r[pivots, np.arange(k)]
     r *= lead.conj() / np.abs(lead)
     return _residue_free(r[np.argsort(order)]) + 0.0
-
-
-def loewner_geq(x, y, tol=DEFAULT_TOL):
-    """Operator-order comparison X >= Y.
-
-    True iff the minimum eigenvalue of X - Y is >= -psd_tol.  Both inputs
-    must be Hermitian within tolerance.
-    """
-    _check_tolerance(tol)
-    x = as_complex_matrix(x, "X")
-    y = as_complex_matrix(y, "Y")
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ArgumentError("operands must be square matrices of equal shape")
-    _check_hermitian(x, tol, "X")
-    _check_hermitian(y, tol, "Y")
-    diff = (x - y + (x - y).conj().T) / 2.0
-    w = np.linalg.eigvalsh(diff)
-    return bool(w[0] >= -tol.psd_tol)
-
-
-def vec(rho):
-    """Column-stacking vectorization: columns of ``rho`` top to bottom."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v, d):
-    """Inverse of :func:`vec` for a d x d matrix."""
-    return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
 def hermitian_encode(x):

@@ -9,8 +9,8 @@ generates, D = R^perp), and adjoint fixed points compressed to R are
 elements of the fixed-point algebra there (Baumgartner-Narnhofer, Rev. Math.
 Phys. 24 (2012); see chanstruct.structure).  No basis of either fixed space
 is computed: the structure theorem gives both from the blocks
-(Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` and
-``perron_frobenius_certificate`` are assembled from ``decompose``.
+(Carbone-Pautrat, arXiv:1507.08404), so ``fixed_space`` is assembled from
+``decompose``, and ``structure.is_irreducible`` reads its report.
 
 The solve alone needs a trace-preserving channel, as the structure theorem
 needs a unital adjoint: ``_spectral_core`` first checks Phi^*(I) = I by the
@@ -35,9 +35,12 @@ on the non-fixed spectrum of Phi^* and so of Phi (M_h is real).  The other
 four starts are multiplied by p first, on one stack per direction
 (``_replay``), skipping the roots with |theta| < sqrt(eig_cluster_tol),
 whose factors would amplify the rest of the spectrum (``_leja``); a short
-filter run then finishes each.  A sparse family (the rule is the channel's) factors
-M_h - sigma I, sigma = 1 + eig_cluster_tol, once by a sparse LU and takes the
-steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
+filter run then finishes each.  The product can still grow a stack, near the
+identity, until rounding swamps its fixed component, so a replay that grows
+the stack's norm is dropped and its starts take the full filter.  A sparse
+family (the rule is the channel's) factors M_h - sigma I, with
+sigma = 1 + eig_cluster_tol, once by a sparse LU and takes the steps
+x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
 of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
 residual halves; the largest ratio theta of successive residuals gives the
 distance (sigma - 1)(1/theta - 1).  Either way a vector is accepted only
@@ -64,22 +67,17 @@ from .channels import (
     _hermitian_coordinates,
     _hermitian_transfer_matrix,
     _sandwich,
-    apply,
-    is_state,
 )
-from .errors import ArgumentError, DecompositionError
+from .errors import DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, hermitian_encode
-from .linalg import _canonical, _check_integer, _check_tolerance
+from .linalg import _canonical, _check_tolerance
 
 __all__ = [
     "FixedSpace",
     "RecurrentSplit",
-    "PerronFrobeniusCertificate",
     "fixed_space",
-    "cesaro_average",
     "recurrent_split",
     "peripheral_spectrum",
-    "perron_frobenius_certificate",
 ]
 
 
@@ -115,19 +113,6 @@ class RecurrentSplit:
     D: Subspace
     rho_max: np.ndarray
     warnings: tuple = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class PerronFrobeniusCertificate:
-    """Spectral irreducibility certificate.
-
-    ``simple_and_faithful`` is True iff eigenvalue 1 is simple and the
-    invariant state has full rank.
-    """
-
-    eigenvalue_1_multiplicity: int
-    invariant_state_rank: int
-    simple_and_faithful: bool
 
 
 @dataclass(frozen=True)
@@ -318,11 +303,13 @@ def _replay(solve, roots, v, adjoint):
 def _replayed(ch, solve, roots, starts, adjoint, tol):
     """Pi_1 (Pi_1^* when ``adjoint``) of each Hermitian start, replayed on
     one stack by ``_replay`` with the ``roots`` of ``_leja`` and finished by
-    ``_project``; a failure counts the replay's applications too."""
+    ``_project``.  A replay that grows the stack's norm is dropped, and the
+    starts take the full filter; a failure counts the replay's applications
+    too."""
     v = hermitian_encode(np.stack(starts))
-    v, replayed = _replay(solve, roots, v, adjoint)
-    if replayed:
-        starts = hermitian_decode(v, ch.dim)
+    w, replayed = _replay(solve, roots, v, adjoint)
+    if replayed and np.linalg.norm(w) <= np.linalg.norm(v):
+        starts = hermitian_decode(w, ch.dim)
     try:
         return [_project(ch, solve, x, adjoint, tol)[0] for x in starts]
     except DecompositionError as err:
@@ -399,20 +386,6 @@ def fixed_space(ch, tol=DEFAULT_TOL):
     for x in basis:
         x.setflags(write=False)
     return FixedSpace(dim_ambient=ch.dim, hermitian_basis=basis)
-
-
-def cesaro_average(ch, rho, n, tol=DEFAULT_TOL):
-    """Cesaro mean (1/n) sum_{k<n} Phi^k(rho) for a state rho and an
-    integer n >= 1."""
-    _check_integer(n, "n", 1)
-    if not is_state(rho, tol):
-        raise ArgumentError("rho is not a state")
-    current = np.asarray(rho, dtype=complex)
-    acc = current.copy()
-    for _ in range(n - 1):
-        current = apply(ch, current)
-        acc += current
-    return acc / n
 
 
 def _split(ch, rho, tol, warnings):
@@ -537,20 +510,3 @@ def _block_eigenvalues(stack, tol):
         if max(np.abs(r).max() for r in residuals) <= tol.subspace_tol:
             return np.exp(2j * np.pi * np.arange(p) / p)
     return np.linalg.eigvals(_hermitian_transfer_matrix(stack))
-
-
-def perron_frobenius_certificate(ch, tol=DEFAULT_TOL):
-    """Multiplicity of eigenvalue 1 and the rank of the maximal invariant
-    state, which is dim R of :func:`recurrent_split`.  The multiplicity is
-    n_alpha + sum_b n_b^2, assembled from the blocks of
-    :func:`structure.decompose`, so this fails wherever ``decompose`` fails."""
-    from .structure import _fixed_dimension, decompose
-
-    report = decompose(ch, tol=tol)
-    multiplicity = _fixed_dimension(report)
-    rank = report.R.dimension
-    return PerronFrobeniusCertificate(
-        eigenvalue_1_multiplicity=multiplicity,
-        invariant_state_rank=rank,
-        simple_and_faithful=bool(multiplicity == 1 and rank == ch.dim),
-    )

@@ -49,7 +49,7 @@ from .channels import (
     is_state,
 )
 from .errors import ArgumentError, ChanstructError, DecompositionError
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix, loewner_geq
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix
 from .linalg import _canonical, _check_integer, _check_tolerance, _residue_free
 from .spectral import _spectral_core, recurrent_split
 
@@ -250,7 +250,8 @@ def is_enclosure(ch, subspace, tol=DEFAULT_TOL):
 
 
 def is_subharmonic(ch, p, tol=DEFAULT_TOL):
-    """Whether a projector P satisfies Phi^*(P) >= P in the Loewner order.
+    """Whether a projector P satisfies Phi^*(P) >= P in the Loewner order: the
+    smallest eigenvalue of Phi^*(P) - P is at least -psd_tol.
 
     Range projectors of enclosures are exactly the subharmonic projectors.
     """
@@ -262,7 +263,8 @@ def is_subharmonic(ch, p, tol=DEFAULT_TOL):
         raise ArgumentError("P is not Hermitian")
     if np.abs(p @ p - p).max() > tol.subspace_tol:
         raise ArgumentError("P is not idempotent")
-    return loewner_geq(apply_adjoint(ch, p), p, tol)
+    diff = apply_adjoint(ch, p) - p
+    return bool(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0] >= -tol.psd_tol)
 
 
 def accessible(ch, x, y, tol=DEFAULT_TOL):
@@ -279,11 +281,15 @@ def communicates(ch, x, y, tol=DEFAULT_TOL):
 
 
 def is_irreducible(ch, tol=DEFAULT_TOL):
-    """Whether the only enclosures are trivial: eigenvalue 1 simple with a
-    faithful invariant state."""
-    from .spectral import perron_frobenius_certificate
+    """Whether the only enclosures are trivial, read off :func:`decompose`:
+    one block of one copy (eigenvalue 1 simple) and R = C^d (a faithful
+    invariant state)."""
+    return _irreducible(decompose(ch, tol=tol))
 
-    return perron_frobenius_certificate(ch, tol).simple_and_faithful
+
+def _irreducible(report):
+    """Whether a report has one block of one copy and R = C^d."""
+    return _fixed_dimension(report) == 1 and report.R.dimension == report.dim
 
 
 def fixed_point_algebra_on_R(ch, tol=DEFAULT_TOL):

@@ -6,6 +6,7 @@ so the tests never reuse the library code paths they are checking.
 """
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -281,6 +282,37 @@ def planted_channel(rng, alpha_dims, beta_specs, n_transient, n_kraus=3):
         "unitary": u,
     }
     return cs.KrausChannel([u @ v @ u.conj().T for v in kraus]), truth
+
+
+def lindblad_kraus(d, t):
+    """A Kraus family of the channel e^(tL), near the identity for small t,
+    everything drawn from default_rng(d).  L has the Hamiltonian H, the
+    Hermitian part of a complex Gaussian, and two jump operators, each a
+    complex Gaussian divided by sqrt(2d).  The Kraus operators of norm above
+    1e-7 are read off the eigendecomposition of the Choi matrix of
+    expm(tL), then K <- K S^(-1/2) for S = sum K^H K, so that the family is
+    trace preserving to rounding."""
+    rng = np.random.default_rng(d)
+    gauss = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # noqa: E731
+    g = gauss()
+    h = (g + g.conj().T) / 2.0
+    jumps = [gauss() / np.sqrt(2.0 * d) for _ in range(2)]
+    eye = np.eye(d)
+    # vec(A X B) = (B^T kron A) vec(X), vec stacking columns
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for j in jumps:
+        jj = j.conj().T @ j
+        gen += np.kron(j.conj(), j) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    m = expm(t * gen)
+    # m[a + d b, k + d l] = sum_i K_i[a, k] conj(K_i[b, l]); the Choi matrix
+    # C[(a, k), (b, l)] is that sum, so C = sum_i vec_row(K_i) vec_row(K_i)^H
+    choi = m.reshape(d, d, d, d, order="F").transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    keep = np.sqrt(np.maximum(w, 0.0)) > 1e-7
+    kraus = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, d, d)
+    s = np.einsum("iba,ibc->ac", kraus.conj(), kraus)
+    sw, sv = np.linalg.eigh(s)
+    return cs.KrausChannel(kraus @ (sv / np.sqrt(sw)) @ sv.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -306,10 +306,9 @@ def test_criterion_6_invariant_suites(capsys):
         for _ in range(20):
             d = int(rng.integers(2, 6))
             ch = random_channel(d, 3, rng)
-            cert = cs.perron_frobenius_certificate(ch)
-            assert cert.eigenvalue_1_multiplicity == 1
-            assert cert.invariant_state_rank == d
-            assert cert.simple_and_faithful
+            report = cs.decompose(ch)
+            assert cs.report_file_from_report(report).fixed_space_dimension == 1
+            assert report.R.dimension == d
             assert cs.is_irreducible(ch)
 
     _run(capsys, 6, "invariant suites", body)

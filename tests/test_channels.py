@@ -208,8 +208,9 @@ class TestSuperoperator:
         ch = random_channel(3, 3, RNG)
         m = cs.superoperator(ch)
         rho = random_state(3, RNG)
-        lhs = m @ cs.vec(rho)
-        rhs = cs.vec(cs.apply(ch, rho))
+        # M acts on column-stacked matrices
+        lhs = m @ rho.reshape(-1, order="F")
+        rhs = cs.apply(ch, rho).reshape(-1, order="F")
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_equals_kron_sum(self):

@@ -115,61 +115,16 @@ class TestCanonicalFrame:
             assert np.abs(_canonical(f @ _unitary(3)) - f).max() <= 1e-13
 
 
-class TestLoewner:
-    def test_projector_versus_diagonal_fails(self):
-        # X - Y has eigenvalues (1 +- sqrt(5))/4, one of them negative
-        x = np.diag([1.0, 0.5])
-        y = np.full((2, 2), 0.5)
-        assert not cs.loewner_geq(x, y)
-        # explicit witness
-        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert (v @ (x - y) @ v).real < 0
-
-    def test_diagonal_versus_half_projector_holds(self):
-        # X - Y has eigenvalues (2 +- sqrt(2))/4, both positive
-        x = np.diag([1.0, 0.5])
-        y = np.full((2, 2), 0.25)
-        assert cs.loewner_geq(x, y)
-
-    def test_reflexive_and_orders_scalars(self):
-        a = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-        h = (a + a.conj().T) / 2
-        assert cs.loewner_geq(h, h)
-        assert cs.loewner_geq(h + 0.1 * np.eye(3), h)
-        assert not cs.loewner_geq(h - 0.1 * np.eye(3), h)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(cs.ArgumentError):
-            cs.loewner_geq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
+class TestHermiticityRule:
     @pytest.mark.parametrize("factor, hermitian", [(0.9, True), (1.1, False)])
-    def test_is_state_and_loewner_share_the_hermiticity_rule(self, factor, hermitian):
+    def test_is_state_hermiticity_rule(self, factor, hermitian):
         # |X - X^H|_max against 100 psd_tol max(1, |X|_max), here 1e-7
         rho = np.diag([0.5, 0.5]).astype(complex)
         rho[0, 1] = factor * 100.0 * cs.DEFAULT_TOL.psd_tol
         assert cs.is_state(rho) == hermitian
-        if hermitian:
-            assert cs.loewner_geq(rho, rho)
-        else:
-            with pytest.raises(cs.ArgumentError, match=r"X is not Hermitian \(deviation"):
-                cs.loewner_geq(rho, rho)
 
 
 class TestVecHermitian:
-    def test_vec_is_column_stacking(self):
-        m = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(cs.vec(m), np.array([0.0, 2.0, 1.0, 3.0]))
-        assert np.array_equal(cs.unvec(cs.vec(m), 2), m)
-
-    def test_kron_identity(self):
-        # vec(A X B) = (B^T kron A) vec(X)
-        a = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-        b = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-        x = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-        lhs = cs.vec(a @ x @ b)
-        rhs = np.kron(b.T, a) @ cs.vec(x)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
     def test_hermitian_encode_isometry(self):
         z1 = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
         z2 = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))

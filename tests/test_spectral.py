@@ -21,7 +21,6 @@ from helpers import (
     planted_channel,
     random_channel,
     random_kraus_family,
-    random_state,
     report_invariants,
     slow_birth_death,
     two_class_chain,
@@ -68,7 +67,6 @@ class TestFixedSpace:
             lambda ch: cs.decompose(ch),
             lambda ch: cs.recurrent_split(ch),
             lambda ch: cs.fixed_space(ch),
-            lambda ch: cs.perron_frobenius_certificate(ch),
             lambda ch: cs.is_irreducible(ch),
             lambda ch: cs.minimal_enclosures(cs.fixed_point_algebra_on_R(ch)),
             lambda ch: cs.group_into_blocks([], cs.fixed_point_algebra_on_R(ch)),
@@ -80,7 +78,7 @@ class TestFixedSpace:
             ),
         ],
         ids=["decompose", "recurrent_split", "fixed_space",
-             "perron_frobenius_certificate", "is_irreducible", "minimal_enclosures",
+             "is_irreducible", "minimal_enclosures",
              "group_into_blocks", "partial_isometry", "block_invariant_state"],
     )
     @pytest.mark.parametrize("family", ["dense", "sparse"])
@@ -245,7 +243,9 @@ class TestHermitianCoordinates:
         cluster = np.abs(w - 1.0) <= cs.DEFAULT_TOL.eig_cluster_tol
         assert cluster.sum() == truth["fixed_dim"]
         pi = v[:, cluster] @ np.linalg.inv(v)[cluster, :]
-        w_ref, v_ref = np.linalg.eigh(cs.unvec(pi @ cs.vec(np.eye(d) / d), d))
+        # M acts on column-stacked matrices
+        mixed = pi @ (np.eye(d) / d).reshape(-1, order="F")
+        w_ref, v_ref = np.linalg.eigh(mixed.reshape(d, d, order="F"))
         range_ref = v_ref[:, w_ref > 1e-9 * w_ref[-1]]
         split = cs.recurrent_split(ch)
         rho = split.rho_max
@@ -258,41 +258,38 @@ class TestHermitianCoordinates:
         assert np.abs(split.R.projector() - proj).max() <= 1e-10
 
 
+def _cesaro(ch, rho, n):
+    """(1/n) sum_{k<n} Phi^k(rho) from powers of the superoperator, which
+    acts on column-stacked matrices."""
+    m, v = cs.superoperator(ch), np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    total = np.zeros_like(v)
+    for _ in range(n):
+        total += v
+        v = m @ v
+    return (total / n).reshape(ch.dim, ch.dim, order="F")
+
+
+CESARO_CASES = {
+    "amplitude-damping": lambda: amplitude_damping_channel(0.4),
+    "generic": lambda: random_channel(3, 3, np.random.default_rng(265)),
+    # a period-2 pair fed by a transient state
+    "periodic-transient": lambda: cs.from_markov_chain(
+        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    ),
+}
+
+
 class TestCesaro:
-    def test_invariant_state_is_cesaro_fixed(self):
-        ch = amplitude_damping_channel(0.4)
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        avg = cs.cesaro_average(ch, rho, 25)
-        assert np.abs(avg - rho).max() < 1e-12
-
-    def test_average_approaches_invariance(self):
-        ch = random_channel(3, 3, RNG)
-        rho = random_state(3, RNG)
-        avg = cs.cesaro_average(ch, rho, 400)
-        assert abs(np.trace(avg).real - 1.0) < 1e-10
-        assert np.abs(cs.apply(ch, avg) - avg).max() < 1e-2
-        avg2 = cs.cesaro_average(ch, rho, 4000)
-        dev1 = np.abs(cs.apply(ch, avg) - avg).max()
-        dev2 = np.abs(cs.apply(ch, avg2) - avg2).max()
-        assert dev2 < dev1
-
-    def test_validates_input(self):
-        ch = amplitude_damping_channel(0.4)
-        with pytest.raises(cs.ArgumentError):
-            cs.cesaro_average(ch, np.eye(2), 10)  # trace 2
-        with pytest.raises(cs.ArgumentError):
-            cs.cesaro_average(ch, np.diag([1.0, 0.0]), 0)
-
-    def test_refuses_non_integer_n(self):
-        # a 2.5-term mean would sum 2 terms and divide by 2.5, trace 0.8
-        ch = cs.from_markov_chain(np.full((2, 2), 0.5))
-        rho = np.diag([1.0, 0.0])
-        for n in (2.5, True, np.bool_(True), np.nan, 2.0):
-            with pytest.raises(cs.ArgumentError, match="n must be an integer >= 1"):
-                cs.cesaro_average(ch, rho, n)
-        for n in (2, np.int64(2)):
-            avg = cs.cesaro_average(ch, rho, n)
-            assert np.abs(avg - np.diag([0.75, 0.25])).max() <= 1e-15
+    @pytest.mark.parametrize("case", list(CESARO_CASES))
+    def test_rho_max_is_the_cesaro_limit_of_the_mixed_state(self, case):
+        # rho_max = Pi_1(I/d), the Cesaro limit of Phi^k(I/d): the mean of n
+        # terms is within O(1/n) of it, and an invariant state is its own mean
+        ch = CESARO_CASES[case]()
+        rho = cs.recurrent_split(ch).rho_max
+        mixed = np.eye(ch.dim) / ch.dim
+        dev = [np.abs(_cesaro(ch, mixed, n) - rho).max() for n in (400, 4000)]
+        assert dev[1] < dev[0] <= 1e-2
+        assert np.abs(_cesaro(ch, rho, 25) - rho).max() <= 1e-12
 
 
 class TestRecurrentSplit:
@@ -329,7 +326,7 @@ class TestRecurrentSplit:
         split = cs.recurrent_split(ch)
         assert (split.R.dimension, split.D.dimension) == (20, 0)
         assert cs.is_irreducible(ch)
-        assert cs.perron_frobenius_certificate(ch).invariant_state_rank == 20
+        assert cs.decompose(ch).R.dimension == 20
 
     @pytest.mark.parametrize("tail", [2, 3])
     def test_slow_birth_death_chain_with_transient_tail(self, tail):
@@ -491,25 +488,24 @@ class TestPeripheralSpectrum:
         assert np.abs(np.array(rf.peripheral_spectrum) - np.array(full)).max() <= 1e-10
 
 
-class TestCertificate:
-    def test_irreducible(self):
-        p = np.zeros((3, 3))
-        p[1, 0] = p[2, 1] = p[0, 2] = 1.0
-        cert = cs.perron_frobenius_certificate(cs.from_markov_chain(p))
-        assert cert.eigenvalue_1_multiplicity == 1
-        assert cert.invariant_state_rank == 3
-        assert cert.simple_and_faithful
-
-    def test_simple_but_not_faithful(self):
-        cert = cs.perron_frobenius_certificate(amplitude_damping_channel(0.5))
-        assert cert.eigenvalue_1_multiplicity == 1
-        assert cert.invariant_state_rank == 1
-        assert not cert.simple_and_faithful
-
-    def test_degenerate_multiplicity(self):
-        cert = cs.perron_frobenius_certificate(cs.KrausChannel([np.eye(2)]))
-        assert cert.eigenvalue_1_multiplicity == 4
-        assert not cert.simple_and_faithful
+class TestIrreducibility:
+    # read off the report: one block of one copy, n_alpha + sum_b n_b^2 = 1,
+    # and R = C^d
+    @pytest.mark.parametrize(
+        "make, multiplicity, rank, irreducible",
+        [
+            (lambda: cs.from_markov_chain(np.roll(np.eye(3), 1, axis=0)), 1, 3, True),
+            (lambda: amplitude_damping_channel(0.5), 1, 1, False),
+            (lambda: cs.KrausChannel([np.eye(2)]), 4, 2, False),
+        ],
+        ids=["cycle", "damping", "identity"],
+    )
+    def test_multiplicity_and_rank(self, make, multiplicity, rank, irreducible):
+        ch = make()
+        report = cs.decompose(ch)
+        assert cs.report_file_from_report(report).fixed_space_dimension == multiplicity
+        assert report.R.dimension == rank
+        assert cs.is_irreducible(ch) is irreducible
 
 
 class TestSingleSolve:
@@ -553,7 +549,7 @@ class TestSingleSolve:
             cs.decompose(ch, rng_seed=7)
             cs.report_file_from_report(report)
             cs.fixed_space(ch)
-            cs.perron_frobenius_certificate(ch)
+            cs.is_irreducible(ch)
             algebra = cs.fixed_point_algebra_on_R(ch)
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
             cs.block_invariant_state(algebra, report.alpha_blocks[0].enclosures[0])
@@ -1134,13 +1130,14 @@ class TestKernelParity:
         ch = PARITY_CASES[case]()
         ref_right, ref_left = _svd_kernels(ch, tol)
         fixed = cs.fixed_space(ch, tol).hermitian_basis
-        right = np.column_stack([cs.vec(x) for x in fixed])
+        # column-stacked matrices, as the superoperator acts on them
+        right = np.column_stack([x.reshape(-1, order="F") for x in fixed])
         algebra = cs.fixed_point_algebra_on_R(ch, tol)
         frame = algebra.R.frame
-        left = np.column_stack([cs.vec(h) for h in algebra.hermitian_basis])
-        compressed = np.column_stack(
-            [cs.vec(frame.conj().T @ cs.unvec(x, ch.dim) @ frame) for x in ref_left.T]
-        )
+        left = np.column_stack([h.reshape(-1, order="F") for h in algebra.hermitian_basis])
+        d = ch.dim
+        compressed = [frame.conj().T @ x.reshape(d, d, order="F") @ frame for x in ref_left.T]
+        compressed = np.column_stack([x.reshape(-1, order="F") for x in compressed])
         u, s, _ = np.linalg.svd(compressed, full_matrices=False)
         ref_left = u[:, s > 1e-8 * s[0]]
         assert right.shape == ref_right.shape and left.shape == ref_left.shape

@@ -19,19 +19,19 @@ PUBLIC = {
     "DEFAULT_TOL", "DecompositionError", "DecompositionReport",
     "ExtractionResult", "FixedPointAlgebra", "FixedSpace",
     "InvariantStateParameters", "KrausChannel", "ParseError",
-    "PerronFrobeniusCertificate", "RecurrentSplit", "ReportFile", "Subspace",
+    "RecurrentSplit", "ReportFile", "Subspace",
     "Tolerance", "ValidationReport", "__version__", "accessible", "apply",
     "apply_adjoint", "block_invariant_state", "build_invariant_state",
-    "canonical_dumps", "cesaro_average", "channel_from_dict",
+    "canonical_dumps", "channel_from_dict",
     "channel_to_dict", "communicates", "decompose", "enclosure_generated",
     "extract_parameters", "fixed_point_algebra_on_R",
     "fixed_space", "from_markov_chain", "from_oqrw", "group_into_blocks",
     "hermitian_span_basis", "is_enclosure", "is_irreducible", "is_state",
-    "is_subharmonic", "load_channel", "loewner_geq", "minimal_enclosures",
+    "is_subharmonic", "load_channel", "minimal_enclosures",
     "oqrw_transition_map", "partial_isometry", "peripheral_spectrum",
-    "perron_frobenius_certificate", "qubit_bloch_form", "recurrent_split",
+    "qubit_bloch_form", "recurrent_split",
     "report_file_from_dict", "report_file_from_report", "report_file_to_dict",
-    "superoperator", "unvec", "validate", "vec",
+    "superoperator", "validate",
 }
 
 # every subcommand, with the arguments it requires besides the channel file
@@ -48,7 +48,7 @@ SUBCOMMANDS = {
 
 
 def test_top_level_names_are_frozen():
-    assert len(cs.__all__) == len(PUBLIC) == 58
+    assert len(cs.__all__) == len(PUBLIC) == 52
     assert set(cs.__all__) == PUBLIC
 
 
@@ -173,7 +173,6 @@ def test_report_consumers_read_the_report():
         lambda ch, tol: cs.decompose(ch, tol=tol),
         lambda ch, tol: cs.recurrent_split(ch, tol),
         lambda ch, tol: cs.fixed_space(ch, tol),
-        lambda ch, tol: cs.perron_frobenius_certificate(ch, tol),
         lambda ch, tol: cs.fixed_point_algebra_on_R(ch, tol),
         lambda ch, tol: cs.is_irreducible(ch, tol),
         lambda ch, tol: cs.peripheral_spectrum(ch, tol),
@@ -183,9 +182,7 @@ def test_report_consumers_read_the_report():
         lambda ch, tol: cs.communicates(ch, [1.0, 0.0], [0.0, 1.0], tol),
         lambda ch, tol: cs.is_enclosure(ch, cs.Subspace.full(2), tol),
         lambda ch, tol: cs.is_subharmonic(ch, np.eye(2), tol),
-        lambda ch, tol: cs.cesaro_average(ch, np.eye(2) / 2, 2, tol),
         lambda ch, tol: cs.is_state(np.eye(2) / 2, tol),
-        lambda ch, tol: cs.loewner_geq(np.eye(2), np.eye(2), tol),
         lambda ch, tol: cs.hermitian_span_basis([np.eye(2)], tol),
         lambda ch, tol: cs.Subspace.full(2).contains_vector([1.0, 0.0], tol),
         lambda ch, tol: cs.Subspace.full(2).contains(cs.Subspace.full(2), tol),
@@ -194,10 +191,10 @@ def test_report_consumers_read_the_report():
         lambda ch, tol: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 2), 2, tol),
     ],
     ids=["decompose", "recurrent_split", "fixed_space",
-         "perron_frobenius_certificate", "fixed_point_algebra_on_R",
+         "fixed_point_algebra_on_R",
          "is_irreducible", "peripheral_spectrum", "validate",
          "enclosure_generated", "accessible", "communicates", "is_enclosure",
-         "is_subharmonic", "cesaro_average", "is_state", "loewner_geq",
+         "is_subharmonic", "is_state",
          "hermitian_span_basis", "Subspace.contains_vector", "Subspace.contains",
          "Subspace.approx_equal", "from_markov_chain", "from_oqrw"],
 )
