@@ -25,6 +25,7 @@ from helpers import (
     assert_canonical,
     planted_channel,
     random_kraus_family,
+    slow_birth_death,
 )
 
 RNG = np.random.default_rng(505)
@@ -1354,6 +1355,41 @@ class TestCliQuery:
         doc = json.loads(capsys.readouterr().out)
         assert doc["irreducible"] is True
         assert doc["certificate"]["eigenvalue_1_multiplicity"] == 1
+
+    @pytest.mark.parametrize(
+        "make, multiplicity, rank, irreducible",
+        [
+            (lambda: cs.from_markov_chain(np.roll(np.eye(3), 1, axis=0)), 1, 3, True),
+            (lambda: slow_birth_death(20), 1, 20, True),
+            (lambda: amplitude_damping_channel(0.5), 1, 1, False),
+            (lambda: cs.KrausChannel([np.eye(17)]), 289, 17, False),
+            (lambda: planted_channel(np.random.default_rng(4), [4], [], 0)[0], 1, 4, True),
+            # one block, but of two copies: n_b^2 = 4 fixed points
+            (lambda: planted_channel(np.random.default_rng(5), [], [(3, 2)], 0)[0], 4, 6, False),
+            (lambda: planted_channel(np.random.default_rng(1), [3, 5], [(3, 2)], 6)[0], 6, 14, False),
+        ],
+        ids=["cycle", "birth-death", "damping", "identity-17", "planted-one-block",
+             "planted-two-copies", "planted-mixed"],
+    )
+    def test_irreducible_certificate_agrees_with_fixed_points(
+        self, make, multiplicity, rank, irreducible, tmp_path, capsys
+    ):
+        # the certificate reads the report: the multiplicity of eigenvalue 1
+        # is n_alpha + sum_b n_b^2, the dimension `query fixed-points` solves
+        # for, and the invariant state's rank is dim R
+        path = write_channel(tmp_path / "ch.json", make())
+        assert main(["query", "irreducible", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "irreducible": irreducible,
+            "certificate": {
+                "eigenvalue_1_multiplicity": multiplicity,
+                "invariant_state_rank": rank,
+                "simple_and_faithful": irreducible,
+            },
+        }
+        assert main(["query", "fixed-points", path]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == multiplicity
 
     def test_fixed_points_identity(self, tmp_path, capsys):
         path = write_channel(tmp_path / "id2.json", cs.KrausChannel([np.eye(2)]))
