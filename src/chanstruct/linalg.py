@@ -184,10 +184,12 @@ class Subspace:
 
 
 def _residue_free(frame):
-    """The frame with each part below eps times its largest part zeroed, sign kept."""
+    """The (n, k) frame with each part below n eps times its largest part
+    zeroed, sign kept: n eps bounds the rounding of the length-n inner
+    products that make every frame (the QR of ``_canonical``, a copy Q F_0)."""
     parts = np.ascontiguousarray(frame, dtype=complex).view(float)
-    residue = np.abs(parts) < np.finfo(float).eps * np.abs(parts).max(initial=0.0)
-    return np.where(residue, 0.0 * parts, parts).view(complex)
+    cut = len(parts) * np.finfo(float).eps * np.abs(parts).max(initial=0.0)
+    return np.where(np.abs(parts) < cut, 0.0 * parts, parts).view(complex)
 
 
 def _canonical(frame):

@@ -21,11 +21,14 @@ copies is a ``beta_blocks`` entry, the frames F_g = Q_g F_0 aligned by the
 intertwiners Q_g and the m x m state on F_0 as ``rho_ref``.  A report without
 a ``schema`` entry is read in this layout; a report of any other version is
 not read (re-run ``chanstruct decompose`` on its channel).  A real or
-imaginary part of a frame below eps times its largest part is rounding
-residue, written as a zero of its sign (``linalg._residue_free``); R, D and
-each F_0 are made canonical (``linalg._canonical``) and F_g = Q_g F_0 without
-residue, so a report holds the frames it writes.  States and the spectrum are
-written as computed.
+imaginary part of an n x k frame below n eps times its largest part is
+rounding residue, written as a zero of its sign (``linalg._residue_free``);
+R, D and each F_0 are made canonical (``linalg._canonical``) and
+F_g = Q_g F_0 without residue, so a report holds the frames it writes.
+States and the spectrum are written as computed.  Every matrix part whose
+bits are +0.0 is written as the integer 0 (-0.0 keeps its float text), and
+the reader takes integers, so reports written with 0.0 zeros and the
+earlier 1 eps residue cut still read, and re-serialize by these rules.
 
 ``canonical_dumps`` writes compact JSON (without ``indent`` the standard
 library encodes in C) with fixed key order and float formatting (shortest
@@ -83,9 +86,13 @@ def canonical_dumps(obj):
 
 
 def _matrix_to_lists(m):
-    """Row-major nested ``[re, im]`` pairs; a vector gives a list of pairs."""
+    """Row-major nested ``[re, im]`` pairs, a part +0.0 as the integer 0; a
+    vector gives a list of pairs."""
     m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    parts = np.stack((m.real, m.imag), axis=-1)
+    out = parts.astype(object)
+    out[(parts == 0.0) & ~np.signbit(parts)] = 0
+    return out.tolist()
 
 
 def _frame_to_lists(frame):

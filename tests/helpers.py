@@ -33,6 +33,19 @@ def random_kraus_family(d, k, rng):
     return [q[i * d : (i + 1) * d, :] for i in range(k)]
 
 
+def near_unitary_channel(d, eps, seed):
+    """The channel of sqrt(1 - eps) U and sqrt(eps) Psi_a, everything from
+    default_rng(seed): U, drawn first, the Q factor of a complex Gaussian
+    d x d (real and imaginary parts standard normal), with no phase fix,
+    then Psi = random_kraus_family(d, 2, rng).  Its non-fixed eigenvalues
+    lie near the unit circle, so a low-degree polynomial filter cannot
+    separate them from 1."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    psi = random_kraus_family(d, 2, rng)
+    return cs.KrausChannel([np.sqrt(1.0 - eps) * u] + [np.sqrt(eps) * k for k in psi])
+
+
 def random_channel(d, k, rng):
     return cs.KrausChannel(random_kraus_family(d, k, rng))
 

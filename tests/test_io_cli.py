@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import chanstruct as cs
+import chanstruct.linalg
 import chanstruct.serialize
 import chanstruct.structure
 from chanstruct.cli import main
@@ -23,8 +24,10 @@ from chanstruct.serialize import _matrix_from_lists, _matrix_to_lists
 from helpers import (
     amplitude_damping_channel,
     assert_canonical,
+    invariant_deviations,
     planted_channel,
     random_kraus_family,
+    report_invariants,
     slow_birth_death,
 )
 
@@ -47,13 +50,13 @@ def v1_doc(ch):
 
 
 def _negate_zeros(obj):
-    """Every float 0.0 in a JSON document becomes -0.0."""
+    """Every float 0.0 and every integer 0 inside a list of a JSON document
+    (a matrix part: the writer writes +0.0 as 0) becomes -0.0."""
     if isinstance(obj, dict):
         return {k: _negate_zeros(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_negate_zeros(v) for v in obj]
-    if type(obj) is float and obj == 0.0:
-        return -0.0
+        return [-0.0 if type(v) in (int, float) and v == 0 else _negate_zeros(v)
+                for v in obj]
     return obj
 
 
@@ -660,6 +663,33 @@ def _residue(frame):
     return int(((parts > 0.0) & (parts < cut)).sum())
 
 
+def _n_eps_residue(frame):
+    """The count of parts of a written n x k frame strictly between 0 and
+    n eps times the frame's largest part."""
+    parts = np.abs(np.array(frame, dtype=float))
+    cut = len(parts) * np.finfo(float).eps * parts.max(initial=0.0)
+    return int(((parts > 0.0) & (parts < cut)).sum())
+
+
+def _earlier_writer(monkeypatch):
+    """Put back the writer of reports before the n eps residue cut and the
+    integer zero: frame parts below eps times the largest part cut as
+    residue, and every part written as a float."""
+
+    def residue_free(frame):
+        parts = np.ascontiguousarray(frame, dtype=complex).view(float)
+        cut = np.finfo(float).eps * np.abs(parts).max(initial=0.0)
+        return np.where(np.abs(parts) < cut, 0.0 * parts, parts).view(complex)
+
+    def matrix_to_lists(m):
+        m = np.asarray(m, dtype=complex)
+        return np.stack((m.real, m.imag), axis=-1).tolist()
+
+    for module in (chanstruct.linalg, chanstruct.structure, chanstruct.serialize):
+        monkeypatch.setattr(module, "_residue_free", residue_free)
+    monkeypatch.setattr(chanstruct.serialize, "_matrix_to_lists", matrix_to_lists)
+
+
 def _frames(doc):
     """Every frame a report document writes, in the writer's order."""
     return [
@@ -993,6 +1023,15 @@ class TestReportSchema:
         rf2 = cs.report_file_from_dict(json.loads(text), re_verify=True)
         assert cs.canonical_dumps(cs.report_file_to_dict(rf2)) == text
 
+    @pytest.mark.parametrize("case", sorted(FRAME_CASES))
+    def test_written_frame_parts_are_zero_or_above_n_eps(self, case):
+        # n eps bounds the rounding of the length-n inner products that make
+        # every frame, so a written part is 0 or at least n eps times the
+        # frame's largest part
+        rf = cs.report_file_from_report(cs.decompose(FRAME_CASES[case]()))
+        frames = _frames(cs.report_file_to_dict(rf))
+        assert not any(map(_n_eps_residue, frames))
+
     def test_frame_residue_is_written_as_a_signed_zero(self):
         # R = span{e1}, D = span{e2}; the frames are replaced by ones whose
         # parts are (re, im) pairs, so that -0.0 and -1e-17 survive
@@ -1006,7 +1045,39 @@ class TestReportSchema:
         report = dataclasses.replace(rf.report, R=r, D=d)
         doc = cs.report_file_to_dict(dataclasses.replace(rf, report=report))
         written = cs.canonical_dumps([doc["recurrent_basis"], doc["transient_basis"]])
-        assert written == "[[[[1.0,0.0]],[[-0.0,0.0]]],[[[-0.0,-0.0]],[[1.0,0.0]]]]\n"
+        assert written == "[[[[1.0,0]],[[-0.0,0]]],[[[-0.0,-0.0]],[[1.0,0]]]]\n"
+
+    def test_report_of_the_earlier_writer_still_reads(self, monkeypatch):
+        # an OQRW report with every zero written as 0.0 and the parts between
+        # eps and n eps of the largest kept: it parses re-verified, with the
+        # invariants of today's report, and re-serializes by today's rules
+        def text():
+            rep = cs.decompose(FRAME_CASES["oqrw"]())
+            return cs.canonical_dumps(cs.report_file_to_dict(cs.report_file_from_report(rep)))
+
+        today = text()
+        with monkeypatch.context() as patched:
+            _earlier_writer(patched)
+            earlier = text()
+        doc = json.loads(earlier)
+        assert "[0.0,0.0]" in earlier and "[0,0]" in today
+        assert sum(map(_n_eps_residue, _frames(doc))) > 0
+        rf = cs.report_file_from_dict(doc, re_verify=True)
+        now = cs.report_file_from_dict(json.loads(today), re_verify=True)
+        deviations = invariant_deviations(report_invariants(rf), report_invariants(now))
+        assert max(deviations.values()) <= 1e-12
+        once = cs.canonical_dumps(cs.report_file_to_dict(rf))
+        assert not any(map(_n_eps_residue, _frames(json.loads(once))))
+        rf2 = cs.report_file_from_dict(json.loads(once), re_verify=True)
+        assert cs.canonical_dumps(cs.report_file_to_dict(rf2)) == once
+
+    def test_positive_zero_is_written_as_the_integer_0(self):
+        # -0.0 keeps its float text, so every part reads back to its bits
+        m = np.array([[0.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), 1.5 - 0.25j]])
+        text = cs.canonical_dumps(_matrix_to_lists(m))
+        assert text == "[[[0,0],[-0.0,0]],[[0,-0.0],[1.5,-0.25]]]\n"
+        back = _matrix_from_lists(json.loads(text), 2, 2, "m")
+        assert (back.view(np.uint64) == m.view(np.uint64)).all()
 
     def test_planted_frames_are_written_whole(self):
         # a Haar-rotated frame has no part below eps times its largest

@@ -1,13 +1,15 @@
 """Spectral regimes the eigenvalue-1 solve must survive, checked against
-planted truth: near-identity semigroup channels, a replay that grows its
-stack, and the freedom of the Kraus representation."""
+planted truth: near-identity semigroup channels, slowly rotating
+near-unitary channels, a replay that grows its stack, and the freedom of the
+Kraus representation."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import chanstruct as cs
 import chanstruct.spectral
-from helpers import lindblad_kraus, planted_channel
+from helpers import lindblad_kraus, near_unitary_channel, planted_channel
 
 # the planted-dense benchmark layouts: (A-block dims, B-blocks as
 # (dim, copies), dim D)
@@ -41,6 +43,62 @@ def test_near_identity_semigroup_is_irreducible(t):
     assert len(report.blocks) == 1 and len(report.blocks[0].enclosures) == 1
     assert report.R.dimension == report.dim == 12
     assert cs.is_irreducible(ch)
+
+
+def _dense_lu_sizes(monkeypatch):
+    """The order of each dense LU that scipy.linalg.lu_factor makes from now on."""
+    sizes, factor = [], scipy.linalg.lu_factor
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    return sizes
+
+
+def _assert_irreducible(report):
+    """One A-block, and R = C^d."""
+    assert len(report.blocks) == 1 and len(report.blocks[0].enclosures) == 1
+    assert report.R.dimension == report.dim
+
+
+@pytest.mark.parametrize("d, eps, seed", [(32, 1e-3, 1), (24, 1e-3, 3)])
+def test_near_unitary_channel_takes_the_dense_lu(monkeypatch, d, eps, seed):
+    # the non-fixed eigenvalues lie near |z - 1| = 1, so the first probe's
+    # filter stalls, and one dense LU of M_h - sigma I makes all five
+    # projections; the filter alone exhausts its budget on both
+    sizes = _dense_lu_sizes(monkeypatch)
+    _assert_irreducible(cs.decompose(near_unitary_channel(d, eps, seed)))
+    assert sizes == [d * d]
+
+
+def test_kraus_heavy_semigroup_takes_the_dense_lu(monkeypatch):
+    # 256 Kraus operators on C^16: one application of Phi costs more than a
+    # product with M_h, so the filter never runs
+    def refuse(*args):
+        raise AssertionError("filter run")
+
+    sizes = _dense_lu_sizes(monkeypatch)
+    monkeypatch.setattr(chanstruct.spectral, "_filter", refuse)
+    ch = lindblad_kraus(16, 0.05)
+    assert len(ch.kraus) == 256
+    _assert_irreducible(cs.decompose(ch))
+    assert sizes == [256]
+
+
+def test_above_the_lu_bound_the_exhausted_filter_names_its_budget():
+    # d = 65 is one above the dense LU route's bound, so the filter runs to
+    # its budget; the message names it and the gap estimate
+    with pytest.raises(cs.DecompositionError) as err:
+        cs.decompose(near_unitary_channel(65, 1e-3, 1))
+    assert err.value.stage == "fixed-space"
+    message, diagnostics = str(err.value), err.value.diagnostics
+    assert diagnostics["applications"] == 2000
+    assert "after 2000 applications" in message
+    assert "the budget is exhausted, and the LU route takes d <= 64" in message
+    gap = diagnostics["nearest_non_fixed_distance"]
+    assert 1e-4 < gap < 1e-2 and f"nearest non-fixed distance {gap:.3e}" in message
 
 
 def test_growing_replay_takes_the_full_filter(monkeypatch):
