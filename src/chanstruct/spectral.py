@@ -39,18 +39,16 @@ filter run then finishes each.  The product can still grow a stack, near the
 identity, until rounding swamps its fixed component, so a replay that grows
 the stack's norm is dropped and its starts take the full filter.  A sparse
 family (the rule is the channel's) factors M_h - sigma I, with
-sigma = 1 + eig_cluster_tol, once by a sparse LU; so does a dense one with
-d <= ``_LU_DIM`` (the LU route) when it has more Kraus operators than d (an
-application of Phi, n d^3, costs more than d^4), or when a filter run
-stalls, as on near-unitary channels, whose non-fixed eigenvalues lie near
-|z - 1| = 1, where no low-degree p with p(0) = 1 is small.  The LU gives
-the steps x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an
-eigenvector of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda),
-while the residual halves; the largest ratio theta of successive residuals
-gives the distance (sigma - 1)(1/theta - 1).  Either way a vector is
-accepted only when its residual through the channel itself, |Phi(X) - X|_F
-(Phi^* for Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the
-first probe's projection is the channel's gap, and a gap below
+sigma = 1 + eig_cluster_tol, once by a sparse LU, as a dense one with
+d <= ``_LU_DIM`` does when a filter run stalls (the LU route, taken by
+near-unitary channels), and takes the steps
+x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
+of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
+residual halves; the largest ratio theta of successive residuals gives the
+distance (sigma - 1)(1/theta - 1).  Either way a vector is accepted only
+when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
+Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first
+probe's projection is the channel's gap, and a gap below
 10 eig_cluster_tol gives the split an "ill-separated" warning.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, exact for
@@ -127,8 +125,7 @@ class _SpectralCore:
     generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
     Pi_1^*(diag(1, ..., d) / d); ``witness``, Pi_1(G) for a Gaussian G;
     and ``gap``, the estimated distance from 1 of the nearest non-fixed
-    eigenvalue, from the projection of the first probe, the one full
-    Krylov run of a dense family."""
+    eigenvalue, from the projection of the first probe."""
 
     split: RecurrentSplit
     probes: np.ndarray
@@ -138,23 +135,21 @@ class _SpectralCore:
 
 
 _RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
-_LU_DIM, _PATIENCE = 64, 200  # the LU route's bound (M_h takes 8 d^4 bytes)
-_STALL = 1e-14 ** (_PATIENCE / _BUDGET)  # the shrink that reaches 1e-14 in time
+_LU_DIM = 64  # the dense LU route's bound: M_h alone takes 8 d^4 bytes
 
 
 class _Stalled(Exception):
-    """A filter run of a dense family with d <= _LU_DIM stalled."""
+    """A dense filter run too slow to reach its floor within ``_BUDGET``."""
 
 
-def _factor(ch, sigma, lu=False):
-    """What ``_project`` iterates on real coordinates b: for a sparse family
-    and on the dense LU route (see the module docstring; ``lu`` takes it)
-    ``solve(b, adjoint)`` from one LU of M_h - sigma I, marked
-    ``shift_invert``, for another dense family the
+def _factor(ch, sigma, dense_lu=False):
+    """What ``_project`` iterates on real coordinates b: for a sparse family,
+    or a dense one when ``dense_lu``, ``solve(b, adjoint)`` from one LU of
+    M_h - sigma I, marked ``shift_invert``; for another dense family the
     defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` and
     ``_replay`` read, of one vector or of each row of a (k, d^2) stack."""
     d = ch.dim
-    if not ch._sparse and not ((lu or len(ch._stack) > d) and d <= _LU_DIM):
+    if not (ch._sparse or dense_lu):
 
         def defect(b, adjoint):
             # Phi(Z^T) = Phi(Z)^H for a real Z, so with Z = b read row by row
@@ -163,15 +158,7 @@ def _factor(ch, sigma, lu=False):
             return b - (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
 
         return defect
-    if ch._sparse:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        m = _hermitian_coordinates(_cached_superoperator(ch))
-        shifted = m - sigma * sp.identity(ch.dim**2, format="csc")
-        lu = spla.splu(shifted.tocsc())
-        solve = lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")  # noqa: E731
-    else:
+    if dense_lu:
         import scipy.linalg as sla
 
         shifted = _hermitian_transfer_matrix(ch._stack)
@@ -179,6 +166,14 @@ def _factor(ch, sigma, lu=False):
         # the factors are those of the transpose, so the plain solve is trans=1
         lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
         solve = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        m = _hermitian_coordinates(_cached_superoperator(ch))
+        shifted = m - sigma * sp.identity(d * d, format="csc")
+        lu = spla.splu(shifted.tocsc())
+        solve = lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")  # noqa: E731
     solve.shift_invert = True
     return solve
 
@@ -189,15 +184,14 @@ def _filter(defect, x, tol):
     rounding, whether the residual reached 1e-14 |x| within ``_BUDGET``, and
     the roots of the residual polynomials of the GMRES steps taken, whose
     product p has u = p(A) x up to the least-squares steps (see ``_replay``).
-    Raises ``_Stalled`` (d <= _LU_DIM) at a restart whose residual is above
-    ``_STALL`` times that of the latest one ``_PATIENCE`` applications back."""
+    Raises ``_Stalled`` when a run with d <= ``_LU_DIM`` stalls (see below)."""
     floor, rounding = 1e-14 * np.linalg.norm(x), 100.0 * np.finfo(float).eps
-    u, r, count, distance, roots = x.copy(), defect(x), 1, math.inf, []
-    marks = []  # (applications, residual) at each restart
+    u, r, count, distance, roots, marks = x.copy(), defect(x), 1, math.inf, [], []
     while np.linalg.norm(r) > floor and count < _BUDGET - 1:
-        marks.append((count, np.linalg.norm(r)))
-        back = [norm for c, norm in marks if c <= count - _PATIENCE]
-        if back and marks[-1][1] > _STALL * back[-1] and x.size <= _LU_DIM**2:
+        # stalled: off course, over two cycles, to shrink by 1e-14 in the budget
+        marks.append(np.linalg.norm(r))
+        stalled = len(marks) > 2 and marks[-1] > 1e-14 ** (2 * _RESTART / _BUDGET) * marks[-3]
+        if stalled and x.size <= _LU_DIM**2:
             raise _Stalled
         m, beta = min(_RESTART, x.size, _BUDGET - count - 1), np.linalg.norm(r)
         basis, hess, tri = np.zeros((m + 1, x.size)), np.zeros((m + 1, m)), np.eye(m)
@@ -277,13 +271,10 @@ def _project(ch, solve, x, adjoint, tol):
 
 
 def _no_cluster(res, count, unit, distance):
-    note = ""
-    if unit == "applications" and count >= _BUDGET:
-        note = f"; the budget is exhausted, and the LU route takes d <= {_LU_DIM}"
     return DecompositionError(
         "fixed-space",
         f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit}; "
-        f"estimated nearest non-fixed distance {distance:.3e}{note})",
+        f"estimated nearest non-fixed distance {distance:.3e})",
         diagnostics={
             unit: count,
             "residual": float(res),
@@ -362,24 +353,6 @@ def _gaussian_hermitian(rng, d):
     return (z + z.conj().T) / 2.0
 
 
-def _fixed_points(ch, solve, tol):
-    """The probes, rho = Pi_1(I/d), the witness, the candidate and the gap."""
-    d = ch.dim
-    # the first probe is the linking element of chanstruct.structure; its
-    # run alone builds a Krylov space, and the other four starts replay
-    # its residual polynomial (Phi and Phi^* share their spectrum)
-    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
-    refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
-    first, gap, roots = _project(ch, solve, refs[0], True, tol)
-    roots = _leja(roots, tol)
-    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
-    starts = [np.eye(d) / d, _gaussian_hermitian(rng, d)]
-    rho, witness = _replayed(ch, solve, roots, starts, False, tol)
-    starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
-    second, candidate = _replayed(ch, solve, roots, starts, True, tol)
-    return first, second, rho, witness, candidate, gap
-
-
 def _spectral_core(ch, tol):
     """The five fixed points of ``ch`` at ``tol`` that the pipeline reads,
     made on first use from one ``_factor`` (two when a filter run stalls),
@@ -396,12 +369,24 @@ def _spectral_core(ch, tol):
                 f"(|Phi^*(I) - I|_F / |I|_F = {unital:.3e})",
                 diagnostics={"residual": float(unital)},
             )
-        sigma = 1.0 + tol.eig_cluster_tol
-        try:
-            fixed = _fixed_points(ch, _factor(ch, sigma), tol)
-        except _Stalled:  # all five projections again, from one dense LU
-            fixed = _fixed_points(ch, _factor(ch, sigma, lu=True), tol)
-        first, second, rho, witness, candidate, gap = fixed
+        solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
+        while True:  # a stalled filter run takes the LU route
+            try:
+                # the first probe is the linking element of chanstruct.structure;
+                # its run alone builds a Krylov space, and the other four starts
+                # replay its residual polynomial (Phi and Phi^* share their spectrum)
+                rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+                refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
+                first, gap, roots = _project(ch, solve, refs[0], True, tol)
+                roots = _leja(roots, tol)
+                rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
+                starts = [np.eye(d) / d, _gaussian_hermitian(rng, d)]
+                rho, witness = _replayed(ch, solve, roots, starts, False, tol)
+                starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
+                second, candidate = _replayed(ch, solve, roots, starts, True, tol)
+                break
+            except _Stalled:  # all five projections again, from one dense LU
+                solve = _factor(ch, 1.0 + tol.eig_cluster_tol, dense_lu=True)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (

@@ -996,6 +996,27 @@ class TestKrylovFilter:
         assert len(report.alpha_blocks) == 2 and report.D.dimension == 12
         assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
 
+    def test_kraus_heavy_dense_family_stays_on_the_filter(self, monkeypatch):
+        # 49 Kraus operators on C^48 (n > d), well separated: the filter
+        # converges, so no dense LU is made and the peak stays far below
+        # the 8 d^4 bytes that M_h alone would take
+        import scipy.linalg as sla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense LU called")
+
+        monkeypatch.setattr(sla, "lu_factor", refuse)
+        ch = random_channel(48, 49, np.random.default_rng(48))
+        assert not ch._sparse
+        tracemalloc.start()
+        try:
+            report = cs.decompose(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ch.dim**4
+        assert len(report.blocks) == 1 and report.R.dimension == 48
+
     def test_planted_d96_matches_the_truth(self):
         ch, truth = planted_channel(
             np.random.default_rng(96), [8, 10, 12], [(6, 3), (7, 2)], 34
