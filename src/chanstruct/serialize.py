@@ -2,16 +2,17 @@
 
 Complex numbers serialize as two-element ``[re, im]`` arrays, matrices as
 row-major nested lists of such pairs.  A channel file
-(``chanstruct-channel/3``) stores its Kraus family as one object: ``shape``
+(``chanstruct-channel/4``) stores its Kraus family as one object: ``shape``
 [n, d, d], and ``values``, the stored entries of the n x d x d stack in
-row-major order, as base64 of their (re, im) parts in little-endian float64
-bytes.  An entry is stored when either part has a nonzero bit pattern (so
--0.0 survives).  When at most half of the entries are stored, ``index``
-lists their increasing flat positions; otherwise ``index`` is omitted and
-``values`` holds the whole stack.  Writers emit version 3; version 2 (the
-same object with ``values`` a list of ``[re, im]`` pairs) and version 1
-(``kraus`` a list of matrices) are still read.  Reading checks the schema,
-not trace preservation, which the eigenvalue-1 solve checks.
+row-major order, as base64 of little-endian float64 bytes: the real parts
+alone when every imaginary part has the bits of +0.0, else (re, im) parts.
+An entry is stored when a part has a nonzero bit pattern (so -0.0 survives).
+When at most half of the entries are stored, ``index`` lists their
+increasing flat positions; otherwise ``index`` is omitted and ``values``
+holds the whole stack.  Writers emit version 4; version 3 (16 bytes per
+entry), 2 (``values`` a list of ``[re, im]`` pairs) and 1 (``kraus`` a list
+of matrices) are still read.  Reading checks the schema, not trace
+preservation, which the eigenvalue-1 solve checks.
 
 A report (``chanstruct-report/3``, unchanged by the one block type of
 ``structure.Block``) embeds its channel and keeps block data in the
@@ -69,12 +70,12 @@ __all__ = [
     "report_file_from_dict",
 ]
 
-CHANNEL_SCHEMA = "chanstruct-channel/3"
+CHANNEL_SCHEMA = "chanstruct-channel/4"
 REPORT_SCHEMA = "chanstruct-report/3"
 # the layouts (see _layout) of the (embedded) channel's "kraus" in each version
 _CHANNEL_LAYOUTS = {
     "chanstruct-channel/1": ("matrices",), "chanstruct-channel/2": ("pairs",),
-    CHANNEL_SCHEMA: ("packed",),
+    "chanstruct-channel/3": ("packed",), CHANNEL_SCHEMA: ("packed",),
 }
 _REPORT_LAYOUTS = {REPORT_SCHEMA: ("pairs", "packed")}
 
@@ -188,13 +189,16 @@ def _entry_pairs(a):
 
 
 def _kraus_to_dict(ch):
-    """The version-3 ``kraus`` object of a channel: the stored entries (a
+    """The version-4 ``kraus`` object of a channel: the stored entries (a
     part with a nonzero bit pattern) of its n x d x d stack, read off the
     held rows and indexed when they are at most half of the stack, else the
-    whole stack, packed into one string."""
+    whole stack, packed into one string: their real parts alone when every
+    imaginary part has the bits of +0.0, else (re, im) pairs."""
     n, d = len(ch), ch.dim
     pairs = _entry_pairs(ch._rows)
-    stored = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    bits = pairs.view(np.uint64)
+    stored = np.flatnonzero(bits.any(axis=1))
+    real = not bits[:, 1].any()
     doc = {"shape": [n, d, d]}
     if 2 * stored.size <= n * d * d:
         doc["index"] = (ch._row_ids[stored // d] * d + stored % d).tolist()
@@ -202,15 +206,19 @@ def _kraus_to_dict(ch):
     elif ch._sparse:
         # the whole stack, which a sparse family holds only part of
         pairs = _entry_pairs(_dense_stack(ch))
-    # (re, im) parts as little-endian float64 bytes
-    doc["values"] = base64.b64encode(pairs.astype("<f8").tobytes()).decode("ascii")
+    # little-endian float64 bytes, 8 (re) or 16 (re, im) per entry
+    parts = pairs[:, 0] if real else pairs
+    doc["values"] = base64.b64encode(parts.astype("<f8").tobytes()).decode("ascii")
     return doc
 
 
-def _kraus_from_dict(data, dim, where):
-    """The nonzero rows of the stacked operators of a ``kraus`` object (/2
-    or /3) and their row ids.  An indexed object allocates the rows holding
-    a stored entry only: memory follows the file, not ``shape``."""
+def _kraus_from_dict(data, dim, where, widths=(8, 16)):
+    """The nonzero rows of the stacked operators of a ``kraus`` object (/2 to
+    /4) and their row ids.  Packed ``values`` hold 16 bytes (re, im) per
+    entry, or 8 (re) when their length is 8 per entry of the count ``index``
+    (or ``shape``) fixes or no multiple of 16; /3 passes ``widths`` (16,).
+    An indexed object allocates the rows holding a stored entry only: memory
+    follows the file, not ``shape``."""
     shape = _require(data, "shape", where)
     if (
         not isinstance(shape, list)
@@ -223,16 +231,23 @@ def _kraus_from_dict(data, dim, where):
     size = shape[0] * dim * dim
     if size > np.iinfo(np.int64).max:
         raise ParseError(f"{where}: shape {shape} is too large")
+    index = data.get("index")
+    count = len(index) if isinstance(index, list) else size
     values = _require(data, "values", where)
     if isinstance(values, str):
         try:
             raw = base64.b64decode(values, validate=True)
         except ValueError as err:
             raise ParseError(f"{where}: values must be a base64 string") from err
-        if len(raw) % 16:
-            raise ParseError(f"{where}: values hold {len(raw)} bytes, not 16 per entry")
+        width = 8 if 8 in widths and (len(raw) == 8 * count or len(raw) % 16) else 16
+        if len(raw) % width:
+            raise ParseError(
+                f"{where}: values hold {len(raw)} bytes, not "
+                f"{' or '.join(map(str, widths))} per entry"
+            )
         # a native-order, writable copy, which the channel can take rows from
-        flat = np.frombuffer(raw, "<f8").astype(float).view(complex)
+        flat = np.frombuffer(raw, "<f8").astype(float)
+        flat = flat.astype(complex) if width == 8 else flat.view(complex)
         if not np.isfinite(flat).all():
             raise ParseError(f"{where}.values: non-finite entry")
     elif isinstance(values, list):
@@ -245,7 +260,6 @@ def _kraus_from_dict(data, dim, where):
                 f"{where}: without an index, values must hold all {size} entries"
             )
         return flat.reshape(-1, dim), np.arange(shape[0] * dim)
-    index = data["index"]
     if not isinstance(index, list) or len(index) != flat.size:
         raise ParseError(f"{where}: index and values must have equal lengths")
     if not {int}.issuperset(map(type, index)):
@@ -282,7 +296,8 @@ def channel_from_dict(data):
     kraus_data = _require(data, "kraus", where)
     _check_schema(data, _CHANNEL_LAYOUTS, kraus_data, where)
     if isinstance(kraus_data, dict):
-        rows, row_ids = _kraus_from_dict(kraus_data, dim, f"{where}.kraus")
+        widths = (16,) if data.get("schema") == "chanstruct-channel/3" else (8, 16)
+        rows, row_ids = _kraus_from_dict(kraus_data, dim, f"{where}.kraus", widths)
     elif isinstance(kraus_data, list) and kraus_data:
         rows = np.concatenate([
             _matrix_from_lists(m, dim, dim, f"{where}.kraus[{a}]")

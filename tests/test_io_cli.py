@@ -254,6 +254,35 @@ def _unpack(text):
     return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 2)
 
 
+def _count(kraus):
+    """The entry count a packed ``kraus`` object's ``index`` (or, without
+    it, ``shape``) fixes."""
+    return len(kraus["index"]) if "index" in kraus else int(np.prod(kraus["shape"]))
+
+
+def _width(kraus):
+    """The bytes per entry of a packed ``kraus`` object: 8 or 16."""
+    return len(base64.b64decode(kraus["values"])) // _count(kraus)
+
+
+def _entries(kraus):
+    """The (re, im) parts of the entries a packed ``kraus`` object stores,
+    (count, 2), the imaginary parts +0.0 when it packs 8 bytes per entry."""
+    parts = np.frombuffer(base64.b64decode(kraus["values"]), dtype="<f8")
+    if _width(kraus) == 8:
+        return np.stack((parts, np.zeros(parts.size)), axis=-1)
+    return parts.reshape(-1, 2)
+
+
+def v3_doc(ch, metadata=None):
+    """The ``chanstruct-channel/3`` document of ``ch``: the current object
+    with its values packed as (re, im) parts, 16 bytes per entry."""
+    doc = cs.channel_to_dict(ch, metadata)
+    doc["kraus"]["values"] = _pack(_entries(doc["kraus"]))
+    doc["schema"] = "chanstruct-channel/3"
+    return doc
+
+
 def _sparse_doc(version):
     # amplitude damping: entries 1, 4 and 7 of the 2 x 2 x 2 stack
     ch = amplitude_damping_channel(0.3)
@@ -280,10 +309,11 @@ class TestChannelSchemaV3:
         else:
             ch = _dense_with_zeros()
         doc = cs.channel_to_dict(ch, {"name": family})
-        assert doc["schema"] == "chanstruct-channel/3"
+        assert doc["schema"] == "chanstruct-channel/4"
         assert doc["kraus"]["shape"] == [len(ch), ch.dim, ch.dim]
         assert ("index" in doc["kraus"]) == (family == "sparse")
-        # the packed values are the /2 pairs, bit for bit, -0.0 included
+        # both families have an imaginary part other than +0.0, so the
+        # packed values are the /2 pairs, bit for bit, -0.0 included
         pairs = v2_doc(ch)["kraus"]["values"]
         assert _has_negative_zero(pairs)
         assert _same_bits(_unpack(doc["kraus"]["values"]), np.array(pairs))
@@ -323,8 +353,8 @@ class TestChannelSchemaV3:
     @pytest.mark.parametrize("family", ["dense-by-rule", "negative-zeros", "sparse"])
     def test_negative_zeros_survive_every_route(self, family, tmp_path):
         # every route into and out of a channel keeps each entry's bits: the
-        # list and array constructors, the /1, /2 and /3 files, and the dense
-        # stack a sparse family builds on demand
+        # list and array constructors, the /1, /2, /3 and /4 files, and the
+        # dense stack a sparse family builds on demand
         if family == "sparse":
             source = _cycle_with_negative_zeros()
             stack = source[:-1]
@@ -338,13 +368,16 @@ class TestChannelSchemaV3:
         # rule (sum nnz^2 / d^4 = 13 / 625)
         assert all(ch._sparse is (family == "sparse") for ch in built)
         text = cs.canonical_dumps(cs.channel_to_dict(built[0]))
-        assert "index" in json.loads(text)["kraus"]
-        packed = _unpack(json.loads(text)["kraus"]["values"])
-        assert _has_negative_zero(packed) == (family != "dense-by-rule")
+        kraus = json.loads(text)["kraus"]
+        assert "index" in kraus
+        assert _has_negative_zero(_entries(kraus)) == (family != "dense-by-rule")
+        # the plain chain is real: 8 bytes per entry; an imaginary -0.0 keeps 16
+        assert _width(kraus) == (8 if family == "dense-by-rule" else 16)
         files = {
             "v1.json": cs.canonical_dumps(v1_doc(built[0])),
             "v2.json": cs.canonical_dumps(v2_doc(built[0])),
-            "v3.json": text,
+            "v3.json": cs.canonical_dumps(v3_doc(built[0])),
+            "v4.json": text,
         }
         for name, content in files.items():
             (tmp_path / name).write_text(content)
@@ -356,16 +389,17 @@ class TestChannelSchemaV3:
 
     def test_index_is_written_at_most_half_dense(self):
         # 4 of 8 entries stored: the index is written; 5 of 8: it is not
+        # (both families are real, a real -0.0 included: 8 bytes per entry)
         half = cs.KrausChannel(
             [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)[::-1]]
         )
         doc = cs.channel_to_dict(half)
         assert doc["kraus"]["index"] == [0, 3, 5, 6]
-        assert len(_unpack(doc["kraus"]["values"])) == 4
+        assert len(base64.b64decode(doc["kraus"]["values"])) == 4 * 8
         more = _with_negative_zeros(half, [(0, 0, 1)])
         doc = cs.channel_to_dict(more)
         assert "index" not in doc["kraus"]
-        assert len(_unpack(doc["kraus"]["values"])) == 8
+        assert len(base64.b64decode(doc["kraus"]["values"])) == 8 * 8
 
     def test_operators_without_entries_are_not_allocated(self):
         # the second operator of amplitude damping moved to the last of 10^6
@@ -432,8 +466,9 @@ class TestChannelSchemaV3:
         self, family, tmp_path, capsys
     ):
         ch = _markov_chain() if family == "markov" else _dense_with_zeros()
-        paths = [tmp_path / f"v{k}.json" for k in (1, 2, 3)]
-        for path, doc in zip(paths, (v1_doc(ch), v2_doc(ch), cs.channel_to_dict(ch))):
+        paths = [tmp_path / f"v{k}.json" for k in (1, 2, 3, 4)]
+        docs = (v1_doc(ch), v2_doc(ch), v3_doc(ch), cs.channel_to_dict(ch))
+        for path, doc in zip(paths, docs):
             path.write_text(cs.canonical_dumps(doc))
         reports = []
         for path in paths:
@@ -441,10 +476,10 @@ class TestChannelSchemaV3:
             assert main(["decompose", str(path), "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         capsys.readouterr()
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
         doc = json.loads(reports[0])
         assert doc["schema"] == "chanstruct-report/3"
-        assert doc["channel"]["schema"] == "chanstruct-channel/3"
+        assert doc["channel"]["schema"] == "chanstruct-channel/4"
 
     def test_report_with_v2_channel_parses_to_current_bytes(self, tmp_path, capsys):
         # a report written before /3 embeds its channel as /2; it re-verifies
@@ -471,7 +506,10 @@ class TestChannelSchemaV3:
             (ZEROS + "\n", NOT_BASE64),
             ("é" + ZEROS[1:], NOT_BASE64),
             (ZEROS[:-1], NOT_BASE64),
-            (_pack(np.zeros(5)), "kraus: values hold 40 bytes, not 16 per entry"),
+            (
+                base64.b64encode(bytes(36)).decode("ascii"),
+                "kraus: values hold 36 bytes, not 8 or 16 per entry",
+            ),
             (_pack(np.zeros((2, 2))), UNEQUAL),
             (_pack(np.zeros((4, 2))), UNEQUAL),
             (_pack([[0.5, 0.0], [np.nan, 0.0], [0.5, 0.0]]), NON_FINITE),
@@ -497,6 +535,119 @@ class TestChannelSchemaV3:
         assert str(err.value) == (
             "channel.kraus: without an index, values must hold all 8 entries"
         )
+
+
+def _real_with_negative_zeros(family):
+    """A real family with a real part -0.0 where it has no entry: the d = 5
+    Markov chain and an open quantum random walk (indexed on disk), or a
+    random real 2-dim family ⊕ a scalar (written whole)."""
+    if family == "dense":
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((2, 2, 2))
+        w, u = np.linalg.eigh(np.einsum("aji,ajk->ik", g, g))
+        stack = np.full((2, 3, 3), -0.0)
+        stack[:, :2, :2] = g @ (u / np.sqrt(w)) @ u.T
+        stack[:, 2, 2] = np.sqrt(0.5)
+        return cs.KrausChannel(list(stack))
+    if family == "markov":
+        stack = np.stack(_markov_chain().kraus)
+    else:
+        stack = np.stack(cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 4), 4).kraus)
+    a, i, j = np.argwhere(stack == 0)[7]
+    stack[a, i, j] = -0.0
+    return cs.KrausChannel(list(stack.real))
+
+
+class TestChannelSchemaV4:
+    @pytest.mark.parametrize("family", ["markov", "oqrw", "dense"])
+    def test_real_family_round_trips_at_8_bytes_per_entry(self, family):
+        ch = _real_with_negative_zeros(family)
+        doc = cs.channel_to_dict(ch)
+        kraus = doc["kraus"]
+        assert doc["schema"] == "chanstruct-channel/4"
+        assert ("index" in kraus) == (family != "dense")
+        assert _width(kraus) == 8
+        # the real parts are the /2 pairs' real parts, bit for bit, -0.0
+        # included, and every imaginary part is +0.0
+        pairs = np.array(v2_doc(ch)["kraus"]["values"])
+        assert _has_negative_zero(pairs[:, 0])
+        assert _same_bits(_entries(kraus), pairs)
+        text = cs.canonical_dumps(doc)
+        ch2 = cs.channel_from_dict(json.loads(text))
+        assert _same_bits(np.stack(ch2.kraus), np.stack(ch.kraus))
+        assert _same_bits(ch2._rows, ch._rows)
+        assert cs.canonical_dumps(cs.channel_to_dict(ch2)) == text
+
+    def test_one_negative_zero_imaginary_part_keeps_16_bytes_per_entry(self):
+        stack = np.stack(_markov_chain().kraus)
+        a, i, j = np.argwhere(stack != 0)[3]
+        stack[a, i, j] = complex(stack[a, i, j].real, -0.0)
+        ch = cs.KrausChannel(list(stack))
+        kraus = cs.channel_to_dict(ch)["kraus"]
+        assert _width(kraus) == 16
+        assert _same_bits(_entries(kraus), np.array(v2_doc(ch)["kraus"]["values"]))
+        text = cs.canonical_dumps({"dim": 5, "kraus": kraus})
+        assert _same_bits(np.stack(cs.channel_from_dict(json.loads(text)).kraus), stack)
+
+    def test_every_version_of_a_markov_channel_loads_the_same_rows(
+        self, tmp_path, capsys
+    ):
+        # a birth-death chain on 6 states fed by 2 transient ones: its /1 to
+        # /4 files load to the same bits and write the same report
+        ch = slow_birth_death(6, tail=2)
+        docs = (v1_doc(ch), v2_doc(ch), v3_doc(ch), cs.channel_to_dict(ch))
+        assert [_width(d["kraus"]) for d in docs[2:]] == [16, 8]
+        reports = []
+        for k, doc in enumerate(docs, 1):
+            path = tmp_path / f"v{k}.json"
+            path.write_text(cs.canonical_dumps(doc))
+            loaded = cs.load_channel(str(path))
+            assert _same_bits(np.stack(loaded.kraus), np.stack(ch.kraus))
+            if k > 1:
+                assert _same_bits(loaded._rows, ch._rows)
+                assert _same_bits(loaded._row_ids, ch._row_ids)
+            out = tmp_path / f"v{k}.report.json"
+            assert main(["decompose", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        assert len(set(reports)) == 1
+
+    @pytest.mark.parametrize(
+        "schema, values, message",
+        [
+            # a /3 object must hold 16 bytes per entry: 3 real parts are 24
+            ("chanstruct-channel/3", None, "kraus: values hold 24 bytes, not 16 per entry"),
+            (
+                "chanstruct-channel/4",
+                _pack(np.zeros(5)),
+                "kraus: index and values must have equal lengths",
+            ),
+            (
+                "chanstruct-channel/4",
+                base64.b64encode(bytes(20)).decode("ascii"),
+                "kraus: values hold 20 bytes, not 8 or 16 per entry",
+            ),
+            (
+                "chanstruct-channel/4",
+                _pack([0.5, np.inf, 0.5]),
+                "kraus.values: non-finite entry",
+            ),
+        ],
+        ids=["v3-real-parts", "five-real-parts", "partial-entry", "inf"],
+    )
+    def test_malformed_v4_values_exit_2(
+        self, schema, values, message, tmp_path, capsys
+    ):
+        doc = _sparse_doc(4)
+        assert _width(doc["kraus"]) == 8
+        doc["schema"] = schema
+        if values is not None:
+            doc["kraus"]["values"] = values
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "ParseError", "message": f"channel.{message}"}
 
 
 class TestChannelSchemaV2:
@@ -570,7 +721,7 @@ class TestSchemaString:
     @pytest.mark.parametrize(
         "schema, layout, message",
         [
-            ("chanstruct-channel/4", "v3", "unknown schema 'chanstruct-channel/4'"),
+            ("chanstruct-channel/5", "v4", "unknown schema 'chanstruct-channel/5'"),
             ("chanstruct-report/2", "v3", "unknown schema 'chanstruct-report/2'"),
             (7, "v3", "unknown schema 7"),
             (None, "v1", "unknown schema None"),
@@ -582,11 +733,14 @@ class TestSchemaString:
             ("chanstruct-channel/2", "v3", "'chanstruct-channel/2' does not match"),
             ("chanstruct-channel/3", "v1", "'chanstruct-channel/3' does not match"),
             ("chanstruct-channel/3", "v2", "'chanstruct-channel/3' does not match"),
+            ("chanstruct-channel/4", "v1", "'chanstruct-channel/4' does not match"),
+            ("chanstruct-channel/4", "v2", "'chanstruct-channel/4' does not match"),
         ],
     )
     def test_channel_schema_must_match_layout(self, schema, layout, message):
         ch = amplitude_damping_channel(0.3)
-        doc = {"v1": v1_doc, "v2": v2_doc, "v3": cs.channel_to_dict}[layout](ch)
+        makers = {"v1": v1_doc, "v2": v2_doc, "v3": v3_doc, "v4": cs.channel_to_dict}
+        doc = makers[layout](ch)
         doc["schema"] = schema
         with pytest.raises(cs.ParseError) as err:
             cs.channel_from_dict(doc)

@@ -1,7 +1,8 @@
 """Spectral regimes the eigenvalue-1 solve must survive, checked against
 planted truth: near-identity semigroup channels, slowly rotating
-near-unitary channels, a replay that grows its stack, and the freedom of the
-Kraus representation."""
+near-unitary channels, a replay that grows its stack, periodic blocks, a
+block of many copies, a transient part larger than R, Markov chains joined
+by epsilon, and the freedom of the Kraus representation."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import scipy.linalg
 
 import chanstruct as cs
 import chanstruct.spectral
-from helpers import lindblad_kraus, near_unitary_channel, planted_channel
+from helpers import (
+    cyclic_channel,
+    lindblad_kraus,
+    near_unitary_channel,
+    planted_channel,
+    two_class_chain,
+)
 
 # the planted-dense benchmark layouts: (A-block dims, B-blocks as
 # (dim, copies), dim D)
@@ -107,6 +114,62 @@ def test_growing_replay_takes_the_full_filter(monkeypatch):
     _assert_same_invariants(_invariants(planted()), expected)
 
 
+def _assert_period(report, p):
+    """Every block's peripheral spectrum is the p-th roots of unity: the
+    report's spectrum holds each root once per fixed-space dimension."""
+    rf = cs.report_file_from_report(report)
+    spectrum, fixed = np.array(rf.peripheral_spectrum), rf.fixed_space_dimension
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    assert len(spectrum) == p * fixed
+    nearest = np.abs(spectrum[:, None] - roots[None, :])
+    assert nearest.min(axis=1).max() <= 1e-10
+    assert (np.bincount(nearest.argmin(axis=1), minlength=p) == fixed).all()
+
+
+@pytest.mark.parametrize(
+    "dims", [[2, 3], [2, 2, 3], [2, 3, 2, 2], [2, 2, 2, 2, 2]], ids=len
+)
+def test_periodic_block_has_its_period(dims):
+    # an irreducible channel cycling through len(dims) orthogonal subspaces:
+    # one A-block on all of C^d, with the len(dims)-th roots of unity
+    report = cs.decompose(cyclic_channel(np.random.default_rng(len(dims)), dims))
+    _assert_irreducible(report)
+    assert report.dim == sum(dims)
+    _assert_period(report, len(dims))
+
+
+def test_block_of_many_copies():
+    # one B-block: 17 copies of a 2-dim irreducible family, 289 fixed points
+    ch, truth = planted_channel(np.random.default_rng(34), [], [(2, 17)], 0)
+    assert ch.dim == 34 and truth["fixed_dim"] == 289
+    assert _invariants(ch)[:3] == (34, [(2, 17)], 289)
+    _assert_period(cs.decompose(ch), 1)
+
+
+def test_transient_part_larger_than_r():
+    # dim D = 12 against dim R = 6 (A-block 2, B-block 2 x 2)
+    ch, truth = planted_channel(np.random.default_rng(5), [2], [(2, 2)], 12)
+    assert ch.dim == 18 and truth["fixed_dim"] == 5
+    assert _invariants(ch)[:3] == (6, [(2, 1), (2, 2)], 5)
+    _assert_period(cs.decompose(ch), 1)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-7])
+def test_epsilon_chain_is_one_class(eps):
+    # two 2-state classes joined by eps each way: one A-block on C^4 with the
+    # stationary law (0.27, 0.23, 0.23, 0.27); at 1e-7 the second eigenvalue
+    # lies 9.2e-8 from 1, and the report warns that the cluster is
+    # ill-separated
+    report = cs.decompose(two_class_chain(eps))
+    _assert_irreducible(report)
+    assert report.dim == 4
+    frame = report.blocks[0].enclosures[0].frame
+    state = frame @ report.blocks[0].sigma @ frame.conj().T
+    assert np.abs(state - np.diag([0.27, 0.23, 0.23, 0.27])).max() <= 1e-10
+    assert any("ill-separated" in w for w in report.warnings) == (eps < 1e-6)
+    _assert_period(report, 1)
+
+
 def _remixed(ch, rng):
     """The family V'_b = sum_a U_ba V_a, n -> n + 1, for a random
     (n + 1) x n isometry U: the same channel in another Kraus form."""
@@ -124,6 +187,10 @@ REMIX_CASES = {
         for i, layout in enumerate(PLANTED_LAYOUTS)
     },
     "lindblad-12-0.05": lambda: lindblad_kraus(12, 0.05),
+    "cyclic-3": lambda: cyclic_channel(np.random.default_rng(3), [2, 2, 3]),
+    "copies-2x17": lambda: planted_channel(
+        np.random.default_rng(34), [], [(2, 17)], 0
+    )[0],
 }
 
 
