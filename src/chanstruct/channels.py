@@ -334,16 +334,6 @@ def _cached_superoperator(ch):
     return ch._superop
 
 
-def _kraus_images(ch, frame):
-    """[V_1 F ... V_n F], the images of a (d, k) frame side by side, (d, n k):
-    row i of V_a F, a held row of W times F, is put at (i, a)."""
-    n, d = len(ch), ch.dim
-    op, i = np.divmod(ch._row_ids, d)
-    z = np.zeros((d, n, frame.shape[1]), dtype=complex)
-    z[i, op] = ch._rows @ frame
-    return z.reshape(d, -1)
-
-
 def _leak(ch, frame, cols):
     """Y = (I - P) [S_1 L_1 ... S_n L_n], P the span of the frame F: V_a C =
     S_a R_a places its held rows R_a = L_a Q_a^H (QR), so Y Y^H = (I - P)
@@ -388,9 +378,14 @@ def _enclosure_frame(ch, frame, tol):
 
 def _compressions(ch, frame):
     """The compressions F^H V_a F of every operator to the span of a (d, k)
-    frame F, an (n, k, k) stack, from the Kraus images of F."""
-    k = frame.shape[1]
-    compressed = frame.conj().T @ _kraus_images(ch, frame)
+    frame F, an (n, k, k) stack, from the Kraus images [V_1 F ... V_n F] of F
+    side by side, (d, n k): row i of V_a F, a held row of W times F, is put
+    at (i, a)."""
+    n, d, k = len(ch), ch.dim, frame.shape[1]
+    op, i = np.divmod(ch._row_ids, d)
+    z = np.zeros((d, n, k), dtype=complex)
+    z[i, op] = ch._rows @ frame
+    compressed = frame.conj().T @ z.reshape(d, -1)
     return compressed.reshape(k, -1, k).transpose(1, 0, 2)
 
 

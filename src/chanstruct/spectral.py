@@ -28,20 +28,22 @@ Anal. Appl. 18 (1997)), so u = p(Phi) x for the p, p(1) = 1, that minimizes
 value mu of I - Phi within eig_cluster_tol of 0 counts as fixed, so u is
 corrected only along the Ritz vectors outside that cluster, and the smallest
 Ritz |mu| above rounding estimates the distance from 1 of the nearest
-non-fixed eigenvalue.  Only the first probe Pi_1^*(G) runs this filter in
+non-fixed eigenvalue.  ``_spectral_core`` makes three ``_project`` calls,
+each on one stack of starts: [G_0] through Phi^*, [I/d, G_w] through Phi and
+[G_1, diag(1, ..., d) / d] through Phi^*.  Only the first runs the filter in
 full.  Its GMRES steps leave u = p(I - Phi) x for a product p of factors
 (1 - z / theta), theta the harmonic Ritz values of each step, and p is small
 on the non-fixed spectrum of Phi^* and so of Phi (M_h is real).  The other
-four starts are multiplied by p first, on one stack per direction
-(``_replay``), skipping the roots with |theta| < sqrt(eig_cluster_tol),
-whose factors would amplify the rest of the spectrum (``_leja``); a short
-filter run then finishes each.  The product can still grow a stack, near the
-identity, until rounding swamps its fixed component, so a replay that grows
-the stack's norm is dropped and its starts take the full filter.  A sparse
-family (the rule is the channel's) factors M_h - sigma I, with
-sigma = 1 + eig_cluster_tol, once by a sparse LU, as a dense one with
-d <= ``_LU_DIM`` does when a filter run stalls (the LU route, taken by
-near-unitary channels), and takes the steps
+two stacks are multiplied by p first (``_replay``), without the roots
+|theta| < sqrt(eig_cluster_tol), whose factors would amplify the rest of the
+spectrum (``_leja``); a short filter run then finishes each row.  Near the
+identity the product can grow a stack until rounding swamps its fixed
+component, so a replay that grows the stack's norm is dropped and its starts
+take the full filter.  The guard holds per stack, not per start: Pi_1 is
+oblique, |Pi_1(I/d)|_F > |I/d|_F.  A sparse family (the rule is the
+channel's), and a dense one with d <= ``_LU_DIM`` whose filter run stalls
+(the LU route, of near-unitary channels), take from one LU of M_h - sigma I,
+sigma = 1 + eig_cluster_tol (``_factor``), the steps
 x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
 of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
 residual halves; the largest ratio theta of successive residuals gives the
@@ -142,13 +144,13 @@ class _Stalled(Exception):
     """A dense filter run too slow to reach its floor within ``_BUDGET``."""
 
 
-def _factor(ch, sigma, dense_lu=False):
+def _factor(ch, tol, dense_lu=False):
     """What ``_project`` iterates on real coordinates b: for a sparse family,
-    or a dense one when ``dense_lu``, ``solve(b, adjoint)`` from one LU of
-    M_h - sigma I, marked ``shift_invert``; for another dense family the
-    defect b - Phi(b) (Phi^* when ``adjoint``) that ``_filter`` and
-    ``_replay`` read, of one vector or of each row of a (k, d^2) stack."""
-    d = ch.dim
+    or a dense one when ``dense_lu``, the step (1 - sigma) (M_h - sigma I)^-1 b
+    (transposed when ``adjoint``) from one LU, marked ``shift_invert``; for
+    another dense family the defect b - Phi(b) (Phi^* when ``adjoint``) that
+    ``_filter`` and ``_replay`` read, of one vector or of a (k, d^2) stack."""
+    d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
     if not (ch._sparse or dense_lu):
 
         def defect(b, adjoint):
@@ -165,7 +167,7 @@ def _factor(ch, sigma, dense_lu=False):
         shifted.flat[:: d * d + 1] -= sigma
         # the factors are those of the transpose, so the plain solve is trans=1
         lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
-        solve = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
+        step = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -173,7 +175,8 @@ def _factor(ch, sigma, dense_lu=False):
         m = _hermitian_coordinates(_cached_superoperator(ch))
         shifted = m - sigma * sp.identity(d * d, format="csc")
         lu = spla.splu(shifted.tocsc())
-        solve = lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")  # noqa: E731
+        step = lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")  # noqa: E731
+    solve = lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)  # noqa: E731
     solve.shift_invert = True
     return solve
 
@@ -245,42 +248,46 @@ def _residual(ch, v, adjoint):
     return new / norm if norm else math.inf
 
 
-def _project(ch, solve, x, adjoint, tol):
-    """Pi_1(X), or Pi_1^*(X) when ``adjoint``, of a Hermitian d x d matrix X,
-    accepted when its residual <= eig_cluster_tol (see the module docstring),
-    the estimated distance from 1 of the nearest non-fixed eigenvalue, and
-    the roots that ``_filter`` returns (none for a ``shift_invert`` solve)."""
-    v, converged, tau, count = hermitian_encode(x), True, tol.eig_cluster_tol, 0
-    roots = []
-    if getattr(solve, "shift_invert", False):
-        sigma, res, theta, halving, unit = 1.0 + tau, math.inf, 0.0, True, "solves"
-        while halving:
-            v = (1.0 - sigma) * solve(v, adjoint)
-            new, count = _residual(ch, v, adjoint), count + 1
-            if new > 100.0 * np.finfo(float).eps:  # above what rounding reaches
-                theta = max(theta, new / res)
-            halving, res = new < 0.5 * res, new
-        distance = max(tau * (1.0 / theta - 1.0), 0.0) if theta else math.inf
-    else:
-        defect = lambda b: solve(b, adjoint)  # noqa: E731
-        v, count, distance, converged, roots = _filter(defect, v, tol)
-        res, unit = _residual(ch, v, adjoint), "applications"
-    if not (converged and res <= tau):
-        raise _no_cluster(res, count, unit, distance)
-    return hermitian_decode(v, ch.dim), distance, roots
-
-
-def _no_cluster(res, count, unit, distance):
-    return DecompositionError(
-        "fixed-space",
-        f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit}; "
-        f"estimated nearest non-fixed distance {distance:.3e})",
-        diagnostics={
-            unit: count,
-            "residual": float(res),
-            "nearest_non_fixed_distance": distance,
-        },
-    )
+def _project(ch, solve, starts, adjoint, tol, roots=()):
+    """Pi_1, or Pi_1^* when ``adjoint``, of each Hermitian start, a (k, d, d)
+    stack, after one ``_replay`` of ``roots`` on the encoded stack (see the
+    module docstring); the smallest estimated distance from 1 of the nearest
+    non-fixed eigenvalue; and the roots of the ``_filter`` runs in ``_leja``
+    order (none for a ``shift_invert`` solve).  A failure counts the replay."""
+    v = hermitian_encode(np.stack(starts))
+    w, replayed = _replay(solve, roots, v, adjoint)
+    if np.linalg.norm(w) <= np.linalg.norm(v):
+        v = w
+    tau, fixed, gap, found = tol.eig_cluster_tol, [], math.inf, []
+    for u in v:
+        converged, count = True, replayed
+        if getattr(solve, "shift_invert", False):
+            res, theta, halving, unit = math.inf, 0.0, True, "solves"
+            while halving:
+                u = solve(u, adjoint)
+                new, count = _residual(ch, u, adjoint), count + 1
+                if new > 100.0 * np.finfo(float).eps:  # above what rounding reaches
+                    theta = max(theta, new / res)
+                halving, res = new < 0.5 * res, new
+            distance = max(tau * (1.0 / theta - 1.0), 0.0) if theta else math.inf
+        else:
+            u, applied, distance, converged, run = _filter(lambda b: solve(b, adjoint), u, tol)
+            res, unit, count = _residual(ch, u, adjoint), "applications", count + applied
+            found += run
+        if not (converged and res <= tau):
+            raise DecompositionError(
+                "fixed-space",
+                f"no eigenvalue-1 cluster found (residual {res:.3e} after {count} {unit}; "
+                f"estimated nearest non-fixed distance {distance:.3e})",
+                diagnostics={
+                    unit: count,
+                    "residual": float(res),
+                    "nearest_non_fixed_distance": distance,
+                },
+            )
+        fixed.append(u)
+        gap = min(gap, distance)
+    return hermitian_decode(np.stack(fixed), ch.dim), gap, _leja(found, tol)
 
 
 def _leja(roots, tol):
@@ -325,27 +332,6 @@ def _replay(solve, roots, v, adjoint):
     return v, count
 
 
-def _replayed(ch, solve, roots, starts, adjoint, tol):
-    """Pi_1 (Pi_1^* when ``adjoint``) of each Hermitian start, replayed on
-    one stack by ``_replay`` with the ``roots`` of ``_leja`` and finished by
-    ``_project``.  A replay that grows the stack's norm is dropped, and the
-    starts take the full filter; a failure counts the replay's applications
-    too."""
-    v = hermitian_encode(np.stack(starts))
-    w, replayed = _replay(solve, roots, v, adjoint)
-    if replayed and np.linalg.norm(w) <= np.linalg.norm(v):
-        starts = hermitian_decode(w, ch.dim)
-    try:
-        return [_project(ch, solve, x, adjoint, tol)[0] for x in starts]
-    except DecompositionError as err:
-        if not replayed:
-            raise
-        info = err.diagnostics
-        count = info["applications"] + replayed
-        distance = info["nearest_non_fixed_distance"]
-        raise _no_cluster(info["residual"], count, "applications", distance) from None
-
-
 def _gaussian_hermitian(rng, d):
     """A Hermitian Gaussian d x d reference (Z + Z^H) / 2.  Z is complex: a
     real symmetric reference misses every imaginary antisymmetric element."""
@@ -369,7 +355,7 @@ def _spectral_core(ch, tol):
                 f"(|Phi^*(I) - I|_F / |I|_F = {unital:.3e})",
                 diagnostics={"residual": float(unital)},
             )
-        solve = _factor(ch, 1.0 + tol.eig_cluster_tol)
+        solve = _factor(ch, tol)
         while True:  # a stalled filter run takes the LU route
             try:
                 # the first probe is the linking element of chanstruct.structure;
@@ -377,16 +363,15 @@ def _spectral_core(ch, tol):
                 # replay its residual polynomial (Phi and Phi^* share their spectrum)
                 rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
                 refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
-                first, gap, roots = _project(ch, solve, refs[0], True, tol)
-                roots = _leja(roots, tol)
+                (first,), gap, roots = _project(ch, solve, refs[:1], True, tol)
                 rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
                 starts = [np.eye(d) / d, _gaussian_hermitian(rng, d)]
-                rho, witness = _replayed(ch, solve, roots, starts, False, tol)
+                (rho, witness), _, _ = _project(ch, solve, starts, False, tol, roots)
                 starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
-                second, candidate = _replayed(ch, solve, roots, starts, True, tol)
+                (second, candidate), _, _ = _project(ch, solve, starts, True, tol, roots)
                 break
             except _Stalled:  # all five projections again, from one dense LU
-                solve = _factor(ch, 1.0 + tol.eig_cluster_tol, dense_lu=True)
+                solve = _factor(ch, tol, dense_lu=True)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (

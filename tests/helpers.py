@@ -71,6 +71,21 @@ def cyclic_channel(rng, dims, n_kraus=3):
     return cs.KrausChannel(u @ stack @ u.conj().T)
 
 
+def lazy_cycle_channel(n, rng):
+    """The lazy walk on Z_n in a Haar-random basis: 3n Kraus operators
+    sqrt(1/2) |j><j| and sqrt(1/4) |j +- 1><j|, conjugated by one
+    haar_unitary(n, rng).  It is irreducible and aperiodic with the state
+    I/n, and its non-fixed eigenvalues are 0 and (1 + cos(2 pi k / n)) / 2,
+    real and slowly mixing: a dense diffusive family with more Kraus
+    operators than its dimension."""
+    stack = np.zeros((3, n, n, n), dtype=complex)
+    j = np.arange(n)
+    for k, (step, weight) in enumerate([(0, 0.5), (1, 0.25), (-1, 0.25)]):
+        stack[k, j, (j + step) % n, j] = np.sqrt(weight)
+    u = haar_unitary(n, rng)
+    return cs.KrausChannel(u @ stack.reshape(3 * n, n, n) @ u.conj().T)
+
+
 def random_state(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = z @ z.conj().T

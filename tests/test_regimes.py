@@ -2,7 +2,8 @@
 planted truth: near-identity semigroup channels, slowly rotating
 near-unitary channels, a replay that grows its stack, periodic blocks, a
 block of many copies, a transient part larger than R, Markov chains joined
-by epsilon, and the freedom of the Kraus representation."""
+by epsilon, a dense diffusive walk with more Kraus operators than its
+dimension, and the freedom of the Kraus representation."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import chanstruct as cs
 import chanstruct.spectral
 from helpers import (
     cyclic_channel,
+    lazy_cycle_channel,
     lindblad_kraus,
     near_unitary_channel,
     planted_channel,
@@ -170,6 +172,22 @@ def test_epsilon_chain_is_one_class(eps):
     _assert_period(report, 1)
 
 
+def test_dense_kraus_heavy_diffusive_walk_stays_on_the_filter(monkeypatch):
+    # the lazy walk on Z_24 in a Haar-random basis: 72 dense Kraus operators
+    # on C^24, a real non-fixed spectrum up to (1 + cos(2 pi / 24)) / 2; the
+    # filter converges without a stall, so no dense LU is made
+    sizes = _dense_lu_sizes(monkeypatch)
+    ch = lazy_cycle_channel(24, np.random.default_rng(24))
+    assert len(ch.kraus) == 72 and not ch._sparse
+    report = cs.decompose(ch)
+    _assert_irreducible(report)
+    assert report.dim == 24 and sizes == []
+    frame = report.blocks[0].enclosures[0].frame
+    state = frame @ report.blocks[0].sigma @ frame.conj().T
+    assert np.abs(state - np.eye(24) / 24).max() <= 1e-12
+    _assert_period(report, 1)
+
+
 def _remixed(ch, rng):
     """The family V'_b = sum_a U_ba V_a, n -> n + 1, for a random
     (n + 1) x n isometry U: the same channel in another Kraus form."""
@@ -191,6 +209,7 @@ REMIX_CASES = {
     "copies-2x17": lambda: planted_channel(
         np.random.default_rng(34), [], [(2, 17)], 0
     )[0],
+    "lazy-cycle-24": lambda: lazy_cycle_channel(24, np.random.default_rng(24)),
 }
 
 

@@ -514,9 +514,9 @@ class TestSingleSolve:
         calls = []
         factor = chanstruct.spectral._factor
 
-        def counting(ch, sigma):
+        def counting(ch, tol):
             calls.append(ch.dim)
-            return factor(ch, sigma)
+            return factor(ch, tol)
 
         monkeypatch.setattr(chanstruct.spectral, "_factor", counting)
         rng = np.random.default_rng(311)
@@ -529,15 +529,17 @@ class TestSingleSolve:
         assert rf.fixed_space_dimension == truth["fixed_dim"]
 
     def test_five_projections_per_channel_and_tolerance(self, monkeypatch):
-        # the solve projects I/d and the verification's reference forward,
-        # and the two probes and the first candidate backward; nothing read
-        # after it projects again, not even the fallback of the cyclic shift
+        # the solve projects five starts in three calls: the first probe
+        # backward alone, I/d and the verification's reference forward on one
+        # stack, and the second probe and the first candidate backward on
+        # another; nothing read after it projects again, not even the
+        # fallback of the cyclic shift
         calls = []
         project = chanstruct.spectral._project
 
-        def counting(ch, solve, x, adjoint, tol):
-            calls.append(adjoint)
-            return project(ch, solve, x, adjoint, tol)
+        def counting(ch, solve, starts, adjoint, tol, roots=()):
+            calls.append([adjoint] * len(starts))
+            return project(ch, solve, starts, adjoint, tol, roots)
 
         monkeypatch.setattr(chanstruct.spectral, "_project", counting)
         rng = np.random.default_rng(311)
@@ -553,7 +555,7 @@ class TestSingleSolve:
             algebra = cs.fixed_point_algebra_on_R(ch)
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
             cs.block_invariant_state(algebra, report.alpha_blocks[0].enclosures[0])
-            assert sorted(calls) == [False, False, True, True, True]
+            assert calls == [[True], [False, False], [True, True]]
 
     @pytest.mark.parametrize("family", ["planted", "markov"])
     def test_factorization_freed_after_decompose(self, monkeypatch, family):
@@ -563,8 +565,8 @@ class TestSingleSolve:
         solves = []
         factor = chanstruct.spectral._factor
 
-        def recording(ch, sigma):
-            solve = factor(ch, sigma)
+        def recording(ch, tol):
+            solve = factor(ch, tol)
             solves.append(weakref.ref(solve))
             return solve
 
@@ -917,8 +919,8 @@ class TestKernelAcceptance:
         # fail its residual, which is taken through Phi itself
         factor = chanstruct.spectral._factor
 
-        def similar(ch, sigma):
-            defect = factor(ch, sigma)
+        def similar(ch, tol):
+            defect = factor(ch, tol)
             s = np.eye(ch.dim**2)
             s[0, 1] = 1e-3
             s_inv = np.linalg.inv(s)
@@ -940,8 +942,8 @@ class TestKernelAcceptance:
         factor, replay, residual = spectral._factor, spectral._replay, spectral._residual
         forward, replayed = [], []
 
-        def counting(ch, sigma):
-            defect = factor(ch, sigma)
+        def counting(ch, tol):
+            defect = factor(ch, tol)
 
             def counted(b, adjoint):
                 if not adjoint:
@@ -966,8 +968,9 @@ class TestKernelAcceptance:
         with pytest.raises(cs.DecompositionError) as err:
             cs.decompose(ch)
         assert err.value.stage == "fixed-space"
-        # the replay ran on the stack of the two forward starts
-        assert replayed == [(False, forward.count(2))] and replayed[0][1] > 0
+        # the first probe's call replays no roots; then the replay ran on the
+        # stack of the two forward starts
+        assert replayed == [(True, 0), (False, forward.count(2))] and replayed[1][1] > 0
         assert err.value.diagnostics["applications"] == len(forward)
         assert err.value.diagnostics["residual"] == 1.0
 
@@ -1054,7 +1057,7 @@ class TestKrylovFilter:
         ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
         assert not ch._sparse
         b = np.random.default_rng(6).standard_normal((3, ch.dim**2))
-        got = chanstruct.spectral._factor(ch, 1.0)(b, adjoint)
+        got = chanstruct.spectral._factor(ch, cs.DEFAULT_TOL)(b, adjoint)
         images = chanstruct.channels._apply_stack(
             ch, cs.linalg.hermitian_decode(b, ch.dim), adjoint
         )
@@ -1102,7 +1105,7 @@ class TestReplay:
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
         witness = spectral._gaussian_hermitian(rng, d)
         candidate = np.diag(np.arange(1, d + 1) / d)
-        solve = spectral._factor(ch, 1.0 + tol.eig_cluster_tol)
+        solve = spectral._factor(ch, tol)
 
         def reference(x, adjoint):
             v = cs.linalg.hermitian_encode(x)
@@ -1131,7 +1134,7 @@ class TestReplay:
         seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[32]
         rng = np.random.default_rng(seed)
         ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
-        solve = spectral._factor(ch, 1.0 + tol.eig_cluster_tol)
+        solve = spectral._factor(ch, tol)
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         x = cs.linalg.hermitian_encode(spectral._gaussian_hermitian(rng, ch.dim))
         u, _, _, converged, roots = spectral._filter(lambda b: solve(b, True), x, tol)
