@@ -12,16 +12,18 @@ A channel holds its family as the nonzero rows of the stacked operator
 W = [V_1; ...; V_n] (n d x d): an (m, d) block and the m row ids a d + i of
 row i of V_a, in increasing order.  A row is kept when one of its entries
 has a nonzero bit pattern, so -0.0 survives.  Building, checking, loading
-and writing a channel read only this block and import no scipy.
+and writing a channel read only this block.
 
 The module owns the one sparse/dense rule (``_SPARSE_FRACTION``).  A sparse
 family (a superoperator with at most that fraction of nonzero entries) keeps
-only its nonzero rows and builds its CSC superoperator M from them on first
-use: Phi(rho) = M vec(rho) and Phi^*(X) = M^H vec(X), and the eigenvalue-1
-solve reuses M.  A dense family keeps all n d rows, so its block is the
-(n, d, d) Kraus stack reshaped, and applies Phi and Phi^* as two GEMMs over
-the stacked operators and their stacked adjoints.  A sparse family builds
-the dense stack only when asked for it (``kraus``, :func:`superoperator`).
+only its nonzero rows and builds the COO triples (rows, cols, vals) of its
+superoperator M from them on first use: Phi(rho) = M vec(rho) and
+Phi^*(X) = M^H vec(X) are sums of the triples' products (``np.bincount``),
+and the eigenvalue-1 solve reads M_h off the same triples.  A dense family
+keeps all n d rows, so its block is the (n, d, d) Kraus stack reshaped, and
+applies Phi and Phi^* as two GEMMs over the stacked operators and their
+stacked adjoints.  A sparse family builds the dense stack only when asked
+for it (``kraus``, :func:`superoperator`).
 """
 
 from dataclasses import dataclass
@@ -48,8 +50,9 @@ __all__ = [
 ]
 
 # a Kraus family whose superoperator has at most this fraction of nonzero
-# entries is sparse: Phi and Phi^* are applied by the cached CSC
-# superoperator, and the eigenvalue-1 kernel is solved by a sparse LU
+# entries is sparse: Phi and Phi^* are applied by the cached COO triples of
+# the superoperator, and the eigenvalue-1 kernel is solved on the coordinates
+# that Phi writes (chanstruct.spectral)
 _SPARSE_FRACTION = 0.02
 
 
@@ -118,10 +121,10 @@ class KrausChannel:
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_ids", row_ids)
-        # how apply and apply_adjoint act: a sparse family keeps its CSC
-        # superoperator M and the CSR view M^T, made on first use; a dense
-        # one keeps its (n, d, d) stack, a view of the rows, and the stack
-        # of its adjoints V_i^H, the two stacks of each GEMM pair
+        # how apply and apply_adjoint act: a sparse family keeps the COO
+        # triples of its superoperator M, made on first use; a dense one
+        # keeps its (n, d, d) stack, a view of the rows, and the stack of
+        # its adjoints V_i^H, the two stacks of each GEMM pair
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_superop", None)
@@ -220,17 +223,21 @@ def apply_adjoint(ch, x):
 
 def _apply_stack(ch, xs, adjoint=False):
     """Phi (or Phi^* when ``adjoint``) of every matrix of a (k, d, d) stack:
-    by the cached CSC superoperator M of a sparse family, else by the two
-    GEMMs of ``_sandwich``."""
+    by the cached COO triples of the superoperator M of a sparse family,
+    else by the two GEMMs of ``_sandwich``."""
     if not ch._sparse:
         pair = (ch._adjoint, ch._stack) if adjoint else (ch._stack, ch._adjoint)
         return _sandwich(*pair, xs)
-    m, (k, d) = _cached_superoperator(ch), (xs.shape[0], ch.dim)
-    # column c is vec(X_c), X_c^T read row by row
-    vecs = xs.transpose(0, 2, 1).reshape(k, d * d).T
-    # M^H v = conj(M^T conj(v)), M^T the CSR view kept with M
-    out = (ch._adjoint @ vecs.conj()).conj() if adjoint else m @ vecs
-    return out.T.reshape(k, d, d).transpose(0, 2, 1)
+    (rows, cols, vals), (k, d) = _cached_superoperator(ch), (xs.shape[0], ch.dim)
+    if adjoint:  # M^H holds conj(v) at (c, r) for each triple (r, c, v) of M
+        rows, cols, vals = cols, rows, vals.conj()
+    # row c is vec(X_c), X_c^T read row by row; output c sums at rows + c d^2
+    vecs = xs.transpose(0, 2, 1).reshape(k, d * d)
+    terms = (vals * vecs[:, cols]).ravel()
+    at, out = (rows + d * d * np.arange(k)[:, None]).ravel(), np.empty(k * d * d, complex)
+    out.real = np.bincount(at, terms.real, out.size)
+    out.imag = np.bincount(at, terms.imag, out.size)
+    return out.reshape(k, d, d).transpose(0, 2, 1)
 
 
 def _sandwich(left, right, xs):
@@ -278,8 +285,8 @@ def _transfer_matrix(a, b):
 
 def _hermitian_coordinates(m):
     """Rows of the real M_h = U^H M U = Re M + Im(M K) (see chanstruct.spectral)
-    from the same rows of a Hermiticity-preserving superoperator M, sparse or
-    dense: column j d + i of M K is column i d + j of M."""
+    from the same rows of a dense Hermiticity-preserving superoperator M:
+    column j d + i of M K is column i d + j of M."""
     d = math.isqrt(m.shape[1])
     return m.real + m.imag[:, np.arange(d * d).reshape(d, d).T.ravel()]
 
@@ -297,15 +304,14 @@ def _hermitian_transfer_matrix(stack):
 
 
 def _superoperator_sparse(ch):
-    """Sparse CSC superoperator (worth it only for sparse Kraus families).
+    """The superoperator M of a sparse Kraus family as read-only COO triples
+    (rows, cols, vals).
 
     Every pair of nonzeros x = V_a[i, j], x' = V_a[i', j'] of one operator
-    adds conj(x) x' at (i d + i', j d + j'); the COO constructor sums the
-    pairs that land on one position.  The nonzeros are read off the held
-    rows, in the order (a, i, j).
+    gives conj(x) x' at (i d + i', j d + j'); the pairs that land on one
+    position are summed where M is applied.  The nonzeros are read off the
+    held rows, in the order (a, i, j).
     """
-    import scipy.sparse as sp
-
     d = ch.dim
     r, col = np.nonzero(ch._rows)
     op, row = np.divmod(ch._row_ids[r], d)
@@ -317,21 +323,32 @@ def _superoperator_sparse(ch):
     reps = counts[op]
     p = np.repeat(np.arange(op.size), reps)
     q = first[op[p]] + np.arange(p.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return sp.csc_matrix(
-        (x[p].conj() * x[q], (row[p] * d + row[q], col[p] * d + col[q])),
-        shape=(d * d, d * d),
-    )
+    triples = (row[p] * d + row[q], col[p] * d + col[q], x[p].conj() * x[q])
+    for a in triples:
+        a.flags.writeable = False
+    return triples
 
 
 def _cached_superoperator(ch):
-    """The CSC superoperator M of a sparse Kraus family, made on first use and
-    kept with the channel together with its transpose, a CSR view of the same
-    arrays that Phi^* applies."""
+    """The COO triples of the superoperator M of a sparse Kraus family, made
+    on first use and kept with the channel."""
     if ch._superop is None:
-        m = _superoperator_sparse(ch)
-        object.__setattr__(ch, "_superop", m)
-        object.__setattr__(ch, "_adjoint", m.T)
+        object.__setattr__(ch, "_superop", _superoperator_sparse(ch))
     return ch._superop
+
+
+def _hermitian_block(ch, keep):
+    """M_h[keep, keep] of a sparse family, dense, for strictly increasing
+    coordinates ``keep``, from the COO triples of M: as M_h = Re M + Im(M K)
+    (see ``_hermitian_coordinates``), a triple (r, c, v) puts Re v at (r, c)
+    and Im v at (r, K c), K c = i d + j for c = j d + i."""
+    d, (r, c, v) = ch.dim, _cached_superoperator(ch)
+    at = np.full(d * d, -1)
+    at[keep] = np.arange(keep.size)
+    i, j = at[np.tile(r, 2)], at[np.concatenate((c, c % d * d + c // d))]
+    inside, n = (i >= 0) & (j >= 0), keep.size
+    flat = np.bincount((i * n + j)[inside], np.concatenate((v.real, v.imag))[inside], n * n)
+    return flat.reshape(n, n)
 
 
 def _leak(ch, frame, cols):

@@ -20,11 +20,11 @@ Pi_1 works on real coordinates: a CPTP map preserves Hermiticity, so with K
 the vec swap vec(X) -> vec(X^T), the unitary U = ((1+i) I + (1-i) K) / 2 (the
 package's Hermitian codec, ``linalg.hermitian_decode``) makes the
 superoperator the real d^2 x d^2 matrix M_h = U^H M U = Re M + Im(M K).  A
-dense family off the LU route forms no such matrix: ``_filter`` returns
-u = x - e, e the restarted GMRES solution of the singular consistent system
-(I - Phi) e = (I - Phi) x (Saad-Schultz 1986; Brown-Walker, SIAM J. Matrix
-Anal. Appl. 18 (1997)), so u = p(Phi) x for the p, p(1) = 1, that minimizes
-|Phi(u) - u|, with Phi applied through ``channels._apply_stack``.  A Ritz
+family off the shift-invert routes below forms no such matrix: ``_filter``
+returns u = x - e, e the restarted GMRES solution of the singular consistent
+system (I - Phi) e = (I - Phi) x (Saad-Schultz 1986; Brown-Walker, SIAM J.
+Matrix Anal. Appl. 18 (1997)), so u = p(Phi) x for the p, p(1) = 1, that
+minimizes |Phi(u) - u|, with Phi applied through ``channels._apply_stack``.  A Ritz
 value mu of I - Phi within eig_cluster_tol of 0 counts as fixed, so u is
 corrected only along the Ritz vectors outside that cluster, and the smallest
 Ritz |mu| above rounding estimates the distance from 1 of the nearest
@@ -40,22 +40,29 @@ spectrum (``_leja``); a short filter run then finishes each row.  Near the
 identity the product can grow a stack until rounding swamps its fixed
 component, so a replay that grows the stack's norm is dropped and its starts
 take the full filter.  The guard holds per stack, not per start: Pi_1 is
-oblique, |Pi_1(I/d)|_F > |I/d|_F.  A sparse family (the rule is the
-channel's), and a dense one with d <= ``_LU_DIM`` whose filter run stalls
-(the LU route, of near-unitary channels), take from one LU of M_h - sigma I,
-sigma = 1 + eig_cluster_tol (``_factor``), the steps
-x <- (1 - sigma) (M_h - sigma I)^{-1} x, which multiply an eigenvector
-of eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), while the
-residual halves; the largest ratio theta of successive residuals gives the
-distance (sigma - 1)(1/theta - 1).  Either way a vector is accepted only
-when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
-Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first
-probe's projection is the channel's gap, and a gap below
-10 eig_cluster_tol gives the split an "ill-separated" warning.
+oblique, |Pi_1(I/d)|_F > |I/d|_F.  Two routes instead take the steps
+x <- (1 - sigma) (M_h - sigma I)^{-1} x, sigma = 1 + eig_cluster_tol
+(``_factor``), which multiply an eigenvector of eigenvalue lambda by
+theta = (sigma - 1) / (sigma - lambda), while the residual halves; the
+largest ratio theta of successive residuals gives the distance
+(sigma - 1)(1/theta - 1).  A dense family with d <= ``_LU_DIM`` whose filter
+run stalls (the LU route, of near-unitary channels) takes one dense LU of
+M_h - sigma I, the package's one scipy call.  A sparse family (the rule is
+the channel's) solves on the coordinates T that Phi writes, the union over
+operators of rows(V_a)^2 (9 (N + 1) for the open quantum walk on N + 1
+sites, d for a Markov chain): fixed points lie in the range of Phi, so
+Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1 projection of M_h[T, T].
+With |T| <= ``_LU_DIM``^2 it takes one inverse of M_h[T, T] - sigma I, else
+the filter.  Either way a vector is accepted only when its residual through
+the channel itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within
+eig_cluster_tol |X|_F.  The distance of the first probe's projection is the
+channel's gap, and a gap below 10 eig_cluster_tol gives the split an
+"ill-separated" warning.
 
 ``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, exact for
-any Kraus family.  A report reads the same list off its blocks at far less
-cost (``serialize.report_file_from_report``, ``_block_eigenvalues``).
+any Kraus family (a sparse family writes it from its COO triples).  A report
+reads the same list off its blocks at far less cost
+(``serialize.report_file_from_report``, ``_block_eigenvalues``).
 """
 
 import cmath
@@ -68,7 +75,7 @@ from .channels import (
     _apply_stack,
     _cached_superoperator,
     _enclosure_frame,
-    _hermitian_coordinates,
+    _hermitian_block,
     _hermitian_transfer_matrix,
     _sandwich,
 )
@@ -144,22 +151,28 @@ class _Stalled(Exception):
     """A dense filter run too slow to reach its floor within ``_BUDGET``."""
 
 
+def _image(ch, b, adjoint):
+    """M_h b (M_h^T b when ``adjoint``) for real coordinates b, one vector or a
+    (k, d^2) stack: Phi(Z^T) = Phi(Z)^H for a real Z, so with Z = b read row by
+    row and W = Phi(Z), encode(Phi(decode(b))) is Re W + Im W^T."""
+    d = ch.dim
+    w = _apply_stack(ch, b.reshape(-1, d, d), adjoint)
+    return (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
+
+
 def _factor(ch, tol, dense_lu=False):
-    """What ``_project`` iterates on real coordinates b: for a sparse family,
-    or a dense one when ``dense_lu``, the step (1 - sigma) (M_h - sigma I)^-1 b
-    (transposed when ``adjoint``) from one LU, marked ``shift_invert``; for
-    another dense family the defect b - Phi(b) (Phi^* when ``adjoint``) that
-    ``_filter`` and ``_replay`` read, of one vector or of a (k, d^2) stack."""
+    """What ``_project`` iterates on real coordinates b, one vector or a
+    (k, d^2) stack: the step (1 - sigma) (M_h - sigma I)^-1 b (transposed
+    when ``adjoint``), marked ``shift_invert``, from one dense LU when
+    ``dense_lu``, else for a sparse family with |T| <= ``_LU_DIM``^2 from one
+    inverse of M_h[T, T] - sigma I and one application of Phi (Phi^*): M_h
+    writes only T, so M_h - sigma I is block triangular over T and the rest
+    C.  Otherwise the defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``."""
     d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
-    if not (ch._sparse or dense_lu):
-
-        def defect(b, adjoint):
-            # Phi(Z^T) = Phi(Z)^H for a real Z, so with Z = b read row by row
-            # and W = Phi(Z), encode(Phi(decode(b))) is Re W + Im W^T
-            w = _apply_stack(ch, b.reshape(-1, d, d), adjoint)
-            return b - (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
-
-        return defect
+    if not dense_lu:
+        t = np.unique(_cached_superoperator(ch)[0]) if ch._sparse else None
+        if t is None or t.size > _LU_DIM**2:
+            return lambda b, adjoint: b - _image(ch, b, adjoint)
     if dense_lu:
         import scipy.linalg as sla
 
@@ -169,13 +182,24 @@ def _factor(ch, tol, dense_lu=False):
         lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
         step = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
     else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
+        inverse = _hermitian_block(ch, t)
+        inverse.flat[:: t.size + 1] -= sigma
+        inverse = np.linalg.inv(inverse)
 
-        m = _hermitian_coordinates(_cached_superoperator(ch))
-        shifted = m - sigma * sp.identity(d * d, format="csc")
-        lu = spla.splu(shifted.tocsc())
-        step = lambda b, adjoint: lu.solve(b, trans="T" if adjoint else "N")  # noqa: E731
+        def step(b, adjoint):
+            # with A = M_h[T, T] - sigma I; M_h[T, C] is applied through Phi
+            if adjoint:  # y_T = b_T A^-1, y_C = (M_h[T, C]^T y_T - b_C) / sigma
+                y = np.zeros_like(b)
+                y[..., t] = b[..., t] @ inverse
+                y_t, y = y[..., t], (_image(ch, y, True) - b) / sigma
+            else:  # y_C = -b_C / sigma, y_T = A^-1 (b_T - M_h[T, C] y_C)
+                y = b.copy()
+                y[..., t] = 0.0
+                y_t = (b[..., t] + _image(ch, y, False)[..., t] / sigma) @ inverse.T
+                y = -y / sigma
+            y[..., t] = y_t
+            return y
+
     solve = lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)  # noqa: E731
     solve.shift_invert = True
     return solve
@@ -432,13 +456,13 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
 
     Sorted by argument, with multiplicity, from all d^2 eigenvalues of the
     real d^2 x d^2 matrix M_h, unitarily similar to the superoperator: exact
-    for any Kraus family, at O(d^6) cost.  A sparse family takes M_h from
-    its cached sparse superoperator.  For a large trace-preserving channel
-    read its report's ``peripheral_spectrum``.
+    for any Kraus family, at O(d^6) cost.  A sparse family writes M_h from
+    the cached COO triples of its superoperator.  For a large
+    trace-preserving channel read its report's ``peripheral_spectrum``.
     """
     _check_tolerance(tol)
     if ch._sparse:
-        h = _hermitian_coordinates(_cached_superoperator(ch)).toarray()
+        h = _hermitian_block(ch, np.arange(ch.dim**2))
     else:
         h = _hermitian_transfer_matrix(ch._stack)
     return _peripheral(np.linalg.eigvals(h), tol)

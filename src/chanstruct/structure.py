@@ -404,21 +404,19 @@ def group_into_blocks(enclosures, algebra):
     between them is above a cut (``FixedPointAlgebra.linking_element``);
     linked enclosures necessarily have equal dimension.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     _check_algebra(algebra)
     n = len(enclosures)
     coords = [_coords_in(algebra, e, "block-grouping") for e in enclosures]
     h, cut = _link_cut(algebra)
-    adj = [
-        [np.linalg.norm(ci.conj().T @ h @ cj) > cut for cj in coords] for ci in coords
-    ]
-    n_comp, labels = connected_components(
-        csr_matrix(adj), directed=False, return_labels=True
-    )
-    components = [[i for i in range(n) if labels[i] == c] for c in range(n_comp)]
-    components.sort(key=min)
+    adj = np.array(
+        [[np.linalg.norm(ci.conj().T @ h @ cj) > cut for cj in coords] for ci in coords]
+    ).reshape(n, n)
+    # reachability: each boolean squaring doubles the path length covered
+    reach = adj | adj.T | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    # a component is the row of each of its members, listed by its first
+    components = sorted({tuple(np.flatnonzero(row)) for row in reach})
     groups = [[enclosures[i] for i in members] for members in components]
     for group in groups:
         dims = {v.dimension for v in group}

@@ -1357,6 +1357,45 @@ class TestCliValidate:
 
 
 class TestCliDecompose:
+    def test_paths_off_the_dense_stall_route_import_no_scipy(self, tmp_path):
+        # a fresh interpreter builds a Markov chain and an open quantum walk,
+        # validates, decomposes and takes the spectrum of both and of a
+        # planted dense channel, and parses every report re-verified: scipy
+        # is left to the dense LU of a stalled filter run
+        ch, _ = planted_channel(np.random.default_rng(507), [2], [(2, 2)], 2)
+        assert not ch._sparse
+        dense = write_channel(tmp_path / "dense.json", ch)
+        # one closed class {0, 1, 2} fed by the transient states 3, 4 and 5
+        p = np.zeros((6, 6))
+        p[:3, :3] = [[0.2, 0.5, 0.3], [0.5, 0.1, 0.3], [0.3, 0.4, 0.4]]
+        p[[0, 4], 3] = p[[3, 5], 5] = 0.5
+        p[1, 4] = 1.0
+        matrix = tmp_path / "p.json"
+        matrix.write_text(json.dumps(p.tolist()))
+        markov, walk = str(tmp_path / "markov.json"), str(tmp_path / "walk.json")
+        script = f"""
+import json, sys
+import chanstruct as cs
+from chanstruct.cli import main
+assert main(["build", "markov", "--matrix", {str(matrix)!r}, "--out", {markov!r}]) == 0
+assert main(["build", "oqrw", "--p", "0.3", "--q", "0.3", "--sites", "5", "--out", {walk!r}]) == 0
+for path in ({markov!r}, {walk!r}, {dense!r}):
+    assert main(["validate", path]) == 0
+    assert main(["decompose", path, "--out", path + ".report"]) == 0
+    assert main(["query", "spectrum", path, "--out", path + ".spectrum"]) == 0
+    with open(path + ".report") as f:
+        cs.report_file_from_dict(json.load(f), re_verify=True)
+    assert cs.load_channel(path)._sparse is (path != {dense!r})
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        src = os.path.dirname(os.path.dirname(cs.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_report_and_determinism(self, tmp_path, capsys):
         ch, _ = planted_channel(RNG, [1], [(1, 2)], 0, n_kraus=2)
         path = write_channel(tmp_path / "ch.json", ch)

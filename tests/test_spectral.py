@@ -11,6 +11,7 @@ import pytest
 import chanstruct as cs
 import chanstruct.channels
 import chanstruct.spectral
+from chanstruct.linalg import hermitian_encode
 from helpers import (
     cyclic_channel,
     haar_unitary,
@@ -193,10 +194,14 @@ class TestHermitianCoordinates:
             ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5)
             if case == "sparse-phased":
                 ch = phased_walk(5)
-            m = chanstruct.channels._superoperator_sparse(ch)
-            h = chanstruct.channels._hermitian_coordinates(m)
-            assert h.format == "csc"
-            h = h.toarray()
+            # a sparse M_h is read off the COO triples of M; M_h writes only
+            # the coordinates T where M has a row, and its T block is M_h[T, T]
+            assert ch._sparse
+            h = chanstruct.channels._hermitian_block(ch, np.arange(ch.dim**2))
+            t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
+            assert not np.delete(h, t, axis=0).any()
+            block = chanstruct.channels._hermitian_block(ch, t)
+            assert block.tobytes() == h[np.ix_(t, t)].tobytes()
         assert h.dtype == np.float64
         u = hermitian_unitary(ch.dim)
         assert np.abs(u.conj().T @ u - np.eye(ch.dim**2)).max() <= 1e-15
@@ -256,6 +261,95 @@ class TestHermitianCoordinates:
         assert split.D.dimension == 2 and range_ref.shape[1] == d - 2
         proj = range_ref @ range_ref.conj().T
         assert np.abs(split.R.projector() - proj).max() <= 1e-10
+
+
+def _shared_positions_with_transients(rng):
+    """A sparse family on C^12: three operators on C^3 whose nonzeros share
+    positions, so several pairs land on one entry of M, and |e_0><e_j| for
+    the transient states j = 3..11, which Phi empties."""
+    u = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    u *= np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    w, vecs = np.linalg.eigh(np.einsum("aji,ajk->ik", u.conj(), u))
+    ops = np.zeros((12, 12, 12), dtype=complex)
+    ops[:3, :3, :3] = u @ (vecs / np.sqrt(w)) @ vecs.conj().T
+    ops[np.arange(3, 12), 0, np.arange(3, 12)] = 1.0
+    return cs.KrausChannel(ops)
+
+
+def _eigenprojection(h):
+    """The spectral projection of a real h onto its eigenvalue 1 along the
+    rest of its spectrum, R (L^T R)^-1 L^T from the null spaces R of h - I
+    and L of h^T - I (eigenvalue 1 of a channel is semisimple)."""
+    u, s, vt = np.linalg.svd(h - np.eye(len(h)))
+    null = s <= 1e-9
+    right, left = vt[null].T, u[:, null]
+    return right @ np.linalg.solve(left.T @ right, left.T)
+
+
+SHIFT_INVERT_CASES = {
+    "walk": lambda: cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 5), 5),
+    "markov": lambda: cs.from_markov_chain(
+        np.kron(np.eye(2), [[0.5, 0.2, 0.0], [0.5, 0.3, 1.0], [0.0, 0.5, 0.0]])
+    ),
+    "shared-positions": lambda: _shared_positions_with_transients(
+        np.random.default_rng(612)
+    ),
+}
+
+
+class TestShiftInvertOnT:
+    """A sparse family solves its eigenvalue-1 problem on the coordinates T
+    that Phi writes, from one inverse of M_h[T, T] - sigma I."""
+
+    @pytest.mark.parametrize("family", list(SHIFT_INVERT_CASES))
+    def test_projections_match_the_dense_eigenprojection(self, family):
+        ch, tol = SHIFT_INVERT_CASES[family](), cs.Tolerance()
+        d = ch.dim
+        t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
+        assert ch._sparse and t.size < d * d
+        solve = chanstruct.spectral._factor(ch, tol)
+        assert solve.shift_invert
+        u = hermitian_unitary(d)
+        proj = _eigenprojection((u.conj().T @ cs.superoperator(ch) @ u).real)
+        rng = np.random.default_rng(613)
+        starts = [chanstruct.spectral._gaussian_hermitian(rng, d) for _ in range(3)]
+        encoded = hermitian_encode(np.stack(starts))
+        for adjoint, p in ((False, proj), (True, proj.T)):
+            fixed, gap, roots = chanstruct.spectral._project(ch, solve, starts, adjoint, tol)
+            got, ref = hermitian_encode(fixed), encoded @ p.T
+            scale = np.abs(ref).max()
+            # no part off the eigenvalue-1 space; within it, each solve with
+            # M_h - sigma I, of condition about 1 / eig_cluster_tol, leaves a
+            # relative error near eps / eig_cluster_tol (3.4e-9 to 8.9e-8
+            # measured here)
+            assert np.abs(got - got @ p.T).max() <= 1e-10 * scale
+            assert np.abs(got - ref).max() <= 1e-6 * scale
+            assert gap > 10.0 * tol.eig_cluster_tol and roots == []
+
+    def test_dephasing_with_all_coordinates_written_takes_the_filter(self, monkeypatch):
+        # two diagonal operators on C^65: sparse (2 d^2 of d^4 entries), but
+        # Phi writes all d^2 = 4225 > _LU_DIM^2 coordinates, so the Krylov
+        # filter runs on the COO application; the fixed points are the
+        # diagonal matrices (the phases 2 pi k / 65 are distinct)
+        d = 65
+        phases = np.exp(2j * np.pi * np.arange(d) / d)
+        ch = cs.KrausChannel([np.eye(d) / np.sqrt(2.0), np.diag(phases) / np.sqrt(2.0)])
+        t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
+        assert ch._sparse and t.size == d * d > chanstruct.spectral._LU_DIM**2
+        solves, factor = [], chanstruct.spectral._factor
+
+        def recording(*args, **kwargs):
+            solves.append(factor(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(chanstruct.spectral, "_factor", recording)
+        rf = cs.report_file_from_report(cs.decompose(ch))
+        report = rf.report
+        assert [getattr(s, "shift_invert", False) for s in solves] == [False]
+        assert report.R.dimension == d and rf.fixed_space_dimension == d
+        assert len(report.alpha_blocks) == d and not report.beta_blocks
+        for blk in report.alpha_blocks:
+            assert np.abs(blk.sigma - 1.0).max() <= 1e-12
 
 
 def _cesaro(ch, rho, n):
@@ -588,7 +682,7 @@ class TestSingleSolve:
     @pytest.mark.parametrize("family", ["markov", "oqrw"])
     def test_sparse_superoperator_built_once(self, monkeypatch, family):
         # the eigenvalue-1 solve, every apply/apply_adjoint of decompose, the
-        # report extras and building a state share one CSC superoperator
+        # report extras and building a state share one set of COO triples
         built = []
         make = chanstruct.channels._superoperator_sparse
 
@@ -903,7 +997,7 @@ PARITY_CASES = {
     "metastable-chain": lambda: cs.from_markov_chain(
         np.array([[1.0 - 3e-8, 3e-8], [3e-8, 1.0 - 3e-8]])
     ),
-    # sparse enough for the sparse-LU branch
+    # sparse enough for the inverse on the coordinates Phi writes
     "markov-transients": _markov_cycle_fed_by_transients,
     "planted-transient": lambda: planted_channel(
         np.random.default_rng(331), [2], [(2, 2)], 3
