@@ -50,19 +50,15 @@ run stalls (the LU route, of near-unitary channels) takes one dense LU of
 M_h - sigma I, the package's one scipy call.  A sparse family (the rule is
 the channel's) solves on the coordinates T that Phi writes, the union over
 operators of rows(V_a)^2 (9 (N + 1) for the open quantum walk on N + 1
-sites, d for a Markov chain): fixed points lie in the range of Phi, so
-Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1 projection of M_h[T, T].
-With |T| <= ``_LU_DIM``^2 it takes one inverse of M_h[T, T] - sigma I, else
-the filter.  Either way a vector is accepted only when its residual through
-the channel itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within
-eig_cluster_tol |X|_F.  The distance of the first probe's projection is the
-channel's gap, and a gap below 10 eig_cluster_tol gives the split an
-"ill-separated" warning.
-
-``peripheral_spectrum`` takes all d^2 eigenvalues of the dense M_h, exact for
-any Kraus family (a sparse family writes it from its COO triples).  A report
-reads the same list off its blocks at far less cost
-(``serialize.report_file_from_report``, ``_block_eigenvalues``).
+sites, d for a Markov chain), read off a bincount of its COO rows (numpy 2's
+np.unique would load numpy.ma, which no path imports).  Fixed points lie in
+the range of Phi, so Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1
+projection of M_h[T, T].  With |T| <= ``_LU_DIM``^2 it takes one inverse of
+M_h[T, T] - sigma I, else the filter.  Either way a vector is accepted only
+when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
+Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first probe's
+projection is the channel's gap, and a gap below 10 eig_cluster_tol gives
+the split an "ill-separated" warning.
 """
 
 import cmath
@@ -167,12 +163,12 @@ def _factor(ch, tol, dense_lu=False):
     ``dense_lu``, else for a sparse family with |T| <= ``_LU_DIM``^2 from one
     inverse of M_h[T, T] - sigma I and one application of Phi (Phi^*): M_h
     writes only T, so M_h - sigma I is block triangular over T and the rest
-    C.  Otherwise the defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``."""
+    C.  Otherwise the defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.
+    Solving at sigma - 1 = eig_cluster_tol, the steps reach a fixed point off
+    Pi_1 b inside the eigenvalue-1 space by about eps / eig_cluster_tol
+    relative.  Reports do not depend on it: the error is a fixed point, and
+    the pipeline uses only fixed points and normalizes every state."""
     d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
-    if not dense_lu:
-        t = np.unique(_cached_superoperator(ch)[0]) if ch._sparse else None
-        if t is None or t.size > _LU_DIM**2:
-            return lambda b, adjoint: b - _image(ch, b, adjoint)
     if dense_lu:
         import scipy.linalg as sla
 
@@ -182,6 +178,10 @@ def _factor(ch, tol, dense_lu=False):
         lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
         step = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
     else:
+        rows = _cached_superoperator(ch)[0] if ch._sparse else None
+        t = None if rows is None else np.flatnonzero(np.bincount(rows, minlength=d * d))
+        if t is None or t.size > _LU_DIM**2:
+            return lambda b, adjoint: b - _image(ch, b, adjoint)
         inverse = _hermitian_block(ch, t)
         inverse.flat[:: t.size + 1] -= sigma
         inverse = np.linalg.inv(inverse)
@@ -456,9 +456,9 @@ def peripheral_spectrum(ch, tol=DEFAULT_TOL):
 
     Sorted by argument, with multiplicity, from all d^2 eigenvalues of the
     real d^2 x d^2 matrix M_h, unitarily similar to the superoperator: exact
-    for any Kraus family, at O(d^6) cost.  A sparse family writes M_h from
-    the cached COO triples of its superoperator.  For a large
-    trace-preserving channel read its report's ``peripheral_spectrum``.
+    for any Kraus family, at O(d^6) cost; a sparse family writes M_h from its
+    cached COO triples.  A report's ``peripheral_spectrum`` is the same list,
+    read off its blocks (``_block_eigenvalues``) at far less cost.
     """
     _check_tolerance(tol)
     if ch._sparse:

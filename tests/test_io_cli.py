@@ -1359,9 +1359,11 @@ class TestCliValidate:
 class TestCliDecompose:
     def test_paths_off_the_dense_stall_route_import_no_scipy(self, tmp_path):
         # a fresh interpreter builds a Markov chain and an open quantum walk,
-        # validates, decomposes and takes the spectrum of both and of a
-        # planted dense channel, and parses every report re-verified: scipy
-        # is left to the dense LU of a stalled filter run
+        # validates, decomposes and runs the spectrum, fixed-points and
+        # irreducible queries on both and on a planted dense channel, and
+        # parses every report re-verified: scipy is left to the dense LU of a
+        # stalled filter run, and no numpy.ma module is loaded that `import
+        # numpy` did not load (numpy < 2 imports numpy.ma eagerly)
         ch, _ = planted_channel(np.random.default_rng(507), [2], [(2, 2)], 2)
         assert not ch._sparse
         dense = write_channel(tmp_path / "dense.json", ch)
@@ -1375,6 +1377,9 @@ class TestCliDecompose:
         markov, walk = str(tmp_path / "markov.json"), str(tmp_path / "walk.json")
         script = f"""
 import json, sys
+import numpy
+masked = lambda: {{m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}}
+with_numpy = masked()
 import chanstruct as cs
 from chanstruct.cli import main
 assert main(["build", "markov", "--matrix", {str(matrix)!r}, "--out", {markov!r}]) == 0
@@ -1382,12 +1387,14 @@ assert main(["build", "oqrw", "--p", "0.3", "--q", "0.3", "--sites", "5", "--out
 for path in ({markov!r}, {walk!r}, {dense!r}):
     assert main(["validate", path]) == 0
     assert main(["decompose", path, "--out", path + ".report"]) == 0
-    assert main(["query", "spectrum", path, "--out", path + ".spectrum"]) == 0
+    for query in ("spectrum", "fixed-points", "irreducible"):
+        assert main(["query", query, path, "--out", path + "." + query]) == 0
     with open(path + ".report") as f:
         cs.report_file_from_dict(json.load(f), re_verify=True)
     assert cs.load_channel(path)._sparse is (path != {dense!r})
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert masked() == with_numpy, sorted(masked() - with_numpy)
 """
         src = os.path.dirname(os.path.dirname(cs.__file__))
         done = subprocess.run(

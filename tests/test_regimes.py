@@ -72,11 +72,14 @@ def _assert_irreducible(report):
     assert report.R.dimension == report.dim
 
 
-@pytest.mark.parametrize("d, eps, seed", [(32, 1e-3, 1), (24, 1e-3, 3)])
+@pytest.mark.parametrize(
+    "d, eps, seed",
+    [(32, 1e-3, 1), (24, 1e-3, 3), (32, 1e-3, 2), (48, 1e-2, 4), (48, 3e-3, 5)],
+)
 def test_near_unitary_channel_takes_the_dense_lu(monkeypatch, d, eps, seed):
     # the non-fixed eigenvalues lie near |z - 1| = 1, so the first probe's
     # filter stalls, and one dense LU of M_h - sigma I makes all five
-    # projections; the filter alone exhausts its budget on both
+    # projections; the filter alone exhausts its budget on every case here
     sizes = _dense_lu_sizes(monkeypatch)
     _assert_irreducible(cs.decompose(near_unitary_channel(d, eps, seed)))
     assert sizes == [d * d]
