@@ -294,8 +294,9 @@ def _hermitian_coordinates(m):
 def _hermitian_transfer_matrix(stack):
     """The real matrix M_h of M = sum_a conj(V_a) ⊗ V_a for an (n, p, p) stack
     V, one complex row block of M at a time, for ``spectral.peripheral_spectrum``
-    the fallback of ``spectral._block_eigenvalues`` and the dense LU route of
-    ``spectral._factor``, the one place ``decompose`` builds it."""
+    the fallback of ``spectral._block_eigenvalues`` and the inverse that
+    ``spectral._factor`` takes on all d^2 coordinates of a stalled dense
+    family, the one place ``decompose`` builds it."""
     p = stack.shape[1]
     out = np.empty((p, p, p * p))
     for j in range(p):

@@ -45,20 +45,19 @@ x <- (1 - sigma) (M_h - sigma I)^{-1} x, sigma = 1 + eig_cluster_tol
 (``_factor``), which multiply an eigenvector of eigenvalue lambda by
 theta = (sigma - 1) / (sigma - lambda), while the residual halves; the
 largest ratio theta of successive residuals gives the distance
-(sigma - 1)(1/theta - 1).  A dense family with d <= ``_LU_DIM`` whose filter
-run stalls (the LU route, of near-unitary channels) takes one dense LU of
-M_h - sigma I, the package's one scipy call.  A sparse family (the rule is
-the channel's) solves on the coordinates T that Phi writes, the union over
-operators of rows(V_a)^2 (9 (N + 1) for the open quantum walk on N + 1
-sites, d for a Markov chain), read off a bincount of its COO rows (numpy 2's
-np.unique would load numpy.ma, which no path imports).  Fixed points lie in
-the range of Phi, so Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1
-projection of M_h[T, T].  With |T| <= ``_LU_DIM``^2 it takes one inverse of
-M_h[T, T] - sigma I, else the filter.  Either way a vector is accepted only
-when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
-Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first probe's
-projection is the channel's gap, and a gap below 10 eig_cluster_tol gives
-the split an "ill-separated" warning.
+(sigma - 1)(1/theta - 1).  Each takes one inverse of M_h[T, T] - sigma I,
+T the coordinates that Phi writes, |T| <= ``_INVERSE_ORDER``: fixed points
+lie in the range of Phi, so Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1
+projection of M_h[T, T].  A sparse family (the rule is the channel's) reads
+T, the union over operators of rows(V_a)^2 (9 (N + 1) for the open quantum
+walk on N + 1 sites, d for a Markov chain), off a bincount of its COO rows
+(numpy 2's np.unique would load numpy.ma, which no path imports), and takes
+the filter above the bound.  A dense family whose filter run stalls (of
+near-unitary channels) takes all d^2 coordinates, so d <= 64.  Either way
+a vector is accepted only when its residual through the channel itself,
+|Phi(X) - X|_F (Phi^* for Pi_1^*), is within eig_cluster_tol |X|_F.  The
+distance of the first probe's projection is the channel's gap, and a gap
+below 10 eig_cluster_tol gives the split an "ill-separated" warning.
 """
 
 import cmath
@@ -140,11 +139,11 @@ class _SpectralCore:
 
 
 _RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
-_LU_DIM = 64  # the dense LU route's bound: M_h alone takes 8 d^4 bytes
+_INVERSE_ORDER = 4096  # the bound on |T|: the inverse holds about four |T| x |T| arrays
 
 
 class _Stalled(Exception):
-    """A dense filter run too slow to reach its floor within ``_BUDGET``."""
+    """A filter run with d^2 <= ``_INVERSE_ORDER`` too slow to reach its floor in ``_BUDGET``."""
 
 
 def _image(ch, b, adjoint):
@@ -156,49 +155,44 @@ def _image(ch, b, adjoint):
     return (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
 
 
-def _factor(ch, tol, dense_lu=False):
+def _factor(ch, tol, stalled=False):
     """What ``_project`` iterates on real coordinates b, one vector or a
     (k, d^2) stack: the step (1 - sigma) (M_h - sigma I)^-1 b (transposed
-    when ``adjoint``), marked ``shift_invert``, from one dense LU when
-    ``dense_lu``, else for a sparse family with |T| <= ``_LU_DIM``^2 from one
-    inverse of M_h[T, T] - sigma I and one application of Phi (Phi^*): M_h
-    writes only T, so M_h - sigma I is block triangular over T and the rest
-    C.  Otherwise the defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.
-    Solving at sigma - 1 = eig_cluster_tol, the steps reach a fixed point off
-    Pi_1 b inside the eigenvalue-1 space by about eps / eig_cluster_tol
-    relative.  Reports do not depend on it: the error is a fixed point, and
-    the pipeline uses only fixed points and normalizes every state."""
+    when ``adjoint``), marked ``shift_invert``, from one inverse of
+    M_h[T, T] - sigma I and one application of Phi (Phi^*), for T all d^2
+    coordinates when a dense family's filter run ``stalled``, else for a
+    sparse family with |T| <= ``_INVERSE_ORDER``: M_h writes only T, so
+    M_h - sigma I is block triangular over T and the rest C.  Otherwise the
+    defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.  Solving at
+    sigma - 1 = eig_cluster_tol, the steps reach a fixed point off Pi_1 b
+    inside the eigenvalue-1 space by about eps / eig_cluster_tol relative.
+    Reports do not depend on it: the error is a fixed point, and the
+    pipeline uses only fixed points and normalizes every state."""
     d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
-    if dense_lu:
-        import scipy.linalg as sla
-
-        shifted = _hermitian_transfer_matrix(ch._stack)
-        shifted.flat[:: d * d + 1] -= sigma
-        # the factors are those of the transpose, so the plain solve is trans=1
-        lu = sla.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
-        step = lambda b, adjoint: sla.lu_solve(lu, b, 1 - adjoint)  # noqa: E731
+    if stalled:
+        t, inverse = np.arange(d * d), _hermitian_transfer_matrix(ch._stack)
     else:
         rows = _cached_superoperator(ch)[0] if ch._sparse else None
         t = None if rows is None else np.flatnonzero(np.bincount(rows, minlength=d * d))
-        if t is None or t.size > _LU_DIM**2:
+        if t is None or t.size > _INVERSE_ORDER:
             return lambda b, adjoint: b - _image(ch, b, adjoint)
         inverse = _hermitian_block(ch, t)
-        inverse.flat[:: t.size + 1] -= sigma
-        inverse = np.linalg.inv(inverse)
+    inverse.flat[:: t.size + 1] -= sigma
+    inverse = np.linalg.inv(inverse)
 
-        def step(b, adjoint):
-            # with A = M_h[T, T] - sigma I; M_h[T, C] is applied through Phi
-            if adjoint:  # y_T = b_T A^-1, y_C = (M_h[T, C]^T y_T - b_C) / sigma
-                y = np.zeros_like(b)
-                y[..., t] = b[..., t] @ inverse
-                y_t, y = y[..., t], (_image(ch, y, True) - b) / sigma
-            else:  # y_C = -b_C / sigma, y_T = A^-1 (b_T - M_h[T, C] y_C)
-                y = b.copy()
-                y[..., t] = 0.0
-                y_t = (b[..., t] + _image(ch, y, False)[..., t] / sigma) @ inverse.T
-                y = -y / sigma
-            y[..., t] = y_t
-            return y
+    def step(b, adjoint):
+        # with A = M_h[T, T] - sigma I; M_h[T, C] is applied through Phi
+        if adjoint:  # y_T = b_T A^-1, y_C = (M_h[T, C]^T y_T - b_C) / sigma
+            y = np.zeros_like(b)
+            y[..., t] = b[..., t] @ inverse
+            y_t, y = y[..., t], (_image(ch, y, True) - b) / sigma
+        else:  # y_C = -b_C / sigma, y_T = A^-1 (b_T - M_h[T, C] y_C)
+            y = b.copy()
+            y[..., t] = 0.0
+            y_t = (b[..., t] + _image(ch, y, False)[..., t] / sigma) @ inverse.T
+            y = -y / sigma
+        y[..., t] = y_t
+        return y
 
     solve = lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)  # noqa: E731
     solve.shift_invert = True
@@ -211,14 +205,14 @@ def _filter(defect, x, tol):
     rounding, whether the residual reached 1e-14 |x| within ``_BUDGET``, and
     the roots of the residual polynomials of the GMRES steps taken, whose
     product p has u = p(A) x up to the least-squares steps (see ``_replay``).
-    Raises ``_Stalled`` when a run with d <= ``_LU_DIM`` stalls (see below)."""
+    Raises ``_Stalled`` when a run with d^2 <= ``_INVERSE_ORDER`` stalls (see below)."""
     floor, rounding = 1e-14 * np.linalg.norm(x), 100.0 * np.finfo(float).eps
     u, r, count, distance, roots, marks = x.copy(), defect(x), 1, math.inf, [], []
     while np.linalg.norm(r) > floor and count < _BUDGET - 1:
         # stalled: off course, over two cycles, to shrink by 1e-14 in the budget
         marks.append(np.linalg.norm(r))
         stalled = len(marks) > 2 and marks[-1] > 1e-14 ** (2 * _RESTART / _BUDGET) * marks[-3]
-        if stalled and x.size <= _LU_DIM**2:
+        if stalled and x.size <= _INVERSE_ORDER:
             raise _Stalled
         m, beta = min(_RESTART, x.size, _BUDGET - count - 1), np.linalg.norm(r)
         basis, hess, tri = np.zeros((m + 1, x.size)), np.zeros((m + 1, m)), np.eye(m)
@@ -380,7 +374,7 @@ def _spectral_core(ch, tol):
                 diagnostics={"residual": float(unital)},
             )
         solve = _factor(ch, tol)
-        while True:  # a stalled filter run takes the LU route
+        while True:  # a stalled filter run takes the inverse on all of T
             try:
                 # the first probe is the linking element of chanstruct.structure;
                 # its run alone builds a Krylov space, and the other four starts
@@ -394,8 +388,8 @@ def _spectral_core(ch, tol):
                 starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
                 (second, candidate), _, _ = _project(ch, solve, starts, True, tol, roots)
                 break
-            except _Stalled:  # all five projections again, from one dense LU
-                solve = _factor(ch, tol, dense_lu=True)
+            except _Stalled:  # all five projections again, from one inverse
+                solve = _factor(ch, tol, stalled=True)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (

@@ -6,9 +6,6 @@ so the tests never reuse the library code paths they are checking.
 """
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 import chanstruct as cs
 
@@ -153,6 +150,9 @@ def planted_markov(rng, max_states=8):
 def classical_recurrent_classes(p):
     """Closed communication classes of the chain, by strong components of
     the digraph with an edge j -> i whenever p[i, j] > 0."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = p.shape[0]
     adj = csr_matrix((p.T > 0).astype(int))
     n_comp, labels = connected_components(
@@ -320,6 +320,8 @@ def lindblad_kraus(d, t):
     1e-7 are read off the eigendecomposition of the Choi matrix of
     expm(tL), then K <- K S^(-1/2) for S = sum K^H K, so that the family is
     trace preserving to rounding."""
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(d)
     gauss = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # noqa: E731
     g = gauss()

@@ -25,6 +25,7 @@ from helpers import (
     amplitude_damping_channel,
     assert_canonical,
     invariant_deviations,
+    near_unitary_channel,
     planted_channel,
     random_kraus_family,
     report_invariants,
@@ -1358,15 +1359,17 @@ class TestCliValidate:
 
 class TestCliDecompose:
     def test_paths_off_the_dense_stall_route_import_no_scipy(self, tmp_path):
-        # a fresh interpreter builds a Markov chain and an open quantum walk,
-        # validates, decomposes and runs the spectrum, fixed-points and
-        # irreducible queries on both and on a planted dense channel, and
-        # parses every report re-verified: scipy is left to the dense LU of a
-        # stalled filter run, and no numpy.ma module is loaded that `import
-        # numpy` did not load (numpy < 2 imports numpy.ma eagerly)
+        # a fresh interpreter with scipy blocked builds a Markov chain and an
+        # open quantum walk, validates, decomposes and runs the spectrum,
+        # fixed-points and irreducible queries on both, on a planted dense
+        # channel and on a near-unitary one whose filter run stalls, and
+        # parses every report re-verified: no path imports scipy, and no
+        # numpy.ma module is loaded that `import numpy` did not load (numpy < 2
+        # imports numpy.ma eagerly)
         ch, _ = planted_channel(np.random.default_rng(507), [2], [(2, 2)], 2)
         assert not ch._sparse
         dense = write_channel(tmp_path / "dense.json", ch)
+        stalled = write_channel(tmp_path / "stalled.json", near_unitary_channel(24, 1e-3, 3))
         # one closed class {0, 1, 2} fed by the transient states 3, 4 and 5
         p = np.zeros((6, 6))
         p[:3, :3] = [[0.2, 0.5, 0.3], [0.5, 0.1, 0.3], [0.3, 0.4, 0.4]]
@@ -1377,6 +1380,7 @@ class TestCliDecompose:
         markov, walk = str(tmp_path / "markov.json"), str(tmp_path / "walk.json")
         script = f"""
 import json, sys
+sys.modules["scipy"] = None
 import numpy
 masked = lambda: {{m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}}
 with_numpy = masked()
@@ -1384,16 +1388,14 @@ import chanstruct as cs
 from chanstruct.cli import main
 assert main(["build", "markov", "--matrix", {str(matrix)!r}, "--out", {markov!r}]) == 0
 assert main(["build", "oqrw", "--p", "0.3", "--q", "0.3", "--sites", "5", "--out", {walk!r}]) == 0
-for path in ({markov!r}, {walk!r}, {dense!r}):
+for path in ({markov!r}, {walk!r}, {dense!r}, {stalled!r}):
     assert main(["validate", path]) == 0
     assert main(["decompose", path, "--out", path + ".report"]) == 0
     for query in ("spectrum", "fixed-points", "irreducible"):
         assert main(["query", query, path, "--out", path + "." + query]) == 0
     with open(path + ".report") as f:
         cs.report_file_from_dict(json.load(f), re_verify=True)
-    assert cs.load_channel(path)._sparse is (path != {dense!r})
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
+    assert cs.load_channel(path)._sparse is (path in ({markov!r}, {walk!r}))
 assert masked() == with_numpy, sorted(masked() - with_numpy)
 """
         src = os.path.dirname(os.path.dirname(cs.__file__))

@@ -7,7 +7,6 @@ dimension, and the freedom of the Kraus representation."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import chanstruct as cs
 import chanstruct.spectral
@@ -54,16 +53,16 @@ def test_near_identity_semigroup_is_irreducible(t):
     assert cs.is_irreducible(ch)
 
 
-def _dense_lu_sizes(monkeypatch):
-    """The order of each dense LU that scipy.linalg.lu_factor makes from now on."""
-    sizes, factor = [], scipy.linalg.lu_factor
+def _inverse_orders(monkeypatch):
+    """The order of each inverse that np.linalg.inv takes from now on."""
+    orders, inv = [], np.linalg.inv
 
-    def counting(a, *args, **kwargs):
-        sizes.append(len(a))
-        return factor(a, *args, **kwargs)
+    def counting(a):
+        orders.append(len(a))
+        return inv(a)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
-    return sizes
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return orders
 
 
 def _assert_irreducible(report):
@@ -78,26 +77,29 @@ def _assert_irreducible(report):
 )
 def test_near_unitary_channel_takes_the_dense_lu(monkeypatch, d, eps, seed):
     # the non-fixed eigenvalues lie near |z - 1| = 1, so the first probe's
-    # filter stalls, and one dense LU of M_h - sigma I makes all five
-    # projections; the filter alone exhausts its budget on every case here
-    sizes = _dense_lu_sizes(monkeypatch)
-    _assert_irreducible(cs.decompose(near_unitary_channel(d, eps, seed)))
-    assert sizes == [d * d]
+    # filter stalls, and one inverse of M_h - sigma I, on all d^2
+    # coordinates, makes all five projections; the filter alone exhausts its
+    # budget on every case here
+    ch = near_unitary_channel(d, eps, seed)
+    orders = _inverse_orders(monkeypatch)
+    _assert_irreducible(cs.decompose(ch))
+    assert orders == [d * d]
 
 
 def test_kraus_heavy_semigroup_stays_on_the_filter(monkeypatch):
     # 256 Kraus operators on C^16: the filter converges without a stall, so
-    # no dense LU is made however many operators the family has
-    sizes = _dense_lu_sizes(monkeypatch)
+    # no inverse is taken however many operators the family has
     ch = lindblad_kraus(16, 0.05)
     assert len(ch.kraus) == 256
+    orders = _inverse_orders(monkeypatch)
     _assert_irreducible(cs.decompose(ch))
-    assert sizes == []
+    assert orders == []
 
 
 def test_above_the_lu_bound_the_exhausted_filter_names_its_budget():
-    # d = 65 is one above the dense LU route's bound, so the filter runs to
-    # its budget; the message names the applications made and the gap estimate
+    # d^2 = 4225 is above the bound on the inverse's order, so the filter
+    # runs to its budget; the message names the applications made and the
+    # gap estimate
     with pytest.raises(cs.DecompositionError) as err:
         cs.decompose(near_unitary_channel(65, 1e-3, 1))
     assert err.value.stage == "fixed-space"
@@ -178,13 +180,13 @@ def test_epsilon_chain_is_one_class(eps):
 def test_dense_kraus_heavy_diffusive_walk_stays_on_the_filter(monkeypatch):
     # the lazy walk on Z_24 in a Haar-random basis: 72 dense Kraus operators
     # on C^24, a real non-fixed spectrum up to (1 + cos(2 pi / 24)) / 2; the
-    # filter converges without a stall, so no dense LU is made
-    sizes = _dense_lu_sizes(monkeypatch)
+    # filter converges without a stall, so no inverse is taken
     ch = lazy_cycle_channel(24, np.random.default_rng(24))
     assert len(ch.kraus) == 72 and not ch._sparse
+    orders = _inverse_orders(monkeypatch)
     report = cs.decompose(ch)
     _assert_irreducible(report)
-    assert report.dim == 24 and sizes == []
+    assert report.dim == 24 and orders == []
     frame = report.blocks[0].enclosures[0].frame
     state = frame @ report.blocks[0].sigma @ frame.conj().T
     assert np.abs(state - np.eye(24) / 24).max() <= 1e-12

@@ -328,14 +328,14 @@ class TestShiftInvertOnT:
 
     def test_dephasing_with_all_coordinates_written_takes_the_filter(self, monkeypatch):
         # two diagonal operators on C^65: sparse (2 d^2 of d^4 entries), but
-        # Phi writes all d^2 = 4225 > _LU_DIM^2 coordinates, so the Krylov
+        # Phi writes all d^2 = 4225 > _INVERSE_ORDER coordinates, so the Krylov
         # filter runs on the COO application; the fixed points are the
         # diagonal matrices (the phases 2 pi k / 65 are distinct)
         d = 65
         phases = np.exp(2j * np.pi * np.arange(d) / d)
         ch = cs.KrausChannel([np.eye(d) / np.sqrt(2.0), np.diag(phases) / np.sqrt(2.0)])
         t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
-        assert ch._sparse and t.size == d * d > chanstruct.spectral._LU_DIM**2
+        assert ch._sparse and t.size == d * d > chanstruct.spectral._INVERSE_ORDER
         solves, factor = [], chanstruct.spectral._factor
 
         def recording(*args, **kwargs):
@@ -1070,17 +1070,15 @@ class TestKernelAcceptance:
 
 
 class TestKrylovFilter:
-    """Pi_1 of a dense family by the Krylov filter: no LU, nothing d^2 x d^2."""
+    """Pi_1 of a dense family by the Krylov filter: no inverse, nothing d^2 x d^2."""
 
     def test_dense_decompose_needs_no_lu_and_no_superoperator(self, monkeypatch):
-        # planted d = 48: M_h alone would take 8 d^4 bytes, the LU as much
-        import scipy.linalg as sla
-
+        # planted d = 48: M_h alone would take 8 d^4 bytes, its inverse about
+        # four times as much
         def refuse(*args, **kwargs):
-            raise AssertionError("dense LU called")
+            raise AssertionError("inverse taken")
 
-        monkeypatch.setattr(sla, "lu_factor", refuse)
-        monkeypatch.setattr(sla, "lu_solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
         ch, truth = planted_channel(np.random.default_rng(48), [6, 8], [(4, 3), (5, 2)], 12)
         assert ch.dim == 48 and not ch._sparse
         tracemalloc.start()
@@ -1095,14 +1093,12 @@ class TestKrylovFilter:
 
     def test_kraus_heavy_dense_family_stays_on_the_filter(self, monkeypatch):
         # 49 Kraus operators on C^48 (n > d), well separated: the filter
-        # converges, so no dense LU is made and the peak stays far below
+        # converges, so no inverse is taken and the peak stays far below
         # the 8 d^4 bytes that M_h alone would take
-        import scipy.linalg as sla
-
         def refuse(*args, **kwargs):
-            raise AssertionError("dense LU called")
+            raise AssertionError("inverse taken")
 
-        monkeypatch.setattr(sla, "lu_factor", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
         ch = random_channel(48, 49, np.random.default_rng(48))
         assert not ch._sparse
         tracemalloc.start()
