@@ -27,7 +27,6 @@ for it (``kraus``, :func:`superoperator`).
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -203,22 +202,20 @@ def is_state(rho, tol=DEFAULT_TOL):
 
 def apply(ch, rho):
     """Apply the channel: sum_i V_i rho V_i^H."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ArgumentError(
-            f"state shape {rho.shape} does not match channel dimension {ch.dim}"
-        )
-    return _apply_stack(ch, rho[None])[0]
+    return _apply_one(ch, rho, "state")
 
 
 def apply_adjoint(ch, x):
     """Apply the adjoint map: sum_i V_i^H X V_i (unital when TP)."""
+    return _apply_one(ch, x, "operand", adjoint=True)
+
+
+def _apply_one(ch, x, kind, adjoint=False):
+    """``_apply_stack`` of one d x d matrix, the ``kind`` named by a shape error."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (ch.dim, ch.dim):
-        raise ArgumentError(
-            f"operand shape {x.shape} does not match channel dimension {ch.dim}"
-        )
-    return _apply_stack(ch, x[None], adjoint=True)[0]
+        raise ArgumentError(f"{kind} shape {x.shape} does not match channel dimension {ch.dim}")
+    return _apply_stack(ch, x[None], adjoint)[0]
 
 
 def _apply_stack(ch, xs, adjoint=False):
@@ -283,24 +280,20 @@ def _transfer_matrix(a, b):
     return out.reshape(r * p, s * q)
 
 
-def _hermitian_coordinates(m):
-    """Rows of the real M_h = U^H M U = Re M + Im(M K) (see chanstruct.spectral)
-    from the same rows of a dense Hermiticity-preserving superoperator M:
-    column j d + i of M K is column i d + j of M."""
-    d = math.isqrt(m.shape[1])
-    return m.real + m.imag[:, np.arange(d * d).reshape(d, d).T.ravel()]
-
-
 def _hermitian_transfer_matrix(stack):
-    """The real matrix M_h of M = sum_a conj(V_a) ⊗ V_a for an (n, p, p) stack
-    V, one complex row block of M at a time, for ``spectral.peripheral_spectrum``
-    the fallback of ``spectral._block_eigenvalues`` and the inverse that
-    ``spectral._factor`` takes on all d^2 coordinates of a stalled dense
-    family, the one place ``decompose`` builds it."""
+    """The real matrix M_h = U^H M U = Re M + Im(M K) (see chanstruct.spectral)
+    of M = sum_a conj(V_a) ⊗ V_a for an (n, p, p) stack V, one complex row
+    block of M at a time (column j p + i of M K is column i p + j of M), for
+    ``spectral.peripheral_spectrum``, the fallback of
+    ``spectral._block_eigenvalues`` and the inverse that ``spectral._factor``
+    takes on all d^2 coordinates of a stalled dense family, the one place
+    ``decompose`` builds it."""
     p = stack.shape[1]
+    swap = np.arange(p * p).reshape(p, p).T.ravel()
     out = np.empty((p, p, p * p))
     for j in range(p):
-        out[j] = _hermitian_coordinates(_transfer_block(stack, stack, j).reshape(p, -1))
+        m = _transfer_block(stack, stack, j).reshape(p, -1)
+        out[j] = m.real + m.imag[:, swap]
     return out.reshape(p * p, p * p)
 
 
@@ -341,7 +334,7 @@ def _cached_superoperator(ch):
 def _hermitian_block(ch, keep):
     """M_h[keep, keep] of a sparse family, dense, for strictly increasing
     coordinates ``keep``, from the COO triples of M: as M_h = Re M + Im(M K)
-    (see ``_hermitian_coordinates``), a triple (r, c, v) puts Re v at (r, c)
+    (see ``_hermitian_transfer_matrix``), a triple (r, c, v) puts Re v at (r, c)
     and Im v at (r, K c), K c = i d + j for c = j d + i."""
     d, (r, c, v) = ch.dim, _cached_superoperator(ch)
     at = np.full(d * d, -1)
@@ -352,19 +345,27 @@ def _hermitian_block(ch, keep):
     return flat.reshape(n, n)
 
 
+def _images(ch, rows):
+    """[S_1 L_1 ... S_n L_n], (d, n k): the (m, k) images L of the held rows
+    of W, the image of row i of V_a at row i of block a."""
+    op, i = np.divmod(ch._row_ids, ch.dim)
+    z = np.zeros((ch.dim, len(ch), rows.shape[1]), dtype=complex)
+    z[i, op] = rows
+    return z.reshape(ch.dim, -1)
+
+
 def _leak(ch, frame, cols):
     """Y = (I - P) [S_1 L_1 ... S_n L_n], P the span of the frame F: V_a C =
     S_a R_a places its held rows R_a = L_a Q_a^H (QR), so Y Y^H = (I - P)
     Phi(C C^H) (I - P); for C = F, |Y|_2^2 is the leak^2, free of the Kraus form."""
-    op, i = np.divmod(ch._row_ids, ch.dim)
+    op = ch._row_ids // ch.dim
     j = np.arange(op.size) - np.searchsorted(op, op)  # row j of R_op
     l = ch._rows @ cols
     if j.max() + 1 < cols.shape[1]:  # fewer rows than columns: L_a is narrower
         r = np.zeros((len(ch), cols.shape[1], j.max() + 1), dtype=complex)
         r[op, :, j] = l.conj()
         l = np.linalg.qr(r, mode="r").conj().transpose(0, 2, 1)[op, j]
-    z = np.zeros((ch.dim, len(ch) * l.shape[1]), dtype=complex)
-    z.reshape(ch.dim, len(ch), -1)[i, op] = l  # a view: column (a, k) of V_a C
+    z = _images(ch, l)
     return z - frame @ (frame.conj().T @ z)
 
 
@@ -397,13 +398,9 @@ def _enclosure_frame(ch, frame, tol):
 def _compressions(ch, frame):
     """The compressions F^H V_a F of every operator to the span of a (d, k)
     frame F, an (n, k, k) stack, from the Kraus images [V_1 F ... V_n F] of F
-    side by side, (d, n k): row i of V_a F, a held row of W times F, is put
-    at (i, a)."""
-    n, d, k = len(ch), ch.dim, frame.shape[1]
-    op, i = np.divmod(ch._row_ids, d)
-    z = np.zeros((d, n, k), dtype=complex)
-    z[i, op] = ch._rows @ frame
-    compressed = frame.conj().T @ z.reshape(d, -1)
+    side by side (``_images`` of the held rows times F)."""
+    k = frame.shape[1]
+    compressed = frame.conj().T @ _images(ch, ch._rows @ frame)
     return compressed.reshape(k, -1, k).transpose(1, 0, 2)
 
 

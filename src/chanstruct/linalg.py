@@ -82,8 +82,6 @@ def _check_integer(value, name, least):
 def _is_hermitian(x, tol):
     """The package's rule for a finite square input to count as Hermitian:
     |X - X^H|_max <= 100 psd_tol max(1, |X|_max)."""
-    if not x.size:
-        return True
     scale = max(1.0, np.abs(x).max())
     return bool(np.abs(x - x.conj().T).max() <= 100.0 * tol.psd_tol * scale)
 

@@ -1,4 +1,5 @@
-"""JSON schemas for channels and decomposition reports.
+"""Reading and writing the JSON schemas of channels and decomposition reports;
+what a report's blocks imply is derived in chanstruct.structure.
 
 Complex numbers serialize as two-element ``[re, im]`` arrays, matrices as
 row-major nested lists of such pairs.  A channel file
@@ -47,14 +48,14 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, _compressions, _dense_stack, _transfer_matrix
+from .channels import KrausChannel, _dense_stack
 from .errors import ArgumentError, DecompositionError, ParseError
 from .linalg import Subspace, Tolerance, _residue_free
-from .spectral import _block_eigenvalues, _peripheral
 from .structure import (
     Block,
     DecompositionReport,
     _fixed_dimension,
+    _implied_spectrum,
     _verify_blocks,
     is_enclosure,
 )
@@ -352,26 +353,8 @@ def report_file_from_report(report):
     the block's compressed Kraus operators, not its state.  It counts n_i^2
     times.  A pair of blocks of unequal dimension has no peripheral
     eigenvalue; any other (i, j) pair of first copies counts n_i n_j times,
-    and the (j, i) pair has the conjugate spectrum."""
-    ch = report.channel
-    tol = report.tolerance
-    # F^H V_a F for the first enclosure F of every block, and its copy count
-    parts = [
-        (_compressions(ch, b.enclosures[0].frame), len(b.enclosures))
-        for b in report.blocks
-    ]
-    eigenvalues = []
-    for i, (a, n_i) in enumerate(parts):
-        eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
-        for b, n_j in parts[i + 1:]:
-            if b.shape != a.shape:
-                continue
-            w = np.linalg.eigvals(_transfer_matrix(a, b))
-            eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))
-    return ReportFile(
-        report=report,
-        peripheral_spectrum=tuple(_peripheral(np.concatenate(eigenvalues), tol)),
-    )
+    and the (j, i) pair has the conjugate spectrum: ``structure._implied_spectrum``."""
+    return ReportFile(report=report, peripheral_spectrum=_implied_spectrum(report))
 
 
 def _block_entry(blk, i):

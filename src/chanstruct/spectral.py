@@ -422,11 +422,11 @@ def fixed_space(ch, tol=DEFAULT_TOL):
 
 
 def _split(ch, rho, tol, warnings):
-    """The split read off rho = Pi_1(I/d): rho_max = rho / tr, made exactly
-    Hermitian, R the enclosure generated by its range at relative rank_tol,
-    and D = R^perp, both in their canonical frames."""
+    """The split read off rho = Pi_1(I/d), exactly Hermitian (``hermitian_decode``):
+    rho_max = rho / tr, R the enclosure generated by its range at relative
+    rank_tol, and D = R^perp, both in their canonical frames."""
     d = rho.shape[0]
-    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    rho = rho / np.trace(rho).real
     w, v = np.linalg.eigh(rho)
     mask = w >= tol.rank_tol * w[-1]
     r = Subspace(d, _canonical(_enclosure_frame(ch, v[:, mask], tol)))

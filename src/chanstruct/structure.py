@@ -24,6 +24,9 @@ state sigma of every copy in its own frame, so Q_g = F_g F_0^H and the
 block's part of an invariant state is G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}];
 rho and Q_g are derived on request.  A report holds A-blocks first, views
 them by copy count, and is written in the unchanged ``chanstruct-report/3``.
+What a report's blocks imply is derived here: a block of n copies adds n^2
+to the fixed-space dimension and, with each pair of blocks, its share of the
+peripheral spectrum (``_fixed_dimension``, ``_implied_spectrum``).
 The stages after the split and :func:`block_invariant_state` read one
 :class:`FixedPointAlgebra`, which carries the channel and tolerance and takes
 R from them, so none can mix them; a report is likewise the one source of its
@@ -39,19 +42,12 @@ import warnings as _warnings
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    _enclosure_frame,
-    _leak,
-    _leak_norm2,
-    apply,
-    apply_adjoint,
-    is_state,
-)
+from .channels import KrausChannel, _compressions, _enclosure_frame, _leak, _leak_norm2
+from .channels import _transfer_matrix, apply, apply_adjoint, is_state
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix
 from .linalg import _canonical, _check_integer, _check_tolerance, _residue_free
-from .spectral import _spectral_core, recurrent_split
+from .spectral import _block_eigenvalues, _peripheral, _spectral_core, recurrent_split
 
 __all__ = [
     "FixedPointAlgebra",
@@ -533,6 +529,28 @@ def _block_basis(report, states):
 def _fixed_dimension(report):
     """n_alpha + sum_b n_b^2: the fixed-space dimension the blocks imply."""
     return sum(len(b.enclosures) ** 2 for b in report.blocks)
+
+
+def _implied_spectrum(report):
+    """The peripheral spectrum the blocks imply, per unordered pair of blocks
+    (see ``serialize.report_file_from_report``): block i's own n_i^2 times,
+    an (i, j) pair of equal dimension and its conjugate n_i n_j times."""
+    ch = report.channel
+    tol = report.tolerance
+    # F^H V_a F for the first enclosure F of every block, and its copy count
+    parts = [
+        (_compressions(ch, b.enclosures[0].frame), len(b.enclosures))
+        for b in report.blocks
+    ]
+    eigenvalues = []
+    for i, (a, n_i) in enumerate(parts):
+        eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
+        for b, n_j in parts[i + 1:]:
+            if b.shape != a.shape:
+                continue
+            w = np.linalg.eigvals(_transfer_matrix(a, b))
+            eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))
+    return tuple(_peripheral(np.concatenate(eigenvalues), tol))
 
 
 def _verify_blocks(report):

@@ -128,6 +128,16 @@ class TestApply:
             cs.apply_adjoint(ch, np.eye(2))
 
     @pytest.mark.parametrize(
+        "call, kind", [(cs.apply, "state"), (cs.apply_adjoint, "operand")]
+    )
+    def test_shape_message_names_the_argument(self, call, kind):
+        # apply and apply_adjoint share one body; each names its own argument
+        ch = random_channel(3, 2, RNG)
+        message = rf"^{kind} shape \(2, 4\) does not match channel dimension 3$"
+        with pytest.raises(cs.ArgumentError, match=message):
+            call(ch, np.ones((2, 4)))
+
+    @pytest.mark.parametrize(
         "family, sparse",
         [("markov", True), ("oqrw", True), ("phased-walk", True), ("planted", False)],
     )

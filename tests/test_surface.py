@@ -62,6 +62,20 @@ def test_each_name_is_its_one_module_object():
     assert listed == len(PUBLIC) - 1
 
 
+def test_serialize_only_reads_and_writes():
+    # what a report's blocks imply (its fixed-space dimension and peripheral
+    # spectrum) is derived in chanstruct.structure, so the I/O module binds no
+    # function of chanstruct.spectral and none of the channel kernels
+    serialize = importlib.import_module("chanstruct.serialize")
+    spectral = importlib.import_module("chanstruct.spectral")
+    bound = {
+        name for name, obj in vars(serialize).items()
+        if getattr(obj, "__module__", None) == spectral.__name__ and callable(obj)
+    }
+    assert not bound, sorted(bound)
+    assert not {"_compressions", "_transfer_matrix"} & set(vars(serialize))
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids=" ".join)
 def test_every_subcommand_takes_the_shared_options(command):
     argv = [*command, *SUBCOMMANDS[command]]
