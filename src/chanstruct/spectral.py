@@ -2,7 +2,7 @@
 
 The central computation, made once per channel and tolerance by
 ``_spectral_core``, applies the spectral projection Pi_1 onto the fixed
-points (the Cesaro limit of Phi^n), or the adjoint's Pi_1^*, to the five
+points (the Cesaro limit of Phi^n), or the adjoint's Pi_1^*, to the four
 Hermitian matrices that ``_SpectralCore`` lists.  rho_max = Pi_1(I/d) has
 all of the recurrent subspace R as its support (R is the enclosure its range
 generates, D = R^perp), and adjoint fixed points compressed to R are
@@ -29,7 +29,7 @@ value mu of I - Phi within eig_cluster_tol of 0 counts as fixed, so u is
 corrected only along the Ritz vectors outside that cluster, and the smallest
 Ritz |mu| above rounding estimates the distance from 1 of the nearest
 non-fixed eigenvalue.  ``_spectral_core`` makes three ``_project`` calls,
-each on one stack of starts: [G_0] through Phi^*, [I/d, G_w] through Phi and
+each on one stack of starts: [G_0] through Phi^*, [I/d] through Phi and
 [G_1, diag(1, ..., d) / d] through Phi^*.  Only the first runs the filter in
 full.  Its GMRES steps leave u = p(I - Phi) x for a product p of factors
 (1 - z / theta), theta the harmonic Ritz values of each step, and p is small
@@ -37,10 +37,10 @@ on the non-fixed spectrum of Phi^* and so of Phi (M_h is real).  The other
 two stacks are multiplied by p first (``_replay``), without the roots
 |theta| < sqrt(eig_cluster_tol), whose factors would amplify the rest of the
 spectrum (``_leja``); a short filter run then finishes each row.  Near the
-identity the product can grow a stack until rounding swamps its fixed
-component, so a replay that grows the stack's norm is dropped and its starts
-take the full filter.  The guard holds per stack, not per start: Pi_1 is
-oblique, |Pi_1(I/d)|_F > |I/d|_F.  Two routes instead take the steps
+identity the product can grow a row until rounding swamps its fixed part,
+so a row keeps its replay only when it shrank the defect, |(I - Phi) w| <=
+|(I - Phi) v|, not the norm (Pi_1 is oblique, |Pi_1(I/d)|_F > |I/d|_F);
+otherwise it takes the full filter.  Two routes instead take the steps
 x <- (1 - sigma) (M_h - sigma I)^{-1} x, sigma = 1 + eig_cluster_tol
 (``_factor``), which multiply an eigenvector of eigenvalue lambda by
 theta = (sigma - 1) / (sigma - lambda), while the residual halves; the
@@ -127,14 +127,13 @@ class _SpectralCore:
     tolerance made, with no factorization kept: the split read off
     rho_max = Pi_1(I/d); ``probes``, a (2, d, d) stack of normalized
     generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
-    Pi_1^*(diag(1, ..., d) / d); ``witness``, Pi_1(G) for a Gaussian G;
-    and ``gap``, the estimated distance from 1 of the nearest non-fixed
-    eigenvalue, from the projection of the first probe."""
+    Pi_1^*(diag(1, ..., d) / d); and ``gap``, the estimated distance from 1
+    of the nearest non-fixed eigenvalue, from the projection of the first
+    probe."""
 
     split: RecurrentSplit
     probes: np.ndarray
     candidate: np.ndarray
-    witness: np.ndarray
     gap: float
 
 
@@ -268,14 +267,15 @@ def _residual(ch, v, adjoint):
 
 def _project(ch, solve, starts, adjoint, tol, roots=()):
     """Pi_1, or Pi_1^* when ``adjoint``, of each Hermitian start, a (k, d, d)
-    stack, after one ``_replay`` of ``roots`` on the encoded stack (see the
-    module docstring); the smallest estimated distance from 1 of the nearest
-    non-fixed eigenvalue; and the roots of the ``_filter`` runs in ``_leja``
-    order (none for a ``shift_invert`` solve).  A failure counts the replay."""
+    stack, after a ``_replay`` of ``roots`` that each row keeps if it shrank
+    the row's defect (module docstring); the least estimated distance from 1
+    of a non-fixed eigenvalue; the ``_filter`` runs' roots in ``_leja`` order
+    (none if ``shift_invert``).  A failure counts the replay and the guard."""
     v = hermitian_encode(np.stack(starts))
     w, replayed = _replay(solve, roots, v, adjoint)
-    if np.linalg.norm(w) <= np.linalg.norm(v):
-        v = w
+    if roots:  # the guard: one application of the defect to w, one to v
+        after, before = (np.linalg.norm(solve(x, adjoint), axis=1) for x in (w, v))
+        v, replayed = np.where((after <= before)[:, None], w, v), replayed + 2
     tau, fixed, gap, found = tol.eig_cluster_tol, [], math.inf, []
     for u in v:
         converged, count = True, replayed
@@ -358,7 +358,7 @@ def _gaussian_hermitian(rng, d):
 
 
 def _spectral_core(ch, tol):
-    """The five fixed points of ``ch`` at ``tol`` that the pipeline reads,
+    """The four fixed points of ``ch`` at ``tol`` that the pipeline reads,
     made on first use from one ``_factor`` (two when a filter run stalls),
     freed on return, and kept with the channel read-only: callers share them,
     and a write would change later answers for the channel."""
@@ -377,18 +377,16 @@ def _spectral_core(ch, tol):
         while True:  # a stalled filter run takes the inverse on all of T
             try:
                 # the first probe is the linking element of chanstruct.structure;
-                # its run alone builds a Krylov space, and the other four starts
+                # its run alone builds a Krylov space, and the other three starts
                 # replay its residual polynomial (Phi and Phi^* share their spectrum)
                 rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
                 refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
                 (first,), gap, roots = _project(ch, solve, refs[:1], True, tol)
-                rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
-                starts = [np.eye(d) / d, _gaussian_hermitian(rng, d)]
-                (rho, witness), _, _ = _project(ch, solve, starts, False, tol, roots)
+                (rho,), _, _ = _project(ch, solve, [np.eye(d) / d], False, tol, roots)
                 starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
                 (second, candidate), _, _ = _project(ch, solve, starts, True, tol, roots)
                 break
-            except _Stalled:  # all five projections again, from one inverse
+            except _Stalled:  # all four projections again, from one inverse
                 solve = _factor(ch, tol, stalled=True)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
@@ -399,10 +397,9 @@ def _spectral_core(ch, tol):
         probes = np.stack([first, second])
         probes /= np.linalg.norm(probes, axis=(1, 2))[:, None, None]
         split = _split(ch, rho, tol, warnings)
-        kept = (probes, candidate, witness, split.R.frame, split.D.frame, split.rho_max)
-        for a in kept:
+        for a in (probes, candidate, split.R.frame, split.D.frame, split.rho_max):
             a.setflags(write=False)
-        ch._cores[tol] = _SpectralCore(split, probes, candidate, witness, gap)
+        ch._cores[tol] = _SpectralCore(split, probes, candidate, gap)
     return ch._cores[tol]
 
 

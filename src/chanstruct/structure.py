@@ -586,18 +586,18 @@ def _verify_blocks(report):
 
 def _verify_report(report, algebra):
     """:func:`_verify_blocks`, then the checks that read the solve, which
-    ``algebra``, of the report's channel and tolerance, carries.  Its
-    ``witness``, a fixed point X = Pi_1(G) made before any block, must be
-    re-assembled from the blocks (the arithmetic of :func:`extract_parameters`)
-    to subspace_tol relative to |X|_F: a dropped block or a missing link fails
-    it.  Each B-block copy's state must agree with an independent solve."""
+    ``algebra`` carries.  Its second probe X, an adjoint fixed point made
+    before any block, compressed to R must lie in the algebra the blocks span,
+    ⊕ C P_a ⊕ (M_n ⊗ I) (``_block_basis``; ``_assemble`` with S = I / m
+    projects onto it), to subspace_tol relative to |P_R X P_R|_F: a dropped
+    block, a missing link, merged copies or a misaligned copy frame fails it.
+    Each B-block copy's state must agree with an independent solve."""
     _verify_blocks(report)
     tol = report.tolerance
-    x = _spectral_core(report.channel, tol).witness
-    deviation = float(
-        np.linalg.norm(x - _assemble(report, _parameters(report, x)))
-        / np.linalg.norm(x)
-    )
+    p = report.R.projector()
+    x = p @ _spectral_core(report.channel, tol).probes[1] @ p
+    residue = x - _assemble(report, _parameters(report, x), states=False)
+    deviation = float(np.linalg.norm(residue) / np.linalg.norm(x))
     if deviation > tol.subspace_tol:
         raise DecompositionError(
             "verification",
@@ -662,13 +662,15 @@ def decompose(ch, rng_seed=0, tol=DEFAULT_TOL):
     return report
 
 
-def _assemble(report, mats):
-    """sum over the blocks of G (M ⊗ sigma) G^H, G = [F_0 ... F_{n-1}] the
-    block's frames and M its n x n parameters (an A-block's 1 x 1 weight)."""
+def _assemble(report, mats, states=True):
+    """sum over the blocks of G (M ⊗ S) G^H, G = [F_0 ... F_{n-1}] the
+    block's frames, M its n x n parameters (an A-block's 1 x 1 weight) and
+    S its state sigma, or I / m unless ``states``."""
     rho = np.zeros((report.dim, report.dim), dtype=complex)
     for m, blk in zip(mats, report.blocks):
         stack = np.hstack([v.frame for v in blk.enclosures])
-        rho += stack @ np.kron(m, blk.sigma) @ stack.conj().T
+        s = blk.sigma if states else np.eye(len(blk.sigma)) / len(blk.sigma)
+        rho += stack @ np.kron(m, s) @ stack.conj().T
     return rho
 
 

@@ -78,7 +78,7 @@ def _assert_irreducible(report):
 def test_near_unitary_channel_takes_the_dense_lu(monkeypatch, d, eps, seed):
     # the non-fixed eigenvalues lie near |z - 1| = 1, so the first probe's
     # filter stalls, and one inverse of M_h - sigma I, on all d^2
-    # coordinates, makes all five projections; the filter alone exhausts its
+    # coordinates, makes all four projections; the filter alone exhausts its
     # budget on every case here
     ch = near_unitary_channel(d, eps, seed)
     orders = _inverse_orders(monkeypatch)

@@ -498,7 +498,7 @@ class TestSharedSolveIsReadOnly:
     def test_fixed_points_of_the_solve(self):
         ch = amplitude_damping_channel(0.5)
         core = chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL)
-        for a in (core.probes, core.candidate, core.witness, core.split.rho_max):
+        for a in (core.probes, core.candidate, core.split.rho_max):
             with pytest.raises(ValueError):
                 a[...] = 0
         assert cs.decompose(ch).alpha_blocks[0].enclosures[0].dimension == 1
@@ -623,11 +623,11 @@ class TestSingleSolve:
         assert rf.fixed_space_dimension == truth["fixed_dim"]
 
     def test_five_projections_per_channel_and_tolerance(self, monkeypatch):
-        # the solve projects five starts in three calls: the first probe
-        # backward alone, I/d and the verification's reference forward on one
-        # stack, and the second probe and the first candidate backward on
-        # another; nothing read after it projects again, not even the
-        # fallback of the cyclic shift
+        # the solve projects four starts in three calls: the first probe
+        # backward alone, I/d forward alone, and the second probe and the
+        # first candidate backward on one stack; nothing read after it
+        # projects again, not even the fallback of the cyclic shift or the
+        # verification, which reads the second probe
         calls = []
         project = chanstruct.spectral._project
 
@@ -649,13 +649,14 @@ class TestSingleSolve:
             algebra = cs.fixed_point_algebra_on_R(ch)
             assert len(algebra.hermitian_basis) == cs.fixed_space(ch).dimension
             cs.block_invariant_state(algebra, report.alpha_blocks[0].enclosures[0])
-            assert calls == [[True], [False, False], [True, True]]
+            assert calls == [[True], [False], [True, True]]
 
     @pytest.mark.parametrize("family", ["planted", "markov"])
     def test_factorization_freed_after_decompose(self, monkeypatch, family):
         # the solve makes every fixed point the pipeline reads, so nothing
-        # holds a sparse family's LU once it returns, while the channel lives,
-        # and a dense family's filter leaves nothing d^2 x d^2 on the channel
+        # holds a sparse family's inverse on T once it returns, while the
+        # channel lives, and a dense family's filter leaves nothing
+        # d^2 x d^2 on the channel
         solves = []
         factor = chanstruct.spectral._factor
 
@@ -1030,8 +1031,9 @@ class TestKernelAcceptance:
 
     def test_failed_replayed_projection_counts_the_replay(self, monkeypatch):
         # the residual through Phi fails every forward projection, so the
-        # first one, I/d replayed with the witness start, fails after its
-        # replay: the error counts every forward application of the defect
+        # one of I/d, replayed alone, fails after its replay and the replay's
+        # guard: the error counts every forward application of the defect,
+        # the guard's two included
         spectral = chanstruct.spectral
         factor, replay, residual = spectral._factor, spectral._replay, spectral._residual
         forward, replayed = [], []
@@ -1063,8 +1065,9 @@ class TestKernelAcceptance:
             cs.decompose(ch)
         assert err.value.stage == "fixed-space"
         # the first probe's call replays no roots; then the replay ran on the
-        # stack of the two forward starts
-        assert replayed == [(True, 0), (False, forward.count(2))] and replayed[1][1] > 0
+        # forward stack of one row, and the guard applied the defect to the
+        # replayed row and to the start
+        assert replayed == [(True, 0), (False, forward.count(2) - 2)] and replayed[1][1] > 0
         assert err.value.diagnostics["applications"] == len(forward)
         assert err.value.diagnostics["residual"] == 1.0
 
@@ -1164,7 +1167,7 @@ REPLAY_CASES = {
 
 
 class TestReplay:
-    """Only the first probe runs the full Krylov filter; the four other
+    """Only the first probe runs the full Krylov filter; the three other
     starts replay its residual polynomial and finish with a short run."""
 
     @pytest.mark.parametrize("d", list(REPLAY_CASES))
@@ -1183,17 +1186,15 @@ class TestReplay:
 
         monkeypatch.setattr(spectral, "_filter", recording)
         core = spectral._spectral_core(ch, tol)
-        # one full-length run, and four starts finished in a few steps
-        assert len(runs) == 5 and runs[0] > 10 and max(runs[1:]) <= 10
+        # one full-length run, and three starts finished in a few steps
+        assert len(runs) == 4 and runs[0] > 10 and max(runs[1:]) <= 10
         spectral._spectral_core(ch, tol)
-        assert len(runs) == 5
+        assert len(runs) == 4
         spectral._spectral_core(ch, cs.Tolerance(eig_cluster_tol=1e-9))
-        assert len(runs) == 10 and runs[5] > 10 and max(runs[6:]) <= 10
+        assert len(runs) == 8 and runs[4] > 10 and max(runs[5:]) <= 10
         # the reference: a full filter run from each start
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         probes = [spectral._gaussian_hermitian(rng, d) for _ in range(2)]
-        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
-        witness = spectral._gaussian_hermitian(rng, d)
         candidate = np.diag(np.arange(1, d + 1) / d)
         solve = spectral._factor(ch, tol)
 
@@ -1205,7 +1206,6 @@ class TestReplay:
         rho = reference(np.eye(d) / d, False)
         pairs = [
             (core.split.rho_max, rho / np.trace(rho).real),
-            (core.witness, reference(witness, False)),
             (core.candidate, reference(candidate, True)),
         ]
         for got, g in zip(core.probes, probes):
@@ -1213,6 +1213,33 @@ class TestReplay:
             pairs.append((got, ref / np.linalg.norm(ref)))
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-10
+
+    def test_lone_start_keeps_a_replay_that_grows_it(self, monkeypatch):
+        # Pi_1 is oblique, so the replay grows I/d while it shrinks its
+        # defect: the guard reads the defect of each row, keeps the replay,
+        # and a short run finishes it, where a guard on the norm would send
+        # the start to a full filter run
+        spectral, tol = chanstruct.spectral, cs.DEFAULT_TOL
+        seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[32]
+        rng = np.random.default_rng(seed)
+        ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
+        solve = spectral._factor(ch, tol)
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        probe = [spectral._gaussian_hermitian(rng, ch.dim)]
+        roots = spectral._project(ch, solve, probe, True, tol)[2]
+        start = np.eye(ch.dim) / ch.dim
+        v = cs.linalg.hermitian_encode(start[None])
+        assert np.linalg.norm(spectral._replay(solve, roots, v, False)[0]) > np.linalg.norm(v)
+        full, runs = spectral._filter, []
+
+        def recording(defect, x, tol):
+            out = full(defect, x, tol)
+            runs.append(out[1])
+            return out
+
+        monkeypatch.setattr(spectral, "_filter", recording)
+        spectral._project(ch, solve, [start], False, tol, roots)
+        assert len(runs) == 1 and runs[0] <= 10
 
     @pytest.mark.parametrize("restart", [100, 10])
     def test_replay_of_the_first_start_reproduces_its_run(self, monkeypatch, restart):
