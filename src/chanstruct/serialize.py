@@ -344,16 +344,11 @@ class ReportFile:
 
 def report_file_from_report(report):
     """Attach the peripheral spectrum of the report's channel, which is that
-    of the channel on B(R), taken per unordered pair of blocks (see the
-    README's numerical policy).  The (i, i) pair is block i's own channel,
-    whose peripheral spectrum is the exact p-th roots of unity for its
-    certified period p (``spectral._block_eigenvalues``), or the eigenvalues
-    of its M_h in the rare case that the period walk finds no start in one
-    cyclic subspace, gives up, or fails its certificate.  The walk reads only
-    the block's compressed Kraus operators, not its state.  It counts n_i^2
-    times.  A pair of blocks of unequal dimension has no peripheral
-    eigenvalue; any other (i, j) pair of first copies counts n_i n_j times,
-    and the (j, i) pair has the conjugate spectrum: ``structure._implied_spectrum``."""
+    of the channel on B(R), taken per unordered pair of blocks from what the
+    theory gives (``structure._implied_spectrum``; the README's numerical
+    policy): a block's period from its Kraus traces or its certified period
+    walk, and a pair's spectrum only when the blocks' dimensions and state
+    spectra agree.  Read-back with ``re_verify`` derives it again."""
     return ReportFile(report=report, peripheral_spectrum=_implied_spectrum(report))
 
 
@@ -438,8 +433,9 @@ def report_file_from_dict(data, re_verify=True):
     ``index`` = position, ``fixed_space_dimension`` = the n_alpha + sum_b
     n_b^2 of ``ReportFile.fixed_space_dimension`` = the count of spectrum
     values at 1, all on |z| = 1, ``recurrent_basis`` the orthocomplement of
-    ``transient_basis``) and, with ``re_verify``, the enclosure predicate and
-    :func:`_verify_blocks`."""
+    ``transient_basis``) and, with ``re_verify``, the enclosure predicate,
+    :func:`_verify_blocks` and the spectrum the blocks imply, value by value
+    to eig_cluster_tol."""
     where = "report"
     dim = _require_int(data, "dim", where)
     schema = data.get("schema", REPORT_SCHEMA)
@@ -512,6 +508,10 @@ def report_file_from_dict(data, re_verify=True):
             _verify_blocks(report)
         except DecompositionError as err:
             raise ParseError(f"report: {err}") from err
+        implied = _implied_spectrum(report)
+        gaps = [abs(z - w) for z, w in zip(spectrum, implied)]
+        if len(implied) != len(spectrum) or max(gaps, default=0.0) > tol.eig_cluster_tol:
+            raise ParseError(f"{where}: peripheral_spectrum is not the one its blocks imply")
     return rf
 
 

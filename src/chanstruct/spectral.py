@@ -490,8 +490,9 @@ def _cyclic_projections(stack, tol):
     the eigenvectors of this m x m Gram matrix at eigenvalues >=
     eig_cluster_tol.  A span that fills C^m gives period 1; otherwise the
     spans repeat once they saturate (to subspace_tol, max-abs on the
-    projectors), and the repeat distance is the period.  The walk gives up
-    after 3m steps.
+    projectors), and the repeat distance is the period; the walk gives up
+    after 3m steps, each one ``eigh``, and runs only on blocks whose Kraus
+    operators are all near traceless (``_block_eigenvalues``).
     """
     n, m, _ = stack.shape
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2,)))
@@ -524,12 +525,18 @@ def _cyclic_projections(stack, tol):
 
 def _block_eigenvalues(stack, tol):
     """Eigenvalues of an irreducible channel that include its whole
-    peripheral spectrum: the p-th roots of unity, each simple, for the
-    period p of ``_cyclic_projections`` (Evans-Hoegh-Krohn), else all m^2
-    eigenvalues of its real matrix M_h.  The period is certified by
-    residuals: the cyclic projections P_k must sum to I, and
-    u = sum_k omega^k P_k, omega = exp(2 pi i / p), must satisfy
+    peripheral spectrum: the p-th roots of unity, each simple, for its
+    period p (Evans-Hoegh-Krohn), else all m^2 eigenvalues of its real
+    matrix M_h.  p = 1 when some |tr V_a| > m sqrt(subspace_tol): for p >= 2
+    each V_a maps P_k into P_(k+1), so tr V_a = 0, or |tr V_a| <= m
+    sqrt(subspace_tol) when it leaks at most subspace_tol, the most the
+    walk's certificate admits.  Otherwise p is the period of
+    ``_cyclic_projections``, certified by residuals: the P_k must sum to I,
+    and u = sum_k omega^k P_k, omega = exp(2 pi i / p), must satisfy
     |Phi^*(u) - omega u|_max <= subspace_tol."""
+    m = stack.shape[1]
+    if np.abs(np.einsum("aii->a", stack)).max() > m * math.sqrt(tol.subspace_tol):
+        return np.ones(1, dtype=complex)
     projs = _cyclic_projections(stack, tol)
     if projs is not None:
         p = len(projs)

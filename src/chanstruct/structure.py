@@ -534,19 +534,22 @@ def _fixed_dimension(report):
 def _implied_spectrum(report):
     """The peripheral spectrum the blocks imply, per unordered pair of blocks
     (see ``serialize.report_file_from_report``): block i's own n_i^2 times,
-    an (i, j) pair of equal dimension and its conjugate n_i n_j times."""
+    an (i, j) pair n_i n_j times with its conjugate, unless the pair differs
+    in dimension or in its states' spectra by more than sqrt(subspace_tol):
+    a peripheral eigenvalue makes A_a = lambda W B_a W^H."""
     ch = report.channel
     tol = report.tolerance
-    # F^H V_a F for the first enclosure F of every block, and its copy count
+    # F^H V_a F on each block's first enclosure F, its copy count, its state spectrum
     parts = [
-        (_compressions(ch, b.enclosures[0].frame), len(b.enclosures))
+        (_compressions(ch, b.enclosures[0].frame), len(b.enclosures),
+         np.linalg.eigvalsh(b.sigma))
         for b in report.blocks
     ]
     eigenvalues = []
-    for i, (a, n_i) in enumerate(parts):
+    for i, (a, n_i, s_a) in enumerate(parts):
         eigenvalues.append(np.tile(_block_eigenvalues(a, tol), n_i * n_i))
-        for b, n_j in parts[i + 1:]:
-            if b.shape != a.shape:
+        for b, n_j, s_b in parts[i + 1:]:
+            if b.shape != a.shape or np.abs(s_a - s_b).max() > np.sqrt(tol.subspace_tol):
                 continue
             w = np.linalg.eigvals(_transfer_matrix(a, b))
             eigenvalues.append(np.tile(np.concatenate((w, w.conj())), n_i * n_j))

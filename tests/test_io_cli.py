@@ -1091,6 +1091,22 @@ class TestReportSchema:
             with pytest.raises(cs.ParseError, match=message):
                 cs.report_file_from_dict(doc, re_verify=re_verify)
 
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[[1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]],
+        ids=["quarter-turns", "no-minus-one"],
+    )
+    def test_peripheral_spectrum_must_be_the_one_the_blocks_imply(self, spectrum):
+        # [1, 1, -1] of the period-2 cycle and the fixed state, replaced by
+        # a list on the circle with the right 2 values at 1: only the
+        # re-derivation from the blocks tells
+        doc = self._markov_doc()
+        assert [complex(*z) for z in doc["peripheral_spectrum"]][2] == pytest.approx(-1)
+        doc["peripheral_spectrum"] = spectrum
+        cs.report_file_from_dict(doc, re_verify=False)
+        with pytest.raises(cs.ParseError, match="not the one its blocks imply"):
+            cs.report_file_from_dict(doc, re_verify=True)
+
     @pytest.mark.parametrize("case", ["rotated", "one-column"])
     def test_recurrent_basis_must_complement_transient_basis(self, case):
         # R = span{e1, e2, e3} holds two closed classes, D = span{e4}; a
@@ -1501,9 +1517,9 @@ assert masked() == with_numpy, sorted(masked() - with_numpy)
         # The identity channel on C^2 with its B-block unlinked: no block of
         # the linking element clears an infinite cut, so the two lines become
         # two A-blocks.  The rest of the pipeline stays self-consistent (each
-        # line carries an invariant state), so only the fresh fixed point
-        # Pi_1(G) = G of the verification, whose off-diagonal part the blocks
-        # cannot re-assemble, exposes the lost link.
+        # line carries an invariant state), so only the second adjoint probe
+        # Pi_1^*(G) = G, which the verification reads and whose off-diagonal
+        # part the blocks cannot re-assemble, exposes the lost link.
         monkeypatch.setattr(
             chanstruct.structure,
             "_link_cut",

@@ -623,7 +623,8 @@ class TestSingleSolve:
         assert rf.fixed_space_dimension == truth["fixed_dim"]
 
     def test_five_projections_per_channel_and_tolerance(self, monkeypatch):
-        # the solve projects four starts in three calls: the first probe
+        # named for the five projections the solve once made; four run now.
+        # The solve projects four starts in three calls: the first probe
         # backward alone, I/d forward alone, and the second probe and the
         # first candidate backward on one stack; nothing read after it
         # projects again, not even the fallback of the cyclic shift or the
@@ -945,6 +946,143 @@ class TestReportPeriodWalk:
         assert eigvals_sizes == []
         assert [len(b.enclosures) for b in rep.beta_blocks] == [2]
         assert rf.peripheral_spectrum == (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.fixture
+def eigh_count(monkeypatch):
+    """The number of np.linalg.eigh calls from here on, in a one-item list."""
+    count = [0]
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        count[0] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return count
+
+
+def _held_cycle(q):
+    # the 3-cycle 0 -> 1 -> 2 -> 0 whose state 0 holds with probability q:
+    # its non-unit eigenvalues lie about q/3 inside the cube roots
+    return cs.from_markov_chain(np.array([[q, 0, 1], [1 - q, 0, 0], [0, 1, 0]]))
+
+
+def _flip_or_hold(q):
+    # {sqrt(1 - q) X, sqrt(q) I}: A-blocks |+> and |->, whose pair map has
+    # the one eigenvalue 2q - 1
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return cs.KrausChannel([np.sqrt(1 - q) * x, np.sqrt(q) * np.eye(2)])
+
+
+def _phase_related_pair(lam, eps, rng):
+    # A ⊕ B on C^10 (in a Haar basis): A a random isometry family on C^5 and
+    # B_a = lambda-bar W^H A_a W, with sqrt(eps) of a second family mixed
+    # into B, so that the pair map has the eigenvalue lambda sqrt(1 - eps)
+    a = random_kraus_family(5, 2, rng)
+    w = haar_unitary(5, rng)
+    zero = np.zeros((5, 5))
+    ops = [
+        np.block([[x, zero], [zero, np.sqrt(1 - eps) * np.conj(lam) * w.conj().T @ x @ w]])
+        for x in a
+    ]
+    ops += [np.block([[zero, zero], [zero, np.sqrt(eps) * y]])
+            for y in random_kraus_family(5, 2, rng)]
+    u = haar_unitary(10, rng)
+    return cs.KrausChannel([u @ op @ u.conj().T for op in ops])
+
+
+# the trace certificate takes p = 1 from a Kraus operator with
+# |tr V_a| > m sqrt(subspace_tol); near-periodic blocks below that cut walk
+HOLDING = [1e-12, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-4, 1e-2]
+
+
+class TestReportSpectrumFromTheory:
+    def test_long_walk_report_makes_no_eigh_call(self, eigh_count):
+        # one 46-dimensional B-block: an aperiodic walk's compressed Kraus
+        # operators have nonzero trace, so the period walk (one eigh per
+        # step, about 70 here) does not run
+        ch = cs.from_oqrw(cs.oqrw_transition_map(0.4, 0.3, 45), 45)
+        rep = cs.decompose(ch)
+        eigh_count[0] = 0
+        rf = cs.report_file_from_report(rep)
+        assert eigh_count[0] == 0
+        assert rf.peripheral_spectrum == (1.0, 1.0, 1.0, 1.0)
+
+    def test_unequal_state_spectra_make_no_eigvals_call(self, eigvals_sizes):
+        # two 24-dimensional A-blocks whose states differ in spectrum: the
+        # pair has no peripheral eigenvalue, and its 576 x 576 eigvals goes
+        # (the full M_h of this d = 56 channel takes seconds: not compared)
+        ch, _ = planted_channel(np.random.default_rng(2), [24, 24], [], 8)
+        rep = cs.decompose(ch)
+        eigvals_sizes.clear()
+        got = cs.report_file_from_report(rep).peripheral_spectrum
+        assert [b.enclosures[0].dimension for b in rep.blocks] == [24, 24]
+        assert eigvals_sizes == []
+        assert got == (1.0, 1.0)
+
+    @pytest.mark.parametrize("q", HOLDING)
+    @pytest.mark.parametrize("family", ["held-cycle", "flip-or-hold"])
+    def test_near_periodic_sweep(self, family, q):
+        # the period (or the pair's -1) stays until it leaves the unit
+        # circle by eig_cluster_tol, as the walk and M_h found it; at
+        # q = 1e-8 the held cycle's roots lie 3.3e-9 inside the circle, so
+        # the full spectrum keeps them while the walk's span takes in the
+        # holding image (weight q) and returns the uncertified p = 1
+        ch = (_held_cycle if family == "held-cycle" else _flip_or_hold)(q)
+        got = cs.report_file_from_report(cs.decompose(ch)).peripheral_spectrum
+        if family == "held-cycle":
+            roots = np.exp(2j * np.pi * np.array([-1, 0, 1]) / 3)
+            expected = roots if q <= 1e-9 else [1.0]
+        else:
+            expected = [1, 1, 2 * q - 1, 2 * q - 1] if q <= 1e-9 else [1, 1]
+        assert len(got) == len(expected)
+        assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-12
+        full = cs.peripheral_spectrum(ch)
+        if (family, q) == ("held-cycle", 1e-8):
+            assert len(full) == 3
+        else:
+            assert len(full) == len(got)
+            assert np.abs(np.array(got) - np.array(full)).max() <= 1e-8
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-8, 3e-8, 1e-6, 1e-4, 1e-2])
+    def test_phase_related_pair(self, eps):
+        # two A-blocks whose pair keeps e^{+-0.7i} while
+        # |lambda sqrt(1 - eps)| >= 1 - eig_cluster_tol, up to eps = 2e-8
+        lam = np.exp(0.7j)
+        ch = _phase_related_pair(lam, eps, np.random.default_rng(5))
+        rep = cs.decompose(ch)
+        assert [b.enclosures[0].dimension for b in rep.alpha_blocks] == [5, 5]
+        assert rep.beta_blocks == ()
+        got = cs.report_file_from_report(rep).peripheral_spectrum
+        full = cs.peripheral_spectrum(ch)
+        expected = [lam.conjugate(), 1.0, 1.0, lam] if eps <= 1e-8 else [1.0, 1.0]
+        assert len(got) == len(full) == len(expected)
+        assert np.abs(np.array(got) - np.array(expected)).max() < 1e-7
+        assert np.abs(np.array(got) - np.array(full)).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_skipped_pairs_have_no_peripheral_eigenvalue(self, seed):
+        # the screen's premise: a pair whose block states differ in spectrum
+        # by more than sqrt(subspace_tol) has pair spectral radius < 1
+        tol = cs.DEFAULT_TOL
+        skipped = 0
+        for alpha, beta, n_d in (([3, 3], [(3, 2)], 2), ([2, 2, 2], [], 1), ([4], [(4, 2)], 2)):
+            ch, _ = planted_channel(np.random.default_rng(seed), alpha, beta, n_d)
+            rep = cs.decompose(ch)
+            parts = [
+                (chanstruct.channels._compressions(ch, b.enclosures[0].frame),
+                 np.linalg.eigvalsh(b.sigma))
+                for b in rep.blocks
+            ]
+            for i, (a, s_a) in enumerate(parts):
+                for b, s_b in parts[i + 1:]:
+                    if np.abs(s_a - s_b).max() <= np.sqrt(tol.subspace_tol):
+                        continue
+                    skipped += 1
+                    w = np.linalg.eigvals(cs.channels._transfer_matrix(a, b))
+                    assert np.abs(w).max() < 1 - tol.eig_cluster_tol
+        assert skipped >= 5
 
 
 def _conjugated(u, kraus):
