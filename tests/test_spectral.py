@@ -464,13 +464,17 @@ class TestNearDegenerateChain:
     def test_inside_the_cluster_fails_with_the_estimated_distance(self):
         # at eps = 1e-8, lambda_2 counts as fixed, but the two classes leak
         # into each other far above subspace_tol, so no split is clean; the
-        # failure carries the estimated distance of lambda_2 from 1
+        # failure carries the estimated distance of lambda_2 from 1 and names
+        # the refusal: a class is not an enclosure
         ch = two_class_chain(1e-8)
         with pytest.raises(cs.DecompositionError) as err:
             cs.decompose(ch)
         assert err.value.stage == "minimal-enclosures"
         gap = err.value.diagnostics["nearest_non_fixed_distance"]
         assert 0.5 * 0.92e-8 < gap < 2.0 * 0.92e-8
+        refusal = "V is not an enclosure of the channel"
+        assert err.value.diagnostics["refusal"] == refusal
+        assert refusal in str(err.value)
 
 
 class TestSharedSolveIsReadOnly:

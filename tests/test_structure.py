@@ -313,7 +313,8 @@ class TestMinimalEnclosures:
         encs0 = self._pipeline(ch, seed=0)
         (canonical, rejected), (_, found) = calls
         assert np.abs(canonical - canonical[0, 0] * np.eye(4)).max() < 1e-12
-        assert rejected is None and found is not None
+        assert isinstance(rejected, cs.DecompositionError)
+        assert "V not minimal" in str(rejected) and isinstance(found, list)
         encs7 = self._pipeline(ch, seed=7)
         assert len(encs0) == len(encs7) == 4
         assert all(e.dimension == 1 for e in encs0 + encs7)
@@ -369,7 +370,7 @@ class TestMinimalEnclosures:
             chanstruct.structure, "_try_eigensplit", counting_eigensplit
         )
         report = cs.decompose(ch)
-        assert len(tries) == 1 and tries[0] is not None
+        assert len(tries) == 1 and isinstance(tries[0], list)
         assert len(report.alpha_blocks) == 1 and len(report.beta_blocks) == 1
         assert seeded == []
 
@@ -394,14 +395,32 @@ class TestMinimalEnclosures:
             cs.minimal_enclosures(algebra, rng_seed=seed)
 
     def test_degenerate_sampling_error(self, monkeypatch):
+        # every attempt refused: the failure names the last refusal
         algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel([np.eye(2)]))
-        monkeypatch.setattr(
-            chanstruct.structure, "_try_eigensplit", lambda *a, **k: None
-        )
-        with pytest.raises(
-            cs.DecompositionError, match="degenerate algebra sampling"
-        ):
+        refusals = []
+
+        def refusing(*a, **k):
+            refusals.append(cs.ArgumentError(f"refusal {len(refusals)}"))
+            return refusals[-1]
+
+        monkeypatch.setattr(chanstruct.structure, "_try_eigensplit", refusing)
+        with pytest.raises(cs.DecompositionError, match="refusal: refusal 8") as err:
             cs.minimal_enclosures(algebra)
+        assert err.value.stage == "minimal-enclosures"
+        assert err.value.diagnostics["refusal"] == "refusal 8"
+        assert len(refusals) == 9
+
+    def test_refused_minimality_is_named(self, monkeypatch):
+        # with no fallback, the cyclic shift's first candidate, a multiple of
+        # I, has one eigenspace, C^4: an enclosure in R, but not minimal
+        monkeypatch.setattr(chanstruct.structure, "_MAX_SAMPLING_ATTEMPTS", 0)
+        ch = cs.KrausChannel([np.roll(np.eye(4), 1, axis=0)])
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.decompose(ch)
+        assert err.value.stage == "minimal-enclosures"
+        refusal = err.value.diagnostics["refusal"]
+        assert "V not minimal: an adjoint fixed point is not constant on V" in refusal
+        assert refusal in str(err.value)
 
 
 class TestGrouping:
@@ -616,6 +635,19 @@ class TestDecompose:
         with pytest.raises(cs.DecompositionError) as err:
             cs.decompose(ch)
         assert err.value.stage in {"recurrent-split", "fixed-space"}
+
+    def test_linalg_error_is_tagged_with_its_stage(self, monkeypatch):
+        # a LinAlgError inside a stage surfaces as a DecompositionError of
+        # that stage: the split's eigh of rho_max fails here
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(cs.DecompositionError) as err:
+            cs.decompose(amplitude_damping_channel(0.4))
+        assert err.value.stage == "recurrent-split"
+        assert "did not converge" in str(err.value)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestParametrization:
