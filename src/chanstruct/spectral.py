@@ -48,14 +48,16 @@ largest ratio theta of successive residuals gives the distance
 (sigma - 1)(1/theta - 1).  Each takes one inverse of M_h[T, T] - sigma I,
 T the coordinates that Phi writes, |T| <= ``_INVERSE_ORDER``: fixed points
 lie in the range of Phi, so Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1
-projection of M_h[T, T].  A sparse family (the rule is the channel's) reads
-T, the union over operators of rows(V_a)^2 (9 (N + 1) for the open quantum
-walk on N + 1 sites, d for a Markov chain), off a bincount of its COO rows
-(numpy 2's np.unique would load numpy.ma, which no path imports), and takes
-the filter above the bound.  A dense family whose filter run stalls (of
-near-unitary channels) takes all d^2 coordinates, so d <= 64.  Either way
-a vector is accepted only when its residual through the channel itself,
-|Phi(X) - X|_F (Phi^* for Pi_1^*), is within eig_cluster_tol |X|_F.  The
+projection of M_h[T, T].  On the route "inverse on T" a sparse family (the
+rule is the channel's) reads T, the union over operators of rows(V_a)^2
+(9 (N + 1) for the open quantum walk on N + 1 sites, d for a Markov chain),
+off a bincount of its COO rows (numpy 2's np.unique would load numpy.ma,
+which no path imports); above the bound it takes the "filter".  On the route
+"inverse on all coordinates" a dense family whose filter run stalls (of
+near-unitary channels) takes all d^2, so d <= 64.  ``_factor`` returns the
+route (kind, orders, step), and ``_SpectralCore.route`` its (kind, orders).
+Either way a vector is accepted only when its residual through the channel
+itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within eig_cluster_tol |X|_F.  The
 distance of the first probe's projection is the channel's gap, and a gap
 below 10 eig_cluster_tol gives the split an "ill-separated" warning.
 """
@@ -127,14 +129,16 @@ class _SpectralCore:
     tolerance made, with no factorization kept: the split read off
     rho_max = Pi_1(I/d); ``probes``, a (2, d, d) stack of normalized
     generic fixed points Pi_1^*(G) of the adjoint; ``candidate``,
-    Pi_1^*(diag(1, ..., d) / d); and ``gap``, the estimated distance from 1
+    Pi_1^*(diag(1, ..., d) / d); ``gap``, the estimated distance from 1
     of the nearest non-fixed eigenvalue, from the projection of the first
-    probe."""
+    probe; and ``route``, the (kind, orders) of the ``_factor`` route that
+    made them, without its step."""
 
     split: RecurrentSplit
     probes: np.ndarray
     candidate: np.ndarray
     gap: float
+    route: tuple
 
 
 _RESTART, _BUDGET = 100, 2000  # Arnoldi steps per cycle, applications of Phi
@@ -155,27 +159,29 @@ def _image(ch, b, adjoint):
 
 
 def _factor(ch, tol, stalled=False):
-    """What ``_project`` iterates on real coordinates b, one vector or a
-    (k, d^2) stack: the step (1 - sigma) (M_h - sigma I)^-1 b (transposed
-    when ``adjoint``), marked ``shift_invert``, from one inverse of
-    M_h[T, T] - sigma I and one application of Phi (Phi^*), for T all d^2
-    coordinates when a dense family's filter run ``stalled``, else for a
-    sparse family with |T| <= ``_INVERSE_ORDER``: M_h writes only T, so
-    M_h - sigma I is block triangular over T and the rest C.  Otherwise the
-    defect b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.  Solving at
-    sigma - 1 = eig_cluster_tol, the steps reach a fixed point off Pi_1 b
-    inside the eigenvalue-1 space by about eps / eig_cluster_tol relative.
-    Reports do not depend on it: the error is a fixed point, and the
-    pipeline uses only fixed points and normalizes every state."""
+    """The route ``_project`` takes on real coordinates b, one vector or a
+    (k, d^2) stack, as (kind, orders, step), orders the order of each inverse
+    taken.  "inverse on all coordinates" (a dense family whose filter run
+    ``stalled``) and "inverse on T" (a sparse family, |T| <= ``_INVERSE_ORDER``)
+    take (|T|,) and the step (1 - sigma) (M_h - sigma I)^-1 b (transposed
+    when ``adjoint``), from one inverse of M_h[T, T] - sigma I and one
+    application of Phi (Phi^*): M_h writes only T, so M_h - sigma I is block
+    triangular over T and the rest C.  Otherwise "filter", (), and the defect
+    b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.  Solving at sigma - 1 =
+    eig_cluster_tol, the steps reach a fixed point off Pi_1 b inside the
+    eigenvalue-1 space by about eps / eig_cluster_tol relative.  Reports do
+    not depend on it: the error is a fixed point, and the pipeline uses only
+    fixed points and normalizes every state."""
     d, sigma = ch.dim, 1.0 + tol.eig_cluster_tol
     if stalled:
-        t, inverse = np.arange(d * d), _hermitian_transfer_matrix(ch._stack)
+        kind, t = "inverse on all coordinates", np.arange(d * d)
+        inverse = _hermitian_transfer_matrix(ch._stack)
     else:
         rows = _cached_superoperator(ch)[0] if ch._sparse else None
         t = None if rows is None else np.flatnonzero(np.bincount(rows, minlength=d * d))
         if t is None or t.size > _INVERSE_ORDER:
-            return lambda b, adjoint: b - _image(ch, b, adjoint)
-        inverse = _hermitian_block(ch, t)
+            return "filter", (), lambda b, adjoint: b - _image(ch, b, adjoint)
+        kind, inverse = "inverse on T", _hermitian_block(ch, t)
     inverse.flat[:: t.size + 1] -= sigma
     inverse = np.linalg.inv(inverse)
 
@@ -193,9 +199,7 @@ def _factor(ch, tol, stalled=False):
         y[..., t] = y_t
         return y
 
-    solve = lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)  # noqa: E731
-    solve.shift_invert = True
-    return solve
+    return kind, (t.size,), lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)
 
 
 def _filter(defect, x, tol):
@@ -265,12 +269,13 @@ def _residual(ch, v, adjoint):
     return new / norm if norm else math.inf
 
 
-def _project(ch, solve, starts, adjoint, tol, roots=()):
+def _project(ch, route, starts, adjoint, tol, roots=()):
     """Pi_1, or Pi_1^* when ``adjoint``, of each Hermitian start, a (k, d, d)
-    stack, after a ``_replay`` of ``roots`` that each row keeps if it shrank
-    the row's defect (module docstring); the least estimated distance from 1
-    of a non-fixed eigenvalue; the ``_filter`` runs' roots in ``_leja`` order
-    (none if ``shift_invert``).  A failure counts the replay and the guard."""
+    stack, on a ``_factor`` route, after a ``_replay`` of ``roots`` that each
+    row keeps if it shrank its defect (module docstring); the least estimated
+    distance from 1 of a non-fixed eigenvalue; the ``_filter`` runs' roots in
+    ``_leja`` order (none off the filter).  A failure counts the replay and the guard."""
+    kind, _, solve = route
     v = hermitian_encode(np.stack(starts))
     w, replayed = _replay(solve, roots, v, adjoint)
     if roots:  # the guard: one application of the defect to w, one to v
@@ -279,7 +284,7 @@ def _project(ch, solve, starts, adjoint, tol, roots=()):
     tau, fixed, gap, found = tol.eig_cluster_tol, [], math.inf, []
     for u in v:
         converged, count = True, replayed
-        if getattr(solve, "shift_invert", False):
+        if kind != "filter":
             res, theta, halving, unit = math.inf, 0.0, True, "solves"
             while halving:
                 u = solve(u, adjoint)
@@ -373,7 +378,7 @@ def _spectral_core(ch, tol):
                 f"(|Phi^*(I) - I|_F / |I|_F = {unital:.3e})",
                 diagnostics={"residual": float(unital)},
             )
-        solve = _factor(ch, tol)
+        route = _factor(ch, tol)
         while True:  # a stalled filter run takes the inverse on all of T
             try:
                 # the first probe is the linking element of chanstruct.structure;
@@ -381,13 +386,13 @@ def _spectral_core(ch, tol):
                 # replay its residual polynomial (Phi and Phi^* share their spectrum)
                 rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
                 refs = [_gaussian_hermitian(rng, d) for _ in range(2)]
-                (first,), gap, roots = _project(ch, solve, refs[:1], True, tol)
-                (rho,), _, _ = _project(ch, solve, [np.eye(d) / d], False, tol, roots)
+                (first,), gap, roots = _project(ch, route, refs[:1], True, tol)
+                (rho,), _, _ = _project(ch, route, [np.eye(d) / d], False, tol, roots)
                 starts = [refs[1], np.diag(np.arange(1, d + 1) / d)]
-                (second, candidate), _, _ = _project(ch, solve, starts, True, tol, roots)
+                (second, candidate), _, _ = _project(ch, route, starts, True, tol, roots)
                 break
             except _Stalled:  # all four projections again, from one inverse
-                solve = _factor(ch, tol, stalled=True)
+                route = _factor(ch, tol, stalled=True)
         warnings = ()
         if gap < 10.0 * tol.eig_cluster_tol:
             warnings = (
@@ -399,7 +404,7 @@ def _spectral_core(ch, tol):
         split = _split(ch, rho, tol, warnings)
         for a in (probes, candidate, split.R.frame, split.D.frame, split.rho_max):
             a.setflags(write=False)
-        ch._cores[tol] = _SpectralCore(split, probes, candidate, gap)
+        ch._cores[tol] = _SpectralCore(split, probes, candidate, gap, route[:2])
     return ch._cores[tol]
 
 

@@ -5,6 +5,8 @@ graph reachability, stationary laws via least squares, support iteration)
 so the tests never reuse the library code paths they are checking.
 """
 
+import tracemalloc
+
 import numpy as np
 
 import chanstruct as cs
@@ -14,6 +16,15 @@ _PAULIS = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
+
+
+def traced_peak(make):
+    """make() and the peak in bytes of the Python allocations it made."""
+    tracemalloc.start()
+    try:
+        return make(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def haar_unitary(n, rng):

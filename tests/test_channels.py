@@ -1,7 +1,5 @@
 """Kraus channels: construction, application, superoperator, constructors."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from helpers import (
     random_channel,
     random_kraus_family,
     random_state,
+    traced_peak,
 )
 
 RNG = np.random.default_rng(202)
@@ -298,12 +297,7 @@ class TestSuperoperator:
 
     def test_superoperator_holds_one_copy(self):
         ch = random_channel(24, 3, RNG)
-        tracemalloc.start()
-        try:
-            m = cs.superoperator(ch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        m, peak = traced_peak(lambda: cs.superoperator(ch))
         assert peak <= 1.25 * m.nbytes
 
     @pytest.mark.parametrize("family", ["random", "markov"])

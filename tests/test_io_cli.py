@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from helpers import (
     random_kraus_family,
     report_invariants,
     slow_birth_death,
+    traced_peak,
 )
 
 RNG = np.random.default_rng(505)
@@ -409,12 +409,7 @@ class TestChannelSchemaV3:
         doc = _sparse_doc(3)
         last = 4 * (10**6 - 1)
         doc["kraus"].update(shape=[10**6, 2, 2], index=[1, last, last + 3])
-        tracemalloc.start()
-        try:
-            ch = cs.channel_from_dict(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ch, peak = traced_peak(lambda: cs.channel_from_dict(doc))
         assert peak < 2**20
         assert _same_bits(
             np.stack(ch.kraus), np.stack(amplitude_damping_channel(0.3).kraus)
@@ -433,13 +428,7 @@ class TestChannelSchemaV3:
         bound = 600 * 60 * 60 * 16 / 4
         path = write_channel(tmp_path / "ch.json", ch)
         for make in (lambda: cs.load_channel(path), lambda: cs.channel_to_dict(ch)):
-            tracemalloc.start()
-            try:
-                make()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+            assert traced_peak(make)[1] < bound
         # building and checking a channel in a fresh interpreter loads no
         # scipy
         mat = tmp_path / "p.json"

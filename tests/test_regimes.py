@@ -53,16 +53,9 @@ def test_near_identity_semigroup_is_irreducible(t):
     assert cs.is_irreducible(ch)
 
 
-def _inverse_orders(monkeypatch):
-    """The order of each inverse that np.linalg.inv takes from now on."""
-    orders, inv = [], np.linalg.inv
-
-    def counting(a):
-        orders.append(len(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counting)
-    return orders
+def _route(ch):
+    """The (kind, inverse orders) of the eigenvalue-1 solve of ``ch``."""
+    return chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).route
 
 
 def _assert_irreducible(report):
@@ -75,28 +68,26 @@ def _assert_irreducible(report):
     "d, eps, seed",
     [(32, 1e-3, 1), (24, 1e-3, 3), (32, 1e-3, 2), (48, 1e-2, 4), (48, 3e-3, 5)],
 )
-def test_near_unitary_channel_takes_the_dense_lu(monkeypatch, d, eps, seed):
+def test_near_unitary_channel_takes_the_inverse_on_all_coordinates(d, eps, seed):
     # the non-fixed eigenvalues lie near |z - 1| = 1, so the first probe's
     # filter stalls, and one inverse of M_h - sigma I, on all d^2
     # coordinates, makes all four projections; the filter alone exhausts its
     # budget on every case here
     ch = near_unitary_channel(d, eps, seed)
-    orders = _inverse_orders(monkeypatch)
     _assert_irreducible(cs.decompose(ch))
-    assert orders == [d * d]
+    assert _route(ch) == ("inverse on all coordinates", (d * d,))
 
 
-def test_kraus_heavy_semigroup_stays_on_the_filter(monkeypatch):
+def test_kraus_heavy_semigroup_stays_on_the_filter():
     # 256 Kraus operators on C^16: the filter converges without a stall, so
     # no inverse is taken however many operators the family has
     ch = lindblad_kraus(16, 0.05)
     assert len(ch.kraus) == 256
-    orders = _inverse_orders(monkeypatch)
     _assert_irreducible(cs.decompose(ch))
-    assert orders == []
+    assert _route(ch) == ("filter", ())
 
 
-def test_above_the_lu_bound_the_exhausted_filter_names_its_budget():
+def test_above_the_inverse_bound_the_exhausted_filter_names_its_budget():
     # d^2 = 4225 is above the bound on the inverse's order, so the filter
     # runs to its budget; the message names the applications made and the
     # gap estimate
@@ -177,16 +168,15 @@ def test_epsilon_chain_is_one_class(eps):
     _assert_period(report, 1)
 
 
-def test_dense_kraus_heavy_diffusive_walk_stays_on_the_filter(monkeypatch):
+def test_dense_kraus_heavy_diffusive_walk_stays_on_the_filter():
     # the lazy walk on Z_24 in a Haar-random basis: 72 dense Kraus operators
     # on C^24, a real non-fixed spectrum up to (1 + cos(2 pi / 24)) / 2; the
     # filter converges without a stall, so no inverse is taken
     ch = lazy_cycle_channel(24, np.random.default_rng(24))
     assert len(ch.kraus) == 72 and not ch._sparse
-    orders = _inverse_orders(monkeypatch)
     report = cs.decompose(ch)
     _assert_irreducible(report)
-    assert report.dim == 24 and orders == []
+    assert report.dim == 24 and _route(ch) == ("filter", ())
     frame = report.blocks[0].enclosures[0].frame
     state = frame @ report.blocks[0].sigma @ frame.conj().T
     assert np.abs(state - np.eye(24) / 24).max() <= 1e-12

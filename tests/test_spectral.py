@@ -1,7 +1,6 @@
 """Fixed spaces, recurrent splits, peripheral spectrum, PF certificate."""
 
 import gc
-import tracemalloc
 import types
 import weakref
 
@@ -24,6 +23,7 @@ from helpers import (
     random_kraus_family,
     report_invariants,
     slow_birth_death,
+    traced_peak,
     two_class_chain,
 )
 
@@ -107,20 +107,21 @@ class TestFixedSpace:
 
 
 class TestLargeTier:
-    def test_arnoldi_dense_lu_counts_degenerate_kernel(self):
+    def test_dense_filter_counts_degenerate_kernel(self):
         # d = 41, dense path (the Krylov filter); two isolated irreducible
         # summands
         ch, truth = planted_channel(RNG, [20, 21], [], 0, n_kraus=2)
         assert ch.dim == 41
         fs = cs.fixed_space(ch)
         assert fs.dimension == 2
+        assert chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).route == ("filter", ())
 
-    def test_arnoldi_sparse_lu_on_walk(self):
-        # d = 42: sparse path; fixed dimension is |C|^2 = 4
+    def test_sparse_inverse_on_t_on_walk(self):
+        # d = 42: the inverse on the 9 (N + 1) = 126 coordinates T; |C|^2 = 4 fixed points
         ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 13), 13)
         assert ch.dim == 42
-        fs = cs.fixed_space(ch)
-        assert fs.dimension == 4
+        fs, core = cs.fixed_space(ch), chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL)
+        assert fs.dimension == 4 and core.route == ("inverse on T", (126,))
 
     def test_multiplicity_above_starting_block_width(self):
         # d = 41, dense path (the Krylov filter); k = 1 + 3^2 + 2^2 = 14
@@ -152,27 +153,15 @@ class TestLargeTier:
         assert split.R.dimension == 20
         assert any("eigenvalue-1 cluster ill-separated" in w for w in split.warnings)
 
-    def test_large_tier_makes_no_arpack_call(self, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("ARPACK eigs called")
-
-        monkeypatch.setattr(spla, "eigs", refuse)
+    def test_large_tier_walk_has_one_two_copy_b_block(self):
         ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 13), 13)
         rf = cs.report_file_from_report(cs.decompose(ch))
         assert rf.fixed_space_dimension == 4
         assert [len(b.enclosures) for b in rf.report.beta_blocks] == [2]
 
-    def test_public_spectrum_and_radius_above_d_50_without_arpack(self, monkeypatch):
+    def test_public_spectrum_and_radius_above_d_50(self):
         # d = 51, d^2 = 2601: every eigenvalue of the dense superoperator,
         # and all four peripheral ones (eigenvalue 1 four times)
-        import scipy.sparse.linalg as spla
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("ARPACK eigs called")
-
-        monkeypatch.setattr(spla, "eigs", refuse)
         ch = cs.from_oqrw(cs.oqrw_transition_map(0.3, 0.3, 16), 16)
         assert ch.dim == 51
         assert cs.validate(ch).spectral_radius == pytest.approx(1.0, abs=1e-12)
@@ -307,15 +296,15 @@ class TestShiftInvertOnT:
         d = ch.dim
         t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
         assert ch._sparse and t.size < d * d
-        solve = chanstruct.spectral._factor(ch, tol)
-        assert solve.shift_invert
+        route = chanstruct.spectral._factor(ch, tol)
+        assert route[:2] == ("inverse on T", (t.size,))
         u = hermitian_unitary(d)
         proj = _eigenprojection((u.conj().T @ cs.superoperator(ch) @ u).real)
         rng = np.random.default_rng(613)
         starts = [chanstruct.spectral._gaussian_hermitian(rng, d) for _ in range(3)]
         encoded = hermitian_encode(np.stack(starts))
         for adjoint, p in ((False, proj), (True, proj.T)):
-            fixed, gap, roots = chanstruct.spectral._project(ch, solve, starts, adjoint, tol)
+            fixed, gap, roots = chanstruct.spectral._project(ch, route, starts, adjoint, tol)
             got, ref = hermitian_encode(fixed), encoded @ p.T
             scale = np.abs(ref).max()
             # no part off the eigenvalue-1 space; within it, each solve with
@@ -326,7 +315,7 @@ class TestShiftInvertOnT:
             assert np.abs(got - ref).max() <= 1e-6 * scale
             assert gap > 10.0 * tol.eig_cluster_tol and roots == []
 
-    def test_dephasing_with_all_coordinates_written_takes_the_filter(self, monkeypatch):
+    def test_dephasing_with_all_coordinates_written_takes_the_filter(self):
         # two diagonal operators on C^65: sparse (2 d^2 of d^4 entries), but
         # Phi writes all d^2 = 4225 > _INVERSE_ORDER coordinates, so the Krylov
         # filter runs on the COO application; the fixed points are the
@@ -336,16 +325,9 @@ class TestShiftInvertOnT:
         ch = cs.KrausChannel([np.eye(d) / np.sqrt(2.0), np.diag(phases) / np.sqrt(2.0)])
         t = np.unique(chanstruct.channels._cached_superoperator(ch)[0])
         assert ch._sparse and t.size == d * d > chanstruct.spectral._INVERSE_ORDER
-        solves, factor = [], chanstruct.spectral._factor
-
-        def recording(*args, **kwargs):
-            solves.append(factor(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(chanstruct.spectral, "_factor", recording)
         rf = cs.report_file_from_report(cs.decompose(ch))
         report = rf.report
-        assert [getattr(s, "shift_invert", False) for s in solves] == [False]
+        assert chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).route == ("filter", ())
         assert report.R.dimension == d and rf.fixed_space_dimension == d
         assert len(report.alpha_blocks) == d and not report.beta_blocks
         for blk in report.alpha_blocks:
@@ -626,9 +608,8 @@ class TestSingleSolve:
         assert rf.report.D.dimension == 2
         assert rf.fixed_space_dimension == truth["fixed_dim"]
 
-    def test_five_projections_per_channel_and_tolerance(self, monkeypatch):
-        # named for the five projections the solve once made; four run now.
-        # The solve projects four starts in three calls: the first probe
+    def test_four_projections_per_channel_and_tolerance(self, monkeypatch):
+        # the solve projects four starts in three calls: the first probe
         # backward alone, I/d forward alone, and the second probe and the
         # first candidate backward on one stack; nothing read after it
         # projects again, not even the fallback of the cyclic shift or the
@@ -636,9 +617,9 @@ class TestSingleSolve:
         calls = []
         project = chanstruct.spectral._project
 
-        def counting(ch, solve, starts, adjoint, tol, roots=()):
+        def counting(ch, route, starts, adjoint, tol, roots=()):
             calls.append([adjoint] * len(starts))
-            return project(ch, solve, starts, adjoint, tol, roots)
+            return project(ch, route, starts, adjoint, tol, roots)
 
         monkeypatch.setattr(chanstruct.spectral, "_project", counting)
         rng = np.random.default_rng(311)
@@ -662,13 +643,12 @@ class TestSingleSolve:
         # holds a sparse family's inverse on T once it returns, while the
         # channel lives, and a dense family's filter leaves nothing
         # d^2 x d^2 on the channel
-        solves = []
-        factor = chanstruct.spectral._factor
+        solves, factor = [], chanstruct.spectral._factor
 
         def recording(ch, tol):
-            solve = factor(ch, tol)
-            solves.append(weakref.ref(solve))
-            return solve
+            route = factor(ch, tol)
+            solves.append(weakref.ref(route[2]))  # the step, which holds the inverse
+            return route
 
         monkeypatch.setattr(chanstruct.spectral, "_factor", recording)
         if family == "planted":
@@ -1157,12 +1137,12 @@ class TestKernelAcceptance:
         factor = chanstruct.spectral._factor
 
         def similar(ch, tol):
-            defect = factor(ch, tol)
+            kind, orders, defect = factor(ch, tol)
             s = np.eye(ch.dim**2)
             s[0, 1] = 1e-3
             s_inv = np.linalg.inv(s)
             # each row of a (k, d^2) stack, and a single vector, transformed
-            return lambda b, adjoint: (s @ defect((s_inv @ b.T).T, adjoint).T).T
+            return kind, orders, lambda b, adjoint: (s @ defect((s_inv @ b.T).T, adjoint).T).T
 
         monkeypatch.setattr(chanstruct.spectral, "_factor", similar)
         ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
@@ -1181,14 +1161,14 @@ class TestKernelAcceptance:
         forward, replayed = [], []
 
         def counting(ch, tol):
-            defect = factor(ch, tol)
+            kind, orders, defect = factor(ch, tol)
 
             def counted(b, adjoint):
                 if not adjoint:
                     forward.append(b.ndim)  # 2 for the replay's stack
                 return defect(b, adjoint)
 
-            return counted
+            return kind, orders, counted
 
         def recording(solve, roots, v, adjoint):
             out = replay(solve, roots, v, adjoint)
@@ -1217,42 +1197,26 @@ class TestKernelAcceptance:
 class TestKrylovFilter:
     """Pi_1 of a dense family by the Krylov filter: no inverse, nothing d^2 x d^2."""
 
-    def test_dense_decompose_needs_no_lu_and_no_superoperator(self, monkeypatch):
+    def test_dense_decompose_needs_no_inverse_and_no_superoperator(self):
         # planted d = 48: M_h alone would take 8 d^4 bytes, its inverse about
         # four times as much
-        def refuse(*args, **kwargs):
-            raise AssertionError("inverse taken")
-
-        monkeypatch.setattr(np.linalg, "inv", refuse)
         ch, truth = planted_channel(np.random.default_rng(48), [6, 8], [(4, 3), (5, 2)], 12)
         assert ch.dim == 48 and not ch._sparse
-        tracemalloc.start()
-        try:
-            report = cs.decompose(ch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: cs.decompose(ch))
         assert peak < ch.dim**4
+        assert chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).route == ("filter", ())
         assert len(report.alpha_blocks) == 2 and report.D.dimension == 12
         assert sorted(len(b.enclosures) for b in report.beta_blocks) == [2, 3]
 
-    def test_kraus_heavy_dense_family_stays_on_the_filter(self, monkeypatch):
+    def test_kraus_heavy_dense_family_stays_on_the_filter(self):
         # 49 Kraus operators on C^48 (n > d), well separated: the filter
         # converges, so no inverse is taken and the peak stays far below
         # the 8 d^4 bytes that M_h alone would take
-        def refuse(*args, **kwargs):
-            raise AssertionError("inverse taken")
-
-        monkeypatch.setattr(np.linalg, "inv", refuse)
         ch = random_channel(48, 49, np.random.default_rng(48))
         assert not ch._sparse
-        tracemalloc.start()
-        try:
-            report = cs.decompose(ch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: cs.decompose(ch))
         assert peak < 2 * ch.dim**4
+        assert chanstruct.spectral._spectral_core(ch, cs.DEFAULT_TOL).route == ("filter", ())
         assert len(report.blocks) == 1 and report.R.dimension == 48
 
     def test_planted_d96_matches_the_truth(self):
@@ -1292,7 +1256,7 @@ class TestKrylovFilter:
         ch, _ = planted_channel(np.random.default_rng(5), [3], [(2, 2)], 4)
         assert not ch._sparse
         b = np.random.default_rng(6).standard_normal((3, ch.dim**2))
-        got = chanstruct.spectral._factor(ch, cs.DEFAULT_TOL)(b, adjoint)
+        got = chanstruct.spectral._factor(ch, cs.DEFAULT_TOL)[2](b, adjoint)
         images = chanstruct.channels._apply_stack(
             ch, cs.linalg.hermitian_decode(b, ch.dim), adjoint
         )
@@ -1338,7 +1302,7 @@ class TestReplay:
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         probes = [spectral._gaussian_hermitian(rng, d) for _ in range(2)]
         candidate = np.diag(np.arange(1, d + 1) / d)
-        solve = spectral._factor(ch, tol)
+        solve = spectral._factor(ch, tol)[2]
 
         def reference(x, adjoint):
             v = cs.linalg.hermitian_encode(x)
@@ -1365,13 +1329,13 @@ class TestReplay:
         seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[32]
         rng = np.random.default_rng(seed)
         ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
-        solve = spectral._factor(ch, tol)
+        route = spectral._factor(ch, tol)
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         probe = [spectral._gaussian_hermitian(rng, ch.dim)]
-        roots = spectral._project(ch, solve, probe, True, tol)[2]
+        roots = spectral._project(ch, route, probe, True, tol)[2]
         start = np.eye(ch.dim) / ch.dim
         v = cs.linalg.hermitian_encode(start[None])
-        assert np.linalg.norm(spectral._replay(solve, roots, v, False)[0]) > np.linalg.norm(v)
+        assert np.linalg.norm(spectral._replay(route[2], roots, v, False)[0]) > np.linalg.norm(v)
         full, runs = spectral._filter, []
 
         def recording(defect, x, tol):
@@ -1380,7 +1344,7 @@ class TestReplay:
             return out
 
         monkeypatch.setattr(spectral, "_filter", recording)
-        spectral._project(ch, solve, [start], False, tol, roots)
+        spectral._project(ch, route, [start], False, tol, roots)
         assert len(runs) == 1 and runs[0] <= 10
 
     @pytest.mark.parametrize("restart", [100, 10])
@@ -1393,7 +1357,7 @@ class TestReplay:
         seed, alpha_dims, beta_specs, n_transient = REPLAY_CASES[32]
         rng = np.random.default_rng(seed)
         ch, _ = planted_channel(rng, alpha_dims, beta_specs, n_transient)
-        solve = spectral._factor(ch, tol)
+        solve = spectral._factor(ch, tol)[2]
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         x = cs.linalg.hermitian_encode(spectral._gaussian_hermitian(rng, ch.dim))
         u, _, _, converged, roots = spectral._filter(lambda b: solve(b, True), x, tol)

@@ -1,5 +1,7 @@
 """Enclosures, block decomposition, and the invariant-state parametrization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -450,6 +452,15 @@ class TestGrouping:
         ):
             cs.group_into_blocks(fake, algebra)
 
+    def test_enclosure_outside_R_rejected(self):
+        # D's frame is an enclosure of no block: its coordinates in R are
+        # refused before any link is read
+        ch, _ = planted_channel(np.random.default_rng(23), [2], [], 2, n_kraus=3)
+        algebra = cs.fixed_point_algebra_on_R(ch)
+        encs = cs.minimal_enclosures(algebra)
+        with pytest.raises(cs.DecompositionError, match="block-grouping: .* not contained in R"):
+            cs.group_into_blocks(encs + [cs.recurrent_split(ch).D], algebra)
+
 
 class TestPartialIsometry:
     def _beta_pair(self):
@@ -509,6 +520,17 @@ class TestPartialIsometry:
         ch, algebra, (v1, _) = self._beta_pair()
         with pytest.raises(cs.ArgumentError):
             cs.partial_isometry(algebra, v1, cs.Subspace(ch.dim, np.eye(ch.dim)))
+
+    def test_half_linked_pair_rejected(self):
+        # V_j takes one line of the second copy and one of an A-block of the
+        # same dimension: the algebra links only the first, so the linking
+        # block has rank 1 of 2 and unequal singular values
+        ch, _ = planted_channel(np.random.default_rng(24), [2], [(2, 2)], 0, n_kraus=3)
+        report = cs.decompose(ch)
+        (v1, v2), (a,) = report.beta_blocks[0].enclosures, report.alpha_blocks[0].enclosures
+        half = cs.Subspace(ch.dim, np.column_stack([v2.frame[:, 0], a.frame[:, 0]]))
+        with pytest.raises(cs.DecompositionError, match="partial-isometry: .* non-equal singular"):
+            cs.partial_isometry(cs.fixed_point_algebra_on_R(ch), v1, half)
 
 
 def _enclosure_off_R():
@@ -719,6 +741,28 @@ class TestParametrization:
                     t=np.array([0.3]), M=(np.eye(nc + 1, dtype=complex),)
                 ),
             )
+
+    def test_build_rejects_a_state_that_is_not_invariant(self):
+        # the A-block's state replaced by I / m: the assembled matrix is a
+        # state, but the channel moves it
+        rep = self._mixed_report()  # A-block of dimension 2, B-block of 3 copies
+        flat = dataclasses.replace(rep.alpha_blocks[0], sigma=np.eye(2) / 2)
+        forged = dataclasses.replace(rep, blocks=(flat,) + rep.beta_blocks)
+        params = cs.InvariantStateParameters(t=np.array([1.0]), M=(np.zeros((3, 3)),))
+        assert cs.is_state(cs.build_invariant_state(rep, params))
+        with pytest.raises(cs.DecompositionError, match="build-invariant-state: .* not invariant"):
+            cs.build_invariant_state(forged, params)
+
+    def test_extract_warns_when_an_invariant_state_misses_a_block(self):
+        # the invariant state of the dropped A-block has no parameters in
+        # the remaining blocks, so it fails to round-trip
+        rep = self._mixed_report()
+        rho = rep.alpha_blocks[0].rho
+        assert cs.extract_parameters(rep, rho).residual < 1e-10
+        dropped = dataclasses.replace(rep, blocks=rep.beta_blocks)
+        with pytest.warns(RuntimeWarning, match="failed to round-trip"):
+            res = cs.extract_parameters(dropped, rho)
+        assert res.residual > 1e-3
 
     def test_extract_rejects_non_state(self):
         rep = self._mixed_report()
