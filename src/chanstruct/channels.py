@@ -2,11 +2,11 @@
 
 A channel is represented by a finite family of d x d Kraus matrices
 (V_i), trace preserving when sum_i V_i^H V_i = I, which only the
-eigenvalue-1 solve needs and checks (chanstruct.spectral).  The module
+eigenvalue-1 solve (chanstruct.spectral) needs; it, ``validate`` and the
+constructors check it by the one rule of ``_tp_defect``.  The module
 provides application of the channel and its adjoint, its matrix under
-column-stacking vectorization, trace-preservation validation, and
-constructors for classical Markov-chain channels, truncated open quantum
-random walks, and the Bloch-affine form of qubit channels.
+column-stacking vectorization, validation, and constructors for Markov-chain
+channels, truncated open quantum random walks and qubit Bloch forms.
 
 A channel holds its family as the nonzero rows of the stacked operator
 W = [V_1; ...; V_n] (n d x d): an (m, d) block and the m row ids a d + i of
@@ -169,7 +169,8 @@ def _dense_stack(ch):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Result of :func:`validate`.  ``spectral_radius`` bounds that of the
+    """Result of :func:`validate`.  ``kraus_sum_deviation`` is the defect
+    |sum V_i^H V_i - I|_F / |I|_F; ``spectral_radius`` bounds that of the
     superoperator from above, and equals it (1) for a trace-preserving map."""
 
     kraus_sum_deviation: float
@@ -450,21 +451,27 @@ def _kraus_gram(w):
     return w.conj().T @ w
 
 
+def _tp_defect(gram):
+    """|G - I|_F / |I|_F of a Kraus Gram matrix G or a diagonal block: trace
+    preserving at most eig_cluster_tol, the solve's rule for a fixed point X = I."""
+    return float(np.linalg.norm(gram - np.eye(len(gram))) / np.sqrt(len(gram)))
+
+
 def validate(ch, tol=DEFAULT_TOL):
     """Check trace preservation and the spectral-radius bound.
 
-    Reports |sum V_i^H V_i - I|_max, lambda_max(sum V_i^H V_i) and pass/fail
-    flags.  The adjoint map is positive, so by Russo-Dye its norm, which
+    Trace preserving means a defect of at most eig_cluster_tol, the solve's
+    rule.  The adjoint map is positive, so by Russo-Dye its norm, which
     bounds the spectral radius, is |Phi^*(I)| = |sum V_i^H V_i|.
     """
     _check_tolerance(tol)
     gram = _kraus_gram(ch._rows)
-    dev = float(np.abs(gram - np.eye(ch.dim)).max())
+    dev = _tp_defect(gram)
     radius = float(np.linalg.eigvalsh(gram)[-1])
     return ValidationReport(
         kraus_sum_deviation=dev,
         spectral_radius=radius,
-        trace_preserving=dev <= 10.0 * tol.psd_tol,
+        trace_preserving=dev <= tol.eig_cluster_tol,
         spectral_radius_ok=radius <= 1.0 + tol.eig_cluster_tol,
     )
 
@@ -476,8 +483,8 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
     ----------
     p : (n, n) array_like
         Column-stochastic transition matrix: p[i, j] is the probability of
-        jumping from state j to state i, columns sum to one within
-        10 ``tol.psd_tol``.  Entries down to -``tol.psd_tol`` count as zero.
+        jumping from state j to state i, columns sum to one by ``validate``'s
+        rule at ``tol``.  Entries down to -``tol.psd_tol`` count as zero.
 
     Returns
     -------
@@ -495,11 +502,9 @@ def from_markov_chain(p, tol=DEFAULT_TOL):
     if p.min() < -tol.psd_tol:
         raise ArgumentError("transition matrix has negative entries")
     p = np.where(p < 0.0, 0.0, p)
-    col_dev = np.abs(p.sum(axis=0) - 1.0).max()
-    if col_dev > 10.0 * tol.psd_tol:
-        raise ArgumentError(
-            f"columns must sum to one (deviation {col_dev:.3e})"
-        )
+    col_dev = _tp_defect(np.diag(p.sum(axis=0)))  # the channel's defect
+    if col_dev > tol.eig_cluster_tol:
+        raise ArgumentError(f"columns must sum to one (defect {col_dev:.3e})")
     # one operator per positive entry, ordered by column j, then row i; its
     # only nonzero row is row i
     j, i = np.nonzero(p.T > 0.0)
@@ -551,7 +556,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     transitions : mapping (i, j) -> (n, n) array_like
         Site-transition operators L_{i,j} of the walk, for source sites
         0 <= j <= N.  Every retained column j must satisfy
-        sum_i L_{i,j}^H L_{i,j} = I within 10 ``tol.psd_tol`` (max-abs)
+        sum_i L_{i,j}^H L_{i,j} = I by ``validate``'s rule at ``tol``
         *before* truncation.
     num_sites : int
         Truncation index N; sites 0..N are kept.
@@ -562,7 +567,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     L_{N+1,N} is removed and L = L_{N-1,N} becomes L diag(s), s_k^2 =
     max(t_k, 0) / g_k (0 where g_k <= psd_tol), for t and g the diagonals of
     I - sum_{i<=N, i!=N-1} L_{i,N}^H L_{i,N} and of L^H L.  The rescaled column
-    must be normalized within 10 ``tol.psd_tol``.  The ambient
+    must meet it too, so ``validate`` accepts the channel.  The ambient
     ordering is internal ⊗ site, i.e. basis vector e_a ⊗ |j> sits at
     index a*(N+1) + j.
     """
@@ -586,14 +591,9 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     if n_int is None:
         raise ArgumentError("transition map is empty")
 
-    eye = np.eye(n_int)
-    # the max-abs bound of validate on |sum V^H V - I|
-    tp_tol = 10.0 * tol.psd_tol
     for j in range(n_sites):
-        total = sum(
-            m.conj().T @ m for (i, jj), m in ops.items() if jj == j
-        )
-        if not isinstance(total, np.ndarray) or np.abs(total - eye).max() > tp_tol:
+        total = sum(m.conj().T @ m for (i, jj), m in ops.items() if jj == j)
+        if not isinstance(total, np.ndarray) or _tp_defect(total) > tol.eig_cluster_tol:
             raise ArgumentError(
                 f"column {j} is not normalized before truncation"
             )
@@ -616,13 +616,13 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
             for (i, jj), m in ops.items()
             if jj == n_last and (i, jj) != back
         )
-        t_diag = np.diag(eye - others).real
+        t_diag = 1.0 - np.diag(others).real
         g_diag = np.diag(ops[back].conj().T @ ops[back]).real
         scale = np.zeros(n_int)
         kept = g_diag > tol.psd_tol
         scale[kept] = np.sqrt(np.maximum(t_diag[kept], 0.0) / g_diag[kept])
         ops[back] = ops[back] @ np.diag(scale)
-        if np.abs(others + ops[back].conj().T @ ops[back] - eye).max() > tp_tol:
+        if _tp_defect(others + ops[back].conj().T @ ops[back]) > tol.eig_cluster_tol:
             raise ArgumentError("normalization failure after adjustment")
 
     # V = L ⊗ |i><j| has its nonzero rows a (N+1) + i, row a being
@@ -653,8 +653,8 @@ def qubit_bloch_form(ch):
     """Affine Bloch action (b, A) of a qubit channel.
 
     With the normalized Pauli basis sigma_0..sigma_3, the channel acts as
-    Phi(sigma_0 + u . sigma) = sigma_0 + (b + A u) . sigma.  It needs a trace-
-    preserving channel: tr(sigma_0 Phi(sigma_j)) = 1, 0, 0, 0 for j = 0..3.
+    Phi(sigma_0 + u . sigma) = sigma_0 + (b + A u) . sigma, which needs Phi
+    trace preserving by ``validate`` at DEFAULT_TOL: tr(sigma_0 Phi(sigma_j)) = delta_0j.
 
     Returns
     -------
@@ -663,12 +663,12 @@ def qubit_bloch_form(ch):
     """
     if ch.dim != 2:
         raise ArgumentError("qubit_bloch_form requires a channel on C^2")
+    dev = _tp_defect(_kraus_gram(ch._rows))
+    if dev > DEFAULT_TOL.eig_cluster_tol:
+        raise ArgumentError(f"channel is not trace preserving (defect {dev:.3e})")
     # t[i, j] = tr(sigma_i Phi(sigma_j)), real to rounding: Phi(X)^H = Phi(X^H)
     t = np.einsum("iab,jba->ij", _PAULI, _apply_stack(ch, _PAULI))
     imag_max, cut = np.abs(t.imag).max(), DEFAULT_TOL.subspace_tol * np.abs(t).max()
     if imag_max > cut:
         raise ArgumentError(f"Bloch coefficients have an imaginary part {imag_max:.3e}")
-    dev = np.abs(t[0] - [1.0, 0.0, 0.0, 0.0]).max()
-    if dev > cut:
-        raise ArgumentError(f"channel is not trace preserving (deviation {dev:.3e})")
     return t[1:, 0].real, t[1:, 1:].real

@@ -13,8 +13,8 @@ is computed: the structure theorem gives both from the blocks
 ``decompose``, and ``structure.is_irreducible`` reads its report.
 
 The solve alone needs a trace-preserving channel, as the structure theorem
-needs a unital adjoint: ``_spectral_core`` first checks Phi^*(I) = I by the
-rule it applies to every fixed point, and refuses the channel otherwise.
+needs a unital adjoint: ``_spectral_core`` refuses a channel whose Phi^*(I) = I
+fails the rule of every fixed point, ``validate``'s too (``channels._tp_defect``).
 
 Pi_1 works on real coordinates: a CPTP map preserves Hermiticity, so with K
 the vec swap vec(X) -> vec(X^T), the unitary U = ((1+i) I + (1-i) K) / 2 (the
@@ -74,7 +74,9 @@ from .channels import (
     _enclosure_frame,
     _hermitian_block,
     _hermitian_transfer_matrix,
+    _kraus_gram,
     _sandwich,
+    _tp_defect,
 )
 from .errors import DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, hermitian_decode, hermitian_encode
@@ -370,7 +372,7 @@ def _spectral_core(ch, tol):
     _check_tolerance(tol)
     if tol not in ch._cores:
         d = ch.dim
-        unital = _residual(ch, hermitian_encode(np.eye(d)), True)
+        unital = _tp_defect(_kraus_gram(ch._rows))
         if unital > tol.eig_cluster_tol:
             raise DecompositionError(
                 "fixed-space",

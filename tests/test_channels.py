@@ -343,6 +343,39 @@ class TestSuperoperator:
         assert not report.trace_preserving
         assert report.spectral_radius_ok
 
+    @pytest.mark.parametrize("shape", ["diagonal", "dense", "rank-one"])
+    @pytest.mark.parametrize("d", [2, 9, 30])
+    def test_validate_and_the_solve_share_the_trace_preservation_rule(self, d, shape):
+        # the operators V_a (I + Delta)^(1/2) of a random channel have the
+        # Gram matrix I + Delta; at defects |Delta|_F / |I|_F of 0.5 and 2
+        # times eig_cluster_tol, validate finds the channel trace preserving
+        # exactly when the eigenvalue-1 solve does not refuse it as not so
+        rng = np.random.default_rng(1000 * d + len(shape))
+        family = random_kraus_family(d, 2, rng)
+        if shape == "diagonal":
+            delta = np.diag(np.eye(d)[rng.integers(d)])
+        elif shape == "dense":
+            delta = rng.choice([-1.0, 1.0], size=(d, d))
+            delta = delta + delta.T
+        else:
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            delta = -np.outer(x, x.conj())
+        cut = cs.DEFAULT_TOL.eig_cluster_tol
+        for factor in (0.5, 2.0):
+            scale = factor * cut * np.sqrt(d) / np.linalg.norm(delta)
+            w, u = np.linalg.eigh(np.eye(d) + scale * delta)
+            root = (u * np.sqrt(w)) @ u.conj().T
+            ch = cs.KrausChannel([v @ root for v in family])
+            report = cs.validate(ch)
+            assert report.kraus_sum_deviation == pytest.approx(factor * cut, rel=1e-4)
+            try:
+                cs.recurrent_split(ch)
+                refused = False
+            except cs.DecompositionError as err:
+                refused = "not trace preserving" in str(err)
+            assert report.trace_preserving is not refused
+            assert refused is (factor > 1.0)
+
 
 class TestMarkov:
     def test_diagonal_evolution_matches_chain(self):
@@ -383,13 +416,18 @@ class TestMarkov:
             cs.from_markov_chain(np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
     def test_column_sums_checked_at_tolerance(self):
-        # columns sum to 1 + 1e-7 and 1 - 1e-7: beyond 10 psd_tol at the
-        # default tolerance, within it at psd_tol = 1e-6
+        # columns sum to 1 + 1e-7 and 1 - 1e-7: the channel's defect
+        # |diag(sums) - I|_F / |I|_F is 1e-7, beyond eig_cluster_tol at the
+        # default tolerance, within it at eig_cluster_tol = 1e-6; psd_tol
+        # sets no trace-preservation bound
         p = np.array([[0.5 + 1e-7, 0.3], [0.5, 0.7 - 1e-7]])
-        with pytest.raises(cs.ArgumentError, match="columns must sum to one"):
-            cs.from_markov_chain(p)
-        ch = cs.from_markov_chain(p, tol=cs.Tolerance(psd_tol=1e-6))
+        for tol in (cs.DEFAULT_TOL, cs.Tolerance(psd_tol=1e-6)):
+            with pytest.raises(cs.ArgumentError, match="columns must sum to one"):
+                cs.from_markov_chain(p, tol=tol)
+        loose = cs.Tolerance(eig_cluster_tol=1e-6)
+        ch = cs.from_markov_chain(p, tol=loose)
         assert len(ch) == 4
+        assert cs.validate(ch, loose).kraus_sum_deviation == pytest.approx(1e-7)
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(cs.ArgumentError, match="square and nonempty"):
@@ -409,11 +447,13 @@ def _psd_sqrt(m):
 
 # Boundary cases of a walk on sites 0..1 with internal space C^2: site 0
 # stays put, and the last site N = 1 stays, hops back and overflows with
-# the square roots of the Gram matrices L^H L below.  psd_tol is 1e-9.
+# the square roots of the Gram matrices L^H L below.  psd_tol is 1e-9 and
+# eig_cluster_tol 1e-8.
 _BOUNDARY_CASES = {
-    # the column before truncation already fails a deficit beyond 10 psd_tol
+    # the column before truncation already fails: 20e-9 on one level of C^2
+    # is a defect |G_1 - I|_F / |I|_F of 1.4e-8, beyond eig_cluster_tol
     "deficit-beyond-bound": (
-        np.diag([1 + 12e-9, 0.5]), np.diag([0.0, 0.25]), np.diag([0.0, 0.25]),
+        np.diag([1 + 20e-9, 0.5]), np.diag([0.0, 0.25]), np.diag([0.0, 0.25]),
         "column 1 is not normalized before truncation",
     ),
     # the back-hop's Gram matrix couples the two levels
@@ -480,12 +520,14 @@ class TestOqrw:
             cs.from_oqrw(tr, 3)
 
     def test_normalization_checked_at_tolerance(self):
-        # column 0 off by about 1e-7, which psd_tol = 1e-6 accepts
+        # column 0 sums to (1 + 1.05e-7) I, a defect of 1.05e-7, which
+        # eig_cluster_tol = 1e-6 accepts and psd_tol = 1e-6 does not
         tr = cs.oqrw_transition_map(0.3, 0.3, 3)
         tr[(0, 0)] = np.sqrt(1 + 1.5e-7) * tr[(0, 0)]
-        with pytest.raises(cs.ArgumentError, match="not normalized"):
-            cs.from_oqrw(tr, 3)
-        ch = cs.from_oqrw(tr, 3, tol=cs.Tolerance(psd_tol=1e-6))
+        for tol in (cs.DEFAULT_TOL, cs.Tolerance(psd_tol=1e-6)):
+            with pytest.raises(cs.ArgumentError, match="not normalized"):
+                cs.from_oqrw(tr, 3, tol=tol)
+        ch = cs.from_oqrw(tr, 3, tol=cs.Tolerance(eig_cluster_tol=1e-6))
         assert ch.dim == 12
 
     def test_bad_overflow_rejected(self):
@@ -499,6 +541,19 @@ class TestOqrw:
         with pytest.raises(cs.ArgumentError, match="must be a nonempty matrix"):
             cs.from_oqrw({(0, 0): op}, 0)
 
+    @pytest.mark.parametrize(
+        "transitions, message",
+        [
+            ({(0, 0): np.eye(2), (1, 0): np.eye(3)}, r"L\[1,0\] must be 2x2"),
+            ({(0, 0): np.eye(2), (-1, 0): np.eye(2)}, "site indices must be nonnegative"),
+            ({}, "transition map is empty"),
+        ],
+        ids=["wrong-size", "negative-site", "empty"],
+    )
+    def test_malformed_map_rejected(self, transitions, message):
+        with pytest.raises(cs.ArgumentError, match=message):
+            cs.from_oqrw(transitions, 0)
+
     @pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES))
     def test_reflecting_boundary_refusals(self, case):
         *grams, message = _BOUNDARY_CASES[case]
@@ -507,15 +562,16 @@ class TestOqrw:
 
     def test_small_negative_deficit_is_accepted(self):
         # t_0 = -5 psd_tol where the back-hop has weight g_0 = 2 psd_tol: the
-        # back-hop's level 0 is dropped (s_0 = 0), and the column stays within
-        # the one bound, 10 psd_tol, that KrausChannel also puts on it
+        # back-hop's level 0 is dropped (s_0 = 0), and the column keeps 5e-9
+        # on level 0, a defect of 3.5e-9 within eig_cluster_tol; the channel
+        # on C^4 has the defect 5e-9 / |I|_F = 2.5e-9, which validate reports
         tr = _boundary_map(
             np.diag([1 + 5e-9, 0.5]), np.diag([2e-9, 0.25]), np.diag([0.0, 0.25])
         )
         ch = cs.from_oqrw(tr, 1)
         back = np.kron(tr[(0, 1)] @ np.diag([0.0, np.sqrt(2.0)]), [[0, 1], [0, 0]])
         assert any(np.abs(v - back).max() < 1e-15 for v in ch.kraus)
-        assert 4e-9 < cs.validate(ch).kraus_sum_deviation <= 1e-8
+        assert cs.validate(ch).kraus_sum_deviation == pytest.approx(2.5e-9, rel=1e-6)
 
 
 class TestBlochForm:
@@ -553,9 +609,23 @@ class TestBlochForm:
             cs.qubit_bloch_form(ch)
 
     def test_requires_trace_preservation(self):
-        # row 0 of t[i, j] = tr(sigma_i Phi(sigma_j)) is (2, 0, 0, 0) here
+        # sum V^H V = 2 I, a defect of 1: row 0 of t[i, j] =
+        # tr(sigma_i Phi(sigma_j)) is (2, 0, 0, 0) here
         with pytest.raises(cs.ArgumentError, match="not trace preserving"):
             cs.qubit_bloch_form(cs.KrausChannel([np.eye(2), np.eye(2)]))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_trace_preservation_is_validates_rule(self, factor):
+        # sum V^H V = (1 + delta) I, a defect of delta = factor
+        # eig_cluster_tol: the form refuses exactly what validate refuses
+        delta = factor * cs.DEFAULT_TOL.eig_cluster_tol
+        ch = cs.KrausChannel([np.sqrt(1.0 + delta) * v for v in random_channel(2, 3, RNG).kraus])
+        assert cs.validate(ch).trace_preserving is (factor < 1.0)
+        if factor < 1.0:
+            cs.qubit_bloch_form(ch)
+        else:
+            with pytest.raises(cs.ArgumentError, match="not trace preserving"):
+                cs.qubit_bloch_form(ch)
 
     def test_unitary_is_rotation(self):
         theta = 0.7

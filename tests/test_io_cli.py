@@ -153,6 +153,13 @@ class TestChannelSchema:
         with pytest.raises(cs.ParseError):
             cs.channel_from_dict(doc)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_nonpositive_dim_is_parse_error(self, dim):
+        doc = v1_doc(amplitude_damping_channel(0.3))
+        doc["dim"] = dim
+        with pytest.raises(cs.ParseError, match="channel: dim must be positive"):
+            cs.channel_from_dict(doc)
+
     def test_nonfinite_rejected(self):
         doc = v1_doc(amplitude_damping_channel(0.3))
         doc["kraus"][0][0][0] = [float("inf"), 0.0]
@@ -1009,6 +1016,22 @@ class TestReportSchema:
         with pytest.raises(cs.ParseError, match="out of float range"):
             cs.report_file_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("recurrent_basis", 5, "recurrent_basis: expected a matrix"),
+            ("transient_basis", {"a": 1}, "transient_basis: expected a matrix"),
+            ("dim", 5, "channel dimension disagrees with dim"),
+            ("warnings", ["ok", 7], "warnings must be a list of strings"),
+        ],
+    )
+    def test_malformed_field_is_parse_error(self, key, value, message):
+        doc = cs.report_file_to_dict(self._report_file())
+        assert doc["dim"] == 4
+        doc[key] = value
+        with pytest.raises(cs.ParseError, match=re.escape(message)):
+            cs.report_file_from_dict(doc)
+
     @pytest.mark.parametrize("value", [0.5, 0, float("nan"), "1e-9", True, None])
     def test_out_of_range_tolerance_is_parse_error(self, value):
         doc = cs.report_file_to_dict(self._report_file())
@@ -1340,16 +1363,59 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
-    def test_psd_flag_sets_the_trace_preservation_bound(self, tmp_path, capsys):
-        # sum V^H V = (1 - 1e-6) I: trace preserving to 1e-6, within the
-        # bound 10 psd_tol at --tol-psd 1e-6, not at the default 1e-9
+    def test_eig_flag_sets_the_trace_preservation_bound(self, tmp_path, capsys):
+        # sum V^H V = (1 - 1e-6) I: the defect |sum V^H V - I|_F / |I|_F is
+        # 1e-6, within eig_cluster_tol at --tol-eig 1e-5, beyond it at the
+        # default 1e-8; --tol-psd sets no trace-preservation bound
         ch = cs.KrausChannel([np.sqrt(1.0 - 1e-6) * np.eye(2)])
         path = write_channel(tmp_path / "ch.json", ch)
-        assert main(["validate", path, "--tol-psd", "1e-6"]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert main(["validate", path]) == 1
+        assert main(["validate", path, "--tol-eig", "1e-5"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["trace_preserving"] is False and out["passed"] is False
+        assert out["passed"] is True
+        assert out["kraus_sum_deviation"] == pytest.approx(1e-6)
+        for flags in ([], ["--tol-psd", "1e-6"]):
+            assert main(["validate", path, *flags]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["trace_preserving"] is False and out["passed"] is False
+
+    @pytest.mark.parametrize("case", ["scaled-identity", "dense-gram", "markov"])
+    def test_build_validate_and_decompose_agree_on_trace_preservation(
+        self, case, tmp_path, capsys
+    ):
+        # channels near the bound, each refused at the default flags and at
+        # --tol-psd 1e-6 and accepted at a --tol-eig above its defect, by
+        # build markov, by validate's exit code, trace_preserving and passed,
+        # and by decompose's trace-preservation gate alike
+        path = tmp_path / "ch.json"
+        if case == "scaled-identity":  # defect 1e-6
+            write_channel(path, cs.KrausChannel([np.sqrt(1.0 - 1e-6) * np.eye(2)]))
+            above = "1e-5"
+        elif case == "dense-gram":
+            # V^H V = I + 4.9e-9 (2 I - J) on C^9, J all ones: max-abs
+            # deviation 4.9e-9, defect 1.47e-8
+            w, u = np.linalg.eigh(np.eye(9) + 4.9e-9 * (2.0 * np.eye(9) - np.ones((9, 9))))
+            write_channel(path, cs.KrausChannel([(u * np.sqrt(w)) @ u.T]))
+            above = "2e-8"
+        else:  # column sums 1 + 1e-7 and 1 - 1e-7: defect 1e-7
+            matrix = tmp_path / "p.json"
+            matrix.write_text(json.dumps([[0.5 + 1e-7, 0.3], [0.5, 0.7 - 1e-7]]))
+            build = ["build", "markov", "--matrix", str(matrix)]
+            above = "1e-6"
+            assert main([*build, "--tol-eig", above, "--out", str(path)]) == 0
+        for flags, accepted in (
+            ([], False), (["--tol-psd", "1e-6"], False), (["--tol-eig", above], True)
+        ):
+            verdicts = []
+            if case == "markov":
+                verdicts.append(main([*build, *flags]) == 0)
+                capsys.readouterr()
+            code = main(["validate", str(path), *flags])
+            out = json.loads(capsys.readouterr().out)
+            verdicts += [code == 0, out["trace_preserving"], out["passed"]]
+            code = main(["decompose", str(path), *flags])
+            doc = json.loads(capsys.readouterr().out)
+            verdicts.append(code == 0 or "not trace preserving" not in doc["error"]["message"])
+            assert verdicts == [accepted] * len(verdicts), (flags, verdicts)
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1568,6 +1634,23 @@ class TestCliBuild:
         assert main(["build", "markov", "--matrix", str(mat)]) == 1
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[[0.5, "0.5"], [0.5, 0.5]]', "row 0 must be an array of numbers"),
+            ("[[0.5, 0.5], 0.5]", "row 1 must be an array of numbers"),
+            ("[[0.5, 0.5], [0.5]]", "ragged matrix"),
+        ],
+        ids=["string-entry", "scalar-row", "ragged"],
+    )
+    def test_markov_malformed_rows_exit_2(self, tmp_path, capsys, text, message):
+        mat = tmp_path / "p.json"
+        mat.write_text(text)
+        assert main(["build", "markov", "--matrix", str(mat)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith(f"{mat}: {message}")
+
+    @pytest.mark.parametrize(
         "entry, message",
         [
             ("NaN", "non-finite entry"),
@@ -1618,6 +1701,13 @@ class TestCliQuery:
         assert main(["query", "enclosure", path, "--vector", vector]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["message"] == "--vector[1]: entry out of float range"
+
+    @pytest.mark.parametrize("vector", ['{"a": 1, "b": 0}', "1"], ids=["object", "number"])
+    def test_non_array_vector_exits_2(self, tmp_path, capsys, vector):
+        path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))
+        assert main(["query", "enclosure", path, "--vector", vector]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "ParseError", "message": "--vector: expected a JSON array"}
 
     def test_bad_vector_exits_2(self, tmp_path, capsys):
         path = write_channel(tmp_path / "ch.json", amplitude_damping_channel(0.3))

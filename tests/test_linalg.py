@@ -38,6 +38,15 @@ class TestSubspace:
         with pytest.raises(cs.ArgumentError):
             cs.Subspace(3, np.eye(2))
 
+    def test_rejects_more_columns_than_the_space(self):
+        with pytest.raises(cs.ArgumentError, match="exceeds ambient dimension"):
+            cs.Subspace(2, np.eye(3)[:2])
+
+    @pytest.mark.parametrize("method", ["contains", "approx_equal"])
+    def test_ambient_dimensions_must_agree(self, method):
+        with pytest.raises(cs.ArgumentError, match="ambient dimensions differ"):
+            getattr(cs.Subspace.full(2), method)(cs.Subspace.full(3))
+
     def test_immutable(self):
         s = cs.Subspace.full(2)
         with pytest.raises(AttributeError):
@@ -133,6 +142,10 @@ class TestVecHermitian:
         e1, e2 = hermitian_encode(h1), hermitian_encode(h2)
         assert abs(e1 @ e2 - np.trace(h1 @ h2).real) < 1e-12
         assert np.abs(hermitian_decode(e1, 4) - h1).max() < 1e-12
+
+    @pytest.mark.parametrize("mats", [[], [np.zeros((2, 2))] * 2], ids=["none", "all-zero"])
+    def test_hermitian_span_basis_of_nothing_is_empty(self, mats):
+        assert cs.hermitian_span_basis(mats) == []
 
     def test_hermitian_span_basis(self):
         h1 = np.diag([1.0, 0.0]).astype(complex)

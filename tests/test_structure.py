@@ -187,6 +187,18 @@ class TestEnclosurePredicates:
         got = leak(ch, frame)
         assert abs(got - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda ch: cs.is_enclosure(ch, cs.Subspace.full(3)), "subspace ambient dimension"),
+            (lambda ch: cs.is_subharmonic(ch, np.eye(3)), "P has wrong shape"),
+        ],
+        ids=["is_enclosure", "is_subharmonic"],
+    )
+    def test_shape_mismatch_rejected(self, call, message):
+        with pytest.raises(cs.ArgumentError, match=message):
+            call(amplitude_damping_channel(0.3))
+
     def test_subharmonic_rejects_non_projector(self):
         ch = amplitude_damping_channel(0.3)
         with pytest.raises(cs.ArgumentError):
@@ -516,6 +528,12 @@ class TestPartialIsometry:
         with pytest.raises(cs.DecompositionError, match="links"):
             cs.partial_isometry(algebra, encs[0], encs[1])
 
+    def test_zero_enclosures_rejected(self):
+        ch, algebra, _ = self._beta_pair()
+        zero = cs.Subspace.zero(ch.dim)
+        with pytest.raises(cs.ArgumentError, match="enclosures must be nonzero"):
+            cs.partial_isometry(algebra, zero, zero)
+
     def test_dimension_mismatch_rejected(self):
         ch, algebra, (v1, _) = self._beta_pair()
         with pytest.raises(cs.ArgumentError):
@@ -554,6 +572,11 @@ class TestBlockInvariantState:
         algebra = cs.fixed_point_algebra_on_R(amplitude_damping_channel(0.4))
         with pytest.raises(cs.ArgumentError, match="not an enclosure"):
             cs.block_invariant_state(algebra, cs.Subspace(2, np.eye(2)[:, 1:]))
+
+    def test_rejects_zero_subspace(self):
+        algebra = cs.fixed_point_algebra_on_R(amplitude_damping_channel(0.4))
+        with pytest.raises(cs.ArgumentError, match="V must be nonzero"):
+            cs.block_invariant_state(algebra, cs.Subspace.zero(2))
 
     def test_rejects_non_minimal(self):
         algebra = cs.fixed_point_algebra_on_R(cs.KrausChannel([np.eye(2)]))
@@ -741,6 +764,11 @@ class TestParametrization:
                     t=np.array([0.3]), M=(np.eye(nc + 1, dtype=complex),)
                 ),
             )
+        # one weight too many: the count is refused before any shape
+        with pytest.raises(cs.ArgumentError, match="t has length 2 and M 1 entries"):
+            cs.build_invariant_state(
+                rep, cs.InvariantStateParameters(t=np.array([0.3, 0.0]), M=(ok_m,))
+            )
 
     def test_build_rejects_a_state_that_is_not_invariant(self):
         # the A-block's state replaced by I / m: the assembled matrix is a
@@ -751,6 +779,18 @@ class TestParametrization:
         params = cs.InvariantStateParameters(t=np.array([1.0]), M=(np.zeros((3, 3)),))
         assert cs.is_state(cs.build_invariant_state(rep, params))
         with pytest.raises(cs.DecompositionError, match="build-invariant-state: .* not invariant"):
+            cs.build_invariant_state(forged, params)
+
+    def test_build_rejects_an_assembled_matrix_that_is_not_a_state(self):
+        # the A-block's state replaced by a Hermitian trace-1 matrix with the
+        # eigenvalues 1.5 and -0.5: weight 1 on it assembles no state
+        rep = self._mixed_report()
+        bad = dataclasses.replace(rep.alpha_blocks[0], sigma=np.array([[0.5, 1.0], [1.0, 0.5]]))
+        forged = dataclasses.replace(rep, blocks=(bad,) + rep.beta_blocks)
+        params = cs.InvariantStateParameters(t=np.array([1.0]), M=(np.zeros((3, 3)),))
+        with pytest.raises(
+            cs.DecompositionError, match="build-invariant-state: assembled matrix is not a state"
+        ):
             cs.build_invariant_state(forged, params)
 
     def test_extract_warns_when_an_invariant_state_misses_a_block(self):
@@ -768,6 +808,11 @@ class TestParametrization:
         rep = self._mixed_report()
         with pytest.raises(cs.ArgumentError):
             cs.extract_parameters(rep, np.eye(rep.dim))
+
+    def test_extract_rejects_wrong_shape(self):
+        rep = self._mixed_report()
+        with pytest.raises(cs.ArgumentError, match="rho has wrong shape"):
+            cs.extract_parameters(rep, np.eye(rep.dim + 1) / (rep.dim + 1))
 
     def test_extract_reports_residual_for_non_invariant_state(self):
         rep = self._mixed_report()
