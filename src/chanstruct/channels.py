@@ -461,8 +461,8 @@ def validate(ch, tol=DEFAULT_TOL):
     """Check trace preservation and the spectral-radius bound.
 
     Trace preserving means a defect of at most eig_cluster_tol, the solve's
-    rule.  The adjoint map is positive, so by Russo-Dye its norm, which
-    bounds the spectral radius, is |Phi^*(I)| = |sum V_i^H V_i|.
+    rule.  By Russo-Dye the spectral radius is at most |Phi^*(I)| = |G| <= 1 +
+    |G - I|_F = 1 + sqrt(d) defect, G = sum V_i^H V_i, which that rule bounds.
     """
     _check_tolerance(tol)
     gram = _kraus_gram(ch._rows)
@@ -472,7 +472,7 @@ def validate(ch, tol=DEFAULT_TOL):
         kraus_sum_deviation=dev,
         spectral_radius=radius,
         trace_preserving=dev <= tol.eig_cluster_tol,
-        spectral_radius_ok=radius <= 1.0 + tol.eig_cluster_tol,
+        spectral_radius_ok=radius <= 1.0 + len(gram) ** 0.5 * tol.eig_cluster_tol,
     )
 
 
@@ -555,9 +555,9 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     ----------
     transitions : mapping (i, j) -> (n, n) array_like
         Site-transition operators L_{i,j} of the walk, for source sites
-        0 <= j <= N.  Every retained column j must satisfy
-        sum_i L_{i,j}^H L_{i,j} = I by ``validate``'s rule at ``tol``
-        *before* truncation.
+        0 <= j <= N.  The channel's Gram matrix is the direct sum of the
+        G_j = sum_i L_{i,j}^H L_{i,j}, and *before* truncation it must meet
+        ``validate``'s rule at ``tol``.
     num_sites : int
         Truncation index N; sites 0..N are kept.
 
@@ -566,7 +566,7 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     Reflecting boundary: at the last site N the outgoing operator
     L_{N+1,N} is removed and L = L_{N-1,N} becomes L diag(s), s_k^2 =
     max(t_k, 0) / g_k (0 where g_k <= psd_tol), for t and g the diagonals of
-    I - sum_{i<=N, i!=N-1} L_{i,N}^H L_{i,N} and of L^H L.  The rescaled column
+    I - sum_{i<=N, i!=N-1} L_{i,N}^H L_{i,N} and of L^H L.  The rescaled walk
     must meet it too, so ``validate`` accepts the channel.  The ambient
     ordering is internal ⊗ site, i.e. basis vector e_a ⊗ |j> sits at
     index a*(N+1) + j.
@@ -591,12 +591,13 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
     if n_int is None:
         raise ArgumentError("transition map is empty")
 
-    for j in range(n_sites):
-        total = sum(m.conj().T @ m for (i, jj), m in ops.items() if jj == j)
-        if not isinstance(total, np.ndarray) or _tp_defect(total) > tol.eig_cluster_tol:
-            raise ArgumentError(
-                f"column {j} is not normalized before truncation"
-            )
+    def defect():  # the channel's, sqrt(sum_j |G_j - I|_F^2 / (n (N + 1)))
+        grams = np.zeros((n_sites, n_int, n_int), dtype=complex)
+        np.add.at(grams, [j for _, j in ops], [m.conj().T @ m for m in ops.values()])
+        return float(np.sqrt(np.mean([_tp_defect(g) ** 2 for g in grams])))
+
+    if (dev := defect()) > tol.eig_cluster_tol:
+        raise ArgumentError(f"the walk is not normalized before truncation (defect {dev:.3e})")
 
     overflow = [(i, j) for (i, j) in ops if i > n_last]
     for (i, j) in overflow:
@@ -622,8 +623,8 @@ def from_oqrw(transitions, num_sites, tol=DEFAULT_TOL):
         kept = g_diag > tol.psd_tol
         scale[kept] = np.sqrt(np.maximum(t_diag[kept], 0.0) / g_diag[kept])
         ops[back] = ops[back] @ np.diag(scale)
-        if _tp_defect(others + ops[back].conj().T @ ops[back]) > tol.eig_cluster_tol:
-            raise ArgumentError("normalization failure after adjustment")
+        if (dev := defect()) > tol.eig_cluster_tol:
+            raise ArgumentError(f"normalization failure after adjustment (defect {dev:.3e})")
 
     # V = L ⊗ |i><j| has its nonzero rows a (N+1) + i, row a being
     # L[a] ⊗ <j|: one (n_int, d) block per operator

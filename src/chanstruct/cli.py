@@ -66,7 +66,7 @@ def cmd_validate(args):
     ch = load_channel(args.channel)
     vr = validate(ch, tol)
     _emit(validation_to_dict(ch, vr), args.out)
-    return 0 if vr.trace_preserving else 1
+    return 0 if vr.passed else 1
 
 
 def cmd_decompose(args):

@@ -40,26 +40,29 @@ spectrum (``_leja``); a short filter run then finishes each row.  Near the
 identity the product can grow a row until rounding swamps its fixed part,
 so a row keeps its replay only when it shrank the defect, |(I - Phi) w| <=
 |(I - Phi) v|, not the norm (Pi_1 is oblique, |Pi_1(I/d)|_F > |I/d|_F);
-otherwise it takes the full filter.  Two routes instead take the steps
-x <- (1 - sigma) (M_h - sigma I)^{-1} x, sigma = 1 + eig_cluster_tol
-(``_factor``), which multiply an eigenvector of eigenvalue lambda by
-theta = (sigma - 1) / (sigma - lambda), while the residual halves; the
-largest ratio theta of successive residuals gives the distance
-(sigma - 1)(1/theta - 1).  Each takes one inverse of M_h[T, T] - sigma I,
-T the coordinates that Phi writes, |T| <= ``_INVERSE_ORDER``: fixed points
-lie in the range of Phi, so Pi_1 = E_T Pi_T E_T^T M_h, Pi_T the eigenvalue-1
-projection of M_h[T, T].  On the route "inverse on T" a sparse family (the
-rule is the channel's) reads T, the union over operators of rows(V_a)^2
+otherwise it takes the full filter.  Fixed points lie in the range of Phi, so
+Pi_1 = E_T Pi_T E_T^T M_h, T the coordinates that Phi writes and Pi_T the
+eigenvalue-1 projection of M_h[T, T]: a sparse family's ``_project`` enters T
+once, with (M_h x)_T (x_T for Pi_1^*), takes every step on T, and leaves once,
+with E_T z (M_h^T E_T z).  Two routes take the steps z <- (1 - sigma)
+(M_h[T, T] - sigma I)^{-1} z, sigma = 1 + eig_cluster_tol, from one inverse
+(``_factor``), |T| <= ``_INVERSE_ORDER``.  A step multiplies an eigenvector of
+eigenvalue lambda by theta = (sigma - 1) / (sigma - lambda), and its residual
+(M_h[T, T] - I) z is (sigma - 1)(z - z_prev): the steps apply no Phi and run
+while it halves, and the largest ratio theta of successive residuals gives the
+distance (sigma - 1)(1/theta - 1).  On the route "inverse on T" a sparse family
+(the rule is the channel's) reads T, the union over operators of rows(V_a)^2
 (9 (N + 1) for the open quantum walk on N + 1 sites, d for a Markov chain),
 off a bincount of its COO rows (numpy 2's np.unique would load numpy.ma,
-which no path imports); above the bound it takes the "filter".  On the route
-"inverse on all coordinates" a dense family whose filter run stalls (of
-near-unitary channels) takes all d^2, so d <= 64.  ``_factor`` returns the
-route (kind, orders, step), and ``_SpectralCore.route`` its (kind, orders).
-Either way a vector is accepted only when its residual through the channel
-itself, |Phi(X) - X|_F (Phi^* for Pi_1^*), is within eig_cluster_tol |X|_F.  The
-distance of the first probe's projection is the channel's gap, and a gap
-below 10 eig_cluster_tol gives the split an "ill-separated" warning.
+which no path imports); above the bound it takes the "filter" on T.  On the
+route "inverse on all coordinates" a dense family whose filter run stalls (of
+near-unitary channels) takes T all d^2, so d <= 64; a dense family's filter
+has no T.  ``_factor`` returns the route (kind, orders, T, step), and
+``_SpectralCore.route`` its (kind, orders).  Either way a vector is accepted
+only when its residual through the channel itself, |Phi(X) - X|_F (Phi^* for
+Pi_1^*), is within eig_cluster_tol |X|_F.  The distance of the first probe's
+projection is the channel's gap, and a gap below 10 eig_cluster_tol gives the
+split an "ill-separated" warning.
 """
 
 import cmath
@@ -134,7 +137,7 @@ class _SpectralCore:
     Pi_1^*(diag(1, ..., d) / d); ``gap``, the estimated distance from 1
     of the nearest non-fixed eigenvalue, from the projection of the first
     probe; and ``route``, the (kind, orders) of the ``_factor`` route that
-    made them, without its step."""
+    made them, without its T and step."""
 
     split: RecurrentSplit
     probes: np.ndarray
@@ -151,25 +154,29 @@ class _Stalled(Exception):
     """A filter run with d^2 <= ``_INVERSE_ORDER`` too slow to reach its floor in ``_BUDGET``."""
 
 
-def _image(ch, b, adjoint):
+def _image(ch, b, adjoint, t=None):
     """M_h b (M_h^T b when ``adjoint``) for real coordinates b, one vector or a
-    (k, d^2) stack: Phi(Z^T) = Phi(Z)^H for a real Z, so with Z = b read row by
-    row and W = Phi(Z), encode(Phi(decode(b))) is Re W + Im W^T."""
+    (k, d^2) stack, or (M_h E_T b)_T for b on the coordinates ``t``: Phi(Z^T) =
+    Phi(Z)^H for a real Z, so with Z = b read row by row and W = Phi(Z),
+    encode(Phi(decode(b))) is Re W + Im W^T."""
     d = ch.dim
+    if t is not None:  # E_T b
+        b, z = np.zeros(b.shape[:-1] + (d * d,)), b
+        b[..., t] = z
     w = _apply_stack(ch, b.reshape(-1, d, d), adjoint)
-    return (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
+    w = (w.real + w.imag.swapaxes(-1, -2)).reshape(b.shape)
+    return w if t is None else w[..., t]
 
 
 def _factor(ch, tol, stalled=False):
-    """The route ``_project`` takes on real coordinates b, one vector or a
-    (k, d^2) stack, as (kind, orders, step), orders the order of each inverse
-    taken.  "inverse on all coordinates" (a dense family whose filter run
-    ``stalled``) and "inverse on T" (a sparse family, |T| <= ``_INVERSE_ORDER``)
-    take (|T|,) and the step (1 - sigma) (M_h - sigma I)^-1 b (transposed
-    when ``adjoint``), from one inverse of M_h[T, T] - sigma I and one
-    application of Phi (Phi^*): M_h writes only T, so M_h - sigma I is block
-    triangular over T and the rest C.  Otherwise "filter", (), and the defect
-    b - Phi(b) (Phi^*) of ``_filter`` and ``_replay``.  Solving at sigma - 1 =
+    """The route ``_project`` takes, as (kind, orders, T, step), orders the
+    order of each inverse taken and the step on coordinates z on T, one
+    vector or a (k, |T|) stack.  "inverse on all coordinates" (a dense family
+    whose filter run ``stalled``, T all d^2) and "inverse on T" (a sparse
+    family, |T| <= ``_INVERSE_ORDER``) take (|T|,) and the step z -> z (1 -
+    sigma) (M_h[T, T] - sigma I)^-1, transposed unless ``adjoint``.  Otherwise
+    "filter", (), and the defect z - (M_h E_T z)_T (M_h^T) of ``_filter`` and
+    ``_replay``, with T None for a dense family.  Solving at sigma - 1 =
     eig_cluster_tol, the steps reach a fixed point off Pi_1 b inside the
     eigenvalue-1 space by about eps / eig_cluster_tol relative.  Reports do
     not depend on it: the error is a fixed point, and the pipeline uses only
@@ -182,26 +189,12 @@ def _factor(ch, tol, stalled=False):
         rows = _cached_superoperator(ch)[0] if ch._sparse else None
         t = None if rows is None else np.flatnonzero(np.bincount(rows, minlength=d * d))
         if t is None or t.size > _INVERSE_ORDER:
-            return "filter", (), lambda b, adjoint: b - _image(ch, b, adjoint)
+            return "filter", (), t, lambda z, adjoint: z - _image(ch, z, adjoint, t)
         kind, inverse = "inverse on T", _hermitian_block(ch, t)
     inverse.flat[:: t.size + 1] -= sigma
     inverse = np.linalg.inv(inverse)
-
-    def step(b, adjoint):
-        # with A = M_h[T, T] - sigma I; M_h[T, C] is applied through Phi
-        if adjoint:  # y_T = b_T A^-1, y_C = (M_h[T, C]^T y_T - b_C) / sigma
-            y = np.zeros_like(b)
-            y[..., t] = b[..., t] @ inverse
-            y_t, y = y[..., t], (_image(ch, y, True) - b) / sigma
-        else:  # y_C = -b_C / sigma, y_T = A^-1 (b_T - M_h[T, C] y_C)
-            y = b.copy()
-            y[..., t] = 0.0
-            y_t = (b[..., t] + _image(ch, y, False)[..., t] / sigma) @ inverse.T
-            y = -y / sigma
-        y[..., t] = y_t
-        return y
-
-    return kind, (t.size,), lambda b, adjoint: (1.0 - sigma) * step(b, adjoint)
+    inverse *= 1.0 - sigma
+    return kind, (t.size,), t, lambda z, adjoint: z @ (inverse if adjoint else inverse.T)
 
 
 def _filter(defect, x, tol):
@@ -266,22 +259,23 @@ def _filter(defect, x, tol):
 
 def _residual(ch, v, adjoint):
     """|Phi(X) - X|_F / |X|_F (Phi^* if ``adjoint``; inf at X = 0), X = decode(v)."""
-    y, norm = hermitian_decode(v, ch.dim), np.linalg.norm(v)
-    new = np.linalg.norm(_apply_stack(ch, y[None], adjoint)[0] - y)
-    return new / norm if norm else math.inf
+    norm = np.linalg.norm(v)
+    return np.linalg.norm(_image(ch, v, adjoint) - v) / norm if norm else math.inf
 
 
 def _project(ch, route, starts, adjoint, tol, roots=()):
     """Pi_1, or Pi_1^* when ``adjoint``, of each Hermitian start, a (k, d, d)
-    stack, on a ``_factor`` route, after a ``_replay`` of ``roots`` that each
-    row keeps if it shrank its defect (module docstring); the least estimated
-    distance from 1 of a non-fixed eigenvalue; the ``_filter`` runs' roots in
-    ``_leja`` order (none off the filter).  A failure counts the replay and the guard."""
-    kind, _, solve = route
+    stack, on a ``_factor`` route, in and out of T once (module docstring),
+    after a ``_replay`` of ``roots`` that each row keeps if it shrank its
+    defect; the least estimated distance from 1 of a non-fixed eigenvalue; the
+    ``_filter`` runs' roots in ``_leja`` order.  A failure counts the replay and the guard."""
+    kind, _, t, step = route
     v = hermitian_encode(np.stack(starts))
-    w, replayed = _replay(solve, roots, v, adjoint)
+    if t is not None:  # (M_h x)_T, or x_T for Pi_1^*
+        v = (v if adjoint else _image(ch, v, False))[:, t]
+    w, replayed = _replay(step, roots, v, adjoint)
     if roots:  # the guard: one application of the defect to w, one to v
-        after, before = (np.linalg.norm(solve(x, adjoint), axis=1) for x in (w, v))
+        after, before = (np.linalg.norm(step(x, adjoint), axis=1) for x in (w, v))
         v, replayed = np.where((after <= before)[:, None], w, v), replayed + 2
     tau, fixed, gap, found = tol.eig_cluster_tol, [], math.inf, []
     for u in v:
@@ -289,16 +283,21 @@ def _project(ch, route, starts, adjoint, tol, roots=()):
         if kind != "filter":
             res, theta, halving, unit = math.inf, 0.0, True, "solves"
             while halving:
-                u = solve(u, adjoint)
-                new, count = _residual(ch, u, adjoint), count + 1
+                u, prev = step(u, adjoint), u
+                # (M_h[T, T] - I) u = tau (u - prev), as (M_h[T, T] - sigma I) u = -tau prev
+                new = tau * np.linalg.norm(u - prev) / (np.linalg.norm(u) or math.inf)
                 if new > 100.0 * np.finfo(float).eps:  # above what rounding reaches
                     theta = max(theta, new / res)
-                halving, res = new < 0.5 * res, new
+                halving, res, count = new < 0.5 * res, new, count + 1
             distance = max(tau * (1.0 / theta - 1.0), 0.0) if theta else math.inf
         else:
-            u, applied, distance, converged, run = _filter(lambda b: solve(b, adjoint), u, tol)
-            res, unit, count = _residual(ch, u, adjoint), "applications", count + applied
+            u, applied, distance, converged, run = _filter(lambda b: step(b, adjoint), u, tol)
+            unit, count = "applications", count + applied
             found += run
+        if t is not None:  # E_T u, or M_h^T E_T u for Pi_1^*
+            u = np.bincount(t, u, ch.dim**2)
+            u = _image(ch, u, True) if adjoint else u
+        res = _residual(ch, u, adjoint)
         if not (converged and res <= tau):
             raise DecompositionError(
                 "fixed-space",
@@ -340,8 +339,8 @@ def _leja(roots, tol):
 
 
 def _replay(solve, roots, v, adjoint):
-    """p(A) v for each row of the (k, d^2) stack v, A the defect of
-    ``solve``, and the applications of A made: p is the product of
+    """p(A) v for each row of the stack v, A the defect of ``solve``, and
+    the applications of A made: p is the product of
     (1 - z / theta) over the roots in the order ``_leja`` gives, a root
     with its conjugate as one real quadratic factor.  Every factor is 1 at
     z = 0, so Pi_1 v is unchanged."""
@@ -381,7 +380,7 @@ def _spectral_core(ch, tol):
                 diagnostics={"residual": float(unital)},
             )
         route = _factor(ch, tol)
-        while True:  # a stalled filter run takes the inverse on all of T
+        while True:  # a stalled filter run takes the inverse on all coordinates
             try:
                 # the first probe is the linking element of chanstruct.structure;
                 # its run alone builds a Krylov space, and the other three starts

@@ -450,11 +450,11 @@ def _psd_sqrt(m):
 # the square roots of the Gram matrices L^H L below.  psd_tol is 1e-9 and
 # eig_cluster_tol 1e-8.
 _BOUNDARY_CASES = {
-    # the column before truncation already fails: 20e-9 on one level of C^2
-    # is a defect |G_1 - I|_F / |I|_F of 1.4e-8, beyond eig_cluster_tol
+    # the walk before truncation already fails: 30e-9 on one level of column
+    # 1 is a defect sqrt(sum_j |G_j - I|_F^2 / 4) of 1.5e-8, beyond eig_cluster_tol
     "deficit-beyond-bound": (
-        np.diag([1 + 20e-9, 0.5]), np.diag([0.0, 0.25]), np.diag([0.0, 0.25]),
-        "column 1 is not normalized before truncation",
+        np.diag([1 + 30e-9, 0.5]), np.diag([0.0, 0.25]), np.diag([0.0, 0.25]),
+        "the walk is not normalized before truncation",
     ),
     # the back-hop's Gram matrix couples the two levels
     "off-diagonal-mass": (
@@ -520,15 +520,28 @@ class TestOqrw:
             cs.from_oqrw(tr, 3)
 
     def test_normalization_checked_at_tolerance(self):
-        # column 0 sums to (1 + 1.05e-7) I, a defect of 1.05e-7, which
-        # eig_cluster_tol = 1e-6 accepts and psd_tol = 1e-6 does not
+        # column 0 of the walk on 4 sites of C^3 sums to (1 + e) I when its
+        # stay operator, of weight 1 - p = 0.7, is scaled by sqrt(1 + e / 0.7),
+        # so the channel's defect sqrt(sum_j |G_j - I|_F^2 / 12) is e / 2: at
+        # e = 1.05e-7 eig_cluster_tol = 1e-6 accepts it and psd_tol = 1e-6 does not
+        stay = cs.oqrw_transition_map(0.3, 0.3, 3)[(0, 0)]
         tr = cs.oqrw_transition_map(0.3, 0.3, 3)
-        tr[(0, 0)] = np.sqrt(1 + 1.5e-7) * tr[(0, 0)]
+        tr[(0, 0)] = np.sqrt(1 + 1.5e-7) * stay
         for tol in (cs.DEFAULT_TOL, cs.Tolerance(psd_tol=1e-6)):
             with pytest.raises(cs.ArgumentError, match="not normalized"):
                 cs.from_oqrw(tr, 3, tol=tol)
         ch = cs.from_oqrw(tr, 3, tol=cs.Tolerance(eig_cluster_tol=1e-6))
         assert ch.dim == 12
+        # at e = 1.5e-8 column 0 alone is beyond the default eig_cluster_tol,
+        # but the channel's defect, 7.5e-9, is within it: the walk builds,
+        # passes validate and decomposes; at e = 1e-7 it is still refused
+        tr[(0, 0)] = np.sqrt(1 + 1.5e-8 / 0.7) * stay
+        ch = cs.from_oqrw(tr, 3)
+        assert cs.validate(ch).kraus_sum_deviation == pytest.approx(7.5e-9)
+        assert cs.validate(ch).passed and cs.decompose(ch).R.dimension == 8
+        tr[(0, 0)] = np.sqrt(1 + 1e-7 / 0.7) * stay
+        with pytest.raises(cs.ArgumentError, match="not normalized"):
+            cs.from_oqrw(tr, 3)
 
     def test_bad_overflow_rejected(self):
         tr = cs.oqrw_transition_map(0.3, 0.3, 3)

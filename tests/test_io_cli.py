@@ -1378,7 +1378,7 @@ class TestCliValidate:
             out = json.loads(capsys.readouterr().out)
             assert out["trace_preserving"] is False and out["passed"] is False
 
-    @pytest.mark.parametrize("case", ["scaled-identity", "dense-gram", "markov"])
+    @pytest.mark.parametrize("case", ["scaled-identity", "dense-gram", "rank-one", "markov"])
     def test_build_validate_and_decompose_agree_on_trace_preservation(
         self, case, tmp_path, capsys
     ):
@@ -1396,6 +1396,22 @@ class TestCliValidate:
             w, u = np.linalg.eigh(np.eye(9) + 4.9e-9 * (2.0 * np.eye(9) - np.ones((9, 9))))
             write_channel(path, cs.KrausChannel([(u * np.sqrt(w)) @ u.T]))
             above = "2e-8"
+        elif case == "rank-one":
+            # V = (I + c e e^T)^(1/2) on C^30, e a unit vector: defect c / sqrt(30),
+            # and spectral radius 1 + c = 1 + sqrt(30) defect, the most the defect
+            # allows; a defect of 5e-9 passes at the default flags, 3e-8 does not
+            e = np.ones(30) / np.sqrt(30.0)
+
+            def root(defect):
+                return np.eye(30) + (np.sqrt(1.0 + np.sqrt(30.0) * defect) - 1.0) * np.outer(e, e)
+
+            write_channel(path, cs.KrausChannel([root(5e-9)]))
+            assert main(["validate", str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["kraus_sum_deviation"] == pytest.approx(5e-9)
+            assert out["passed"] and out["spectral_radius"] > 1.0 + 1e-8
+            write_channel(path, cs.KrausChannel([root(3e-8)]))
+            above = "1e-7"
         else:  # column sums 1 + 1e-7 and 1 - 1e-7: defect 1e-7
             matrix = tmp_path / "p.json"
             matrix.write_text(json.dumps([[0.5 + 1e-7, 0.3], [0.5, 0.7 - 1e-7]]))
