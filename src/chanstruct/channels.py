@@ -184,8 +184,8 @@ class ValidationReport:
 
 
 def is_state(rho, tol=DEFAULT_TOL):
-    """Density-matrix predicate: finite, Hermitian, PSD within psd_tol,
-    trace 1 within eig_cluster_tol."""
+    """Density-matrix predicate: finite, Hermitian (``_is_hermitian``), PSD
+    within psd_tol, trace 1 within eig_cluster_tol."""
     _check_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:

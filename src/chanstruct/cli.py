@@ -179,8 +179,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     for flag, help_text in (
         ("--tol-rank", "relative singular-value cutoff for rank decisions"),
-        ("--tol-eig", "eigenvalue clustering distance"),
-        ("--tol-psd", "allowed negative-eigenvalue magnitude in PSD checks"),
+        ("--tol-eig", "trace-preservation, fixed-point and cluster cut; 10X cuts Hermiticity"),
+        ("--tol-psd", "PSD slack, the Markov zero and the reflecting rule's zero"),
     ):
         common.add_argument(
             flag, type=float, default=None, metavar="X", help=help_text

@@ -53,7 +53,7 @@ class Tolerance:
 
     @property
     def subspace_tol(self):
-        """Threshold for subspace membership/fixedness residuals."""
+        """Threshold for subspace residuals, Hermiticity and idempotence."""
         return 10.0 * self.eig_cluster_tol
 
 
@@ -80,10 +80,10 @@ def _check_integer(value, name, least):
 
 
 def _is_hermitian(x, tol):
-    """The package's rule for a finite square input to count as Hermitian:
-    |X - X^H|_max <= 100 psd_tol max(1, |X|_max)."""
+    """The package's one Hermiticity rule (states, projectors, parameters):
+    |X - X^H|_max <= subspace_tol max(1, |X|_max)."""
     scale = max(1.0, np.abs(x).max())
-    return bool(np.abs(x - x.conj().T).max() <= 100.0 * tol.psd_tol * scale)
+    return bool(np.abs(x - x.conj().T).max() <= tol.subspace_tol * scale)
 
 
 class Subspace:

@@ -48,7 +48,8 @@ from .channels import KrausChannel, _compressions, _enclosure_frame, _leak, _lea
 from .channels import _transfer_matrix, apply, apply_adjoint, is_state
 from .errors import ArgumentError, ChanstructError, DecompositionError
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_complex_matrix
-from .linalg import _canonical, _check_integer, _check_tolerance, _residue_free
+from .linalg import _canonical, _check_integer, _check_tolerance, _is_hermitian
+from .linalg import _residue_free
 from .spectral import _block_eigenvalues, _peripheral, _spectral_core, recurrent_split
 
 __all__ = [
@@ -257,7 +258,7 @@ def is_subharmonic(ch, p, tol=DEFAULT_TOL):
     p = as_complex_matrix(p, "P")
     if p.shape != (ch.dim, ch.dim):
         raise ArgumentError("P has wrong shape for this channel")
-    if np.abs(p - p.conj().T).max() > tol.subspace_tol:
+    if not _is_hermitian(p, tol):
         raise ArgumentError("P is not Hermitian")
     if np.abs(p @ p - p).max() > tol.subspace_tol:
         raise ArgumentError("P is not idempotent")
@@ -691,8 +692,7 @@ def _check_parameters(report, params):
             raise ArgumentError(
                 f"{label} parameter matrix has shape {m.shape}, expected ({n}, {n})"
             )
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > tol.eig_cluster_tol * scale:
+        if not _is_hermitian(m, tol):
             raise ArgumentError(f"{label} parameter matrix is not Hermitian")
         m = (m + m.conj().T) / 2.0
         if np.linalg.eigvalsh(m)[0] < -tol.psd_tol:

@@ -5,7 +5,7 @@ import pytest
 
 import chanstruct as cs
 from chanstruct.linalg import _canonical, hermitian_decode, hermitian_encode
-from helpers import assert_canonical
+from helpers import assert_canonical, coordinate_projector, planted_channel, random_state
 
 RNG = np.random.default_rng(101)
 
@@ -124,13 +124,63 @@ class TestCanonicalFrame:
             assert np.abs(_canonical(f @ _unitary(3)) - f).max() <= 1e-13
 
 
+def _skew(n, size, rng):
+    """An anti-Hermitian n x n matrix E with a zero diagonal (so the trace
+    and the Hermitian part of X + E are those of X) and |E - E^H|_max = size."""
+    z = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    e = z - z.conj().T
+    return e * (size / np.abs(2.0 * e).max())
+
+
 class TestHermiticityRule:
     @pytest.mark.parametrize("factor, hermitian", [(0.9, True), (1.1, False)])
     def test_is_state_hermiticity_rule(self, factor, hermitian):
-        # |X - X^H|_max against 100 psd_tol max(1, |X|_max), here 1e-7
+        # |X - X^H|_max against subspace_tol max(1, |X|_max), here 1e-7
         rho = np.diag([0.5, 0.5]).astype(complex)
-        rho[0, 1] = factor * 100.0 * cs.DEFAULT_TOL.psd_tol
+        rho[0, 1] = factor * cs.DEFAULT_TOL.subspace_tol
         assert cs.is_state(rho) == hermitian
+
+    def test_psd_slack_does_not_move_the_rule(self):
+        # psd_tol does not enter the cut: at psd_tol = 1e-2 it stays 1e-7
+        tol = cs.Tolerance(psd_tol=1e-2)
+        assert not cs.is_state([[0.5, 0.9], [0, 0.5]], tol)
+        rep = cs.decompose(cs.from_markov_chain([[0.5, 0.5], [0.5, 0.5]], tol=tol), tol=tol)
+        with pytest.raises(cs.ArgumentError, match="rho is not a state"):
+            cs.extract_parameters(rep, [[0.5, 0.45], [0, 0.5]])
+
+    @pytest.mark.parametrize("factor", [0.3, 3.0])
+    @pytest.mark.parametrize(
+        "tol",
+        [cs.DEFAULT_TOL, cs.Tolerance(psd_tol=1e-2), cs.Tolerance(eig_cluster_tol=1e-6)],
+        ids=["default", "psd-1e-2", "eig-1e-6"],
+    )
+    def test_states_projectors_and_parameters_agree(self, tol, factor):
+        # Hermitian inputs, all entries below 1 (so the cut is subspace_tol),
+        # plus an anti-Hermitian part at `factor` times the cut
+        rng = np.random.default_rng(59)
+        size = factor * tol.subspace_tol
+        rho = random_state(4, rng) + _skew(4, size, rng)
+        decisions = [cs.is_state(rho, tol)]
+        # {0, 1} is a closed class, so P on it is subharmonic
+        ch = cs.from_markov_chain(
+            [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.2, 1], [0, 0, 0.8, 0]]
+        )
+        p = coordinate_projector(4, [0, 1]) + _skew(4, size, rng)
+        try:
+            decisions.append(cs.is_subharmonic(ch, p, tol))
+        except cs.ArgumentError as err:
+            assert str(err) == "P is not Hermitian"
+            decisions.append(False)
+        planted, _ = planted_channel(rng, [2], [(2, 3)], 1, n_kraus=3)
+        rep = cs.decompose(planted, tol=tol)
+        m = 0.7 * random_state(3, rng) + _skew(3, size, rng)
+        params = cs.InvariantStateParameters(t=np.array([0.3]), M=(m,))
+        try:
+            decisions.append(cs.is_state(cs.build_invariant_state(rep, params), tol))
+        except cs.ArgumentError as err:
+            assert str(err) == "B-block 0 parameter matrix is not Hermitian"
+            decisions.append(False)
+        assert decisions == [factor < 1.0] * 3
 
 
 class TestVecHermitian:
